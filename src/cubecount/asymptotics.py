@@ -50,9 +50,16 @@ def R_poly(j: int, budget: int | None = None, processes: int = 1) -> RatPoly:
 
     Stratum sums are exact at each d on a grid wide enough for the degree
     bound deg_d <= 2j plus one spare point that cross-checks the fit; the
-    grid starts at d = 2j+1 so every size-j shape already embeds.  j <= 3 is
-    computed without a budget; beyond that an explicit enumeration budget is
-    required and exhaustion raises BudgetExceededError.
+    grid starts at d = 2j+1 so every size-j shape already embeds.  Each grid
+    point is cluster_sum(d, j), which enumerates clusters once at the base
+    dimension min(d, free_dim(j)) and rescales them to d by their active
+    coordinates (C(d, a) counting), so the grid costs one enumeration per
+    base dimension.  Above free_dim(j) the spare point therefore checks the
+    rescaling and the fit, not an independent enumeration; the independent
+    check, against clusters enumerated at d itself, is the differential test
+    in tests/test_clusters.py.  j <= 3 is computed without a budget; beyond
+    that an explicit budget, which limits the base-dimension enumeration of
+    each grid point, is required and exhaustion raises BudgetExceededError.
     """
     if j < 1:
         raise ValueError("stratum index must be >= 1")

@@ -49,8 +49,11 @@ def _emit(obj: dict, out: str | None) -> None:
     if out is None:
         sys.stdout.write(blob)
     else:
-        with open(out, "w") as f:
-            f.write(blob)
+        try:
+            with open(out, "w") as f:
+                f.write(blob)
+        except OSError as e:
+            raise _UsageError(f"cannot write {out}: {e}")
 
 
 def _threads(args) -> int:
@@ -184,6 +187,7 @@ def _cmd_lambda_beta(args) -> dict:
 
 def _cmd_count(args) -> dict:
     _check_beta(args.beta)
+    _check_digits(args.digits)
     lc = asymptotics.log_count_asymptotic(args.beta, args.d, args.t,
                                           digits=args.digits)
     out = lc.to_json()
@@ -210,6 +214,7 @@ def _parse_typed_pairs(pairs: list[str], diverging: bool) -> dict:
 
 def _cmd_count_structured(args) -> dict:
     _check_beta(args.beta)
+    _check_digits(args.digits)
     fixed = _parse_typed_pairs(args.fixed or [], diverging=False)
     diverging = _parse_typed_pairs(args.diverging or [], diverging=True)
     lc = asymptotics.structured_count(args.beta, args.d, fixed, diverging,
@@ -226,6 +231,7 @@ def _cmd_count_structured(args) -> dict:
 def _cmd_zeta(args) -> dict:
     if args.lam <= 0:
         raise _UsageError("--lam must be positive")
+    _check_digits(args.digits)
     lc = asymptotics.log_Z_asymptotic(args.lam, args.d, args.t,
                                       digits=args.digits)
     out = lc.to_json()
@@ -236,6 +242,11 @@ def _cmd_zeta(args) -> dict:
 def _check_beta(beta: Fraction) -> None:
     if not 0 < beta < 1:
         raise _UsageError("--beta must lie strictly between 0 and 1")
+
+
+def _check_digits(digits: int) -> None:
+    if digits < 1:
+        raise _UsageError("--digits must be >= 1")
 
 
 def _cmd_sample(args) -> dict:
@@ -435,11 +446,15 @@ def _build_parser() -> _Parser:
     p.add_argument("--observable", default="one")
     p.add_argument("--power", type=int, default=1)
     p.add_argument("--lam", type=_rational)
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=int,
+                   help="node budget for the one cluster enumeration, which "
+                        "runs at the base dimension min(d, free_dim(k))")
 
     p = add("rj", "expansion coefficients R_j as polynomials in (lam, d)")
     p.add_argument("--j", type=int, required=True)
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=int,
+                   help="node budget for each grid point's cluster "
+                        "enumeration at its base dimension")
     p.add_argument("--threads", type=int)
 
     p = add("bj", "fugacity-correction coefficients B_j")

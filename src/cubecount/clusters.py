@@ -19,6 +19,21 @@ repetition); the orderings factor (multinomial of the multiplicities)
 converts multiset sums back to ordered-tuple sums.  Translation symmetry
 reduces to clusters whose support union contains the root vertex, each
 weighted by 1/|union| (see polymers module for the marked-vertex argument).
+
+Active coordinates.  A rooted cluster's active coordinates are the ones in
+which some vertex of its union differs from the root V0; there are at most
+2(k-1) of them, since each added vertex is a distance-2 step.  Two vertices
+share a neighbor only through coordinates in which they differ, so the
+deficiency d*|S| - |N(S)| of every entry, the interaction graph, phi, the
+union size and the defect types depend on the active coordinates alone, not
+on d.  The maps v -> pi(v ^ V0) ^ V0, pi a coordinate permutation, are
+automorphisms fixing V0, so every a-subset of the d coordinates carries the
+same clusters.  Once d >= free_dim(k), where d*k <= 2^(d-2), closure never
+binds: |closure(S)| <= |N(S)| <= d*|S| is at most half the side, so every
+connected support of size <= k is a polymer.  Hence a stratum sum at any d
+follows from the clusters at the base dimension b = min(d, free_dim(k)):
+each one found at b with a active coordinates stands for C(d, a)/C(b, a)
+clusters at d (cluster_sum).
 """
 
 from __future__ import annotations
@@ -260,6 +275,9 @@ def _build_cluster(key: tuple[tuple[int, ...], ...], d: int) -> Cluster | None:
     )
 
 
+# Unbudgeted enumerations by (d, max_total), oldest evicted first.  Stratum
+# sums only ever enumerate at d <= free_dim(k), so a few entries serve them all.
+_CLUSTER_CACHE_SIZE = 8
 _cluster_cache: dict[tuple[int, int], list[Cluster]] = {}
 
 
@@ -313,6 +331,8 @@ def enumerate_clusters(d: int, max_total: int,
             out.append(c)
     out.sort(key=lambda c: (c.total_size, c.supports))
     if budget is None:
+        if len(_cluster_cache) >= _CLUSTER_CACHE_SIZE:
+            del _cluster_cache[next(iter(_cluster_cache))]
         _cluster_cache[(d, max_total)] = out
     return out
 
@@ -320,15 +340,37 @@ def enumerate_clusters(d: int, max_total: int,
 # -- stratum sums ----------------------------------------------------------------
 
 
-def _observable_value(c: Cluster, obs: Observable) -> int:
+def free_dim(k: int) -> int:
+    """Smallest d >= max(2, 2(k-1)) with d*k <= 2^(d-2).
+
+    From this dimension on every connected support of size <= k is a
+    polymer, and every stratum-k cluster's active coordinates fit in it.
+    """
+    d = max(2, 2 * (k - 1))
+    while d * k > 1 << (d - 2):
+        d += 1
+    return d
+
+
+def _active_count(c: Cluster) -> int:
+    """Number of coordinates in which some vertex of the union differs from V0."""
+    active = 0
+    for s in c.supports:
+        for v in s:
+            active |= v ^ pm.V0
+    return active.bit_count()
+
+
+def _observable_value(c: Cluster, obs: Observable, nbhd_total: int) -> int:
+    """Observable of c, with nbhd_total its total neighborhood at the target d."""
     if obs.kind == "one":
         return 1
     if obs.kind == "size":
         return c.total_size ** obs.power
     if obs.kind == "nbhd":
-        return c.nbhd_total ** obs.power
+        return nbhd_total ** obs.power
     if obs.kind == "size_nbhd":
-        return c.total_size * c.nbhd_total
+        return c.total_size * nbhd_total
     if obs.kind == "type_count":
         count = dict(c.type_counts).get(obs.type_key, 0)
         return count ** obs.power
@@ -366,21 +408,33 @@ def cluster_sum(d: int, k: int, observable: Observable = Observable.one(),
 
     The result is returned as the polynomial factor of
     n_side * lam^k * poly * (1+lam)^(-k*d); coefficients are Fractions.
+
+    Clusters are enumerated once, at the base dimension
+    b = min(d, free_dim(k)), and rescaled to d by active coordinates (see the
+    module docstring): a cluster with a active coordinates counts
+    C(d, a)/C(b, a) times, its exponent e = k*b - nbhd_total is the sum of
+    its deficiencies and so the same at d, and its total neighborhood at d,
+    which the nbhd and size_nbhd observables read, is k*d - e.  For
+    d <= free_dim(k) the base is d itself and every factor is 1.  `budget`
+    limits the enumeration at the base dimension.
     """
     if k < 1:
         raise ValueError("stratum index must be >= 1")
-    clusters = enumerate_clusters(d, k, budget)
+    b = min(d, free_dim(k))
+    clusters = enumerate_clusters(b, k, budget)
     # accumulate rational coefficients per power of (1+lam)
     by_exponent: dict[int, Fraction] = {}
     for c in clusters:
         if c.total_size != k:
             continue
-        val = _observable_value(c, observable)
+        e = k * b - c.nbhd_total
+        assert e >= 0
+        val = _observable_value(c, observable, k * d - e)
         if not val:
             continue
-        coef = Fraction(c.orderings * val, c.union_size) * c.phi
-        e = k * d - c.nbhd_total
-        assert e >= 0
+        a = _active_count(c)
+        coef = Fraction(c.orderings * val * math.comb(d, a),
+                        c.union_size * math.comb(b, a)) * c.phi
         by_exponent[e] = by_exponent.get(e, Fraction(0)) + coef
     poly = RatPoly.const(0)
     for e, coef in sorted(by_exponent.items()):

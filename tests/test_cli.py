@@ -38,6 +38,9 @@ def test_usage_errors_exit_one_with_single_line(capsys):
                  ["oracle"],
                  ["pj", "--t", "1"],
                  ["zeta", "--lam", "-1", "--d", "4", "--t", "2"],
+                 ["zeta", "--lam", "1", "--d", "6", "--t", "2", "--digits", "0"],
+                 ["count", "--beta", "1/2", "--d", "6", "--t", "2", "--digits", "0"],
+                 ["count-structured", "--beta", "1/4", "--d", "8", "--digits", "-1"],
                  ["oracle", "--d", "2", "--bogus-flag"],
                  ["validate", "--only", "99"],
                  ["no-such-command"]):
@@ -46,6 +49,15 @@ def test_usage_errors_exit_one_with_single_line(capsys):
         assert code == 1, argv
         assert captured.err.startswith("error:"), argv
         assert captured.err.strip().count("\n") == 0, argv
+
+
+def test_unwritable_out_path_is_a_one_line_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, "oracle", "--d", "3", "--out", str(target))
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot write")
+    assert err.strip().count("\n") == 0
+    assert not target.exists()
 
 
 def test_budget_exhaustion_exits_two(capsys):

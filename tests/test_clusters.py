@@ -187,3 +187,57 @@ def test_cache_clearing_keeps_results_stable():
     before = cl.stratum_value(4, 2, Fraction(1, 7))
     cl.clear_caches()
     assert cl.stratum_value(4, 2, Fraction(1, 7)) == before
+
+
+def test_free_dim_values():
+    assert [cl.free_dim(k) for k in (1, 2, 3, 4)] == [4, 6, 7, 7]
+
+
+def test_every_connected_support_is_a_polymer_from_free_dim():
+    # the rescaling in cluster_sum rests on closure never binding at free_dim
+    for k in (1, 2, 3, 4):
+        d = cl.free_dim(k)
+        ctx = pm._ctx(d)
+        for s in pm._grow_connected(pm.V0, k, ctx.sq_neighbors):
+            assert ctx.is_valid(s), (k, sorted(s))
+
+
+def seed_cluster_sum_poly(d: int, k: int, obs: cl.Observable) -> RatPoly:
+    """Reference stratum sum: every cluster enumerated at d itself."""
+    by_exponent = {}
+    for c in cl.enumerate_clusters(d, k):
+        if c.total_size != k:
+            continue
+        val = {"one": 1,
+               "size": c.total_size ** obs.power,
+               "nbhd": c.nbhd_total ** obs.power,
+               "size_nbhd": c.total_size * c.nbhd_total,
+               "type_count": dict(c.type_counts).get(obs.type_key, 0) ** obs.power,
+               }[obs.kind]
+        e = k * d - c.nbhd_total
+        coef = Fraction(c.orderings * val, c.union_size) * c.phi
+        by_exponent[e] = by_exponent.get(e, Fraction(0)) + coef
+    poly = RatPoly.const(0)
+    for e, coef in by_exponent.items():
+        poly = poly + (RatPoly.var("lam") + 1) ** e * coef
+    return poly
+
+
+def test_rescaled_cluster_sum_matches_enumeration_at_d():
+    observables = (cl.Observable.one(), cl.Observable.size(2), cl.Observable.nbhd(2),
+                   cl.Observable.size_nbhd(), cl.Observable.type_count("s1c0g0", 2))
+    for k in (1, 2, 3):
+        for d in (cl.free_dim(k), cl.free_dim(k) + 1):
+            for obs in observables:
+                assert cl.cluster_sum(d, k, obs).poly == \
+                    seed_cluster_sum_poly(d, k, obs), (d, k, obs.label())
+
+
+def test_cluster_cache_is_bounded():
+    cl.clear_caches()
+    for k in (1, 2, 3):
+        for d in range(3, 15):
+            cl.cluster_sum(d, k)
+    assert 0 < len(cl._cluster_cache) <= cl._CLUSTER_CACHE_SIZE
+    cl.clear_caches()
+    assert not cl._cluster_cache
