@@ -39,6 +39,10 @@ DIM = "d"
 
 _r_cache: dict[int, RatPoly] = {}
 
+# Largest j for which R_poly needs no budget, so also the largest stratum the
+# series formulas below can use without one.
+MAX_EXACT_J = 3
+
 
 def _stratum_poly_task(args) -> RatPoly:
     d, j, budget = args
@@ -60,14 +64,18 @@ def R_poly(j: int, budget: int | None = None, processes: int = 1) -> RatPoly:
     in tests/test_clusters.py.  j <= 3 is computed without a budget; beyond
     that an explicit budget, which limits the base-dimension enumeration of
     each grid point, is required and exhaustion raises BudgetExceededError.
+    Grid points that share a base dimension share its enumeration, which is
+    cached once complete, so without worker processes the budget is spent
+    once per base dimension.
     """
     if j < 1:
         raise ValueError("stratum index must be >= 1")
     if budget is None and j in _r_cache:
         return _r_cache[j]
-    if budget is None and j > 3:
+    if budget is None and j > MAX_EXACT_J:
         raise ValueError(
-            "strata beyond j = 3 are best-effort: pass an explicit budget")
+            f"strata beyond j = {MAX_EXACT_J} are best-effort: pass an "
+            "explicit budget")
     grid = list(range(2 * j + 1, 4 * j + 3))
     polys = _map_maybe_parallel(_stratum_poly_task,
                                 [(d, j, budget) for d in grid], processes)

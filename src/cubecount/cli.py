@@ -44,16 +44,28 @@ def _rational(text: str) -> Fraction:
         raise _UsageError(f"not a rational number: {text!r}")
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as f:
+            f.write(text)
+    except OSError as e:
+        raise _UsageError(f"cannot write {path}: {e}")
+
+
 def _emit(obj: dict, out: str | None) -> None:
     blob = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     if out is None:
         sys.stdout.write(blob)
     else:
-        try:
-            with open(out, "w") as f:
-                f.write(blob)
-        except OSError as e:
-            raise _UsageError(f"cannot write {out}: {e}")
+        _write(out, blob)
+
+
+def _check_order(name: str, value: int, largest: int) -> None:
+    """Reject orders that need R_j beyond the ones computed exactly."""
+    if value > largest:
+        raise _UsageError(
+            f"{name} must be <= {largest}: higher orders need R_j for "
+            f"j > {asymptotics.MAX_EXACT_J}")
 
 
 def _threads(args) -> int:
@@ -168,6 +180,7 @@ def _cmd_rj(args) -> dict:
 
 
 def _cmd_bj(args) -> dict:
+    _check_order("--r", args.r, asymptotics.MAX_EXACT_J)
     table = asymptotics.compute_B(args.r)
     return {"kind": "B", "rmax": args.r, "entries": table.to_json()}
 
@@ -175,12 +188,15 @@ def _cmd_bj(args) -> dict:
 def _cmd_pj(args) -> dict:
     if args.t < 2:
         raise _UsageError("--t must be >= 2 (order t uses corrections j <= t-1)")
+    _check_order("--t", args.t, asymptotics.MAX_EXACT_J + 1)
     table = asymptotics.compute_P(args.t - 1)
     return {"kind": "P", "t": args.t, "entries": table.to_json()}
 
 
 def _cmd_lambda_beta(args) -> dict:
     _check_beta(args.beta)
+    # order t uses B_j for j <= ceil(t/2) - 1
+    _check_order("--t", args.t, 2 * (asymptotics.MAX_EXACT_J + 1))
     lb = asymptotics.lambda_beta(args.beta, args.d, args.t)
     return lb.to_json()
 
@@ -188,6 +204,7 @@ def _cmd_lambda_beta(args) -> dict:
 def _cmd_count(args) -> dict:
     _check_beta(args.beta)
     _check_digits(args.digits)
+    _check_order("--t", args.t, asymptotics.MAX_EXACT_J + 1)
     lc = asymptotics.log_count_asymptotic(args.beta, args.d, args.t,
                                           digits=args.digits)
     out = lc.to_json()
@@ -215,6 +232,7 @@ def _parse_typed_pairs(pairs: list[str], diverging: bool) -> dict:
 def _cmd_count_structured(args) -> dict:
     _check_beta(args.beta)
     _check_digits(args.digits)
+    _check_order("--t", args.t, asymptotics.MAX_EXACT_J + 1)
     fixed = _parse_typed_pairs(args.fixed or [], diverging=False)
     diverging = _parse_typed_pairs(args.diverging or [], diverging=True)
     lc = asymptotics.structured_count(args.beta, args.d, fixed, diverging,
@@ -232,6 +250,7 @@ def _cmd_zeta(args) -> dict:
     if args.lam <= 0:
         raise _UsageError("--lam must be positive")
     _check_digits(args.digits)
+    _check_order("--t", args.t, asymptotics.MAX_EXACT_J + 1)
     lc = asymptotics.log_Z_asymptotic(args.lam, args.d, args.t,
                                       digits=args.digits)
     out = lc.to_json()
@@ -265,8 +284,7 @@ def _cmd_sample(args) -> dict:
         raise _UsageError("no samples collected; increase --steps")
     reports = [sampler.extract_defects(s, debug=args.debug) for s in states]
     if args.csv is not None:
-        with open(args.csv, "w") as f:
-            f.write(sampler.reports_to_csv(states, reports))
+        _write(args.csv, sampler.reports_to_csv(states, reports))
     cen = polymers.census(args.d, args.census_size)
     summary = sampler.defect_statistics(states, reports, cen, args.lam)
     out = summary.to_json()
@@ -453,8 +471,9 @@ def _build_parser() -> _Parser:
     p = add("rj", "expansion coefficients R_j as polynomials in (lam, d)")
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--budget", type=int,
-                   help="node budget for each grid point's cluster "
-                        "enumeration at its base dimension")
+                   help="node budget for the cluster enumeration at each "
+                        "base dimension; grid points that share a base "
+                        "dimension reuse its completed enumeration")
     p.add_argument("--threads", type=int)
 
     p = add("bj", "fugacity-correction coefficients B_j")

@@ -212,7 +212,7 @@ def _multiset_key(supports: list[frozenset]) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(tuple(sorted(s)) for s in supports))
 
 
-def _interaction_edges(supports: list[frozenset], nbhds: list[frozenset]) \
+def _interaction_edges(supports: list[frozenset], nbhds: list[set[int]]) \
         -> tuple[tuple[int, int], ...]:
     edges = []
     for i in range(len(supports)):
@@ -234,9 +234,8 @@ def _orderings(key: tuple[tuple[int, ...], ...]) -> int:
 
 def _build_cluster(key: tuple[tuple[int, ...], ...], d: int) -> Cluster | None:
     """Assemble cluster data; None when the interaction graph is disconnected."""
-    ctx = pm._ctx(d)
     supports = [frozenset(s) for s in key]
-    nbhds = [frozenset(ctx.neighborhood(s)) for s in supports]
+    nbhds = [hc._neighborhood(s, d) for s in supports]
     edges = _interaction_edges(supports, nbhds)
 
     # connectivity of H
@@ -275,7 +274,7 @@ def _build_cluster(key: tuple[tuple[int, ...], ...], d: int) -> Cluster | None:
     )
 
 
-# Unbudgeted enumerations by (d, max_total), oldest evicted first.  Stratum
+# Completed enumerations by (d, max_total), oldest evicted first.  Stratum
 # sums only ever enumerate at d <= free_dim(k), so a few entries serve them all.
 _CLUSTER_CACHE_SIZE = 8
 _cluster_cache: dict[tuple[int, int], list[Cluster]] = {}
@@ -287,14 +286,18 @@ def enumerate_clusters(d: int, max_total: int,
 
     Rooted means the union of supports contains the root vertex; global sums
     are recovered as n_side * sum over rooted clusters of value/|union|.
+
+    The result is cached by (d, max_total) whatever the budget: a cached
+    enumeration is returned without spending any budget, and one that
+    finishes within its budget is the same list as an unbudgeted one, so it
+    is stored too.  Only an exhausted budget leaves the cache unchanged.
     """
     if max_total < 1:
         raise ValueError("max_total must be >= 1")
     hit = _cluster_cache.get((d, max_total))
-    if hit is not None and budget is None:
+    if hit is not None:
         return hit
 
-    ctx = pm._ctx(d)
     bud = [budget] if budget is not None else None
     seen_keys: set[tuple] = set()
     found: list[tuple] = []
@@ -317,7 +320,7 @@ def enumerate_clusters(d: int, max_total: int,
             union |= s
         targets = set(union)
         for v in union:
-            targets.update(ctx.sq_neighbors(v))
+            targets.update(hc._square_neighbors(v, d))
         for cand in pm.polymers_touching(frozenset(targets), d, room, bud):
             rec(supports + [cand], total + len(cand))
 
@@ -330,10 +333,9 @@ def enumerate_clusters(d: int, max_total: int,
         if c is not None:
             out.append(c)
     out.sort(key=lambda c: (c.total_size, c.supports))
-    if budget is None:
-        if len(_cluster_cache) >= _CLUSTER_CACHE_SIZE:
-            del _cluster_cache[next(iter(_cluster_cache))]
-        _cluster_cache[(d, max_total)] = out
+    if len(_cluster_cache) >= _CLUSTER_CACHE_SIZE:
+        del _cluster_cache[next(iter(_cluster_cache))]
+    _cluster_cache[(d, max_total)] = out
     return out
 
 
@@ -416,7 +418,8 @@ def cluster_sum(d: int, k: int, observable: Observable = Observable.one(),
     its deficiencies and so the same at d, and its total neighborhood at d,
     which the nbhd and size_nbhd observables read, is k*d - e.  For
     d <= free_dim(k) the base is d itself and every factor is 1.  `budget`
-    limits the enumeration at the base dimension.
+    limits the enumeration at the base dimension; when that enumeration is
+    already cached (see enumerate_clusters) no budget is spent.
     """
     if k < 1:
         raise ValueError("stratum index must be >= 1")
@@ -475,19 +478,18 @@ def _full_universe(d: int) -> tuple[tuple[int, int, Fraction, Fraction], ...]:
     """
     if d > 5:
         raise ValueError("the full polymer universe is only enumerable for d <= 5")
-    ctx = pm._ctx(d)
     half = hc.n_side(d) // 2
     out = []
     for root in hc.odd_side(d):
         def nbrs(v: int, _root=root) -> tuple[int, ...]:
-            return tuple(u for u in ctx.sq_neighbors(v) if u > _root)
+            return tuple(u for u in hc._square_neighbors(v, d) if u > _root)
 
         for s in pm._grow_connected(root, half, nbrs, None):
-            if ctx.is_valid(s):
+            if pm._is_valid(s, d):
                 sup_mask = 0
                 for v in s:
                     sup_mask |= 1 << v
-                nb = ctx.neighborhood(s)
+                nb = hc._neighborhood(s, d)
                 nb_mask = 0
                 for v in nb:
                     nb_mask |= 1 << v

@@ -6,10 +6,18 @@ by popcount parity, and each side has n_side(d) = 2^(d-1) vertices.
 
 Vertex sets cross API boundaries as sorted tuples (ascending numeric order);
 internally most routines work with Python sets.  All functions are pure.
+
+This module is the one implementation of the distance-2 neighbor list, the
+neighborhood N(S) and the closure.  The public square_neighbors,
+neighborhood and closure check their arguments and call the unchecked
+kernels _square_neighbors, _neighborhood and _closure, which the polymer and
+cluster enumerations in polymers and clusters call directly on vertex sets
+they built themselves.  Nothing is cached.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Collection, Iterable
 
 MAX_DIM = 24  # 2^24-entry side masks are still cheap; beyond that, refuse
@@ -44,15 +52,17 @@ def neighbors(v: int, d: int) -> tuple[int, ...]:
     return tuple(sorted(v ^ (1 << i) for i in range(d)))
 
 
+def _square_neighbors(v: int, d: int) -> tuple[int, ...]:
+    """Vertices at Hamming distance exactly 2 from v, ascending; unchecked."""
+    return tuple(sorted([v ^ (1 << i) ^ (1 << j)
+                         for i in range(d) for j in range(i + 1, d)]))
+
+
 def square_neighbors(v: int, d: int) -> tuple[int, ...]:
     """Vertices at Hamming distance exactly 2 from v, ascending."""
     check_dim(d)
     check_vertex(v, d)
-    out = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            out.append(v ^ (1 << i) ^ (1 << j))
-    return tuple(sorted(out))
+    return _square_neighbors(v, d)
 
 
 def even_side(d: int) -> tuple[int, ...]:
@@ -81,11 +91,23 @@ def neighborhood(vertices: Iterable[int], d: int) -> tuple[int, ...]:
     for v in vs:
         check_vertex(v, d)
     _check_uniform_parity(vs, d)
-    out: set[int] = set()
-    for v in vs:
-        for i in range(d):
-            out.add(v ^ (1 << i))
-    return tuple(sorted(out))
+    return tuple(sorted(_neighborhood(vs, d)))
+
+
+def _neighborhood(vs: Iterable[int], d: int) -> set[int]:
+    """N(S) as a set; unchecked."""
+    return {v ^ (1 << i) for v in vs for i in range(d)}
+
+
+def _closure(vs: Iterable[int], d: int) -> list[int]:
+    """The closure of a one-parity set S, in no particular order; unchecked.
+
+    A vertex is hit once for each of its neighbors in N(S), so the vertices
+    hit d times are exactly those with every neighbor in N(S).  Only the
+    d*|N(S)| edges out of N(S) are read, never the whole side.
+    """
+    hits = Counter(w ^ (1 << i) for w in _neighborhood(vs, d) for i in range(d))
+    return [u for u, n in hits.items() if n == d]
 
 
 def closure(vertices: Iterable[int], d: int) -> tuple[int, ...]:
@@ -97,25 +119,10 @@ def closure(vertices: Iterable[int], d: int) -> tuple[int, ...]:
     """
     check_dim(d)
     vs = set(vertices)
-    if not vs:
-        return ()
     for v in vs:
         check_vertex(v, d)
     _check_uniform_parity(vs, d)
-    nbhd = set(neighborhood(vs, d))
-    side_parity = parity(next(iter(vs)))
-    # candidates must have every neighbor in N(S); any such vertex is within
-    # distance 2 of S, so scan S plus its distance-2 shell instead of the side
-    candidates = set(vs)
-    for v in vs:
-        candidates.update(square_neighbors(v, d))
-    out = []
-    for u in sorted(candidates):
-        if parity(u) != side_parity:
-            continue
-        if all((u ^ (1 << i)) in nbhd for i in range(d)):
-            out.append(u)
-    return tuple(out)
+    return tuple(sorted(_closure(vs, d)))
 
 
 def square_components(vertices: Iterable[int], d: int) -> tuple[tuple[int, ...], ...]:
@@ -135,7 +142,7 @@ def square_components(vertices: Iterable[int], d: int) -> tuple[tuple[int, ...],
         frontier = [root]
         while frontier:
             v = frontier.pop()
-            for u in square_neighbors(v, d):
+            for u in _square_neighbors(v, d):
                 if u in remaining and u not in comp:
                     comp.add(u)
                     frontier.append(u)

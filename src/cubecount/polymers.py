@@ -5,6 +5,14 @@ distance-2 moves and whose closure covers at most half of the odd side.  Its
 weight at fugacity lam is lam^|S| / (1+lam)^|N(S)|.  Two defects interact iff
 they are within graph distance 2 of each other (share a vertex or a neighbor).
 
+Supports are grown as frozensets along the distance-2 neighbor lists of the
+hypercube module, which also computes every N(S) and closure here (its
+unchecked kernels); this module keeps no caches of its own.  Validity
+(_is_valid) rests on |closure(S)| <= |N(S)| <= d*|S|, since every closure
+vertex has all d of its neighbors in N(S): a support with d*|S| <= 2^(d-2),
+half the side, is valid without computing its closure; only larger supports
+count the closure against half the side.
+
 Enumeration exploits translation symmetry.  XOR by an even-parity word maps
 the odd side to itself and preserves everything in sight, and the action on
 (support, marked vertex) pairs is free, so for any translation-invariant f
@@ -38,65 +46,16 @@ from .symbolic import RatPoly, interpolate_poly
 V0 = 1  # root: the smallest odd vertex
 
 
-class _Ctx:
-    """Per-dimension caches for square-graph adjacency and validity tests."""
+def _is_valid(support: frozenset, d: int) -> bool:
+    """Whether the closure covers at most half the side; connectivity is the
+    caller's business, and support and d are not checked.
 
-    def __init__(self, d: int):
-        hc.check_dim(d)
-        self.d = d
-        self.half = hc.n_side(d) // 2
-        self._sq: dict[int, tuple[int, ...]] = {}
-        self._valid: dict[frozenset, bool] = {}
-        self._nbhd: dict[frozenset, int] = {}
-
-    def sq_neighbors(self, v: int) -> tuple[int, ...]:
-        out = self._sq.get(v)
-        if out is None:
-            out = hc.square_neighbors(v, self.d)
-            self._sq[v] = out
-        return out
-
-    def neighborhood(self, support: frozenset) -> set[int]:
-        d = self.d
-        out: set[int] = set()
-        for v in support:
-            for i in range(d):
-                out.add(v ^ (1 << i))
-        return out
-
-    def nbhd_size(self, support: frozenset) -> int:
-        out = self._nbhd.get(support)
-        if out is None:
-            out = len(self.neighborhood(support))
-            self._nbhd[support] = out
-        return out
-
-    def closure_size(self, support: frozenset) -> int:
-        nbhd = self.neighborhood(support)
-        candidates = set(support)
-        for v in support:
-            candidates.update(self.sq_neighbors(v))
-        d = self.d
-        count = 0
-        for u in candidates:
-            if all((u ^ (1 << i)) in nbhd for i in range(d)):
-                count += 1
-                if count > self.half:
-                    break
-        return count
-
-    def is_valid(self, support: frozenset) -> bool:
-        """Closure condition only; connectivity is the caller's business."""
-        out = self._valid.get(support)
-        if out is None:
-            out = self.closure_size(support) <= self.half
-            self._valid[support] = out
-        return out
-
-
-@lru_cache(maxsize=32)
-def _ctx(d: int) -> _Ctx:
-    return _Ctx(d)
+    |closure(S)| <= |N(S)| <= d*|S| (every closure vertex has all d of its
+    neighbors in N(S)), so d*|S| <= half decides without computing the
+    closure.
+    """
+    half = (1 << (d - 1)) // 2
+    return d * len(support) <= half or len(hc._closure(support, d)) <= half
 
 
 def _grow_connected(root: int, max_size: int,
@@ -195,8 +154,8 @@ def classify(support: Iterable[int], d: int) -> DefectType:
     sup = frozenset(support)
     if not sup:
         raise ValueError("cannot classify an empty set")
-    ctx = _ctx(d)
-    nb = ctx.nbhd_size(sup)
+    hc.check_dim(d)
+    nb = len(hc._neighborhood(sup, d))
     return DefectType(size=len(sup), deficiency=d * len(sup) - nb, cert=_canonical_cert(sup))
 
 
@@ -217,10 +176,9 @@ class Polymer:
 
 
 def _make_polymer(support: frozenset, d: int) -> Polymer:
-    ctx = _ctx(d)
+    t = classify(support, d)
     return Polymer(support=tuple(sorted(support)), d=d,
-                   nbhd_size=ctx.nbhd_size(support),
-                   type=classify(support, d))
+                   nbhd_size=t.nbhd_size(d), type=t)
 
 
 # -- enumeration --------------------------------------------------------------
@@ -231,10 +189,11 @@ def rooted_polymer_supports(d: int, max_size: int,
     """Supports of all polymers of size <= max_size that contain V0."""
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
-    ctx = _ctx(d)
+    hc.check_dim(d)
     bud = [budget] if budget is not None else None
-    out = [s for s in _grow_connected(V0, max_size, ctx.sq_neighbors, bud)
-           if ctx.is_valid(s)]
+    out = [s for s in _grow_connected(V0, max_size,
+                                      lambda v: hc._square_neighbors(v, d), bud)
+           if _is_valid(s, d)]
     out.sort(key=lambda s: tuple(sorted(s)))
     return out
 
@@ -252,15 +211,14 @@ def enumerate_polymers(d: int, max_size: int, rooted: bool = False,
         raise ValueError("the defect model needs d >= 2")
     if rooted:
         return [_make_polymer(s, d) for s in rooted_polymer_supports(d, max_size, budget)]
-    ctx = _ctx(d)
     bud = [budget] if budget is not None else None
     out = []
     for root in hc.odd_side(d):
         def nbrs(v: int, _root=root) -> tuple[int, ...]:
-            return tuple(u for u in ctx.sq_neighbors(v) if u > _root)
+            return tuple(u for u in hc._square_neighbors(v, d) if u > _root)
 
         for s in _grow_connected(root, max_size, nbrs, bud):
-            if ctx.is_valid(s):
+            if _is_valid(s, d):
                 out.append(_make_polymer(s, d))
     out.sort(key=lambda p: p.support)
     return out
@@ -271,11 +229,12 @@ def polymers_touching(targets: frozenset, d: int, max_size: int,
     """Supports of polymers of size <= max_size meeting the target set."""
     if max_size < 1:
         return []
-    ctx = _ctx(d)
+    hc.check_dim(d)
     seen: set[frozenset] = set()
     for w in sorted(targets):
-        for s in _grow_connected(w, max_size, ctx.sq_neighbors, budget):
-            if s not in seen and ctx.is_valid(s):
+        for s in _grow_connected(w, max_size,
+                                 lambda v: hc._square_neighbors(v, d), budget):
+            if s not in seen and _is_valid(s, d):
                 seen.add(s)
     return sorted(seen, key=lambda s: tuple(sorted(s)))
 

@@ -36,7 +36,6 @@ class ChainState:
     size: int
     odd_size: int
     even_size: int
-    rng_state: tuple | None = None  # captured only when requested
 
 
 @dataclass(frozen=True)
@@ -69,8 +68,7 @@ def default_burn_in(d: int) -> int:
 
 def glauber_run(d: int, lam: Fraction, steps: int,
                 burn_in: int | None = None, thin: int = 1, seed: int = 0,
-                debug: bool = False, capture_rng: bool = False,
-                start: int = 0) -> Iterator[ChainState]:
+                debug: bool = False, start: int = 0) -> Iterator[ChainState]:
     """Yield snapshots every `thin` steps after `burn_in`, up to `steps`.
 
     steps counts all attempted updates including burn-in, so steps == burn_in
@@ -126,8 +124,7 @@ def glauber_run(d: int, lam: Fraction, steps: int,
                 assert size == occ.bit_count()
             yield ChainState(
                 d=d, step=step, occupancy=occ, size=size, odd_size=odd,
-                even_size=size - odd,
-                rng_state=rng.getstate() if capture_rng else None)
+                even_size=size - odd)
 
 
 def extract_defects(state: ChainState, debug: bool = False) -> DefectReport:

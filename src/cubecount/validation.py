@@ -22,21 +22,8 @@ from typing import Callable
 import mpmath
 
 from . import asymptotics, clusters, exact, polymers, sampler, symbolic
-from .asymptotics import DIM, LAM
+from .asymptotics import DIM, LAM, _mpf
 from .symbolic import BETA, RatFunc, RatPoly, poly_to_json_str
-
-
-def _mpf(x: Fraction):
-    return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
-
-
-def _ratfunc_equal(a: RatFunc, b: RatFunc) -> bool:
-    """Equality of beta-rational functions by cross-multiplication."""
-    beta = RatPoly.var(BETA)
-    one = RatPoly.const(1)
-    lhs = a.num * beta ** b.bpow * (one - beta) ** b.opow
-    rhs = b.num * beta ** a.bpow * (one - beta) ** a.opow
-    return lhs == rhs
 
 
 # -- criterion bodies -------------------------------------------------------------
@@ -61,12 +48,12 @@ def _check_symbolic_closed_forms() -> list[str]:
 
     b1 = asymptotics.compute_B(1)[1]
     expect_b1 = RatFunc(beta * (d * beta - one), 0, 3)
-    if not _ratfunc_equal(b1, expect_b1):
+    if b1 != expect_b1:
         fails.append(f"B_1 is {b1.text()}, expected {expect_b1.text()}")
 
     p = asymptotics.compute_P(2)
     expect_p1 = RatFunc(beta, 0, 1)
-    if not _ratfunc_equal(p[1], expect_p1):
+    if p[1] != expect_p1:
         fails.append(f"P_1 is {p[1].text()}, expected beta/(1-beta)")
 
     # (d(d-1)(2-beta) beta^3 - 2 (1-beta)^2 beta^2) / (4 (1-beta)^4)
@@ -75,7 +62,7 @@ def _check_symbolic_closed_forms() -> list[str]:
            - RatPoly.const(2) * (one - beta) ** 2 * beta ** 2) * Fraction(1, 4) \
         - beta * (one - d * beta) ** 2 * (one - beta) * Fraction(1, 2)
     expect_p2 = RatFunc(num, 0, 4)
-    if not _ratfunc_equal(p[2], expect_p2):
+    if p[2] != expect_p2:
         fails.append(f"P_2 is {p[2].text()}, expected {expect_p2.text()}")
     return fails
 

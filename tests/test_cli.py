@@ -43,17 +43,35 @@ def test_usage_errors_exit_one_with_single_line(capsys):
                  ["count-structured", "--beta", "1/4", "--d", "8", "--digits", "-1"],
                  ["oracle", "--d", "2", "--bogus-flag"],
                  ["validate", "--only", "99"],
-                 ["no-such-command"]):
+                 ["no-such-command"],
+                 # orders beyond the exact R_1..R_3, on commands with no --budget
+                 ["pj", "--t", "9"],
+                 ["bj", "--r", "4"],
+                 ["lambda-beta", "--beta", "1/2", "--d", "10", "--t", "9"],
+                 ["zeta", "--lam", "1", "--d", "10", "--t", "5"],
+                 ["count", "--beta", "1/2", "--d", "10", "--t", "5"],
+                 ["count-structured", "--beta", "1/2", "--d", "10", "--t", "5"]):
         code = cli.main(argv)
         captured = capsys.readouterr()
         assert code == 1, argv
         assert captured.err.startswith("error:"), argv
         assert captured.err.strip().count("\n") == 0, argv
+        assert "budget" not in captured.err, argv
 
 
 def test_unwritable_out_path_is_a_one_line_error(tmp_path, capsys):
     target = tmp_path / "missing" / "x.json"
     code, out, err = run_cli(capsys, "oracle", "--d", "3", "--out", str(target))
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot write")
+    assert err.strip().count("\n") == 0
+    assert not target.exists()
+
+
+def test_unwritable_csv_path_is_a_one_line_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(capsys, "sample", "--d", "3", "--lam", "1",
+                             "--samples", "5", "--csv", str(target))
     assert code == 1 and out == ""
     assert err.startswith("error: cannot write")
     assert err.strip().count("\n") == 0

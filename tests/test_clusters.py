@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from cubecount import asymptotics as asy
 from cubecount import clusters as cl
 from cubecount import exact as ex
 from cubecount import hypercube as hc
@@ -197,9 +198,9 @@ def test_every_connected_support_is_a_polymer_from_free_dim():
     # the rescaling in cluster_sum rests on closure never binding at free_dim
     for k in (1, 2, 3, 4):
         d = cl.free_dim(k)
-        ctx = pm._ctx(d)
-        for s in pm._grow_connected(pm.V0, k, ctx.sq_neighbors):
-            assert ctx.is_valid(s), (k, sorted(s))
+        half = hc.n_side(d) // 2
+        for s in pm._grow_connected(pm.V0, k, lambda v: hc.square_neighbors(v, d)):
+            assert len(hc.closure(s, d)) <= half, (k, sorted(s))
 
 
 def seed_cluster_sum_poly(d: int, k: int, obs: cl.Observable) -> RatPoly:
@@ -231,6 +232,24 @@ def test_rescaled_cluster_sum_matches_enumeration_at_d():
             for obs in observables:
                 assert cl.cluster_sum(d, k, obs).poly == \
                     seed_cluster_sum_poly(d, k, obs), (d, k, obs.label())
+
+
+def test_budgeted_r_poly_enumerates_each_base_dimension_once(monkeypatch):
+    cl.clear_caches()
+    asy.clear_caches()
+    expect = asy.R_poly(3)
+    cl.clear_caches()
+    grow = pm.rooted_polymer_supports
+    calls = []
+
+    def counted(d, max_size, budget=None):
+        calls.append((d, max_size))
+        return grow(d, max_size, budget)
+
+    monkeypatch.setattr(pm, "rooted_polymer_supports", counted)
+    # grid d = 7..14, every point with base dimension free_dim(3) = 7
+    assert asy.R_poly(3, budget=10 ** 8) == expect
+    assert calls == [(7, 3)]
 
 
 def test_cluster_cache_is_bounded():

@@ -3,8 +3,10 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cubecount import hypercube as hc
+from cubecount import polymers as pm
 
 
 def hamming(u: int, v: int) -> int:
@@ -81,6 +83,56 @@ def test_closure_is_monotone_and_idempotent():
         cl = hc.closure(subset, d)
         assert set(subset) <= set(cl)
         assert hc.closure(cl, d) == cl
+
+
+def reference_closure(support, d: int) -> list[int]:
+    """Reference closure of an odd set, from the definition.
+
+    Scans every odd vertex of Q_d for one whose d neighbors all lie in N(S),
+    with no distance-2 shell and no size short-circuit: the independent check
+    for hypercube.closure and for the polymer validity test built on it.
+    """
+    nbhd = {v ^ (1 << i) for v in support for i in range(d)}
+    return [u for u in range(1 << d) if hamming(u, 0) % 2 == 1
+            and all(u ^ (1 << i) in nbhd for i in range(d))]
+
+
+def reference_connected_supports(d: int, max_size: int) -> set:
+    """Odd sets containing the root V0 and connected under distance-2 moves,
+    grown one vertex at a time from the definition."""
+    odd = [u for u in range(1 << d) if hamming(u, 0) % 2 == 1]
+    layer = {frozenset([pm.V0])}
+    out = set(layer)
+    for _ in range(max_size - 1):
+        layer = {s | {u} for s in layer for u in odd
+                 if u not in s and any(hamming(u, v) == 2 for v in s)}
+        out |= layer
+    return out
+
+
+@st.composite
+def odd_subsets(draw):
+    d = draw(st.integers(3, 7))
+    odd = [u for u in range(1 << d) if hamming(u, 0) % 2 == 1]
+    return d, draw(st.sets(st.sampled_from(odd), max_size=len(odd)))
+
+
+@given(odd_subsets())
+@settings(max_examples=300, deadline=None)
+def test_closure_matches_reference(case):
+    d, support = case
+    assert hc.closure(support, d) == tuple(reference_closure(support, d))
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6, 7])
+def test_polymer_validity_matches_reference(d):
+    # d*|S| <= 2^(d-2) holds for every size at d = 7, for none at d = 3,
+    # and for some sizes in between, so both branches of _is_valid run
+    half = 1 << (d - 2)
+    supports = reference_connected_supports(d, 4)
+    valid = {s for s in supports if len(reference_closure(s, d)) <= half}
+    assert {s for s in supports if pm._is_valid(s, d)} == valid
+    assert set(pm.rooted_polymer_supports(d, 4)) == valid
 
 
 def test_square_components_split_by_distance():
