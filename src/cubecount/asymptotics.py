@@ -24,7 +24,7 @@ from typing import Mapping
 import mpmath
 
 from . import hypercube as hc
-from .bigint import binomial
+from .bigint import binomial, binomial_rounded
 from .clusters import cluster_sum
 from .errors import RegimeWarning
 from .polymers import DefectType, census, _map_maybe_parallel
@@ -426,9 +426,11 @@ def log_count_asymptotic(beta: Fraction, d: int, t: int,
                          digits: int = 80) -> LogCount:
     """log of the number of independent sets of size floor(beta*N).
 
-    Two evaluation paths: (a) exact log-binomial plus N sum P_j Y^j (the
-    returned value); (b) Stirling form at the corrected fugacity (exposed as
-    .alt).  Path (b) = log 2 + N log(1+lam_b) - m log lam_b + strata at
+    Two evaluation paths: (a) log-binomial plus N sum P_j Y^j (the returned
+    value), with C(N, m) rounded correctly at the working precision by
+    `binomial_rounded` rather than built exactly; (b) Stirling form at the
+    corrected fugacity (exposed as .alt).
+    Path (b) = log 2 + N log(1+lam_b) - m log lam_b + strata at
     lam_b - (1/2) log(2 pi N beta (1-beta)).  Both use beta = m/N exactly.
     """
     beta = Fraction(beta)
@@ -447,7 +449,8 @@ def log_count_asymptotic(beta: Fraction, d: int, t: int,
     y = (1 - beta) ** d
     with mpmath.workdps(digits):
         terms = [("log_2", mpmath.log(2)),
-                 ("log_binomial", mpmath.log(mpmath.mpf(binomial(n, m))))]
+                 ("log_binomial", mpmath.log(mpmath.mpf(
+                     binomial_rounded(n, m, mpmath.mp.prec))))]
         for j in range(1, t):
             exact = n * ptable[j].eval({BETA: beta, DIM: d}) * y ** j
             terms.append((f"P_{j}", _mpf(exact)))
@@ -468,13 +471,16 @@ def log_count_asymptotic(beta: Fraction, d: int, t: int,
 def structured_count(beta: Fraction, d: int,
                      fixed_types: Mapping[DefectType, int] | None = None,
                      diverging_types: Mapping[DefectType, tuple] | None = None,
-                     t: int = 2, digits: int = 80) -> LogCount:
+                     t: int = 2, digits: int = 80,
+                     budget: int | None = None) -> LogCount:
     """Count of size-floor(beta*N) independent sets with a given defect profile.
 
     Multiplies the fixed-size estimate (Stirling path) by a Poisson factor
     rho^k e^(-rho)/k! for each type held at a fixed count k (rho = n_T w_T at
     the corrected fugacity) and a Gaussian factor e^(-s^2/2m)/sqrt(2 pi m)
     for each type whose count diverges with offset s from its mean m.
+    `budget` bounds the polymer census of Q_d that the fixed types are looked
+    up in; a fixed type absent from that census is a ValueError.
     """
     beta = Fraction(beta)
     fixed_types = dict(fixed_types or {})
@@ -489,10 +495,13 @@ def structured_count(beta: Fraction, d: int,
     with mpmath.workdps(digits):
         value = base.alt
         if fixed_types:
-            cen = census(d, max(T.size for T in fixed_types))
+            cen = census(d, max(T.size for T in fixed_types), budget)
+            present = cen.by_key()
             for T, k in sorted(fixed_types.items(), key=lambda kv: kv[0].key):
                 if k < 0:
                     raise ValueError(f"negative count for type {T.key}")
+                if T.key not in present:
+                    raise ValueError(f"type {T.key} does not occur in Q_{d}")
                 rho = cen.expected_type_count(T.key, lb)
                 contrib = (k * mpmath.log(_mpf(rho)) - _mpf(rho)
                            - mpmath.log(math.factorial(k)))

@@ -219,6 +219,9 @@ def _parse_typed_pairs(pairs: list[str], diverging: bool) -> dict:
             raise _UsageError(f"expected KEY=... in {item!r}")
         key, _, rest = item.partition("=")
         t = DefectType.from_key(key)
+        if t.size > polymers.MAX_TYPE_SIZE:
+            raise _UsageError(f"type {key} has size {t.size}; defect types "
+                              f"have size <= {polymers.MAX_TYPE_SIZE}")
         if diverging:
             parts = rest.split(",")
             if len(parts) != 2:
@@ -236,7 +239,8 @@ def _cmd_count_structured(args) -> dict:
     fixed = _parse_typed_pairs(args.fixed or [], diverging=False)
     diverging = _parse_typed_pairs(args.diverging or [], diverging=True)
     lc = asymptotics.structured_count(args.beta, args.d, fixed, diverging,
-                                      t=args.t, digits=args.digits)
+                                      t=args.t, digits=args.digits,
+                                      budget=args.budget)
     out = lc.to_json()
     out.update({
         "beta": str(args.beta), "d": args.d, "t": args.t,
@@ -339,10 +343,16 @@ def _classify(obj: dict) -> str:
 
 def _cmd_report(args) -> int:
     inputs = _load_inputs(args.inputs)
-    os.makedirs(args.out_dir, exist_ok=True)
     by_kind: dict[str, list[tuple[str, dict]]] = {}
     for path, obj in inputs:
         by_kind.setdefault(_classify(obj), []).append((path, obj))
+    if not by_kind.keys() & {"zeta", "count", "sample"}:
+        raise _UsageError("nothing to report: no input is a count, zeta or "
+                          "sample output (oracles serve only as references)")
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as e:
+        raise _UsageError(f"cannot create {args.out_dir}: {e}")
 
     oracles = {obj["d"]: exact.SizeProfile.from_json(obj)
                for _, obj in by_kind.get("oracle", [])}
@@ -414,14 +424,11 @@ def _cmd_report(args) -> int:
             lines.append("")
 
     report_path = os.path.join(args.out_dir, "report.txt")
-    with open(report_path, "w") as f:
-        f.write("\n".join(lines).rstrip() + "\n")
+    _write(report_path, "\n".join(lines).rstrip() + "\n")
     trunc_path = os.path.join(args.out_dir, "truncation_error.dat")
-    with open(trunc_path, "w") as f:
-        f.write("\n".join(trunc_rows).rstrip() + "\n")
+    _write(trunc_path, "\n".join(trunc_rows).rstrip() + "\n")
     gof_path = os.path.join(args.out_dir, "gof.dat")
-    with open(gof_path, "w") as f:
-        f.write("\n".join(gof_rows).rstrip() + "\n")
+    _write(gof_path, "\n".join(gof_rows).rstrip() + "\n")
     sys.stdout.write("\n".join(lines).rstrip() + "\n")
     sys.stdout.write(f"wrote {report_path}, {trunc_path}, {gof_path}\n")
     return 0
@@ -502,6 +509,8 @@ def _build_parser() -> _Parser:
                    help="defect type pinned to an exact count")
     p.add_argument("--diverging", action="append", metavar="KEY=COUNT,SHIFT",
                    help="defect type at COUNT = m_T + SHIFT with Gaussian weight")
+    p.add_argument("--budget", type=int,
+                   help="node budget for the polymer census behind --fixed")
 
     p = add("zeta", "log of the partition function Z(lam)")
     p.add_argument("--lam", type=_rational, required=True)

@@ -20,8 +20,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from scipy.stats import chi2 as _chi2
-
 from . import hypercube as hc
 from . import polymers as pm
 
@@ -198,12 +196,14 @@ def _poisson_gof(counts: list[int], mean: float) -> dict | None:
         observed.pop()
     if len(probs) < 2:
         return None
+    from scipy.stats import chi2  # deferred: most of the package's import time
+
     stat = 0.0
     for o, pr in zip(observed, probs):
         e = n * pr
         stat += (o - e) ** 2 / e
     df = len(probs) - 1
-    return {"stat": stat, "df": df, "p": float(_chi2.sf(stat, df)),
+    return {"stat": stat, "df": df, "p": float(chi2.sf(stat, df)),
             "bins": len(probs)}
 
 

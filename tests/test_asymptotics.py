@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from mpmath.libmp import from_int
 
 from cubecount import asymptotics as asym
 from cubecount import exact as ex
-from cubecount.errors import RegimeWarning
+from cubecount.errors import BudgetExceededError, RegimeWarning
 from cubecount.polymers import DefectType
 from cubecount.symbolic import RatFunc, RatPoly
 
@@ -131,6 +132,18 @@ def test_log_count_asymptotic_matches_exact_profile():
     assert abs(float(lc.alt) - target) < 0.05
 
 
+def test_log_count_rounded_binomial_matches_exact_integer(monkeypatch):
+    # the log-binomial term rounds C(N, m) without building it; the JSON must
+    # be the one the exact integer gives
+    rounded = asym.log_count_asymptotic(Fraction(1, 3), 18, 3)
+    monkeypatch.setattr(asym, "binomial_rounded", lambda n, k, prec:
+                        from_int(asym.binomial(n, k), prec, "n")[1:3])
+    exact = asym.log_count_asymptotic(Fraction(1, 3), 18, 3)
+    assert exact.to_json() == rounded.to_json()
+    # to the last bit, not just to the printed digits
+    assert exact.terms == rounded.terms and exact.value == rounded.value
+
+
 def test_stirling_binom_ratio():
     # leading-order Stirling: relative error O(1/n)
     for n, tol in ((200, 5e-3), (20000, 5e-5)):
@@ -166,6 +179,17 @@ def test_structured_count_splits_off_fixed_types():
                                        diverging_types={}, t=2)
     assert float(pinned.value) < float(free.value)
     assert float(pinned.value) > 0
+
+
+def test_structured_count_rejects_absent_type_and_honours_budget():
+    b = Fraction(1, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        with pytest.raises(ValueError, match="does not occur"):
+            asym.structured_count(b, 8, fixed_types={DefectType.from_key("s1c5g0"): 1})
+        with pytest.raises(BudgetExceededError):
+            asym.structured_count(b, 12, fixed_types={DefectType.from_key("s5c0g0"): 1},
+                                  budget=1000)
 
 
 def test_caches_cleared_results_stable():

@@ -85,6 +85,25 @@ def test_budget_exhaustion_exits_two(capsys):
     assert err.startswith("error: budget exhausted")
 
 
+def test_count_structured_bad_type_keys_are_one_line_errors(capsys):
+    # size 9 would start census(12, 9), which no budget bounded
+    for argv in (["--fixed", "s9c0g0=1"],
+                 ["--diverging", "s8c0g0=3,1"],
+                 ["--fixed", "s1c5g0=1"]):  # a size-1 type has deficiency 0
+        code, out, err = run_cli(capsys, "count-structured", "--beta", "1/4",
+                                 "--d", "12", *argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith("error:") and err.strip().count("\n") == 0, argv
+
+
+def test_count_structured_budget_exhaustion_exits_two(capsys):
+    code, out, err = run_cli(capsys, "count-structured", "--beta", "1/4",
+                             "--d", "12", "--fixed", "s5c0g0=1", "--budget", "1000")
+    assert code == 2 and out == ""
+    assert err.startswith("error: budget exhausted")
+    assert err.strip().count("\n") == 0
+
+
 def test_rational_arguments_accept_fractions(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--d", "2", "--lam", "3/7")
     assert code == 0
@@ -179,6 +198,45 @@ def test_report_pipeline(tmp_path, capsys):
     dat = (tmp_path / "truncation_error.dat").read_text()
     assert any(line and not line.startswith("#") for line in dat.splitlines())
     assert out.strip() != ""
+
+
+def test_report_out_dir_that_is_a_file_is_a_one_line_error(tmp_path, capsys):
+    zeta_path = tmp_path / "zeta.json"
+    assert cli.main(["zeta", "--lam", "1", "--d", "5", "--t", "2",
+                     "--out", str(zeta_path)]) == 0
+    capsys.readouterr()
+    blocker = tmp_path / "F"
+    blocker.write_text("")
+    code, out, err = run_cli(capsys, "report", "--inputs", str(zeta_path),
+                             "--out-dir", str(blocker))
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot create")
+    assert err.strip().count("\n") == 0
+
+
+def test_report_with_nothing_to_report_is_a_usage_error(tmp_path, capsys):
+    other = tmp_path / "other.json"
+    other.write_text('{"a": 1}')
+    oracle = tmp_path / "oracle.json"
+    assert cli.main(["oracle", "--d", "3", "--out", str(oracle)]) == 0
+    out_dir = tmp_path / "out"
+    for inputs in ([other], [oracle], [oracle, other]):
+        code, out, err = run_cli(capsys, "report", "--inputs", *map(str, inputs),
+                                 "--out-dir", str(out_dir))
+        assert code == 1 and out == "", inputs
+        assert err.startswith("error:") and err.strip().count("\n") == 0, inputs
+        assert not out_dir.exists()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.stats was most of the CLI's start-up; only the sampler's
+    # goodness-of-fit and the acceptance suite need it, and they import it late
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys, cubecount.cli; "
+                           "print('scipy' in sys.modules)"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_console_script_entry_point():
