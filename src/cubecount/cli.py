@@ -174,6 +174,8 @@ def _cmd_clusters(args) -> dict:
 
 
 def _cmd_rj(args) -> dict:
+    if args.j < 1:
+        raise _UsageError("--j must be >= 1")
     table = asymptotics.R_table(args.j, budget=args.budget,
                                 processes=_threads(args))
     return {"kind": "R", "jmax": args.j, "entries": table.to_json()}
@@ -275,6 +277,7 @@ def _check_digits(digits: int) -> None:
 def _cmd_sample(args) -> dict:
     if args.lam <= 0:
         raise _UsageError("--lam must be positive")
+    polymers.check_census_bounds(args.d, args.census_size)
     burn_in = args.burn_in if args.burn_in is not None \
         else sampler.default_burn_in(args.d)
     steps = args.steps if args.steps is not None \

@@ -421,6 +421,8 @@ def cluster_sum(d: int, k: int, observable: Observable = Observable.one(),
     limits the enumeration at the base dimension; when that enumeration is
     already cached (see enumerate_clusters) no budget is spent.
     """
+    if d < 2:
+        raise ValueError("the defect model needs d >= 2")
     if k < 1:
         raise ValueError("stratum index must be >= 1")
     b = min(d, free_dim(k))

@@ -59,12 +59,8 @@ class SizeProfile:
         return SizeProfile(int(obj["d"]), tuple(int(c) for c in obj["counts"]))
 
 
-def _graph_vertices(d: int) -> int:
-    # number of vertices of Q_d, allowing the degenerate single-vertex Q_0
-    return 1 << d
-
-
 def _neighbor_masks(d: int) -> list[int]:
+    """hc.neighbor_masks, also for the one-vertex Q_0 that size_profile(1) needs."""
     if d == 0:
         return [0]
     return hc.neighbor_masks(d)
@@ -74,7 +70,7 @@ def independent_set_masks(d: int) -> list[int]:
     """All independent sets of Q_d as occupancy bitmasks, ascending."""
     nbrs = _neighbor_masks(d)
     sets = [0]
-    for v in range(_graph_vertices(d)):
+    for v in range(1 << d):
         bit = 1 << v
         nb = nbrs[v]
         sets += [s | bit for s in sets if not (s & nb)]
@@ -129,7 +125,7 @@ def independence_poly(d: int, removed: tuple[int, ...] = ()) -> tuple[int, ...]:
     hc.check_dim(d)
     if d > ORACLE_MAX_DIM:
         raise ValueError(f"dimension {d} too large for exact oracle (max {ORACLE_MAX_DIM})")
-    mask_all = (1 << _graph_vertices(d)) - 1
+    mask_all = (1 << (1 << d)) - 1
     removed_mask = 0
     for v in removed:
         hc.check_vertex(v, d)
@@ -151,7 +147,7 @@ def size_profile(d: int, allow_slow: bool = False) -> SizeProfile:
 
     lower = d - 1
     counter = _IndependencePolyCounter(lower)
-    mask_all = (1 << _graph_vertices(lower)) - 1
+    mask_all = (1 << (1 << lower)) - 1
     counts: list[int] = []
     for a in independent_set_masks(lower):
         poly = counter.poly(mask_all & ~a)

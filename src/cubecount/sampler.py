@@ -146,11 +146,13 @@ def extract_defects(state: ChainState, debug: bool = False) -> DefectReport:
     nbhd_total = 0
     for comp in comps:
         if len(comp) <= pm.MAX_TYPE_SIZE:
-            key = pm.classify(frozenset(comp), d).key
+            t = pm.classify(comp, d)
+            key = t.key
+            nbhd_total += t.nbhd_size(d)
         else:
             key = f"s{len(comp)}:big"
+            nbhd_total += len(hc._neighborhood(comp, d))
         counts[key] = counts.get(key, 0) + 1
-        nbhd_total += len(hc.neighborhood(comp, d))
     return DefectReport(
         step=state.step, side=side,
         type_counts=tuple(sorted(counts.items())),

@@ -1,10 +1,15 @@
 """Command-line front end: exit codes, JSON output, reproducibility."""
 
+import contextlib
+import io
 import json
+import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cubecount import cli
 from cubecount import clusters, asymptotics
@@ -50,7 +55,10 @@ def test_usage_errors_exit_one_with_single_line(capsys):
                  ["lambda-beta", "--beta", "1/2", "--d", "10", "--t", "9"],
                  ["zeta", "--lam", "1", "--d", "10", "--t", "5"],
                  ["count", "--beta", "1/2", "--d", "10", "--t", "5"],
-                 ["count-structured", "--beta", "1/2", "--d", "10", "--t", "5"]):
+                 ["count-structured", "--beta", "1/2", "--d", "10", "--t", "5"],
+                 # found by the fuzz below: each printed JSON its schema rejects
+                 ["rj", "--j", "0"],
+                 ["clusters", "--d", "1", "--k", "1"]):
         code = cli.main(argv)
         captured = capsys.readouterr()
         assert code == 1, argv
@@ -83,6 +91,22 @@ def test_budget_exhaustion_exits_two(capsys):
                            "--budget", "5")
     assert code == 2
     assert err.startswith("error: budget exhausted")
+
+
+def test_untypeable_polymer_sizes_fail_before_enumerating(capsys):
+    # each ran 60-100 s before classify met its first size-8 support
+    for argv in (["polymers", "--d", "9", "--max-size", "8"],
+                 ["polymers", "--d", "5", "--max-size", "8", "--mode", "list"],
+                 ["sample", "--d", "6", "--lam", "1", "--samples", "200",
+                  "--thin", "2048", "--census-size", "8"]):
+        start = time.monotonic()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.monotonic() - start < 5, argv
+        assert code == 1 and out == "", argv
+        assert err.startswith("error:") and err.strip().count("\n") == 0, argv
+    # at d = 4 no polymer exceeds 2^(d-2) = 4, so a bound of 8 is fine
+    code, out, _ = run_cli(capsys, "polymers", "--d", "4", "--max-size", "8")
+    assert code == 0 and [e["size"] for e in json.loads(out)["entries"]] == [1, 2, 3, 4]
 
 
 def test_count_structured_bad_type_keys_are_one_line_errors(capsys):
@@ -245,3 +269,87 @@ def test_console_script_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["total"] == "7"
+
+
+# -- fuzz: the exit-code and output contract over small random invocations ------
+
+SCHEMA_DIR = pathlib.Path(__file__).resolve().parent.parent / "docs" / "schemas"
+SCHEMA_OF = {"oracle": "oracle", "polymers": "polymers", "clusters": "cluster_sum",
+             "rj": "series_table", "bj": "series_table", "pj": "series_table",
+             "lambda-beta": "lambda_beta", "count": "log_count",
+             "count-structured": "log_count", "zeta": "log_count",
+             "sample": "sampler_summary"}
+RATIONALS = st.sampled_from(["1", "1/2", "1/4", "1/20", "2", "0", "-1/3", "x"])
+KEYS = st.sampled_from(["s1c0g0", "s2c2g1", "s3c4g3", "s2c0g0", "s9c0g0", "bad"])
+
+
+def opt(flag, values):
+    """Either nothing or [flag, value]."""
+    return st.one_of(st.just([]), values.map(lambda v: [flag, str(v)]))
+
+
+def invocation(command, *parts):
+    return st.tuples(*parts).map(lambda ps: [command] + [a for p in ps for a in p])
+
+
+def fixed(flag, values):
+    return values.map(lambda v: [flag, str(v)])
+
+
+def polymers_args():
+    # a small budget whenever d and max-size allow a long enumeration: one
+    # node at size 7 can cost a 5040-permutation certificate search
+    return st.tuples(st.integers(-1, 6), st.integers(-1, 9),
+                     st.sampled_from(["census", "list"]),
+                     st.sampled_from([1, 50])).map(
+        lambda a: ["polymers", "--d", str(a[0]), "--max-size", str(a[1]),
+                   "--mode", a[2]]
+        + (["--budget", str(a[3])] if a[0] >= 5 and a[1] >= 5 else []))
+
+
+CLI_ARGS = st.one_of(
+    invocation("oracle", fixed("--d", st.integers(-1, 5)), opt("--lam", RATIONALS),
+               st.sampled_from([[], ["--exhaustive"]])),
+    polymers_args(),
+    invocation("polymers", st.just(["--mode", "symbolic"]),
+               fixed("--max-size", st.sampled_from([-1, 0, 1, 2, 3, 5]))),
+    invocation("clusters", fixed("--d", st.integers(0, 6)), fixed("--k", st.integers(-1, 3)),
+               fixed("--observable", st.sampled_from(
+                   ["one", "size", "nbhd", "size_nbhd", "type:s1c0g0", "type:x", "y"])),
+               opt("--power", st.integers(0, 3)), opt("--lam", RATIONALS),
+               opt("--budget", st.sampled_from([0, 10, 10000]))),
+    invocation("rj", fixed("--j", st.integers(-1, 4)), opt("--budget", st.sampled_from([1, 100]))),
+    invocation("bj", fixed("--r", st.integers(-1, 4))),
+    invocation("pj", fixed("--t", st.integers(-1, 5))),
+    invocation("lambda-beta", fixed("--beta", RATIONALS), fixed("--d", st.integers(0, 12)),
+               fixed("--t", st.integers(0, 9))),
+    invocation("count", fixed("--beta", RATIONALS), fixed("--d", st.integers(0, 12)),
+               fixed("--t", st.integers(0, 5)), opt("--digits", st.integers(-1, 30))),
+    invocation("zeta", fixed("--lam", RATIONALS), fixed("--d", st.integers(0, 12)),
+               fixed("--t", st.integers(0, 5)), opt("--digits", st.integers(-1, 30))),
+    invocation("count-structured", fixed("--beta", RATIONALS), fixed("--d", st.integers(0, 10)),
+               opt("--t", st.integers(0, 4)), opt("--fixed", KEYS.map(lambda k: f"{k}=1")),
+               opt("--diverging", KEYS.map(lambda k: f"{k}=2,1")),
+               opt("--budget", st.sampled_from([1, 10 ** 6]))),
+    invocation("sample", fixed("--d", st.integers(0, 4)), fixed("--lam", RATIONALS),
+               opt("--steps", st.integers(0, 2000)), opt("--burn-in", st.integers(-1, 500)),
+               opt("--thin", st.integers(-1, 50)), opt("--census-size", st.integers(-1, 8)),
+               opt("--seed", st.integers(0, 3))),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(CLI_ARGS)
+def test_cli_fuzz_honours_the_exit_code_contract(argv):
+    jsonschema = pytest.importorskip("jsonschema")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2), argv
+    if code:
+        assert out.getvalue() == "", argv
+        assert err.getvalue().startswith("error:"), argv
+        assert err.getvalue().count("\n") == 1, argv
+    else:
+        schema = json.loads((SCHEMA_DIR / f"{SCHEMA_OF[argv[0]]}.json").read_text())
+        jsonschema.validate(json.loads(out.getvalue()), schema)

@@ -5,6 +5,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cubecount import hypercube as hc
 from cubecount import polymers as pm
@@ -23,6 +24,34 @@ def brute_force_supports(d: int, max_size: int) -> set:
                 continue
             out.add(subset)
     return out
+
+
+def reference_cert_of_adj(adj: list[list[bool]]) -> int:
+    """Smallest row-major adjacency code over all relabellings, by search."""
+    s = len(adj)
+    best = None
+    for perm in itertools.permutations(range(s)):
+        code = 0
+        bit = 1
+        for a in range(s):
+            pa = perm[a]
+            row = adj[pa]
+            for b in range(a + 1, s):
+                if row[perm[b]]:
+                    code |= bit
+                bit <<= 1
+        if best is None or code < best:
+            best = code
+    return best
+
+
+def reference_cert(support) -> int:
+    """The per-support exhaustive certificate, as classify computed it
+    before certificates were tabulated by labelled graph."""
+    vs = sorted(support)
+    s = len(vs)
+    adj = [[(vs[i] ^ vs[j]).bit_count() == 2 for j in range(s)] for i in range(s)]
+    return reference_cert_of_adj(adj)
 
 
 def test_q3_admits_only_singletons():
@@ -120,3 +149,64 @@ def test_symbolic_census_evaluates_to_global_counts():
     for t, poly in sym.entries:
         assert poly.eval({"d": Fraction(d)}) * hc.n_side(d) == cen[t.key].count
     assert {t.key for t, _ in sym.entries} == set(cen)
+
+
+def test_census_bounds_rejected_before_enumerating():
+    # a node budget of 1 would stop any enumeration: ValueError comes first
+    for d, max_size in ((9, 8), (5, 8), (6, 100), (1, 2), (4, 0)):
+        with pytest.raises(ValueError):
+            pm.census(d, max_size, budget=1)
+        with pytest.raises(ValueError):
+            pm.enumerate_polymers(d, max_size, rooted=True, budget=1)
+    # 2^(d-2) = 4 caps the polymer size at d = 4, so a larger bound is fine
+    assert pm.census(4, 8).entries == pm.census(4, 4).entries
+
+
+def test_cert_table_matches_reference_on_every_labelled_graph():
+    checked = 0
+    for s in range(1, 6):
+        pairs = list(itertools.combinations(range(s), 2))
+        for code in range(1 << len(pairs)):
+            adj = [[False] * s for _ in range(s)]
+            for k, (a, b) in enumerate(pairs):
+                if code >> k & 1:
+                    adj[a][b] = adj[b][a] = True
+            assert pm._cert_of_code(s, code) == reference_cert_of_adj(adj), (s, code)
+            checked += 1
+    assert checked == 1099
+
+
+@pytest.mark.parametrize("d", [5, 6, 7, 8])
+def test_classify_matches_reference_cert_on_rooted_supports(d):
+    for s in pm.rooted_polymer_supports(d, 4):
+        assert pm.classify(s, d).cert == reference_cert(s), sorted(s)
+
+
+@st.composite
+def connected_supports(draw):
+    """A distance-2 connected odd set of size 5..7, grown from the root."""
+    d = draw(st.integers(5, 9))
+    size = draw(st.integers(5, pm.MAX_TYPE_SIZE))
+    support = {pm.V0}
+    while len(support) < size:
+        frontier = sorted({u for v in support for u in hc.square_neighbors(v, d)}
+                          - support)
+        support.add(draw(st.sampled_from(frontier)))
+    return d, frozenset(support)
+
+
+@settings(max_examples=40, deadline=None)
+@given(connected_supports())
+def test_classify_matches_reference_cert_on_larger_supports(case):
+    d, support = case
+    t = pm.classify(support, d)
+    assert t.cert == reference_cert(support)
+    assert t.nbhd_size(d) == len(hc.neighborhood(support, d))
+
+
+def test_cert_table_is_bounded():
+    assert pm._cert_of_code.cache_info().maxsize == 4096
+    pm._cert_of_code.cache_clear()
+    pm.census(9, 4)
+    # one entry per labelled distance-2 graph met; there are 75 of size <= 4
+    assert pm._cert_of_code.cache_info().currsize <= 75

@@ -79,6 +79,27 @@ def test_extract_defects_identifies_planted_polymer():
     assert rep.nbhd_total == d
 
 
+def test_extract_defects_neighbourhood_total_matches_components():
+    # a chain at d = 6 (typed components), and a d = 6 state whose odd
+    # minority is the odd side of the subcube x4 = x5 = 0, one component
+    # of size 8, reported as "s8:big"; its even side lies in x4 = x5 = 1
+    low = [v for v in range(16) if hc.parity(v)]
+    high = [v | 0b110000 for v in range(16) if not hc.parity(v)]
+    occ = sum(1 << v for v in low + high)
+    assert hc.is_independent(occ, 6)
+    big = sm.ChainState(d=6, step=0, occupancy=occ, size=16, odd_size=8,
+                        even_size=8)
+    states = [big] + list(sm.glauber_run(6, Fraction(1), 6000, burn_in=1000,
+                                         thin=250, seed=2))
+    for s in states:
+        rep = sm.extract_defects(s)
+        side = [v for v in range(1 << s.d)
+                if s.occupancy >> v & 1 and hc.parity(v) == (rep.side == "odd")]
+        comps = hc.square_components(side, s.d)
+        assert rep.nbhd_total == sum(len(hc.neighborhood(c, s.d)) for c in comps)
+    assert sm.extract_defects(big).type_counts == (("s8:big", 1),)
+
+
 def test_extract_defects_empty_configuration():
     st = sm.ChainState(d=3, step=0, occupancy=0, size=0, odd_size=0, even_size=0)
     rep = sm.extract_defects(st)
