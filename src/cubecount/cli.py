@@ -536,7 +536,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--csv", help="also write the per-snapshot CSV log here")
     p.add_argument("--threads", type=int)
     p.add_argument("--debug", action="store_true",
-                   help="enable per-step invariant checks")
+                   help="check invariants at each snapshot")
 
     p = add("validate", "run the acceptance suite")
     p.add_argument("--only", help="comma-separated criterion numbers")

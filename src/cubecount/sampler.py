@@ -3,8 +3,16 @@
 Single-site heat bath: pick a uniform vertex; if some neighbor is occupied
 the vertex becomes vacant, otherwise it becomes occupied with probability
 lam/(1+lam).  The stationary law is the hard-core measure at fugacity lam.
-Runs are fully deterministic given a seed (Mersenne Twister via
-random.Random, one vertex draw plus one uniform per step).
+Runs are fully deterministic given a seed: step t draws the vertex
+random.Random(seed).getrandbits(d) and then the coin .random(), as a
+per-step loop over random.Random would.
+
+Those draws are replayed in bulk.  The Mersenne Twister state of
+random.Random(seed) is copied into numpy's MT19937, which yields the same
+32-bit words.  Step t reads the next three, w0, w1, w2: CPython's
+getrandbits(k) for k <= 32 is one word shifted right, so the vertex is
+w0 >> (32 - d), and random() is ((w1 >> 5) * 2^26 + (w2 >> 6)) / 2^53.
+The first identity needs d <= 32, which MAX_DIM = 24 guarantees.
 
 Defects are the distance-2 components of the minority side of a sample
 (ties resolved to the odd side); their type statistics are compared against
@@ -50,7 +58,7 @@ class DefectReport:
         return dict(self.type_counts).get(key, 0)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=hc.MAX_DIM)  # one entry per dimension; 4 MB in all
 def _parity_mask(d: int) -> int:
     mask = 0
     for v in range(1 << d):
@@ -64,6 +72,32 @@ def default_burn_in(d: int) -> int:
     return 10 * (1 << d) * d
 
 
+_DRAW_BLOCK = 1 << 15  # steps per bulk draw: 3 * 2^15 raw words, 768 KB
+
+
+def _step_codes(seed: int, d: int, p: float, steps: int) -> Iterator[list[int]]:
+    """The chain's first `steps` draws, in blocks of at most _DRAW_BLOCK steps.
+
+    A step that draws vertex v and coin c is coded v + 2^d * [c < p].
+    """
+    import numpy as np  # deferred: the CLI's import stays free of numpy
+
+    _, internal, _ = random.Random(seed).getstate()
+    mt = np.random.MT19937()
+    mt.state = {"bit_generator": "MT19937",
+                "state": {"key": np.array(internal[:-1], dtype=np.uint32),
+                          "pos": internal[-1]}}
+    n = 1 << d
+    while steps > 0:
+        b = min(steps, _DRAW_BLOCK)
+        w = mt.random_raw(3 * b).reshape(b, 3)
+        v = (w[:, 0] >> (32 - d)).astype(np.int64)
+        coin = ((w[:, 1] >> 5) * 67108864.0 + (w[:, 2] >> 6)) \
+            * (1.0 / 9007199254740992.0)
+        yield np.where(coin < p, v + n, v).tolist()
+        steps -= b
+
+
 def glauber_run(d: int, lam: Fraction, steps: int,
                 burn_in: int | None = None, thin: int = 1, seed: int = 0,
                 debug: bool = False, start: int = 0) -> Iterator[ChainState]:
@@ -71,7 +105,8 @@ def glauber_run(d: int, lam: Fraction, steps: int,
 
     steps counts all attempted updates including burn-in, so steps == burn_in
     yields nothing.  The chain starts from the configuration `start`
-    (default empty), which must be an independent set.
+    (default empty), which must be an independent set.  With `debug`, each
+    snapshot is checked to be an independent set.
     """
     hc.check_dim(d)
     lam = Fraction(lam)
@@ -89,40 +124,40 @@ def glauber_run(d: int, lam: Fraction, steps: int,
     if not hc.is_independent(start, d):
         raise ValueError("start configuration is not an independent set")
 
-    nbr = hc.neighbor_masks(d)
     odd_mask = _parity_mask(d)
     p = float(lam / (1 + lam))
-    rng = random.Random(seed)
+    # indexed by step code: code v < n clears v, code n + v occupies v
+    # unless a neighbour of v is occupied
+    bits = [1 << v for v in range(n)] * 2
+    nbr = [0] * n + hc.neighbor_masks(d)
+    # steps after the last snapshot are never observed
+    last = burn_in + (steps - burn_in) // thin * thin
 
     occ = start
-    size = occ.bit_count()
-    odd = (occ & odd_mask).bit_count()
+    done = 0  # steps before the current block
     next_snap = burn_in + thin
-    for step in range(1, steps + 1):
-        v = rng.getrandbits(d)
-        coin = rng.random()
-        bit = 1 << v
-        if occ & nbr[v]:
-            newbit = 0
-        else:
-            newbit = 1 if coin < p else 0
-        old = occ & bit
-        if newbit and not old:
-            occ |= bit
-            size += 1
-            odd += 1 if bit & odd_mask else 0
-        elif old and not newbit:
-            occ &= ~bit
-            size -= 1
-            odd -= 1 if bit & odd_mask else 0
-        if step == next_snap:
-            next_snap += thin
-            if debug:
-                assert hc.is_independent(occ, d), f"dependent state at step {step}"
-                assert size == occ.bit_count()
-            yield ChainState(
-                d=d, step=step, occupancy=occ, size=size, odd_size=odd,
-                even_size=size - odd)
+    for codes in _step_codes(seed, d, p, last):
+        pos, stop = 0, len(codes)
+        while pos < stop:
+            cut = min(stop, next_snap - done)
+            for c in codes[pos:cut]:
+                if c < n:
+                    if occ & bits[c]:
+                        occ ^= bits[c]
+                elif not occ & nbr[c]:
+                    occ |= bits[c]
+            pos = cut
+            if done + cut == next_snap:
+                if debug:
+                    assert hc.is_independent(occ, d), \
+                        f"dependent state at step {next_snap}"
+                size = occ.bit_count()
+                odd = (occ & odd_mask).bit_count()
+                yield ChainState(
+                    d=d, step=next_snap, occupancy=occ, size=size,
+                    odd_size=odd, even_size=size - odd)
+                next_snap += thin
+        done += stop
 
 
 def extract_defects(state: ChainState, debug: bool = False) -> DefectReport:
@@ -198,14 +233,15 @@ def _poisson_gof(counts: list[int], mean: float) -> dict | None:
         observed.pop()
     if len(probs) < 2:
         return None
-    from scipy.stats import chi2  # deferred: most of the package's import time
+    from scipy.special import chdtrc  # deferred: the CLI's import stays free of scipy
 
     stat = 0.0
     for o, pr in zip(observed, probs):
         e = n * pr
         stat += (o - e) ** 2 / e
     df = len(probs) - 1
-    return {"stat": stat, "df": df, "p": float(chi2.sf(stat, df)),
+    # chdtrc(df, x) is what scipy.stats.chi2.sf(x, df) evaluates for x >= 0
+    return {"stat": stat, "df": df, "p": float(chdtrc(df, stat)),
             "bins": len(probs)}
 
 
@@ -356,12 +392,9 @@ def two_chain_diagnostic(d: int, lam: Fraction, steps: int, seed: int = 0,
     if thin is None:
         thin = n
     odd_mask = _parity_mask(d)
-    even_start = 0
-    for v in range(n):
-        if not hc.parity(v):
-            even_start |= 1 << v
+    even_mask = ((1 << n) - 1) ^ odd_mask
     runs = []
-    for tag, start in (("from_odd", odd_mask), ("from_even", even_start)):
+    for tag, start in (("from_odd", odd_mask), ("from_even", even_mask)):
         trace = []
         for st in glauber_run(d, lam, steps, burn_in=0, thin=thin,
                               seed=seed, start=start):

@@ -253,14 +253,31 @@ def test_report_with_nothing_to_report_is_a_usage_error(tmp_path, capsys):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy.stats was most of the CLI's start-up; only the sampler's
-    # goodness-of-fit and the acceptance suite need it, and they import it late
+    # scipy.stats was most of the CLI's start-up; only the sampler and the
+    # acceptance suite need numpy or scipy, and they import them late
     proc = subprocess.run([sys.executable, "-c",
                            "import sys, cubecount.cli; "
-                           "print('scipy' in sys.modules)"],
+                           "print('scipy' in sys.modules, 'numpy' in sys.modules)"],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
+
+
+def test_sample_never_loads_scipy_stats():
+    # the chi-square tail comes from scipy.special; scipy.stats costs
+    # a second of import and twice the memory
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys; from cubecount import cli; "
+                           "code = cli.main(['sample', '--d', '4', '--lam', '1', "
+                           "'--samples', '20', '--thin', '16', '--seed', '1']); "
+                           "print(code, 'scipy.special' in sys.modules, "
+                           "'scipy.stats' in sys.modules, file=sys.stderr)"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    gof = [e["poisson_gof"] for e in json.loads(proc.stdout)["per_type"].values()
+           if e.get("poisson_gof")]
+    assert gof, "no goodness-of-fit test ran"
+    assert proc.stderr.split() == ["0", "True", "False"]
 
 
 def test_console_script_entry_point():

@@ -1,5 +1,7 @@
 """Glauber dynamics: invariants, determinism, and defect extraction."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,90 @@ from cubecount import sampler as sm
 def run(d=3, lam=Fraction(1), steps=4000, burn_in=200, thin=20, seed=5, **kw):
     return list(sm.glauber_run(d, lam, steps, burn_in=burn_in, thin=thin,
                                seed=seed, **kw))
+
+
+def reference_run(d, lam, steps, burn_in, thin, seed, start=0):
+    """The cross-check for glauber_run: the chain stepped one draw at a time.
+
+    Each step calls random.Random(seed).getrandbits(d) and then .random(),
+    and |I| and |I on odd| are tallied step by step.  glauber_run replays the
+    same draws in bulk through numpy and must yield the same snapshots.
+    """
+    nbr = hc.neighbor_masks(d)
+    odd_mask = sum(1 << v for v in hc.odd_side(d))
+    p = float(Fraction(lam) / (1 + Fraction(lam)))
+    rng = random.Random(seed)
+    occ, size, odd = start, start.bit_count(), (start & odd_mask).bit_count()
+    out = []
+    for step in range(1, steps + 1):
+        v = rng.getrandbits(d)
+        coin = rng.random()
+        bit = 1 << v
+        newbit = 0 if occ & nbr[v] else (1 if coin < p else 0)
+        old = occ & bit
+        if newbit and not old:
+            occ |= bit
+            size += 1
+            odd += 1 if bit & odd_mask else 0
+        elif old and not newbit:
+            occ &= ~bit
+            size -= 1
+            odd -= 1 if bit & odd_mask else 0
+        if step > burn_in and (step - burn_in) % thin == 0:
+            out.append(sm.ChainState(d=d, step=step, occupancy=occ, size=size,
+                                     odd_size=odd, even_size=size - odd))
+    return out
+
+
+SEEDS = (0, 7, -3, 2 ** 70 + 1)
+LAMS = (Fraction(1), Fraction(1, 3), Fraction(2), Fraction(1, 20))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+def test_bulk_draws_match_per_step_reference(d):
+    # p = 1/4 and 1/21 are not exact in binary, so coin < p is tested at a
+    # rounded threshold; the odd side fully packed is a nonzero start
+    full_odd = sum(1 << v for v in hc.odd_side(d))
+    for lam in LAMS:
+        for seed in SEEDS:
+            for burn_in, thin, start in ((50, 7, 0), (0, 1, full_odd)):
+                steps = burn_in + 1500
+                got = list(sm.glauber_run(d, lam, steps, burn_in=burn_in,
+                                          thin=thin, seed=seed, start=start))
+                want = reference_run(d, lam, steps, burn_in, thin, seed, start)
+                assert got == want, (d, lam, seed, burn_in, thin, start)
+
+
+def test_bulk_draws_match_reference_across_draw_blocks():
+    # one snapshot interval spans two draw blocks, the run ends mid-block,
+    # and steps past the last snapshot are never observed
+    thin = sm._DRAW_BLOCK + 123
+    steps = 3 * thin + 1000
+    for seed in (7, 2 ** 70 + 1):
+        got = list(sm.glauber_run(6, Fraction(1, 3), steps, burn_in=0,
+                                  thin=thin, seed=seed))
+        assert [s.step for s in got] == [thin, 2 * thin, 3 * thin]
+        assert got == reference_run(6, Fraction(1, 3), steps, 0, thin, seed)
+
+
+def test_coin_is_compared_at_full_precision():
+    # set p to the first step's coin c, and to the floats just beside it; the
+    # first step then accepts exactly when c < p, so a coin off by one ulp
+    # or a comparison of c <= p would show at the first snapshot
+    for seed in range(40):
+        rng = random.Random(seed)
+        rng.getrandbits(4)
+        c = rng.random()
+        for p in (math.nextafter(c, 0.0), c, math.nextafter(c, 1.0)):
+            lam = Fraction(p) / (1 - Fraction(p))
+            got = list(sm.glauber_run(4, lam, 3, burn_in=0, thin=1, seed=seed))
+            assert got == reference_run(4, lam, 3, 0, 1, seed), (seed, p)
+            assert got[0].size == (1 if c < p else 0)
+
+
+def test_steps_equal_to_burn_in_yields_nothing():
+    assert run(steps=200, burn_in=200) == []
+    assert reference_run(3, Fraction(1), 200, 200, 20, 5) == []
 
 
 def test_snapshots_are_independent_sets_with_consistent_tallies():
@@ -154,3 +240,26 @@ def test_two_chain_diagnostic_crosses_modes_on_q2():
 def test_default_burn_in_scales_with_volume():
     assert sm.default_burn_in(3) == 10 * 8 * 3
     assert sm.default_burn_in(6) == 10 * 64 * 6
+
+
+def test_poisson_gof_p_value_equals_scipy_stats_bitwise():
+    from scipy import stats
+    rng = random.Random(4)
+    ran = 0
+    for mean in (0.3, 1.0, 2.5, 4.0, 7.7, 15.0, 19.9):
+        for n in (20, 100, 1000):
+            counts = [min(int(rng.expovariate(1 / mean)), 60) for _ in range(n)]
+            gof = sm._poisson_gof(counts, mean)
+            if gof is None:
+                continue
+            ran += 1
+            assert gof["p"] == float(stats.chi2.sf(gof["stat"], gof["df"]))
+    assert ran > 10
+
+
+def test_chdtrc_is_chi2_sf():
+    from scipy import special, stats
+    for df in range(1, 31):
+        for x in (0.0, 5e-324, 1e-300, 1e-12, 0.5, float(df), 3.0 * df,
+                  1e3, 1e6):
+            assert special.chdtrc(df, x) == stats.chi2.sf(x, df), (df, x)
