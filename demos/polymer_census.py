@@ -2,7 +2,7 @@
 
 Walks the polymer universe of Q_4 and Q_5, groups defects by isomorphism
 type, and shows how the per-type counts extend to all dimensions at once
-through polynomial interpolation.
+from one enumeration at a dimension where closure never binds.
 """
 
 from collections import Counter

@@ -27,7 +27,7 @@ from . import hypercube as hc
 from .bigint import binomial, binomial_rounded
 from .clusters import cluster_sum
 from .errors import RegimeWarning
-from .polymers import DefectType, census, _map_maybe_parallel
+from .polymers import DefectType, census
 from .symbolic import (BETA, RatFunc, RatPoly, TruncSeries, interpolate_poly,
                        log_ratio_expand, neg_binomial_expand, poly_on_series)
 
@@ -44,12 +44,7 @@ _r_cache: dict[int, RatPoly] = {}
 MAX_EXACT_J = 3
 
 
-def _stratum_poly_task(args) -> RatPoly:
-    d, j, budget = args
-    return cluster_sum(d, j, budget=budget).poly
-
-
-def R_poly(j: int, budget: int | None = None, processes: int = 1) -> RatPoly:
+def R_poly(j: int, budget: int | None = None) -> RatPoly:
     """The j-th log-partition coefficient as an exact polynomial in (lam, d).
 
     Stratum sums are exact at each d on a grid wide enough for the degree
@@ -65,8 +60,7 @@ def R_poly(j: int, budget: int | None = None, processes: int = 1) -> RatPoly:
     that an explicit budget, which limits the base-dimension enumeration of
     each grid point, is required and exhaustion raises BudgetExceededError.
     Grid points that share a base dimension share its enumeration, which is
-    cached once complete, so without worker processes the budget is spent
-    once per base dimension.
+    cached once complete, so the budget is spent once per base dimension.
     """
     if j < 1:
         raise ValueError("stratum index must be >= 1")
@@ -77,8 +71,7 @@ def R_poly(j: int, budget: int | None = None, processes: int = 1) -> RatPoly:
             f"strata beyond j = {MAX_EXACT_J} are best-effort: pass an "
             "explicit budget")
     grid = list(range(2 * j + 1, 4 * j + 3))
-    polys = _map_maybe_parallel(_stratum_poly_task,
-                                [(d, j, budget) for d in grid], processes)
+    polys = [cluster_sum(d, j, budget=budget).poly for d in grid]
     base = interpolate_poly(list(zip(grid, polys)), 2 * j, var=DIM)
     out = base * RatPoly.var(LAM) ** j
     assert out.degree(DIM) <= 2 * j
@@ -110,9 +103,8 @@ class SeriesTable:
         return out
 
 
-def R_table(jmax: int, budget: int | None = None, processes: int = 1) -> SeriesTable:
-    return SeriesTable("R", {j: R_poly(j, budget, processes)
-                             for j in range(1, jmax + 1)})
+def R_table(jmax: int, budget: int | None = None) -> SeriesTable:
+    return SeriesTable("R", {j: R_poly(j, budget) for j in range(1, jmax + 1)})
 
 
 # -- expected-size coefficients and their (beta, X) forms --------------------------

@@ -128,7 +128,7 @@ def _cmd_oracle(args) -> dict:
 
 def _cmd_polymers(args) -> dict:
     if args.mode == "symbolic":
-        sym = polymers.symbolic_census(args.max_size, processes=_threads(args))
+        sym = polymers.symbolic_census(args.max_size)
         return {
             "max_size": sym.max_size,
             "grid": list(sym.grid),
@@ -176,8 +176,7 @@ def _cmd_clusters(args) -> dict:
 def _cmd_rj(args) -> dict:
     if args.j < 1:
         raise _UsageError("--j must be >= 1")
-    table = asymptotics.R_table(args.j, budget=args.budget,
-                                processes=_threads(args))
+    table = asymptotics.R_table(args.j, budget=args.budget)
     return {"kind": "R", "jmax": args.j, "entries": table.to_json()}
 
 
@@ -466,7 +465,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--mode", choices=["census", "list", "symbolic"],
                    default="census")
     p.add_argument("--budget", type=int)
-    p.add_argument("--threads", type=int)
 
     p = add("clusters", "one stratum of the cluster expansion")
     p.add_argument("--d", type=int, required=True)
@@ -484,7 +482,6 @@ def _build_parser() -> _Parser:
                    help="node budget for the cluster enumeration at each "
                         "base dimension; grid points that share a base "
                         "dimension reuse its completed enumeration")
-    p.add_argument("--threads", type=int)
 
     p = add("bj", "fugacity-correction coefficients B_j")
     p.add_argument("--r", type=int, required=True)
@@ -534,7 +531,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--census-size", type=int, default=3,
                    help="max defect size for the census comparison")
     p.add_argument("--csv", help="also write the per-snapshot CSV log here")
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int,
+                   help="worker processes for --chains (default "
+                        "CUBECOUNT_THREADS, else 1)")
     p.add_argument("--debug", action="store_true",
                    help="check invariants at each snapshot")
 

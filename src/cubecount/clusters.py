@@ -354,15 +354,6 @@ def free_dim(k: int) -> int:
     return d
 
 
-def _active_count(c: Cluster) -> int:
-    """Number of coordinates in which some vertex of the union differs from V0."""
-    active = 0
-    for s in c.supports:
-        for v in s:
-            active |= v ^ pm.V0
-    return active.bit_count()
-
-
 def _observable_value(c: Cluster, obs: Observable, nbhd_total: int) -> int:
     """Observable of c, with nbhd_total its total neighborhood at the target d."""
     if obs.kind == "one":
@@ -437,7 +428,7 @@ def cluster_sum(d: int, k: int, observable: Observable = Observable.one(),
         val = _observable_value(c, observable, k * d - e)
         if not val:
             continue
-        a = _active_count(c)
+        a = pm._active_count(v for s in c.supports for v in s)
         coef = Fraction(c.orderings * val * math.comb(d, a),
                         c.union_size * math.comb(b, a)) * c.phi
         by_exponent[e] = by_exponent.get(e, Fraction(0)) + coef

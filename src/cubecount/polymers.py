@@ -35,11 +35,18 @@ so it is computed once per labelled graph and kept in a table bounded at
 have 26 labelled graphs.  The census records whether any graph class ever
 splits across deficiencies (none do for sizes up to 4; the census keeps
 checking anyway).
+
+Counts in d: census counts types at one dimension; symbolic_census gives
+every n_T(d)/n_side as a polynomial in d from a single enumeration at the
+base dimension clusters.free_dim(max_size), by counting supports per type
+and number of active coordinates (those in which some vertex differs from
+V0), the same C(d, a) rescaling that clusters.cluster_sum applies.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -49,7 +56,8 @@ from typing import Callable, Iterable, Iterator
 
 from . import hypercube as hc
 from .errors import BudgetExceededError
-from .symbolic import RatPoly, interpolate_poly
+# interpolate_poly stays importable here: perfbench/traced_child.py patches it
+from .symbolic import RatPoly, binom_poly, interpolate_poly  # noqa: F401
 
 V0 = 1  # root: the smallest odd vertex
 
@@ -361,7 +369,11 @@ def census(d: int, max_size: int, budget: int | None = None) -> Census:
 
 @dataclass(frozen=True)
 class SymbolicCensus:
-    """Type counts as exact polynomials in the dimension: n_T(d)/n_side."""
+    """Type counts as exact polynomials in the dimension: n_T(d)/n_side.
+
+    `grid` names the dimensions at which the tests and `validate` check the
+    closed form against direct censuses.
+    """
 
     max_size: int
     grid: tuple[int, ...]
@@ -371,51 +383,42 @@ class SymbolicCensus:
         return {t.key: p for t, p in self.entries}
 
 
-def symbolic_census(max_size: int, grid: tuple[int, ...] | None = None,
-                    processes: int = 1) -> SymbolicCensus:
-    """Interpolate per-type counts across dimensions.
+def _active_count(vertices: Iterable[int]) -> int:
+    """Number of coordinates in which some vertex differs from V0."""
+    active = 0
+    for v in vertices:
+        active |= v ^ V0
+    return active.bit_count()
 
-    For a type of size s the rooted count divided by s is a polynomial in d
-    of degree at most 2(s-1) (each added vertex brings at most two fresh
-    coordinates), so a grid of 2*max_size points starting at 2*max_size + 1
-    fits every type with one spare point for the exactness check.
+
+def symbolic_census(max_size: int) -> SymbolicCensus:
+    """Per-type counts n_T(d)/n_side in closed form, from one enumeration.
+
+    The rooted supports are enumerated once, at the base dimension
+    b = free_dim(max_size), where closure never binds (see the clusters
+    module docstring).  A support's type depends only on its a active
+    coordinates, and every a-subset of the d coordinates carries the same
+    supports, so with r_(T,a) the rooted supports of type T and a active
+    coordinates found at b, for every d >= b
+
+        n_T(d)/n_side = sum_a r_(T,a) * C(d, a) / (s * C(b, a)),
+
+    a polynomial in d of degree at most 2(s-1).  The grid is the 2*max_size
+    dimensions from 2*max_size + 1 on.
     """
     if max_size < 1 or max_size > 4:
         raise ValueError("symbolic_census supports max_size in 1..4")
-    if grid is None:
-        lo = 2 * max_size + 1
-        grid = tuple(range(lo, lo + 2 * max_size))
-    if len(grid) < 3:
-        raise ValueError("grid must have at least 3 points")
+    from .clusters import free_dim  # clusters imports this module
 
-    censuses = _map_maybe_parallel(_census_ratio_task,
-                                   [(d, max_size) for d in grid], processes)
-
-    all_types: set[DefectType] = set()
-    for ratios in censuses:
-        all_types.update(ratios)
-
-    entries = []
-    for t in sorted(all_types):
-        pts = []
-        for d, ratios in zip(grid, censuses):
-            pts.append((d, ratios.get(t, Fraction(0))))
-        bound = min(2 * (t.size - 1), len(grid) - 2)
-        poly = interpolate_poly(pts, bound, var="d")
-        entries.append((t, poly))
-    return SymbolicCensus(max_size=max_size, grid=tuple(grid), entries=tuple(entries))
-
-
-def _census_ratio_task(args: tuple[int, int]) -> dict[DefectType, Fraction]:
-    d, max_size = args
-    c = census(d, max_size)
-    return {e.type: Fraction(e.count, hc.n_side(d)) for e in c.entries}
-
-
-def _map_maybe_parallel(fn, items, processes: int):
-    if processes and processes > 1 and len(items) > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(min(processes, len(items))) as pool:
-            return pool.map(fn, items)
-    return [fn(x) for x in items]
+    b = free_dim(max_size)
+    rooted = Counter((_type_of(s, b), _active_count(s))
+                     for s in rooted_polymer_supports(b, max_size))
+    dim = RatPoly.var("d")
+    polys: dict[tuple[int, int, int], RatPoly] = {}
+    for (key, a), r in rooted.items():
+        term = binom_poly(-dim, a) * Fraction(r, key[0] * math.comb(b, a))
+        polys[key] = polys.get(key, RatPoly.const(0)) + term
+    lo = 2 * max_size + 1
+    return SymbolicCensus(
+        max_size=max_size, grid=tuple(range(lo, lo + 2 * max_size)),
+        entries=tuple((DefectType(*key), polys[key]) for key in sorted(polys)))

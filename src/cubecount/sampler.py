@@ -376,7 +376,12 @@ def sample_chains(d: int, lam: Fraction, steps: int,
         raise ValueError("need at least one chain")
     tasks = [(d, lam, steps, burn_in, thin, seed + 1000003 * i, debug)
              for i in range(chains)]
-    return pm._map_maybe_parallel(_chain_task, tasks, processes)
+    if processes > 1 and chains > 1:
+        import multiprocessing
+
+        with multiprocessing.Pool(min(processes, chains)) as pool:
+            return pool.map(_chain_task, tasks)
+    return [_chain_task(t) for t in tasks]
 
 
 def two_chain_diagnostic(d: int, lam: Fraction, steps: int, seed: int = 0,

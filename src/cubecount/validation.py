@@ -11,7 +11,6 @@ closed-form reference values derived by hand or by an independent method.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import time
 import warnings
@@ -21,9 +20,10 @@ from typing import Callable
 
 import mpmath
 
-from . import asymptotics, clusters, exact, polymers, sampler, symbolic
+from . import asymptotics, clusters, exact, polymers, sampler
+from . import hypercube as hc
 from .asymptotics import DIM, LAM, _mpf
-from .symbolic import BETA, RatFunc, RatPoly, poly_to_json_str
+from .symbolic import BETA, RatFunc, RatPoly
 
 
 # -- criterion bodies -------------------------------------------------------------
@@ -45,6 +45,15 @@ def _check_symbolic_closed_forms() -> list[str]:
     r2 = asymptotics.R_poly(2)
     if r2 != expect_r2:
         fails.append(f"R_2 is {r2.text()}, expected {expect_r2.text()}")
+
+    # the closed-form census against direct censuses at every grid dimension
+    sym = polymers.symbolic_census(3)
+    for dim in sym.grid:
+        direct = {e.type.key: Fraction(e.count, hc.n_side(dim))
+                  for e in polymers.census(dim, 3).entries}
+        closed = {t.key: p.eval({DIM: Fraction(dim)}) for t, p in sym.entries}
+        if closed != direct:
+            fails.append(f"symbolic_census(3) differs from census({dim}, 3)/n_side")
 
     b1 = asymptotics.compute_B(1)[1]
     expect_b1 = RatFunc(beta * (d * beta - one), 0, 3)
@@ -298,25 +307,10 @@ def _check_reproducibility() -> list[str]:
         if a_csv != b_csv:
             fails.append("sample CSV differs between identical runs")
 
-        def rj(threads: str, tag: str) -> bytes:
-            asymptotics.clear_caches()
-            clusters.clear_caches()
-            out = tmp / f"{tag}.json"
-            code = cli.main(["rj", "--j", "2", "--threads", threads,
-                             "--out", str(out)])
-            if code != 0:
-                fails.append(f"rj run exited {code}")
-            return out.read_bytes()
-
-        if rj("1", "r1") != rj("2", "r2"):
-            fails.append("series table differs across thread counts")
-
-        s1 = polymers.symbolic_census(3, processes=1)
-        s2 = polymers.symbolic_census(3, processes=2)
-        j1 = json.dumps([[t.key, poly_to_json_str(p)] for t, p in s1.entries])
-        j2 = json.dumps([[t.key, poly_to_json_str(p)] for t, p in s2.entries])
-        if j1 != j2:
-            fails.append("symbolic census differs across process counts")
+        # the worker pool of `sample --chains` must not change a byte
+        chained = args + ["--chains", "2", "--threads"]
+        if run(chained + ["1"], "c1") != run(chained + ["2"], "c2"):
+            fails.append("sample --chains 2 output differs across thread counts")
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     return fails

@@ -58,7 +58,11 @@ def test_usage_errors_exit_one_with_single_line(capsys):
                  ["count-structured", "--beta", "1/2", "--d", "10", "--t", "5"],
                  # found by the fuzz below: each printed JSON its schema rejects
                  ["rj", "--j", "0"],
-                 ["clusters", "--d", "1", "--k", "1"]):
+                 ["clusters", "--d", "1", "--k", "1"],
+                 # only sample --chains runs worker processes
+                 ["rj", "--j", "2", "--threads", "2"],
+                 ["polymers", "--max-size", "3", "--mode", "symbolic",
+                  "--threads", "2"]):
         code = cli.main(argv)
         captured = capsys.readouterr()
         assert code == 1, argv
@@ -107,6 +111,17 @@ def test_untypeable_polymer_sizes_fail_before_enumerating(capsys):
     # at d = 4 no polymer exceeds 2^(d-2) = 4, so a bound of 8 is fine
     code, out, _ = run_cli(capsys, "polymers", "--d", "4", "--max-size", "8")
     assert code == 0 and [e["size"] for e in json.loads(out)["entries"]] == [1, 2, 3, 4]
+
+
+def test_symbolic_census_of_size_one(capsys):
+    # exited 1 with "grid must have at least 3 points" when it interpolated
+    jsonschema = pytest.importorskip("jsonschema")
+    code, out, err = run_cli(capsys, "polymers", "--max-size", "1",
+                             "--mode", "symbolic")
+    assert code == 0 and err == ""
+    obj = json.loads(out)
+    jsonschema.validate(obj, json.loads((SCHEMA_DIR / "polymers.json").read_text()))
+    assert [(e["key"], e["text"]) for e in obj["entries"]] == [("s1c0g0", "1")]
 
 
 def test_count_structured_bad_type_keys_are_one_line_errors(capsys):
@@ -329,7 +344,7 @@ CLI_ARGS = st.one_of(
                st.sampled_from([[], ["--exhaustive"]])),
     polymers_args(),
     invocation("polymers", st.just(["--mode", "symbolic"]),
-               fixed("--max-size", st.sampled_from([-1, 0, 1, 2, 3, 5]))),
+               fixed("--max-size", st.sampled_from([-1, 0, 1, 2, 3, 4, 5]))),
     invocation("clusters", fixed("--d", st.integers(0, 6)), fixed("--k", st.integers(-1, 3)),
                fixed("--observable", st.sampled_from(
                    ["one", "size", "nbhd", "size_nbhd", "type:s1c0g0", "type:x", "y"])),

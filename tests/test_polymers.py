@@ -1,6 +1,8 @@
 """Defect enumeration, classification, and census counts."""
 
+import hashlib
 import itertools
+import json
 from collections import Counter
 from fractions import Fraction
 
@@ -10,6 +12,9 @@ from hypothesis import given, settings, strategies as st
 from cubecount import hypercube as hc
 from cubecount import polymers as pm
 from cubecount.errors import BudgetExceededError
+from cubecount.symbolic import interpolate_poly, poly_to_json_str
+
+SYMBOLIC_CENSUS_4_SHA256 = "8c1f4857a35f15528aa3a2855b000aa1c0c588724503a01649624808e0d9f385"
 
 
 def brute_force_supports(d: int, max_size: int) -> set:
@@ -141,14 +146,52 @@ def test_budget_exhaustion_raises():
         pm.census(9, 3, budget=5)
 
 
+def grid_symbolic_census(max_size: int) -> list[tuple[str, str]]:
+    """Cross-check for symbolic_census: (key, poly_to_json_str) per type,
+    interpolated from direct censuses over symbolic_census's grid.
+
+    For a type of size s, n_T(d)/n_side has degree at most 2(s-1) in d, so
+    the 2*max_size grid points fit every type with one spare point that
+    interpolate_poly checks.
+    """
+    lo = 2 * max_size + 1
+    grid = range(lo, lo + 2 * max_size)
+    ratios = [{e.type: Fraction(e.count, hc.n_side(d))
+               for e in pm.census(d, max_size).entries} for d in grid]
+    out = []
+    for t in sorted(set().union(*ratios)):
+        points = [(d, r.get(t, Fraction(0))) for d, r in zip(grid, ratios)]
+        bound = min(2 * (t.size - 1), len(points) - 2)
+        out.append((t.key, poly_to_json_str(interpolate_poly(points, bound, var="d"))))
+    return out
+
+
+@pytest.mark.parametrize("max_size", [2, 3])
+def test_symbolic_census_equals_grid_interpolation(max_size):
+    sym = pm.symbolic_census(max_size)
+    assert sym.grid == tuple(range(2 * max_size + 1, 4 * max_size + 1))
+    assert [(t.key, poly_to_json_str(p)) for t, p in sym.entries] \
+        == grid_symbolic_census(max_size)
+
+
 def test_symbolic_census_evaluates_to_global_counts():
-    # entries hold n_T(d) / n_side as polynomials in d
-    sym = pm.symbolic_census(3)
-    d = 7
-    cen = pm.census(d, 3).by_key()
-    for t, poly in sym.entries:
-        assert poly.eval({"d": Fraction(d)}) * hc.n_side(d) == cen[t.key].count
-    assert {t.key for t, _ in sym.entries} == set(cen)
+    # entries hold n_T(d) / n_side as polynomials in d; d = 7 is free_dim(4),
+    # the base dimension, and d = 7, 8 lie below the grid
+    sym = pm.symbolic_census(4)
+    for d in (7, 8, 9, 10):
+        cen = pm.census(d, 4).by_key()
+        assert {t.key for t, _ in sym.entries} == set(cen)
+        for t, poly in sym.entries:
+            assert poly.eval({"d": Fraction(d)}) * hc.n_side(d) == cen[t.key].count
+
+
+def test_symbolic_census_of_size_four_is_pinned():
+    # recorded from the census-grid interpolation, before the closed form
+    sym = pm.symbolic_census(4)
+    doc = json.dumps({"max_size": sym.max_size, "grid": list(sym.grid),
+                      "entries": [[t.key, p.to_json()] for t, p in sym.entries]},
+                     sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == SYMBOLIC_CENSUS_4_SHA256
 
 
 def test_census_bounds_rejected_before_enumerating():
