@@ -110,7 +110,7 @@ def R_table(jmax: int, budget: int | None = None) -> SeriesTable:
 # -- expected-size coefficients and their (beta, X) forms --------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MAX_EXACT_J)  # j = 1..MAX_EXACT_J
 def F_poly(j: int) -> RatPoly:
     """Coefficient of (1+lam)^(-jd-1) in the expected-size expansion.
 
@@ -134,24 +134,24 @@ def _beta_x_form(p: RatPoly, exponent: int) -> RatPoly:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MAX_EXACT_J)  # j = 1..MAX_EXACT_J
 def g_exponent(j: int) -> int:
     """lam-degree of F_j; the power of (1-beta) cleared when forming G_j."""
     return F_poly(j).degree(LAM)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MAX_EXACT_J)  # j = 1..MAX_EXACT_J
 def G_poly(j: int) -> RatPoly:
     """F_j rewritten as a polynomial in (beta, d, X): (1-beta)^{c_j} F_j."""
     return _beta_x_form(F_poly(j), g_exponent(j))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MAX_EXACT_J)  # j = 1..MAX_EXACT_J
 def s_exponent(j: int) -> int:
     return R_poly(j).degree(LAM)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MAX_EXACT_J)  # j = 1..MAX_EXACT_J
 def S_poly(j: int) -> RatPoly:
     """R_j rewritten as a polynomial in (beta, d, X): (1-beta)^{deg} R_j."""
     return _beta_x_form(R_poly(j), s_exponent(j))
@@ -197,26 +197,6 @@ def Q_func(j: int, b: Mapping[int, RatFunc] | None = None) -> RatFunc:
     return q.coefficient(j) * RatFunc(RatPoly.const(1) - RatPoly.var(BETA))
 
 
-def _factor_monomial(p: RatPoly) -> tuple[Fraction, int, int]:
-    """Write p as c * beta^a * (1-beta)^e, or raise with diagnostics."""
-    from .symbolic import divide_out_beta, divide_out_one_minus_beta
-    a = e = 0
-    while True:
-        q = divide_out_one_minus_beta(p)
-        if q is None:
-            break
-        p, e = q, e + 1
-    while True:
-        q = divide_out_beta(p)
-        if q is None:
-            break
-        p, a = q, a + 1
-    if p.degree() != 0:
-        raise ArithmeticError(
-            f"linear coefficient is not monomial in beta: {p.text()}")
-    return p.constant(), a, e
-
-
 def compute_B(r: int) -> SeriesTable:
     """Solve Q_1 = ... = Q_r = 0 for the fugacity corrections B_j(beta, d).
 
@@ -232,10 +212,8 @@ def compute_B(r: int) -> SeriesTable:
         parts = q.num.as_univariate(var)
         if sorted(parts) != [0, 1]:
             raise ArithmeticError(f"Q_{j} is not linear in {var}")
-        c, a, e = _factor_monomial(parts[1])
-        if c == 0:
-            raise ArithmeticError(f"zero linear coefficient solving Q_{j}")
-        solved[j] = RatFunc(-parts[0] * (1 / c), a, e)
+        # RatFunc division accepts only c * beta^a * (1-beta)^e divisors
+        solved[j] = RatFunc(-parts[0]) / RatFunc(parts[1])
         residual = Q_func(j, solved)
         if not residual.is_zero():
             raise ArithmeticError(

@@ -464,7 +464,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-size", type=int, required=True)
     p.add_argument("--mode", choices=["census", "list", "symbolic"],
                    default="census")
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=int,
+                   help="node budget for the support enumeration; a census "
+                        "runs it at the base dimension "
+                        "min(d, free_dim(max_size)), --mode list at d")
 
     p = add("clusters", "one stratum of the cluster expansion")
     p.add_argument("--d", type=int, required=True)

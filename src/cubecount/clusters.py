@@ -20,6 +20,13 @@ converts multiset sums back to ordered-tuple sums.  Translation symmetry
 reduces to clusters whose support union contains the root vertex, each
 weighted by 1/|union| (see polymers module for the marked-vertex argument).
 
+Connectivity.  enumerate_clusters grows each multiset one entry at a time,
+and every entry it adds meets the union of the earlier ones or a distance-2
+neighbor of that union: it shares a vertex with an earlier entry, or a
+neighbor of two vertices at distance 2.  So every new entry interacts with
+an earlier one, H is connected by construction, and no multiset is built
+only to be discarded.
+
 Active coordinates.  A rooted cluster's active coordinates are the ones in
 which some vertex of its union differs from the root V0; there are at most
 2(k-1) of them, since each added vertex is a distance-2 step.  Two vertices
@@ -47,6 +54,7 @@ from typing import Iterable
 from . import hypercube as hc
 from . import polymers as pm
 from .errors import BudgetExceededError
+from .polymers import free_dim
 from .symbolic import RatPoly
 
 # -- Ursell coefficients -------------------------------------------------------
@@ -126,7 +134,11 @@ def ursell(n: int, edges: Iterable[tuple[int, int]]) -> Fraction:
 
 
 def ursell_recursive(n: int, edges: Iterable[tuple[int, int]]) -> Fraction:
-    """Independent deletion-contraction evaluation of the Ursell coefficient."""
+    """Independent deletion-contraction evaluation of the Ursell coefficient.
+
+    Not on the hot path: the acceptance suite (validate criterion 2) and the
+    tests use it as the cross-check for ursell.
+    """
     if n < 1:
         raise ValueError("graph must have at least one vertex")
     es = tuple((min(a, b), max(a, b)) for a, b in edges)
@@ -199,13 +211,6 @@ class Cluster:
     union_size: int
     orderings: int
     phi: Fraction
-    type_counts: tuple[tuple[str, int], ...]  # defect-type key -> multiplicity
-
-    def weight(self, lam: Fraction, d: int) -> Fraction:
-        """Ordered-tuple weight sum of this multiset at fugacity lam."""
-        lam = Fraction(lam)
-        return (self.orderings * self.phi * lam ** self.total_size
-                / (1 + lam) ** self.nbhd_total)
 
 
 def _multiset_key(supports: list[frozenset]) -> tuple[tuple[int, ...], ...]:
@@ -232,45 +237,20 @@ def _orderings(key: tuple[tuple[int, ...], ...]) -> int:
     return out
 
 
-def _build_cluster(key: tuple[tuple[int, ...], ...], d: int) -> Cluster | None:
-    """Assemble cluster data; None when the interaction graph is disconnected."""
+def _build_cluster(key: tuple[tuple[int, ...], ...], d: int) -> Cluster:
+    """Assemble cluster data; H is connected by construction (module docstring)."""
     supports = [frozenset(s) for s in key]
     nbhds = [hc._neighborhood(s, d) for s in supports]
-    edges = _interaction_edges(supports, nbhds)
-
-    # connectivity of H
-    n = len(supports)
-    seen = {0}
-    stack = [0]
-    adj: dict[int, list[int]] = {i: [] for i in range(n)}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    if len(seen) != n:
-        return None
-
-    phi = _ursell_cached(n, edges)
     union: set[int] = set()
     for s in supports:
         union |= s
-    types: dict[str, int] = {}
-    for s in supports:
-        k = pm.classify(s, d).key
-        types[k] = types.get(k, 0) + 1
     return Cluster(
         supports=key,
         total_size=sum(len(s) for s in supports),
         nbhd_total=sum(len(nb) for nb in nbhds),
         union_size=len(union),
         orderings=_orderings(key),
-        phi=phi,
-        type_counts=tuple(sorted(types.items())),
+        phi=_ursell_cached(len(supports), _interaction_edges(supports, nbhds)),
     )
 
 
@@ -300,14 +280,12 @@ def enumerate_clusters(d: int, max_total: int,
 
     bud = [budget] if budget is not None else None
     seen_keys: set[tuple] = set()
-    found: list[tuple] = []
 
     def rec(supports: list[frozenset], total: int) -> None:
         key = _multiset_key(supports)
         if key in seen_keys:
             return
         seen_keys.add(key)
-        found.append(key)
         room = max_total - total
         if room < 1:
             return
@@ -327,12 +305,8 @@ def enumerate_clusters(d: int, max_total: int,
     for start in pm.rooted_polymer_supports(d, max_total, budget):
         rec([start], len(start))
 
-    out = []
-    for key in sorted(found):
-        c = _build_cluster(key, d)
-        if c is not None:
-            out.append(c)
-    out.sort(key=lambda c: (c.total_size, c.supports))
+    out = sorted((_build_cluster(key, d) for key in seen_keys),
+                 key=lambda c: (c.total_size, c.supports))
     if len(_cluster_cache) >= _CLUSTER_CACHE_SIZE:
         del _cluster_cache[next(iter(_cluster_cache))]
     _cluster_cache[(d, max_total)] = out
@@ -342,20 +316,10 @@ def enumerate_clusters(d: int, max_total: int,
 # -- stratum sums ----------------------------------------------------------------
 
 
-def free_dim(k: int) -> int:
-    """Smallest d >= max(2, 2(k-1)) with d*k <= 2^(d-2).
-
-    From this dimension on every connected support of size <= k is a
-    polymer, and every stratum-k cluster's active coordinates fit in it.
-    """
-    d = max(2, 2 * (k - 1))
-    while d * k > 1 << (d - 2):
-        d += 1
-    return d
-
-
-def _observable_value(c: Cluster, obs: Observable, nbhd_total: int) -> int:
-    """Observable of c, with nbhd_total its total neighborhood at the target d."""
+def _observable_value(c: Cluster, obs: Observable, b: int, nbhd_total: int) -> int:
+    """Observable of c, found at dimension b, with nbhd_total its total
+    neighborhood at the target d.  Defect types depend on the active
+    coordinates alone, so type_count classifies the supports at b."""
     if obs.kind == "one":
         return 1
     if obs.kind == "size":
@@ -365,7 +329,7 @@ def _observable_value(c: Cluster, obs: Observable, nbhd_total: int) -> int:
     if obs.kind == "size_nbhd":
         return c.total_size * nbhd_total
     if obs.kind == "type_count":
-        count = dict(c.type_counts).get(obs.type_key, 0)
+        count = sum(pm.classify(s, b).key == obs.type_key for s in c.supports)
         return count ** obs.power
     raise ValueError(f"unknown observable kind {obs.kind!r}")
 
@@ -390,7 +354,9 @@ class ClusterSum:
                 "poly": self.poly.to_json()}
 
 
-@lru_cache(maxsize=None)
+# e sums the deficiencies of a cluster's entries, at most k(k-1) at stratum k
+# (two vertices share at most two neighbors), so 64 entries cover k <= 8
+@lru_cache(maxsize=64)
 def _one_plus_lam_power(e: int) -> RatPoly:
     return (RatPoly.var("lam") + 1) ** e
 
@@ -414,6 +380,7 @@ def cluster_sum(d: int, k: int, observable: Observable = Observable.one(),
     """
     if d < 2:
         raise ValueError("the defect model needs d >= 2")
+    hc.check_dim(d)
     if k < 1:
         raise ValueError("stratum index must be >= 1")
     b = min(d, free_dim(k))
@@ -425,7 +392,7 @@ def cluster_sum(d: int, k: int, observable: Observable = Observable.one(),
             continue
         e = k * b - c.nbhd_total
         assert e >= 0
-        val = _observable_value(c, observable, k * d - e)
+        val = _observable_value(c, observable, b, k * d - e)
         if not val:
             continue
         a = pm._active_count(v for s in c.supports for v in s)

@@ -218,7 +218,6 @@ class OddModelProfile:
     polymers: tuple[tuple[int, ...], ...]
     xi_terms: tuple[tuple[tuple[int, int], int], ...]
     z_poly: tuple[int, ...]
-    config_list: tuple[tuple[tuple[int, ...], ...], ...]
 
     def xi_value(self, lam: Fraction) -> Fraction:
         lam = Fraction(lam)
@@ -279,9 +278,6 @@ def odd_model_exact(d: int) -> OddModelProfile:
         polymers=tuple(tuple(sorted(s)) for s in polymers),
         xi_terms=tuple(sorted(xi.items())),
         z_poly=tuple(z),
-        config_list=tuple(
-            tuple(tuple(sorted(polymers[i])) for i in coll) for coll in collections
-        ),
     )
 
 

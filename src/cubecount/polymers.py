@@ -31,16 +31,20 @@ The class is named by an exhaustive certificate, the smallest adjacency code
 over all relabellings.  It depends only on the support's labelled distance-2
 graph (its size and the "distance 2 or not" bits over its sorted vertices),
 so it is computed once per labelled graph and kept in a table bounded at
-4096 entries (_cert_of_code); the 55,813 rooted supports of census(9, 4)
-have 26 labelled graphs.  The census records whether any graph class ever
-splits across deficiencies (none do for sizes up to 4; the census keeps
-checking anyway).
+4096 entries (_cert_of_code); the rooted supports of size <= 4 have 26
+labelled graphs.  A graph class can split across deficiencies (from d = 5
+the complete graph on 4 vertices, cert 63, does), so the census records
+every class that splits.
 
-Counts in d: census counts types at one dimension; symbolic_census gives
-every n_T(d)/n_side as a polynomial in d from a single enumeration at the
-base dimension clusters.free_dim(max_size), by counting supports per type
-and number of active coordinates (those in which some vertex differs from
-V0), the same C(d, a) rescaling that clusters.cluster_sum applies.
+Counts in d: a support's type depends only on its active coordinates (those
+in which some vertex differs from V0), and every a-subset of the d
+coordinates carries the same supports.  From free_dim(max_size) on, closure
+never binds (see the clusters module docstring), so both census and
+symbolic_census enumerate the rooted supports once, at the base dimension
+b = min(d, free_dim(max_size)), count them per type and active count
+(_rooted_type_counts), and rescale by C(d, a)/C(b, a): the same rescaling
+that clusters.cluster_sum applies.  census evaluates the sum at one d;
+symbolic_census keeps it as a polynomial in d.
 """
 
 from __future__ import annotations
@@ -106,12 +110,12 @@ def _grow_connected(root: int, max_size: int,
 # -- types -------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+MAX_TYPE_SIZE = 7  # exhaustive canonization; 7! = 5040 permutations
+
+
+@lru_cache(maxsize=MAX_TYPE_SIZE)  # one entry per size 1..MAX_TYPE_SIZE
 def _perm_table(size: int) -> tuple[tuple[int, ...], ...]:
     return tuple(itertools.permutations(range(size)))
-
-
-MAX_TYPE_SIZE = 7  # exhaustive canonization; 7! = 5040 permutations
 
 
 @dataclass(frozen=True, order=True)
@@ -222,14 +226,7 @@ class Polymer:
         return len(self.support)
 
     def weight(self, lam: Fraction) -> Fraction:
-        lam = Fraction(lam)
-        return lam ** self.size / (1 + lam) ** self.nbhd_size
-
-
-def _make_polymer(support: frozenset, d: int) -> Polymer:
-    t = classify(support, d)
-    return Polymer(support=tuple(sorted(support)), d=d,
-                   nbhd_size=t.nbhd_size(d), type=t)
+        return self.type.weight(lam, self.d)
 
 
 # -- enumeration --------------------------------------------------------------
@@ -249,17 +246,14 @@ def rooted_polymer_supports(d: int, max_size: int,
     return out
 
 
-def enumerate_polymers(d: int, max_size: int, rooted: bool = False,
+def enumerate_polymers(d: int, max_size: int,
                        budget: int | None = None) -> list[Polymer]:
-    """All polymers of size <= max_size, in ascending support order.
+    """All polymers of size <= max_size in Q_d, in ascending support order.
 
-    rooted=True restricts to supports containing the root vertex V0 (the
-    translation-reduced list); rooted=False enumerates globally and is only
-    sensible for small d.
+    The list is global, so it is only sensible for small d; the translation-
+    reduced list is rooted_polymer_supports.
     """
     check_census_bounds(d, max_size)
-    if rooted:
-        return [_make_polymer(s, d) for s in rooted_polymer_supports(d, max_size, budget)]
     bud = [budget] if budget is not None else None
     out = []
     for root in hc.odd_side(d):
@@ -268,7 +262,9 @@ def enumerate_polymers(d: int, max_size: int, rooted: bool = False,
 
         for s in _grow_connected(root, max_size, nbrs, bud):
             if _is_valid(s, d):
-                out.append(_make_polymer(s, d))
+                t = classify(s, d)
+                out.append(Polymer(support=tuple(sorted(s)), d=d,
+                                   nbhd_size=t.nbhd_size(d), type=t))
     out.sort(key=lambda p: p.support)
     return out
 
@@ -344,24 +340,63 @@ class Census:
                       tuple(tuple(x) for x in obj["split_certs"]))
 
 
-def census(d: int, max_size: int, budget: int | None = None) -> Census:
-    """Count polymers of each type across all of Q_d."""
-    check_census_bounds(d, max_size)
-    n = hc.n_side(d)
-    # (size, deficiency, cert) tuples sort as the DefectTypes they become
-    rooted_counts = Counter(_type_of(s, d)
-                            for s in rooted_polymer_supports(d, max_size, budget))
+def free_dim(k: int) -> int:
+    """Smallest d >= max(2, 2(k-1)) with d*k <= 2^(d-2).
 
+    From this dimension on every connected support of size <= k is a
+    polymer, and every stratum-k cluster's active coordinates fit in it.
+    """
+    d = max(2, 2 * (k - 1))
+    while d * k > 1 << (d - 2):
+        d += 1
+    return d
+
+
+def _active_count(vertices: Iterable[int]) -> int:
+    """Number of coordinates in which some vertex differs from V0."""
+    active = 0
+    for v in vertices:
+        active |= v ^ V0
+    return active.bit_count()
+
+
+def _rooted_type_counts(b: int, max_size: int, budget: int | None = None) \
+        -> Counter[tuple[tuple[int, int, int], int]]:
+    """r_(T,a): rooted supports at dimension b by ((size, deficiency, cert), a),
+    with a the number of active coordinates."""
+    return Counter((_type_of(s, b), _active_count(s))
+                   for s in rooted_polymer_supports(b, max_size, budget))
+
+
+def census(d: int, max_size: int, budget: int | None = None) -> Census:
+    """Count polymers of each type across all of Q_d.
+
+    The rooted supports are enumerated once, at b = min(d, free_dim(max_size))
+    (see the module docstring), and for a type T of size s
+
+        n_T(d) = n_side * sum_a r_(T,a) * C(d, a) / (s * C(b, a)).
+
+    For d <= free_dim(max_size) the base is d itself and every factor is 1.
+    `budget` limits the enumeration at b.
+    """
+    check_census_bounds(d, max_size)
+    b = min(d, free_dim(max_size))
+    rooted: dict[tuple[int, int, int], Fraction] = {}
+    for (key, a), r in _rooted_type_counts(b, max_size, budget).items():
+        rooted[key] = rooted.get(key, 0) + Fraction(r * math.comb(d, a), math.comb(b, a))
+
+    n = hc.n_side(d)
     entries = []
-    for key, r in sorted(rooted_counts.items()):
+    # (size, deficiency, cert) tuples sort as the DefectTypes they become
+    for key in sorted(rooted):
         t = DefectType(*key)
-        total = Fraction(n * r, t.size)
+        total = n * rooted[key] / t.size
         if total.denominator != 1:
             raise AssertionError(f"type {t.key}: non-integer global count {total}")
         entries.append(CensusEntry(type=t, count=int(total)))
 
     by_cert: dict[tuple[int, int], set[int]] = {}
-    for size, deficiency, cert in rooted_counts:
+    for size, deficiency, cert in rooted:
         by_cert.setdefault((size, cert), set()).add(deficiency)
     split = tuple(sorted(k for k, v in by_cert.items() if len(v) > 1))
     return Census(d=d, max_size=max_size, entries=tuple(entries), split_certs=split)
@@ -383,22 +418,12 @@ class SymbolicCensus:
         return {t.key: p for t, p in self.entries}
 
 
-def _active_count(vertices: Iterable[int]) -> int:
-    """Number of coordinates in which some vertex differs from V0."""
-    active = 0
-    for v in vertices:
-        active |= v ^ V0
-    return active.bit_count()
-
-
 def symbolic_census(max_size: int) -> SymbolicCensus:
     """Per-type counts n_T(d)/n_side in closed form, from one enumeration.
 
     The rooted supports are enumerated once, at the base dimension
-    b = free_dim(max_size), where closure never binds (see the clusters
-    module docstring).  A support's type depends only on its a active
-    coordinates, and every a-subset of the d coordinates carries the same
-    supports, so with r_(T,a) the rooted supports of type T and a active
+    b = free_dim(max_size), where closure never binds (see the module
+    docstring), so with r_(T,a) the rooted supports of type T and a active
     coordinates found at b, for every d >= b
 
         n_T(d)/n_side = sum_a r_(T,a) * C(d, a) / (s * C(b, a)),
@@ -408,14 +433,10 @@ def symbolic_census(max_size: int) -> SymbolicCensus:
     """
     if max_size < 1 or max_size > 4:
         raise ValueError("symbolic_census supports max_size in 1..4")
-    from .clusters import free_dim  # clusters imports this module
-
     b = free_dim(max_size)
-    rooted = Counter((_type_of(s, b), _active_count(s))
-                     for s in rooted_polymer_supports(b, max_size))
     dim = RatPoly.var("d")
     polys: dict[tuple[int, int, int], RatPoly] = {}
-    for (key, a), r in rooted.items():
+    for (key, a), r in _rooted_type_counts(b, max_size).items():
         term = binom_poly(-dim, a) * Fraction(r, key[0] * math.comb(b, a))
         polys[key] = polys.get(key, RatPoly.const(0)) + term
     lo = 2 * max_size + 1

@@ -114,6 +114,8 @@ def glauber_run(d: int, lam: Fraction, steps: int,
         raise ValueError("fugacity must be positive")
     if burn_in is None:
         burn_in = default_burn_in(d)
+    if burn_in < 0:
+        raise ValueError("burn_in must be >= 0")
     if steps < burn_in:
         raise ValueError("steps must be at least burn_in")
     if thin < 1:

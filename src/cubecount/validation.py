@@ -14,6 +14,7 @@ import itertools
 import math
 import time
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -27,6 +28,14 @@ from .symbolic import BETA, RatFunc, RatPoly
 
 
 # -- criterion bodies -------------------------------------------------------------
+
+
+def _direct_census_ratios(d: int, max_size: int) -> dict[str, Fraction]:
+    """The cross-check for census and symbolic_census: n_T(d)/n_side per type
+    key, from the rooted supports enumerated and classified at d itself."""
+    rooted = Counter(polymers.classify(s, d)
+                     for s in polymers.rooted_polymer_supports(d, max_size))
+    return {t.key: Fraction(r, t.size) for t, r in rooted.items()}
 
 
 def _check_symbolic_closed_forms() -> list[str]:
@@ -46,14 +55,18 @@ def _check_symbolic_closed_forms() -> list[str]:
     if r2 != expect_r2:
         fails.append(f"R_2 is {r2.text()}, expected {expect_r2.text()}")
 
-    # the closed-form census against direct censuses at every grid dimension
+    # census and the closed-form census, both rescaled from one base-dimension
+    # enumeration, against supports enumerated at every grid dimension itself
     sym = polymers.symbolic_census(3)
     for dim in sym.grid:
-        direct = {e.type.key: Fraction(e.count, hc.n_side(dim))
-                  for e in polymers.census(dim, 3).entries}
+        direct = _direct_census_ratios(dim, 3)
         closed = {t.key: p.eval({DIM: Fraction(dim)}) for t, p in sym.entries}
         if closed != direct:
-            fails.append(f"symbolic_census(3) differs from census({dim}, 3)/n_side")
+            fails.append(f"symbolic_census(3) differs from the direct count at d = {dim}")
+        cen = {e.type.key: Fraction(e.count, hc.n_side(dim))
+               for e in polymers.census(dim, 3).entries}
+        if cen != direct:
+            fails.append(f"census({dim}, 3) differs from the direct count")
 
     b1 = asymptotics.compute_B(1)[1]
     expect_b1 = RatFunc(beta * (d * beta - one), 0, 3)

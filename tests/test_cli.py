@@ -59,6 +59,10 @@ def test_usage_errors_exit_one_with_single_line(capsys):
                  # found by the fuzz below: each printed JSON its schema rejects
                  ["rj", "--j", "0"],
                  ["clusters", "--d", "1", "--k", "1"],
+                 # each exited 0: snapshots at negative steps; d above MAX_DIM
+                 ["sample", "--d", "3", "--lam", "1", "--burn-in", "-5",
+                  "--steps", "20", "--thin", "1"],
+                 ["clusters", "--d", "25", "--k", "1"],
                  # only sample --chains runs worker processes
                  ["rj", "--j", "2", "--threads", "2"],
                  ["polymers", "--max-size", "3", "--mode", "symbolic",

@@ -213,7 +213,8 @@ def seed_cluster_sum_poly(d: int, k: int, obs: cl.Observable) -> RatPoly:
                "size": c.total_size ** obs.power,
                "nbhd": c.nbhd_total ** obs.power,
                "size_nbhd": c.total_size * c.nbhd_total,
-               "type_count": dict(c.type_counts).get(obs.type_key, 0) ** obs.power,
+               "type_count": sum(pm.classify(s, d).key == obs.type_key
+                                 for s in c.supports) ** obs.power,
                }[obs.kind]
         e = k * d - c.nbhd_total
         coef = Fraction(c.orderings * val, c.union_size) * c.phi

@@ -84,7 +84,7 @@ def test_rooted_counts_scale_by_transitivity():
     d = 4
     n = hc.n_side(d)
     global_hist = Counter(p.size for p in pm.enumerate_polymers(d, 4))
-    rooted_hist = Counter(p.size for p in pm.enumerate_polymers(d, 4, rooted=True))
+    rooted_hist = Counter(len(s) for s in pm.rooted_polymer_supports(d, 4))
     for m, total in global_hist.items():
         assert rooted_hist[m] * n == total * m
 
@@ -146,9 +146,36 @@ def test_budget_exhaustion_raises():
         pm.census(9, 3, budget=5)
 
 
+def direct_census(d: int, max_size: int) -> dict[pm.DefectType, int]:
+    """The cross-check for census and symbolic_census: n_T(d) per type, from
+    the rooted supports enumerated and classified at d itself, with no
+    rescaling from a base dimension."""
+    rooted = Counter(pm._type_of(s, d) for s in pm.rooted_polymer_supports(d, max_size))
+    out = {}
+    for key, r in rooted.items():
+        t = pm.DefectType(*key)
+        total = Fraction(hc.n_side(d) * r, t.size)
+        assert total.denominator == 1, (d, t.key)
+        out[t] = int(total)
+    return out
+
+
+@pytest.mark.parametrize("max_size", [1, 2, 3, 4])
+def test_census_matches_direct_count(max_size):
+    b = pm.free_dim(max_size)
+    dims = sorted(set(range(4, 13)) | {b - 1, b, b + 1})
+    for d in dims:
+        cen = pm.census(d, max_size)
+        direct = direct_census(d, max_size)
+        assert {e.type: e.count for e in cen.entries} == direct, d
+        assert [e.type for e in cen.entries] == sorted(direct)
+        classes = Counter((t.size, t.cert) for t in direct)
+        assert cen.split_certs == tuple(sorted(k for k, m in classes.items() if m > 1)), d
+
+
 def grid_symbolic_census(max_size: int) -> list[tuple[str, str]]:
     """Cross-check for symbolic_census: (key, poly_to_json_str) per type,
-    interpolated from direct censuses over symbolic_census's grid.
+    interpolated from direct counts over symbolic_census's grid.
 
     For a type of size s, n_T(d)/n_side has degree at most 2(s-1) in d, so
     the 2*max_size grid points fit every type with one spare point that
@@ -156,8 +183,8 @@ def grid_symbolic_census(max_size: int) -> list[tuple[str, str]]:
     """
     lo = 2 * max_size + 1
     grid = range(lo, lo + 2 * max_size)
-    ratios = [{e.type: Fraction(e.count, hc.n_side(d))
-               for e in pm.census(d, max_size).entries} for d in grid]
+    ratios = [{t: Fraction(n, hc.n_side(d)) for t, n in direct_census(d, max_size).items()}
+              for d in grid]
     out = []
     for t in sorted(set().union(*ratios)):
         points = [(d, r.get(t, Fraction(0))) for d, r in zip(grid, ratios)]
@@ -179,10 +206,10 @@ def test_symbolic_census_evaluates_to_global_counts():
     # the base dimension, and d = 7, 8 lie below the grid
     sym = pm.symbolic_census(4)
     for d in (7, 8, 9, 10):
-        cen = pm.census(d, 4).by_key()
-        assert {t.key for t, _ in sym.entries} == set(cen)
+        direct = direct_census(d, 4)
+        assert {t for t, _ in sym.entries} == set(direct)
         for t, poly in sym.entries:
-            assert poly.eval({"d": Fraction(d)}) * hc.n_side(d) == cen[t.key].count
+            assert poly.eval({"d": Fraction(d)}) * hc.n_side(d) == direct[t]
 
 
 def test_symbolic_census_of_size_four_is_pinned():
@@ -200,7 +227,7 @@ def test_census_bounds_rejected_before_enumerating():
         with pytest.raises(ValueError):
             pm.census(d, max_size, budget=1)
         with pytest.raises(ValueError):
-            pm.enumerate_polymers(d, max_size, rooted=True, budget=1)
+            pm.enumerate_polymers(d, max_size, budget=1)
     # 2^(d-2) = 4 caps the polymer size at d = 4, so a larger bound is fine
     assert pm.census(4, 8).entries == pm.census(4, 4).entries
 

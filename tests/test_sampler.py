@@ -131,6 +131,9 @@ def test_input_validation():
         run(steps=10, burn_in=100)
     with pytest.raises(ValueError):
         run(thin=0)
+    # it once yielded snapshots at steps -4..-1 and replayed draws out of order
+    with pytest.raises(ValueError, match="burn_in"):
+        run(steps=20, burn_in=-5, thin=1)
     with pytest.raises(ValueError):
         list(sm.glauber_run(2, Fraction(1), 100, burn_in=0, start=0b0011))
 
