@@ -50,17 +50,15 @@ def R_poly(j: int, budget: int | None = None) -> RatPoly:
     Stratum sums are exact at each d on a grid wide enough for the degree
     bound deg_d <= 2j plus one spare point that cross-checks the fit; the
     grid starts at d = 2j+1 so every size-j shape already embeds.  Each grid
-    point is cluster_sum(d, j), which enumerates clusters once at the base
-    dimension min(d, free_dim(j)) and rescales them to d by their active
-    coordinates (C(d, a) counting), so the grid costs one enumeration per
-    base dimension.  Above free_dim(j) the spare point therefore checks the
-    rescaling and the fit, not an independent enumeration; the independent
-    check, against clusters enumerated at d itself, is the differential test
-    in tests/test_clusters.py.  j <= 3 is computed without a budget; beyond
-    that an explicit budget, which limits the base-dimension enumeration of
-    each grid point, is required and exhaustion raises BudgetExceededError.
-    Grid points that share a base dimension share its enumeration, which is
-    cached once complete, so the budget is spent once per base dimension.
+    point is cluster_sum(d, j): the stratum's (e, a) table, built and cached
+    once per base dimension min(d, free_dim(j)), evaluated at d.  The table
+    alone gives R_j in closed form; the grid stays only because
+    perfbench/traced_child.py refits R_j from these cluster_sum calls.
+    Above free_dim(j) the spare point checks the rescaling and the fit, not
+    an independent enumeration; that check, against clusters enumerated at
+    d itself, is the differential test in tests/test_clusters.py.  j <= 3
+    needs no budget; beyond that an explicit budget, spent once per base
+    dimension, is required and exhaustion raises BudgetExceededError.
     """
     if j < 1:
         raise ValueError("stratum index must be >= 1")

@@ -44,6 +44,14 @@ def _rational(text: str) -> Fraction:
         raise _UsageError(f"not a rational number: {text!r}")
 
 
+def _budget(text: str) -> int:
+    """--budget: a node count; 0 is a budget, a negative count bad usage."""
+    value = int(text)  # argparse reports a non-integer as bad usage
+    if value < 0:
+        raise _UsageError(f"--budget must be >= 0, got {value}")
+    return value
+
+
 def _write(path: str, text: str) -> None:
     try:
         with open(path, "w") as f:
@@ -464,7 +472,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-size", type=int, required=True)
     p.add_argument("--mode", choices=["census", "list", "symbolic"],
                    default="census")
-    p.add_argument("--budget", type=int,
+    p.add_argument("--budget", type=_budget,
                    help="node budget for the support enumeration; a census "
                         "runs it at the base dimension "
                         "min(d, free_dim(max_size)), --mode list at d")
@@ -475,16 +483,16 @@ def _build_parser() -> _Parser:
     p.add_argument("--observable", default="one")
     p.add_argument("--power", type=int, default=1)
     p.add_argument("--lam", type=_rational)
-    p.add_argument("--budget", type=int,
-                   help="node budget for the one cluster enumeration, which "
-                        "runs at the base dimension min(d, free_dim(k))")
+    p.add_argument("--budget", type=_budget,
+                   help="node budget for the cluster enumeration behind the "
+                        "stratum's (e, a) table, at min(d, free_dim(k))")
 
     p = add("rj", "expansion coefficients R_j as polynomials in (lam, d)")
     p.add_argument("--j", type=int, required=True)
-    p.add_argument("--budget", type=int,
+    p.add_argument("--budget", type=_budget,
                    help="node budget for the cluster enumeration at each "
                         "base dimension; grid points that share a base "
-                        "dimension reuse its completed enumeration")
+                        "dimension reuse its completed (e, a) table")
 
     p = add("bj", "fugacity-correction coefficients B_j")
     p.add_argument("--r", type=int, required=True)
@@ -512,7 +520,7 @@ def _build_parser() -> _Parser:
                    help="defect type pinned to an exact count")
     p.add_argument("--diverging", action="append", metavar="KEY=COUNT,SHIFT",
                    help="defect type at COUNT = m_T + SHIFT with Gaussian weight")
-    p.add_argument("--budget", type=int,
+    p.add_argument("--budget", type=_budget,
                    help="node budget for the polymer census behind --fixed")
 
     p = add("zeta", "log of the partition function Z(lam)")

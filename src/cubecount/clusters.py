@@ -37,10 +37,12 @@ on d.  The maps v -> pi(v ^ V0) ^ V0, pi a coordinate permutation, are
 automorphisms fixing V0, so every a-subset of the d coordinates carries the
 same clusters.  Once d >= free_dim(k), where d*k <= 2^(d-2), closure never
 binds: |closure(S)| <= |N(S)| <= d*|S| is at most half the side, so every
-connected support of size <= k is a polymer.  Hence a stratum sum at any d
+connected support of size <= k is a polymer.  Hence a stratum at any d
 follows from the clusters at the base dimension b = min(d, free_dim(k)):
 each one found at b with a active coordinates stands for C(d, a)/C(b, a)
-clusters at d (cluster_sum).
+clusters at d.  So a stratum is one exact table, orderings * phi / |union|
+summed by deficiency sum e and active count a (_stratum_table), that
+cluster_sum rescales to d (polymers._rescale) and weighs by the observable.
 """
 
 from __future__ import annotations
@@ -197,6 +199,13 @@ class Observable:
         base = self.kind if self.kind != "type_count" else f"type_count[{self.type_key}]"
         return base if self.power == 1 else f"{base}^{self.power}"
 
+    def value(self, k: int, nbhd: int, count: int) -> int:
+        """On a stratum-k cluster: total neighborhood nbhd, count of type_key."""
+        if self.kind == "size_nbhd":
+            return k * nbhd
+        base = {"one": 1, "size": k, "nbhd": nbhd, "type_count": count}[self.kind]
+        return base ** self.power
+
 
 # -- hypercube cluster enumeration ---------------------------------------------
 
@@ -254,30 +263,15 @@ def _build_cluster(key: tuple[tuple[int, ...], ...], d: int) -> Cluster:
     )
 
 
-# Completed enumerations by (d, max_total), oldest evicted first.  Stratum
-# sums only ever enumerate at d <= free_dim(k), so a few entries serve them all.
-_CLUSTER_CACHE_SIZE = 8
-_cluster_cache: dict[tuple[int, int], list[Cluster]] = {}
-
-
 def enumerate_clusters(d: int, max_total: int,
                        budget: int | None = None) -> list[Cluster]:
     """All rooted clusters with total size <= max_total, each exactly once.
 
     Rooted means the union of supports contains the root vertex; global sums
     are recovered as n_side * sum over rooted clusters of value/|union|.
-
-    The result is cached by (d, max_total) whatever the budget: a cached
-    enumeration is returned without spending any budget, and one that
-    finishes within its budget is the same list as an unbudgeted one, so it
-    is stored too.  Only an exhausted budget leaves the cache unchanged.
     """
     if max_total < 1:
         raise ValueError("max_total must be >= 1")
-    hit = _cluster_cache.get((d, max_total))
-    if hit is not None:
-        return hit
-
     bud = [budget] if budget is not None else None
     seen_keys: set[tuple] = set()
 
@@ -305,33 +299,40 @@ def enumerate_clusters(d: int, max_total: int,
     for start in pm.rooted_polymer_supports(d, max_total, budget):
         rec([start], len(start))
 
-    out = sorted((_build_cluster(key, d) for key in seen_keys),
-                 key=lambda c: (c.total_size, c.supports))
-    if len(_cluster_cache) >= _CLUSTER_CACHE_SIZE:
-        del _cluster_cache[next(iter(_cluster_cache))]
-    _cluster_cache[(d, max_total)] = out
-    return out
+    return sorted((_build_cluster(key, d) for key in seen_keys),
+                  key=lambda c: (c.total_size, c.supports))
 
 
 # -- stratum sums ----------------------------------------------------------------
 
 
-def _observable_value(c: Cluster, obs: Observable, b: int, nbhd_total: int) -> int:
-    """Observable of c, found at dimension b, with nbhd_total its total
-    neighborhood at the target d.  Defect types depend on the active
-    coordinates alone, so type_count classifies the supports at b."""
-    if obs.kind == "one":
-        return 1
-    if obs.kind == "size":
-        return c.total_size ** obs.power
-    if obs.kind == "nbhd":
-        return nbhd_total ** obs.power
-    if obs.kind == "size_nbhd":
-        return c.total_size * nbhd_total
-    if obs.kind == "type_count":
-        count = sum(pm.classify(s, b).key == obs.type_key for s in c.supports)
-        return count ** obs.power
-    raise ValueError(f"unknown observable kind {obs.kind!r}")
+# Stratum tables by (b, k, type_key), oldest evicted first; b <= free_dim(k),
+# so a few serve every d.  A hit spends no budget, and only an enumeration
+# that ran out of budget is not stored.
+_TABLE_CACHE_SIZE = 8
+_table_cache: dict[tuple[int, int, str | None], dict] = {}
+
+
+def _stratum_table(b: int, k: int, type_key: str | None, budget: int | None) -> dict:
+    """{((e, n), a): sum of orderings * phi / |union|} over the rooted
+    stratum-k clusters at dimension b, by deficiency sum e, number n of
+    supports of type type_key (classified at b; 0 without a type_key) and
+    active count a."""
+    hit = _table_cache.get((b, k, type_key))
+    if hit is not None:
+        return hit
+    table: dict = {}
+    for c in enumerate_clusters(b, k, budget):
+        if c.total_size != k:
+            continue
+        n = sum(pm.classify(s, b).key == type_key for s in c.supports) if type_key else 0
+        bucket = ((k * b - c.nbhd_total, n),
+                  pm._active_count(v for s in c.supports for v in s))
+        table[bucket] = table.get(bucket, 0) + Fraction(c.orderings, c.union_size) * c.phi
+    if len(_table_cache) >= _TABLE_CACHE_SIZE:
+        del _table_cache[next(iter(_table_cache))]
+    _table_cache[(b, k, type_key)] = table
+    return table
 
 
 @dataclass(frozen=True)
@@ -368,15 +369,11 @@ def cluster_sum(d: int, k: int, observable: Observable = Observable.one(),
     The result is returned as the polynomial factor of
     n_side * lam^k * poly * (1+lam)^(-k*d); coefficients are Fractions.
 
-    Clusters are enumerated once, at the base dimension
-    b = min(d, free_dim(k)), and rescaled to d by active coordinates (see the
-    module docstring): a cluster with a active coordinates counts
-    C(d, a)/C(b, a) times, its exponent e = k*b - nbhd_total is the sum of
-    its deficiencies and so the same at d, and its total neighborhood at d,
-    which the nbhd and size_nbhd observables read, is k*d - e.  For
-    d <= free_dim(k) the base is d itself and every factor is 1.  `budget`
-    limits the enumeration at the base dimension; when that enumeration is
-    already cached (see enumerate_clusters) no budget is spent.
+    The stratum's table is built once, at the base dimension
+    b = min(d, free_dim(k)), and rescaled to d (module docstring); the
+    exponent e is the same at d, and the total neighborhood there, which
+    nbhd and size_nbhd read, is k*d - e.  `budget` limits the enumeration
+    at b; a cached table spends none.
     """
     if d < 2:
         raise ValueError("the defect model needs d >= 2")
@@ -384,21 +381,11 @@ def cluster_sum(d: int, k: int, observable: Observable = Observable.one(),
     if k < 1:
         raise ValueError("stratum index must be >= 1")
     b = min(d, free_dim(k))
-    clusters = enumerate_clusters(b, k, budget)
+    table = _stratum_table(b, k, observable.type_key, budget)
     # accumulate rational coefficients per power of (1+lam)
     by_exponent: dict[int, Fraction] = {}
-    for c in clusters:
-        if c.total_size != k:
-            continue
-        e = k * b - c.nbhd_total
-        assert e >= 0
-        val = _observable_value(c, observable, b, k * d - e)
-        if not val:
-            continue
-        a = pm._active_count(v for s in c.supports for v in s)
-        coef = Fraction(c.orderings * val * math.comb(d, a),
-                        c.union_size * math.comb(b, a)) * c.phi
-        by_exponent[e] = by_exponent.get(e, Fraction(0)) + coef
+    for (e, n), coef in pm._rescale(table, b, d).items():
+        by_exponent[e] = by_exponent.get(e, 0) + coef * observable.value(k, k * d - e, n)
     poly = RatPoly.const(0)
     for e, coef in sorted(by_exponent.items()):
         if coef:
@@ -538,7 +525,7 @@ def expected_size_truncated(d: int, lam: Fraction, max_total: int) -> Fraction:
 
 
 def clear_caches() -> None:
-    _cluster_cache.clear()
+    _table_cache.clear()
     _ursell_cached.cache_clear()
     _full_universe.cache_clear()
 

@@ -42,8 +42,8 @@ coordinates carries the same supports.  From free_dim(max_size) on, closure
 never binds (see the clusters module docstring), so both census and
 symbolic_census enumerate the rooted supports once, at the base dimension
 b = min(d, free_dim(max_size)), count them per type and active count
-(_rooted_type_counts), and rescale by C(d, a)/C(b, a): the same rescaling
-that clusters.cluster_sum applies.  census evaluates the sum at one d;
+(_rooted_type_counts), and rescale by C(d, a)/C(b, a) (_rescale, which
+clusters.cluster_sum calls too).  census evaluates the sum at one d;
 symbolic_census keeps it as a polynomial in d.
 """
 
@@ -360,6 +360,15 @@ def _active_count(vertices: Iterable[int]) -> int:
     return active.bit_count()
 
 
+def _rescale(counts: dict, b: int, d: int) -> dict:
+    """{K: sum_a r * C(d, a) / C(b, a)} from counts {(K, a): r} found at the
+    base dimension b with a active coordinates (module docstring)."""
+    out: dict = {}
+    for (key, a), r in counts.items():
+        out[key] = out.get(key, 0) + Fraction(r * math.comb(d, a), math.comb(b, a))
+    return out
+
+
 def _rooted_type_counts(b: int, max_size: int, budget: int | None = None) \
         -> Counter[tuple[tuple[int, int, int], int]]:
     """r_(T,a): rooted supports at dimension b by ((size, deficiency, cert), a),
@@ -372,7 +381,7 @@ def census(d: int, max_size: int, budget: int | None = None) -> Census:
     """Count polymers of each type across all of Q_d.
 
     The rooted supports are enumerated once, at b = min(d, free_dim(max_size))
-    (see the module docstring), and for a type T of size s
+    (module docstring) and rescaled to d by _rescale; for a type T of size s
 
         n_T(d) = n_side * sum_a r_(T,a) * C(d, a) / (s * C(b, a)).
 
@@ -381,9 +390,7 @@ def census(d: int, max_size: int, budget: int | None = None) -> Census:
     """
     check_census_bounds(d, max_size)
     b = min(d, free_dim(max_size))
-    rooted: dict[tuple[int, int, int], Fraction] = {}
-    for (key, a), r in _rooted_type_counts(b, max_size, budget).items():
-        rooted[key] = rooted.get(key, 0) + Fraction(r * math.comb(d, a), math.comb(b, a))
+    rooted = _rescale(_rooted_type_counts(b, max_size, budget), b, d)
 
     n = hc.n_side(d)
     entries = []

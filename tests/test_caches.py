@@ -3,7 +3,10 @@
 import importlib
 import pkgutil
 
+import pytest
+
 import cubecount
+from cubecount import asymptotics, clusters
 
 
 def lru_wrappers():
@@ -22,3 +25,18 @@ def test_every_lru_cache_is_bounded():
     unbounded = [name for name, fn in found.items()
                  if fn.cache_parameters()["maxsize"] is None]
     assert unbounded == []
+
+
+@pytest.mark.slow
+def test_dict_caches_stay_within_their_bounds():
+    asymptotics.clear_caches()
+    clusters.clear_caches()
+    asymptotics.R_table(asymptotics.MAX_EXACT_J)
+    # a budgeted stratum beyond the exact ones is not cached in _r_cache
+    asymptotics.R_poly(asymptotics.MAX_EXACT_J + 1, budget=10 ** 9)
+    assert sorted(asymptotics._r_cache) == \
+        list(range(1, asymptotics.MAX_EXACT_J + 1))
+    for k in (1, 2, 3):
+        for d in range(2, 10):
+            clusters.cluster_sum(d, k)
+            assert len(clusters._table_cache) <= clusters._TABLE_CACHE_SIZE

@@ -66,13 +66,19 @@ def test_usage_errors_exit_one_with_single_line(capsys):
                  # only sample --chains runs worker processes
                  ["rj", "--j", "2", "--threads", "2"],
                  ["polymers", "--max-size", "3", "--mode", "symbolic",
-                  "--threads", "2"]):
+                  "--threads", "2"],
+                 # a negative budget exited 2 (exhausted) or was ignored
+                 ["polymers", "--d", "5", "--max-size", "3", "--budget", "-1"],
+                 ["clusters", "--d", "5", "--k", "2", "--budget", "-1"],
+                 ["rj", "--j", "2", "--budget", "-1"],
+                 ["count-structured", "--beta", "1/2", "--d", "10",
+                  "--fixed", "s1c0g0=1", "--budget", "-3"]):
         code = cli.main(argv)
         captured = capsys.readouterr()
         assert code == 1, argv
         assert captured.err.startswith("error:"), argv
         assert captured.err.strip().count("\n") == 0, argv
-        assert "budget" not in captured.err, argv
+        assert "budget exhausted" not in captured.err, argv
 
 
 def test_unwritable_out_path_is_a_one_line_error(tmp_path, capsys):

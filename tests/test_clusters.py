@@ -1,5 +1,6 @@
 """Ursell coefficients, stratum sums, and the two truncation gradings."""
 
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -11,7 +12,7 @@ from cubecount import clusters as cl
 from cubecount import exact as ex
 from cubecount import hypercube as hc
 from cubecount import polymers as pm
-from cubecount.symbolic import RatPoly
+from cubecount.symbolic import RatPoly, poly_to_json_str
 
 
 def test_ursell_base_cases():
@@ -253,11 +254,50 @@ def test_budgeted_r_poly_enumerates_each_base_dimension_once(monkeypatch):
     assert calls == [(7, 3)]
 
 
+def test_expected_size_enumerates_each_stratum_once(monkeypatch):
+    cl.clear_caches()
+    grow = pm.rooted_polymer_supports
+    calls = []
+
+    def counted(d, max_size, budget=None):
+        calls.append((d, max_size))
+        return grow(d, max_size, budget)
+
+    monkeypatch.setattr(pm, "rooted_polymer_supports", counted)
+    # the one and nbhd observables of each stratum read the same table
+    cl.expected_size_truncated(9, Fraction(1, 3), 3)
+    assert sorted(calls) == [(4, 1), (6, 2), (7, 3)]
+
+
 def test_cluster_cache_is_bounded():
     cl.clear_caches()
     for k in (1, 2, 3):
         for d in range(3, 15):
             cl.cluster_sum(d, k)
-    assert 0 < len(cl._cluster_cache) <= cl._CLUSTER_CACHE_SIZE
+            cl.cluster_sum(d, k, cl.Observable.type_count("s1c0g0"))
+            assert len(cl._table_cache) <= cl._TABLE_CACHE_SIZE
+    assert len(cl._table_cache) == cl._TABLE_CACHE_SIZE
     cl.clear_caches()
-    assert not cl._cluster_cache
+    assert not cl._table_cache
+
+
+# SHA-256 of poly_to_json_str, recorded from the per-cluster sums that the
+# (e, a) tables replaced; the differential test above stops at k = 3
+STRATUM_4_DIGESTS = {
+    "R_poly(4)": "3ef2bc1cf94c16ebe10adfbc307cf83db74f8ddee2c4eac24a5bc914ab66dc09",
+    "cluster_sum(10, 4, nbhd^2)":
+        "7a9e154b6792a62165261f3b8c010aadb28fc78132a3ca62c087962af3479be8",
+}
+
+
+@pytest.mark.slow
+def test_stratum_4_digests_hold():
+    def digest(poly):
+        return hashlib.sha256(poly_to_json_str(poly).encode()).hexdigest()
+
+    got = {
+        "R_poly(4)": digest(asy.R_poly(4, budget=10 ** 9)),
+        "cluster_sum(10, 4, nbhd^2)":
+            digest(cl.cluster_sum(10, 4, cl.Observable.nbhd(2)).poly),
+    }
+    assert got == STRATUM_4_DIGESTS
