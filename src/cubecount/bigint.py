@@ -1,26 +1,31 @@
 """Binomial coefficients for very large arguments: exact, or rounded to a precision.
 
-Both entry points factor C(n, k) by Legendre's formula into prime powers
-p^e (`_prime_power_factors`); by Kummer's theorem each p^e is at most n.
-
-`binomial(n, k)` is exact.  math.comb is quadratic-ish once the operands reach
-hundreds of thousands of bits, and counting formulas here need
-binomial(N, beta*N) with N up to 2^23; multiplying the prime powers back with
-a balanced product tree keeps every intermediate small until the end, which is
-orders of magnitude faster at this scale.
+`binomial(n, k)` is exact.  It factors C(n, k) by Legendre's formula into
+prime powers p^e (`_prime_power_factors`; by Kummer's theorem each p^e is at
+most n).  math.comb is quadratic-ish once the operands reach hundreds of
+thousands of bits, and counting formulas here need binomial(N, beta*N) with N
+up to 2^23; multiplying the prime powers back with a balanced product tree
+keeps every intermediate small until the end, which is orders of magnitude
+faster at this scale.
 
 `binomial_rounded(n, k, prec)` is C(n, k) rounded to nearest at `prec` bits,
 as mpmath's `from_int(binomial(n, k), prec, 'n')` gives it, without building
-the integer (C(2^23, 2^22) has 8,388,597 bits).  It multiplies the prime
-powers into two mantissas of about prec + 64 bits that share one exponent;
-whenever they outgrow that width, the lower one is shifted down rounding
-toward zero and the upper one rounding away from it, so
-lo * 2^e <= C(n, k) <= hi * 2^e holds at every step.  Rounding to nearest is
-monotone, so if lo and hi round to the same prec-bit value, C(n, k) rounds to
-it too.  If they do not (C(n, k) lies within the bracket's width of a rounding
-boundary), the exact product is built and rounded instead.  Either way the
-result is the exact integer's rounding; the guard bits only decide how rarely
-the exact fallback runs.
+the integer (C(2^23, 2^22) has 8,388,597 bits).  It encloses
+ln C(n, k) = L(n) - L(k) - L(n - k), L(x) = ln x!, in an `mpmath.iv` interval:
+below x = 2^10, L(x) is the log of the exact x!; above, it is Stirling's series
+
+    (x + 1/2) ln x - x + (1/2) ln 2 pi + sum_{i <= K} B_2i / (2i (2i-1) x^(2i-1)),
+
+widened by the first omitted term, which bounds the remainder for x > 0.
+Exponentiating gives an interval [lo, hi] that holds C(n, k).  Rounding to
+nearest is monotone, so if lo and hi round to the same prec-bit value, C(n, k)
+rounds to it too.  If they do not (C(n, k) lies within the interval's width of
+a rounding boundary), if the series would need more than `_MAX_TERMS` terms
+(a very high precision), or if n < 2^10 (C(n, k) then has fewer bits than
+its enclosure costs), the exact product is built and rounded instead.
+Either way the result is the exact integer's rounding, provided `mpmath.iv`
+rounds its log, exp and pi outward as it documents; the guard bits only
+decide how rarely the exact fallback runs.
 """
 
 from __future__ import annotations
@@ -29,10 +34,13 @@ import bisect
 import itertools
 import math
 
-from mpmath.libmp import from_int, from_man_exp
+from mpmath import bernfrac, iv
+from mpmath.libmp import from_int, mpf_pos
 
 _SMALL_CUTOFF = 10_000
-_GUARD_BITS = 64  # bracket width beyond `prec`; any width is exact, see the docstring
+_GUARD_BITS = 64  # enclosure width beyond `prec`; any width is exact, see the docstring
+_EXACT_BELOW = 1 << 10  # L(x) from the exact x!, and C(n, k) exact for n, below it
+_MAX_TERMS = 128  # Stirling terms beyond which the exact product runs instead
 
 
 def _primes_upto(n: int) -> list[int]:
@@ -101,36 +109,77 @@ def binomial(n: int, k: int) -> int:
     return _product_tree(_prime_power_factors(n, k))
 
 
+def _stirling_terms(x: int, wp: int) -> int | None:
+    """Fewest Stirling terms K for L(x) whose first omitted term is below 2^-wp.
+
+    Sizes the series from |B_2i| < 4 (2i)! / (2 pi)^(2i), so term i is below
+    4 (2i-2)! / ((2 pi)^(2i) x^(2i-1)).  None when K would exceed `_MAX_TERMS`.
+    """
+    log2_x = math.log2(x)
+    log2_2pi = math.log2(2 * math.pi)
+    for i in range(1, _MAX_TERMS + 2):
+        bound = 2 + math.lgamma(2 * i - 1) / math.log(2) \
+            - 2 * i * log2_2pi - (2 * i - 1) * log2_x
+        if bound < -wp:
+            return i - 1
+    return None
+
+
+def _ln_factorial(x: int, terms: int, bernoulli: list[tuple[int, int]]):
+    """An `iv` interval holding ln x!, at the current `iv.prec`.
+
+    `bernoulli[i]` is B_2i as a fraction; above `_EXACT_BELOW`, `terms` is the
+    K of `_stirling_terms`.
+    """
+    if x < _EXACT_BELOW:
+        return iv.log(math.factorial(x))
+    xi = iv.mpf(x)
+    total = (xi + 0.5) * iv.log(xi) - xi + iv.log(2 * iv.pi) / 2
+    inv_square = 1 / (xi * xi)
+    power = 1 / xi  # x^-(2i-1)
+    for i in range(1, terms + 2):
+        p, q = bernoulli[i]
+        term = power * p / (q * 2 * i * (2 * i - 1))
+        if i > terms:  # the first omitted term bounds the remainder
+            bound = abs(term).b
+            term = iv.mpf([-bound, bound])
+        total += term
+        power *= inv_square
+    return total
+
+
 def binomial_rounded(n: int, k: int, prec: int) -> tuple[int, int]:
     """binomial(n, k) rounded to nearest at `prec` bits, as an mpmath (man, exp) pair.
 
     Equal to `from_int(binomial(n, k), prec, 'n')[1:3]`, so
     `mpmath.mpf(binomial_rounded(n, k, mpmath.mp.prec))` is
-    `mpmath.mpf(binomial(n, k))`; the exact integer is built only when the
-    bracket of the module docstring cannot decide the rounding.
+    `mpmath.mpf(binomial(n, k))`.  It rounds the enclosure of ln C(n, k) of the
+    module docstring, and builds the exact integer only when that enclosure
+    cannot decide the rounding or would need too many Stirling terms.
     """
     _check_args(n, k)
     if prec < 1:
         raise ValueError("precision must be at least one bit")
     if k > n:
         return 0, 0
-    factors = _prime_power_factors(n, k)
-    width = prec + _GUARD_BITS
-    # a batch of this many factors, each <= n, has fewer than `width` bits
-    batch = max(1, width // max(1, n.bit_length()))
-    lo = hi = 1
-    exp = 0
-    for i in range(0, len(factors), batch):
-        c = math.prod(factors[i:i + batch])
-        lo *= c
-        hi *= c
-        shift = hi.bit_length() - width
-        if shift > 0:
-            lo >>= shift
-            hi = -(-hi >> shift)
-            exp += shift
-    low = from_man_exp(lo, exp, prec, "n")
-    if low == from_man_exp(hi, exp, prec, "n"):
-        return low[1], low[2]
-    exact = from_int(_product_tree(factors), prec, "n")
+    # L(n) < n ln n, so its roundings at wp bits are about
+    # 2^(n.bit_length() + log2 ln n - wp); the 8 extra bits cover log2 ln n
+    # and the number of steps, leaving ln C(n, k) about 2^-(prec + guard) wide
+    wp = prec + _GUARD_BITS + n.bit_length() + 8
+    args = (n, k, n - k)
+    terms = [_stirling_terms(x, wp) if x >= _EXACT_BELOW else 0 for x in args]
+    if n >= _EXACT_BELOW and None not in terms:
+        bernoulli = [bernfrac(2 * i) for i in range(max(terms) + 2)]
+        saved = iv.prec
+        iv.prec = wp
+        try:
+            ln_n, ln_k, ln_m = (_ln_factorial(x, t, bernoulli)
+                                for x, t in zip(args, terms))
+            lo, hi = iv.exp(ln_n - ln_k - ln_m)._mpi_
+        finally:
+            iv.prec = saved
+        low = mpf_pos(lo, prec, "n")
+        if low == mpf_pos(hi, prec, "n"):
+            return low[1], low[2]
+    exact = from_int(_product_tree(_prime_power_factors(n, k)), prec, "n")
     return exact[1], exact[2]

@@ -160,7 +160,8 @@ class Observable:
     """Per-cluster quantity summed against cluster weights.
 
     kind: 'one' | 'size' | 'nbhd' | 'type_count' | 'size_nbhd'
-    power applies to size/nbhd/type_count; type_key selects the defect type.
+    power applies to size/nbhd/type_count and must be 1 for one/size_nbhd;
+    type_key selects the defect type.
     """
 
     kind: str
@@ -172,6 +173,8 @@ class Observable:
             raise ValueError(f"unknown observable kind {self.kind!r}")
         if self.power < 1:
             raise ValueError("observable power must be >= 1")
+        if self.power != 1 and self.kind in ("one", "size_nbhd"):
+            raise ValueError(f"observable {self.kind!r} takes no power")
         if self.kind == "type_count" and not self.type_key:
             raise ValueError("type_count observable needs a type_key")
 

@@ -9,6 +9,7 @@ import pytest
 from mpmath.libmp import from_int
 
 from cubecount import asymptotics as asym
+from cubecount import bigint
 from cubecount import exact as ex
 from cubecount.errors import BudgetExceededError, RegimeWarning
 from cubecount.polymers import DefectType
@@ -142,6 +143,18 @@ def test_log_count_rounded_binomial_matches_exact_integer(monkeypatch):
     assert exact.to_json() == rounded.to_json()
     # to the last bit, not just to the printed digits
     assert exact.terms == rounded.terms and exact.value == rounded.value
+
+
+def test_log_count_never_sieves_at_benchmark_sizes(monkeypatch):
+    # the Stirling enclosure decides C(N, m) for `count` at d = 23 and 24;
+    # sieving the primes up to N is the exact fallback alone
+    def no_sieve(n):
+        raise AssertionError(f"sieved primes up to {n}")
+
+    monkeypatch.setattr(bigint, "_primes_upto", no_sieve)
+    for beta, d in ((Fraction(1, 2), 24), (Fraction(1, 3), 23)):
+        lc = asym.log_count_asymptotic(beta, d, 3)
+        assert lc.value > 0
 
 
 def test_stirling_binom_ratio():

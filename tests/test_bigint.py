@@ -65,19 +65,19 @@ def test_rounded_matches_from_int_exhaustively():
                     rounded_reference(n, k, prec), (n, k, prec)
 
 
-@given(st.integers(0, 5000).flatmap(
-           lambda n: st.tuples(st.just(n), st.integers(0, n))),
-       st.integers(1, 300))
+@given(st.integers(0, 200_000).flatmap(
+           lambda n: st.tuples(st.just(n), st.integers(0, n)))
+       # n, k and n - k all at least _EXACT_BELOW: all three take the series
+       | st.integers(2048, 200_000).flatmap(
+           lambda n: st.tuples(st.just(n), st.integers(1024, n - 1024))),
+       st.integers(1, 400))
 @settings(max_examples=200, deadline=None)
 def test_rounded_matches_from_int(nk, prec):
     n, k = nk
     assert bigint.binomial_rounded(n, k, prec) == rounded_reference(n, k, prec)
 
 
-def test_rounded_falls_back_to_the_exact_product(monkeypatch):
-    # With no guard bits the bracket is as wide as the rounding step, so it
-    # often straddles a rounding boundary; the exact fallback must then decide.
-    monkeypatch.setattr(bigint, "_GUARD_BITS", 0)
+def _count_product_trees(monkeypatch):
     calls = []
     exact_tree = bigint._product_tree
 
@@ -86,10 +86,31 @@ def test_rounded_falls_back_to_the_exact_product(monkeypatch):
         return exact_tree(factors)
 
     monkeypatch.setattr(bigint, "_product_tree", counted)
-    for n in range(100, 400, 7):
+    return calls
+
+
+def test_rounded_falls_back_to_the_exact_product(monkeypatch):
+    calls = _count_product_trees(monkeypatch)
+    # 3 * 2^20 lies halfway between 2^21 and 2^22, so no enclosure of it can
+    # decide the rounding at one bit; the exact product rounds half to even
+    assert bigint.binomial_rounded(3 << 20, 1, 1) == (1, 22)
+    assert len(calls) == 1
+    # With no guard bits the enclosure is about as wide as the rounding step,
+    # so it often straddles a rounding boundary; the exact fallback decides.
+    monkeypatch.setattr(bigint, "_GUARD_BITS", 0)
+    for n in range(3000, 6000, 71):  # n, k and n - k above _EXACT_BELOW
         for prec in (2, 3, 8):
             assert bigint.binomial_rounded(n, n // 3, prec) == \
                 rounded_reference(n, n // 3, prec)
+    assert len(calls) > 1
+
+
+def test_rounded_past_the_term_cap_takes_the_exact_product(monkeypatch):
+    calls = _count_product_trees(monkeypatch)
+    n, k = 5000, 2000
+    prec = 20_000  # x = 2000 cannot reach 2^-prec within _MAX_TERMS terms
+    assert bigint._stirling_terms(k, prec) is None
+    assert bigint.binomial_rounded(n, k, prec) == rounded_reference(n, k, prec)
     assert calls
 
 
@@ -98,6 +119,14 @@ def test_rounded_large_argument_matches_exact():
     for prec in (53, 270):
         assert bigint.binomial_rounded(n, k, prec) == \
             from_int(bigint.binomial(n, k), prec, "n")[1:3]
+
+
+@pytest.mark.slow
+def test_rounded_count_binomials_match_exact():
+    # the C(N, m) of `count` at d = 24 (beta = 1/2) and d = 23 (beta = 1/3, 1/2)
+    for n, k in ((1 << 23, 1 << 22), (1 << 22, 1_398_101), (1 << 22, 1 << 21)):
+        assert bigint.binomial_rounded(n, k, 269) == \
+            from_int(bigint.binomial(n, k), 269, "n")[1:3], (n, k)
 
 
 def test_rounded_edge_cases():

@@ -72,7 +72,19 @@ def test_usage_errors_exit_one_with_single_line(capsys):
                  ["clusters", "--d", "5", "--k", "2", "--budget", "-1"],
                  ["rj", "--j", "2", "--budget", "-1"],
                  ["count-structured", "--beta", "1/2", "--d", "10",
-                  "--fixed", "s1c0g0=1", "--budget", "-3"]):
+                  "--fixed", "s1c0g0=1", "--budget", "-3"],
+                 # --digits past MAX_DIGITS ran without end
+                 ["count", "--beta", "1/2", "--d", "10", "--t", "2",
+                  "--digits", "100000000"],
+                 ["count-structured", "--beta", "1/2", "--d", "10",
+                  "--digits", str(cli.MAX_DIGITS + 1)],
+                 ["zeta", "--lam", "1", "--d", "10", "--t", "2",
+                  "--digits", "100000000"],
+                 # each exited 0 and ignored --power
+                 ["clusters", "--d", "5", "--k", "2", "--observable",
+                  "size_nbhd", "--power", "2"],
+                 ["clusters", "--d", "5", "--k", "2", "--observable", "one",
+                  "--power", "3"]):
         code = cli.main(argv)
         captured = capsys.readouterr()
         assert code == 1, argv
@@ -323,6 +335,8 @@ SCHEMA_OF = {"oracle": "oracle", "polymers": "polymers", "clusters": "cluster_su
              "sample": "sampler_summary"}
 RATIONALS = st.sampled_from(["1", "1/2", "1/4", "1/20", "2", "0", "-1/3", "x"])
 KEYS = st.sampled_from(["s1c0g0", "s2c2g1", "s3c4g3", "s2c0g0", "s9c0g0", "bad"])
+# past MAX_DIGITS the CLI must refuse at once, never start the evaluation
+DIGITS = st.integers(-1, 30) | st.integers(cli.MAX_DIGITS + 1, 10 ** 9)
 
 
 def opt(flag, values):
@@ -366,13 +380,13 @@ CLI_ARGS = st.one_of(
     invocation("lambda-beta", fixed("--beta", RATIONALS), fixed("--d", st.integers(0, 12)),
                fixed("--t", st.integers(0, 9))),
     invocation("count", fixed("--beta", RATIONALS), fixed("--d", st.integers(0, 12)),
-               fixed("--t", st.integers(0, 5)), opt("--digits", st.integers(-1, 30))),
+               fixed("--t", st.integers(0, 5)), opt("--digits", DIGITS)),
     invocation("zeta", fixed("--lam", RATIONALS), fixed("--d", st.integers(0, 12)),
-               fixed("--t", st.integers(0, 5)), opt("--digits", st.integers(-1, 30))),
+               fixed("--t", st.integers(0, 5)), opt("--digits", DIGITS)),
     invocation("count-structured", fixed("--beta", RATIONALS), fixed("--d", st.integers(0, 10)),
                opt("--t", st.integers(0, 4)), opt("--fixed", KEYS.map(lambda k: f"{k}=1")),
                opt("--diverging", KEYS.map(lambda k: f"{k}=2,1")),
-               opt("--budget", st.sampled_from([1, 10 ** 6]))),
+               opt("--budget", st.sampled_from([1, 10 ** 6])), opt("--digits", DIGITS)),
     invocation("sample", fixed("--d", st.integers(0, 4)), fixed("--lam", RATIONALS),
                opt("--steps", st.integers(0, 2000)), opt("--burn-in", st.integers(-1, 500)),
                opt("--thin", st.integers(-1, 50)), opt("--census-size", st.integers(-1, 8)),

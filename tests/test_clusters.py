@@ -45,6 +45,10 @@ def test_observable_labels_and_validation():
         cl.Observable("bogus")
     with pytest.raises(ValueError):
         cl.Observable("type_count")
+    # a power was dropped from these, so size_nbhd^2 summed size_nbhd
+    for kind in ("one", "size_nbhd"):
+        with pytest.raises(ValueError):
+            cl.Observable(kind, power=2)
 
 
 def test_first_stratum_closed_form():
