@@ -195,11 +195,15 @@ def Q_func(j: int, b: Mapping[int, RatFunc] | None = None) -> RatFunc:
     return q.coefficient(j) * RatFunc(RatPoly.const(1) - RatPoly.var(BETA))
 
 
+@lru_cache(maxsize=MAX_EXACT_J + 1)  # r = 0..MAX_EXACT_J
 def compute_B(r: int) -> SeriesTable:
     """Solve Q_1 = ... = Q_r = 0 for the fugacity corrections B_j(beta, d).
 
     Each Q_j is linear in B_j; after solving, the table is substituted back
     and every residual is checked to be the identically-zero function.
+    Cached: log_count_asymptotic reaches the same table through compute_P
+    and lambda_beta, and structured_count once more.  Callers must not
+    mutate the returned table.
     """
     if r < 0:
         raise ValueError("order must be >= 0")
@@ -330,7 +334,18 @@ class LogCount:
 
 
 def _mpf(x: Fraction):
-    return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
+    """x rounded at the working precision.
+
+    mpmath strips the trailing zero bits of an integer in a loop that is
+    quadratic in its pure-Python backend (mpf(2^999993) takes seconds), so
+    each part is converted without them and scaled back by ldexp, which is
+    exact: the value is the same bit for bit.  A zero part has no bits to
+    shift.
+    """
+    num, den = (mpmath.ldexp(mpmath.mpf(n >> tz), tz)
+                for n in (x.numerator, x.denominator)
+                for tz in [max((n & -n).bit_length() - 1, 0)])
+    return num / den
 
 
 def log_Z_asymptotic(lam: Fraction, d: int, t: int, digits: int = 80) -> LogCount:
@@ -494,6 +509,7 @@ def structured_count(beta: Fraction, d: int,
 
 def clear_caches() -> None:
     _r_cache.clear()
+    compute_B.cache_clear()
     F_poly.cache_clear()
     G_poly.cache_clear()
     S_poly.cache_clear()

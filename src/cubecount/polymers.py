@@ -7,12 +7,12 @@ they are within graph distance 2 of each other (share a vertex or a neighbor).
 
 Supports are grown as frozensets along the distance-2 neighbor lists of the
 hypercube module, which also computes every N(S) and closure here (its
-unchecked kernels).  This module caches only the permutations of each size
-up to MAX_TYPE_SIZE and the bounded certificate table described under
-Types.  Validity (_is_valid) rests on |closure(S)| <= |N(S)| <= d*|S|,
-since every closure vertex has all d of its neighbors in N(S): a support
-with d*|S| <= 2^(d-2), half the side, is valid without computing its
-closure; only larger supports count the closure against half the side.
+unchecked kernels).  This module caches only the bounded certificate table
+described under Types.  Validity (_is_valid) rests on
+|closure(S)| <= |N(S)| <= d*|S|, since every closure vertex has all d of its
+neighbors in N(S): a support with d*|S| <= 2^(d-2), half the side, is valid
+without computing its closure; only larger supports count the closure
+against half the side.
 
 Enumeration exploits translation symmetry.  XOR by an even-parity word maps
 the odd side to itself and preserves everything in sight, and the action on
@@ -27,14 +27,16 @@ fixed by t), which is why the marked-vertex form is used throughout.
 Types: a defect is classified by the isomorphism class of its distance-2
 graph together with its deficiency c = d*|S| - |N(S)|; the deficiency is the
 dimension-free part of the neighborhood size, so one type means one weight.
-The class is named by an exhaustive certificate, the smallest adjacency code
-over all relabellings.  It depends only on the support's labelled distance-2
-graph (its size and the "distance 2 or not" bits over its sorted vertices),
-so it is computed once per labelled graph and kept in a table bounded at
-4096 entries (_cert_of_code); the rooted supports of size <= 4 have 26
-labelled graphs.  A graph class can split across deficiencies (from d = 5
-the complete graph on 4 vertices, cert 63, does), so the census records
-every class that splits.
+The class is named by a canonical certificate, the smallest adjacency code
+over all relabellings, which _cert_of_code finds by a pruned search instead
+of scanning all s! relabellings (about 0.2 ms for a random graph on 7
+vertices, 30 ms for the complete graph, where no labelling is pruned).  The
+certificate depends only on the support's labelled distance-2 graph (its
+size and the "distance 2 or not" bits over its sorted vertices), so it is
+computed once per labelled graph and kept in a table bounded at 4096
+entries; the rooted supports of size <= 4 have 26 labelled graphs.  A graph
+class can split across deficiencies (from d = 5 the complete graph on 4
+vertices, cert 63, does), so the census records every class that splits.
 
 Counts in d: a support's type depends only on its active coordinates (those
 in which some vertex differs from V0), and every a-subset of the d
@@ -110,12 +112,7 @@ def _grow_connected(root: int, max_size: int,
 # -- types -------------------------------------------------------------------
 
 
-MAX_TYPE_SIZE = 7  # exhaustive canonization; 7! = 5040 permutations
-
-
-@lru_cache(maxsize=MAX_TYPE_SIZE)  # one entry per size 1..MAX_TYPE_SIZE
-def _perm_table(size: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(itertools.permutations(range(size)))
+MAX_TYPE_SIZE = 7  # canonical certificates are searched up to this size
 
 
 @dataclass(frozen=True, order=True)
@@ -171,26 +168,41 @@ def _cert_of_code(s: int, code: int) -> int:
     adjacency code over all relabellings.
 
     Bit k of an adjacency code is the k-th vertex pair (a, b), a < b, in
-    row-major order.
+    row-major order, so the pairs among labels m..s-1 are exactly the code's
+    top C(s-m, 2) bits, and row m (the pairs (m, b), b > m) is the next
+    block below them.  Labels are therefore assigned from s-1 down to 0;
+    each step extends every surviving prefix by each unused vertex and keeps
+    only the extensions whose newly fixed row is smallest.  Every survivor
+    carries the same top bits, which are those of the minimum, so after the
+    last step they all carry the minimum itself.
     """
-    adj = [[False] * s for _ in range(s)]
+    adj = [0] * s  # adjacency bitmask per vertex
     for k, (a, b) in enumerate(itertools.combinations(range(s), 2)):
         if code >> k & 1:
-            adj[a][b] = adj[b][a] = True
-    best = None
-    for perm in _perm_table(s):
-        relabelled = 0
-        bit = 1
-        for a in range(s):
-            pa = perm[a]
-            row = adj[pa]
-            for b in range(a + 1, s):
-                if row[perm[b]]:
-                    relabelled |= bit
-                bit <<= 1
-        if best is None or relabelled < best:
-            best = relabelled
-    return best
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+    cert = 0
+    prefixes = [()]  # the vertices labelled m+1, m+2, ..., s-1, in that order
+    for m in range(s - 1, -1, -1):
+        best = None
+        survivors = []
+        for pre in prefixes:
+            for v in range(s):
+                if v in pre:
+                    continue
+                row = 0
+                for bit, u in enumerate(pre):
+                    if adj[v] >> u & 1:
+                        row |= 1 << bit
+                if best is None or row < best:
+                    best = row
+                    survivors = [(v,) + pre]
+                elif row == best:
+                    survivors.append((v,) + pre)
+        prefixes = survivors
+        # row m starts after rows 0..m-1, which hold s-1, s-2, ..., s-m pairs
+        cert |= best << (m * (2 * s - m - 1) // 2)
+    return cert
 
 
 def _type_of(sup: frozenset, d: int) -> tuple[int, int, int]:

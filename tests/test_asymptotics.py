@@ -1,9 +1,11 @@
 """Series coefficients and high-precision counting formulas."""
 
 import math
+import time
 import warnings
 from fractions import Fraction
 
+import fraction_kernel as ref
 import mpmath
 import pytest
 from mpmath.libmp import from_int
@@ -209,3 +211,38 @@ def test_caches_cleared_results_stable():
     before = asym.R_poly(2)
     asym.clear_caches()
     assert asym.R_poly(2) == before
+
+
+def test_B_and_P_tables_match_the_fraction_kernel(monkeypatch):
+    """compute_B(3) and compute_P(3) solved again in tests/fraction_kernel.py,
+    from the same R_1..R_3, print the same JSON."""
+    b_table = asym.compute_B(3).to_json()
+    p_table = asym.compute_P(3).to_json()
+    r_old = {j: ref.RatPoly.from_json(asym.R_poly(j).to_json()) for j in (1, 2, 3)}
+    for name in ("RatFunc", "RatPoly", "TruncSeries", "poly_on_series",
+                 "neg_binomial_expand", "log_ratio_expand"):
+        monkeypatch.setattr(asym, name, getattr(ref, name))
+    monkeypatch.setattr(asym, "R_poly", lambda j, budget=None: r_old[j])
+    cached = (asym.F_poly, asym.G_poly, asym.S_poly, asym.g_exponent,
+              asym.s_exponent, asym.compute_B)
+    for fn in cached:
+        fn.cache_clear()
+    try:
+        b_ref = asym.compute_B(3)
+        assert isinstance(b_ref[3], ref.RatFunc)
+        assert b_ref.to_json() == b_table
+        assert asym.compute_P(3).to_json() == p_table
+    finally:
+        for fn in cached:
+            fn.cache_clear()
+
+
+def test_mpf_of_huge_powers_of_two_is_exact_and_fast():
+    with mpmath.workdps(80):
+        for x in (Fraction(0), Fraction(3, 1 << 4000), Fraction(-(1 << 20000), 7),
+                  Fraction(5 << 300, 3 << 100)):
+            assert asym._mpf(x) == mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
+        # mpf(2^999993) alone takes seconds in mpmath's pure-Python backend
+        start = time.perf_counter()
+        assert asym._mpf(Fraction(1, 1 << 999993)) == mpmath.ldexp(1, -999993)
+        assert time.perf_counter() - start < 0.5

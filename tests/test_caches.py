@@ -2,6 +2,7 @@
 
 import importlib
 import pkgutil
+from fractions import Fraction
 
 import pytest
 
@@ -20,7 +21,8 @@ def lru_wrappers():
 
 def test_every_lru_cache_is_bounded():
     found = dict(lru_wrappers())
-    assert "cubecount.polymers._perm_table" in found
+    assert "cubecount.polymers._cert_of_code" in found
+    assert "cubecount.asymptotics.compute_B" in found
     assert "cubecount.asymptotics.F_poly" in found
     unbounded = [name for name, fn in found.items()
                  if fn.cache_parameters()["maxsize"] is None]
@@ -40,3 +42,20 @@ def test_dict_caches_stay_within_their_bounds():
         for d in range(2, 10):
             clusters.cluster_sum(d, k)
             assert len(clusters._table_cache) <= clusters._TABLE_CACHE_SIZE
+
+
+def test_each_B_table_is_solved_once(monkeypatch):
+    asymptotics.clear_caches()
+    assert asymptotics.compute_B.cache_info().currsize == 0
+    solved = []
+    q_func = asymptotics.Q_func
+    monkeypatch.setattr(asymptotics, "Q_func",
+                        lambda j, b=None: solved.append(j) or q_func(j, b))
+    # compute_P(3) and two lambda_beta calls (log_count_asymptotic's and
+    # structured_count's own) all need B_1: one solve, Q_1 and its residual
+    asymptotics.structured_count(Fraction(1, 2), 12, t=4)
+    assert solved == [1, 1]
+    info = asymptotics.compute_B.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    asymptotics.clear_caches()
+    assert asymptotics.compute_B.cache_info().currsize == 0

@@ -1,6 +1,7 @@
 """Command-line front end: exit codes, JSON output, reproducibility."""
 
 import contextlib
+import hashlib
 import io
 import json
 import pathlib
@@ -183,6 +184,32 @@ def test_rj_output_is_reproducible(capsys):
     obj = json.loads(outs[0])
     assert obj["kind"] == "R" and obj["jmax"] == 2
     assert len(obj["entries"]) == 2
+
+
+# SHA-256 of stdout for the exact symbolic outputs, recorded before the
+# symbolic kernel moved from Fraction coefficients to integer numerators over
+# one denominator; the printed forms must not depend on the representation.
+PINNED_STDOUT_SHA256 = {
+    "rj --j 3": "154b4f1c0df8f7908666770392741cb257b4e5ece74f2386f22626f2e03a0a3f",
+    "bj --r 3": "55a17e79b644d6239d769b390fcd5fb04c2c47bf79e342b8c07c2c9023f9cea6",
+    "pj --t 2": "91d9aae966747890b825eb0a3d0041f7a0e332865e002a906d42e55510493791",
+    "pj --t 3": "b380bfc1baa5bbaf46e26c8b82d3118dee0fb0c2e7cb5a1753023ba10d925fa0",
+    "pj --t 4": "203ab1d56171ef16eb74a0e8476272831b9a81b31cbae30cdff255ff03360fb6",
+    "lambda-beta --beta 1/3 --d 20 --t 8":
+        "68d429ac6cc05c9e61027adbf801e6d9b1cb061ceca6757a7548396a45e74950",
+    "polymers --max-size 4 --mode symbolic":
+        "05976534fa40a7580371315f52c63990631bbd4ca51c13a10be67ef21dba3264",
+    "clusters --d 10 --k 3": "9e78f9dc37a214519427c6e5fe80320ad9c944f938c1acc7f38a5f71b7c21521",
+    "count-structured --beta 1/2 --d 12 --fixed s1c0g0=1":
+        "76581b3cbddcef7b536a69ebb1261b3580c7a9e2dcd82c21644e674f0183799c",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_STDOUT_SHA256))
+def test_exact_outputs_are_pinned(capsys, command):
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT_SHA256[command]
 
 
 def test_bj_and_pj_emit_series(capsys):

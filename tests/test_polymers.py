@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -32,7 +33,9 @@ def brute_force_supports(d: int, max_size: int) -> set:
 
 
 def reference_cert_of_adj(adj: list[list[bool]]) -> int:
-    """Smallest row-major adjacency code over all relabellings, by search."""
+    """Smallest row-major adjacency code over all relabellings, by scanning
+    all s! of them: the brute-force reference for the pruned search in
+    polymers._cert_of_code."""
     s = len(adj)
     best = None
     for perm in itertools.permutations(range(s)):
@@ -48,6 +51,15 @@ def reference_cert_of_adj(adj: list[list[bool]]) -> int:
         if best is None or code < best:
             best = code
     return best
+
+
+def adjacency_of_code(s: int, code: int) -> list[list[bool]]:
+    """The labelled graph whose row-major adjacency code is `code`."""
+    adj = [[False] * s for _ in range(s)]
+    for k, (a, b) in enumerate(itertools.combinations(range(s), 2)):
+        if code >> k & 1:
+            adj[a][b] = adj[b][a] = True
+    return adj
 
 
 def reference_cert(support) -> int:
@@ -235,15 +247,23 @@ def test_census_bounds_rejected_before_enumerating():
 def test_cert_table_matches_reference_on_every_labelled_graph():
     checked = 0
     for s in range(1, 6):
-        pairs = list(itertools.combinations(range(s), 2))
-        for code in range(1 << len(pairs)):
-            adj = [[False] * s for _ in range(s)]
-            for k, (a, b) in enumerate(pairs):
-                if code >> k & 1:
-                    adj[a][b] = adj[b][a] = True
-            assert pm._cert_of_code(s, code) == reference_cert_of_adj(adj), (s, code)
+        for code in range(1 << (s * (s - 1) // 2)):
+            assert pm._cert_of_code(s, code) == \
+                reference_cert_of_adj(adjacency_of_code(s, code)), (s, code)
             checked += 1
     assert checked == 1099
+
+
+@pytest.mark.parametrize("s", [6, 7])
+def test_cert_search_matches_reference_on_sampled_graphs(s):
+    rng = random.Random(s)
+    pairs = s * (s - 1) // 2
+    # the brute-force reference scans s! relabellings: about 25 ms at s = 7
+    samples = 300 if s == 6 else 150
+    codes = [0, (1 << pairs) - 1] + [rng.getrandbits(pairs) for _ in range(samples)]
+    for code in codes:
+        assert pm._cert_of_code(s, code) == \
+            reference_cert_of_adj(adjacency_of_code(s, code)), (s, code)
 
 
 @pytest.mark.parametrize("d", [5, 6, 7, 8])

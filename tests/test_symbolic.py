@@ -1,10 +1,12 @@
 """Exact polynomial / rational-function / truncated-series kernel."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fraction_kernel as ref
 from cubecount.errors import InterpolationError
 from cubecount.symbolic import (
     BETA,
@@ -183,3 +185,119 @@ def test_interpolation_rejects_inconsistent_points():
 def test_interpolation_needs_a_check_point():
     with pytest.raises(ValueError):
         interpolate_poly([(1, 1), (2, 4), (3, 9)], degree_bound=2)
+
+
+# -- differential check against the Fraction kernel ----------------------------
+
+DIFF_VARS = ("B1", "X", "beta", "d")
+
+
+@st.composite
+def poly_pairs(draw):
+    """The same random polynomial in both kernels, over a random subset of
+    DIFF_VARS, so that variable bookkeeping is exercised too."""
+    vs = tuple(v for v in DIFF_VARS if draw(st.booleans()))
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        e = tuple(draw(st.integers(0, 3)) for _ in vs)
+        terms[e] = terms.get(e, 0) + draw(fracs)
+    return RatPoly(vs, terms), ref.RatPoly(vs, terms)
+
+
+def canonical(p: RatPoly) -> bool:
+    """Nonzero integer numerators over a positive denominator sharing no
+    factor with them; the zero polynomial over 1."""
+    return (p.den > 0 and all(isinstance(c, int) and c for c in p.nums.values())
+            and math.gcd(p.den, *p.nums.values()) == 1)
+
+
+def same(new, old) -> bool:
+    """Equal JSON, which includes the variable tuple and every coefficient,
+    from a canonical representation."""
+    return (canonical(new.num if isinstance(new, RatFunc) else new)
+            and new.to_json() == old.to_json())
+
+
+@given(poly_pairs(), poly_pairs(), st.integers(0, 3))
+@settings(max_examples=150, deadline=None)
+def test_ring_operations_match_the_fraction_kernel(p, q, n):
+    (p1, p0), (q1, q0) = p, q
+    assert same(p1, p0) and p1.text() == p0.text()
+    assert same(p1 + q1, p0 + q0)
+    assert same(p1 - q1, p0 - q0)
+    assert same(p1 * q1, p0 * q0)
+    assert same(p1 ** n, p0 ** n)
+    assert same(-p1, -p0)
+    assert same(3 - p1, 3 - p0)
+    assert same(p1 * Fraction(-2, 3), p0 * Fraction(-2, 3))
+    assert (p1 == q1) == (p0 == q0)
+    assert p1.constant() == p0.constant()
+    assert p1.degree() == p0.degree()
+    assert same(p1.truncate_total_degree(2), p0.truncate_total_degree(2))
+
+
+@given(poly_pairs(), poly_pairs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_queries_and_substitution_match_the_fraction_kernel(p, q, data):
+    (p1, p0), (q1, q0) = p, q
+    for v in DIFF_VARS + ("Y",):
+        assert same(p1.derivative(v), p0.derivative(v))
+        u1, u0 = p1.as_univariate(v), p0.as_univariate(v)
+        assert list(u1) == list(u0)
+        assert all(same(u1[k], u0[k]) for k in u1)
+        assert p1.degree(v) == p0.degree(v)
+    point = {v: data.draw(fracs) for v in DIFF_VARS}
+    assert p1.eval(point) == p0.eval(point)
+    new_map, old_map = {}, {}
+    for v in DIFF_VARS:
+        how = data.draw(st.sampled_from(["keep", "value", "poly"]))
+        if how == "value":
+            new_map[v] = old_map[v] = data.draw(fracs)
+        elif how == "poly":
+            new_map[v], old_map[v] = q1, q0
+    assert same(p1.subs(new_map), p0.subs(old_map))
+
+
+@given(poly_pairs(), st.integers(0, 2), st.integers(0, 2))
+@settings(max_examples=150, deadline=None)
+def test_divisions_match_the_fraction_kernel(p, i, j):
+    p1, p0 = p
+    b1, b0 = RatPoly.var(BETA), ref.RatPoly.var(BETA)
+    # divisible by construction when i or j is positive
+    m1 = p1 * b1 ** i * (1 - b1) ** j
+    m0 = p0 * b0 ** i * (1 - b0) ** j
+    for x1, x0 in ((p1, p0), (m1, m0)):
+        for new, old in ((divide_out_beta(x1), ref.divide_out_beta(x0)),
+                         (divide_out_one_minus_beta(x1),
+                          ref.divide_out_one_minus_beta(x0))):
+            assert (new is None) == (old is None)
+            assert new is None or same(new, old)
+
+
+def outcome(op):
+    try:
+        return op().to_json()
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+@given(poly_pairs(), poly_pairs(), st.lists(st.integers(0, 2), min_size=8, max_size=8),
+       fracs.filter(bool))
+@settings(max_examples=150, deadline=None)
+def test_ratfunc_arithmetic_matches_the_fraction_kernel(p, q, exps, c):
+    (p1, p0), (q1, q0) = p, q
+    a, b, e, f, i, j, k, m = exps
+    f1, f0 = RatFunc(p1, a, b), ref.RatFunc(p0, a, b)
+    g1, g0 = RatFunc(q1, e, f), ref.RatFunc(q0, e, f)
+    assert same(f1, f0) and f1.text() == f0.text()
+    assert same(f1 + g1, f0 + g0)
+    assert same(f1 - g1, f0 - g0)
+    assert same(f1 * g1, f0 * g0)
+    assert (f1 == g1) == (f0 == g0)
+    # a divisor of the accepted shape c * beta^i * (1-beta)^j over a denominator
+    b1, b0 = RatPoly.var(BETA), ref.RatPoly.var(BETA)
+    h1 = RatFunc(b1 ** i * (1 - b1) ** j * c, k, m)
+    h0 = ref.RatFunc(b0 ** i * (1 - b0) ** j * c, k, m)
+    assert same(f1 / h1, f0 / h0)
+    # any other divisor is refused, or is zero, in both kernels
+    assert outcome(lambda: f1 / g1) == outcome(lambda: f0 / g0)
