@@ -10,158 +10,57 @@ The package splits into a small stack of layers:
 - asymptotics: series coefficients and high-precision counting formulas
 - sampler: Glauber dynamics used to validate the defect statistics
 - cli: command-line front end
+
+The names in `__all__` are re-exported from those layers but resolved on
+first access (a PEP 562 module `__getattr__`): `import cubecount` loads no
+layer, and reading `cubecount.census` imports `cubecount.polymers` then.
+Submodules are not attributes until imported, so `cubecount.polymers` needs
+`import cubecount.polymers` or `from cubecount import polymers` first.
 """
 
-from .errors import BudgetExceededError, InterpolationError, RegimeWarning
-from .hypercube import (
-    MAX_DIM,
-    closure,
-    even_side,
-    is_independent,
-    n_side,
-    neighborhood,
-    neighbors,
-    odd_side,
-    parity,
-    square_components,
-    square_neighbors,
-)
-from .exact import (
-    HardcoreExact,
-    OddModelProfile,
-    SizeProfile,
-    achievable_independent_sets,
-    hardcore_exact,
-    independence_poly,
-    odd_model_exact,
-    size_profile,
-    size_profile_exhaustive,
-)
-from .polymers import (
-    Census,
-    DefectType,
-    Polymer,
-    SymbolicCensus,
-    census,
-    classify,
-    enumerate_polymers,
-    symbolic_census,
-)
-from .clusters import (
-    Cluster,
-    ClusterSum,
-    Observable,
-    abstract_cluster_log,
-    abstract_log_direct,
-    cluster_sum,
-    enumerate_clusters,
-    expected_size_truncated,
-    log_xi_series,
-    stratum_partial_sum,
-    stratum_value,
-    truncated_log_xi,
-    ursell,
-    ursell_recursive,
-)
-from .symbolic import RatFunc, RatPoly, TruncSeries, interpolate_poly
-from .asymptotics import (
-    LambdaBeta,
-    LogCount,
-    R_poly,
-    R_table,
-    SeriesTable,
-    binomial_lclt,
-    compute_B,
-    compute_P,
-    lambda_beta,
-    log_Z_asymptotic,
-    log_count_asymptotic,
-    stirling_binom,
-    structured_count,
-)
-from .sampler import (
-    ChainState,
-    DefectReport,
-    SamplerSummary,
-    defect_statistics,
-    extract_defects,
-    glauber_run,
-    sample_chains,
-    two_chain_diagnostic,
-)
+import importlib
+
+# public name -> the submodule that defines it
+_EXPORTS = {name: module for module, names in (
+    ("errors", ("BudgetExceededError", "InterpolationError", "RegimeWarning")),
+    ("hypercube", ("MAX_DIM", "closure", "even_side", "is_independent",
+                   "n_side", "neighborhood", "neighbors", "odd_side", "parity",
+                   "square_components", "square_neighbors")),
+    ("exact", ("HardcoreExact", "OddModelProfile", "SizeProfile",
+               "achievable_independent_sets", "hardcore_exact",
+               "independence_poly", "odd_model_exact", "size_profile",
+               "size_profile_exhaustive")),
+    ("polymers", ("Census", "DefectType", "Polymer", "SymbolicCensus",
+                  "census", "classify", "enumerate_polymers",
+                  "symbolic_census")),
+    ("clusters", ("Cluster", "ClusterSum", "Observable", "abstract_cluster_log",
+                  "abstract_log_direct", "cluster_sum", "enumerate_clusters",
+                  "expected_size_truncated", "log_xi_series",
+                  "stratum_partial_sum", "stratum_value", "truncated_log_xi",
+                  "ursell", "ursell_recursive")),
+    ("symbolic", ("RatFunc", "RatPoly", "TruncSeries", "interpolate_poly")),
+    ("asymptotics", ("LambdaBeta", "LogCount", "R_poly", "R_table",
+                     "SeriesTable", "binomial_lclt", "compute_B", "compute_P",
+                     "lambda_beta", "log_Z_asymptotic", "log_count_asymptotic",
+                     "stirling_binom", "structured_count")),
+    ("sampler", ("ChainState", "DefectReport", "SamplerSummary",
+                 "defect_statistics", "extract_defects", "glauber_run",
+                 "sample_chains", "two_chain_diagnostic")),
+) for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BudgetExceededError",
-    "InterpolationError",
-    "RegimeWarning",
-    "MAX_DIM",
-    "closure",
-    "even_side",
-    "is_independent",
-    "n_side",
-    "neighborhood",
-    "neighbors",
-    "odd_side",
-    "parity",
-    "square_components",
-    "square_neighbors",
-    "HardcoreExact",
-    "OddModelProfile",
-    "SizeProfile",
-    "achievable_independent_sets",
-    "hardcore_exact",
-    "independence_poly",
-    "odd_model_exact",
-    "size_profile",
-    "size_profile_exhaustive",
-    "Census",
-    "DefectType",
-    "Polymer",
-    "SymbolicCensus",
-    "census",
-    "classify",
-    "enumerate_polymers",
-    "symbolic_census",
-    "Cluster",
-    "ClusterSum",
-    "Observable",
-    "abstract_cluster_log",
-    "abstract_log_direct",
-    "cluster_sum",
-    "enumerate_clusters",
-    "expected_size_truncated",
-    "log_xi_series",
-    "stratum_partial_sum",
-    "stratum_value",
-    "truncated_log_xi",
-    "ursell",
-    "ursell_recursive",
-    "RatFunc",
-    "RatPoly",
-    "TruncSeries",
-    "interpolate_poly",
-    "LambdaBeta",
-    "LogCount",
-    "R_poly",
-    "R_table",
-    "SeriesTable",
-    "binomial_lclt",
-    "compute_B",
-    "compute_P",
-    "lambda_beta",
-    "log_Z_asymptotic",
-    "log_count_asymptotic",
-    "stirling_binom",
-    "structured_count",
-    "ChainState",
-    "DefectReport",
-    "SamplerSummary",
-    "defect_statistics",
-    "extract_defects",
-    "glauber_run",
-    "sample_chains",
-    "two_chain_diagnostic",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later reads skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

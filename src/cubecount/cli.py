@@ -19,11 +19,9 @@ import sys
 import warnings
 from fractions import Fraction
 
-import mpmath
-
-from . import asymptotics, clusters, exact, polymers, sampler, validation
+# Each command imports the layers it runs when it runs, so that no command
+# pays for loading mpmath or a layer it never calls.
 from .errors import BudgetExceededError
-from .polymers import DefectType
 
 
 # Largest --digits accepted by count, count-structured and zeta.  The mpmath
@@ -77,6 +75,7 @@ def _emit(obj: dict, out: str | None) -> None:
 
 def _check_order(name: str, value: int, largest: int) -> None:
     """Reject orders that need R_j beyond the ones computed exactly."""
+    from . import asymptotics
     if value > largest:
         raise _UsageError(
             f"{name} must be <= {largest}: higher orders need R_j for "
@@ -101,9 +100,10 @@ def _threads(args) -> int:
 
 
 def _parse_observable(text: str, power: int) -> clusters.Observable:
+    from . import clusters, polymers
     if text.startswith("type:"):
         key = text[len("type:"):]
-        DefectType.from_key(key)  # validate early
+        polymers.DefectType.from_key(key)  # validate early
         return clusters.Observable.type_count(key, power)
     if text not in ("one", "size", "nbhd", "size_nbhd"):
         raise _UsageError(f"unknown observable {text!r}; use one, size, nbhd, "
@@ -115,6 +115,9 @@ def _parse_observable(text: str, power: int) -> clusters.Observable:
 
 
 def _cmd_oracle(args) -> dict:
+    from . import exact
+    if args.lam is not None and args.lam <= 0:
+        raise _UsageError("--lam must be positive")
     if args.exhaustive:
         profile = exact.size_profile_exhaustive(args.d)
     else:
@@ -122,6 +125,7 @@ def _cmd_oracle(args) -> dict:
     out = profile.to_json()
     out["total"] = str(profile.total)
     if args.lam is not None:
+        import mpmath
         lam = args.lam
         z = profile.partition_value(lam)
         with mpmath.workdps(30):
@@ -136,6 +140,7 @@ def _cmd_oracle(args) -> dict:
 
 
 def _cmd_polymers(args) -> dict:
+    from . import polymers
     if args.mode == "symbolic":
         sym = polymers.symbolic_census(args.max_size)
         return {
@@ -166,6 +171,7 @@ def _cmd_polymers(args) -> dict:
 
 
 def _cmd_clusters(args) -> dict:
+    from . import clusters
     obs = _parse_observable(args.observable, args.power)
     cs = clusters.cluster_sum(args.d, args.k, obs, budget=args.budget)
     out = cs.to_json()
@@ -183,6 +189,7 @@ def _cmd_clusters(args) -> dict:
 
 
 def _cmd_rj(args) -> dict:
+    from . import asymptotics
     if args.j < 1:
         raise _UsageError("--j must be >= 1")
     table = asymptotics.R_table(args.j, budget=args.budget)
@@ -190,12 +197,14 @@ def _cmd_rj(args) -> dict:
 
 
 def _cmd_bj(args) -> dict:
+    from . import asymptotics
     _check_order("--r", args.r, asymptotics.MAX_EXACT_J)
     table = asymptotics.compute_B(args.r)
     return {"kind": "B", "rmax": args.r, "entries": table.to_json()}
 
 
 def _cmd_pj(args) -> dict:
+    from . import asymptotics
     if args.t < 2:
         raise _UsageError("--t must be >= 2 (order t uses corrections j <= t-1)")
     _check_order("--t", args.t, asymptotics.MAX_EXACT_J + 1)
@@ -204,6 +213,7 @@ def _cmd_pj(args) -> dict:
 
 
 def _cmd_lambda_beta(args) -> dict:
+    from . import asymptotics
     _check_beta(args.beta)
     # order t uses B_j for j <= ceil(t/2) - 1
     _check_order("--t", args.t, 2 * (asymptotics.MAX_EXACT_J + 1))
@@ -212,6 +222,7 @@ def _cmd_lambda_beta(args) -> dict:
 
 
 def _cmd_count(args) -> dict:
+    from . import asymptotics
     _check_beta(args.beta)
     _check_digits(args.digits)
     _check_order("--t", args.t, asymptotics.MAX_EXACT_J + 1)
@@ -223,12 +234,13 @@ def _cmd_count(args) -> dict:
 
 
 def _parse_typed_pairs(pairs: list[str], diverging: bool) -> dict:
+    from . import polymers
     out = {}
     for item in pairs:
         if "=" not in item:
             raise _UsageError(f"expected KEY=... in {item!r}")
         key, _, rest = item.partition("=")
-        t = DefectType.from_key(key)
+        t = polymers.DefectType.from_key(key)
         if t.size > polymers.MAX_TYPE_SIZE:
             raise _UsageError(f"type {key} has size {t.size}; defect types "
                               f"have size <= {polymers.MAX_TYPE_SIZE}")
@@ -243,6 +255,7 @@ def _parse_typed_pairs(pairs: list[str], diverging: bool) -> dict:
 
 
 def _cmd_count_structured(args) -> dict:
+    from . import asymptotics
     _check_beta(args.beta)
     _check_digits(args.digits)
     _check_order("--t", args.t, asymptotics.MAX_EXACT_J + 1)
@@ -261,6 +274,7 @@ def _cmd_count_structured(args) -> dict:
 
 
 def _cmd_zeta(args) -> dict:
+    from . import asymptotics
     if args.lam <= 0:
         raise _UsageError("--lam must be positive")
     _check_digits(args.digits)
@@ -283,6 +297,7 @@ def _check_digits(digits: int) -> None:
 
 
 def _cmd_sample(args) -> dict:
+    from . import polymers, sampler
     if args.lam <= 0:
         raise _UsageError("--lam must be positive")
     polymers.check_census_bounds(args.d, args.census_size)
@@ -312,6 +327,7 @@ def _cmd_sample(args) -> dict:
 
 
 def _cmd_validate(args) -> int:
+    from . import validation
     numbers = None
     if args.only:
         try:
@@ -353,6 +369,9 @@ def _classify(obj: dict) -> str:
 
 
 def _cmd_report(args) -> int:
+    import mpmath
+
+    from . import exact
     inputs = _load_inputs(args.inputs)
     by_kind: dict[str, list[tuple[str, dict]]] = {}
     for path, obj in inputs:

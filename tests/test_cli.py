@@ -85,7 +85,10 @@ def test_usage_errors_exit_one_with_single_line(capsys):
                  ["clusters", "--d", "5", "--k", "2", "--observable",
                   "size_nbhd", "--power", "2"],
                  ["clusters", "--d", "5", "--k", "2", "--observable", "one",
-                  "--power", "3"]):
+                  "--power", "3"],
+                 # each exited 0, the first with a complex ln_Z
+                 ["oracle", "--d", "2", "--lam=-1"],
+                 ["oracle", "--d", "2", "--lam", "0"]):
         code = cli.main(argv)
         captured = capsys.readouterr()
         assert code == 1, argv
@@ -316,15 +319,41 @@ def test_report_with_nothing_to_report_is_a_usage_error(tmp_path, capsys):
         assert not out_dir.exists()
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy.stats was most of the CLI's start-up; only the sampler and the
-    # acceptance suite need numpy or scipy, and they import them late
-    proc = subprocess.run([sys.executable, "-c",
-                           "import sys, cubecount.cli; "
-                           "print('scipy' in sys.modules, 'numpy' in sys.modules)"],
+def modules_loaded_by(code):
+    """The names in sys.modules after a fresh interpreter runs `code`."""
+    script = (f"import contextlib, io, json, sys\n{code}\n"
+              "print(json.dumps(sorted(sys.modules)), file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False False"
+    return set(json.loads(proc.stderr.splitlines()[-1]))
+
+
+def cli_run(*argv):
+    return ("from cubecount import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main({list(argv)!r}) == 0")
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.stats was most of the CLI's start-up; only the sampler and the
+    # acceptance suite need numpy or scipy, and they import them late.  Each
+    # command imports the layers it runs, so importing the package or the CLI
+    # loads no layer and no mpmath.
+    heavy = {"mpmath", "numpy", "scipy"} | {
+        f"cubecount.{m}" for m in ("asymptotics", "bigint", "clusters", "exact",
+                                   "polymers", "sampler", "symbolic", "validation")}
+    for code in ("import cubecount", "import cubecount.cli"):
+        assert modules_loaded_by(code) & heavy == set(), code
+    loaded = modules_loaded_by(cli_run("polymers", "--d", "9", "--max-size", "4"))
+    assert "cubecount.polymers" in loaded
+    assert loaded & {"mpmath", "cubecount.asymptotics", "cubecount.clusters",
+                     "cubecount.exact", "cubecount.sampler",
+                     "cubecount.validation"} == set()
+    loaded = modules_loaded_by(cli_run("oracle", "--d", "3", "--lam", "1"))
+    assert "cubecount.exact" in loaded
+    assert loaded & {"cubecount.asymptotics", "cubecount.clusters",
+                     "cubecount.sampler"} == set()
 
 
 def test_sample_never_loads_scipy_stats():
