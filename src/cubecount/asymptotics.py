@@ -387,19 +387,39 @@ def stirling_binom(n: int, m: int, digits: int = 80):
         return mpmath.exp(log_v)
 
 
+def _coprime_fraction(num: int, den: int) -> Fraction:
+    """num/den for coprime num and den > 0, without Fraction's gcd."""
+    make = getattr(Fraction, "_from_coprime_ints", None)  # Python >= 3.12
+    if make is not None:
+        return make(num, den)
+    return Fraction(num, den, _normalize=False)
+
+
 def binomial_lclt(n: int, p: Fraction, k: int) -> tuple[Fraction, object]:
     """Exact Bin(n, p) pmf at k next to the flat local-CLT density.
 
     Returns (exact pmf as a Fraction, 1/sqrt(2 pi n p (1-p))); the density is
     the k-independent Gaussian peak value, so the pair only matches closely
     when k - np = o(sqrt(n)).
+
+    With p = a/q in lowest terms the pmf is C(n, k) a^k (q-a)^(n-k) / q^n.
+    a and q-a are prime to q, so only C(n, k) can share a factor with q^n;
+    that factor is divided out by gcds with q alone, and the reduced
+    Fraction is built without the gcd of two n-bit integers that Fraction
+    would take (about 2 s at n = 10^6).
     """
     p = Fraction(p)
     if not 0 < p < 1:
         raise ValueError("p must lie strictly between 0 and 1")
     if not 0 <= k <= n:
         raise ValueError("k out of range")
-    exact = binomial(n, k) * p ** k * (1 - p) ** (n - k)
+    a, q = p.numerator, p.denominator
+    c, den = binomial(n, k), q ** n
+    # v_p(C(n, k)) <= log_p(n) < n, so every common prime power divides q^n
+    while (g := math.gcd(c, q)) > 1:
+        c //= g
+        den //= g
+    exact = _coprime_fraction(c * a ** k * (q - a) ** (n - k), den)
     with mpmath.workdps(30):
         approx = 1 / mpmath.sqrt(2 * mpmath.pi * n * _mpf(p * (1 - p)))
     return exact, approx

@@ -128,7 +128,12 @@ def _cmd_oracle(args) -> dict:
         import mpmath
         lam = args.lam
         z = profile.partition_value(lam)
-        with mpmath.workdps(30):
+        # ln Z is about Z - 1 when Z is near 1, so Z is rounded to as many
+        # more digits as Z - 1 falls below 1
+        x = z - 1
+        extra = 0 if x >= 1 else math.ceil(
+            (x.denominator.bit_length() - x.numerator.bit_length() + 1) * math.log10(2))
+        with mpmath.workdps(30 + extra):
             ln_z = mpmath.log(mpmath.mpf(z.numerator) / mpmath.mpf(z.denominator))
             out.update({
                 "lam": str(lam),
@@ -495,7 +500,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--budget", type=_budget,
                    help="node budget for the support enumeration; a census "
                         "runs it at the base dimension "
-                        "min(d, free_dim(max_size)), --mode list at d")
+                        "min(d, free_dim(max_size)) over the search cut to "
+                        "prefix active sets, --mode list over every polymer "
+                        "at d")
 
     p = add("clusters", "one stratum of the cluster expansion")
     p.add_argument("--d", type=int, required=True)
@@ -505,13 +512,16 @@ def _build_parser() -> _Parser:
     p.add_argument("--lam", type=_rational)
     p.add_argument("--budget", type=_budget,
                    help="node budget for the cluster enumeration behind the "
-                        "stratum's (e, a) table, at min(d, free_dim(k))")
+                        "stratum's (e, a) table, at min(d, free_dim(k)); it "
+                        "counts the nodes of the search cut to prefix active "
+                        "sets")
 
     p = add("rj", "expansion coefficients R_j as polynomials in (lam, d)")
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--budget", type=_budget,
                    help="node budget for the cluster enumeration at each "
-                        "base dimension; grid points that share a base "
+                        "base dimension, counted over the search cut to "
+                        "prefix active sets; grid points that share a base "
                         "dimension reuse its completed (e, a) table")
 
     p = add("bj", "fugacity-correction coefficients B_j")
@@ -541,7 +551,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--diverging", action="append", metavar="KEY=COUNT,SHIFT",
                    help="defect type at COUNT = m_T + SHIFT with Gaussian weight")
     p.add_argument("--budget", type=_budget,
-                   help="node budget for the polymer census behind --fixed")
+                   help="node budget for the polymer census behind --fixed, "
+                        "counted over the search cut to prefix active sets")
 
     p = add("zeta", "log of the partition function Z(lam)")
     p.add_argument("--lam", type=_rational, required=True)

@@ -20,8 +20,8 @@ converts multiset sums back to ordered-tuple sums.  Translation symmetry
 reduces to clusters whose support union contains the root vertex, each
 weighted by 1/|union| (see polymers module for the marked-vertex argument).
 
-Connectivity.  enumerate_clusters grows each multiset one entry at a time,
-and every entry it adds meets the union of the earlier ones or a distance-2
+Connectivity.  _multisets grows each multiset one entry at a time, and
+every entry it adds meets the union of the earlier ones or a distance-2
 neighbor of that union: it shares a vertex with an earlier entry, or a
 neighbor of two vertices at distance 2.  So every new entry interacts with
 an earlier one, H is connected by construction, and no multiset is built
@@ -43,6 +43,17 @@ each one found at b with a active coordinates stands for C(d, a)/C(b, a)
 clusters at d.  So a stratum is one exact table, orderings * phi / |union|
 summed by deficiency sum e and active count a (_stratum_table), that
 cluster_sum rescales to d (polymers._rescale) and weighs by the observable.
+
+Representatives.  Since every a-subset carries the same clusters,
+_stratum_table grows only the multisets whose union has active coordinates
+exactly 0, ..., a-1 and weighs each C(b, a).  The cut is the polymers
+module's gap bound: every vertex a later entry brings is a distance-2 step
+from one already present, so a partial multiset whose union has active mask
+m and total size t can still become a prefix only if
+m.bit_length() - m.bit_count() <= 2 * (k - t).  The same test cuts the
+growth of each candidate entry and of each start support.
+enumerate_clusters grows every rooted cluster; it is the tests'
+differential reference for the tables.
 """
 
 from __future__ import annotations
@@ -51,7 +62,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import hypercube as hc
 from . import polymers as pm
@@ -266,23 +277,24 @@ def _build_cluster(key: tuple[tuple[int, ...], ...], d: int) -> Cluster:
     )
 
 
-def enumerate_clusters(d: int, max_total: int,
-                       budget: int | None = None) -> list[Cluster]:
-    """All rooted clusters with total size <= max_total, each exactly once.
+def _multisets(d: int, max_total: int, starts: Iterable[frozenset],
+               bud: list[int] | None, prefix_cut: bool) -> Iterator[tuple]:
+    """The key of every rooted multiset of total size <= max_total grown from
+    `starts`, each once (module docstring, Connectivity).
 
-    Rooted means the union of supports contains the root vertex; global sums
-    are recovered as n_side * sum over rooted clusters of value/|union|.
+    With prefix_cut, a support joins only while the union, at total size t,
+    may still become a prefix with room max_total - t (polymers'
+    _may_become_prefix), and every start must have passed the same test
+    (module docstring, Representatives).
     """
-    if max_total < 1:
-        raise ValueError("max_total must be >= 1")
-    bud = [budget] if budget is not None else None
     seen_keys: set[tuple] = set()
 
-    def rec(supports: list[frozenset], total: int) -> None:
+    def rec(supports: list[frozenset], total: int) -> Iterator[tuple]:
         key = _multiset_key(supports)
         if key in seen_keys:
             return
         seen_keys.add(key)
+        yield key
         room = max_total - total
         if room < 1:
             return
@@ -296,13 +308,34 @@ def enumerate_clusters(d: int, max_total: int,
         targets = set(union)
         for v in union:
             targets.update(hc._square_neighbors(v, d))
-        for cand in pm.polymers_touching(frozenset(targets), d, room, bud):
-            rec(supports + [cand], total + len(cand))
+        keep = None
+        if prefix_cut:
+            umask = pm._active_mask(union)
 
-    for start in pm.rooted_polymer_supports(d, max_total, budget):
-        rec([start], len(start))
+            def keep(mask: int, n: int) -> bool:
+                return pm._may_become_prefix(mask | umask, room - n)
+        for cand in pm.polymers_touching(frozenset(targets), d, room, bud, keep):
+            yield from rec(supports + [cand], total + len(cand))
 
-    return sorted((_build_cluster(key, d) for key in seen_keys),
+    for start in starts:
+        yield from rec([start], len(start))
+
+
+def enumerate_clusters(d: int, max_total: int,
+                       budget: int | None = None) -> list[Cluster]:
+    """All rooted clusters with total size <= max_total, each exactly once.
+
+    Rooted means the union of supports contains the root vertex; global sums
+    are recovered as n_side * sum over rooted clusters of value/|union|.
+    The stratum tables do not use it: it is the differential reference for
+    _stratum_table's representative enumeration, in the tests.
+    """
+    if max_total < 1:
+        raise ValueError("max_total must be >= 1")
+    bud = [budget] if budget is not None else None
+    keys = _multisets(d, max_total, pm.rooted_polymer_supports(d, max_total, budget),
+                      bud, False)
+    return sorted((_build_cluster(key, d) for key in keys),
                   key=lambda c: (c.total_size, c.supports))
 
 
@@ -320,18 +353,27 @@ def _stratum_table(b: int, k: int, type_key: str | None, budget: int | None) -> 
     """{((e, n), a): sum of orderings * phi / |union|} over the rooted
     stratum-k clusters at dimension b, by deficiency sum e, number n of
     supports of type type_key (classified at b; 0 without a type_key) and
-    active count a."""
+    active count a.
+
+    Only the clusters whose active coordinates are 0, ..., a-1 are grown and
+    folded, each weighted C(b, a) (module docstring).  `budget` counts the
+    nodes of the cut search.
+    """
     hit = _table_cache.get((b, k, type_key))
     if hit is not None:
         return hit
+    bud = [budget] if budget is not None else None
     table: dict = {}
-    for c in enumerate_clusters(b, k, budget):
-        if c.total_size != k:
+    for key in _multisets(b, k, pm._prefix_candidates(b, k, bud), bud, True):
+        mask = pm._active_mask(v for s in key for v in s)
+        if sum(map(len, key)) != k or not pm._is_prefix(mask):
             continue
-        n = sum(pm.classify(s, b).key == type_key for s in c.supports) if type_key else 0
-        bucket = ((k * b - c.nbhd_total, n),
-                  pm._active_count(v for s in c.supports for v in s))
-        table[bucket] = table.get(bucket, 0) + Fraction(c.orderings, c.union_size) * c.phi
+        c = _build_cluster(key, b)
+        n = sum(pm.classify(s, b).key == type_key for s in key) if type_key else 0
+        a = mask.bit_count()
+        bucket = ((k * b - c.nbhd_total, n), a)
+        table[bucket] = (table.get(bucket, 0)
+                         + Fraction(c.orderings * math.comb(b, a), c.union_size) * c.phi)
     if len(_table_cache) >= _TABLE_CACHE_SIZE:
         del _table_cache[next(iter(_table_cache))]
     _table_cache[(b, k, type_key)] = table

@@ -47,6 +47,18 @@ b = min(d, free_dim(max_size)), count them per type and active count
 (_rooted_type_counts), and rescale by C(d, a)/C(b, a) (_rescale, which
 clusters.cluster_sum calls too).  census evaluates the sum at one d;
 symbolic_census keeps it as a polynomial in d.
+
+Prefix representatives: since the a-subsets carry the same supports,
+_rooted_type_counts grows only the supports whose active coordinates are
+exactly 0, ..., a-1 (active mask m, the OR of v ^ V0, with m & (m+1) = 0)
+and counts each C(b, a) times.  The growth is cut exactly by the gap bound:
+each vertex added later is a distance-2 step, so it makes at most two more
+coordinates active, and a set with mask m and room for r more vertices can
+still become a prefix only if m.bit_length() - m.bit_count() <= 2r.  Every
+set a cut discards contains the cut set, so none of them is a
+representative (_prefix_candidates; clusters._stratum_table cuts its
+clusters the same way).  rooted_polymer_supports grows every rooted support
+and stays as the reference for the tests and the acceptance suite.
 """
 
 from __future__ import annotations
@@ -82,31 +94,41 @@ def _is_valid(support: frozenset, d: int) -> bool:
 
 def _grow_connected(root: int, max_size: int,
                     neighbor_fn: Callable[[int], Iterable[int]],
-                    budget: list[int] | None = None) -> Iterator[frozenset]:
+                    budget: list[int] | None = None,
+                    keep: Callable[[int, int], bool] | None = None) \
+        -> Iterator[frozenset]:
     """All connected vertex sets containing `root`, each exactly once.
 
     Candidate lists carry the classic once-seen-never-again discipline, so a
     set is produced exactly at its canonical insertion order.  `budget`, when
-    given, is a single-element mutable node countdown.
+    given, is a single-element mutable node countdown.  `keep`, when given,
+    is called as keep(mask, size) on every set, with mask the OR of v ^ root
+    over its vertices; a set it rejects is neither produced nor extended, so
+    it must reject every connected superset of a set it rejects.
     """
+    if keep is not None and not keep(0, 1):
+        return
     first = tuple(neighbor_fn(root))
     base = frozenset((root,))
     yield base
 
-    def rec(s: frozenset, cand: tuple, seen: frozenset) -> Iterator[frozenset]:
+    def rec(s: frozenset, mask: int, cand: tuple, seen: frozenset) -> Iterator[frozenset]:
         for i, v in enumerate(cand):
             if budget is not None:
                 budget[0] -= 1
                 if budget[0] < 0:
                     raise BudgetExceededError("connected-set enumeration budget exhausted")
+            m2 = mask | (v ^ root)
+            if keep is not None and not keep(m2, len(s) + 1):
+                continue
             s2 = s | {v}
             yield s2
             if len(s2) < max_size:
                 fresh = tuple(u for u in neighbor_fn(v) if u not in seen)
-                yield from rec(s2, cand[i + 1:] + fresh, seen | frozenset(fresh))
+                yield from rec(s2, m2, cand[i + 1:] + fresh, seen | frozenset(fresh))
 
     if max_size > 1:
-        yield from rec(base, first, frozenset((root,)) | frozenset(first))
+        yield from rec(base, 0, first, frozenset((root,)) | frozenset(first))
 
 
 # -- types -------------------------------------------------------------------
@@ -282,15 +304,22 @@ def enumerate_polymers(d: int, max_size: int,
 
 
 def polymers_touching(targets: frozenset, d: int, max_size: int,
-                      budget: list[int] | None = None) -> list[frozenset]:
-    """Supports of polymers of size <= max_size meeting the target set."""
+                      budget: list[int] | None = None,
+                      keep: Callable[[int, int], bool] | None = None) -> list[frozenset]:
+    """Supports of polymers of size <= max_size meeting the target set.
+
+    `keep`, when given, cuts the growth as in _grow_connected, except that
+    the mask it receives is the OR of v ^ V0 (not v ^ root).
+    """
     if max_size < 1:
         return []
     hc.check_dim(d)
     seen: set[frozenset] = set()
     for w in sorted(targets):
+        cut = None if keep is None else \
+            (lambda mask, n, _w=w: keep(mask | (_w ^ V0), n))
         for s in _grow_connected(w, max_size,
-                                 lambda v: hc._square_neighbors(v, d), budget):
+                                 lambda v: hc._square_neighbors(v, d), budget, cut):
             if s not in seen and _is_valid(s, d):
                 seen.add(s)
     return sorted(seen, key=lambda s: tuple(sorted(s)))
@@ -364,12 +393,23 @@ def free_dim(k: int) -> int:
     return d
 
 
-def _active_count(vertices: Iterable[int]) -> int:
-    """Number of coordinates in which some vertex differs from V0."""
-    active = 0
+def _active_mask(vertices: Iterable[int]) -> int:
+    """Bit i set iff some vertex differs from V0 in coordinate i."""
+    mask = 0
     for v in vertices:
-        active |= v ^ V0
-    return active.bit_count()
+        mask |= v ^ V0
+    return mask
+
+
+def _is_prefix(mask: int) -> bool:
+    """Whether the active coordinates are exactly 0, ..., a-1."""
+    return mask & (mask + 1) == 0
+
+
+def _may_become_prefix(mask: int, room: int) -> bool:
+    """The gap bound (module docstring): whether `room` more vertices, each
+    making at most two more coordinates active, can fill mask's gaps."""
+    return mask.bit_length() - mask.bit_count() <= 2 * room
 
 
 def _rescale(counts: dict, b: int, d: int) -> dict:
@@ -381,12 +421,39 @@ def _rescale(counts: dict, b: int, d: int) -> dict:
     return out
 
 
+def _prefix_candidates(d: int, max_size: int,
+                       budget: list[int] | None) -> Iterator[frozenset]:
+    """The valid rooted supports of size <= max_size that can still grow,
+    within total size max_size, into a set with prefix active coordinates.
+
+    The growth from V0 is cut by the gap bound, with room for max_size - n
+    more vertices at a set of n.  `budget` counts the nodes of the cut search.
+    """
+    def keep(mask: int, n: int) -> bool:
+        return _may_become_prefix(mask, max_size - n)
+
+    return (s for s in _grow_connected(V0, max_size,
+                                       lambda v: hc._square_neighbors(v, d),
+                                       budget, keep)
+            if _is_valid(s, d))
+
+
 def _rooted_type_counts(b: int, max_size: int, budget: int | None = None) \
         -> Counter[tuple[tuple[int, int, int], int]]:
     """r_(T,a): rooted supports at dimension b by ((size, deficiency, cert), a),
-    with a the number of active coordinates."""
-    return Counter((_type_of(s, b), _active_count(s))
-                   for s in rooted_polymer_supports(b, max_size, budget))
+    with a the number of active coordinates.
+
+    Only the supports whose active coordinates are 0, ..., a-1 are grown and
+    classified, each counted C(b, a) times (module docstring).
+    """
+    counts: Counter = Counter()
+    bud = [budget] if budget is not None else None
+    for s in _prefix_candidates(b, max_size, bud):
+        mask = _active_mask(s)
+        if _is_prefix(mask):
+            a = mask.bit_count()
+            counts[_type_of(s, b), a] += math.comb(b, a)
+    return counts
 
 
 def census(d: int, max_size: int, budget: int | None = None) -> Census:

@@ -8,6 +8,7 @@ from fractions import Fraction
 import fraction_kernel as ref
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath.libmp import from_int
 
 from cubecount import asymptotics as asym
@@ -174,6 +175,17 @@ def test_binomial_lclt_peak_matches_density():
     n = 10 ** 4
     exact, density = asym.binomial_lclt(n, Fraction(1, 2), n // 2)
     assert abs(float(exact) / float(density) - 1) < 1e-3
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+       st.integers(2, 60).flatmap(lambda q: st.tuples(st.integers(1, q - 1), st.just(q))))
+def test_binomial_lclt_pmf_equals_the_fraction_product(nk, aq):
+    n, k = nk
+    p = Fraction(*aq)
+    exact, _ = asym.binomial_lclt(n, p, k)
+    expect = math.comb(n, k) * p ** k * (1 - p) ** (n - k)
+    assert (exact.numerator, exact.denominator) == (expect.numerator, expect.denominator)
 
 
 def test_binomial_lclt_validates_inputs():

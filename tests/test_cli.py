@@ -8,7 +8,9 @@ import pathlib
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -37,6 +39,21 @@ def test_oracle_with_fugacity(capsys):
     assert obj["Z"] == "35"
     assert obj["lam"] == "1"
     assert "ln_Z" in obj and "mean_size" in obj
+
+
+@pytest.mark.parametrize("d,lam", [(1, Fraction(1, 10 ** 42)), (2, Fraction(3, 10 ** 25)),
+                                   (3, Fraction(1, 20)), (1, Fraction(1, 3)),
+                                   (2, Fraction(2, 9))])
+def test_oracle_ln_z_keeps_its_digits_near_one(capsys, d, lam):
+    # ln Z printed "0.0" at lam = 10^-42, where ln Z = ln(1 + 2 lam)
+    code, out, _ = run_cli(capsys, "oracle", "--d", str(d), "--lam", str(lam))
+    assert code == 0
+    obj = json.loads(out)
+    x = Fraction(obj["Z"]) - 1
+    assert x < 1
+    with mpmath.workdps(60):
+        expect = mpmath.log1p(mpmath.mpf(x.numerator) / x.denominator)
+        assert obj["ln_Z"] == mpmath.nstr(expect, 20)
 
 
 def test_usage_errors_exit_one_with_single_line(capsys):

@@ -240,19 +240,42 @@ def test_rescaled_cluster_sum_matches_enumeration_at_d():
                     seed_cluster_sum_poly(d, k, obs), (d, k, obs.label())
 
 
+def folded_stratum_table(b: int, k: int, type_key: str | None) -> dict:
+    """_stratum_table by definition: every rooted cluster at b folded, with
+    no prefix representatives and no C(b, a) weights."""
+    table = {}
+    for c in cl.enumerate_clusters(b, k):
+        if c.total_size != k:
+            continue
+        n = sum(pm.classify(s, b).key == type_key for s in c.supports) if type_key else 0
+        a = pm._active_mask(v for s in c.supports for v in s).bit_count()
+        bucket = ((k * b - c.nbhd_total, n), a)
+        table[bucket] = table.get(bucket, 0) + Fraction(c.orderings, c.union_size) * c.phi
+    return table
+
+
+@pytest.mark.parametrize("b", [2, 3, 4, 5, 6, 7, 8])
+def test_stratum_table_matches_every_rooted_cluster(b):
+    for k in (1, 2, 3):
+        for type_key in (None, "s1c0g0"):
+            cl.clear_caches()
+            assert cl._stratum_table(b, k, type_key, None) == \
+                folded_stratum_table(b, k, type_key), (b, k, type_key)
+
+
 def test_budgeted_r_poly_enumerates_each_base_dimension_once(monkeypatch):
     cl.clear_caches()
     asy.clear_caches()
     expect = asy.R_poly(3)
     cl.clear_caches()
-    grow = pm.rooted_polymer_supports
+    grow = pm._prefix_candidates
     calls = []
 
     def counted(d, max_size, budget=None):
         calls.append((d, max_size))
         return grow(d, max_size, budget)
 
-    monkeypatch.setattr(pm, "rooted_polymer_supports", counted)
+    monkeypatch.setattr(pm, "_prefix_candidates", counted)
     # grid d = 7..14, every point with base dimension free_dim(3) = 7
     assert asy.R_poly(3, budget=10 ** 8) == expect
     assert calls == [(7, 3)]
@@ -260,14 +283,14 @@ def test_budgeted_r_poly_enumerates_each_base_dimension_once(monkeypatch):
 
 def test_expected_size_enumerates_each_stratum_once(monkeypatch):
     cl.clear_caches()
-    grow = pm.rooted_polymer_supports
+    grow = pm._prefix_candidates
     calls = []
 
     def counted(d, max_size, budget=None):
         calls.append((d, max_size))
         return grow(d, max_size, budget)
 
-    monkeypatch.setattr(pm, "rooted_polymer_supports", counted)
+    monkeypatch.setattr(pm, "_prefix_candidates", counted)
     # the one and nbhd observables of each stratum read the same table
     cl.expected_size_truncated(9, Fraction(1, 3), 3)
     assert sorted(calls) == [(4, 1), (6, 2), (7, 3)]

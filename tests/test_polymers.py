@@ -158,6 +158,26 @@ def test_budget_exhaustion_raises():
         pm.census(9, 3, budget=5)
 
 
+def all_rooted_type_counts(b: int, max_size: int) -> Counter:
+    """_rooted_type_counts by definition: every rooted support at b, with no
+    prefix representatives and no C(b, a) weights."""
+    return Counter((pm._type_of(s, b), pm._active_mask(s).bit_count())
+                   for s in pm.rooted_polymer_supports(b, max_size))
+
+
+# b = 4, 5, 6 lie below free_dim(4) = 7, where closure rejects supports
+@pytest.mark.parametrize("b", [2, 3, 4, 5, 6, 7, 8])
+def test_rooted_type_counts_match_every_rooted_support(b):
+    for max_size in (1, 2, 3, 4):
+        assert pm._rooted_type_counts(b, max_size) == \
+            all_rooted_type_counts(b, max_size), (b, max_size)
+
+
+@pytest.mark.slow
+def test_rooted_type_counts_match_every_rooted_support_of_size_five():
+    assert pm._rooted_type_counts(7, 5) == all_rooted_type_counts(7, 5)
+
+
 def direct_census(d: int, max_size: int) -> dict[pm.DefectType, int]:
     """The cross-check for census and symbolic_census: n_T(d) per type, from
     the rooted supports enumerated and classified at d itself, with no
