@@ -1,9 +1,9 @@
 """Exact independent-set counts in small hypercubes.
 
-Prints the full size profile i_m(Q_d) for d = 1..5, the totals, and a few
-derived quantities at unit fugacity. The d = 5 column comes from the layered
-transfer recursion; everything up to d = 4 is double-checked against direct
-subset enumeration.
+Prints the full size profile i_m(Q_d) for d = 1..6, the totals, and a few
+derived quantities at unit fugacity. The profiles come from splitting Q_d as
+C_4 x Q_{d-2}; everything up to d = 4 is double-checked against direct subset
+enumeration.
 """
 
 from fractions import Fraction
@@ -14,7 +14,7 @@ from cubecount import exact
 def main() -> None:
     print("size profiles i_m(Q_d)")
     print("=" * 60)
-    for d in range(1, 6):
+    for d in range(1, 7):
         sp = exact.size_profile(d)
         if d <= 4:
             assert sp.counts == exact.size_profile_exhaustive(d).counts

@@ -411,6 +411,8 @@ def binomial_lclt(n: int, p: Fraction, k: int) -> tuple[Fraction, object]:
     p = Fraction(p)
     if not 0 < p < 1:
         raise ValueError("p must lie strictly between 0 and 1")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if not 0 <= k <= n:
         raise ValueError("k out of range")
     a, q = p.numerator, p.denominator

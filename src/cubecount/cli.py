@@ -82,23 +82,6 @@ def _check_order(name: str, value: int, largest: int) -> None:
             f"j > {asymptotics.MAX_EXACT_J}")
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        if args.threads < 1:
-            raise _UsageError("--threads must be >= 1")
-        return args.threads
-    env = os.environ.get("CUBECOUNT_THREADS")
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise _UsageError(f"CUBECOUNT_THREADS is not an integer: {env!r}")
-        if n < 1:
-            raise _UsageError("CUBECOUNT_THREADS must be >= 1")
-        return n
-    return 1
-
-
 def _parse_observable(text: str, power: int) -> clusters.Observable:
     from . import clusters, polymers
     if text.startswith("type:"):
@@ -121,7 +104,7 @@ def _cmd_oracle(args) -> dict:
     if args.exhaustive:
         profile = exact.size_profile_exhaustive(args.d)
     else:
-        profile = exact.size_profile(args.d, allow_slow=args.allow_slow)
+        profile = exact.size_profile(args.d)
     out = profile.to_json()
     out["total"] = str(profile.total)
     if args.lam is not None:
@@ -305,6 +288,8 @@ def _cmd_sample(args) -> dict:
     from . import polymers, sampler
     if args.lam <= 0:
         raise _UsageError("--lam must be positive")
+    if args.threads < 1:
+        raise _UsageError("--threads must be >= 1")
     polymers.check_census_bounds(args.d, args.census_size)
     burn_in = args.burn_in if args.burn_in is not None \
         else sampler.default_burn_in(args.d)
@@ -312,7 +297,7 @@ def _cmd_sample(args) -> dict:
         else burn_in + args.thin * args.samples
     chains = sampler.sample_chains(
         args.d, args.lam, steps, burn_in=burn_in, thin=args.thin,
-        seed=args.seed, chains=args.chains, processes=_threads(args),
+        seed=args.seed, chains=args.chains, processes=args.threads,
         debug=args.debug)
     states = [s for chain in chains for s in chain]
     if not states:
@@ -484,11 +469,10 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", help="output file (default stdout)")
         return p
 
-    p = add("oracle", "exact size profile by transfer matrix")
+    p = add("oracle", "exact size profile (d <= 6) by splitting Q_d as "
+                      "C_4 x Q_(d-2)")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--lam", type=_rational)
-    p.add_argument("--allow-slow", action="store_true",
-                   help="permit the d=6 computation")
     p.add_argument("--exhaustive", action="store_true",
                    help="subset enumeration instead (d <= 4)")
 
@@ -573,9 +557,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--census-size", type=int, default=3,
                    help="max defect size for the census comparison")
     p.add_argument("--csv", help="also write the per-snapshot CSV log here")
-    p.add_argument("--threads", type=int,
-                   help="worker processes for --chains (default "
-                        "CUBECOUNT_THREADS, else 1)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker processes for --chains (default 1)")
     p.add_argument("--debug", action="store_true",
                    help="check invariants at each snapshot")
 

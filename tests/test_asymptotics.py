@@ -122,6 +122,22 @@ def test_log_z_asymptotic_approaches_exact_small_d():
     assert errs[2] < 0.1
 
 
+def test_log_z_asymptotic_error_shrinks_at_d6():
+    # at lam = 1 the errors are -0.8335, -0.3335, -0.1616, -0.0639 for t = 1..4
+    sp = ex.size_profile(6)
+    errs = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        for lam in (Fraction(1), Fraction(2)):
+            target = mpmath.log(int(sp.partition_value(lam)))  # integer at integer lam
+            errs[lam] = [float(asym.log_Z_asymptotic(lam, 6, t).value - target)
+                         for t in (1, 2, 3, 4)]
+    for lam, e in errs.items():
+        assert all(abs(a) > abs(b) for a, b in zip(e, e[1:])), (lam, e)
+    assert [float(f"{e:.3g}") for e in errs[Fraction(1)]] == [
+        -0.834, -0.334, -0.162, -0.0639]
+
+
 def test_log_count_asymptotic_matches_exact_profile():
     # d = 5, beta = 1/2: exact ln i_8(Q_5) vs the order-2 formula
     sp = ex.size_profile(5)
@@ -193,6 +209,8 @@ def test_binomial_lclt_validates_inputs():
         asym.binomial_lclt(10, Fraction(1), 5)
     with pytest.raises(ValueError):
         asym.binomial_lclt(10, Fraction(1, 2), 11)
+    with pytest.raises(ValueError):
+        asym.binomial_lclt(0, Fraction(1, 2), 0)
 
 
 def test_structured_count_splits_off_fixed_types():

@@ -56,6 +56,15 @@ def test_oracle_ln_z_keeps_its_digits_near_one(capsys, d, lam):
         assert obj["ln_Z"] == mpmath.nstr(expect, 20)
 
 
+def test_oracle_d6_validates_against_schema(capsys):
+    jsonschema = pytest.importorskip("jsonschema")
+    code, out, err = run_cli(capsys, "oracle", "--d", "6", "--lam", "1")
+    assert code == 0 and err == ""
+    obj = json.loads(out)
+    assert obj["total"] == obj["Z"] == "19768832143"
+    jsonschema.validate(obj, json.loads((SCHEMA_DIR / "oracle.json").read_text()))
+
+
 def test_usage_errors_exit_one_with_single_line(capsys):
     for argv in (["oracle", "--d", "0"],
                  ["oracle"],
@@ -105,13 +114,25 @@ def test_usage_errors_exit_one_with_single_line(capsys):
                   "--power", "3"],
                  # each exited 0, the first with a complex ln_Z
                  ["oracle", "--d", "2", "--lam=-1"],
-                 ["oracle", "--d", "2", "--lam", "0"]):
+                 ["oracle", "--d", "2", "--lam", "0"],
+                 # the exact oracle ends at d = 6 and has no --allow-slow
+                 ["oracle", "--d", "7"],
+                 ["oracle", "--d", "6", "--allow-slow"],
+                 ["sample", "--d", "3", "--lam", "1", "--threads", "0"]):
         code = cli.main(argv)
         captured = capsys.readouterr()
         assert code == 1, argv
         assert captured.err.startswith("error:"), argv
         assert captured.err.strip().count("\n") == 0, argv
         assert "budget exhausted" not in captured.err, argv
+
+
+def test_sample_ignores_thread_environment_variable(capsys, monkeypatch):
+    # --threads is the one knob for worker processes
+    monkeypatch.setenv("CUBECOUNT_THREADS", "abc")
+    code, out, err = run_cli(capsys, "sample", "--d", "3", "--lam", "1", "--steps",
+                             "2000", "--burn-in", "100", "--thin", "50")
+    assert code == 0, err
 
 
 def test_unwritable_out_path_is_a_one_line_error(tmp_path, capsys):
@@ -437,7 +458,8 @@ def polymers_args():
 
 
 CLI_ARGS = st.one_of(
-    invocation("oracle", fixed("--d", st.integers(-1, 5)), opt("--lam", RATIONALS),
+    # d = 6 takes a second, so the fuzz skips it; d = 7 must be refused
+    invocation("oracle", fixed("--d", st.integers(-1, 5) | st.just(7)), opt("--lam", RATIONALS),
                st.sampled_from([[], ["--exhaustive"]])),
     polymers_args(),
     invocation("polymers", st.just(["--mode", "symbolic"]),

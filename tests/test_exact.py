@@ -1,10 +1,29 @@
 """Exact small-d oracles: size profiles, restricted models, hardcore values."""
 
+import hashlib
+import json
+import math
 from fractions import Fraction
 
 import pytest
 
 from cubecount import exact as ex
+
+
+def layered_size_profile(d):
+    """Differential reference for `size_profile` at d <= 5.
+
+    Splits Q_d as K_2 x Q_{d-1}: an independent set is a pair (A, B) of
+    disjoint independent sets of Q_{d-1}, so each A contributes x^|A| times
+    the independence polynomial of Q_{d-1} with A deleted.
+    """
+    lower = d - 1
+    counter = ex._IndependencePolyCounter(lower)
+    mask_all = (1 << (1 << lower)) - 1
+    counts = []
+    for a in ex.independent_set_masks(lower):
+        ex._poly_add_shifted(counts, list(counter.poly(mask_all & ~a)), a.bit_count())
+    return tuple(counts)
 
 
 def test_q2_profile_by_hand():
@@ -23,9 +42,24 @@ def test_q4_and_q5_totals_frozen():
     assert ex.size_profile(5).total == 254475
 
 
-def test_transfer_matrix_matches_exhaustive_enumeration():
-    for d in (2, 3, 4):
-        assert ex.size_profile(d).counts == ex.size_profile_exhaustive(d).counts
+def test_c4_split_matches_layered_reference_and_exhaustive_enumeration():
+    for d in range(1, 6):
+        assert ex.size_profile(d).counts == layered_size_profile(d), d
+    for d in range(1, 5):
+        assert ex.size_profile(d).counts == ex.size_profile_exhaustive(d).counts, d
+
+
+def test_q6_profile_frozen():
+    # total: OEIS A027624; i_2 drops the 192 edges of Q_6 from C(64, 2); the
+    # largest sets are the two sides and the 64 sets one vertex short of one
+    q6 = ex.size_profile(6)
+    assert q6.total == 19768832143
+    assert len(q6.counts) == 33
+    assert q6.counts[:3] == (1, 64, math.comb(64, 2) - 192)
+    assert q6.counts[31:] == (64, 2)
+    blob = json.dumps(q6.to_json(), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "ea3e13638a5c4dd56b76e7a4ed9238834a11f755c39b1317f89d804f59461e59")
 
 
 def test_exhaustive_oracle_refuses_large_d():
@@ -33,11 +67,11 @@ def test_exhaustive_oracle_refuses_large_d():
         ex.size_profile_exhaustive(5)
 
 
-def test_slow_dimension_is_opt_in():
-    with pytest.raises(ValueError):
-        ex.size_profile(6)
-    with pytest.raises(ValueError):
-        ex.size_profile(7, allow_slow=True)
+def test_oracle_refuses_dimension_seven():
+    with pytest.raises(ValueError, match="max 6"):
+        ex.size_profile(7)
+    with pytest.raises(ValueError, match="max 5"):
+        ex.independence_poly(6)
 
 
 def test_partition_value_and_mean_size_from_counts():
