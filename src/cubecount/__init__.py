@@ -9,6 +9,7 @@ The package splits into a small stack of layers:
 - symbolic: exact polynomial / rational-function / truncated-series kernel
 - asymptotics: series coefficients and high-precision counting formulas
 - sampler: Glauber dynamics used to validate the defect statistics
+- chisq: the chi-square tail of the sampler's goodness-of-fit tests
 - cli: command-line front end
 
 The names in `__all__` are re-exported from those layers but resolved on

@@ -12,11 +12,16 @@ random.Random(seed) is copied into numpy's MT19937, which yields the same
 32-bit words.  Step t reads the next three, w0, w1, w2: CPython's
 getrandbits(k) for k <= 32 is one word shifted right, so the vertex is
 w0 >> (32 - d), and random() is ((w1 >> 5) * 2^26 + (w2 >> 6)) / 2^53.
-The first identity needs d <= 32, which MAX_DIM = 24 guarantees.
+The first identity needs d <= 32, which SAMPLER_MAX_DIM = 16 guarantees.
+The chain's step tables hold 2^(d+1) integers of up to 2^d bits, about
+n^2/16 bytes each for n = 2^d (770 MB of RSS at d = 16), so larger d is
+refused before anything is built.
 
 Defects are the distance-2 components of the minority side of a sample
 (ties resolved to the odd side); their type statistics are compared against
-census predictions m_T = n_T * w_T.
+census predictions m_T = n_T * w_T.  Poisson goodness-of-fit p-values come
+from the pure-Python chi-square tail in `chisq`, so the sampler loads numpy
+but not scipy.
 """
 
 from __future__ import annotations
@@ -30,6 +35,9 @@ from typing import Iterable, Iterator
 
 from . import hypercube as hc
 from . import polymers as pm
+from .chisq import chdtrc
+
+SAMPLER_MAX_DIM = 16  # the step tables take ~n^2/8 bytes; d = 17 would need ~3 GB
 
 
 @dataclass(frozen=True)
@@ -65,6 +73,13 @@ def _parity_mask(d: int) -> int:
         if hc.parity(v):
             mask |= 1 << v
     return mask
+
+
+def check_sampler_dim(d: int) -> None:
+    hc.check_dim(d)
+    if d > SAMPLER_MAX_DIM:
+        raise ValueError(f"dimension {d} exceeds the sampler's maximum "
+                         f"{SAMPLER_MAX_DIM}")
 
 
 def default_burn_in(d: int) -> int:
@@ -108,7 +123,7 @@ def glauber_run(d: int, lam: Fraction, steps: int,
     (default empty), which must be an independent set.  With `debug`, each
     snapshot is checked to be an independent set.
     """
-    hc.check_dim(d)
+    check_sampler_dim(d)
     lam = Fraction(lam)
     if lam <= 0:
         raise ValueError("fugacity must be positive")
@@ -235,15 +250,13 @@ def _poisson_gof(counts: list[int], mean: float) -> dict | None:
         observed.pop()
     if len(probs) < 2:
         return None
-    from scipy.special import chdtrc  # deferred: the CLI's import stays free of scipy
-
     stat = 0.0
     for o, pr in zip(observed, probs):
         e = n * pr
         stat += (o - e) ** 2 / e
     df = len(probs) - 1
     # chdtrc(df, x) is what scipy.stats.chi2.sf(x, df) evaluates for x >= 0
-    return {"stat": stat, "df": df, "p": float(chdtrc(df, stat)),
+    return {"stat": stat, "df": df, "p": chdtrc(df, stat),
             "bins": len(probs)}
 
 
@@ -394,7 +407,7 @@ def two_chain_diagnostic(d: int, lam: Fraction, steps: int, seed: int = 0,
     chains have each visited both signs, the run has at least crossed
     between the two modes.  Reported, never asserted.
     """
-    hc.check_dim(d)
+    check_sampler_dim(d)
     n = 1 << d
     if thin is None:
         thin = n

@@ -24,6 +24,7 @@ import mpmath
 from . import asymptotics, clusters, exact, polymers, sampler
 from . import hypercube as hc
 from .asymptotics import DIM, LAM, _mpf
+from .chisq import chdtrc
 from .symbolic import BETA, RatFunc, RatPoly
 
 
@@ -227,8 +228,6 @@ def _check_targeting_trend() -> list[str]:
 
 def _q2_stationary_pvalue(seed: int = 12345) -> float:
     """Chi-square p-value of the chain's visit counts vs the exact law at lam=1."""
-    from scipy.special import chdtrc  # the tail scipy.stats.chi2.sf evaluates
-
     states = list(sampler.glauber_run(2, Fraction(1), steps=10 ** 6,
                                       burn_in=1000, thin=8, seed=seed))
     masks = exact.independent_set_masks(2)
@@ -238,7 +237,7 @@ def _q2_stationary_pvalue(seed: int = 12345) -> float:
     n = len(states)
     expected = n / len(masks)  # lam=1: uniform over independent sets
     stat = sum((counts[m] - expected) ** 2 / expected for m in masks)
-    return float(chdtrc(len(masks) - 1, stat))
+    return chdtrc(len(masks) - 1, stat)
 
 
 # pinned sampler run: d=9, lam=1, one snapshot every 4096 steps after burn-in

@@ -90,6 +90,8 @@ def test_usage_errors_exit_one_with_single_line(capsys):
                  ["sample", "--d", "3", "--lam", "1", "--burn-in", "-5",
                   "--steps", "20", "--thin", "1"],
                  ["clusters", "--d", "25", "--k", "1"],
+                 # the chain's step tables would need gigabytes past d = 16
+                 ["sample", "--d", "17", "--lam", "1", "--samples", "2"],
                  # only sample --chains runs worker processes
                  ["rj", "--j", "2", "--threads", "2"],
                  ["polymers", "--max-size", "3", "--mode", "symbolic",
@@ -379,8 +381,9 @@ def test_cli_import_leaves_scipy_unloaded():
     # command imports the layers it runs, so importing the package or the CLI
     # loads no layer and no mpmath.
     heavy = {"mpmath", "numpy", "scipy"} | {
-        f"cubecount.{m}" for m in ("asymptotics", "bigint", "clusters", "exact",
-                                   "polymers", "sampler", "symbolic", "validation")}
+        f"cubecount.{m}" for m in ("asymptotics", "bigint", "chisq", "clusters",
+                                   "exact", "polymers", "sampler", "symbolic",
+                                   "validation")}
     for code in ("import cubecount", "import cubecount.cli"):
         assert modules_loaded_by(code) & heavy == set(), code
     loaded = modules_loaded_by(cli_run("polymers", "--d", "9", "--max-size", "4"))
@@ -394,21 +397,47 @@ def test_cli_import_leaves_scipy_unloaded():
                      "cubecount.sampler"} == set()
 
 
-def test_sample_never_loads_scipy_stats():
-    # the chi-square tail comes from scipy.special; scipy.stats costs
-    # a second of import and twice the memory
+def test_sample_never_loads_scipy():
+    # the chi-square tail is the pure-Python port in cubecount.chisq;
+    # scipy.special alone cost 0.2 s of import and 14 MB
     proc = subprocess.run([sys.executable, "-c",
                            "import sys; from cubecount import cli; "
                            "code = cli.main(['sample', '--d', '4', '--lam', '1', "
                            "'--samples', '20', '--thin', '16', '--seed', '1']); "
-                           "print(code, 'scipy.special' in sys.modules, "
-                           "'scipy.stats' in sys.modules, file=sys.stderr)"],
+                           "print(code, [m for m in sys.modules "
+                           "if m.split('.')[0] == 'scipy'], file=sys.stderr)"],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     gof = [e["poisson_gof"] for e in json.loads(proc.stdout)["per_type"].values()
            if e.get("poisson_gof")]
     assert gof, "no goodness-of-fit test ran"
-    assert proc.stderr.split() == ["0", "True", "False"]
+    assert proc.stderr.split() == ["0", "[]"]
+    # criterion 9 runs the sampler and both chi-square p-values
+    loaded = modules_loaded_by(cli_run("validate", "--only", "9"))
+    assert "numpy" in loaded
+    assert {m for m in loaded if m.split(".")[0] == "scipy"} == set()
+
+
+# stdout SHA-256 of small sample runs, recorded before the chi-square tail
+# was ported; between them the p-values take every igamc branch:
+# 1 - igam_series (df = 1), the continued fraction (df = 1, 2) and
+# igamc_series (df = 1)
+SAMPLE_DIGESTS = {
+    "--d 5 --lam 1/2 --samples 20 --thin 4 --seed 0":
+        "ee086510ef02c6788cc3cc18a1d6fb3425038ca6636bbc702942c6ef77d2a36b",
+    "--d 3 --lam 1 --samples 20 --thin 16 --seed 1":
+        "8b4e4ae649df667ce611fd4c4c15c54338cae31ffda522151d136cf584d92b25",
+    "--d 6 --lam 1 --samples 200 --thin 16 --seed 3":
+        "8c1ad07f8b47e0b0981d33d1c315b2e10426892a813c6aa7eb6371d1920e528d",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(SAMPLE_DIGESTS))
+def test_sample_stdout_digest_is_pinned(capsys, argv):
+    code, out, err = run_cli(capsys, "sample", *argv.split())
+    assert code == 0 and err == ""
+    assert json.loads(out)["per_type"]
+    assert hashlib.sha256(out.encode()).hexdigest() == SAMPLE_DIGESTS[argv]
 
 
 def test_console_script_entry_point():

@@ -138,6 +138,16 @@ def test_input_validation():
         list(sm.glauber_run(2, Fraction(1), 100, burn_in=0, start=0b0011))
 
 
+def test_dimension_above_sampler_max_is_refused():
+    # the step tables grow as 4^d: 770 MB of RSS at d = 16, gigabytes beyond
+    d = sm.SAMPLER_MAX_DIM + 1
+    assert d <= hc.MAX_DIM
+    with pytest.raises(ValueError, match="sampler's maximum"):
+        run(d=d, steps=2, burn_in=0)
+    with pytest.raises(ValueError, match="sampler's maximum"):
+        sm.two_chain_diagnostic(d, Fraction(1), steps=2)
+
+
 def test_start_configuration_is_respected():
     # burn_in=0, thin=1: the first snapshot is one step from `start`
     full_odd = 0
