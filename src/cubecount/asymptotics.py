@@ -108,51 +108,26 @@ def R_table(jmax: int, budget: int | None = None) -> SeriesTable:
 # -- expected-size coefficients and their (beta, X) forms --------------------------
 
 
-@lru_cache(maxsize=MAX_EXACT_J)  # j = 1..MAX_EXACT_J
-def F_poly(j: int) -> RatPoly:
-    """Coefficient of (1+lam)^(-jd-1) in the expected-size expansion.
+@lru_cache(maxsize=2 * MAX_EXACT_J)  # j = 1..MAX_EXACT_J, each with and without size
+def _beta_x_coefficient(j: int, size: bool) -> tuple[RatPoly, int]:
+    """(1-beta)^c * F_j (size) or (1-beta)^c * R_j, in (beta, d, X), and c.
 
-    Differentiating lam * d/dlam through the stratum series gives
-    F_j = lam * ((1+lam) * R_j' - j*d*R_j), a polynomial in (lam, d).
+    F_j is the coefficient of (1+lam)^(-jd-1) in the expected-size
+    expansion; differentiating lam * d/dlam through the stratum series gives
+    F_j = lam * ((1+lam) * R_j' - j*d*R_j), a polynomial in (lam, d).  The
+    form substitutes lam = (beta+X)/(1-beta) and clears c, the lam-degree.
     """
-    r = R_poly(j)
-    lam = RatPoly.var(LAM)
-    return lam * ((lam + 1) * r.derivative(LAM) - RatPoly.var(DIM) * j * r)
-
-
-def _beta_x_form(p: RatPoly, exponent: int) -> RatPoly:
-    """Substitute lam = (beta+X)/(1-beta) and clear (1-beta)^exponent."""
+    p = R_poly(j)
+    if size:
+        lam = RatPoly.var(LAM)
+        p = lam * ((lam + 1) * p.derivative(LAM) - RatPoly.var(DIM) * j * p)
+    c = p.degree(LAM)
     bx = RatPoly.var(BETA) + RatPoly.var("X")
     omb = RatPoly.const(1) - RatPoly.var(BETA)
     out = RatPoly.const(0)
     for i, coef in p.as_univariate(LAM).items():
-        if i > exponent:
-            raise ValueError("exponent below the lam-degree")
-        out = out + coef * bx ** i * omb ** (exponent - i)
-    return out
-
-
-@lru_cache(maxsize=MAX_EXACT_J)  # j = 1..MAX_EXACT_J
-def g_exponent(j: int) -> int:
-    """lam-degree of F_j; the power of (1-beta) cleared when forming G_j."""
-    return F_poly(j).degree(LAM)
-
-
-@lru_cache(maxsize=MAX_EXACT_J)  # j = 1..MAX_EXACT_J
-def G_poly(j: int) -> RatPoly:
-    """F_j rewritten as a polynomial in (beta, d, X): (1-beta)^{c_j} F_j."""
-    return _beta_x_form(F_poly(j), g_exponent(j))
-
-
-@lru_cache(maxsize=MAX_EXACT_J)  # j = 1..MAX_EXACT_J
-def s_exponent(j: int) -> int:
-    return R_poly(j).degree(LAM)
-
-
-@lru_cache(maxsize=MAX_EXACT_J)  # j = 1..MAX_EXACT_J
-def S_poly(j: int) -> RatPoly:
-    """R_j rewritten as a polynomial in (beta, d, X): (1-beta)^{deg} R_j."""
-    return _beta_x_form(R_poly(j), s_exponent(j))
+        out = out + coef * bx ** i * omb ** (c - i)
+    return out, c
 
 
 # -- the fugacity-correction recursion ---------------------------------------------
@@ -172,6 +147,7 @@ def Q_func(j: int, b: Mapping[int, RatFunc] | None = None) -> RatFunc:
     """The Y^j coefficient of the density fixed-point equation.
 
     Built from beta*(1+X) = beta + X + sum_i G_i (1-beta)^(1-c_i) Y^i (1+X)^(-id),
+    with G_i = (1-beta)^(c_i) F_i from _beta_x_coefficient(i, True),
     normalized so the unknown B_j appears linearly with coefficient (1-beta)^2.
     When b lacks an entry for j, B_j is left as the symbolic variable "Bj";
     entries for i < j must be present.
@@ -189,9 +165,10 @@ def Q_func(j: int, b: Mapping[int, RatFunc] | None = None) -> RatFunc:
     q = x
     dvar = RatPoly.var(DIM)
     for i in range(1, j + 1):
-        gi = poly_on_series(G_poly(i), "X", x)
+        gi, c = _beta_x_coefficient(i, True)
+        gi = poly_on_series(gi, "X", x)
         tail = neg_binomial_expand(dvar * i, x, j - i)
-        q = q + (gi * tail).shift(i) * RatFunc(1, 0, g_exponent(i))
+        q = q + (gi * tail).shift(i) * RatFunc(1, 0, c)
     return q.coefficient(j) * RatFunc(RatPoly.const(1) - RatPoly.var(BETA))
 
 
@@ -296,9 +273,10 @@ def compute_P(jmax: int) -> SeriesTable:
     p = log_ratio_expand(x, order)
     dvar = RatPoly.var(DIM)
     for j in range(1, jmax + 1):
-        sj = poly_on_series(S_poly(j), "X", x)
+        sj, c = _beta_x_coefficient(j, False)
+        sj = poly_on_series(sj, "X", x)
         tail = neg_binomial_expand(dvar * j, x, jmax - j)
-        p = p + (sj * tail).shift(j) * RatFunc(1, 0, s_exponent(j))
+        p = p + (sj * tail).shift(j) * RatFunc(1, 0, c)
     return SeriesTable("P", {j: p.coefficient(j) for j in range(1, jmax + 1)})
 
 
@@ -532,8 +510,4 @@ def structured_count(beta: Fraction, d: int,
 def clear_caches() -> None:
     _r_cache.clear()
     compute_B.cache_clear()
-    F_poly.cache_clear()
-    G_poly.cache_clear()
-    S_poly.cache_clear()
-    g_exponent.cache_clear()
-    s_exponent.cache_clear()
+    _beta_x_coefficient.cache_clear()

@@ -22,10 +22,10 @@ nearest is monotone, so if lo and hi round to the same prec-bit value, C(n, k)
 rounds to it too.  If they do not (C(n, k) lies within the interval's width of
 a rounding boundary), if the series would need more than `_MAX_TERMS` terms
 (a very high precision), or if n < 2^10 (C(n, k) then has fewer bits than
-its enclosure costs), the exact product is built and rounded instead.
-Either way the result is the exact integer's rounding, provided `mpmath.iv`
-rounds its log, exp and pi outward as it documents; the guard bits only
-decide how rarely the exact fallback runs.
+its enclosure costs), the exact `binomial(n, k)` is built and rounded
+instead.  Either way the result is the exact integer's rounding, provided
+`mpmath.iv` rounds its log, exp and pi outward as it documents; the guard
+bits only decide how rarely the exact fallback runs.
 """
 
 from __future__ import annotations
@@ -181,5 +181,5 @@ def binomial_rounded(n: int, k: int, prec: int) -> tuple[int, int]:
         low = mpf_pos(lo, prec, "n")
         if low == mpf_pos(hi, prec, "n"):
             return low[1], low[2]
-    exact = from_int(_product_tree(_prime_power_factors(n, k)), prec, "n")
+    exact = from_int(binomial(n, k), prec, "n")
     return exact[1], exact[2]

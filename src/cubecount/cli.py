@@ -291,6 +291,12 @@ def _cmd_sample(args) -> dict:
     if args.threads < 1:
         raise _UsageError("--threads must be >= 1")
     polymers.check_census_bounds(args.d, args.census_size)
+    if args.d > 5 and args.census_size > 5:
+        # census(7, 6) took 96 s, and sample has no --budget to bound it
+        raise _UsageError(
+            f"--census-size {args.census_size} at d = {args.d} is a census "
+            "without a budget; take it with polymers --d D --max-size S "
+            "--budget N, and sample with --census-size <= 5")
     burn_in = args.burn_in if args.burn_in is not None \
         else sampler.default_burn_in(args.d)
     steps = args.steps if args.steps is not None \
@@ -340,10 +346,21 @@ def _load_inputs(paths: list[str]) -> list[tuple[str, dict]]:
     for p in paths:
         try:
             with open(p) as f:
-                loaded.append((p, json.load(f)))
+                obj = json.load(f)
         except (OSError, json.JSONDecodeError) as e:
             raise _UsageError(f"cannot read {p}: {e}")
+        if not isinstance(obj, dict):
+            raise _UsageError(f"{p}: expected a JSON object, got {type(obj).__name__}")
+        loaded.append((p, obj))
     return loaded
+
+
+# the fields report reads from each kind of input
+_REPORT_FIELDS = {
+    "zeta": ("d", "lam", "t", "ln_value"),
+    "count": ("d", "beta", "t", "ln_value"),
+    "sample": ("d", "lam", "samples", "per_type"),
+}
 
 
 def _classify(obj: dict) -> str:
@@ -365,7 +382,16 @@ def _cmd_report(args) -> int:
     inputs = _load_inputs(args.inputs)
     by_kind: dict[str, list[tuple[str, dict]]] = {}
     for path, obj in inputs:
-        by_kind.setdefault(_classify(obj), []).append((path, obj))
+        kind = _classify(obj)
+        missing = [name for name in _REPORT_FIELDS.get(kind, ()) if name not in obj]
+        if kind == "sample" and not missing and not (
+                isinstance(obj["per_type"], dict)
+                and all(isinstance(e, dict) and "mean" in e
+                        for e in obj["per_type"].values())):
+            missing.append("a mean in each per_type entry")
+        if missing:
+            raise _UsageError(f"{path}: {kind} output lacks {', '.join(missing)}")
+        by_kind.setdefault(kind, []).append((path, obj))
     if not by_kind.keys() & {"zeta", "count", "sample"}:
         raise _UsageError("nothing to report: no input is a count, zeta or "
                           "sample output (oracles serve only as references)")

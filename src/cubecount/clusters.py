@@ -25,7 +25,10 @@ every entry it adds meets the union of the earlier ones or a distance-2
 neighbor of that union: it shares a vertex with an earlier entry, or a
 neighbor of two vertices at distance 2.  So every new entry interacts with
 an earlier one, H is connected by construction, and no multiset is built
-only to be discarded.
+only to be discarded.  The candidate entries are the polymers that the
+polymers module's one growth kernel, polymers._grow_polymers, grows from
+each vertex of that target set; the rooted start supports and the full
+universe of _full_universe come from the same kernel.
 
 Active coordinates.  A rooted cluster's active coordinates are the ones in
 which some vertex of its union differs from the root V0; there are at most
@@ -50,8 +53,9 @@ exactly 0, ..., a-1 and weighs each C(b, a).  The cut is the polymers
 module's gap bound: every vertex a later entry brings is a distance-2 step
 from one already present, so a partial multiset whose union has active mask
 m and total size t can still become a prefix only if
-m.bit_length() - m.bit_count() <= 2 * (k - t).  The same test cuts the
-growth of each candidate entry and of each start support.
+m.bit_length() - m.bit_count() <= 2 * (k - t).  The same test, passed to
+the growth kernel as its keep test, cuts the growth of each candidate
+entry and of each start support (polymers._prefix_candidates).
 enumerate_clusters grows every rooted cluster; it is the tests'
 differential reference for the tables.
 """
@@ -314,7 +318,10 @@ def _multisets(d: int, max_total: int, starts: Iterable[frozenset],
 
             def keep(mask: int, n: int) -> bool:
                 return pm._may_become_prefix(mask | umask, room - n)
-        for cand in pm.polymers_touching(frozenset(targets), d, room, bud, keep):
+        touching: set[frozenset] = set()
+        for w in sorted(targets):
+            touching.update(pm._grow_polymers(d, w, room, bud, keep))
+        for cand in sorted(touching, key=lambda s: tuple(sorted(s))):
             yield from rec(supports + [cand], total + len(cand))
 
     for start in starts:
@@ -473,19 +480,15 @@ def _full_universe(d: int) -> tuple[tuple[int, int, Fraction, Fraction], ...]:
     half = hc.n_side(d) // 2
     out = []
     for root in hc.odd_side(d):
-        def nbrs(v: int, _root=root) -> tuple[int, ...]:
-            return tuple(u for u in hc._square_neighbors(v, d) if u > _root)
-
-        for s in pm._grow_connected(root, half, nbrs, None):
-            if pm._is_valid(s, d):
-                sup_mask = 0
-                for v in s:
-                    sup_mask |= 1 << v
-                nb = hc._neighborhood(s, d)
-                nb_mask = 0
-                for v in nb:
-                    nb_mask |= 1 << v
-                out.append((sup_mask, nb_mask, len(s), len(nb)))
+        for s in pm._grow_polymers(d, root, half, above_root=True):
+            sup_mask = 0
+            for v in s:
+                sup_mask |= 1 << v
+            nb = hc._neighborhood(s, d)
+            nb_mask = 0
+            for v in nb:
+                nb_mask |= 1 << v
+            out.append((sup_mask, nb_mask, len(s), len(nb)))
     out.sort()
     return tuple(out)
 

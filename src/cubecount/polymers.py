@@ -5,10 +5,12 @@ distance-2 moves and whose closure covers at most half of the odd side.  Its
 weight at fugacity lam is lam^|S| / (1+lam)^|N(S)|.  Two defects interact iff
 they are within graph distance 2 of each other (share a vertex or a neighbor).
 
-Supports are grown as frozensets along the distance-2 neighbor lists of the
-hypercube module, which also computes every N(S) and closure here (its
-unchecked kernels).  This module caches only the bounded certificate table
-described under Types.  Validity (_is_valid) rests on
+Every enumeration of supports, here and in the clusters module, calls one
+growth kernel, _grow_polymers: it grows frozensets from a root vertex along
+the distance-2 neighbor lists of the hypercube module, which also computes
+every N(S) and closure here (its unchecked kernels), and yields the valid
+ones.  This module caches only the bounded certificate table described
+under Types.  Validity (_is_valid, which only the kernel calls) rests on
 |closure(S)| <= |N(S)| <= d*|S|, since every closure vertex has all d of its
 neighbors in N(S): a support with d*|S| <= 2^(d-2), half the side, is valid
 without computing its closure; only larger supports count the closure
@@ -56,8 +58,9 @@ each vertex added later is a distance-2 step, so it makes at most two more
 coordinates active, and a set with mask m and room for r more vertices can
 still become a prefix only if m.bit_length() - m.bit_count() <= 2r.  Every
 set a cut discards contains the cut set, so none of them is a
-representative (_prefix_candidates; clusters._stratum_table cuts its
-clusters the same way).  rooted_polymer_supports grows every rooted support
+representative.  _prefix_candidates hands the bound to the kernel as its
+keep test, which sees each set's mask m; clusters._stratum_table cuts its
+clusters the same way.  rooted_polymer_supports grows every rooted support
 and stays as the reference for the tests and the acceptance suite.
 """
 
@@ -92,25 +95,35 @@ def _is_valid(support: frozenset, d: int) -> bool:
     return d * len(support) <= half or len(hc._closure(support, d)) <= half
 
 
-def _grow_connected(root: int, max_size: int,
-                    neighbor_fn: Callable[[int], Iterable[int]],
-                    budget: list[int] | None = None,
-                    keep: Callable[[int, int], bool] | None = None) \
-        -> Iterator[frozenset]:
-    """All connected vertex sets containing `root`, each exactly once.
+def _grow_polymers(d: int, root: int, max_size: int,
+                   budget: list[int] | None = None,
+                   keep: Callable[[int, int], bool] | None = None,
+                   above_root: bool = False) -> Iterator[frozenset]:
+    """The polymers of size <= max_size at dimension d that contain `root`,
+    each exactly once; with above_root, only those whose other vertices all
+    exceed root, so that every polymer is grown from its smallest vertex.
 
-    Candidate lists carry the classic once-seen-never-again discipline, so a
-    set is produced exactly at its canonical insertion order.  `budget`, when
-    given, is a single-element mutable node countdown.  `keep`, when given,
-    is called as keep(mask, size) on every set, with mask the OR of v ^ root
-    over its vertices; a set it rejects is neither produced nor extended, so
-    it must reject every connected superset of a set it rejects.
+    The one growth kernel of the package.  It grows the connected sets
+    containing root along the distance-2 neighbor lists; candidate lists
+    carry the classic once-seen-never-again discipline, so a set is reached
+    exactly at its canonical insertion order.  It yields only the valid sets
+    but extends the invalid ones too, so `budget`, when given, a
+    single-element mutable countdown of the candidates tried, counts every
+    connected set it reaches.  `keep`, when given, is called as keep(mask, size) on every set, with
+    mask the OR of v ^ V0 over its vertices; a set it rejects is neither
+    yielded nor extended, so it must reject every connected superset of a
+    set it rejects.
     """
-    if keep is not None and not keep(0, 1):
+    if keep is not None and not keep(root ^ V0, 1):
         return
-    first = tuple(neighbor_fn(root))
+
+    def nbrs(v: int) -> tuple[int, ...]:
+        square = hc._square_neighbors(v, d)
+        return tuple(u for u in square if u > root) if above_root else square
+
     base = frozenset((root,))
-    yield base
+    if _is_valid(base, d):
+        yield base
 
     def rec(s: frozenset, mask: int, cand: tuple, seen: frozenset) -> Iterator[frozenset]:
         for i, v in enumerate(cand):
@@ -118,17 +131,19 @@ def _grow_connected(root: int, max_size: int,
                 budget[0] -= 1
                 if budget[0] < 0:
                     raise BudgetExceededError("connected-set enumeration budget exhausted")
-            m2 = mask | (v ^ root)
+            m2 = mask | (v ^ V0)
             if keep is not None and not keep(m2, len(s) + 1):
                 continue
             s2 = s | {v}
-            yield s2
+            if _is_valid(s2, d):
+                yield s2
             if len(s2) < max_size:
-                fresh = tuple(u for u in neighbor_fn(v) if u not in seen)
+                fresh = tuple(u for u in nbrs(v) if u not in seen)
                 yield from rec(s2, m2, cand[i + 1:] + fresh, seen | frozenset(fresh))
 
     if max_size > 1:
-        yield from rec(base, 0, first, frozenset((root,)) | frozenset(first))
+        first = nbrs(root)
+        yield from rec(base, root ^ V0, first, base | frozenset(first))
 
 
 # -- types -------------------------------------------------------------------
@@ -273,11 +288,8 @@ def rooted_polymer_supports(d: int, max_size: int,
         raise ValueError("max_size must be >= 1")
     hc.check_dim(d)
     bud = [budget] if budget is not None else None
-    out = [s for s in _grow_connected(V0, max_size,
-                                      lambda v: hc._square_neighbors(v, d), bud)
-           if _is_valid(s, d)]
-    out.sort(key=lambda s: tuple(sorted(s)))
-    return out
+    return sorted(_grow_polymers(d, V0, max_size, bud),
+                  key=lambda s: tuple(sorted(s)))
 
 
 def enumerate_polymers(d: int, max_size: int,
@@ -291,38 +303,12 @@ def enumerate_polymers(d: int, max_size: int,
     bud = [budget] if budget is not None else None
     out = []
     for root in hc.odd_side(d):
-        def nbrs(v: int, _root=root) -> tuple[int, ...]:
-            return tuple(u for u in hc._square_neighbors(v, d) if u > _root)
-
-        for s in _grow_connected(root, max_size, nbrs, bud):
-            if _is_valid(s, d):
-                t = classify(s, d)
-                out.append(Polymer(support=tuple(sorted(s)), d=d,
-                                   nbhd_size=t.nbhd_size(d), type=t))
+        for s in _grow_polymers(d, root, max_size, bud, above_root=True):
+            t = classify(s, d)
+            out.append(Polymer(support=tuple(sorted(s)), d=d,
+                               nbhd_size=t.nbhd_size(d), type=t))
     out.sort(key=lambda p: p.support)
     return out
-
-
-def polymers_touching(targets: frozenset, d: int, max_size: int,
-                      budget: list[int] | None = None,
-                      keep: Callable[[int, int], bool] | None = None) -> list[frozenset]:
-    """Supports of polymers of size <= max_size meeting the target set.
-
-    `keep`, when given, cuts the growth as in _grow_connected, except that
-    the mask it receives is the OR of v ^ V0 (not v ^ root).
-    """
-    if max_size < 1:
-        return []
-    hc.check_dim(d)
-    seen: set[frozenset] = set()
-    for w in sorted(targets):
-        cut = None if keep is None else \
-            (lambda mask, n, _w=w: keep(mask | (_w ^ V0), n))
-        for s in _grow_connected(w, max_size,
-                                 lambda v: hc._square_neighbors(v, d), budget, cut):
-            if s not in seen and _is_valid(s, d):
-                seen.add(s)
-    return sorted(seen, key=lambda s: tuple(sorted(s)))
 
 
 # -- censuses ------------------------------------------------------------------
@@ -432,10 +418,7 @@ def _prefix_candidates(d: int, max_size: int,
     def keep(mask: int, n: int) -> bool:
         return _may_become_prefix(mask, max_size - n)
 
-    return (s for s in _grow_connected(V0, max_size,
-                                       lambda v: hc._square_neighbors(v, d),
-                                       budget, keep)
-            if _is_valid(s, d))
+    return _grow_polymers(d, V0, max_size, budget, keep)
 
 
 def _rooted_type_counts(b: int, max_size: int, budget: int | None = None) \

@@ -253,8 +253,7 @@ def test_B_and_P_tables_match_the_fraction_kernel(monkeypatch):
                  "neg_binomial_expand", "log_ratio_expand"):
         monkeypatch.setattr(asym, name, getattr(ref, name))
     monkeypatch.setattr(asym, "R_poly", lambda j, budget=None: r_old[j])
-    cached = (asym.F_poly, asym.G_poly, asym.S_poly, asym.g_exponent,
-              asym.s_exponent, asym.compute_B)
+    cached = (asym._beta_x_coefficient, asym.compute_B)
     for fn in cached:
         fn.cache_clear()
     try:

@@ -77,20 +77,20 @@ def test_rounded_matches_from_int(nk, prec):
     assert bigint.binomial_rounded(n, k, prec) == rounded_reference(n, k, prec)
 
 
-def _count_product_trees(monkeypatch):
+def _count_exact_fallbacks(monkeypatch):
     calls = []
-    exact_tree = bigint._product_tree
+    exact = bigint.binomial
 
-    def counted(factors):
-        calls.append(len(factors))
-        return exact_tree(factors)
+    def counted(n, k):
+        calls.append((n, k))
+        return exact(n, k)
 
-    monkeypatch.setattr(bigint, "_product_tree", counted)
+    monkeypatch.setattr(bigint, "binomial", counted)
     return calls
 
 
 def test_rounded_falls_back_to_the_exact_product(monkeypatch):
-    calls = _count_product_trees(monkeypatch)
+    calls = _count_exact_fallbacks(monkeypatch)
     # 3 * 2^20 lies halfway between 2^21 and 2^22, so no enclosure of it can
     # decide the rounding at one bit; the exact product rounds half to even
     assert bigint.binomial_rounded(3 << 20, 1, 1) == (1, 22)
@@ -106,7 +106,7 @@ def test_rounded_falls_back_to_the_exact_product(monkeypatch):
 
 
 def test_rounded_past_the_term_cap_takes_the_exact_product(monkeypatch):
-    calls = _count_product_trees(monkeypatch)
+    calls = _count_exact_fallbacks(monkeypatch)
     n, k = 5000, 2000
     prec = 20_000  # x = 2000 cannot reach 2^-prec within _MAX_TERMS terms
     assert bigint._stirling_terms(k, prec) is None

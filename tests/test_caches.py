@@ -23,7 +23,7 @@ def test_every_lru_cache_is_bounded():
     found = dict(lru_wrappers())
     assert "cubecount.polymers._cert_of_code" in found
     assert "cubecount.asymptotics.compute_B" in found
-    assert "cubecount.asymptotics.F_poly" in found
+    assert "cubecount.asymptotics._beta_x_coefficient" in found
     unbounded = [name for name, fn in found.items()
                  if fn.cache_parameters()["maxsize"] is None]
     assert unbounded == []

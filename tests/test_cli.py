@@ -120,7 +120,10 @@ def test_usage_errors_exit_one_with_single_line(capsys):
                  # the exact oracle ends at d = 6 and has no --allow-slow
                  ["oracle", "--d", "7"],
                  ["oracle", "--d", "6", "--allow-slow"],
-                 ["sample", "--d", "3", "--lam", "1", "--threads", "0"]):
+                 ["sample", "--d", "3", "--lam", "1", "--threads", "0"],
+                 # each started a census that no budget bounded (96 s at d = 7)
+                 ["sample", "--d", "7", "--lam", "1", "--census-size", "6"],
+                 ["sample", "--d", "6", "--lam", "1", "--census-size", "7"]):
         code = cli.main(argv)
         captured = capsys.readouterr()
         assert code == 1, argv
@@ -161,6 +164,22 @@ def test_budget_exhaustion_exits_two(capsys):
                            "--budget", "5")
     assert code == 2
     assert err.startswith("error: budget exhausted")
+
+
+@pytest.mark.parametrize("argv,budget", [
+    (["polymers", "--d", "9", "--max-size", "4"], 3951),
+    (["polymers", "--d", "6", "--max-size", "4", "--mode", "list"], 19640),
+    (["clusters", "--d", "7", "--k", "3"], 347),
+    (["clusters", "--d", "7", "--k", "4"], 19440),
+])
+def test_smallest_sufficient_budget_is_pinned(capsys, argv, budget):
+    # --budget counts the nodes of the one polymer growth kernel, so these
+    # thresholds hold while the kernel grows the same sets
+    clusters.clear_caches()  # a cached stratum table spends no budget
+    code, out, err = run_cli(capsys, *argv, "--budget", str(budget - 1))
+    assert code == 2 and out == "" and err.startswith("error: budget exhausted")
+    code, out, err = run_cli(capsys, *argv, "--budget", str(budget))
+    assert code == 0 and err == "" and json.loads(out)
 
 
 def test_untypeable_polymer_sizes_fail_before_enumerating(capsys):
@@ -343,6 +362,22 @@ def test_report_out_dir_that_is_a_file_is_a_one_line_error(tmp_path, capsys):
     assert code == 1 and out == ""
     assert err.startswith("error: cannot create")
     assert err.strip().count("\n") == 0
+
+
+def test_report_malformed_inputs_are_one_line_errors(tmp_path, capsys):
+    # each printed a TypeError or KeyError traceback
+    out_dir = tmp_path / "out"
+    for name, text in (("int.json", "5"),
+                       ("count.json", '{"ln_value": "1", "beta": "1/2"}'),
+                       ("sample.json", '{"per_type": {}}')):
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "report", "--inputs", str(path),
+                                 "--out-dir", str(out_dir))
+        assert code == 1 and out == "", name
+        assert err.startswith(f"error: {path}:"), name
+        assert err.strip().count("\n") == 0, name
+        assert not out_dir.exists()
 
 
 def test_report_with_nothing_to_report_is_a_usage_error(tmp_path, capsys):

@@ -199,13 +199,26 @@ def test_free_dim_values():
     assert [cl.free_dim(k) for k in (1, 2, 3, 4)] == [4, 6, 7, 7]
 
 
+def connected_rooted_sets(d: int, max_size: int) -> set[frozenset]:
+    """The sets of at most max_size odd vertices that contain V0 and are
+    connected under distance-2 steps, grown breadth first."""
+    layer = {frozenset((pm.V0,))}
+    out = set(layer)
+    for _ in range(max_size - 1):
+        layer = {s | {u} for s in layer for v in s
+                 for u in hc.square_neighbors(v, d) if u not in s}
+        out |= layer
+    return out
+
+
 def test_every_connected_support_is_a_polymer_from_free_dim():
-    # the rescaling in cluster_sum rests on closure never binding at free_dim
+    # the rescaling in cluster_sum rests on closure never binding at free_dim,
+    # so there the growth kernel yields every connected rooted set, once
     for k in (1, 2, 3, 4):
         d = cl.free_dim(k)
-        half = hc.n_side(d) // 2
-        for s in pm._grow_connected(pm.V0, k, lambda v: hc.square_neighbors(v, d)):
-            assert len(hc.closure(s, d)) <= half, (k, sorted(s))
+        grown = list(pm._grow_polymers(d, pm.V0, k))
+        assert len(grown) == len(set(grown)), k
+        assert set(grown) == connected_rooted_sets(d, k), k
 
 
 def seed_cluster_sum_poly(d: int, k: int, obs: cl.Observable) -> RatPoly:
