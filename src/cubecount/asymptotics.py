@@ -10,6 +10,9 @@ estimates for log Z and log i_m.
 Truncation convention: an order-t formula carries the correction terms
 j = 1 .. t-1 and has error of the order of the first omitted term.  The
 fugacity series uses r = ceil(t/2) - 1 correction orders.
+
+mpmath is imported by the functions that evaluate, so building the exact
+tables R_j, B_j and P_j never loads it.
 """
 
 from __future__ import annotations
@@ -20,8 +23,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
-
-import mpmath
 
 from . import hypercube as hc
 from .bigint import binomial, binomial_rounded
@@ -293,10 +294,14 @@ class LogCount:
     alt: object | None = None  # secondary evaluation path, when exposed
 
     def log10(self):
+        import mpmath
+
         with mpmath.workdps(self.precision):
             return self.value / mpmath.log(10)
 
     def to_json(self) -> dict:
+        import mpmath
+
         def s(x):
             return mpmath.nstr(x, min(self.precision, 30))
         with mpmath.workdps(self.precision):
@@ -320,6 +325,8 @@ def _mpf(x: Fraction):
     exact: the value is the same bit for bit.  A zero part has no bits to
     shift.
     """
+    import mpmath
+
     num, den = (mpmath.ldexp(mpmath.mpf(n >> tz), tz)
                 for n in (x.numerator, x.denominator)
                 for tz in [max((n & -n).bit_length() - 1, 0)])
@@ -332,6 +339,8 @@ def log_Z_asymptotic(lam: Fraction, d: int, t: int, digits: int = 80) -> LogCoun
     log 2 + N log(1+lam) + N sum_{j<=t-1} R_j(lam,d) (1+lam)^(-jd); each
     stratum contribution is evaluated as an exact rational before rounding.
     """
+    import mpmath
+
     lam = Fraction(lam)
     if lam <= 0:
         raise ValueError("fugacity must be positive")
@@ -355,6 +364,8 @@ def log_Z_asymptotic(lam: Fraction, d: int, t: int, digits: int = 80) -> LogCoun
 
 def stirling_binom(n: int, m: int, digits: int = 80):
     """Stirling-formula approximation of binomial(n, m), high precision."""
+    import mpmath
+
     if not 0 < m < n:
         raise ValueError("need 0 < m < n")
     beta = Fraction(m, n)
@@ -386,6 +397,8 @@ def binomial_lclt(n: int, p: Fraction, k: int) -> tuple[Fraction, object]:
     Fraction is built without the gcd of two n-bit integers that Fraction
     would take (about 2 s at n = 10^6).
     """
+    import mpmath
+
     p = Fraction(p)
     if not 0 < p < 1:
         raise ValueError("p must lie strictly between 0 and 1")
@@ -420,6 +433,8 @@ def log_count_asymptotic(beta: Fraction, d: int, t: int,
     Path (b) = log 2 + N log(1+lam_b) - m log lam_b + strata at
     lam_b - (1/2) log(2 pi N beta (1-beta)).  Both use beta = m/N exactly.
     """
+    import mpmath
+
     beta = Fraction(beta)
     if not 0 < beta < 1:
         raise ValueError("beta must lie strictly between 0 and 1")
@@ -469,6 +484,8 @@ def structured_count(beta: Fraction, d: int,
     `budget` bounds the polymer census of Q_d that the fixed types are looked
     up in; a fixed type absent from that census is a ValueError.
     """
+    import mpmath
+
     beta = Fraction(beta)
     fixed_types = dict(fixed_types or {})
     diverging_types = dict(diverging_types or {})

@@ -25,7 +25,8 @@ a rounding boundary), if the series would need more than `_MAX_TERMS` terms
 its enclosure costs), the exact `binomial(n, k)` is built and rounded
 instead.  Either way the result is the exact integer's rounding, provided
 `mpmath.iv` rounds its log, exp and pi outward as it documents; the guard
-bits only decide how rarely the exact fallback runs.
+bits only decide how rarely the exact fallback runs.  mpmath is imported
+only there, so the exact `binomial` never loads it.
 """
 
 from __future__ import annotations
@@ -33,9 +34,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-
-from mpmath import bernfrac, iv
-from mpmath.libmp import from_int, mpf_pos
 
 _SMALL_CUTOFF = 10_000
 _GUARD_BITS = 64  # enclosure width beyond `prec`; any width is exact, see the docstring
@@ -131,6 +129,8 @@ def _ln_factorial(x: int, terms: int, bernoulli: list[tuple[int, int]]):
     `bernoulli[i]` is B_2i as a fraction; above `_EXACT_BELOW`, `terms` is the
     K of `_stirling_terms`.
     """
+    from mpmath import iv
+
     if x < _EXACT_BELOW:
         return iv.log(math.factorial(x))
     xi = iv.mpf(x)
@@ -157,6 +157,9 @@ def binomial_rounded(n: int, k: int, prec: int) -> tuple[int, int]:
     module docstring, and builds the exact integer only when that enclosure
     cannot decide the rounding or would need too many Stirling terms.
     """
+    from mpmath import bernfrac, iv
+    from mpmath.libmp import from_int, mpf_pos
+
     _check_args(n, k)
     if prec < 1:
         raise ValueError("precision must be at least one bit")

@@ -355,12 +355,48 @@ def _load_inputs(paths: list[str]) -> list[tuple[str, dict]]:
     return loaded
 
 
-# the fields report reads from each kind of input
+# the fields report reads from each kind of input, with their JSON types
 _REPORT_FIELDS = {
-    "zeta": ("d", "lam", "t", "ln_value"),
-    "count": ("d", "beta", "t", "ln_value"),
-    "sample": ("d", "lam", "samples", "per_type"),
+    "oracle": {"d": "integer", "counts": "array"},
+    "zeta": {"d": "integer", "lam": "string", "t": "integer",
+             "ln_value": "string"},
+    "count": {"d": "integer", "beta": "string", "t": "integer",
+              "ln_value": "string"},
+    "sample": {"d": "integer", "lam": "string", "samples": "integer",
+               "per_type": "object"},
 }
+_JSON_TYPES = {"integer": int, "number": (int, float), "string": str,
+               "array": list, "object": dict}
+
+
+def _is_json(value, name: str) -> bool:
+    # JSON true and false load as bool, which is an int subclass
+    return isinstance(value, _JSON_TYPES[name]) and not isinstance(value, bool)
+
+
+def _check_report_input(path: str, kind: str, obj: dict) -> None:
+    """Raise a usage error unless `obj` has every field report reads, typed."""
+    fields = _REPORT_FIELDS.get(kind, {})
+    missing = [name for name in fields if name not in obj]
+    if missing:
+        raise _UsageError(f"{path}: {kind} output lacks {', '.join(missing)}")
+    wrong = [f"{name} (not a JSON {t})" for name, t in fields.items()
+             if not _is_json(obj[name], t)]
+    if kind == "oracle" and not wrong and not all(
+            _is_json(c, "string") for c in obj["counts"]):
+        wrong.append("counts (not an array of strings)")
+    if kind == "sample" and not wrong and not all(
+            isinstance(e, dict) and _is_json(e.get("mean"), "number")
+            and all(_is_json(e[k], "number") for k in ("m_T", "z") if k in e)
+            and (not e.get("poisson_gof") or (
+                isinstance(e["poisson_gof"], dict)
+                and _is_json(e["poisson_gof"].get("p"), "number")))
+            for e in obj["per_type"].values()):
+        wrong.append("per_type (each entry needs a numeric mean, and numeric "
+                     "m_T, z and poisson_gof p where present)")
+    if wrong:
+        raise _UsageError(f"{path}: {kind} output has a malformed "
+                          f"{', '.join(wrong)}")
 
 
 def _classify(obj: dict) -> str:
@@ -383,14 +419,7 @@ def _cmd_report(args) -> int:
     by_kind: dict[str, list[tuple[str, dict]]] = {}
     for path, obj in inputs:
         kind = _classify(obj)
-        missing = [name for name in _REPORT_FIELDS.get(kind, ()) if name not in obj]
-        if kind == "sample" and not missing and not (
-                isinstance(obj["per_type"], dict)
-                and all(isinstance(e, dict) and "mean" in e
-                        for e in obj["per_type"].values())):
-            missing.append("a mean in each per_type entry")
-        if missing:
-            raise _UsageError(f"{path}: {kind} output lacks {', '.join(missing)}")
+        _check_report_input(path, kind, obj)
         by_kind.setdefault(kind, []).append((path, obj))
     if not by_kind.keys() & {"zeta", "count", "sample"}:
         raise _UsageError("nothing to report: no input is a count, zeta or "

@@ -106,13 +106,14 @@ def _grow_polymers(d: int, root: int, max_size: int,
     The one growth kernel of the package.  It grows the connected sets
     containing root along the distance-2 neighbor lists; candidate lists
     carry the classic once-seen-never-again discipline, so a set is reached
-    exactly at its canonical insertion order.  It yields only the valid sets
-    but extends the invalid ones too, so `budget`, when given, a
-    single-element mutable countdown of the candidates tried, counts every
-    connected set it reaches.  `keep`, when given, is called as keep(mask, size) on every set, with
-    mask the OR of v ^ V0 over its vertices; a set it rejects is neither
-    yielded nor extended, so it must reject every connected superset of a
-    set it rejects.
+    exactly at its canonical insertion order.  It yields the valid sets and
+    extends only those: closure is monotone (S within T puts closure(S)
+    within closure(T)), so no superset of an invalid set is valid.
+    `budget`, when given, a single-element mutable countdown, counts the
+    candidates tried.  `keep`, when given, is called as keep(mask, size) on
+    every set, with mask the OR of v ^ V0 over its vertices; a set it
+    rejects is neither yielded nor extended, so it must reject every
+    connected superset of a set it rejects.
     """
     if keep is not None and not keep(root ^ V0, 1):
         return
@@ -122,8 +123,9 @@ def _grow_polymers(d: int, root: int, max_size: int,
         return tuple(u for u in square if u > root) if above_root else square
 
     base = frozenset((root,))
-    if _is_valid(base, d):
-        yield base
+    if not _is_valid(base, d):
+        return
+    yield base
 
     def rec(s: frozenset, mask: int, cand: tuple, seen: frozenset) -> Iterator[frozenset]:
         for i, v in enumerate(cand):
@@ -135,8 +137,9 @@ def _grow_polymers(d: int, root: int, max_size: int,
             if keep is not None and not keep(m2, len(s) + 1):
                 continue
             s2 = s | {v}
-            if _is_valid(s2, d):
-                yield s2
+            if not _is_valid(s2, d):
+                continue
+            yield s2
             if len(s2) < max_size:
                 fresh = tuple(u for u in nbrs(v) if u not in seen)
                 yield from rec(s2, m2, cand[i + 1:] + fresh, seen | frozenset(fresh))

@@ -7,12 +7,14 @@ Runs are fully deterministic given a seed: step t draws the vertex
 random.Random(seed).getrandbits(d) and then the coin .random(), as a
 per-step loop over random.Random would.
 
-Those draws are replayed in bulk.  The Mersenne Twister state of
-random.Random(seed) is copied into numpy's MT19937, which yields the same
-32-bit words.  Step t reads the next three, w0, w1, w2: CPython's
-getrandbits(k) for k <= 32 is one word shifted right, so the vertex is
-w0 >> (32 - d), and random() is ((w1 >> 5) * 2^26 + (w2 >> 6)) / 2^53.
-The first identity needs d <= 32, which SAMPLER_MAX_DIM = 16 guarantees.
+Those draws are replayed in bulk with the standard library alone.  CPython's
+getrandbits(k) for k <= 32 is the next 32-bit word w shifted right, and
+random() is ((w1 >> 5) * 2^26 + (w2 >> 6)) / 2^53, so step t reads three
+words w0, w1, w2.  One getrandbits(96 b) call makes the next b steps' words,
+the first least significant, and its little-endian bytes put w0's top 16
+bits at offsets 12t + 2 and 12t + 3: the vertex is those bits shifted right
+by 16 - d, which needs d <= SAMPLER_MAX_DIM = 16.  The coin is decided from
+w1's top byte against a table, and from the full words in the 1-in-256 ties.
 The chain's step tables hold 2^(d+1) integers of up to 2^d bits, about
 n^2/16 bytes each for n = 2^d (770 MB of RSS at d = 16), so larger d is
 refused before anything is built.
@@ -20,14 +22,15 @@ refused before anything is built.
 Defects are the distance-2 components of the minority side of a sample
 (ties resolved to the odd side); their type statistics are compared against
 census predictions m_T = n_T * w_T.  Poisson goodness-of-fit p-values come
-from the pure-Python chi-square tail in `chisq`, so the sampler loads numpy
-but not scipy.
+from the pure-Python chi-square tail in `chisq`, so the sampler loads
+neither numpy nor scipy.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -87,29 +90,50 @@ def default_burn_in(d: int) -> int:
     return 10 * (1 << d) * d
 
 
-_DRAW_BLOCK = 1 << 15  # steps per bulk draw: 3 * 2^15 raw words, 768 KB
+# steps per bulk draw: a 393 KB draw of 3 * 2^15 words and 128 KB of codes
+_DRAW_BLOCK = 1 << 15
 
 
-def _step_codes(seed: int, d: int, p: float, steps: int) -> Iterator[list[int]]:
+def _step_codes(seed: int, d: int, p: float,
+                steps: int) -> Iterator[memoryview]:
     """The chain's first `steps` draws, in blocks of at most _DRAW_BLOCK steps.
 
     A step that draws vertex v and coin c is coded v + 2^d * [c < p].
     """
-    import numpy as np  # deferred: the CLI's import stays free of numpy
-
-    _, internal, _ = random.Random(seed).getstate()
-    mt = np.random.MT19937()
-    mt.state = {"bit_generator": "MT19937",
-                "state": {"key": np.array(internal[:-1], dtype=np.uint32),
-                          "pos": internal[-1]}}
-    n = 1 << d
+    rng = random.Random(seed)
+    # c = K / 2^53 with K an integer, so c < p <=> K < T = ceil(p * 2^53)
+    t = math.ceil(p * 9007199254740992.0)
+    # w1's top byte is K >> 45: below T >> 45 the coin is accepted, above it
+    # refused, and equal (marked 2) it is settled from the full words
+    table = bytes(1 if i < t >> 45 else 2 if i == t >> 45 else 0
+                  for i in range(256))
+    # the low d + 1 bits of every 4-byte lane of a full block, which serves
+    # a short last block too
+    mask = int.from_bytes(((1 << (d + 1)) - 1).to_bytes(4, "little")
+                          * min(steps, _DRAW_BLOCK), "little")
     while steps > 0:
         b = min(steps, _DRAW_BLOCK)
-        w = mt.random_raw(3 * b).reshape(b, 3)
-        v = (w[:, 0] >> (32 - d)).astype(np.int64)
-        coin = ((w[:, 1] >> 5) * 67108864.0 + (w[:, 2] >> 6)) \
-            * (1.0 / 9007199254740992.0)
-        yield np.where(coin < p, v + n, v).tolist()
+        buf = rng.getrandbits(96 * b).to_bytes(12 * b, "little")
+        add = bytearray(buf[7::12].translate(table))
+        i = add.find(2)
+        while i >= 0:
+            w1 = int.from_bytes(buf[12 * i + 4:12 * i + 8], "little")
+            w2 = int.from_bytes(buf[12 * i + 8:12 * i + 12], "little")
+            add[i] = ((w1 >> 5) << 26 | w2 >> 6) < t
+            i = add.find(2, i + 1)
+        # lane [B2, B3, add, 0] read as a little-endian word is
+        # (w0 >> 16) + 2^16 * add; shifting right by 16 - d leaves the code
+        # in its low d + 1 bits, and the mask clears the bits the shift
+        # brings down from the next lane
+        lanes = bytearray(4 * b)
+        lanes[0::4] = buf[2::12]
+        lanes[1::4] = buf[3::12]
+        lanes[2::4] = add
+        codes = int.from_bytes(lanes, "little") >> (16 - d) & mask
+        # in host order the words read natively; a big-endian host holds
+        # them last step first
+        words = memoryview(codes.to_bytes(4 * b, sys.byteorder)).cast("I")
+        yield words if sys.byteorder == "little" else words[::-1]
         steps -= b
 
 

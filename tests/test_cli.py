@@ -365,11 +365,25 @@ def test_report_out_dir_that_is_a_file_is_a_one_line_error(tmp_path, capsys):
 
 
 def test_report_malformed_inputs_are_one_line_errors(tmp_path, capsys):
-    # each printed a TypeError or KeyError traceback
+    # each printed a TypeError or KeyError traceback; a string t beside an
+    # integer t failed in sorting the rows, so one wrongly typed field is
+    # refused on its own
     out_dir = tmp_path / "out"
     for name, text in (("int.json", "5"),
                        ("count.json", '{"ln_value": "1", "beta": "1/2"}'),
-                       ("sample.json", '{"per_type": {}}')):
+                       ("sample.json", '{"per_type": {}}'),
+                       ("list_d.json",
+                        '{"d": [5], "lam": "1", "t": 2, "ln_value": "1"}'),
+                       ("string_t.json",
+                        '{"d": 5, "lam": "1", "t": "2", "ln_value": "1"}'),
+                       ("bool_d.json",
+                        '{"d": true, "beta": "1/2", "t": 2, "ln_value": "1"}'),
+                       ("mean.json", '{"d": 5, "lam": "1", "samples": 2, '
+                                     '"per_type": {"s1c0g0": {"mean": [1]}}}'),
+                       ("gof.json", '{"d": 5, "lam": "1", "samples": 2, '
+                                    '"per_type": {"s1c0g0": {"mean": 1, '
+                                    '"poisson_gof": {"p": "x"}}}}'),
+                       ("counts.json", '{"d": 3, "counts": [[1]]}')):
         path = tmp_path / name
         path.write_text(text)
         code, out, err = run_cli(capsys, "report", "--inputs", str(path),
@@ -411,10 +425,10 @@ def cli_run(*argv):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy.stats was most of the CLI's start-up; only the sampler and the
-    # acceptance suite need numpy or scipy, and they import them late.  Each
-    # command imports the layers it runs, so importing the package or the CLI
-    # loads no layer and no mpmath.
+    # scipy.stats was most of the CLI's start-up; now only a chi-square tail
+    # with more than 40 degrees of freedom imports scipy, and numpy with it.
+    # Each command imports the layers it runs, so importing the package or
+    # the CLI loads no layer and no mpmath.
     heavy = {"mpmath", "numpy", "scipy"} | {
         f"cubecount.{m}" for m in ("asymptotics", "bigint", "chisq", "clusters",
                                    "exact", "polymers", "sampler", "symbolic",
@@ -432,15 +446,28 @@ def test_cli_import_leaves_scipy_unloaded():
                      "cubecount.sampler"} == set()
 
 
+@pytest.mark.parametrize("argv", [("rj", "--j", "2"), ("bj", "--r", "1"),
+                                  ("pj", "--t", "3"),
+                                  ("lambda-beta", "--beta", "1/3", "--d", "10",
+                                   "--t", "3")])
+def test_series_tables_never_load_mpmath(argv):
+    # asymptotics and bigint import mpmath only where they evaluate
+    loaded = modules_loaded_by(cli_run(*argv))
+    assert "cubecount.asymptotics" in loaded
+    assert "mpmath" not in loaded
+
+
 def test_sample_never_loads_scipy():
     # the chi-square tail is the pure-Python port in cubecount.chisq;
-    # scipy.special alone cost 0.2 s of import and 14 MB
+    # scipy.special alone cost 0.2 s of import and 14 MB.  The draws are
+    # replayed from random.Random itself, so numpy is not loaded either.
     proc = subprocess.run([sys.executable, "-c",
                            "import sys; from cubecount import cli; "
                            "code = cli.main(['sample', '--d', '4', '--lam', '1', "
                            "'--samples', '20', '--thin', '16', '--seed', '1']); "
                            "print(code, [m for m in sys.modules "
-                           "if m.split('.')[0] == 'scipy'], file=sys.stderr)"],
+                           "if m.split('.')[0] in ('numpy', 'scipy')], "
+                           "file=sys.stderr)"],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     gof = [e["poisson_gof"] for e in json.loads(proc.stdout)["per_type"].values()
@@ -449,8 +476,8 @@ def test_sample_never_loads_scipy():
     assert proc.stderr.split() == ["0", "[]"]
     # criterion 9 runs the sampler and both chi-square p-values
     loaded = modules_loaded_by(cli_run("validate", "--only", "9"))
-    assert "numpy" in loaded
-    assert {m for m in loaded if m.split(".")[0] == "scipy"} == set()
+    assert "cubecount.sampler" in loaded
+    assert {m for m in loaded if m.split(".")[0] in ("numpy", "scipy")} == set()
 
 
 # stdout SHA-256 of small sample runs, recorded before the chi-square tail
@@ -473,6 +500,19 @@ def test_sample_stdout_digest_is_pinned(capsys, argv):
     assert code == 0 and err == ""
     assert json.loads(out)["per_type"]
     assert hashlib.sha256(out.encode()).hexdigest() == SAMPLE_DIGESTS[argv]
+
+
+def test_sample_runs_with_numpy_unimportable():
+    # sys.modules["numpy"] = None makes every `import numpy` raise
+    argv = "--d 6 --lam 1 --samples 200 --thin 16 --seed 3"
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys; sys.modules['numpy'] = None; "
+                           "from cubecount import cli; "
+                           f"sys.exit(cli.main({['sample', *argv.split()]!r}))"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == \
+        SAMPLE_DIGESTS[argv]
 
 
 def test_console_script_entry_point():

@@ -21,7 +21,7 @@ def reference_run(d, lam, steps, burn_in, thin, seed, start=0):
 
     Each step calls random.Random(seed).getrandbits(d) and then .random(),
     and |I| and |I on odd| are tallied step by step.  glauber_run replays the
-    same draws in bulk through numpy and must yield the same snapshots.
+    same draws in bulk and must yield the same snapshots.
     """
     nbr = hc.neighbor_masks(d)
     odd_mask = sum(1 << v for v in hc.odd_side(d))
@@ -53,7 +53,7 @@ SEEDS = (0, 7, -3, 2 ** 70 + 1)
 LAMS = (Fraction(1), Fraction(1, 3), Fraction(2), Fraction(1, 20))
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 9, 12])
 def test_bulk_draws_match_per_step_reference(d):
     # p = 1/4 and 1/21 are not exact in binary, so coin < p is tested at a
     # rounded threshold; the odd side fully packed is a nonzero start
@@ -66,6 +66,39 @@ def test_bulk_draws_match_per_step_reference(d):
                                           thin=thin, seed=seed, start=start))
                 want = reference_run(d, lam, steps, burn_in, thin, seed, start)
                 assert got == want, (d, lam, seed, burn_in, thin, start)
+
+
+def reference_codes(seed, d, p, steps):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(steps):
+        v = rng.getrandbits(d)
+        out.append(v + (1 << d) * (rng.random() < p))
+    return out
+
+
+def first_coin(seed):
+    rng = random.Random(seed)
+    rng.getrandbits(32)
+    return rng.random()
+
+
+@pytest.mark.parametrize("d", range(1, sm.SAMPLER_MAX_DIM + 1))
+def test_step_codes_match_per_step_draws(d):
+    # a full block and a short last one; p = 5e-324 and 1 - 2^-53 put the
+    # threshold at the ends of the top-byte table, and 1/2 on a byte edge.
+    # With p the first step's coin c, or the float just above it, the first
+    # step ties on w1's top byte and only the full words decide c < p.
+    steps = sm._DRAW_BLOCK + 1000
+    seed = 11 * d
+    c = first_coin(seed)
+    for p in (1 / 2, 1 / 4, 1 / 21, 1000 / 1001, 5e-324, 1 - 2 ** -53,
+              c, math.nextafter(c, 1.0)):
+        blocks = list(sm._step_codes(seed, d, p, steps))
+        assert [len(b) for b in blocks] == [sm._DRAW_BLOCK, 1000]
+        codes = [x for b in blocks for x in b]
+        assert codes == reference_codes(seed, d, p, steps), (d, p)
+        assert codes[0] >> d == (c < p)
 
 
 def test_bulk_draws_match_reference_across_draw_blocks():
