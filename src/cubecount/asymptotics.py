@@ -144,32 +144,37 @@ def _x_series(b: Mapping[int, RatFunc], order: int) -> TruncSeries:
     return TruncSeries.from_coeffs(cs, order)
 
 
+def _strata_series(x: TruncSeries, size: bool) -> TruncSeries:
+    """sum_i Y^i C_i(X = x) (1+x)^(-id) (1-beta)^(-c_i), i = 1 .. x.order - 1,
+    with (C_i, c_i) = _beta_x_coefficient(i, size): the sum over i of R_i
+    (or F_i) times (1+lam)^(-id) at lam = (beta+x)/(1-beta)."""
+    top = x.order - 1
+    dvar = RatPoly.var(DIM)
+    out = TruncSeries.zero(x.order)
+    for i in range(1, top + 1):
+        ci, c = _beta_x_coefficient(i, size)
+        tail = neg_binomial_expand(dvar * i, x, top - i)
+        out = out + (poly_on_series(ci, "X", x) * tail).shift(i) * RatFunc(1, 0, c)
+    return out
+
+
 def Q_func(j: int, b: Mapping[int, RatFunc] | None = None) -> RatFunc:
     """The Y^j coefficient of the density fixed-point equation.
 
     Built from beta*(1+X) = beta + X + sum_i G_i (1-beta)^(1-c_i) Y^i (1+X)^(-id),
-    with G_i = (1-beta)^(c_i) F_i from _beta_x_coefficient(i, True),
-    normalized so the unknown B_j appears linearly with coefficient (1-beta)^2.
-    When b lacks an entry for j, B_j is left as the symbolic variable "Bj";
-    entries for i < j must be present.
+    with G_i = (1-beta)^(c_i) F_i from _beta_x_coefficient(i, True), and
+    multiplied by (1-beta).  B_j enters only through the Y^j coefficient
+    B_j (1-beta) of X, so Q_j is Q_j|_{B_j=0} + (1-beta)^2 B_j.  Entries of b
+    for i < j must be present; a missing entry for j is B_j = 0.
     """
     if j < 1:
         raise ValueError("order must be >= 1")
-    b = dict(b or {})
+    b = b or {}
     for i in range(1, j):
         if i not in b:
             raise ValueError(f"Q at order {j} needs solved B_{i}")
-    if j not in b:
-        b[j] = RatFunc(RatPoly.var(f"B{j}"))
-    order = j + 1
-    x = _x_series(b, order)
-    q = x
-    dvar = RatPoly.var(DIM)
-    for i in range(1, j + 1):
-        gi, c = _beta_x_coefficient(i, True)
-        gi = poly_on_series(gi, "X", x)
-        tail = neg_binomial_expand(dvar * i, x, j - i)
-        q = q + (gi * tail).shift(i) * RatFunc(1, 0, c)
+    x = _x_series(b, j + 1)
+    q = x + _strata_series(x, True)
     return q.coefficient(j) * RatFunc(RatPoly.const(1) - RatPoly.var(BETA))
 
 
@@ -177,8 +182,10 @@ def Q_func(j: int, b: Mapping[int, RatFunc] | None = None) -> RatFunc:
 def compute_B(r: int) -> SeriesTable:
     """Solve Q_1 = ... = Q_r = 0 for the fugacity corrections B_j(beta, d).
 
-    Each Q_j is linear in B_j; after solving, the table is substituted back
-    and every residual is checked to be the identically-zero function.
+    Q_j = Q_j|_{B_j=0} + (1-beta)^2 B_j (see Q_func), so each B_j is
+    -Q_j|_{B_j=0} / (1-beta)^2.  The solved B_j is substituted back and the
+    residual Q_j checked to be the identically-zero function, which is what
+    proves that coefficient at run time.
     Cached: log_count_asymptotic reaches the same table through compute_P
     and lambda_beta, and structured_count once more.  Callers must not
     mutate the returned table.
@@ -188,12 +195,7 @@ def compute_B(r: int) -> SeriesTable:
     solved: dict[int, RatFunc] = {}
     for j in range(1, r + 1):
         q = Q_func(j, solved)
-        var = f"B{j}"
-        parts = q.num.as_univariate(var)
-        if sorted(parts) != [0, 1]:
-            raise ArithmeticError(f"Q_{j} is not linear in {var}")
-        # RatFunc division accepts only c * beta^a * (1-beta)^e divisors
-        solved[j] = RatFunc(-parts[0]) / RatFunc(parts[1])
+        solved[j] = RatFunc(-q.num, q.bpow, q.opow + 2)
         residual = Q_func(j, solved)
         if not residual.is_zero():
             raise ArithmeticError(
@@ -271,13 +273,7 @@ def compute_P(jmax: int) -> SeriesTable:
     b = compute_B(r)
     order = jmax + 1
     x = _x_series(b.entries, order)
-    p = log_ratio_expand(x, order)
-    dvar = RatPoly.var(DIM)
-    for j in range(1, jmax + 1):
-        sj, c = _beta_x_coefficient(j, False)
-        sj = poly_on_series(sj, "X", x)
-        tail = neg_binomial_expand(dvar * j, x, jmax - j)
-        p = p + (sj * tail).shift(j) * RatFunc(1, 0, c)
+    p = log_ratio_expand(x, order) + _strata_series(x, False)
     return SeriesTable("P", {j: p.coefficient(j) for j in range(1, jmax + 1)})
 
 

@@ -101,10 +101,7 @@ def _cmd_oracle(args) -> dict:
     from . import exact
     if args.lam is not None and args.lam <= 0:
         raise _UsageError("--lam must be positive")
-    if args.exhaustive:
-        profile = exact.size_profile_exhaustive(args.d)
-    else:
-        profile = exact.size_profile(args.d)
+    profile = exact.size_profile(args.d)
     out = profile.to_json()
     out["total"] = str(profile.total)
     if args.lam is not None:
@@ -397,6 +394,41 @@ def _check_report_input(path: str, kind: str, obj: dict) -> None:
     if wrong:
         raise _UsageError(f"{path}: {kind} output has a malformed "
                           f"{', '.join(wrong)}")
+    bad = _report_value_error(kind, obj)
+    if bad:
+        raise _UsageError(f"{path}: {kind} output has {bad}")
+
+
+def _report_value_error(kind: str, obj: dict) -> str | None:
+    """What is wrong with a value report computes with, or None."""
+    import mpmath
+
+    from . import exact
+    if kind == "oracle":
+        d, counts = obj["d"], obj["counts"]
+        if not 1 <= d <= exact.ORACLE_MAX_DIM:  # before 2^(d-1) is built
+            return f"d = {d} outside 1 .. {exact.ORACLE_MAX_DIM}"
+        if len(counts) != (1 << (d - 1)) + 1:
+            return f"{len(counts)} counts, where Q_{d} has {(1 << (d - 1)) + 1} set sizes"
+        if not all(c.isascii() and c.isdigit() for c in counts):
+            return "a count that is not a nonnegative integer"
+    if kind in ("zeta", "count"):
+        try:
+            finite = mpmath.isfinite(mpmath.mpf(obj["ln_value"]))
+        except ValueError:
+            finite = False
+        if not finite:
+            return f"ln_value {obj['ln_value']!r}, not a finite number"
+        name, want = (("lam", "a positive rational") if kind == "zeta"
+                      else ("beta", "a rational in (0, 1)"))
+        try:
+            value = Fraction(obj[name])
+            ok = value > 0 if kind == "zeta" else 0 < value < 1
+        except (ValueError, ZeroDivisionError):
+            ok = False
+        if not ok:
+            return f"{name} {obj[name]!r}, not {want}"
+    return None
 
 
 def _classify(obj: dict) -> str:
@@ -524,12 +556,10 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", help="output file (default stdout)")
         return p
 
-    p = add("oracle", "exact size profile (d <= 6) by splitting Q_d as "
-                      "C_4 x Q_(d-2)")
+    p = add("oracle", "exact size profile for 1 <= d <= 6, by splitting Q_d "
+                      "as C_4 x Q_(d-2)")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--lam", type=_rational)
-    p.add_argument("--exhaustive", action="store_true",
-                   help="subset enumeration instead (d <= 4)")
 
     p = add("polymers", "defect enumeration and census")
     p.add_argument("--d", type=int)

@@ -247,11 +247,14 @@ def _mean_var(xs: list[float]) -> tuple[float, float]:
     return m, sum((x - m) ** 2 for x in xs) / (n - 1)
 
 
-def _poisson_gof(counts: list[int], mean: float) -> dict | None:
-    """Chi-square goodness of fit against Poisson(mean), pooling tail bins.
+def _pooled_bins(counts: list[int], mean: float) -> tuple[list[int], list[float]]:
+    """Observed and expected counts of the Poisson(mean) bins k = 0 .. max(counts)
+    and k > max(counts), pooled until every expected count is at least 5.
 
-    Bins k = 0, 1, 2, ... are pooled from the top until every expected count
-    is at least 5; returns None when fewer than two bins survive.
+    The two top bins are merged while either expects less than 5, then
+    likewise the two bottom bins.  The Poisson pmf is unimodal, so each bin
+    between the second and the second-to-last expects at least the smaller
+    of those two, and so at least 5, unless one bin is left.
     """
     n = len(counts)
     top = max(counts)
@@ -266,22 +269,30 @@ def _poisson_gof(counts: list[int], mean: float) -> dict | None:
     observed = [0] * (top + 2)
     for c in counts:
         observed[c] += 1
-    # pool from the top until expected >= 5 everywhere
-    while len(probs) > 1 and n * probs[-1] < 5.0:
-        probs[-2] += probs[-1]
-        observed[-2] += observed[-1]
-        probs.pop()
-        observed.pop()
-    if len(probs) < 2:
+    while len(probs) > 1 and n * min(probs[-2:]) < 5.0:
+        p, o = probs.pop(), observed.pop()
+        probs[-1] += p
+        observed[-1] += o
+    while len(probs) > 1 and n * min(probs[:2]) < 5.0:
+        p, o = probs.pop(0), observed.pop(0)
+        probs[0] += p
+        observed[0] += o
+    return observed, [n * p for p in probs]
+
+
+def _poisson_gof(counts: list[int], mean: float) -> dict | None:
+    """Chi-square goodness of fit against Poisson(mean) over `_pooled_bins`;
+    None when fewer than two bins survive."""
+    observed, expected = _pooled_bins(counts, mean)
+    if len(expected) < 2:
         return None
     stat = 0.0
-    for o, pr in zip(observed, probs):
-        e = n * pr
+    for o, e in zip(observed, expected):
         stat += (o - e) ** 2 / e
-    df = len(probs) - 1
+    df = len(expected) - 1
     # chdtrc(df, x) is what scipy.stats.chi2.sf(x, df) evaluates for x >= 0
     return {"stat": stat, "df": df, "p": chdtrc(df, stat),
-            "bins": len(probs)}
+            "bins": len(expected)}
 
 
 def _moments(xs: list[float]) -> dict:

@@ -185,9 +185,6 @@ class RatPoly:
             out.setdefault(k, {})[re] = out.get(k, {}).get(re, Fraction(0)) + c
         return {k: RatPoly(rest, t) for k, t in sorted(out.items())}
 
-    def coefficient(self, var: str, k: int) -> "RatPoly":
-        return self.as_univariate(var).get(k, RatPoly.const(0))
-
     def derivative(self, var: str) -> "RatPoly":
         if var not in self.vars:
             return RatPoly.const(0)
@@ -379,38 +376,6 @@ class RatFunc:
         return RatFunc(self.num * other.num, self.bpow + other.bpow, self.opow + other.opow)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RatFunc":
-        other = _coerce_func(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division of RatFunc by zero")
-        # the divisor numerator must reduce to c * beta^i * (1-beta)^j
-        rem = other.num
-        j = 0
-        while True:
-            q = divide_out_one_minus_beta(rem)
-            if q is None:
-                break
-            rem, j = q, j + 1
-        i = 0
-        while True:
-            q = divide_out_beta(rem)
-            if q is None:
-                break
-            rem, i = q, i + 1
-        c = rem.constant()
-        if rem != RatPoly.const(c) or c == 0:
-            raise ValueError("division only by rational multiples of beta^a*(1-beta)^b")
-        # self / (c * beta^(i - other.bpow) * (1-beta)^(j - other.opow))
-        beta = RatPoly.var(BETA)
-        omb = RatPoly.const(1) - beta
-        num = self.num * (Fraction(1) / c) * beta ** other.bpow * omb ** other.opow
-        return RatFunc(num, self.bpow + i, self.opow + j)
-
-    def __pow__(self, n: int) -> "RatFunc":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("RatFunc powers must be nonnegative integers")
-        return RatFunc(self.num ** n, self.bpow * n, self.opow * n)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, RatPoly)):

@@ -62,6 +62,21 @@ def test_b1_closed_form():
     assert table[1] == expect
 
 
+def test_compute_B_refuses_a_nonzero_residual(monkeypatch):
+    """B_j is solved as if its coefficient in Q_j were (1-beta)^2; a Q_j
+    whose B_j coefficient is perturbed leaves a residual, which is refused."""
+    q_func = asym.Q_func
+    monkeypatch.setattr(asym, "Q_func", lambda j, b=None: q_func(j, b) + (
+        (b or {}).get(j, RatFunc.const(0)) * RatFunc(beta)))
+    asym.compute_B.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError,
+                           match="nonzero residual after solving Q_1"):
+            asym.compute_B(2)
+    finally:
+        asym.compute_B.cache_clear()
+
+
 def test_p1_closed_form():
     table = asym.compute_P(1)
     assert table[1] == RatFunc(beta, opow=1)

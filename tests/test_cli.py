@@ -367,29 +367,47 @@ def test_report_out_dir_that_is_a_file_is_a_one_line_error(tmp_path, capsys):
 def test_report_malformed_inputs_are_one_line_errors(tmp_path, capsys):
     # each printed a TypeError or KeyError traceback; a string t beside an
     # integer t failed in sorting the rows, so one wrongly typed field is
-    # refused on its own
+    # refused on its own.  Values report computes with are checked too, each
+    # beside the oracle it would be compared with, and the error names the
+    # bad file, which is listed first.
+    oracle3 = '{"d": 3, "counts": ["1", "8", "16", "8", "2"]}'
+    count5 = '{"d": 5, "beta": "1/2", "t": 2, "ln_value": "1"}'
     out_dir = tmp_path / "out"
-    for name, text in (("int.json", "5"),
-                       ("count.json", '{"ln_value": "1", "beta": "1/2"}'),
-                       ("sample.json", '{"per_type": {}}'),
-                       ("list_d.json",
-                        '{"d": [5], "lam": "1", "t": 2, "ln_value": "1"}'),
-                       ("string_t.json",
-                        '{"d": 5, "lam": "1", "t": "2", "ln_value": "1"}'),
-                       ("bool_d.json",
-                        '{"d": true, "beta": "1/2", "t": 2, "ln_value": "1"}'),
-                       ("mean.json", '{"d": 5, "lam": "1", "samples": 2, '
-                                     '"per_type": {"s1c0g0": {"mean": [1]}}}'),
-                       ("gof.json", '{"d": 5, "lam": "1", "samples": 2, '
-                                    '"per_type": {"s1c0g0": {"mean": 1, '
-                                    '"poisson_gof": {"p": "x"}}}}'),
-                       ("counts.json", '{"d": 3, "counts": [[1]]}')):
-        path = tmp_path / name
-        path.write_text(text)
-        code, out, err = run_cli(capsys, "report", "--inputs", str(path),
+    for name, text, *others in (
+            ("int.json", "5"),
+            ("count.json", '{"ln_value": "1", "beta": "1/2"}'),
+            ("sample.json", '{"per_type": {}}'),
+            ("list_d.json", '{"d": [5], "lam": "1", "t": 2, "ln_value": "1"}'),
+            ("string_t.json", '{"d": 5, "lam": "1", "t": "2", "ln_value": "1"}'),
+            ("bool_d.json", '{"d": true, "beta": "1/2", "t": 2, "ln_value": "1"}'),
+            ("mean.json", '{"d": 5, "lam": "1", "samples": 2, '
+                          '"per_type": {"s1c0g0": {"mean": [1]}}}'),
+            ("gof.json", '{"d": 5, "lam": "1", "samples": 2, '
+                         '"per_type": {"s1c0g0": {"mean": 1, '
+                         '"poisson_gof": {"p": "x"}}}}'),
+            ("counts.json", '{"d": 3, "counts": [[1]]}'),
+            ("ln_abc.json", '{"d": 5, "beta": "1/2", "t": 2, "ln_value": "abc"}'),
+            ("ln_nan.json", '{"d": 3, "lam": "1", "t": 2, "ln_value": "nan"}', oracle3),
+            ("lam_x.json", '{"d": 3, "lam": "x", "t": 2, "ln_value": "1"}', oracle3),
+            ("lam_div0.json", '{"d": 3, "lam": "1/0", "t": 2, "ln_value": "1"}', oracle3),
+            ("lam_neg.json", '{"d": 3, "lam": "-1", "t": 2, "ln_value": "1"}', oracle3),
+            ("beta_div0.json", '{"d": 3, "beta": "1/0", "t": 2, "ln_value": "1"}', oracle3),
+            ("beta_3.json", '{"d": 3, "beta": "3", "t": 2, "ln_value": "1"}', oracle3),
+            ("beta_neg.json", '{"d": 3, "beta": "-1", "t": 2, "ln_value": "1"}', oracle3),
+            ("beta_1.json", '{"d": 3, "beta": "1", "t": 2, "ln_value": "1"}', oracle3),
+            ("short_oracle.json", '{"d": 5, "counts": ["1", "2", "3"]}', count5),
+            ("d0_oracle.json", '{"d": 0, "counts": ["1"]}', count5),
+            ("huge_d_oracle.json", '{"d": 1000000000, "counts": ["1"]}', count5),
+            ("word_oracle.json", '{"d": 1, "counts": ["1", "two"]}', count5),
+            ("minus_oracle.json", '{"d": 1, "counts": ["1", "-2"]}', count5)):
+        paths = [tmp_path / name] + [tmp_path / f"other{i}_{name}"
+                                     for i in range(len(others))]
+        for path, body in zip(paths, [text] + others):
+            path.write_text(body)
+        code, out, err = run_cli(capsys, "report", "--inputs", *map(str, paths),
                                  "--out-dir", str(out_dir))
         assert code == 1 and out == "", name
-        assert err.startswith(f"error: {path}:"), name
+        assert err.startswith(f"error: {paths[0]}:"), (name, err)
         assert err.strip().count("\n") == 0, name
         assert not out_dir.exists()
 
@@ -563,8 +581,7 @@ def polymers_args():
 
 CLI_ARGS = st.one_of(
     # d = 6 takes a second, so the fuzz skips it; d = 7 must be refused
-    invocation("oracle", fixed("--d", st.integers(-1, 5) | st.just(7)), opt("--lam", RATIONALS),
-               st.sampled_from([[], ["--exhaustive"]])),
+    invocation("oracle", fixed("--d", st.integers(-1, 5) | st.just(7)), opt("--lam", RATIONALS)),
     polymers_args(),
     invocation("polymers", st.just(["--mode", "symbolic"]),
                fixed("--max-size", st.sampled_from([-1, 0, 1, 2, 3, 4, 5]))),

@@ -303,6 +303,23 @@ def test_poisson_gof_p_value_equals_scipy_stats_bitwise():
     assert ran > 10
 
 
+def test_poisson_gof_bins_each_expect_at_least_five():
+    # pooling from the top alone kept bins 0..4 expecting 0.0017 .. 2.66 at
+    # mean 14 and n = 2000
+    for tenths in range(3, 200):
+        mean = tenths / 10
+        for n in (20, 50, 100, 300, 1000, 2000, 5000, 10_000):
+            for top in (int(mean) + 1, math.ceil(mean + 8 * math.sqrt(mean)) + 2):
+                counts = [0] * (n - 1) + [top]
+                observed, expected = sm._pooled_bins(counts, mean)
+                assert sum(observed) == n
+                assert math.isclose(sum(expected), n)
+                if len(expected) > 1:
+                    assert min(expected) >= 5, (mean, n, top, expected)
+    gof = sm._poisson_gof([0] * 1999 + [30], 14.0)
+    assert gof["bins"] == gof["df"] + 1 < 27
+
+
 def test_chdtrc_is_chi2_sf():
     from scipy import special, stats
     for df in range(1, 31):

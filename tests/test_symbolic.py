@@ -115,17 +115,17 @@ def test_ratfunc_json_round_trip():
     assert RatFunc.from_json(f.to_json()) == f
 
 
-def test_series_multiplication_truncates_and_flags_drops():
+def test_series_multiplication_truncates():
     # (1 + Y)(1 + Y) at order 2 drops the Y^2 term
     one_plus = TruncSeries.from_coeffs([1, 1], order=2)
     sq = one_plus * one_plus
-    assert sq.coefficient(0) == RatFunc.const(1)
-    assert sq.coefficient(1) == RatFunc.const(2)
-    assert sq.dropped
+    assert sq.coeffs == (RatFunc.const(1), RatFunc.const(2))
     # at order 3 nothing is lost
     full = TruncSeries.from_coeffs([1, 1], order=3) * TruncSeries.from_coeffs([1, 1], order=3)
-    assert not full.dropped
-    assert full.coefficient(2) == RatFunc.const(1)
+    assert full.coeffs == (RatFunc.const(1), RatFunc.const(2), RatFunc.const(1))
+    # a shift past the order leaves nothing
+    assert one_plus.shift(1).coeffs == (RatFunc.const(0), RatFunc.const(1))
+    assert one_plus.shift(3).coeffs == TruncSeries.zero(2).coeffs
 
 
 def test_poly_on_series_substitutes_the_variable():
@@ -274,19 +274,11 @@ def test_divisions_match_the_fraction_kernel(p, i, j):
             assert new is None or same(new, old)
 
 
-def outcome(op):
-    try:
-        return op().to_json()
-    except (ValueError, ZeroDivisionError) as exc:
-        return type(exc)
-
-
-@given(poly_pairs(), poly_pairs(), st.lists(st.integers(0, 2), min_size=8, max_size=8),
-       fracs.filter(bool))
+@given(poly_pairs(), poly_pairs(), st.lists(st.integers(0, 2), min_size=4, max_size=4))
 @settings(max_examples=150, deadline=None)
-def test_ratfunc_arithmetic_matches_the_fraction_kernel(p, q, exps, c):
+def test_ratfunc_arithmetic_matches_the_fraction_kernel(p, q, exps):
     (p1, p0), (q1, q0) = p, q
-    a, b, e, f, i, j, k, m = exps
+    a, b, e, f = exps
     f1, f0 = RatFunc(p1, a, b), ref.RatFunc(p0, a, b)
     g1, g0 = RatFunc(q1, e, f), ref.RatFunc(q0, e, f)
     assert same(f1, f0) and f1.text() == f0.text()
@@ -294,10 +286,3 @@ def test_ratfunc_arithmetic_matches_the_fraction_kernel(p, q, exps, c):
     assert same(f1 - g1, f0 - g0)
     assert same(f1 * g1, f0 * g0)
     assert (f1 == g1) == (f0 == g0)
-    # a divisor of the accepted shape c * beta^i * (1-beta)^j over a denominator
-    b1, b0 = RatPoly.var(BETA), ref.RatPoly.var(BETA)
-    h1 = RatFunc(b1 ** i * (1 - b1) ** j * c, k, m)
-    h0 = ref.RatFunc(b0 ** i * (1 - b0) ** j * c, k, m)
-    assert same(f1 / h1, f0 / h0)
-    # any other divisor is refused, or is zero, in both kernels
-    assert outcome(lambda: f1 / g1) == outcome(lambda: f0 / g0)
