@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from . import hypercube as hc
 from .bigint import binomial, binomial_rounded
@@ -80,12 +79,16 @@ def R_poly(j: int, budget: int | None = None) -> RatPoly:
     return out
 
 
-@dataclass
 class SeriesTable:
     """Indexed family of exact series coefficients (R_j, B_j, or P_j)."""
 
-    kind: str  # "R" | "B" | "P"
-    entries: dict[int, object]  # j -> RatPoly (R) or RatFunc (B, P)
+    def __init__(self, kind: str, entries: dict[int, object]):
+        self.kind = kind  # "R" | "B" | "P"
+        self.entries = entries  # j -> RatPoly (R) or RatFunc (B, P)
+
+    def __eq__(self, other):
+        return (type(other) is SeriesTable
+                and (self.kind, self.entries) == (other.kind, other.entries))
 
     def __getitem__(self, j: int):
         return self.entries[j]
@@ -203,8 +206,7 @@ def compute_B(r: int) -> SeriesTable:
     return SeriesTable("B", solved)
 
 
-@dataclass(frozen=True)
-class LambdaBeta:
+class LambdaBeta(NamedTuple):
     """Fugacity tuned so the expected size hits the target density."""
 
     beta: Fraction
@@ -280,8 +282,7 @@ def compute_P(jmax: int) -> SeriesTable:
 # -- high-precision evaluation ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LogCount:
+class LogCount(NamedTuple):
     """Natural log of a count or partition function, with a term breakdown."""
 
     value: object  # mpmath.mpf
@@ -478,7 +479,9 @@ def structured_count(beta: Fraction, d: int,
     the corrected fugacity) and a Gaussian factor e^(-s^2/2m)/sqrt(2 pi m)
     for each type whose count diverges with offset s from its mean m.
     `budget` bounds the polymer census of Q_d that the fixed types are looked
-    up in; a fixed type absent from that census is a ValueError.
+    up in; a fixed type absent from that census is a ValueError.  So is k
+    defects of size |T| with k|T| > n/2 (n = n_side): defects lie on the
+    minority side, and |N(S)| >= |S| caps its occupied part at n/2.
     """
     import mpmath
 
@@ -500,11 +503,17 @@ def structured_count(beta: Fraction, d: int,
             for T, k in sorted(fixed_types.items(), key=lambda kv: kv[0].key):
                 if k < 0:
                     raise ValueError(f"negative count for type {T.key}")
+                if 2 * k * T.size > n:
+                    raise ValueError(
+                        f"{k} defects of type {T.key} cover {k * T.size} "
+                        f"vertices, more than half of the {n} on a side")
                 if T.key not in present:
                     raise ValueError(f"type {T.key} does not occur in Q_{d}")
                 rho = cen.expected_type_count(T.key, lb)
-                contrib = (k * mpmath.log(_mpf(rho)) - _mpf(rho)
-                           - mpmath.log(math.factorial(k)))
+                # k! itself only for small k: math.factorial(10**6) takes seconds
+                log_k_factorial = (mpmath.log(math.factorial(k)) if k < 1000
+                                   else mpmath.loggamma(k + 1))
+                contrib = k * mpmath.log(_mpf(rho)) - _mpf(rho) - log_k_factorial
                 terms.append((f"poisson[{T.key}]@{k}", contrib))
                 value += contrib
         for T, (m_t, s_t) in sorted(diverging_types.items(),

@@ -616,7 +616,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--t", type=int, default=2)
     p.add_argument("--digits", type=int, default=80)
     p.add_argument("--fixed", action="append", metavar="KEY=COUNT",
-                   help="defect type pinned to an exact count")
+                   help="defect type pinned to an exact count; COUNT times "
+                        "the type's size is at most half a side")
     p.add_argument("--diverging", action="append", metavar="KEY=COUNT,SHIFT",
                    help="defect type at COUNT = m_T + SHIFT with Gaussian weight")
     p.add_argument("--budget", type=_budget,

@@ -63,10 +63,9 @@ differential reference for the tables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from . import hypercube as hc
 from . import polymers as pm
@@ -170,8 +169,13 @@ def _ursell_cached(n: int, edges: tuple[tuple[int, int], ...]) -> Fraction:
 # -- observables ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Observable:
+class _ObservableFields(NamedTuple):
+    kind: str
+    power: int = 1
+    type_key: str | None = None
+
+
+class Observable(_ObservableFields):
     """Per-cluster quantity summed against cluster weights.
 
     kind: 'one' | 'size' | 'nbhd' | 'type_count' | 'size_nbhd'
@@ -179,19 +183,18 @@ class Observable:
     type_key selects the defect type.
     """
 
-    kind: str
-    power: int = 1
-    type_key: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("one", "size", "nbhd", "type_count", "size_nbhd"):
-            raise ValueError(f"unknown observable kind {self.kind!r}")
-        if self.power < 1:
+    def __new__(cls, kind: str, power: int = 1, type_key: str | None = None):
+        if kind not in ("one", "size", "nbhd", "type_count", "size_nbhd"):
+            raise ValueError(f"unknown observable kind {kind!r}")
+        if power < 1:
             raise ValueError("observable power must be >= 1")
-        if self.power != 1 and self.kind in ("one", "size_nbhd"):
-            raise ValueError(f"observable {self.kind!r} takes no power")
-        if self.kind == "type_count" and not self.type_key:
+        if power != 1 and kind in ("one", "size_nbhd"):
+            raise ValueError(f"observable {kind!r} takes no power")
+        if kind == "type_count" and not type_key:
             raise ValueError("type_count observable needs a type_key")
+        return super().__new__(cls, kind, power, type_key)
 
     @staticmethod
     def one() -> "Observable":
@@ -228,8 +231,7 @@ class Observable:
 # -- hypercube cluster enumeration ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class Cluster:
+class Cluster(NamedTuple):
     """A rooted cluster: multiset of polymer supports, union meeting V0."""
 
     supports: tuple[tuple[int, ...], ...]  # sorted, with repetition
@@ -387,8 +389,7 @@ def _stratum_table(b: int, k: int, type_key: str | None, budget: int | None) -> 
     return table
 
 
-@dataclass(frozen=True)
-class ClusterSum:
+class ClusterSum(NamedTuple):
     """Exact stratum sum: full value = n_side * lam^k * poly(lam) * (1+lam)^(-k d)."""
 
     d: int

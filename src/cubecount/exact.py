@@ -15,17 +15,16 @@ vertex-branching recursion on Q_{d-2} gives every d <= 6 in about a second.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import hypercube as hc
 
 ORACLE_MAX_DIM = 6
 
 
-@dataclass(frozen=True)
-class SizeProfile:
+class SizeProfile(NamedTuple):
     """Exact counts i_m(Q_d), index m = set size."""
 
     d: int
@@ -219,8 +218,7 @@ def _brute_polymers(d: int) -> list[frozenset[int]]:
     return sorted(out, key=lambda s: tuple(sorted(s)))
 
 
-@dataclass(frozen=True)
-class OddModelProfile:
+class OddModelProfile(NamedTuple):
     """Exact data of the one-sided defect model at tiny d.
 
     xi_terms maps (defect size, neighborhood size) to the number of mutually
@@ -329,8 +327,7 @@ def achievable_independent_sets(d: int) -> dict[int, int]:
 # -- full-model helpers -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HardcoreExact:
+class HardcoreExact(NamedTuple):
     """Exact fugacity-weighted data of the full model at one rational lam."""
 
     d: int

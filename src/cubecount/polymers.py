@@ -70,10 +70,9 @@ import itertools
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import hypercube as hc
 from .errors import BudgetExceededError
@@ -155,8 +154,7 @@ def _grow_polymers(d: int, root: int, max_size: int,
 MAX_TYPE_SIZE = 7  # canonical certificates are searched up to this size
 
 
-@dataclass(frozen=True, order=True)
-class DefectType:
+class DefectType(NamedTuple):
     """(size, deficiency, canonical distance-2 graph certificate)."""
 
     size: int
@@ -266,8 +264,7 @@ def classify(support: Iterable[int], d: int) -> DefectType:
     return DefectType(*_type_of(sup, d))
 
 
-@dataclass(frozen=True)
-class Polymer:
+class Polymer(NamedTuple):
     support: tuple[int, ...]
     d: int
     nbhd_size: int
@@ -317,14 +314,12 @@ def enumerate_polymers(d: int, max_size: int,
 # -- censuses ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CensusEntry:
+class CensusEntry(NamedTuple):
     type: DefectType
     count: int  # n_T: number of polymers of this type in all of Q_d
 
 
-@dataclass(frozen=True)
-class Census:
+class Census(NamedTuple):
     """Global type counts at one dimension, via rooted counting."""
 
     d: int
@@ -474,8 +469,7 @@ def census(d: int, max_size: int, budget: int | None = None) -> Census:
     return Census(d=d, max_size=max_size, entries=tuple(entries), split_certs=split)
 
 
-@dataclass(frozen=True)
-class SymbolicCensus:
+class SymbolicCensus(NamedTuple):
     """Type counts as exact polynomials in the dimension: n_T(d)/n_side.
 
     `grid` names the dimensions at which the tests and `validate` check the

@@ -31,10 +31,9 @@ from __future__ import annotations
 import math
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from . import hypercube as hc
 from . import polymers as pm
@@ -43,8 +42,7 @@ from .chisq import chdtrc
 SAMPLER_MAX_DIM = 16  # the step tables take ~n^2/8 bytes; d = 17 would need ~3 GB
 
 
-@dataclass(frozen=True)
-class ChainState:
+class ChainState(NamedTuple):
     """A snapshot of the chain: occupancy bitmask plus running tallies."""
 
     d: int
@@ -55,8 +53,7 @@ class ChainState:
     even_size: int
 
 
-@dataclass(frozen=True)
-class DefectReport:
+class DefectReport(NamedTuple):
     """Defect decomposition of one snapshot."""
 
     step: int
@@ -306,8 +303,7 @@ def _moments(xs: list[float]) -> dict:
     return {"mean": m, "var": v, "skew": skew, "excess_kurtosis": kurt}
 
 
-@dataclass(frozen=True)
-class SamplerSummary:
+class SamplerSummary(NamedTuple):
     """Aggregated defect statistics against census predictions."""
 
     d: int
@@ -345,15 +341,17 @@ def defect_statistics(states: Iterable[ChainState],
     n = len(reports)
     lam = Fraction(lam)
 
-    keys = sorted({k for r in reports for k, _ in r.type_counts}
-                  | set(cen.by_key()))
+    counts = [dict(r.type_counts) for r in reports]
+    census_keys = cen.by_key()
+    keys = sorted({k for c in counts for k in c} | set(census_keys))
+    columns = {key: [c.get(key, 0) for c in counts] for key in keys}
     per_type: dict[str, dict] = {}
     for key in keys:
-        xs = [float(r.count(key)) for r in reports]
-        mean, var = _mean_var(xs)
+        mean, var = _mean_var([float(x) for x in columns[key]])
         entry: dict = {"mean": mean, "var": var}
-        if key in cen.by_key():
-            m_t = float(cen.expected_type_count(key, lam))
+        if key in census_keys:
+            e = census_keys[key]
+            m_t = float(e.count * e.type.weight(lam, cen.d))
             se = math.sqrt(m_t / n)
             entry.update({
                 "m_T": m_t,
@@ -362,8 +360,7 @@ def defect_statistics(states: Iterable[ChainState],
                 "var_over_mean": var / mean if mean > 0 else None,
             })
             if m_t < 20:
-                entry["poisson_gof"] = _poisson_gof(
-                    [r.count(key) for r in reports], m_t)
+                entry["poisson_gof"] = _poisson_gof(columns[key], m_t)
         per_type[key] = entry
 
     sizes = [float(s.size) for s in states]
@@ -379,13 +376,13 @@ def defect_statistics(states: Iterable[ChainState],
            "nbhd_total": _moments([float(r.nbhd_total) for r in reports])}
 
     joint = None
-    observed = [k for k in keys
-                if sum(r.count(k) for r in reports) > 0]
-    observed.sort(key=lambda k: -sum(r.count(k) for r in reports))
+    totals = {k: sum(columns[k]) for k in keys}
+    observed = [k for k in keys if totals[k] > 0]
+    observed.sort(key=lambda k: -totals[k])
     if len(observed) >= 2:
         a, b = observed[:2]
-        xa = [float(r.count(a)) for r in reports]
-        xb = [float(r.count(b)) for r in reports]
+        xa = [float(x) for x in columns[a]]
+        xb = [float(x) for x in columns[b]]
         ma, va = _mean_var(xa)
         mb, vb = _mean_var(xb)
         cov = sum((x - ma) * (y - mb) for x, y in zip(xa, xb)) / (n - 1)

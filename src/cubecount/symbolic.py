@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping, Sequence, Union
@@ -578,18 +577,18 @@ def _coerce_func(x) -> RatFunc:
     raise TypeError(f"cannot mix RatFunc with {type(x).__name__}")
 
 
-@dataclass(frozen=True)
 class TruncSeries:
     """sum_{j < order} coeffs[j] * Y^j + O(Y^order); Y stands for (1-beta)^d."""
 
-    order: int
-    coeffs: tuple[RatFunc, ...]
+    __slots__ = ("order", "coeffs")
 
-    def __post_init__(self):
-        if self.order < 1:
+    def __init__(self, order: int, coeffs: tuple[RatFunc, ...]):
+        if order < 1:
             raise ValueError("series order must be >= 1")
-        if len(self.coeffs) != self.order:
+        if len(coeffs) != order:
             raise ValueError("coefficient list must have length `order`")
+        self.order = order
+        self.coeffs = coeffs
 
     @staticmethod
     def zero(order: int) -> "TruncSeries":

@@ -15,9 +15,8 @@ import math
 import time
 import warnings
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import mpmath
 
@@ -331,15 +330,13 @@ def _check_reproducibility() -> list[str]:
 # -- registry and runner ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Criterion:
+class Criterion(NamedTuple):
     number: int
     name: str
     fn: Callable[[], list[str]]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     number: int
     name: str
     passed: bool

@@ -15,7 +15,7 @@ from cubecount import asymptotics as asym
 from cubecount import bigint
 from cubecount import exact as ex
 from cubecount.errors import BudgetExceededError, RegimeWarning
-from cubecount.polymers import DefectType
+from cubecount.polymers import DefectType, census
 from cubecount.symbolic import RatFunc, RatPoly
 
 lam = RatPoly.var("lam")
@@ -250,6 +250,30 @@ def test_structured_count_rejects_absent_type_and_honours_budget():
         with pytest.raises(BudgetExceededError):
             asym.structured_count(b, 12, fixed_types={DefectType.from_key("s5c0g0"): 1},
                                   budget=1000)
+
+
+def test_structured_count_takes_large_fixed_counts_quickly():
+    # ln k! came from k! itself, and math.factorial(10**6) alone takes seconds
+    s1 = DefectType.from_key("s1c0g0")
+    start = time.perf_counter()
+    lc = asym.structured_count(Fraction(1, 2), 24, fixed_types={s1: 2 ** 22})
+    assert time.perf_counter() - start < 10
+    # the term is k ln(rho) - rho - ln k!, with ln k! from Stirling's series
+    # (the first omitted term is below 1/(1680 k^7) < 10^-49)
+    k = 2 ** 22
+    poisson = dict(lc.terms)[f"poisson[s1c0g0]@{k}"]
+    lb = asym.lambda_beta(Fraction(1, 2), 24, 2).value
+    rho = census(24, 1).expected_type_count("s1c0g0", lb)
+    with mpmath.workdps(lc.precision):
+        rho = mpmath.mpf(rho.numerator) / rho.denominator
+        log_k_factorial = (k * mpmath.log(k) - k + mpmath.log(2 * mpmath.pi * k) / 2
+                           + mpmath.mpf(1) / (12 * k) - mpmath.mpf(1) / (360 * k ** 3)
+                           + mpmath.mpf(1) / (1260 * k ** 5))
+        expected = k * mpmath.log(rho) - rho - log_k_factorial
+        assert abs(poisson - expected) < mpmath.mpf(10) ** -40
+    # one more defect than half the side can hold is refused
+    with pytest.raises(ValueError, match="more than half"):
+        asym.structured_count(Fraction(1, 2), 24, fixed_types={s1: k + 1})
 
 
 def test_caches_cleared_results_stable():

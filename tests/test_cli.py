@@ -107,6 +107,12 @@ def test_usage_errors_exit_one_with_single_line(capsys):
                   "--digits", "100000000"],
                  ["count-structured", "--beta", "1/2", "--d", "10",
                   "--digits", str(cli.MAX_DIGITS + 1)],
+                 # more size-1 defects than half of the 2,048 vertices on a
+                 # side; the first built 2000000! and ran for minutes
+                 ["count-structured", "--beta", "1/2", "--d", "12", "--t", "4",
+                  "--fixed", "s1c0g0=2000000"],
+                 ["count-structured", "--beta", "1/2", "--d", "12",
+                  "--fixed", "s1c0g0=1025"],
                  ["zeta", "--lam", "1", "--d", "10", "--t", "2",
                   "--digits", "100000000"],
                  # each exited 0 and ignored --power
@@ -473,6 +479,22 @@ def test_series_tables_never_load_mpmath(argv):
     loaded = modules_loaded_by(cli_run(*argv))
     assert "cubecount.asymptotics" in loaded
     assert "mpmath" not in loaded
+
+
+@pytest.mark.parametrize("argv", [("rj", "--j", "2"),
+                                  ("count", "--beta", "1/2", "--d", "12", "--t", "3"),
+                                  ("zeta", "--lam", "1", "--d", "12", "--t", "2"),
+                                  ("polymers", "--d", "5", "--max-size", "3"),
+                                  ("polymers", "--max-size", "3", "--mode", "symbolic"),
+                                  ("sample", "--d", "4", "--lam", "1", "--samples", "20",
+                                   "--thin", "16", "--seed", "1"),
+                                  ("oracle", "--d", "3", "--lam", "1")])
+def test_commands_never_load_dataclasses(argv):
+    # dataclasses brings inspect, ast, dis and tokenize (about 10 ms) and
+    # execs each class's methods (about 1 ms a class); the records are
+    # NamedTuples and __slots__ classes instead
+    loaded = modules_loaded_by(cli_run(*argv))
+    assert loaded & {"dataclasses", "inspect"} == set()
 
 
 def test_sample_never_loads_scipy():

@@ -41,13 +41,16 @@ def test_observable_labels_and_validation():
     assert cl.Observable.one().label() == "one"
     assert cl.Observable.size(2).label() == "size^2"
     assert cl.Observable.type_count("s1c0g0").label() == "type_count[s1c0g0]"
-    with pytest.raises(ValueError):
+    assert cl.Observable("type_count", 2, "s1c0g0").label() == "type_count[s1c0g0]^2"
+    with pytest.raises(ValueError, match="unknown observable kind 'bogus'"):
         cl.Observable("bogus")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="needs a type_key"):
         cl.Observable("type_count")
+    with pytest.raises(ValueError, match="power must be >= 1"):
+        cl.Observable("size", 0)
     # a power was dropped from these, so size_nbhd^2 summed size_nbhd
     for kind in ("one", "size_nbhd"):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="takes no power"):
             cl.Observable(kind, power=2)
 
 

@@ -128,6 +128,18 @@ def test_series_multiplication_truncates():
     assert one_plus.shift(3).coeffs == TruncSeries.zero(2).coeffs
 
 
+def test_series_validates_and_is_not_a_sequence():
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        TruncSeries(0, ())
+    with pytest.raises(ValueError, match="length `order`"):
+        TruncSeries(2, (RatFunc.const(1),))
+    s = TruncSeries.from_coeffs([1, 2], order=2)
+    for op in (iter, len, lambda s: 2 * s):  # 2 * s is no tuple repetition
+        with pytest.raises(TypeError):
+            op(s)
+    assert (s * 2).coeffs == (RatFunc.const(2), RatFunc.const(4))
+
+
 def test_poly_on_series_substitutes_the_variable():
     p = RatPoly.var("Y") ** 2 + 2 * RatPoly.var("Y") + 1
     y = TruncSeries.from_coeffs([0, 1], order=3)
