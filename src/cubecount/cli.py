@@ -287,6 +287,8 @@ def _cmd_sample(args) -> dict:
         raise _UsageError("--lam must be positive")
     if args.threads < 1:
         raise _UsageError("--threads must be >= 1")
+    if args.steps is None and args.samples < 2:
+        raise _UsageError("--samples must be >= 2")
     polymers.check_census_bounds(args.d, args.census_size)
     if args.d > 5 and args.census_size > 5:
         # census(7, 6) took 96 s, and sample has no --budget to bound it

@@ -15,9 +15,22 @@ the first least significant, and its little-endian bytes put w0's top 16
 bits at offsets 12t + 2 and 12t + 3: the vertex is those bits shifted right
 by 16 - d, which needs d <= SAMPLER_MAX_DIM = 16.  The coin is decided from
 w1's top byte against a table, and from the full words in the 1-in-256 ties.
-The chain's step tables hold 2^(d+1) integers of up to 2^d bits, about
-n^2/16 bytes each for n = 2^d (770 MB of RSS at d = 16), so larger d is
-refused before anything is built.
+The chain's step tables hold 2^(d+1) integers of up to 2^d bits: for
+n = 2^d, about n^2/16 bytes of single-vertex masks and n^2/9 of neighbour
+masks, 0.18 n^2 in all (767 MB at d = 16, where ru_maxrss reads 768 MB), so
+larger d is refused before anything is built.
+
+A long run splits across two processes.  After the burn-in, when at least
+_SPLIT_MIN_STEPS steps remain, two CPUs are usable, d <= _SPLIT_MAX_DIM and
+the run is not a worker of a process pool, glauber_run forks once.  The
+child discards the draws up to a snapshot step H near the middle, runs the
+chain from H starting at the post-burn-in state, and streams its snapshots
+through a pipe.  Two copies of the chain that use the same draws meet
+within a few thousand steps (the grand coupling of Propp and Wilson), so the
+parent steps the true chain only until it equals the child's at a snapshot
+after H and then yields the child's snapshots, which are exact from there
+on.  If no snapshot matches, or the child fails, the parent finishes alone:
+the snapshots never depend on the split.
 
 Defects are the distance-2 components of the minority side of a sample
 (ties resolved to the odd side); their type statistics are compared against
@@ -29,17 +42,19 @@ neither numpy nor scipy.
 from __future__ import annotations
 
 import math
+import os
 import random
+import signal
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import hypercube as hc
 from . import polymers as pm
 from .chisq import chdtrc
 
-SAMPLER_MAX_DIM = 16  # the step tables take ~n^2/8 bytes; d = 17 would need ~3 GB
+SAMPLER_MAX_DIM = 16  # the step tables take 0.18 n^2 bytes; d = 17 would need ~3 GB
 
 
 class ChainState(NamedTuple):
@@ -61,9 +76,6 @@ class DefectReport(NamedTuple):
     type_counts: tuple[tuple[str, int], ...]  # sorted (type key, count)
     total_size: int  # sum of defect sizes
     nbhd_total: int  # sum of |N(S)| over defects
-
-    def count(self, key: str) -> int:
-        return dict(self.type_counts).get(key, 0)
 
 
 @lru_cache(maxsize=hc.MAX_DIM)  # one entry per dimension; 4 MB in all
@@ -90,14 +102,37 @@ def default_burn_in(d: int) -> int:
 # steps per bulk draw: a 393 KB draw of 3 * 2^15 words and 128 KB of codes
 _DRAW_BLOCK = 1 << 15
 
+# A run splits across two processes when its post-burn-in steps reach
+# _SPLIT_MIN_STEPS and at least _SPLIT_MIN_SNAPSHOTS snapshots follow the
+# split step H.  Refcount changes dirty the step tables' pages, so each
+# process soon holds its own copy: the child's Private_Dirty
+# (/proc/PID/smaps_rollup) read 8 MB at d = 12, 52 MB at d = 14 and 458 MB
+# at d = 16, so runs at d > _SPLIT_MAX_DIM stay in one process.
+_SPLIT_MIN_STEPS = 1 << 20
+_SPLIT_MIN_SNAPSHOTS = 8
+_SPLIT_MAX_DIM = 14
+# The parent steps from the burn-in to H; the child discards H steps' draws,
+# each about a seventh of a step's cost, and steps from H to the last
+# snapshot.  Both finish at about one time for H = (burn_in + last) / 1.86;
+# at d = 10 the run time was flat for divisors from 1.8 to 2.0.
+_SPLIT_BALANCE = 1.9
 
-def _step_codes(seed: int, d: int, p: float,
-                steps: int) -> Iterator[memoryview]:
-    """The chain's first `steps` draws, in blocks of at most _DRAW_BLOCK steps.
+
+def _step_codes(seed: int, d: int, p: float, steps: int,
+                skip: int = 0) -> Iterator[memoryview]:
+    """The chain's draws for steps skip + 1 .. steps, in blocks of at most
+    _DRAW_BLOCK steps; the draws of the first `skip` steps are discarded a
+    block at a time.
 
     A step that draws vertex v and coin c is coded v + 2^d * [c < p].
     """
     rng = random.Random(seed)
+    # a step takes three 32-bit words, so any whole number of steps' words
+    # leaves the generator where the per-step loop would
+    rng.getrandbits(96 * (skip % _DRAW_BLOCK))
+    for _ in range(skip // _DRAW_BLOCK):
+        rng.getrandbits(96 * _DRAW_BLOCK)
+    steps -= skip
     # c = K / 2^53 with K an integer, so c < p <=> K < T = ceil(p * 2^53)
     t = math.ceil(p * 9007199254740992.0)
     # w1's top byte is K >> 45: below T >> 45 the coin is accepted, above it
@@ -134,6 +169,144 @@ def _step_codes(seed: int, d: int, p: float,
         steps -= b
 
 
+def _snapshots(codes: Iterable[memoryview], bits: list[int], nbr: list[int],
+               occ: int, done: int, first: int,
+               thin: int) -> Iterator[tuple[int, int]]:
+    """Step the chain from occupancy `occ` after `done` steps through the
+    blocks of step codes `codes`, yielding (step, occupancy) at step `first`
+    and every `thin` steps after it while the codes last.
+
+    `bits` and `nbr` are indexed by step code: code v < n clears v, code
+    n + v occupies v unless a neighbour of v is occupied.
+    """
+    n = len(bits) // 2
+    for block in codes:
+        pos, stop = 0, len(block)
+        while pos < stop:
+            cut = min(stop, first - done)
+            for c in block[pos:cut]:
+                if c < n:
+                    if occ & bits[c]:
+                        occ ^= bits[c]
+                elif not occ & nbr[c]:
+                    occ |= bits[c]
+            pos = cut
+            if done + cut == first:
+                yield first, occ
+                first += thin
+        done += stop
+
+
+def _split_step(d: int, burn_in: int, last: int, thin: int) -> int | None:
+    """The snapshot step H from which a forked child runs the chain ahead, or
+    None when the run stays in one process."""
+    if (d > _SPLIT_MAX_DIM or last - burn_in < _SPLIT_MIN_STEPS
+            or not hasattr(os, "fork")):
+        return None
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    if cpus < 2:
+        return None
+    # a worker of sample_chains' pool, which holds one CPU per chain
+    mp = sys.modules.get("multiprocessing")
+    if mp is not None and mp.parent_process() is not None:
+        return None
+    k = round(((burn_in + last) / _SPLIT_BALANCE - burn_in) / thin)
+    h = burn_in + k * thin
+    return h if (last - h) // thin >= _SPLIT_MIN_SNAPSHOTS else None
+
+
+def _drain(fd: int, buf: bytearray) -> bool:
+    """Append to `buf` what the non-blocking pipe `fd` holds; False once the
+    writer has closed it."""
+    while True:
+        try:
+            chunk = os.read(fd, 1 << 16)
+        except BlockingIOError:
+            return True
+        if not chunk:
+            return False
+        buf += chunk
+
+
+def _split_snapshots(chain: Iterator[tuple[int, int]], occ: int, h: int,
+                     last: int, thin: int, nbytes: int,
+                     resume: Callable[[int, int], Iterator[tuple[int, int]]],
+                     ) -> Iterator[tuple[int, int]]:
+    """The snapshots of `chain`, whose state after the burn-in is `occ`, with
+    those after step h computed ahead by a forked child.
+
+    The child runs the chain from step h, starting at `occ`, and writes its
+    snapshots to a pipe.  The chain stepped from the true state at step h
+    and the child's use the same draws, so once the two are equal at some
+    snapshot they stay equal: from the first equal pair on, the child's
+    snapshots are yielded.  If no pair is equal, or the child fails, `chain`
+    yields the rest.  `resume(occ, step)` is the chain from occupancy `occ`
+    after `step` steps, with snapshots every `thin` steps; each snapshot
+    crosses the pipe as `nbytes` little-endian bytes.
+    """
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        yield from chain
+        return
+    if pid == 0:
+        # the child writes only snapshots and never returns into the
+        # caller's frames, whose stdio buffers and finally clauses are the
+        # parent's
+        code = 1
+        try:
+            os.close(r)
+            for _, x in resume(occ, h):
+                data = x.to_bytes(nbytes, "little")
+                while data:
+                    data = data[os.write(w, data):]
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    try:
+        # record k of the child's stream is its snapshot at step h + k * thin
+        buf = bytearray()
+        os.set_blocking(r, False)
+        live = True
+        for step, occ in chain:
+            if live:
+                live = _drain(r, buf)
+            yield step, occ
+            end = (step - h) // thin * nbytes
+            if step > h and buf[end - nbytes:end] == occ.to_bytes(nbytes,
+                                                                  "little"):
+                break
+        else:
+            return
+        os.set_blocking(r, True)
+        while step < last:
+            if len(buf) < end + nbytes:
+                chunk = os.read(r, 1 << 16) if live else b""
+                if chunk:
+                    buf += chunk
+                    continue
+                # the stream ended early: go on from its last snapshot
+                yield from resume(occ, step)
+                return
+            step += thin
+            occ = int.from_bytes(buf[end:end + nbytes], "little")
+            end += nbytes
+            yield step, occ
+    finally:
+        # the child may still be stepping, or blocked on a full pipe; a
+        # signal to one that has exited but is not yet reaped is harmless
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        os.close(r)
+
+
 def glauber_run(d: int, lam: Fraction, steps: int,
                 burn_in: int | None = None, thin: int = 1, seed: int = 0,
                 debug: bool = False, start: int = 0) -> Iterator[ChainState]:
@@ -164,38 +337,34 @@ def glauber_run(d: int, lam: Fraction, steps: int,
 
     odd_mask = _parity_mask(d)
     p = float(lam / (1 + lam))
-    # indexed by step code: code v < n clears v, code n + v occupies v
-    # unless a neighbour of v is occupied
     bits = [1 << v for v in range(n)] * 2
     nbr = [0] * n + hc.neighbor_masks(d)
     # steps after the last snapshot are never observed
     last = burn_in + (steps - burn_in) // thin * thin
 
-    occ = start
-    done = 0  # steps before the current block
-    next_snap = burn_in + thin
-    for codes in _step_codes(seed, d, p, last):
-        pos, stop = 0, len(codes)
-        while pos < stop:
-            cut = min(stop, next_snap - done)
-            for c in codes[pos:cut]:
-                if c < n:
-                    if occ & bits[c]:
-                        occ ^= bits[c]
-                elif not occ & nbr[c]:
-                    occ |= bits[c]
-            pos = cut
-            if done + cut == next_snap:
-                if debug:
-                    assert hc.is_independent(occ, d), \
-                        f"dependent state at step {next_snap}"
-                size = occ.bit_count()
-                odd = (occ & odd_mask).bit_count()
-                yield ChainState(
-                    d=d, step=next_snap, occupancy=occ, size=size,
-                    odd_size=odd, even_size=size - odd)
-                next_snap += thin
-        done += stop
+    def resume(occ: int, done: int) -> Iterator[tuple[int, int]]:
+        return _snapshots(_step_codes(seed, d, p, last, done), bits, nbr,
+                          occ, done, done + thin, thin)
+
+    # the first snapshot is the state after the burn-in, which is not yielded
+    chain = _snapshots(_step_codes(seed, d, p, last), bits, nbr, start, 0,
+                       burn_in, thin)
+    post = next(chain, None)
+    h = None if post is None else _split_step(d, burn_in, last, thin)
+    if h is not None:
+        chain = _split_snapshots(chain, post[1], h, last, thin, (n + 7) // 8,
+                                 resume)
+    try:
+        for step, occ in chain:
+            if debug:
+                assert hc.is_independent(occ, d), \
+                    f"dependent state at step {step}"
+            size = occ.bit_count()
+            odd = (occ & odd_mask).bit_count()
+            yield ChainState(d=d, step=step, occupancy=occ, size=size,
+                             odd_size=odd, even_size=size - odd)
+    finally:
+        chain.close()
 
 
 def extract_defects(state: ChainState, debug: bool = False) -> DefectReport:

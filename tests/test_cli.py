@@ -138,6 +138,14 @@ def test_usage_errors_exit_one_with_single_line(capsys):
         assert "budget exhausted" not in captured.err, argv
 
 
+def test_sample_names_samples_when_it_is_below_two(capsys):
+    # 0, -3 and 1 blamed --steps, burn_in and the statistics in turn
+    for n in ("0", "-3", "1"):
+        code, out, err = run_cli(capsys, "sample", "--d", "4", "--lam", "1",
+                                 "--samples", n)
+        assert (code, out, err) == (1, "", "error: --samples must be >= 2\n"), n
+
+
 def test_sample_ignores_thread_environment_variable(capsys, monkeypatch):
     # --threads is the one knob for worker processes
     monkeypatch.setenv("CUBECOUNT_THREADS", "abc")

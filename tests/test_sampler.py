@@ -1,6 +1,8 @@
 """Glauber dynamics: invariants, determinism, and defect extraction."""
 
 import math
+import multiprocessing
+import os
 import random
 from fractions import Fraction
 
@@ -99,6 +101,10 @@ def test_step_codes_match_per_step_draws(d):
         codes = [x for b in blocks for x in b]
         assert codes == reference_codes(seed, d, p, steps), (d, p)
         assert codes[0] >> d == (c < p)
+    # the draws of a part of a block and a full block discarded
+    skip = sm._DRAW_BLOCK + 5
+    rest = [x for b in sm._step_codes(seed, d, 1 / 2, steps, skip) for x in b]
+    assert rest == reference_codes(seed, d, 1 / 2, steps)[skip:]
 
 
 def test_bulk_draws_match_reference_across_draw_blocks():
@@ -126,6 +132,143 @@ def test_coin_is_compared_at_full_precision():
             got = list(sm.glauber_run(4, lam, 3, burn_in=0, thin=1, seed=seed))
             assert got == reference_run(4, lam, 3, 0, 1, seed), (seed, p)
             assert got[0].size == (1 if c < p else 0)
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """Gates low enough for runs of a few thousand steps to split, on any
+    machine.  Returns a dict that records each fork's child pid ("forks")
+    and the steps whose draws this process made from step 0 on ("drawn")."""
+    monkeypatch.setattr(sm, "_SPLIT_MIN_STEPS", 1000)
+    monkeypatch.setattr(sm, "_SPLIT_MIN_SNAPSHOTS", 4)
+    monkeypatch.setattr(sm, "_DRAW_BLOCK", 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    seen = {"forks": [], "drawn": 0}
+    fork, step_codes = os.fork, sm._step_codes
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            seen["forks"].append(pid)
+        return pid
+
+    def counted_codes(seed, d, p, steps, skip=0):
+        for block in step_codes(seed, d, p, steps, skip):
+            if not skip:
+                seen["drawn"] += len(block)
+            yield block
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(sm, "_step_codes", counted_codes)
+    return seen
+
+
+def read_all(fd, buf):
+    """A drain that waits for the child's whole stream, so that whether the
+    chains meet no longer depends on which process runs ahead."""
+    os.set_blocking(fd, True)
+    while chunk := os.read(fd, 1 << 16):
+        buf += chunk
+    return False
+
+
+SPLIT_RUNS = [  # d, lam, seed, burn_in, thin, steps, start on the odd side
+    (4, Fraction(1, 20), 0, 50, 3, 50 + 3 * 700, False),
+    (5, Fraction(1), 7, 200, 10, 200 + 10 * 300, False),
+    (6, Fraction(1, 3), -3, 0, 1, 3000, True),
+    (8, Fraction(2), 2 ** 70 + 1, 1000, 50, 1000 + 50 * 200, False),
+]
+
+
+@pytest.mark.parametrize("d,lam,seed,burn_in,thin,steps,odd", SPLIT_RUNS)
+def test_split_run_matches_reference(split, monkeypatch, d, lam, seed,
+                                     burn_in, thin, steps, odd):
+    start = sum(1 << v for v in hc.odd_side(d)) if odd else 0
+    want = reference_run(d, lam, steps, burn_in, thin, seed, start)
+    kw = dict(burn_in=burn_in, thin=thin, seed=seed, start=start, debug=True)
+    # the parent compares what has arrived, so either process may run ahead
+    assert list(sm.glauber_run(d, lam, steps, **kw)) == want
+    assert len(split["forks"]) == 1
+    # with the child's whole stream at hand, the parent stops stepping at
+    # the first snapshot where the chains meet
+    monkeypatch.setattr(sm, "_drain", read_all)
+    split["drawn"] = 0
+    assert list(sm.glauber_run(d, lam, steps, **kw)) == want
+    assert len(split["forks"]) == 2
+    assert split["drawn"] < steps - 2 * thin
+
+
+def test_split_run_without_a_meeting_finishes_alone(split, monkeypatch):
+    # at lam = 8 the chain from the packed even side stays even, and the
+    # child, started from the packed odd side, stays odd
+    d, lam, steps = 6, Fraction(8), 4000
+    odd = sum(1 << v for v in hc.odd_side(d))
+    even = sum(1 << v for v in hc.even_side(d))
+    split_snapshots = sm._split_snapshots
+    monkeypatch.setattr(sm, "_split_snapshots", lambda chain, occ, *rest:
+                        split_snapshots(chain, odd, *rest))
+    monkeypatch.setattr(sm, "_drain", read_all)
+    got = list(sm.glauber_run(d, lam, steps, burn_in=0, thin=20, seed=1,
+                              start=even))
+    assert got == reference_run(d, lam, steps, 0, 20, 1, even)
+    assert all(s.even_size > s.odd_size for s in got)
+    assert len(split["forks"]) == 1 and split["drawn"] == steps
+
+
+@pytest.mark.parametrize("blocks", [0, 3])
+def test_split_run_survives_a_failing_child(split, monkeypatch, blocks):
+    # the child raises before its first snapshot, or after a few, once the
+    # parent has matched it and reads its stream to the end
+    parent = os.getpid()
+    step_codes = sm._step_codes
+
+    def failing_codes(seed, d, p, steps, skip=0):
+        for i, block in enumerate(step_codes(seed, d, p, steps, skip)):
+            if os.getpid() != parent and i == blocks:
+                raise RuntimeError("child fails")
+            yield block
+
+    monkeypatch.setattr(sm, "_step_codes", failing_codes)
+    monkeypatch.setattr(sm, "_drain", read_all)
+    d, lam, seed, burn_in, thin, steps, _ = SPLIT_RUNS[1]
+    got = list(sm.glauber_run(d, lam, steps, burn_in=burn_in, thin=thin,
+                              seed=seed))
+    assert got == reference_run(d, lam, steps, burn_in, thin, seed)
+    assert len(split["forks"]) == 1
+    assert (split["drawn"] < steps) == (blocks > 0)
+
+
+def test_closing_a_split_run_early_leaves_no_process(split):
+    run = sm.glauber_run(8, Fraction(1), 10 ** 6, burn_in=100, thin=100,
+                         seed=3)
+    next(run)
+    assert len(split["forks"]) == 1
+    run.close()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("where", ["one cpu", "no affinity", "pool worker"])
+def test_split_needs_two_cpus_and_no_pool(split, monkeypatch, where):
+    if where == "one cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+    elif where == "no affinity":
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    else:
+        monkeypatch.setattr(multiprocessing, "parent_process", object)
+
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    d, lam, seed, burn_in, thin, steps, _ = SPLIT_RUNS[1]
+    got = list(sm.glauber_run(d, lam, steps, burn_in=burn_in, thin=thin,
+                              seed=seed))
+    assert got == reference_run(d, lam, steps, burn_in, thin, seed)
+    assert split["drawn"] == steps
 
 
 def test_steps_equal_to_burn_in_yields_nothing():
