@@ -11,8 +11,14 @@ Truncation convention: an order-t formula carries the correction terms
 j = 1 .. t-1 and has error of the order of the first omitted term.  The
 fugacity series uses r = ceil(t/2) - 1 correction orders.
 
-mpmath is imported by the functions that evaluate, so building the exact
-tables R_j, B_j and P_j never loads it.
+`log_Z_asymptotic` and `log_count_asymptotic` return a LogCount that holds
+the formula and its exact rationals; each formula is written once over a
+number kit (cubecount.certified) and runs over mpmath's mpf or over decimal
+intervals.  Their JSON prints from the intervals and loads mpmath only when
+an interval cannot decide a digit, as at 30 digits or fewer, where mpmath's
+own rounding reaches the printed digits.
+The other evaluating functions import mpmath where they evaluate, so
+building the exact tables R_j, B_j and P_j never loads it.
 """
 
 from __future__ import annotations
@@ -20,11 +26,12 @@ from __future__ import annotations
 import math
 import warnings
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Mapping, NamedTuple
 
 from . import hypercube as hc
-from .bigint import binomial, binomial_rounded
+from .bigint import binomial
+from .certified import MpNumbers, Undecided, evaluate, mpf_of as _mpf
 from .clusters import cluster_sum
 from .errors import RegimeWarning
 from .polymers import DefectType, census
@@ -282,52 +289,75 @@ def compute_P(jmax: int) -> SeriesTable:
 # -- high-precision evaluation ------------------------------------------------------
 
 
-class LogCount(NamedTuple):
-    """Natural log of a count or partition function, with a term breakdown."""
+class LogCount:
+    """Natural log of a count or partition function, with a term breakdown.
 
-    value: object  # mpmath.mpf
-    precision: int  # decimal digits used
-    terms: tuple[tuple[str, object], ...]
-    alt: object | None = None  # secondary evaluation path, when exposed
+    Holds the formula with its exact rationals: `formula(num)` returns
+    (value, terms, alt) in the number kit `num` (see cubecount.certified).
+    `value`, `terms` and `alt` are mpmath mpf at `precision` digits, built
+    when first read; `to_json` prints from decimal intervals when they decide
+    every digit, which spares loading mpmath.  A LogCount built from mpf
+    `values` alone, with no formula, prints them.
+    """
 
-    def log10(self):
-        import mpmath
+    __slots__ = ("precision", "_formula", "_mp")
 
-        with mpmath.workdps(self.precision):
-            return self.value / mpmath.log(10)
+    def __init__(self, precision: int, formula=None, values=None):
+        self.precision = precision  # decimal digits used
+        self._formula = formula
+        self._mp = values  # (value, terms, alt) as mpf, once built
+
+    def _mpf_values(self):
+        if self._mp is None:
+            import mpmath
+
+            with mpmath.workdps(self.precision):
+                self._mp = self._formula(MpNumbers())
+        return self._mp
+
+    @property
+    def value(self):
+        return self._mpf_values()[0]
+
+    @property
+    def terms(self) -> tuple[tuple[str, object], ...]:
+        return self._mpf_values()[1]
+
+    @property
+    def alt(self):
+        """The secondary evaluation path, when exposed; else None."""
+        return self._mpf_values()[2]
+
+    def json_in(self, num) -> dict:
+        """The JSON fields printed in the number kit num; with decimal
+        intervals, Undecided when one cannot decide a printed digit."""
+        if isinstance(num, MpNumbers):
+            value, terms, alt = self._mpf_values()
+        elif self._formula is None:
+            raise Undecided
+        else:
+            value, terms, alt = self._formula(num)
+        shown = min(self.precision, 30)
+        out = {
+            "log10_value": num.render(value / num.log(10), shown),
+            "ln_value": num.render(value, shown),
+            "precision": self.precision,
+            "terms": [{"label": k, "ln": num.render(v, shown)} for k, v in terms],
+        }
+        if alt is not None:
+            out["alt_ln_value"] = num.render(alt, shown)
+        return out
 
     def to_json(self) -> dict:
-        import mpmath
-
-        def s(x):
-            return mpmath.nstr(x, min(self.precision, 30))
-        with mpmath.workdps(self.precision):
-            out = {
-                "log10_value": s(self.value / mpmath.log(10)),
-                "ln_value": s(self.value),
-                "precision": self.precision,
-                "terms": [{"label": k, "ln": s(v)} for k, v in self.terms],
-            }
-            if self.alt is not None:
-                out["alt_ln_value"] = s(self.alt)
-            return out
+        return evaluate(self.json_in, self.precision, min(self.precision, 30))
 
 
-def _mpf(x: Fraction):
-    """x rounded at the working precision.
-
-    mpmath strips the trailing zero bits of an integer in a loop that is
-    quadratic in its pure-Python backend (mpf(2^999993) takes seconds), so
-    each part is converted without them and scaled back by ldexp, which is
-    exact: the value is the same bit for bit.  A zero part has no bits to
-    shift.
-    """
-    import mpmath
-
-    num, den = (mpmath.ldexp(mpmath.mpf(n >> tz), tz)
-                for n in (x.numerator, x.denominator)
-                for tz in [max((n & -n).bit_length() - 1, 0)])
-    return num / den
+def _log_z(num, n: int, lam: Fraction, strata):
+    """log_Z_asymptotic's (value, terms, alt) in the number kit num."""
+    terms = [("log_2", num.log(2)),
+             ("free_sides", n * num.log(num.rational(1 + lam)))]
+    terms += [(f"stratum_{j}", num.rational(x)) for j, x in strata]
+    return num.fsum(v for _, v in terms), tuple(terms), None
 
 
 def log_Z_asymptotic(lam: Fraction, d: int, t: int, digits: int = 80) -> LogCount:
@@ -336,8 +366,6 @@ def log_Z_asymptotic(lam: Fraction, d: int, t: int, digits: int = 80) -> LogCoun
     log 2 + N log(1+lam) + N sum_{j<=t-1} R_j(lam,d) (1+lam)^(-jd); each
     stratum contribution is evaluated as an exact rational before rounding.
     """
-    import mpmath
-
     lam = Fraction(lam)
     if lam <= 0:
         raise ValueError("fugacity must be positive")
@@ -349,14 +377,10 @@ def log_Z_asymptotic(lam: Fraction, d: int, t: int, digits: int = 80) -> LogCoun
             f"lam = {lam} is at or below 2^(1/{t}) - 1; order-{t} guarantees "
             "do not apply, values remain evaluable"))
     n = hc.n_side(d)
-    with mpmath.workdps(digits):
-        terms = [("log_2", mpmath.log(2)),
-                 ("free_sides", n * mpmath.log(_mpf(1 + lam)))]
-        for j in range(1, t):
-            exact = n * R_poly(j).eval({LAM: lam, DIM: d}) * (1 + lam) ** (-j * d)
-            terms.append((f"stratum_{j}", _mpf(exact)))
-        value = mpmath.fsum(v for _, v in terms)
-    return LogCount(value, digits, tuple(terms))
+    strata = tuple(
+        (j, n * R_poly(j).eval({LAM: lam, DIM: d}) * (1 + lam) ** (-j * d))
+        for j in range(1, t))
+    return LogCount(digits, partial(_log_z, n=n, lam=lam, strata=strata))
 
 
 def stirling_binom(n: int, m: int, digits: int = 80):
@@ -415,23 +439,36 @@ def binomial_lclt(n: int, p: Fraction, k: int) -> tuple[Fraction, object]:
     return exact, approx
 
 
+def _log_count(num, n: int, m: int, lb: Fraction, corrections, strata):
+    """log_count_asymptotic's (value, terms, alt) in the number kit num."""
+    terms = [("log_2", num.log(2)), ("log_binomial", num.log_binomial(n, m))]
+    terms += [(f"P_{j}", num.rational(x)) for j, x in corrections]
+    value = num.fsum(v for _, v in terms)
+    beta = Fraction(m, n)
+    alt = (num.log(2) + n * num.log(num.rational(1 + lb))
+           - m * num.log(num.rational(lb))
+           - num.log(2 * num.pi * n * num.rational(beta * (1 - beta))) / 2)
+    for _, x in strata:
+        alt += num.rational(x)
+    return value, tuple(terms), alt
+
+
 def log_count_asymptotic(beta: Fraction, d: int, t: int,
                          digits: int = 80) -> LogCount:
     """log of the number of independent sets of size floor(beta*N).
 
     Two evaluation paths: (a) log-binomial plus N sum P_j Y^j (the returned
-    value), with C(N, m) rounded correctly at the working precision by
-    `binomial_rounded` from a Stirling-series interval enclosure of
-    ln C(N, m); the exact integer is built only for N < 2^10, at very high
-    precision, or when the enclosure straddles a rounding boundary.  At d = 24
-    and 80 digits this takes about 2 ms where sieving the primes up to N and
-    multiplying their powers took 262 ms.  (b) Stirling form at the corrected
-    fugacity (exposed as .alt).
+    value), where mpmath takes C(N, m) rounded correctly at the working
+    precision from `binomial_rounded`, and decimal intervals take ln C(N, m)
+    from the same Stirling-series enclosure (cubecount.bigint); the exact
+    integer is built only for N < 2^10, at very high precision, or when the
+    enclosure straddles a rounding boundary.  At d = 24 and 80 digits the
+    rounding takes about 0.4 ms where sieving the primes up to N and
+    multiplying their powers took 262 ms.  (b) Stirling form at the corrected fugacity
+    (exposed as .alt).
     Path (b) = log 2 + N log(1+lam_b) - m log lam_b + strata at
     lam_b - (1/2) log(2 pi N beta (1-beta)).  Both use beta = m/N exactly.
     """
-    import mpmath
-
     beta = Fraction(beta)
     if not 0 < beta < 1:
         raise ValueError("beta must lie strictly between 0 and 1")
@@ -446,25 +483,16 @@ def log_count_asymptotic(beta: Fraction, d: int, t: int,
     _warn_beta_regime(beta, t)
     ptable = compute_P(t - 1)
     y = (1 - beta) ** d
-    with mpmath.workdps(digits):
-        terms = [("log_2", mpmath.log(2)),
-                 ("log_binomial", mpmath.log(mpmath.mpf(
-                     binomial_rounded(n, m, mpmath.mp.prec))))]
-        for j in range(1, t):
-            exact = n * ptable[j].eval({BETA: beta, DIM: d}) * y ** j
-            terms.append((f"P_{j}", _mpf(exact)))
-        value = mpmath.fsum(v for _, v in terms)
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RegimeWarning)
-            lb = lambda_beta(beta, d, t).value
-        alt = (mpmath.log(2) + n * mpmath.log(_mpf(1 + lb))
-               - m * mpmath.log(_mpf(lb))
-               - mpmath.log(2 * mpmath.pi * n * _mpf(beta * (1 - beta))) / 2)
-        for j in range(1, t):
-            exact = n * R_poly(j).eval({LAM: lb, DIM: d}) * (1 + lb) ** (-j * d)
-            alt += _mpf(exact)
-    return LogCount(value, digits, tuple(terms), alt=alt)
+    corrections = tuple((j, n * ptable[j].eval({BETA: beta, DIM: d}) * y ** j)
+                        for j in range(1, t))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        lb = lambda_beta(beta, d, t).value
+    strata = tuple(
+        (j, n * R_poly(j).eval({LAM: lb, DIM: d}) * (1 + lb) ** (-j * d))
+        for j in range(1, t))
+    return LogCount(digits, partial(_log_count, n=n, m=m, lb=lb,
+                                    corrections=corrections, strata=strata))
 
 
 def structured_count(beta: Fraction, d: int,
@@ -526,7 +554,8 @@ def structured_count(beta: Fraction, d: int,
                        - mpmath.log(2 * mpmath.pi * _mpf(m_t)) / 2)
             terms.append((f"gaussian[{T.key}]", contrib))
             value += contrib
-    return LogCount(value, digits, tuple(terms))
+    # loggamma has no decimal counterpart here, so this one prints from mpf
+    return LogCount(digits, values=(value, tuple(terms), None))
 
 
 def clear_caches() -> None:

@@ -105,7 +105,7 @@ def _cmd_oracle(args) -> dict:
     out = profile.to_json()
     out["total"] = str(profile.total)
     if args.lam is not None:
-        import mpmath
+        from .certified import evaluate
         lam = args.lam
         z = profile.partition_value(lam)
         # ln Z is about Z - 1 when Z is near 1, so Z is rounded to as many
@@ -113,14 +113,13 @@ def _cmd_oracle(args) -> dict:
         x = z - 1
         extra = 0 if x >= 1 else math.ceil(
             (x.denominator.bit_length() - x.numerator.bit_length() + 1) * math.log10(2))
-        with mpmath.workdps(30 + extra):
-            ln_z = mpmath.log(mpmath.mpf(z.numerator) / mpmath.mpf(z.denominator))
-            out.update({
-                "lam": str(lam),
-                "Z": str(z),
-                "ln_Z": mpmath.nstr(ln_z, 20),
-                "mean_size": str(profile.mean_size(lam)),
-            })
+        out.update({
+            "lam": str(lam),
+            "Z": str(z),
+            "ln_Z": evaluate(lambda num: num.render(num.log(num.rational(z)), 20),
+                             30 + extra, 20, extra),
+            "mean_size": str(profile.mean_size(lam)),
+        })
     return out
 
 
@@ -296,17 +295,28 @@ def _cmd_sample(args) -> dict:
             f"--census-size {args.census_size} at d = {args.d} is a census "
             "without a budget; take it with polymers --d D --max-size S "
             "--budget N, and sample with --census-size <= 5")
+    if args.thin < 1:
+        raise _UsageError("--thin must be >= 1")
+    if args.chains < 1:
+        raise _UsageError("--chains must be >= 1")
     burn_in = args.burn_in if args.burn_in is not None \
         else sampler.default_burn_in(args.d)
+    if burn_in < 0:
+        raise _UsageError("--burn-in must be >= 0")
     steps = args.steps if args.steps is not None \
         else burn_in + args.thin * args.samples
+    # each chain snapshots every --thin steps after the burn-in, up to --steps
+    snapshots = max(steps - burn_in, 0) // args.thin * args.chains
+    if snapshots < 2:
+        raise _UsageError(
+            f"--steps {steps} leaves {snapshots} snapshot(s) after --burn-in "
+            f"{burn_in} at --thin {args.thin} over {args.chains} chain(s); "
+            "statistics need at least 2")
     chains = sampler.sample_chains(
         args.d, args.lam, steps, burn_in=burn_in, thin=args.thin,
         seed=args.seed, chains=args.chains, processes=args.threads,
         debug=args.debug)
     states = [s for chain in chains for s in chain]
-    if not states:
-        raise _UsageError("no samples collected; increase --steps")
     reports = [sampler.extract_defects(s, debug=args.debug) for s in states]
     if args.csv is not None:
         _write(args.csv, sampler.reports_to_csv(states, reports))

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath.libmp import from_int
 
 from cubecount import asymptotics as asym
-from cubecount import bigint
+from cubecount import bigint, certified
 from cubecount import exact as ex
 from cubecount.errors import BudgetExceededError, RegimeWarning
 from cubecount.polymers import DefectType, census
@@ -168,15 +168,18 @@ def test_log_count_asymptotic_matches_exact_profile():
 
 
 def test_log_count_rounded_binomial_matches_exact_integer(monkeypatch):
-    # the log-binomial term rounds C(N, m) without building it; the JSON must
-    # be the one the exact integer gives
+    # the log-binomial term rounds C(N, m) without building it; the values
+    # must be the ones the exact integer gives, to the last bit.  The mpf
+    # values are built when first read, so they are read before the patch.
     rounded = asym.log_count_asymptotic(Fraction(1, 3), 18, 3)
-    monkeypatch.setattr(asym, "binomial_rounded", lambda n, k, prec:
-                        from_int(asym.binomial(n, k), prec, "n")[1:3])
+    rounded_terms, rounded_value = rounded.terms, rounded.value
+    monkeypatch.setattr(bigint, "binomial_rounded", lambda n, k, prec:
+                        from_int(bigint.binomial(n, k), prec, "n")[1:3])
     exact = asym.log_count_asymptotic(Fraction(1, 3), 18, 3)
+    assert exact.terms == rounded_terms and exact.value == rounded_value
+    # and so is the JSON mpmath prints from them, decimal intervals set aside
+    monkeypatch.setattr(certified, "_STEP_BITS", 4096)
     assert exact.to_json() == rounded.to_json()
-    # to the last bit, not just to the printed digits
-    assert exact.terms == rounded.terms and exact.value == rounded.value
 
 
 def test_log_count_never_sieves_at_benchmark_sizes(monkeypatch):

@@ -136,3 +136,48 @@ def test_rounded_edge_cases():
         bigint.binomial_rounded(-1, 0, 53)
     with pytest.raises(ValueError):
         bigint.binomial_rounded(5, 2, 0)
+
+
+def test_tangent_numbers_give_the_bernoulli_numbers():
+    from fractions import Fraction
+
+    from mpmath import bernfrac
+    tangent = bigint._tangent_numbers(60)
+    for i in range(1, 61):
+        b = Fraction((-1) ** (i - 1) * 2 * i * tangent[i], 4 ** i * (4 ** i - 1))
+        assert b == Fraction(*bernfrac(2 * i)), i
+
+
+@pytest.mark.parametrize("digits", [1, 5, 28, 50, 300, 2000])
+def test_pi_bounds_hold_pi(digits):
+    import mpmath
+    from fractions import Fraction
+    lo, hi = bigint.pi_bounds(digits)
+    assert hi - lo < Fraction(1, 10 ** digits)
+    with mpmath.workdps(digits + 40):
+        pi = mpmath.pi()
+        assert mpmath.mpf(str(lo)) < pi < mpmath.mpf(str(hi))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 100_000).flatmap(
+           lambda n: st.tuples(st.just(n), st.integers(0, n))),
+       st.integers(2, 700))
+def test_ln_binomial_bounds_hold_the_log(nk, wp):
+    import mpmath
+    from fractions import Fraction
+    n, k = nk
+    bounds = bigint.ln_binomial_bounds(n, k, wp)
+    if bounds is None:  # past the term cap
+        assert max(bigint._stirling_terms(x, wp) or 10 ** 9
+                   for x in (n, k, n - k) if x >= bigint._EXACT_BELOW) > 10 ** 8
+        return
+    lo, hi = map(Fraction, bounds)
+    with mpmath.workprec(wp + 64):
+        ln = mpmath.log(math.comb(n, k))
+        sign, man, exp, _ = ln._mpf_
+    ln = (-1) ** sign * Fraction(man) * Fraction(2) ** exp if man else Fraction(0)
+    slack = Fraction(1, 2 ** (wp + 40)) * (1 + abs(ln))  # the reference's own rounding
+    assert lo - slack <= ln <= hi + slack
+    # about wp bits wide, relative to ln n!
+    assert hi - lo < Fraction(2) ** (n.bit_length() + 16 - wp) + Fraction(1, 2 ** wp)

@@ -146,6 +146,29 @@ def test_sample_names_samples_when_it_is_below_two(capsys):
         assert (code, out, err) == (1, "", "error: --samples must be >= 2\n"), n
 
 
+@pytest.mark.parametrize("argv, snapshots", [
+    ("--steps 2000 --burn-in 1000 --thin 1000", 1),
+    ("--steps 500 --burn-in 1000", 0),
+    ("--steps 1999 --burn-in 1000 --thin 1000 --chains 2", 0),
+])
+def test_sample_names_steps_burn_in_and_thin_below_two_snapshots(capsys, argv, snapshots):
+    # the statistics and glauber_run reported these as "need at least two
+    # samples for statistics" and "steps must be at least burn_in"
+    code, out, err = run_cli(capsys, "sample", "--d", "4", "--lam", "1", *argv.split())
+    assert (code, out) == (1, "")
+    assert err.startswith("error: --steps") and err.count("\n") == 1, err
+    assert all(opt in err for opt in ("--steps", "--burn-in", "--thin")), err
+    assert f"leaves {snapshots} snapshot" in err, err
+
+
+def test_sample_counts_snapshots_over_all_chains(capsys):
+    # one snapshot in each of two chains is two samples
+    code, _, err = run_cli(capsys, "sample", "--d", "4", "--lam", "1", "--steps",
+                           "2000", "--burn-in", "1000", "--thin", "1000",
+                           "--chains", "2")
+    assert code == 0, err
+
+
 def test_sample_ignores_thread_environment_variable(capsys, monkeypatch):
     # --threads is the one knob for worker processes
     monkeypatch.setenv("CUBECOUNT_THREADS", "abc")
@@ -278,7 +301,19 @@ PINNED_STDOUT_SHA256 = {
     "clusters --d 10 --k 3": "9e78f9dc37a214519427c6e5fe80320ad9c944f938c1acc7f38a5f71b7c21521",
     "count-structured --beta 1/2 --d 12 --fixed s1c0g0=1":
         "76581b3cbddcef7b536a69ebb1261b3580c7a9e2dcd82c21644e674f0183799c",
+    # recorded from mpmath before these printed from decimal intervals
+    "count --beta 1/2 --d 23 --t 4":
+        "cffd9ff0b6fb4e20945cc0e6b1ef367d0c903a6c894ad10410976e9d05d830bf",
+    "count --beta 1/3 --d 23 --t 3":
+        "b49a411e8fab8516ad13e4806b960dd2b31c51558c5b17d54c67e2bbd7e840a2",
+    "zeta --lam 1 --d 24 --t 3":
+        "a9444b395080337949148b8a52a41aa94a43a3a200c3c75a78330ef8f47b1bf5",
+    "oracle --d 5 --lam 1":
+        "d097827f4e1d35109f66352734158a46ba8a9e49778e83b8506ec210caefe3d8",
 }
+# the pinned commands that print mpmath's digits
+MPMATH_DIGITS = ("count --beta 1/2 --d 23 --t 4", "count --beta 1/3 --d 23 --t 3",
+                 "zeta --lam 1 --d 24 --t 3", "oracle --d 5 --lam 1")
 
 
 @pytest.mark.parametrize("command", sorted(PINNED_STDOUT_SHA256))
@@ -481,12 +516,40 @@ def test_cli_import_leaves_scipy_unloaded():
 @pytest.mark.parametrize("argv", [("rj", "--j", "2"), ("bj", "--r", "1"),
                                   ("pj", "--t", "3"),
                                   ("lambda-beta", "--beta", "1/3", "--d", "10",
-                                   "--t", "3")])
+                                   "--t", "3"),
+                                  *(tuple(c.split()) for c in MPMATH_DIGITS)])
 def test_series_tables_never_load_mpmath(argv):
-    # asymptotics and bigint import mpmath only where they evaluate
+    # asymptotics and bigint import mpmath only where they evaluate, and
+    # count, zeta and oracle --lam print from decimal intervals that decide
+    # every digit at the default precision
     loaded = modules_loaded_by(cli_run(*argv))
-    assert "cubecount.asymptotics" in loaded
+    assert ("cubecount.exact" if argv[0] == "oracle"
+            else "cubecount.asymptotics") in loaded
     assert "mpmath" not in loaded
+
+
+@pytest.mark.parametrize("command", MPMATH_DIGITS)
+def test_mpmath_digits_print_with_mpmath_unimportable(command):
+    # sys.modules["mpmath"] = None makes every `import mpmath` raise
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys; sys.modules['mpmath'] = None; "
+                           "from cubecount import cli; "
+                           f"sys.exit(cli.main({command.split()!r}))"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == \
+        PINNED_STDOUT_SHA256[command]
+
+
+@pytest.mark.parametrize("command", MPMATH_DIGITS)
+def test_mpmath_digits_fall_back_to_the_same_bytes(capsys, monkeypatch, command):
+    # a rounding step far wider than the value leaves every digit undecided, so
+    # each field comes from mpmath
+    from cubecount import certified
+    monkeypatch.setattr(certified, "_STEP_BITS", 4096)
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT_SHA256[command]
 
 
 @pytest.mark.parametrize("argv", [("rj", "--j", "2"),
