@@ -31,7 +31,7 @@ _EXPORTS = {name: module for module, names in (
                    "square_components", "square_neighbors")),
     ("exact", ("HardcoreExact", "OddModelProfile", "SizeProfile",
                "achievable_independent_sets", "hardcore_exact",
-               "independence_poly", "odd_model_exact", "size_profile",
+               "odd_model_exact", "size_profile",
                "size_profile_exhaustive")),
     ("polymers", ("Census", "DefectType", "Polymer", "SymbolicCensus",
                   "census", "classify", "enumerate_polymers",
@@ -45,7 +45,7 @@ _EXPORTS = {name: module for module, names in (
     ("asymptotics", ("LambdaBeta", "LogCount", "R_poly", "R_table",
                      "SeriesTable", "binomial_lclt", "compute_B", "compute_P",
                      "lambda_beta", "log_Z_asymptotic", "log_count_asymptotic",
-                     "stirling_binom", "structured_count")),
+                     "structured_count")),
     ("sampler", ("ChainState", "DefectReport", "SamplerSummary",
                  "defect_statistics", "extract_defects", "glauber_run",
                  "sample_chains", "two_chain_diagnostic")),

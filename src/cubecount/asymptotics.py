@@ -383,20 +383,6 @@ def log_Z_asymptotic(lam: Fraction, d: int, t: int, digits: int = 80) -> LogCoun
     return LogCount(digits, partial(_log_z, n=n, lam=lam, strata=strata))
 
 
-def stirling_binom(n: int, m: int, digits: int = 80):
-    """Stirling-formula approximation of binomial(n, m), high precision."""
-    import mpmath
-
-    if not 0 < m < n:
-        raise ValueError("need 0 < m < n")
-    beta = Fraction(m, n)
-    lam0 = beta / (1 - beta)
-    with mpmath.workdps(digits):
-        log_v = (n * mpmath.log(_mpf(1 + lam0)) - m * mpmath.log(_mpf(lam0))
-                 - mpmath.log(2 * mpmath.pi * n * _mpf(beta * (1 - beta))) / 2)
-        return mpmath.exp(log_v)
-
-
 def _coprime_fraction(num: int, den: int) -> Fraction:
     """num/den for coprime num and den > 0, without Fraction's gcd."""
     make = getattr(Fraction, "_from_coprime_ints", None)  # Python >= 3.12

@@ -30,6 +30,11 @@ from .errors import BudgetExceededError
 # keeps bad input from hanging the CLI.
 MAX_DIGITS = 10_000
 
+# Largest size of a --lam or --beta, counted by `_rational_digits`.  An
+# exact rational that long prints in full, and the commands' exact
+# arithmetic grows with it: Fraction("1e-10000000") alone took 9 s.
+MAX_RATIONAL_DIGITS = 1_000
+
 
 class _UsageError(Exception):
     pass
@@ -42,11 +47,25 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _rational_digits(text: str) -> int:
+    """The length of `text`, with an exponent counted at its value: 1e-N is
+    a fraction of N + 1 digits."""
+    mantissa, _, exponent = text.lower().partition("e")
+    exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if not exponent.isdecimal():  # none, zero, or one Fraction rejects
+        return len(text)
+    # ten digits already exceed any bound
+    return len(mantissa) + int(exponent[:10])
+
+
 def _rational(text: str) -> Fraction:
+    shown = repr(text if len(text) <= 40 else text[:37] + "...")
+    if _rational_digits(text) > MAX_RATIONAL_DIGITS:
+        raise _UsageError(f"{shown} has more than {MAX_RATIONAL_DIGITS} digits")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise _UsageError(f"not a rational number: {text!r}")
+        raise _UsageError(f"not a rational number: {shown}")
 
 
 def _budget(text: str) -> int:
@@ -284,8 +303,6 @@ def _cmd_sample(args) -> dict:
     from . import polymers, sampler
     if args.lam <= 0:
         raise _UsageError("--lam must be positive")
-    if args.threads < 1:
-        raise _UsageError("--threads must be >= 1")
     if args.steps is None and args.samples < 2:
         raise _UsageError("--samples must be >= 2")
     polymers.check_census_bounds(args.d, args.census_size)
@@ -314,8 +331,7 @@ def _cmd_sample(args) -> dict:
             "statistics need at least 2")
     chains = sampler.sample_chains(
         args.d, args.lam, steps, burn_in=burn_in, thin=args.thin,
-        seed=args.seed, chains=args.chains, processes=args.threads,
-        debug=args.debug)
+        seed=args.seed, chains=args.chains, debug=args.debug)
     states = [s for chain in chains for s in chain]
     reports = [sampler.extract_defects(s, debug=args.debug) for s in states]
     if args.csv is not None:
@@ -655,8 +671,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--census-size", type=int, default=3,
                    help="max defect size for the census comparison")
     p.add_argument("--csv", help="also write the per-snapshot CSV log here")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker processes for --chains (default 1)")
     p.add_argument("--debug", action="store_true",
                    help="check invariants at each snapshot")
 
@@ -685,6 +699,17 @@ _JSON_COMMANDS = {
 }
 
 
+def _int_str_limit(digits: int) -> int:
+    """Set Python's limit on int-to-str digits (0 lifts it) and return the
+    previous one; without such a limit, do nothing and return 0."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    if get is None:
+        return 0
+    previous = get()
+    sys.set_int_max_str_digits(digits)
+    return previous
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -692,8 +717,12 @@ def main(argv: list[str] | None = None) -> int:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             if args.command in _JSON_COMMANDS:
-                result = _JSON_COMMANDS[args.command](args)
-                _emit(result, args.out)
+                # exact rationals print in full; _rational bounds the inputs
+                limit = _int_str_limit(0)
+                try:
+                    _emit(_JSON_COMMANDS[args.command](args), args.out)
+                finally:
+                    _int_str_limit(limit)
                 code = 0
             elif args.command == "validate":
                 code = _cmd_validate(args)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
 from . import hypercube as hc
@@ -117,27 +116,6 @@ class _IndependencePolyCounter:
         result = tuple(out)
         self.memo[available] = result
         return result
-
-
-@lru_cache(maxsize=8)
-def _counter(d: int) -> _IndependencePolyCounter:
-    return _IndependencePolyCounter(d)
-
-
-def independence_poly(d: int, removed: tuple[int, ...] = ()) -> tuple[int, ...]:
-    """Size-indexed counts of independent sets of Q_d with `removed` deleted.
-
-    Deletion removes the vertices only (their neighbors stay).  d <= 5.
-    """
-    hc.check_dim(d)
-    if d > 5:
-        raise ValueError(f"dimension {d} too large for independence_poly (max 5)")
-    mask_all = (1 << (1 << d)) - 1
-    removed_mask = 0
-    for v in removed:
-        hc.check_vertex(v, d)
-        removed_mask |= 1 << v
-    return _counter(d).poly(mask_all & ~removed_mask)
 
 
 def size_profile(d: int) -> SizeProfile:

@@ -20,16 +20,16 @@ n = 2^d, about n^2/16 bytes of single-vertex masks and n^2/9 of neighbour
 masks, 0.18 n^2 in all (767 MB at d = 16, where ru_maxrss reads 768 MB), so
 larger d is refused before anything is built.
 
-A long run splits across two processes.  After the burn-in, when at least
-_SPLIT_MIN_STEPS steps remain, two CPUs are usable, d <= _SPLIT_MAX_DIM and
-the run is not a worker of a process pool, glauber_run forks once.  The
-child discards the draws up to a snapshot step H near the middle, runs the
-chain from H starting at the post-burn-in state, and streams its snapshots
-through a pipe.  Two copies of the chain that use the same draws meet
-within a few thousand steps (the grand coupling of Propp and Wilson), so the
-parent steps the true chain only until it equals the child's at a snapshot
-after H and then yields the child's snapshots, which are exact from there
-on.  If no snapshot matches, or the child fails, the parent finishes alone:
+A long run splits across two processes, the only way the sampler uses a
+second CPU: sample_chains runs its chains one after another.  After the
+burn-in, when at least _SPLIT_MIN_STEPS steps remain, two CPUs are usable
+and d <= _SPLIT_MAX_DIM, glauber_run forks once.  The child discards the
+draws up to a snapshot step H near the middle, runs the chain from H
+starting at the post-burn-in state, and streams its snapshots through a
+pipe.  Two copies of the chain that use the same draws meet within a few
+thousand steps (the grand coupling of Propp and Wilson), so the parent steps
+the true chain only until it equals the child's at a snapshot after H and
+then yields the child's snapshots, which are exact from there on.  If no snapshot matches, or the child fails, the parent finishes alone:
 the snapshots never depend on the split.
 
 Defects are the distance-2 components of the minority side of a sample
@@ -208,10 +208,6 @@ def _split_step(d: int, burn_in: int, last: int, thin: int) -> int | None:
     except AttributeError:
         cpus = os.cpu_count() or 1
     if cpus < 2:
-        return None
-    # a worker of sample_chains' pool, which holds one CPU per chain
-    mp = sys.modules.get("multiprocessing")
-    if mp is not None and mp.parent_process() is not None:
         return None
     k = round(((burn_in + last) / _SPLIT_BALANCE - burn_in) / thin)
     h = burn_in + k * thin
@@ -573,31 +569,18 @@ def reports_to_csv(states: Iterable[ChainState],
     return "\n".join(lines) + "\n"
 
 
-def _chain_task(args) -> list[ChainState]:
-    d, lam, steps, burn_in, thin, seed, debug = args
-    return list(glauber_run(d, lam, steps, burn_in, thin, seed, debug))
-
-
 def sample_chains(d: int, lam: Fraction, steps: int,
                   burn_in: int | None = None, thin: int = 1, seed: int = 0,
-                  chains: int = 1, processes: int = 1,
+                  chains: int = 1,
                   debug: bool = False) -> list[list[ChainState]]:
-    """Run independent chains with derived seeds; deterministic merge order.
-
-    Chain i uses seed + 1000003*i; the result list is ordered by chain index
-    regardless of the degree of parallelism, so output bytes never depend on
-    the process count.
-    """
+    """Run independent chains one after another, chain i with seed
+    seed + 1000003*i; each is a `glauber_run`, so a long one splits across
+    two CPUs."""
     if chains < 1:
         raise ValueError("need at least one chain")
-    tasks = [(d, lam, steps, burn_in, thin, seed + 1000003 * i, debug)
-             for i in range(chains)]
-    if processes > 1 and chains > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(min(processes, chains)) as pool:
-            return pool.map(_chain_task, tasks)
-    return [_chain_task(t) for t in tasks]
+    return [list(glauber_run(d, lam, steps, burn_in, thin,
+                             seed + 1000003 * i, debug))
+            for i in range(chains)]
 
 
 def two_chain_diagnostic(d: int, lam: Fraction, steps: int, seed: int = 0,

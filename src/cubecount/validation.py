@@ -318,10 +318,13 @@ def _check_reproducibility() -> list[str]:
         if a_csv != b_csv:
             fails.append("sample CSV differs between identical runs")
 
-        # the worker pool of `sample --chains` must not change a byte
-        chained = args + ["--chains", "2", "--threads"]
-        if run(chained + ["1"], "c1") != run(chained + ["2"], "c2"):
-            fails.append("sample --chains 2 output differs across thread counts")
+        # chain i of `sample --chains` is the run at --seed 99 + 1000003 * i
+        _, c_csv = run(args + ["--chains", "2"], "c")
+        _, s_csv = run(args[:-1] + [str(99 + 1000003)], "s")
+        if c_csv.splitlines()[1:] != (a_csv.splitlines()[1:]
+                                      + s_csv.splitlines()[1:]):
+            fails.append("sample --chains 2 rows are not those of --seed 99 "
+                         "followed by those of --seed 1000102")
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     return fails

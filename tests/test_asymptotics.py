@@ -194,17 +194,6 @@ def test_log_count_never_sieves_at_benchmark_sizes(monkeypatch):
         assert lc.value > 0
 
 
-def test_stirling_binom_ratio():
-    # leading-order Stirling: relative error O(1/n)
-    for n, tol in ((200, 5e-3), (20000, 5e-5)):
-        m = round(n * 0.35)
-        exact = math.comb(n, m)
-        approx = asym.stirling_binom(n, m)
-        with mpmath.workdps(40):
-            ratio = approx / mpmath.mpf(exact)
-        assert abs(float(ratio) - 1) < tol
-
-
 def test_binomial_lclt_peak_matches_density():
     n = 10 ** 4
     exact, density = asym.binomial_lclt(n, Fraction(1, 2), n // 2)

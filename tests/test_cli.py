@@ -92,9 +92,11 @@ def test_usage_errors_exit_one_with_single_line(capsys):
                  ["clusters", "--d", "25", "--k", "1"],
                  # the chain's step tables would need gigabytes past d = 16
                  ["sample", "--d", "17", "--lam", "1", "--samples", "2"],
-                 # only sample --chains runs worker processes
+                 # no command takes a worker-process count
                  ["rj", "--j", "2", "--threads", "2"],
                  ["polymers", "--max-size", "3", "--mode", "symbolic",
+                  "--threads", "2"],
+                 ["sample", "--d", "3", "--lam", "1", "--chains", "2",
                   "--threads", "2"],
                  # a negative budget exited 2 (exhausted) or was ignored
                  ["polymers", "--d", "5", "--max-size", "3", "--budget", "-1"],
@@ -126,7 +128,6 @@ def test_usage_errors_exit_one_with_single_line(capsys):
                  # the exact oracle ends at d = 6 and has no --allow-slow
                  ["oracle", "--d", "7"],
                  ["oracle", "--d", "6", "--allow-slow"],
-                 ["sample", "--d", "3", "--lam", "1", "--threads", "0"],
                  # each started a census that no budget bounded (96 s at d = 7)
                  ["sample", "--d", "7", "--lam", "1", "--census-size", "6"],
                  ["sample", "--d", "6", "--lam", "1", "--census-size", "7"]):
@@ -170,7 +171,7 @@ def test_sample_counts_snapshots_over_all_chains(capsys):
 
 
 def test_sample_ignores_thread_environment_variable(capsys, monkeypatch):
-    # --threads is the one knob for worker processes
+    # no command reads a process or thread count from the environment
     monkeypatch.setenv("CUBECOUNT_THREADS", "abc")
     code, out, err = run_cli(capsys, "sample", "--d", "3", "--lam", "1", "--steps",
                              "2000", "--burn-in", "100", "--thin", "50")
@@ -269,6 +270,57 @@ def test_rational_arguments_accept_fractions(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--d", "2", "--lam", "3/7")
     assert code == 0
     assert json.loads(out)["lam"] == "3/7"
+
+
+@pytest.mark.parametrize("argv", [
+    # Z's denominator has 4,480 digits
+    ["oracle", "--d", "6", "--lam", "1e-140"],
+    ["oracle", "--d", "5", "--lam", "1e-999"],
+    ["clusters", "--d", "4", "--k", "2", "--lam", "1e-999"],
+    # the longest accepted inputs
+    ["zeta", "--lam", "1e-999", "--d", "4", "--t", "2"],
+    ["sample", "--d", "3", "--lam", "1e-999", "--samples", "5"],
+    ["lambda-beta", "--beta", "0." + "3" * 998, "--d", "12", "--t", "2"],
+])
+def test_exact_outputs_print_past_the_int_string_limit(capsys, argv):
+    # the first three exited 1 on Python's 4,300-digit limit for int-to-str
+    # conversion
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    obj = json.loads(out)
+    if "lam" in obj:
+        assert Fraction(obj["lam"]) == Fraction(argv[argv.index("--lam") + 1])
+    if argv[0] == "oracle":
+        assert len(obj["Z"].partition("/")[2]) > 4300
+    # the limit is lifted for the command alone
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+@pytest.mark.parametrize("value", [
+    "1e-1001", "1e1000", "1E-0001001",
+    pytest.param("0." + "3" * 999, id="0.3...3"),
+    pytest.param("1/" + "7" * 999, id="1/7...7"),
+    # Fraction alone took 9 s to parse this one
+    "1e-10000000", "1e-" + "9" * 30,
+])
+def test_rationals_past_max_rational_digits_are_refused_at_once(capsys, value):
+    start = time.perf_counter()
+    for argv in (["oracle", "--d", "6", "--lam", value],
+                 ["zeta", "--lam", value, "--d", "4", "--t", "2"],
+                 ["count", "--beta", value, "--d", "12", "--t", "2"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: '" + value[:37]), err
+        assert err.endswith(f"has more than {cli.MAX_RATIONAL_DIGITS} digits\n"), err
+    assert time.perf_counter() - start < 1
+
+
+def test_rational_digits_count_an_exponent_at_its_value():
+    assert cli._rational_digits("1/" + "7" * 998) == cli.MAX_RATIONAL_DIGITS
+    assert cli._rational_digits("1e-999") == 1000
+    assert cli._rational_digits("25e+0") == 5
+    assert cli._rational_digits("1e-" + "9" * 30) > cli.MAX_RATIONAL_DIGITS
 
 
 def test_rj_output_is_reproducible(capsys):
@@ -642,7 +694,8 @@ SCHEMA_OF = {"oracle": "oracle", "polymers": "polymers", "clusters": "cluster_su
              "lambda-beta": "lambda_beta", "count": "log_count",
              "count-structured": "log_count", "zeta": "log_count",
              "sample": "sampler_summary"}
-RATIONALS = st.sampled_from(["1", "1/2", "1/4", "1/20", "2", "0", "-1/3", "x"])
+RATIONALS = st.sampled_from(["1", "1/2", "1/4", "1/20", "2", "0", "-1/3", "x",
+                             "1e-999", "1e-1001"])
 KEYS = st.sampled_from(["s1c0g0", "s2c2g1", "s3c4g3", "s2c0g0", "s9c0g0", "bad"])
 # past MAX_DIGITS the CLI must refuse at once, never start the evaluation
 DIGITS = st.integers(-1, 30) | st.integers(cli.MAX_DIGITS + 1, 10 ** 9)

@@ -70,8 +70,6 @@ def test_exhaustive_oracle_refuses_large_d():
 def test_oracle_refuses_dimension_seven():
     with pytest.raises(ValueError, match="max 6"):
         ex.size_profile(7)
-    with pytest.raises(ValueError, match="max 5"):
-        ex.independence_poly(6)
 
 
 def test_partition_value_and_mean_size_from_counts():
@@ -93,13 +91,6 @@ def test_size_distribution_sums_to_one():
 def test_profile_json_round_trip():
     sp = ex.size_profile(4)
     assert ex.SizeProfile.from_json(sp.to_json()) == sp
-
-
-def test_independence_poly_with_deletions():
-    # deleting every vertex of Q_2 leaves only the empty set
-    assert ex.independence_poly(2, tuple(range(4))) == (1,)
-    # deleting one vertex of the 4-cycle leaves a path on 3 vertices
-    assert ex.independence_poly(2, (0,)) == (1, 3, 1)
 
 
 def test_hardcore_exact_at_unit_fugacity():

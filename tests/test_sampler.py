@@ -1,7 +1,6 @@
 """Glauber dynamics: invariants, determinism, and defect extraction."""
 
 import math
-import multiprocessing
 import os
 import random
 from fractions import Fraction
@@ -249,16 +248,14 @@ def test_closing_a_split_run_early_leaves_no_process(split):
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("where", ["one cpu", "no affinity", "pool worker"])
-def test_split_needs_two_cpus_and_no_pool(split, monkeypatch, where):
+@pytest.mark.parametrize("where", ["one cpu", "no affinity"])
+def test_split_needs_two_cpus(split, monkeypatch, where):
     if where == "one cpu":
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                             raising=False)
-    elif where == "no affinity":
+    else:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    else:
-        monkeypatch.setattr(multiprocessing, "parent_process", object)
 
     def no_fork():
         raise AssertionError("forked")
@@ -410,13 +407,12 @@ def test_csv_log_format():
 
 
 def test_sample_chains_order_is_deterministic():
-    kw = dict(steps=1500, burn_in=100, thin=50, seed=3, chains=3)
-    a = sm.sample_chains(3, Fraction(1), **kw)
-    b = sm.sample_chains(3, Fraction(1), **kw, processes=2)
-    key = [[(s.step, s.occupancy) for s in chain] for chain in a]
-    assert key == [[(s.step, s.occupancy) for s in chain] for chain in b]
+    kw = dict(steps=1500, burn_in=100, thin=50)
+    got = sm.sample_chains(3, Fraction(1), seed=3, chains=3, **kw)
+    # chain i is the run at seed + 1000003 * i
+    assert got == [run(seed=3 + 1000003 * i, **kw) for i in range(3)]
     # distinct chains see distinct seeds
-    assert key[0] != key[1]
+    assert got[0] != got[1]
 
 
 def test_two_chain_diagnostic_crosses_modes_on_q2():
