@@ -305,6 +305,8 @@ def _cmd_sample(args) -> dict:
         raise _UsageError("--lam must be positive")
     if args.steps is None and args.samples < 2:
         raise _UsageError("--samples must be >= 2")
+    if args.census_size < 1:
+        raise _UsageError("--census-size must be >= 1")
     polymers.check_census_bounds(args.d, args.census_size)
     if args.d > 5 and args.census_size > 5:
         # census(7, 6) took 96 s, and sample has no --budget to bound it

@@ -33,21 +33,35 @@ class SizeProfile(NamedTuple):
     def total(self) -> int:
         return sum(self.counts)
 
+    def _terms(self, lam: Fraction) -> tuple[list[int], int]:
+        """The integers i_m p^m q^(M-m) and q^M, for lam = p/q in lowest
+        terms and M the largest size: Z(lam) is their sum over q^M, so each
+        quantity below is one Fraction, reduced by one gcd."""
+        lam = Fraction(lam)
+        p, q = lam.numerator, lam.denominator
+        q_pows = [1]
+        for _ in self.counts[1:]:
+            q_pows.append(q_pows[-1] * q)
+        terms = []
+        p_pow = 1
+        for c, q_pow in zip(self.counts, reversed(q_pows)):
+            terms.append(c * p_pow * q_pow)
+            p_pow *= p
+        return terms, q_pows[-1]
+
     def partition_value(self, lam: Fraction) -> Fraction:
         """Z(lam) = sum_m i_m lam^m."""
-        lam = Fraction(lam)
-        return sum((c * lam ** m for m, c in enumerate(self.counts)), Fraction(0))
+        terms, scale = self._terms(lam)
+        return Fraction(sum(terms), scale)
 
     def mean_size(self, lam: Fraction) -> Fraction:
-        lam = Fraction(lam)
-        z = self.partition_value(lam)
-        weighted = sum((m * c * lam ** m for m, c in enumerate(self.counts)), Fraction(0))
-        return weighted / z
+        terms, _ = self._terms(lam)
+        return Fraction(sum(m * t for m, t in enumerate(terms)), sum(terms))
 
     def size_distribution(self, lam: Fraction) -> tuple[Fraction, ...]:
-        lam = Fraction(lam)
-        z = self.partition_value(lam)
-        return tuple(c * lam ** m / z for m, c in enumerate(self.counts))
+        terms, _ = self._terms(lam)
+        total = sum(terms)
+        return tuple(Fraction(t, total) for t in terms)
 
     def to_json(self) -> dict:
         return {"d": self.d, "counts": [str(c) for c in self.counts]}

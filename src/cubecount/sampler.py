@@ -25,12 +25,14 @@ second CPU: sample_chains runs its chains one after another.  After the
 burn-in, when at least _SPLIT_MIN_STEPS steps remain, two CPUs are usable
 and d <= _SPLIT_MAX_DIM, glauber_run forks once.  The child discards the
 draws up to a snapshot step H near the middle, runs the chain from H
-starting at the post-burn-in state, and streams its snapshots through a
-pipe.  Two copies of the chain that use the same draws meet within a few
-thousand steps (the grand coupling of Propp and Wilson), so the parent steps
-the true chain only until it equals the child's at a snapshot after H and
-then yields the child's snapshots, which are exact from there on.  If no snapshot matches, or the child fails, the parent finishes alone:
-the snapshots never depend on the split.
+starting at the post-burn-in state, writes each snapshot as a fixed-size
+record of a shared anonymous mapping and exits.  Two copies of the chain
+that use the same draws meet within a few thousand steps (the grand
+coupling of Propp and Wilson), so the parent steps the true chain past H
+until the child has exited cleanly and the two are equal at a snapshot,
+and then yields the child's records, which are exact from there on.  If
+no snapshot matches, or the child fails, the parent finishes alone: the
+snapshots never depend on the split.
 
 Defects are the distance-2 components of the minority side of a sample
 (ties resolved to the odd side); their type statistics are compared against
@@ -42,6 +44,7 @@ neither numpy nor scipy.
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import random
 import signal
@@ -214,19 +217,6 @@ def _split_step(d: int, burn_in: int, last: int, thin: int) -> int | None:
     return h if (last - h) // thin >= _SPLIT_MIN_SNAPSHOTS else None
 
 
-def _drain(fd: int, buf: bytearray) -> bool:
-    """Append to `buf` what the non-blocking pipe `fd` holds; False once the
-    writer has closed it."""
-    while True:
-        try:
-            chunk = os.read(fd, 1 << 16)
-        except BlockingIOError:
-            return True
-        if not chunk:
-            return False
-        buf += chunk
-
-
 def _split_snapshots(chain: Iterator[tuple[int, int]], occ: int, h: int,
                      last: int, thin: int, nbytes: int,
                      resume: Callable[[int, int], Iterator[tuple[int, int]]],
@@ -234,73 +224,57 @@ def _split_snapshots(chain: Iterator[tuple[int, int]], occ: int, h: int,
     """The snapshots of `chain`, whose state after the burn-in is `occ`, with
     those after step h computed ahead by a forked child.
 
-    The child runs the chain from step h, starting at `occ`, and writes its
-    snapshots to a pipe.  The chain stepped from the true state at step h
+    The child runs `resume(occ, h)`, the chain from occupancy `occ` after h
+    steps with snapshots every `thin` steps, and writes its snapshot at step
+    h + (k + 1) * thin as record k of a shared mapping, `nbytes`
+    little-endian bytes at offset k * nbytes; it exits 0 only after the last
+    record.  The parent steps `chain` on and checks at each snapshot whether
+    the child has exited.  The chain stepped from the true state at step h
     and the child's use the same draws, so once the two are equal at some
-    snapshot they stay equal: from the first equal pair on, the child's
-    snapshots are yielded.  If no pair is equal, or the child fails, `chain`
-    yields the rest.  `resume(occ, step)` is the chain from occupancy `occ`
-    after `step` steps, with snapshots every `thin` steps; each snapshot
-    crosses the pipe as `nbytes` little-endian bytes.
+    snapshot they stay equal: after a child that exited 0, from the first
+    snapshot equal to its record on, the records are yielded.  If no pair is
+    equal, or the child fails, `chain` yields the rest.
     """
-    r, w = os.pipe()
+    records = mmap.mmap(-1, (last - h) // thin * nbytes)
     try:
         pid = os.fork()
     except OSError:
-        os.close(r)
-        os.close(w)
+        records.close()
         yield from chain
         return
     if pid == 0:
-        # the child writes only snapshots and never returns into the
-        # caller's frames, whose stdio buffers and finally clauses are the
-        # parent's
+        # the child writes only records and never returns into the caller's
+        # frames, whose stdio buffers and finally clauses are the parent's
         code = 1
         try:
-            os.close(r)
             for _, x in resume(occ, h):
-                data = x.to_bytes(nbytes, "little")
-                while data:
-                    data = data[os.write(w, data):]
+                records.write(x.to_bytes(nbytes, "little"))
             code = 0
         finally:
             os._exit(code)
-    os.close(w)
+    reaped = done = False
     try:
-        # record k of the child's stream is its snapshot at step h + k * thin
-        buf = bytearray()
-        os.set_blocking(r, False)
-        live = True
         for step, occ in chain:
-            if live:
-                live = _drain(r, buf)
             yield step, occ
+            if not reaped:
+                reaped, status = os.waitpid(pid, os.WNOHANG)
+                done = reaped and status == 0
             end = (step - h) // thin * nbytes
-            if step > h and buf[end - nbytes:end] == occ.to_bytes(nbytes,
-                                                                  "little"):
+            if done and step > h and (records[end - nbytes:end]
+                                      == occ.to_bytes(nbytes, "little")):
                 break
         else:
             return
-        os.set_blocking(r, True)
-        while step < last:
-            if len(buf) < end + nbytes:
-                chunk = os.read(r, 1 << 16) if live else b""
-                if chunk:
-                    buf += chunk
-                    continue
-                # the stream ended early: go on from its last snapshot
-                yield from resume(occ, step)
-                return
+        for end in range(end, len(records), nbytes):
             step += thin
-            occ = int.from_bytes(buf[end:end + nbytes], "little")
-            end += nbytes
-            yield step, occ
+            yield step, int.from_bytes(records[end:end + nbytes], "little")
     finally:
-        # the child may still be stepping, or blocked on a full pipe; a
-        # signal to one that has exited but is not yet reaped is harmless
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-        os.close(r)
+        if not reaped:
+            # the child may still be stepping; a signal to one that has
+            # exited but is not yet reaped is harmless
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        records.close()
 
 
 def glauber_run(d: int, lam: Fraction, steps: int,

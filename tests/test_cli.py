@@ -137,6 +137,12 @@ def test_usage_errors_exit_one_with_single_line(capsys):
         assert captured.err.startswith("error:"), argv
         assert captured.err.strip().count("\n") == 0, argv
         assert "budget exhausted" not in captured.err, argv
+    # these named max_size, a parameter sample has no option for
+    for size in ("0", "-2"):
+        code = cli.main(["sample", "--d", "4", "--lam", "1", "--census-size",
+                         size])
+        assert (code, capsys.readouterr().err) == (
+            1, "error: --census-size must be >= 1\n"), size
 
 
 def test_sample_names_samples_when_it_is_below_two(capsys):

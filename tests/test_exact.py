@@ -88,6 +88,20 @@ def test_size_distribution_sums_to_one():
     assert len(dist) == len(sp.counts)
 
 
+@pytest.mark.parametrize("d", range(1, 7))
+def test_sums_equal_term_by_term_fractions(d):
+    # each sum is one integer numerator over q^M for lam = p/q; adding the
+    # Fractions i_m lam^m one at a time must give the same values
+    sp = ex.size_profile(d)
+    for lam in (Fraction(1), Fraction(3, 7), Fraction(1, 10 ** 998),
+                Fraction(10 ** 500 + 1, 10 ** 499)):
+        terms = [c * lam ** m for m, c in enumerate(sp.counts)]
+        z = sum(terms, Fraction(0))
+        assert sp.partition_value(lam) == z, lam
+        assert sp.mean_size(lam) == sum(m * t for m, t in enumerate(terms)) / z
+        assert sp.size_distribution(lam) == tuple(t / z for t in terms)
+
+
 def test_profile_json_round_trip():
     sp = ex.size_profile(4)
     assert ex.SizeProfile.from_json(sp.to_json()) == sp

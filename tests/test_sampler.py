@@ -163,13 +163,11 @@ def split(monkeypatch):
     return seen
 
 
-def read_all(fd, buf):
-    """A drain that waits for the child's whole stream, so that whether the
-    chains meet no longer depends on which process runs ahead."""
-    os.set_blocking(fd, True)
-    while chunk := os.read(fd, 1 << 16):
-        buf += chunk
-    return False
+def blocking_wait(monkeypatch):
+    """Make the parent's poll of the child wait for its exit, so that the
+    child has always finished before the parent's first snapshot after H."""
+    waitpid = os.waitpid
+    monkeypatch.setattr(os, "waitpid", lambda pid, options: waitpid(pid, 0))
 
 
 SPLIT_RUNS = [  # d, lam, seed, burn_in, thin, steps, start on the odd side
@@ -186,12 +184,13 @@ def test_split_run_matches_reference(split, monkeypatch, d, lam, seed,
     start = sum(1 << v for v in hc.odd_side(d)) if odd else 0
     want = reference_run(d, lam, steps, burn_in, thin, seed, start)
     kw = dict(burn_in=burn_in, thin=thin, seed=seed, start=start, debug=True)
-    # the parent compares what has arrived, so either process may run ahead
+    # the parent reads the records once the child has exited, so either
+    # process may run ahead
     assert list(sm.glauber_run(d, lam, steps, **kw)) == want
     assert len(split["forks"]) == 1
-    # with the child's whole stream at hand, the parent stops stepping at
-    # the first snapshot where the chains meet
-    monkeypatch.setattr(sm, "_drain", read_all)
+    # with the child done before H, the parent stops stepping at the first
+    # snapshot where the chains meet
+    blocking_wait(monkeypatch)
     split["drawn"] = 0
     assert list(sm.glauber_run(d, lam, steps, **kw)) == want
     assert len(split["forks"]) == 2
@@ -207,7 +206,7 @@ def test_split_run_without_a_meeting_finishes_alone(split, monkeypatch):
     split_snapshots = sm._split_snapshots
     monkeypatch.setattr(sm, "_split_snapshots", lambda chain, occ, *rest:
                         split_snapshots(chain, odd, *rest))
-    monkeypatch.setattr(sm, "_drain", read_all)
+    blocking_wait(monkeypatch)
     got = list(sm.glauber_run(d, lam, steps, burn_in=0, thin=20, seed=1,
                               start=even))
     assert got == reference_run(d, lam, steps, 0, 20, 1, even)
@@ -215,27 +214,33 @@ def test_split_run_without_a_meeting_finishes_alone(split, monkeypatch):
     assert len(split["forks"]) == 1 and split["drawn"] == steps
 
 
-@pytest.mark.parametrize("blocks", [0, 3])
+@pytest.mark.parametrize("blocks", [0, 3, None])
 def test_split_run_survives_a_failing_child(split, monkeypatch, blocks):
-    # the child raises before its first snapshot, or after a few, once the
-    # parent has matched it and reads its stream to the end
+    # the child raises before its first record, after a few, or (None) after
+    # writing every record: the parent never reads the records of a child
+    # that exits non-zero
     parent = os.getpid()
     step_codes = sm._step_codes
 
     def failing_codes(seed, d, p, steps, skip=0):
+        child = os.getpid() != parent
         for i, block in enumerate(step_codes(seed, d, p, steps, skip)):
-            if os.getpid() != parent and i == blocks:
+            if child and i == blocks:
                 raise RuntimeError("child fails")
             yield block
+        if child:
+            raise RuntimeError("child fails")
 
     monkeypatch.setattr(sm, "_step_codes", failing_codes)
-    monkeypatch.setattr(sm, "_drain", read_all)
+    blocking_wait(monkeypatch)
     d, lam, seed, burn_in, thin, steps, _ = SPLIT_RUNS[1]
     got = list(sm.glauber_run(d, lam, steps, burn_in=burn_in, thin=thin,
                               seed=seed))
     assert got == reference_run(d, lam, steps, burn_in, thin, seed)
-    assert len(split["forks"]) == 1
-    assert (split["drawn"] < steps) == (blocks > 0)
+    assert len(split["forks"]) == 1 and split["drawn"] == steps
+    monkeypatch.undo()  # a left child would make the blocking wait hang
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_closing_a_split_run_early_leaves_no_process(split):
