@@ -8,8 +8,8 @@ The package splits into a small stack of layers:
 - clusters: cluster-expansion machinery (Ursell coefficients, strata sums)
 - symbolic: exact polynomial / rational-function / truncated-series kernel
 - asymptotics: series coefficients and high-precision counting formulas
-- certified: decimal intervals that print mpmath's digits without mpmath
-- bigint: exact and correctly rounded binomials of huge arguments
+- certified: decimal intervals that print each digit correctly rounded
+- bigint: exact binomials of huge arguments, and enclosures of their logs
 - sampler: Glauber dynamics used to validate the defect statistics
 - chisq: the chi-square tail of the sampler's goodness-of-fit tests
 - cli: command-line front end

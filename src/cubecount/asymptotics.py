@@ -11,27 +11,24 @@ Truncation convention: an order-t formula carries the correction terms
 j = 1 .. t-1 and has error of the order of the first omitted term.  The
 fugacity series uses r = ceil(t/2) - 1 correction orders.
 
-`log_Z_asymptotic` and `log_count_asymptotic` return a LogCount that holds
-the formula and its exact rationals; each formula is written once over a
-number kit (cubecount.certified) and runs over mpmath's mpf or over decimal
-intervals.  Their JSON prints from the intervals and loads mpmath only when
-an interval cannot decide a digit, as at 30 digits or fewer, where mpmath's
-own rounding reaches the printed digits.
-The other evaluating functions import mpmath where they evaluate, so
-building the exact tables R_j, B_j and P_j never loads it.
+`log_Z_asymptotic`, `log_count_asymptotic` and `structured_count` return a
+LogCount that holds the formula and its exact rationals; each formula is
+written once over the number kit of decimal intervals (cubecount.certified),
+which prints every digit correctly rounded.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Mapping, NamedTuple
 
 from . import hypercube as hc
-from .bigint import binomial
-from .certified import MpNumbers, Undecided, evaluate, mpf_of as _mpf
+from .bigint import binomial, decimal_contexts, pi_bounds
+from .certified import evaluate
 from .clusters import cluster_sum
 from .errors import RegimeWarning
 from .polymers import DefectType, census
@@ -293,50 +290,48 @@ class LogCount:
     """Natural log of a count or partition function, with a term breakdown.
 
     Holds the formula with its exact rationals: `formula(num)` returns
-    (value, terms, alt) in the number kit `num` (see cubecount.certified).
-    `value`, `terms` and `alt` are mpmath mpf at `precision` digits, built
-    when first read; `to_json` prints from decimal intervals when they decide
-    every digit, which spares loading mpmath.  A LogCount built from mpf
-    `values` alone, with no formula, prints them.
+    (value, terms, alt) as intervals in the number kit `num` (see
+    cubecount.certified).  `value`, `terms` and `alt` are Decimals correctly
+    rounded at `precision` digits, built when first read; `to_json` prints
+    each field correctly rounded at min(precision, 30) digits.
     """
 
-    __slots__ = ("precision", "_formula", "_mp")
+    __slots__ = ("precision", "_formula", "_rounded")
 
-    def __init__(self, precision: int, formula=None, values=None):
-        self.precision = precision  # decimal digits used
+    def __init__(self, precision: int, formula):
+        self.precision = precision  # digits requested
         self._formula = formula
-        self._mp = values  # (value, terms, alt) as mpf, once built
+        self._rounded = None  # (value, terms, alt) as Decimals, once built
 
-    def _mpf_values(self):
-        if self._mp is None:
-            import mpmath
+    def _values(self):
+        if self._rounded is None:
+            def rounded(num):
+                value, terms, alt = self._formula(num)
+                p = self.precision
+                return (num.rounded(value, p),
+                        tuple((k, num.rounded(v, p)) for k, v in terms),
+                        None if alt is None else num.rounded(alt, p))
 
-            with mpmath.workdps(self.precision):
-                self._mp = self._formula(MpNumbers())
-        return self._mp
-
-    @property
-    def value(self):
-        return self._mpf_values()[0]
-
-    @property
-    def terms(self) -> tuple[tuple[str, object], ...]:
-        return self._mpf_values()[1]
+            self._rounded = evaluate(rounded, self.precision)
+        return self._rounded
 
     @property
-    def alt(self):
+    def value(self) -> Decimal:
+        return self._values()[0]
+
+    @property
+    def terms(self) -> tuple[tuple[str, Decimal], ...]:
+        return self._values()[1]
+
+    @property
+    def alt(self) -> Decimal | None:
         """The secondary evaluation path, when exposed; else None."""
-        return self._mpf_values()[2]
+        return self._values()[2]
 
     def json_in(self, num) -> dict:
-        """The JSON fields printed in the number kit num; with decimal
-        intervals, Undecided when one cannot decide a printed digit."""
-        if isinstance(num, MpNumbers):
-            value, terms, alt = self._mpf_values()
-        elif self._formula is None:
-            raise Undecided
-        else:
-            value, terms, alt = self._formula(num)
+        """The JSON fields printed in the number kit num; Undecided when an
+        interval cannot decide a printed digit."""
+        value, terms, alt = self._formula(num)
         shown = min(self.precision, 30)
         out = {
             "log10_value": num.render(value / num.log(10), shown),
@@ -349,13 +344,13 @@ class LogCount:
         return out
 
     def to_json(self) -> dict:
-        return evaluate(self.json_in, self.precision, min(self.precision, 30))
+        return evaluate(self.json_in, min(self.precision, 30))
 
 
 def _log_z(num, n: int, lam: Fraction, strata):
     """log_Z_asymptotic's (value, terms, alt) in the number kit num."""
     terms = [("log_2", num.log(2)),
-             ("free_sides", n * num.log(num.rational(1 + lam)))]
+             ("free_sides", n * num.log1p(lam))]
     terms += [(f"stratum_{j}", num.rational(x)) for j, x in strata]
     return num.fsum(v for _, v in terms), tuple(terms), None
 
@@ -391,12 +386,12 @@ def _coprime_fraction(num: int, den: int) -> Fraction:
     return Fraction(num, den, _normalize=False)
 
 
-def binomial_lclt(n: int, p: Fraction, k: int) -> tuple[Fraction, object]:
+def binomial_lclt(n: int, p: Fraction, k: int) -> tuple[Fraction, Decimal]:
     """Exact Bin(n, p) pmf at k next to the flat local-CLT density.
 
-    Returns (exact pmf as a Fraction, 1/sqrt(2 pi n p (1-p))); the density is
-    the k-independent Gaussian peak value, so the pair only matches closely
-    when k - np = o(sqrt(n)).
+    Returns (exact pmf as a Fraction, 1/sqrt(2 pi n p (1-p)) as a Decimal of
+    30 digits); the density is the k-independent Gaussian peak value, so the
+    pair only matches closely when k - np = o(sqrt(n)).
 
     With p = a/q in lowest terms the pmf is C(n, k) a^k (q-a)^(n-k) / q^n.
     a and q-a are prime to q, so only C(n, k) can share a factor with q^n;
@@ -404,8 +399,6 @@ def binomial_lclt(n: int, p: Fraction, k: int) -> tuple[Fraction, object]:
     Fraction is built without the gcd of two n-bit integers that Fraction
     would take (about 2 s at n = 10^6).
     """
-    import mpmath
-
     p = Fraction(p)
     if not 0 < p < 1:
         raise ValueError("p must lie strictly between 0 and 1")
@@ -420,9 +413,10 @@ def binomial_lclt(n: int, p: Fraction, k: int) -> tuple[Fraction, object]:
         c //= g
         den //= g
     exact = _coprime_fraction(c * a ** k * (q - a) ** (n - k), den)
-    with mpmath.workdps(30):
-        approx = 1 / mpmath.sqrt(2 * mpmath.pi * n * _mpf(p * (1 - p)))
-    return exact, approx
+    _, _, near = decimal_contexts(30)
+    variance = near.multiply(near.multiply(2 * n, pi_bounds(30)[0]),
+                             near.divide(a * (q - a), q * q))
+    return exact, near.divide(1, near.sqrt(variance))
 
 
 def _log_count(num, n: int, m: int, lb: Fraction, corrections, strata):
@@ -431,7 +425,7 @@ def _log_count(num, n: int, m: int, lb: Fraction, corrections, strata):
     terms += [(f"P_{j}", num.rational(x)) for j, x in corrections]
     value = num.fsum(v for _, v in terms)
     beta = Fraction(m, n)
-    alt = (num.log(2) + n * num.log(num.rational(1 + lb))
+    alt = (num.log(2) + n * num.log1p(lb)
            - m * num.log(num.rational(lb))
            - num.log(2 * num.pi * n * num.rational(beta * (1 - beta))) / 2)
     for _, x in strata:
@@ -444,14 +438,10 @@ def log_count_asymptotic(beta: Fraction, d: int, t: int,
     """log of the number of independent sets of size floor(beta*N).
 
     Two evaluation paths: (a) log-binomial plus N sum P_j Y^j (the returned
-    value), where mpmath takes C(N, m) rounded correctly at the working
-    precision from `binomial_rounded`, and decimal intervals take ln C(N, m)
-    from the same Stirling-series enclosure (cubecount.bigint); the exact
-    integer is built only for N < 2^10, at very high precision, or when the
-    enclosure straddles a rounding boundary.  At d = 24 and 80 digits the
-    rounding takes about 0.4 ms where sieving the primes up to N and
-    multiplying their powers took 262 ms.  (b) Stirling form at the corrected fugacity
-    (exposed as .alt).
+    value), with ln C(N, m) enclosed by Stirling's series
+    (`bigint.ln_binomial_bounds`), so C(N, m) itself is not built: at d = 24
+    sieving the primes up to N and multiplying their powers took 262 ms.
+    (b) Stirling form at the corrected fugacity (exposed as .alt).
     Path (b) = log 2 + N log(1+lam_b) - m log lam_b + strata at
     lam_b - (1/2) log(2 pi N beta (1-beta)).  Both use beta = m/N exactly.
     """
@@ -481,6 +471,23 @@ def log_count_asymptotic(beta: Fraction, d: int, t: int,
                                     corrections=corrections, strata=strata))
 
 
+def _structured(num, base, poisson, gaussian):
+    """structured_count's (value, terms, alt) in the number kit num: the
+    Stirling path of `base` times a Poisson factor rho^k e^(-rho) / k! per
+    (key, k, rho) in `poisson` and a Gaussian factor
+    e^(-s^2/2m) / sqrt(2 pi m) per (key, m, s) in `gaussian`."""
+    _, base_terms, alt = base(num)
+    terms = list(base_terms) + [("fixed_size_stirling", alt)]
+    for key, k, rho in poisson:
+        r = num.rational(rho)
+        terms.append((f"poisson[{key}]@{k}", k * num.log(r) - r - num.log_factorial(k)))
+    for key, m_t, s_t in gaussian:
+        terms.append((f"gaussian[{key}]",
+                      -num.rational(s_t ** 2 / (2 * m_t))
+                      - num.log(2 * num.pi * num.rational(m_t)) / 2))
+    return num.fsum(v for _, v in terms[len(base_terms):]), tuple(terms), None
+
+
 def structured_count(beta: Fraction, d: int,
                      fixed_types: Mapping[DefectType, int] | None = None,
                      diverging_types: Mapping[DefectType, tuple] | None = None,
@@ -497,8 +504,6 @@ def structured_count(beta: Fraction, d: int,
     defects of size |T| with k|T| > n/2 (n = n_side): defects lie on the
     minority side, and |N(S)| >= |S| caps its occupied part at n/2.
     """
-    import mpmath
-
     beta = Fraction(beta)
     fixed_types = dict(fixed_types or {})
     diverging_types = dict(diverging_types or {})
@@ -508,40 +513,28 @@ def structured_count(beta: Fraction, d: int,
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RegimeWarning)
         lb = lambda_beta(Fraction(m, n), d, t).value
-    terms = list(base.terms) + [("fixed_size_stirling", base.alt)]
-    with mpmath.workdps(digits):
-        value = base.alt
-        if fixed_types:
-            cen = census(d, max(T.size for T in fixed_types), budget)
-            present = cen.by_key()
-            for T, k in sorted(fixed_types.items(), key=lambda kv: kv[0].key):
-                if k < 0:
-                    raise ValueError(f"negative count for type {T.key}")
-                if 2 * k * T.size > n:
-                    raise ValueError(
-                        f"{k} defects of type {T.key} cover {k * T.size} "
-                        f"vertices, more than half of the {n} on a side")
-                if T.key not in present:
-                    raise ValueError(f"type {T.key} does not occur in Q_{d}")
-                rho = cen.expected_type_count(T.key, lb)
-                # k! itself only for small k: math.factorial(10**6) takes seconds
-                log_k_factorial = (mpmath.log(math.factorial(k)) if k < 1000
-                                   else mpmath.loggamma(k + 1))
-                contrib = k * mpmath.log(_mpf(rho)) - _mpf(rho) - log_k_factorial
-                terms.append((f"poisson[{T.key}]@{k}", contrib))
-                value += contrib
-        for T, (m_t, s_t) in sorted(diverging_types.items(),
-                                    key=lambda kv: kv[0].key):
-            m_t = Fraction(m_t)
-            if m_t <= 0:
-                raise ValueError(f"nonpositive spread for type {T.key}")
-            s_t = Fraction(s_t)
-            contrib = (-_mpf(s_t ** 2 / (2 * m_t))
-                       - mpmath.log(2 * mpmath.pi * _mpf(m_t)) / 2)
-            terms.append((f"gaussian[{T.key}]", contrib))
-            value += contrib
-    # loggamma has no decimal counterpart here, so this one prints from mpf
-    return LogCount(digits, values=(value, tuple(terms), None))
+    poisson = []
+    if fixed_types:
+        cen = census(d, max(T.size for T in fixed_types), budget)
+        present = cen.by_key()
+        for T, k in sorted(fixed_types.items(), key=lambda kv: kv[0].key):
+            if k < 0:
+                raise ValueError(f"negative count for type {T.key}")
+            if 2 * k * T.size > n:
+                raise ValueError(
+                    f"{k} defects of type {T.key} cover {k * T.size} "
+                    f"vertices, more than half of the {n} on a side")
+            if T.key not in present:
+                raise ValueError(f"type {T.key} does not occur in Q_{d}")
+            poisson.append((T.key, k, cen.expected_type_count(T.key, lb)))
+    gaussian = []
+    for T, (m_t, s_t) in sorted(diverging_types.items(), key=lambda kv: kv[0].key):
+        m_t = Fraction(m_t)
+        if m_t <= 0:
+            raise ValueError(f"nonpositive spread for type {T.key}")
+        gaussian.append((T.key, m_t, Fraction(s_t)))
+    return LogCount(digits, partial(_structured, base=base._formula,
+                                    poisson=tuple(poisson), gaussian=tuple(gaussian)))
 
 
 def clear_caches() -> None:

@@ -1,4 +1,4 @@
-"""Binomial coefficients for very large arguments: exact, or rounded to a precision.
+"""Binomial coefficients for very large arguments: exact, or as enclosed logs.
 
 `binomial(n, k)` is exact.  It factors C(n, k) by Legendre's formula into
 prime powers p^e (`_prime_power_factors`; by Kummer's theorem each p^e is at
@@ -8,40 +8,22 @@ up to 2^23; multiplying the prime powers back with a balanced product tree
 keeps every intermediate small until the end, which is orders of magnitude
 faster at this scale.
 
-`binomial_rounded(n, k, prec)` is C(n, k) rounded to nearest at `prec` bits,
-as mpmath's `from_int(binomial(n, k), prec, 'n')` gives it, without building
-the integer (C(2^23, 2^22) has 8,388,597 bits).  `ln_binomial_bounds`
-encloses ln C(n, k) = L(n) - L(k) - L(n - k), L(x) = ln x!, between two
-Decimals: below x = 2^10, L(x) is the log of the exact x!; above, it is
-Stirling's series
+`ln_binomial_bounds` encloses ln C(n, k) = L(n) - L(k) - L(n - k),
+L(x) = ln x!, between two Decimals, without building C(n, k) (C(2^23, 2^22)
+has 8,388,597 bits); `ln_factorial_bounds` encloses one L(x).  Below
+x = 2^10, L(x) is the log of the exact x!; above, it is Stirling's series
 
     (x + 1/2) ln x - x + (1/2) ln 2 pi + sum_{i <= K} B_2i / (2i (2i-1) x^(2i-1)),
 
 widened by the first omitted term, which bounds the remainder for x > 0.
 The Bernoulli numbers come from integer tangent numbers, only as far as K.
 Every step rounds outward (ROUND_FLOOR for the lower end, ROUND_CEILING for
-the upper), and ln, exp and pi are widened by one unit in the last place
-around decimal's ln and exp and Machin's series for pi, so the two ends hold
-ln C(n, k) at any precision, provided decimal's ln and exp round correctly,
-as it documents.
-
-`binomial_rounded` scales C(n, k) into [2^(prec-1), 2^prec) by a power of
-two, exponentiates the scaled lower end, bounds the upper one from it, and
-rounds both.  Rounding to nearest is monotone, so if they round to the
-same prec-bit value, C(n, k) rounds to it too; trailing zero bits are
-stripped, as `from_int` strips them.  If they do not (C(n, k) lies within
-the enclosure's width of a rounding boundary), if the series would need more
-than `_MAX_TERMS` terms (a very high precision), or if n < 2^10 (C(n, k)
-then has fewer bits than its enclosure costs), the exact `binomial(n, k)` is
-built and rounded by mpmath instead, so the exact `binomial` never loads
-mpmath.  The guard bits only decide how rarely the exact fallback runs.
-
-`count` also reads ln C(n, k) from this enclosure when it prints from
-decimal intervals (cubecount.certified): mpmath's log of
-mpf(binomial_rounded(n, k, prec)) is ln C(n, k) + ln(1 + delta) with
-|delta| <= 2^-prec, rounded once more.  That path assumes each mpmath
-rounding step errs by at most 2^(8 - prec) relative; mpmath rounds its
-arithmetic correctly and its log and pi to within a few units of 2^-prec.
+the upper), and ln and pi are widened by one unit in the last place around
+decimal's ln and Machin's series for pi, so the two ends hold the log at
+any precision, provided decimal's ln rounds correctly, as it documents.
+If the series would need more than `_MAX_TERMS` terms (a very high
+precision), the log of the exact integer is enclosed instead.  `count`
+prints ln C(N, m) from this enclosure (cubecount.certified).
 """
 
 from __future__ import annotations
@@ -51,13 +33,11 @@ import itertools
 import math
 from decimal import (MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR,
                      ROUND_HALF_EVEN, Context, Decimal)
-from fractions import Fraction
 from functools import lru_cache
 
 _SMALL_CUTOFF = 10_000
-_GUARD_BITS = 64  # enclosure width beyond `prec`; any width is exact, see the docstring
-_EXACT_BELOW = 1 << 10  # L(x) from the exact x!, and C(n, k) exact for n, below it
-_MAX_TERMS = 128  # Stirling terms beyond which the exact product runs instead
+_EXACT_BELOW = 1 << 10  # L(x) from the exact x! below it
+_MAX_TERMS = 128  # Stirling terms beyond which the exact integer serves instead
 _HALF = Decimal("0.5")
 
 
@@ -141,8 +121,6 @@ def _stirling_terms(x: int, wp: int) -> int | None:
         if bound < -wp:
             return i - 1
     return None
-
-
 
 
 def decimal_contexts(digits: int) -> tuple[Context, Context, Context]:
@@ -265,19 +243,50 @@ def _ln_factorial_bounds(x: int, terms: int, contexts, tangent):
     return lo, hi
 
 
-def ln_binomial_bounds(n: int, k: int, wp: int) -> tuple[Decimal, Decimal] | None:
+def _ln_int_bounds(c: int, contexts) -> tuple[Decimal, Decimal]:
+    """Decimals below and above ln c, for an int c >= 1.
+
+    With a the leading bits of c, c lies in [a 2^s, (a + 1) 2^s), so only a
+    is converted to Decimal, a conversion quadratic in its length, and
+    ln(a + 1) <= ln a + 1/a.
+    """
+    down, up, near = contexts
+    s = max(c.bit_length() - 4 * near.prec, 0)
+    a = c >> s
+    lo, hi = ln_bounds(Decimal(a), near)
+    if s:
+        ln2, _ = _ln_constants(near.prec)
+        lo = down.add(lo, down.multiply(s, ln2[0]))
+        hi = up.add(up.add(hi, up.divide(1, a)), up.multiply(s, ln2[1]))
+    return lo, hi
+
+
+def ln_factorial_bounds(x: int, wp: int) -> tuple[Decimal, Decimal]:
+    """Decimals lo <= ln x! <= hi, for x >= 0, at `wp` bits.
+
+    The enclosure of the module docstring, cut where the first omitted term
+    falls below 2^-wp; the exact x! serves past `_MAX_TERMS` terms.
+    """
+    contexts = decimal_contexts(_digits(wp))
+    terms = _stirling_terms(x, wp) if x >= _EXACT_BELOW else 0
+    if terms is None:
+        return _ln_int_bounds(math.factorial(x), contexts)
+    return _ln_factorial_bounds(x, terms, contexts, _tangent_numbers(terms + 1))
+
+
+def ln_binomial_bounds(n: int, k: int, wp: int) -> tuple[Decimal, Decimal]:
     """Decimals lo <= ln C(n, k) <= hi, for 0 <= k <= n, at `wp` bits.
 
     The enclosure of the module docstring: each L(x) is rounded outward at
     about wp significant bits, and its series is cut where the first omitted
-    term falls below 2^-wp.  None when a series would need more than
-    `_MAX_TERMS` terms.
+    term falls below 2^-wp.  The exact C(n, k) serves when a series would
+    need more than `_MAX_TERMS` terms.
     """
     args = (n, k, n - k)
     terms = [_stirling_terms(x, wp) if x >= _EXACT_BELOW else 0 for x in args]
-    if None in terms:
-        return None
     contexts = down, up, _ = decimal_contexts(_digits(wp))
+    if None in terms:
+        return _ln_int_bounds(binomial(n, k), contexts)
     tangent = _tangent_numbers(max(terms) + 1)
     ln_fact = {}
     for x, t in zip(args, terms):
@@ -286,67 +295,3 @@ def ln_binomial_bounds(n: int, k: int, wp: int) -> tuple[Decimal, Decimal] | Non
     (n_lo, n_hi), (k_lo, k_hi), (m_lo, m_hi) = (ln_fact[x] for x in args)
     return (down.subtract(down.subtract(n_lo, k_hi), m_hi),
             up.subtract(up.subtract(n_hi, k_lo), m_lo))
-
-
-def _round_exp(lo: Decimal, hi: Decimal, prec: int, contexts) -> tuple[int, int] | None:
-    """exp(L) rounded to nearest at `prec` bits, as a (man, exp) pair with
-    man odd, when every L in [lo, hi] gives the same one; else None.
-
-    With 2^e <= exp(L) < 2^(e+1) and s = e + 1 - prec, exp(L) / 2^s =
-    exp(L - s ln 2) lies in [2^(prec-1), 2^prec); it rounds to the integer m
-    when it lies strictly within 1/2 of m.
-    """
-    down, up, near = contexts
-    if lo <= 0:
-        return None
-    (ln2_lo, ln2_hi), _ = _ln_constants(near.prec)
-    e = math.floor(down.divide(lo, ln2_hi))
-    if up.divide(hi, ln2_lo) >= e + 1:  # the binade is not decided
-        return None
-    s = e + 1 - prec
-    # shift_lo <= s ln 2 <= shift_hi
-    shift_lo = down.multiply(s, ln2_lo if s >= 0 else ln2_hi)
-    shift_hi = up.multiply(s, ln2_hi if s >= 0 else ln2_lo)
-    x_lo = down.subtract(lo, shift_hi)
-    width = up.subtract(up.subtract(hi, shift_lo), x_lo)
-    if width > 1:
-        return None
-    # exp(x_lo + width) <= exp(x_lo) (1 + 2 width) for 0 <= width <= 1
-    v = near.exp(x_lo)
-    q_lo = Fraction(near.next_minus(v))
-    q_hi = Fraction(up.multiply(near.next_plus(v), up.add(1, up.multiply(2, width))))
-    m = round(q_lo)
-    if not m - Fraction(1, 2) < q_lo <= q_hi < m + Fraction(1, 2):
-        return None
-    zeros = (m & -m).bit_length() - 1
-    return m >> zeros, s + zeros
-
-
-def binomial_rounded(n: int, k: int, prec: int) -> tuple[int, int]:
-    """binomial(n, k) rounded to nearest at `prec` bits, as an mpmath (man, exp) pair.
-
-    Equal to `from_int(binomial(n, k), prec, 'n')[1:3]`, so
-    `mpmath.mpf(binomial_rounded(n, k, mpmath.mp.prec))` is
-    `mpmath.mpf(binomial(n, k))`.  It rounds the enclosure of ln C(n, k) of the
-    module docstring, and builds the exact integer only when that enclosure
-    cannot decide the rounding or would need too many Stirling terms.
-    """
-    _check_args(n, k)
-    if prec < 1:
-        raise ValueError("precision must be at least one bit")
-    if k > n:
-        return 0, 0
-    if n >= _EXACT_BELOW:
-        # L(n) < n ln n, so its roundings at wp bits are about
-        # 2^(n.bit_length() + log2 ln n - wp); the 8 extra bits cover log2 ln n
-        # and the number of steps, leaving ln C(n, k) about 2^-(prec + guard) wide
-        wp = prec + _GUARD_BITS + n.bit_length() + 8
-        bounds = ln_binomial_bounds(n, k, wp)
-        if bounds is not None:
-            rounded = _round_exp(*bounds, prec, decimal_contexts(_digits(wp)))
-            if rounded is not None:
-                return rounded
-    from mpmath.libmp import from_int
-
-    exact = from_int(binomial(n, k), prec, "n")
-    return exact[1], exact[2]

@@ -20,14 +20,13 @@ import warnings
 from fractions import Fraction
 
 # Each command imports the layers it runs when it runs, so that no command
-# pays for loading mpmath or a layer it never calls.
+# pays for loading a layer it never calls.
 from .errors import BudgetExceededError
 
 
-# Largest --digits accepted by count, count-structured and zeta.  The mpmath
-# evaluation grows faster than linearly in the precision (`zeta --d 10` takes
-# 0.3 s at 10^4 digits, 8 s at 10^5 and did not finish at 10^8), so a bound
-# keeps bad input from hanging the CLI.
+# Largest --digits accepted by count, count-structured and zeta.  The fields
+# print at min(--digits, 30) digits, so a larger value changes only the
+# "precision" field; the bound is input validation.
 MAX_DIGITS = 10_000
 
 # Largest size of a --lam or --beta, counted by `_rational_digits`.  An
@@ -127,16 +126,10 @@ def _cmd_oracle(args) -> dict:
         from .certified import evaluate
         lam = args.lam
         z = profile.partition_value(lam)
-        # ln Z is about Z - 1 when Z is near 1, so Z is rounded to as many
-        # more digits as Z - 1 falls below 1
-        x = z - 1
-        extra = 0 if x >= 1 else math.ceil(
-            (x.denominator.bit_length() - x.numerator.bit_length() + 1) * math.log10(2))
         out.update({
             "lam": str(lam),
             "Z": str(z),
-            "ln_Z": evaluate(lambda num: num.render(num.log(num.rational(z)), 20),
-                             30 + extra, 20, extra),
+            "ln_Z": evaluate(lambda num: num.render(num.log1p(z - 1), 20), 20),
             "mean_size": str(profile.mean_size(lam)),
         })
     return out
@@ -431,7 +424,7 @@ def _check_report_input(path: str, kind: str, obj: dict) -> None:
 
 def _report_value_error(kind: str, obj: dict) -> str | None:
     """What is wrong with a value report computes with, or None."""
-    import mpmath
+    from decimal import Decimal, InvalidOperation
 
     from . import exact
     if kind == "oracle":
@@ -444,8 +437,8 @@ def _report_value_error(kind: str, obj: dict) -> str | None:
             return "a count that is not a nonnegative integer"
     if kind in ("zeta", "count"):
         try:
-            finite = mpmath.isfinite(mpmath.mpf(obj["ln_value"]))
-        except ValueError:
+            finite = Decimal(obj["ln_value"]).is_finite()
+        except InvalidOperation:
             finite = False
         if not finite:
             return f"ln_value {obj['ln_value']!r}, not a finite number"
@@ -474,9 +467,11 @@ def _classify(obj: dict) -> str:
 
 
 def _cmd_report(args) -> int:
-    import mpmath
+    from decimal import Decimal
 
     from . import exact
+    from .bigint import decimal_contexts
+    from .certified import nstr
     inputs = _load_inputs(args.inputs)
     by_kind: dict[str, list[tuple[str, dict]]] = {}
     for path, obj in inputs:
@@ -496,69 +491,67 @@ def _cmd_report(args) -> int:
     lines: list[str] = []
     trunc_rows: list[str] = []
 
-    def exact_ln(frac: Fraction) -> mpmath.mpf:
-        return mpmath.log(mpmath.mpf(frac.numerator) / mpmath.mpf(frac.denominator))
+    _, _, near = decimal_contexts(30)
+    groups: dict[tuple, list[tuple[int, Decimal]]] = {}
+    for _, obj in by_kind.get("zeta", []):
+        groups.setdefault(("Z", obj["d"], obj["lam"]), []).append(
+            (obj["t"], Decimal(obj["ln_value"])))
+    for _, obj in by_kind.get("count", []):
+        groups.setdefault(("i_m", obj["d"], obj["beta"]), []).append(
+            (obj["t"], Decimal(obj["ln_value"])))
 
-    with mpmath.workdps(30):
-        groups: dict[tuple, list[tuple[int, mpmath.mpf]]] = {}
-        for _, obj in by_kind.get("zeta", []):
-            groups.setdefault(("Z", obj["d"], obj["lam"]), []).append(
-                (obj["t"], mpmath.mpf(obj["ln_value"])))
-        for _, obj in by_kind.get("count", []):
-            groups.setdefault(("i_m", obj["d"], obj["beta"]), []).append(
-                (obj["t"], mpmath.mpf(obj["ln_value"])))
+    for (kind, d, param), rows in sorted(groups.items()):
+        rows.sort()
+        reference = None
+        if d in oracles:
+            profile = oracles[d]
+            if kind == "Z":
+                z = profile.partition_value(Fraction(param))
+                reference = near.ln(near.divide(z.numerator, z.denominator))
+            else:
+                m = math.floor(Fraction(param) * (1 << (d - 1)))
+                if profile.counts[m] > 0:
+                    reference = near.ln(profile.counts[m])
+        label = f"ln {kind}, d={d}, " + \
+            (f"lam={param}" if kind == "Z" else f"beta={param}")
+        lines.append(label)
+        if reference is not None:
+            lines.append(f"  exact: {nstr(reference, 12)}")
+            trunc_rows.append(f"# {label}")
+        for t, v in rows:
+            if reference is None:
+                lines.append(f"  t={t}: {nstr(v, 12)}")
+            else:
+                err = abs(near.subtract(v, reference))
+                lines.append(f"  t={t}: {nstr(v, 12)}"
+                             f"  |error| = {nstr(err, 6)}")
+                trunc_rows.append(f"{t} {nstr(err, 10)}")
+        if reference is not None:
+            trunc_rows.append("")
+        lines.append("")
 
-        for (kind, d, param), rows in sorted(groups.items()):
-            rows.sort()
-            reference = None
-            if d in oracles:
-                profile = oracles[d]
-                if kind == "Z":
-                    reference = exact_ln(profile.partition_value(Fraction(param)))
-                else:
-                    m = math.floor(Fraction(param) * (1 << (d - 1)))
-                    if profile.counts[m] > 0:
-                        reference = mpmath.log(mpmath.mpf(profile.counts[m]))
-            label = f"ln {kind}, d={d}, " + \
-                (f"lam={param}" if kind == "Z" else f"beta={param}")
-            lines.append(label)
-            if reference is not None:
-                lines.append(f"  exact: {mpmath.nstr(reference, 12)}")
-                trunc_rows.append(f"# {label}")
-            for t, v in rows:
-                if reference is None:
-                    lines.append(f"  t={t}: {mpmath.nstr(v, 12)}")
-                else:
-                    err = abs(v - reference)
-                    lines.append(f"  t={t}: {mpmath.nstr(v, 12)}"
-                                 f"  |error| = {mpmath.nstr(err, 6)}")
-                    trunc_rows.append(f"{t} {mpmath.nstr(err, 10)}")
-            if reference is not None:
-                trunc_rows.append("")
-            lines.append("")
-
-        gof_rows: list[str] = []
-        for path, obj in by_kind.get("sample", []):
-            lines.append(f"sampler summary: d={obj['d']}, lam={obj['lam']}, "
-                         f"{obj['samples']} samples ({path})")
-            gof_rows.append(f"# {path}: index p_value; one row per defect type")
-            index = 0
-            for key in sorted(obj["per_type"]):
-                entry = obj["per_type"][key]
-                gof = entry.get("poisson_gof")
-                z = entry.get("z")
-                bits = [f"  {key}: mean {entry['mean']:.4f}"]
-                if "m_T" in entry:
-                    bits.append(f"predicted {entry['m_T']:.4f}")
-                if z is not None:
-                    bits.append(f"z {z:+.2f}")
-                if gof:
-                    bits.append(f"gof p {gof['p']:.3f}")
-                    gof_rows.append(f"{index} {gof['p']:.6f}")
-                    index += 1
-                lines.append(", ".join(bits))
-            gof_rows.append("")
-            lines.append("")
+    gof_rows: list[str] = []
+    for path, obj in by_kind.get("sample", []):
+        lines.append(f"sampler summary: d={obj['d']}, lam={obj['lam']}, "
+                     f"{obj['samples']} samples ({path})")
+        gof_rows.append(f"# {path}: index p_value; one row per defect type")
+        index = 0
+        for key in sorted(obj["per_type"]):
+            entry = obj["per_type"][key]
+            gof = entry.get("poisson_gof")
+            z = entry.get("z")
+            bits = [f"  {key}: mean {entry['mean']:.4f}"]
+            if "m_T" in entry:
+                bits.append(f"predicted {entry['m_T']:.4f}")
+            if z is not None:
+                bits.append(f"z {z:+.2f}")
+            if gof:
+                bits.append(f"gof p {gof['p']:.3f}")
+                gof_rows.append(f"{index} {gof['p']:.6f}")
+                index += 1
+            lines.append(", ".join(bits))
+        gof_rows.append("")
+        lines.append("")
 
     report_path = os.path.join(args.out_dir, "report.txt")
     _write(report_path, "\n".join(lines).rstrip() + "\n")

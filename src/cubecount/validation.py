@@ -15,19 +15,30 @@ import math
 import time
 import warnings
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-import mpmath
-
 from . import asymptotics, clusters, exact, polymers, sampler
 from . import hypercube as hc
-from .asymptotics import DIM, LAM, _mpf
+from .asymptotics import DIM, LAM
+from .bigint import decimal_contexts
+from .certified import nstr
 from .chisq import chdtrc
 from .symbolic import BETA, RatFunc, RatPoly
 
 
 # -- criterion bodies -------------------------------------------------------------
+
+_, _, _NEAR = decimal_contexts(50)  # the reference logs, to 50 digits
+
+
+def _decimal(x: Fraction) -> Decimal:
+    return _NEAR.divide(x.numerator, x.denominator)
+
+
+def _ln(x: Fraction) -> Decimal:
+    return _NEAR.ln(_decimal(x))
 
 
 def _direct_census_ratios(d: int, max_size: int) -> dict[str, Fraction]:
@@ -154,23 +165,22 @@ def _check_truncation_convergence() -> list[str]:
     lam = Fraction(1, 20)
     om = exact.odd_model_exact(4)
     series = clusters.log_xi_series(4, lam, 5)
-    with mpmath.workdps(50):
-        ln_xi = mpmath.log(_mpf(om.xi_value(lam)))
-        errs = []
-        partial = Fraction(0)
-        for k in range(1, 5):
-            partial += series[k - 1]
-            if partial != clusters.truncated_log_xi(4, lam, k):
-                fails.append(f"k={k}: series terms and truncation disagree")
-            err = abs(_mpf(partial) - ln_xi)
-            omitted = abs(_mpf(series[k]))
-            if err >= omitted:
-                fails.append(f"k={k}: error {mpmath.nstr(err, 6)} not below "
-                             f"first omitted order {mpmath.nstr(omitted, 6)}")
-            errs.append(err)
-        for k in range(1, len(errs)):
-            if not errs[k] < errs[k - 1]:
-                fails.append(f"error not strictly decreasing at k={k + 1}")
+    ln_xi = _ln(om.xi_value(lam))
+    errs = []
+    partial = Fraction(0)
+    for k in range(1, 5):
+        partial += series[k - 1]
+        if partial != clusters.truncated_log_xi(4, lam, k):
+            fails.append(f"k={k}: series terms and truncation disagree")
+        err = abs(_NEAR.subtract(_decimal(partial), ln_xi))
+        omitted = abs(_decimal(series[k]))
+        if err >= omitted:
+            fails.append(f"k={k}: error {nstr(err, 6)} not below "
+                         f"first omitted order {nstr(omitted, 6)}")
+        errs.append(err)
+    for k in range(1, len(errs)):
+        if not errs[k] < errs[k - 1]:
+            fails.append(f"error not strictly decreasing at k={k + 1}")
     return fails
 
 
@@ -189,24 +199,23 @@ def _check_abstract_universe() -> list[str]:
 def _check_asymptotic_desk() -> list[str]:
     fails: list[str] = []
     profile = exact.size_profile(5)
-    with mpmath.workdps(50):
-        ln_z = mpmath.log(_mpf(Fraction(profile.partition_value(Fraction(1)))))
-        z2 = asymptotics.log_Z_asymptotic(Fraction(1), 5, 2).value
-        z3 = asymptotics.log_Z_asymptotic(Fraction(1), 5, 3).value
-        if not abs(z3 - ln_z) < abs(z2 - ln_z):
-            fails.append(f"order 3 not closer to exact log Z: "
-                         f"|{mpmath.nstr(z3, 8)} - {mpmath.nstr(ln_z, 8)}| vs "
-                         f"order 2 {mpmath.nstr(z2, 8)}")
+    ln_z = _ln(Fraction(profile.partition_value(Fraction(1))))
+    z2 = asymptotics.log_Z_asymptotic(Fraction(1), 5, 2).value
+    z3 = asymptotics.log_Z_asymptotic(Fraction(1), 5, 3).value
+    if not abs(_NEAR.subtract(z3, ln_z)) < abs(_NEAR.subtract(z2, ln_z)):
+        fails.append(f"order 3 not closer to exact log Z: "
+                     f"|{nstr(z3, 8)} - {nstr(ln_z, 8)}| vs "
+                     f"order 2 {nstr(z2, 8)}")
 
-        ln_i8 = mpmath.log(mpmath.mpf(profile.counts[8]))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            c1 = asymptotics.log_count_asymptotic(Fraction(1, 2), 5, 1).value
-            c2 = asymptotics.log_count_asymptotic(Fraction(1, 2), 5, 2).value
-        if not abs(c2 - ln_i8) < abs(c1 - ln_i8):
-            fails.append(f"order 2 count not closer to exact log i_8: "
-                         f"{mpmath.nstr(c2, 8)} vs order 1 {mpmath.nstr(c1, 8)}, "
-                         f"exact {mpmath.nstr(ln_i8, 8)}")
+    ln_i8 = _ln(Fraction(profile.counts[8]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        c1 = asymptotics.log_count_asymptotic(Fraction(1, 2), 5, 1).value
+        c2 = asymptotics.log_count_asymptotic(Fraction(1, 2), 5, 2).value
+    if not abs(_NEAR.subtract(c2, ln_i8)) < abs(_NEAR.subtract(c1, ln_i8)):
+        fails.append(f"order 2 count not closer to exact log i_8: "
+                     f"{nstr(c2, 8)} vs order 1 {nstr(c1, 8)}, "
+                     f"exact {nstr(ln_i8, 8)}")
     return fails
 
 
@@ -283,11 +292,11 @@ def _check_binomial_lclt() -> list[str]:
     fails: list[str] = []
     n = 10 ** 6
     exact_pmf, gauss = asymptotics.binomial_lclt(n, Fraction(1, 2), n // 2)
-    with mpmath.workdps(30):
-        ratio = _mpf(exact_pmf) / gauss
-        if not abs(ratio - 1) < mpmath.mpf("0.001"):
-            fails.append(f"pmf/gaussian ratio {mpmath.nstr(ratio, 10)} "
-                         "differs from 1 by >= 0.1%")
+    # the pmf's parts have about 10^6 bits, which float division reads at
+    # once and Decimal would convert in quadratic time
+    ratio = float(exact_pmf) / float(gauss)
+    if not abs(ratio - 1) < 0.001:
+        fails.append(f"pmf/gaussian ratio {ratio:.10g} differs from 1 by >= 0.1%")
     return fails
 
 

@@ -1,16 +1,11 @@
-"""Fast binomial coefficients: exact, and rounded to a precision."""
+"""Fast binomial coefficients: exact, and enclosures of their logs."""
 
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath.libmp import from_int
 
 from cubecount import bigint
-
-
-def rounded_reference(n, k, prec):
-    return from_int(math.comb(n, k), prec, "n")[1:3]
 
 
 def test_matches_math_comb_exhaustively():
@@ -57,87 +52,6 @@ def test_prime_power_factors_multiply_to_the_binomial():
             assert all(1 < f <= n for f in factors)  # Kummer: p^e <= n
 
 
-def test_rounded_matches_from_int_exhaustively():
-    for n in range(0, 60):
-        for k in range(0, n + 2):
-            for prec in (2, 3, 8, 53):
-                assert bigint.binomial_rounded(n, k, prec) == \
-                    rounded_reference(n, k, prec), (n, k, prec)
-
-
-@given(st.integers(0, 200_000).flatmap(
-           lambda n: st.tuples(st.just(n), st.integers(0, n)))
-       # n, k and n - k all at least _EXACT_BELOW: all three take the series
-       | st.integers(2048, 200_000).flatmap(
-           lambda n: st.tuples(st.just(n), st.integers(1024, n - 1024))),
-       st.integers(1, 400))
-@settings(max_examples=200, deadline=None)
-def test_rounded_matches_from_int(nk, prec):
-    n, k = nk
-    assert bigint.binomial_rounded(n, k, prec) == rounded_reference(n, k, prec)
-
-
-def _count_exact_fallbacks(monkeypatch):
-    calls = []
-    exact = bigint.binomial
-
-    def counted(n, k):
-        calls.append((n, k))
-        return exact(n, k)
-
-    monkeypatch.setattr(bigint, "binomial", counted)
-    return calls
-
-
-def test_rounded_falls_back_to_the_exact_product(monkeypatch):
-    calls = _count_exact_fallbacks(monkeypatch)
-    # 3 * 2^20 lies halfway between 2^21 and 2^22, so no enclosure of it can
-    # decide the rounding at one bit; the exact product rounds half to even
-    assert bigint.binomial_rounded(3 << 20, 1, 1) == (1, 22)
-    assert len(calls) == 1
-    # With no guard bits the enclosure is about as wide as the rounding step,
-    # so it often straddles a rounding boundary; the exact fallback decides.
-    monkeypatch.setattr(bigint, "_GUARD_BITS", 0)
-    for n in range(3000, 6000, 71):  # n, k and n - k above _EXACT_BELOW
-        for prec in (2, 3, 8):
-            assert bigint.binomial_rounded(n, n // 3, prec) == \
-                rounded_reference(n, n // 3, prec)
-    assert len(calls) > 1
-
-
-def test_rounded_past_the_term_cap_takes_the_exact_product(monkeypatch):
-    calls = _count_exact_fallbacks(monkeypatch)
-    n, k = 5000, 2000
-    prec = 20_000  # x = 2000 cannot reach 2^-prec within _MAX_TERMS terms
-    assert bigint._stirling_terms(k, prec) is None
-    assert bigint.binomial_rounded(n, k, prec) == rounded_reference(n, k, prec)
-    assert calls
-
-
-def test_rounded_large_argument_matches_exact():
-    n, k = 1 << 17, 43_690
-    for prec in (53, 270):
-        assert bigint.binomial_rounded(n, k, prec) == \
-            from_int(bigint.binomial(n, k), prec, "n")[1:3]
-
-
-@pytest.mark.slow
-def test_rounded_count_binomials_match_exact():
-    # the C(N, m) of `count` at d = 24 (beta = 1/2) and d = 23 (beta = 1/3, 1/2)
-    for n, k in ((1 << 23, 1 << 22), (1 << 22, 1_398_101), (1 << 22, 1 << 21)):
-        assert bigint.binomial_rounded(n, k, 269) == \
-            from_int(bigint.binomial(n, k), 269, "n")[1:3], (n, k)
-
-
-def test_rounded_edge_cases():
-    assert bigint.binomial_rounded(10, 11, 53) == (0, 0)
-    assert bigint.binomial_rounded(0, 0, 53) == (1, 0)
-    with pytest.raises(ValueError):
-        bigint.binomial_rounded(-1, 0, 53)
-    with pytest.raises(ValueError):
-        bigint.binomial_rounded(5, 2, 0)
-
-
 def test_tangent_numbers_give_the_bernoulli_numbers():
     from fractions import Fraction
 
@@ -167,17 +81,47 @@ def test_ln_binomial_bounds_hold_the_log(nk, wp):
     import mpmath
     from fractions import Fraction
     n, k = nk
-    bounds = bigint.ln_binomial_bounds(n, k, wp)
-    if bounds is None:  # past the term cap
-        assert max(bigint._stirling_terms(x, wp) or 10 ** 9
-                   for x in (n, k, n - k) if x >= bigint._EXACT_BELOW) > 10 ** 8
-        return
-    lo, hi = map(Fraction, bounds)
-    with mpmath.workprec(wp + 64):
-        ln = mpmath.log(math.comb(n, k))
-        sign, man, exp, _ = ln._mpf_
-    ln = (-1) ** sign * Fraction(man) * Fraction(2) ** exp if man else Fraction(0)
+    lo, hi = map(Fraction, bigint.ln_binomial_bounds(n, k, wp))
+    ln = mp_log_fraction(lambda: mpmath.log(math.comb(n, k)), wp)
     slack = Fraction(1, 2 ** (wp + 40)) * (1 + abs(ln))  # the reference's own rounding
     assert lo - slack <= ln <= hi + slack
     # about wp bits wide, relative to ln n!
     assert hi - lo < Fraction(2) ** (n.bit_length() + 16 - wp) + Fraction(1, 2 ** wp)
+
+
+def mp_log_fraction(f, wp):
+    """f(), evaluated by mpmath at wp + 64 bits, as an exact Fraction."""
+    import mpmath
+    from fractions import Fraction
+    with mpmath.workprec(wp + 64):
+        sign, man, exp, _ = f()._mpf_
+    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp if man else Fraction(0)
+
+
+@pytest.mark.parametrize("x", [0, 1, 5, 1023, 1024, 5000, 2 ** 22])
+@pytest.mark.parametrize("wp", [8, 200, 2000])
+def test_ln_factorial_bounds_hold_the_log(x, wp):
+    import mpmath
+    from fractions import Fraction
+    lo, hi = map(Fraction, bigint.ln_factorial_bounds(x, wp))
+    ln = mp_log_fraction(lambda: mpmath.loggamma(x + 1), wp + x.bit_length())
+    slack = Fraction(1, 2 ** (wp + 40)) * (1 + abs(ln))
+    assert lo - slack <= ln <= hi + slack
+    assert hi - lo < Fraction(2) ** (x.bit_length() + 16 - wp) + Fraction(1, 2 ** wp)
+
+
+def test_past_the_term_cap_the_exact_integer_serves():
+    # at x = 2048 Stirling's series reaches about 2,300 bits in 128 terms, so
+    # 4,000 bits take the log of the exact C(n, k) and of x! instead
+    import mpmath
+    from fractions import Fraction
+    n, k, wp = 2048, 700, 4000
+    assert bigint._stirling_terms(n, wp) is None
+    lo, hi = map(Fraction, bigint.ln_binomial_bounds(n, k, wp))
+    for (lo, hi), exact in ((bigint.ln_binomial_bounds(n, k, wp), math.comb(n, k)),
+                            (bigint.ln_factorial_bounds(n, wp), math.factorial(n))):
+        lo, hi = Fraction(lo), Fraction(hi)
+        ln = mp_log_fraction(lambda: mpmath.log(exact), wp)
+        slack = Fraction(1, 2 ** (wp + 40)) * (1 + abs(ln))
+        assert lo - slack <= ln <= hi + slack
+        assert hi - lo < Fraction(1, 2 ** (wp - 16))

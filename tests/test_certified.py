@@ -1,6 +1,10 @@
-"""Decimal intervals that print mpmath's digits, checked against mpmath itself."""
+"""Decimal intervals that print correctly rounded digits, checked against
+mpmath at twice the working precision."""
 
+import itertools
+import json
 import random
+import re
 import warnings
 from decimal import Context, Decimal
 from fractions import Fraction
@@ -10,9 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cubecount import asymptotics as asym
-from cubecount import certified, cli
-from cubecount.certified import DecimalNumbers, MpNumbers, Undecided
-from cubecount.errors import RegimeWarning
+from cubecount import certified, cli, exact
+from cubecount.certified import DecimalNumbers, Undecided
+from cubecount.errors import BudgetExceededError, RegimeWarning
+from cubecount.polymers import DefectType
 
 
 def dyadic(man: int, exp: int) -> tuple[Decimal, object]:
@@ -20,11 +25,6 @@ def dyadic(man: int, exp: int) -> tuple[Decimal, object]:
     dec = Context(prec=400).multiply(man, Context(prec=400).power(2, exp))
     with mpmath.workprec(max(man.bit_length(), 1) + 8):
         return dec, mpmath.ldexp(mpmath.mpf(man), exp)
-
-
-def test_dps_to_prec_is_mpmaths():
-    for dps in range(0, 2000):
-        assert certified.dps_to_prec(dps) == mpmath.libmp.dps_to_prec(dps)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 14, 15, 16, 20, 30, 35])
@@ -48,11 +48,145 @@ def test_nstr_of_random_dyadics_is_mpmaths(man, exp, n):
     assert certified.nstr(dec, n) == mpmath.nstr(mpf, n)
 
 
-def as_fraction(x) -> Fraction:
-    if isinstance(x, Decimal):
-        return Fraction(x)
+def as_decimal(x) -> Decimal:
+    """An mpf as the Decimal of the same value, exactly."""
     sign, man, exp, _ = x._mpf_
-    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+    if exp >= 0:
+        return Decimal((sign, tuple(map(int, str(man << exp))), 0))
+    return Decimal((sign, tuple(map(int, str(man * 5 ** -exp))), exp))
+
+
+class MpNumbers:
+    """The number kit in mpmath's mpf, at mpmath's working precision: the
+    reference the intervals are checked against.  `render` returns the mpf,
+    so a LogCount's `json_in` gives the value behind each printed field."""
+
+    def __init__(self):
+        self.pi = mpmath.pi
+        self.log, self.fsum = mpmath.log, mpmath.fsum
+
+    @staticmethod
+    def rational(x: Fraction):
+        return mpmath.mpf(x.numerator) / x.denominator
+
+    def log1p(self, x: Fraction):
+        return mpmath.log1p(self.rational(x))
+
+    @staticmethod
+    def log_binomial(n: int, k: int):
+        return mpmath.loggamma(n + 1) - mpmath.loggamma(k + 1) - mpmath.loggamma(n - k + 1)
+
+    @staticmethod
+    def log_factorial(k: int):
+        return mpmath.loggamma(k + 1)
+
+    @staticmethod
+    def render(x, n: int):
+        return x
+
+
+def fields(out: dict) -> list:
+    """The printed fields of a LogCount's JSON, in a fixed order."""
+    values = [out[k] for k in ("log10_value", "ln_value", "alt_ln_value") if k in out]
+    return values + [t["ln"] for t in out["terms"]]
+
+
+REFERENCE_DPS = 2 * (30 + certified._GUARD_DIGITS)  # twice the most working digits
+
+
+def reference_digits(lc) -> list[Decimal]:
+    """The value behind each printed field of lc, from mpmath at
+    `REFERENCE_DPS` digits, as exact Decimals."""
+    with mpmath.workdps(REFERENCE_DPS):
+        out = lc.json_in(MpNumbers())
+    return [as_decimal(x) for x in fields(out)]
+
+
+def clear_of_a_boundary(x: Decimal, n: int, dps: int) -> bool:
+    """Whether x, good to about 10^-(dps - 5) relative, lies clear of every
+    rounding boundary at n digits (the half-way points), so that it decides
+    the n digits of the value it approximates."""
+    tail = "".join(map(str, x.as_tuple().digits))[n:dps - 5]
+    return not (re.fullmatch("50*", tail) or re.fullmatch("49*", tail))
+
+
+def check_correctly_rounded(lc, digits: int, reference=None) -> int:
+    """Assert that every field of lc at `digits` digits is the mpmath value,
+    at twice the most working digits, rounded; return the fields compared."""
+    shown = min(digits, 30)
+    printed = fields(asym.LogCount(digits, lc._formula).to_json())
+    compared = 0
+    for got, x in zip(printed, reference or reference_digits(lc)):
+        if clear_of_a_boundary(x, shown, REFERENCE_DPS):
+            assert got == certified.nstr(x, shown), (got, x, shown)
+            compared += 1
+    return compared
+
+
+def quiet(fn, *args, **kwargs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        return fn(*args, **kwargs)
+
+
+SINGLETON = DefectType.from_key("s1c0g0")
+PROFILES = ({"fixed_types": {SINGLETON: 1}},
+            {"fixed_types": {SINGLETON: 3}, "diverging_types": {SINGLETON: (40, 2)}})
+
+
+def grid():
+    """The (kind, parameter, d, t) cases of the correct-rounding grid."""
+    params = [("count", Fraction(*b)) for b in
+              ((1, 2), (5, 8), (3, 4), (1, 3), (7, 8), (2, 5))]
+    params += [("zeta", Fraction(*lam)) for lam in ((1, 1), (2, 1), (1, 2), (3, 1), (5, 4))]
+    params += [("count-structured", i) for i in range(len(PROFILES))]
+    for (kind, param), d, t in itertools.product(params, range(5, 25), range(2, 5)):
+        yield kind, param, d, t
+
+
+def log_count(kind, param, d, t, digits=80):
+    if kind == "count":
+        return quiet(asym.log_count_asymptotic, param, d, t, digits)
+    if kind == "zeta":
+        return quiet(asym.log_Z_asymptotic, param, d, t, digits)
+    return quiet(asym.structured_count, Fraction(1, 2), d, t=t, digits=digits,
+                 **PROFILES[param])
+
+
+def check_grid(cases, digit_range) -> int:
+    compared = 0
+    for case in cases:
+        try:
+            lc = log_count(*case)
+        except ValueError:  # floor(beta N) at 0 or N
+            continue
+        reference = reference_digits(lc)
+        for digits in digit_range:
+            compared += check_correctly_rounded(lc, digits, reference)
+    return compared
+
+
+def test_a_seeded_sample_of_the_grid_is_correctly_rounded():
+    cases = random.Random(26).sample(list(grid()), 24)
+    assert check_grid(cases, range(1, 31)) > 24 * 30 * 3
+
+
+@pytest.mark.slow
+def test_the_whole_grid_is_correctly_rounded():
+    # count, zeta and count-structured at d = 5..24, t = 2..4 and every
+    # --digits from 1 to 30
+    assert check_grid(list(grid()), range(1, 31)) > 50_000
+
+
+@pytest.mark.parametrize("argv,field,expect", [
+    ("count --beta 5/8 --d 5 --t 3 --digits 8", "ln_value", "9.9290126"),
+    ("count --beta 1/3 --d 20 --t 2 --digits 12", "ln_value", "333789.056286"),
+])
+def test_fields_once_misrounded_print_correctly_rounded(capsys, argv, field, expect):
+    # the values are 9.929012647... and 333789.0562864..., where a value
+    # computed at --digits digits printed a last digit one too high
+    assert cli.main(argv.split()) == 0
+    assert json.loads(capsys.readouterr().out)[field] == expect
 
 
 POSITIVE = st.fractions(min_value=Fraction(1, 10 ** 12), max_value=10 ** 12)
@@ -61,22 +195,25 @@ POSITIVE = st.fractions(min_value=Fraction(1, 10 ** 12), max_value=10 ** 12)
 @settings(max_examples=200, deadline=None)
 @given(POSITIVE, st.fractions(min_value=-10 ** 6, max_value=10 ** 6),
        st.integers(-10 ** 9, 10 ** 9).filter(bool), st.integers(1, 200))
-def test_intervals_hold_mpmaths_result(a, b, k, dps):
+def test_intervals_hold_the_exact_value(a, b, k, digits):
     def formula(num):
         x = num.log(num.rational(a)) * k + num.rational(b) / num.log(3)
         y = 2 * num.pi * k - num.rational(b) * num.rational(a)
         return [x, y, x - y / 7, num.fsum([x, y, num.log(2), num.rational(b)]),
-                num.log_binomial(5000 + abs(k) % 3000, 1200)]
+                -num.log_binomial(5000 + abs(k) % 3000, 1200),
+                num.log_factorial(abs(k) % 5000), num.log1p(a / 10 ** 30)]
 
-    with mpmath.workdps(dps):
-        mp = [as_fraction(v) for v in formula(MpNumbers())]
     try:
-        dec = formula(DecimalNumbers(dps, 30))
+        dec = formula(DecimalNumbers(digits))
     except Undecided:  # a few digits leave no interval clear of zero
-        assert dps < 10
+        assert digits < 10
         return
-    for got, iv in zip(mp, dec):
-        assert as_fraction(iv.lo) <= got <= as_fraction(iv.hi)
+    dps = digits + 40
+    with mpmath.workdps(dps):
+        exact = [as_decimal(v) for v in formula(MpNumbers())]
+    for x, iv in zip(map(Fraction, exact), dec):
+        slack = abs(x) / 10 ** (dps - 5)  # the reference's own rounding
+        assert Fraction(iv.lo) - slack <= x <= Fraction(iv.hi) + slack
 
 
 def cases(seed: int, count: int):
@@ -90,34 +227,24 @@ def cases(seed: int, count: int):
         yield kind, param, rng.randint(2, 24), rng.randint(1, 4), rng.randint(31, 400)
 
 
-def log_count(kind, param, d, t, digits):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RegimeWarning)
-        if kind == "count":
-            return asym.log_count_asymptotic(param, d, t, digits)
-        return asym.log_Z_asymptotic(param, d, t, digits)
-
-
-def json_by_mpmath(lc):
-    with mpmath.workdps(lc.precision):
-        return lc.json_in(MpNumbers())
-
-
 def test_decided_json_equals_mpmaths():
+    # whatever working digits decide a field, it is the correctly rounded one
     decided = 0
     for case in cases(22, 80):
         try:
             lc = log_count(*case)
         except ValueError:  # floor(beta N) at 0 or N, or a nonpositive fugacity
             continue
-        digits = case[-1]
-        try:
-            got = lc.json_in(DecimalNumbers(digits, min(digits, 30)))
-        except Undecided:
-            continue
-        decided += 1
-        assert got == json_by_mpmath(lc), case
-    assert decided >= 40
+        want = lc.to_json()
+        for working in (32, 40, 80):
+            try:
+                got = lc.json_in(DecimalNumbers(working))
+            except Undecided:
+                continue
+            decided += 1
+            assert got == want, case
+        check_correctly_rounded(lc, case[-1])
+    assert decided >= 100
 
 
 @pytest.mark.parametrize("digits", [1, 10, 30])
@@ -125,42 +252,42 @@ def test_decided_json_equals_mpmaths():
                                   ("count", Fraction(1, 3), 23, 3),
                                   ("zeta", Fraction(1), 24, 3),
                                   ("zeta", Fraction(1, 3), 10, 4)])
-def test_thirty_digits_or_fewer_fall_back_to_mpmath(case, digits):
-    # mpmath's own rounding reaches the printed digits there
+def test_thirty_digits_or_fewer_are_correctly_rounded(case, digits):
+    # a value computed at only --digits digits cannot be trusted to its last
+    # printed digit, so these need the guard digits most
     lc = log_count(*case, digits)
-    with pytest.raises(Undecided):
-        lc.json_in(DecimalNumbers(digits, min(digits, 30)))
-    assert lc.to_json() == json_by_mpmath(lc)
-
-
-def test_mpf_values_are_built_only_when_read(monkeypatch):
-    lc = log_count("count", Fraction(1, 2), 24, 3, 80)
-    monkeypatch.setattr(certified, "MpNumbers", None)  # any use would raise
-    assert lc.to_json()["ln_value"].startswith("5814532.")
+    assert check_correctly_rounded(lc, digits) >= 4
 
 
 def test_oracle_ln_z_is_decided_and_equals_mpmaths(capsys, monkeypatch):
-    # ln Z near Z = 1 is taken at as many more digits as Z - 1 is small
-    lams = ["1", "2", "1/2", "7/3", "100", "1/1000", "1/100000000", "1/10000000000000"]
-    printed = {}
-    for d in range(1, 6):
-        for lam in lams:
-            assert cli.main(["oracle", "--d", str(d), "--lam", lam]) == 0
-            printed[d, lam] = capsys.readouterr().out
-    monkeypatch.setattr(certified, "_STEP_BITS", 4096)
-    for (d, lam), out in printed.items():
+    # ln(1 + x), x = Z - 1, is read from x itself when x is below the
+    # working precision, so no lam needs more than one doubling
+    lams = ["1", "2", "1/2", "7/3", "100", "1/1000", "1/100000000",
+            "1/10000000000000", "1e-40", "1e-998"]
+    working = []
+
+    class Recorded(DecimalNumbers):
+        def __init__(self, digits):
+            working.append(digits)
+            super().__init__(digits)
+
+    monkeypatch.setattr(certified, "DecimalNumbers", Recorded)
+    for d, lam in [*itertools.product(range(1, 6), lams), (6, "1e-998")]:
+        working.clear()
         assert cli.main(["oracle", "--d", str(d), "--lam", lam]) == 0
-        assert capsys.readouterr().out == out, (d, lam)
-    # and the decimal path decided every one of them
-    monkeypatch.undo()
-    monkeypatch.setattr(certified, "MpNumbers", None)
-    for (d, lam), out in printed.items():
-        assert cli.main(["oracle", "--d", str(d), "--lam", lam]) == 0
-        assert capsys.readouterr().out == out, (d, lam)
+        obj = json.loads(capsys.readouterr().out)
+        assert working[0] == 20 + certified._GUARD_DIGITS and len(working) <= 2
+        x = exact.size_profile(d).partition_value(Fraction(lam)) - 1
+        dps = 2 * working[-1] + 10
+        with mpmath.workdps(dps):
+            ln_z = mpmath.log1p(mpmath.mpf(x.numerator) / x.denominator)
+        assert clear_of_a_boundary(as_decimal(ln_z), 20, dps)
+        assert obj["ln_Z"] == certified.nstr(as_decimal(ln_z), 20), (d, lam)
+    assert obj["ln_Z"] == "6.4e-997"
 
 
 def test_exact_zero_prints_as_mpmath_prints_it():
-    num = DecimalNumbers(80, 30)
+    num = DecimalNumbers(50)
     assert num.render(num.rational(Fraction(0)), 30) == mpmath.nstr(mpmath.mpf(0), 30)
     # a nonzero interval around zero decides no sign
     with pytest.raises(Undecided):
@@ -168,11 +295,27 @@ def test_exact_zero_prints_as_mpmath_prints_it():
 
 
 def test_render_leaves_a_value_near_a_rounding_boundary_undecided():
-    # mpmath floors to n + 3 digits before it rounds, so within 10^-(n+3)
-    # of a boundary the interval does not say which side it prints
-    num = DecimalNumbers(80, 30)
-    near = Decimal("1.2345000001")
+    num = DecimalNumbers(50)
+    straddle = certified.Interval(Decimal("1.23449999"), Decimal("1.23450001"), num)
     with pytest.raises(Undecided):
-        num.render(certified.Interval(near, near, num), 4)
-    clear = Decimal("1.234501")
-    assert num.render(certified.Interval(clear, clear, num), 4) == "1.235"
+        num.render(straddle, 4)
+    # a point on the boundary is an exact tie, which rounds half up
+    tie = num.rational(Fraction(12345, 10000))
+    assert tie.lo == tie.hi
+    assert num.render(tie, 4) == "1.235"
+    assert num.render(-tie, 4) == "-1.235"
+    near = certified.Interval(Decimal("1.2345000001"), Decimal("1.2345000002"), num)
+    assert num.render(near, 4) == "1.235"
+
+
+def test_an_exact_tie_ends_the_doubling():
+    # 1/8 = 0.125 sits on the boundary between 0.12 and 0.13
+    assert certified.evaluate(lambda num: num.render(num.rational(Fraction(1, 8)), 2), 2) \
+        == "0.13"
+
+
+def test_a_field_no_precision_decides_exhausts_the_budget(monkeypatch):
+    # ln 2 - ln 2 is exactly zero, but its interval never shrinks to a point
+    monkeypatch.setattr(certified, "_MAX_WORKING_DIGITS", 400)
+    with pytest.raises(BudgetExceededError):
+        certified.evaluate(lambda num: num.render(num.log(2) - num.log(2), 5), 5)

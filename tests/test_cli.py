@@ -369,9 +369,9 @@ PINNED_STDOUT_SHA256 = {
     "oracle --d 5 --lam 1":
         "d097827f4e1d35109f66352734158a46ba8a9e49778e83b8506ec210caefe3d8",
 }
-# the pinned commands that print mpmath's digits
-MPMATH_DIGITS = ("count --beta 1/2 --d 23 --t 4", "count --beta 1/3 --d 23 --t 3",
-                 "zeta --lam 1 --d 24 --t 3", "oracle --d 5 --lam 1")
+# the pinned commands whose digits, recorded from mpmath, print from intervals
+INTERVAL_DIGITS = ("count --beta 1/2 --d 23 --t 4", "count --beta 1/3 --d 23 --t 3",
+                   "zeta --lam 1 --d 24 --t 3", "oracle --d 5 --lam 1")
 
 
 @pytest.mark.parametrize("command", sorted(PINNED_STDOUT_SHA256))
@@ -575,18 +575,16 @@ def test_cli_import_leaves_scipy_unloaded():
                                   ("pj", "--t", "3"),
                                   ("lambda-beta", "--beta", "1/3", "--d", "10",
                                    "--t", "3"),
-                                  *(tuple(c.split()) for c in MPMATH_DIGITS)])
+                                  *(tuple(c.split()) for c in INTERVAL_DIGITS)])
 def test_series_tables_never_load_mpmath(argv):
-    # asymptotics and bigint import mpmath only where they evaluate, and
-    # count, zeta and oracle --lam print from decimal intervals that decide
-    # every digit at the default precision
+    # no module of the package imports mpmath
     loaded = modules_loaded_by(cli_run(*argv))
     assert ("cubecount.exact" if argv[0] == "oracle"
             else "cubecount.asymptotics") in loaded
     assert "mpmath" not in loaded
 
 
-@pytest.mark.parametrize("command", MPMATH_DIGITS)
+@pytest.mark.parametrize("command", INTERVAL_DIGITS)
 def test_mpmath_digits_print_with_mpmath_unimportable(command):
     # sys.modules["mpmath"] = None makes every `import mpmath` raise
     proc = subprocess.run([sys.executable, "-c",
@@ -599,15 +597,44 @@ def test_mpmath_digits_print_with_mpmath_unimportable(command):
         PINNED_STDOUT_SHA256[command]
 
 
-@pytest.mark.parametrize("command", MPMATH_DIGITS)
+@pytest.mark.parametrize("command", INTERVAL_DIGITS)
 def test_mpmath_digits_fall_back_to_the_same_bytes(capsys, monkeypatch, command):
-    # a rounding step far wider than the value leaves every digit undecided, so
-    # each field comes from mpmath
+    # working digits far below the printed ones leave every field undecided
+    # at first, so each one prints only after the working digits double
     from cubecount import certified
-    monkeypatch.setattr(certified, "_STEP_BITS", 4096)
+    monkeypatch.setattr(certified, "_GUARD_DIGITS", -15)
+    working = []
+
+    class Recorded(certified.DecimalNumbers):
+        def __init__(self, digits):
+            working.append(digits)
+            super().__init__(digits)
+
+    monkeypatch.setattr(certified, "DecimalNumbers", Recorded)
     code, out, _ = run_cli(capsys, *command.split())
     assert code == 0
+    assert len(working) >= 2
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT_SHA256[command]
+
+
+def test_no_command_imports_mpmath(tmp_path):
+    # mpmath is a test dependency only; each command that prints a number
+    # computes it from decimal intervals or Decimal, at any --digits
+    count, zeta, oracle = (tmp_path / f"{name}.json" for name in ("count", "zeta", "oracle"))
+    for digits in ("1", "30", "80"):
+        commands = [
+            ["count", "--beta", "1/3", "--d", "5", "--t", "3", "--digits", digits,
+             "--out", str(count)],
+            ["zeta", "--lam", "1/3", "--d", "5", "--t", "3", "--digits", digits,
+             "--out", str(zeta)],
+            ["count-structured", "--beta", "1/2", "--d", "12", "--t", "3",
+             "--fixed", "s1c0g0=3", "--diverging", "s1c0g0=40,2", "--digits", digits],
+            ["oracle", "--d", "5", "--lam", "1/3", "--out", str(oracle)],
+            ["validate", "--only", "10"],
+            ["report", "--inputs", str(count), str(zeta), str(oracle),
+             "--out-dir", str(tmp_path / "report")]]
+        code = "\n".join(cli_run(*argv) for argv in commands)
+        assert "mpmath" not in modules_loaded_by(code), digits
 
 
 @pytest.mark.parametrize("argv", [("rj", "--j", "2"),
