@@ -41,7 +41,7 @@ def main() -> None:
 
     print("log Z at lam = 1 versus the exact d = 5 value")
     print("=" * 66)
-    target = math.log(exact.hardcore_exact(5, Fraction(1)).z)
+    target = math.log(exact.size_profile(5).partition_value(Fraction(1)))
     print(f"exact: ln Z = {target:.10f}")
     for t in (1, 2, 3):
         lc = asymptotics.log_Z_asymptotic(Fraction(1), 5, t)

@@ -27,10 +27,10 @@ def main() -> None:
     print("hardcore model at lam = 1 (uniform measure on independent sets)")
     print("=" * 60)
     for d in range(2, 6):
-        hx = exact.hardcore_exact(d, Fraction(1))
-        mean = hx.mean_size
+        sp = exact.size_profile(d)
+        z, mean = sp.partition_value(Fraction(1)), sp.mean_size(Fraction(1))
         n = 1 << d
-        print(f"d={d}  Z={hx.z}  E|I|={mean} = {float(mean):.4f}"
+        print(f"d={d}  Z={z}  E|I|={mean} = {float(mean):.4f}"
               f"  density={float(mean / n):.4f}")
 
     print()

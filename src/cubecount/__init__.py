@@ -8,8 +8,9 @@ The package splits into a small stack of layers:
 - clusters: cluster-expansion machinery (Ursell coefficients, strata sums)
 - symbolic: exact polynomial / rational-function / truncated-series kernel
 - asymptotics: series coefficients and high-precision counting formulas
-- certified: decimal intervals that print each digit correctly rounded
-- bigint: exact binomials of huge arguments, and enclosures of their logs
+- certified: decimal intervals that print each digit correctly rounded,
+  with enclosures of ln x! and ln C(n, k)
+- bigint: exact binomials of huge arguments
 - sampler: Glauber dynamics used to validate the defect statistics
 - chisq: the chi-square tail of the sampler's goodness-of-fit tests
 - cli: command-line front end
@@ -29,10 +30,9 @@ _EXPORTS = {name: module for module, names in (
     ("hypercube", ("MAX_DIM", "closure", "even_side", "is_independent",
                    "n_side", "neighborhood", "neighbors", "odd_side", "parity",
                    "square_components", "square_neighbors")),
-    ("exact", ("HardcoreExact", "OddModelProfile", "SizeProfile",
-               "achievable_independent_sets", "hardcore_exact",
-               "odd_model_exact", "size_profile",
-               "size_profile_exhaustive")),
+    ("exact", ("OddModelProfile", "SizeProfile",
+               "achievable_independent_sets", "odd_model_exact",
+               "size_profile", "size_profile_exhaustive")),
     ("polymers", ("Census", "DefectType", "Polymer", "SymbolicCensus",
                   "census", "classify", "enumerate_polymers",
                   "symbolic_census")),

@@ -27,8 +27,8 @@ from functools import lru_cache, partial
 from typing import Mapping, NamedTuple
 
 from . import hypercube as hc
-from .bigint import binomial, decimal_contexts, pi_bounds
-from .certified import evaluate
+from .bigint import binomial
+from .certified import decimal_contexts, evaluate, pi_bounds
 from .clusters import cluster_sum
 from .errors import RegimeWarning
 from .polymers import DefectType, census
@@ -438,9 +438,9 @@ def log_count_asymptotic(beta: Fraction, d: int, t: int,
     """log of the number of independent sets of size floor(beta*N).
 
     Two evaluation paths: (a) log-binomial plus N sum P_j Y^j (the returned
-    value), with ln C(N, m) enclosed by Stirling's series
-    (`bigint.ln_binomial_bounds`), so C(N, m) itself is not built: at d = 24
-    sieving the primes up to N and multiplying their powers took 262 ms.
+    value), with ln C(N, m) enclosed by Stirling's series (the number kit's
+    `log_binomial`), so C(N, m) itself is not built: at d = 24 sieving the
+    primes up to N and multiplying their powers took 262 ms.
     (b) Stirling form at the corrected fugacity (exposed as .alt).
     Path (b) = log 2 + N log(1+lam_b) - m log lam_b + strata at
     lam_b - (1/2) log(2 pi N beta (1-beta)).  Both use beta = m/N exactly.

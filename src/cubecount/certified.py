@@ -8,7 +8,23 @@ operators do the rest.  The kit, `DecimalNumbers`, works on intervals of
 Decimals: each step rounds its lower end down and its upper end up at the
 working precision, so every interval holds the exact value of the formula.
 A field prints only when both ends round to the same digits, which are then
-the digits of the exact value; otherwise `Undecided` is raised.
+the digits of the exact value; otherwise `Undecided` is raised.  Decimal's
+ln rounds correctly, as it documents, so one unit in the last place either
+side of it bounds the log; `pi_bounds` sums Machin's series in integers
+with a bounded error.  The one unit of precision is the kit's `digits`.
+
+`log_binomial` encloses ln C(n, k) = L(n) - L(k) - L(n - k), L(x) = ln x!,
+without building C(n, k) (C(2^23, 2^22) has 8,388,597 bits).  Below
+x = 2^10, L(x) is the log of the exact x!; above, it is Stirling's series
+
+    (x + 1/2) ln x - x + (1/2) ln 2 pi + sum_{i <= K} B_2i / (2i (2i-1) x^(2i-1)),
+
+widened by the first omitted term, which bounds the remainder for x > 0,
+and cut where that term falls below 10^-digits.  ln 2^e is e ln 2, and the
+Bernoulli numbers come from integer tangent numbers, only as far as K.  If
+the series would need more than `_MAX_TERMS` terms (a very high
+precision), the log of the exact integer is enclosed instead, with the
+exact binomial of cubecount.bigint.
 
 `evaluate` is Ziv's strategy (Ziv, ACM TOMS 17(3), 1991; as in MPFR): it
 starts `_GUARD_DIGITS` beyond the printed digits and doubles the working
@@ -20,14 +36,18 @@ exact tie ends the loop and prints rounded half up.  Decimal and fractions
 
 from __future__ import annotations
 
-from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_UP, Context, Decimal
+import math
+from decimal import (MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR,
+                     ROUND_HALF_EVEN, ROUND_HALF_UP, Context, Decimal)
 from fractions import Fraction
+from functools import cached_property, lru_cache
 
-from . import bigint
 from .errors import BudgetExceededError
 
 _GUARD_DIGITS = 20  # first working digits beyond the printed ones
 _MAX_WORKING_DIGITS = 1 << 12  # evaluate gives up past this many
+_EXACT_BELOW = 1 << 10  # L(x) from the exact x! below it
+_MAX_TERMS = 128  # Stirling terms beyond which the exact integer serves instead
 
 
 class Undecided(Exception):
@@ -65,6 +85,76 @@ def nstr(x: Decimal, n: int) -> str:
 
 def _half_up(n: int) -> Context:
     return Context(prec=n, rounding=ROUND_HALF_UP, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+
+def decimal_contexts(digits: int) -> tuple[Context, Context, Context]:
+    """Contexts that round down, up and to nearest at `digits` digits.
+
+    Their exponent range is the widest decimal allows, so no bound
+    overflows or underflows where a default context would stop at 10^999999.
+    """
+    return tuple(Context(prec=digits, rounding=r, Emax=MAX_EMAX, Emin=MIN_EMIN)
+                 for r in (ROUND_FLOOR, ROUND_CEILING, ROUND_HALF_EVEN))
+
+
+@lru_cache(maxsize=8)
+def pi_bounds(digits: int) -> tuple[Decimal, Decimal]:
+    """Exact Decimals lo < pi < hi with hi - lo < 10^-digits.
+
+    Machin's formula pi = 16 atan(1/5) - 4 atan(1/239), each arctangent
+    summed in integers scaled by 10^(digits + guard).  Its k-th term
+    floor(floor(scale / q^(2k+1)) / (2k+1)) is below the exact term by less
+    than 2, and the series stops at the first term below one unit, so an
+    arctangent of K terms is off by at most 2K + 1 units.
+    """
+    guard = len(str(digits)) + 3
+    scale = 10 ** (digits + guard)
+    value = slack = 0
+    for weight, q in ((16, 5), (-4, 239)):
+        total, power, k = 0, scale // q, 0
+        while power:
+            term = power // (2 * k + 1)
+            total += -term if k & 1 else term
+            power //= q * q
+            k += 1
+        value += weight * total
+        slack += abs(weight) * (2 * k + 1)
+    exact = Context(prec=digits + guard + 2)
+    return tuple(exact.scaleb(Decimal(v), -(digits + guard))
+                 for v in (value - slack, value + slack))
+
+
+@lru_cache(maxsize=4)
+def _tangent_numbers(count: int) -> tuple[int, ...]:
+    """The tangent numbers T_1 .. T_count (index 0 unused), in integers.
+
+    Brent and Harvey's recurrence takes O(count^2) small multiplications;
+    B_2i = (-1)^(i-1) 2i T_i / (4^i (4^i - 1)).
+    """
+    t = [0, 1] + [0] * (count - 1)
+    for k in range(2, count + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, count + 1):
+        for j in range(k, count + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return tuple(t)
+
+
+def _stirling_terms(x: int, digits: int) -> int | None:
+    """Fewest Stirling terms K for L(x) whose first omitted term is below
+    10^-digits.
+
+    Sizes the series from |B_2i| < 4 (2i)! / (2 pi)^(2i), so term i is below
+    4 (2i-2)! / ((2 pi)^(2i) x^(2i-1)).  None when K would exceed `_MAX_TERMS`.
+    """
+    log10_x = math.log10(x)
+    log10_2pi = math.log10(2 * math.pi)
+    for i in range(1, _MAX_TERMS + 2):
+        bound = math.log10(4) + math.lgamma(2 * i - 1) / math.log(10) \
+            - 2 * i * log10_2pi - (2 * i - 1) * log10_x
+        if bound < -digits:
+            return i - 1
+    return None
 
 
 class Interval:
@@ -119,12 +209,17 @@ class Interval:
 
 
 class DecimalNumbers:
-    """The number kit of decimal intervals, rounded outward at `digits` digits."""
+    """The number kit of decimal intervals, rounded outward at `digits` digits.
+
+    It keeps the logs of ints it has taken (ln 2 serves several terms) and
+    (1/2) ln 2 pi for its own lifetime, one evaluation of a formula.
+    """
 
     def __init__(self, digits: int):
         self.digits = digits
-        self.down, self.up, self.near = bigint.decimal_contexts(digits)
-        self.pi = Interval(*bigint.pi_bounds(digits), self)
+        self.down, self.up, self.near = decimal_contexts(digits)
+        self.pi = Interval(*pi_bounds(digits), self)
+        self._int_logs: dict[int, Interval] = {}
 
     def coerce(self, x) -> Interval:
         """x itself, or the int x as a point."""
@@ -137,14 +232,41 @@ class DecimalNumbers:
         return Interval(self.down.divide(a, b), self.up.divide(a, b), self)
 
     def log(self, x) -> Interval:
-        x = self.coerce(x)
+        """ln x, for an Interval or an int x.
+
+        An int's log is kept.  With a the leading 4 `digits` bits of the
+        int, it lies in [a, a + 1) 2^s, so only a is converted to Decimal,
+        a conversion quadratic in its length.
+        """
+        if not isinstance(x, int):
+            return self._log(x)
+        if x not in self._int_logs:
+            s = max(x.bit_length() - 4 * self.digits, 0)
+            if s:
+                a = x >> s
+                ln = self._log(Interval(Decimal(a), Decimal(a + 1), self)) + s * self.log(2)
+            else:
+                ln = self._log(self.coerce(x))
+            self._int_logs[x] = ln
+        return self._int_logs[x]
+
+    def _log(self, x: Interval) -> Interval:
+        # decimal's ln rounds correctly, so one unit in the last place either
+        # side of it holds ln x.lo; ln 1 = 0 is exact, and its neighbours
+        # would be 10^MIN_EMIN
         if x.lo <= 0:
             raise Undecided
-        lo, hi = bigint.ln_bounds(x.lo, self.near)
+        near = self.near
+        v = near.ln(x.lo)
+        lo, hi = (near.next_minus(v), near.next_plus(v)) if v else (v, v)
         if x.hi != x.lo:  # ln x.hi <= ln x.lo + (x.hi - x.lo) / x.lo
             up = self.up
             hi = up.add(hi, up.divide(up.subtract(x.hi, x.lo), x.lo))
         return Interval(lo, hi, self)
+
+    @cached_property
+    def _half_log_2pi(self) -> Interval:
+        return self.log(2 * self.pi) / 2
 
     def log1p(self, x: Fraction) -> Interval:
         """ln(1 + x) for a rational x > 0.
@@ -164,16 +286,41 @@ class DecimalNumbers:
             lo, hi = self.down.add(lo, x.lo), self.up.add(hi, x.hi)
         return Interval(lo, hi, self)
 
-    def _bits(self, x: int) -> int:
-        # ln x! < x ln x, so the working digits, relative, plus the bits of
-        # x leave the series' absolute error below the working precision
-        return round(self.digits * 3.3219280948873626) + x.bit_length() + 8
+    def log_factorial(self, x: int) -> Interval:
+        """ln x!, for an int x >= 0 (see the module docstring).
+
+        The i-th Stirling term is B_2i / (2i (2i-1) x^(2i-1))
+        = (-1)^(i-1) T_i / (4^i (4^i-1) (2i-1) x^(2i-1)).
+        """
+        terms = _stirling_terms(x, self.digits) if x >= _EXACT_BELOW else None
+        if terms is None:  # below `_EXACT_BELOW` or past `_MAX_TERMS`
+            return self.log(math.factorial(x))
+        if x & (x - 1):
+            ln_x = self.log(x)
+        else:  # N = 2^(d-1), and N/2 at beta = 1/2
+            ln_x = (x.bit_length() - 1) * self.log(2)
+        total = (2 * x + 1) * ln_x / 2 - x + self._half_log_2pi
+        tangent = _tangent_numbers(terms + 1)
+        for i in range(1, terms + 2):
+            term = self.rational(Fraction(
+                tangent[i], 4 ** i * (4 ** i - 1) * (2 * i - 1) * x ** (2 * i - 1)))
+            if i > terms:  # the first omitted term bounds the remainder
+                total += Interval(-term.hi, term.hi, self)
+            elif i & 1:
+                total += term
+            else:
+                total -= term
+        return total
 
     def log_binomial(self, n: int, k: int) -> Interval:
-        return Interval(*bigint.ln_binomial_bounds(n, k, self._bits(n)), self)
-
-    def log_factorial(self, k: int) -> Interval:
-        return Interval(*bigint.ln_factorial_bounds(k, self._bits(k)), self)
+        """ln C(n, k), for ints 0 <= k <= n (see the module docstring)."""
+        args = n, k, n - k
+        if any(x >= _EXACT_BELOW and _stirling_terms(x, self.digits) is None
+               for x in args):
+            from .bigint import binomial
+            return self.log(binomial(n, k))
+        ln_fact = {x: self.log_factorial(x) for x in set(args)}
+        return ln_fact[n] - ln_fact[k] - ln_fact[n - k]
 
     def rounded(self, x: Interval, n: int) -> Decimal:
         """The value in x rounded half up at n significant digits."""

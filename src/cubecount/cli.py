@@ -470,8 +470,7 @@ def _cmd_report(args) -> int:
     from decimal import Decimal
 
     from . import exact
-    from .bigint import decimal_contexts
-    from .certified import nstr
+    from .certified import decimal_contexts, nstr
     inputs = _load_inputs(args.inputs)
     by_kind: dict[str, list[tuple[str, dict]]] = {}
     for path, obj in inputs:

@@ -314,31 +314,3 @@ def achievable_independent_sets(d: int) -> dict[int, int]:
             size = mask.bit_count()
             counts[size] = counts.get(size, 0) + 1
     return counts
-
-
-# -- full-model helpers -------------------------------------------------------
-
-
-class HardcoreExact(NamedTuple):
-    """Exact fugacity-weighted data of the full model at one rational lam."""
-
-    d: int
-    lam: Fraction
-    z: Fraction
-    mean_size: Fraction
-    size_distribution: tuple[Fraction, ...]
-
-
-def hardcore_exact(d: int, lam: Fraction) -> HardcoreExact:
-    lam = Fraction(lam)
-    if lam <= 0:
-        raise ValueError("fugacity must be positive")
-    profile = size_profile(d)
-    z = profile.partition_value(lam)
-    return HardcoreExact(
-        d=d,
-        lam=lam,
-        z=z,
-        mean_size=profile.mean_size(lam),
-        size_distribution=profile.size_distribution(lam),
-    )

@@ -41,7 +41,6 @@ All operations are exact; nothing here touches floating point.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from operator import add
@@ -762,7 +761,3 @@ def interpolate_poly(points: Sequence[tuple[int, object]], degree_bound: int,
                 f"degree-{degree_bound} fit fails at {var}={xk}: "
                 f"predicted {predicted.text()}, observed {vk.text()}")
     return result
-
-
-def poly_to_json_str(p: RatPoly) -> str:
-    return json.dumps(p.to_json(), sort_keys=True)

@@ -22,8 +22,7 @@ from typing import Callable, NamedTuple
 from . import asymptotics, clusters, exact, polymers, sampler
 from . import hypercube as hc
 from .asymptotics import DIM, LAM
-from .bigint import decimal_contexts
-from .certified import nstr
+from .certified import decimal_contexts, nstr
 from .chisq import chdtrc
 from .symbolic import BETA, RatFunc, RatPoly
 
@@ -135,9 +134,10 @@ def _check_exact_oracle() -> list[str]:
 
     profile = exact.size_profile(4)
     for lam in (Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2)):
-        hx = exact.hardcore_exact(4, lam)
-        for m, count in enumerate(profile.counts):
-            recovered = hx.z / lam ** m * hx.size_distribution[m]
+        z = profile.partition_value(lam)
+        dist = profile.size_distribution(lam)
+        for m, (count, p_m) in enumerate(zip(profile.counts, dist)):
+            recovered = z / lam ** m * p_m
             if recovered != count:
                 fails.append(f"lam={lam} m={m}: Z/lam^m * P(|I|=m) = "
                              f"{recovered}, counts say {count}")

@@ -123,8 +123,7 @@ def test_lambda_beta_validates_inputs():
 
 
 def test_log_z_asymptotic_approaches_exact_small_d():
-    hx = ex.hardcore_exact(5, Fraction(1))
-    target = math.log(hx.z)
+    target = math.log(ex.size_profile(5).partition_value(Fraction(1)))
     errs = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RegimeWarning)

@@ -1,9 +1,8 @@
-"""Fast binomial coefficients: exact, and enclosures of their logs."""
+"""Fast exact binomial coefficients."""
 
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from cubecount import bigint
 
@@ -50,78 +49,3 @@ def test_prime_power_factors_multiply_to_the_binomial():
             factors = bigint._prime_power_factors(n, k)
             assert math.prod(factors) == math.comb(n, k), (n, k)
             assert all(1 < f <= n for f in factors)  # Kummer: p^e <= n
-
-
-def test_tangent_numbers_give_the_bernoulli_numbers():
-    from fractions import Fraction
-
-    from mpmath import bernfrac
-    tangent = bigint._tangent_numbers(60)
-    for i in range(1, 61):
-        b = Fraction((-1) ** (i - 1) * 2 * i * tangent[i], 4 ** i * (4 ** i - 1))
-        assert b == Fraction(*bernfrac(2 * i)), i
-
-
-@pytest.mark.parametrize("digits", [1, 5, 28, 50, 300, 2000])
-def test_pi_bounds_hold_pi(digits):
-    import mpmath
-    from fractions import Fraction
-    lo, hi = bigint.pi_bounds(digits)
-    assert hi - lo < Fraction(1, 10 ** digits)
-    with mpmath.workdps(digits + 40):
-        pi = mpmath.pi()
-        assert mpmath.mpf(str(lo)) < pi < mpmath.mpf(str(hi))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 100_000).flatmap(
-           lambda n: st.tuples(st.just(n), st.integers(0, n))),
-       st.integers(2, 700))
-def test_ln_binomial_bounds_hold_the_log(nk, wp):
-    import mpmath
-    from fractions import Fraction
-    n, k = nk
-    lo, hi = map(Fraction, bigint.ln_binomial_bounds(n, k, wp))
-    ln = mp_log_fraction(lambda: mpmath.log(math.comb(n, k)), wp)
-    slack = Fraction(1, 2 ** (wp + 40)) * (1 + abs(ln))  # the reference's own rounding
-    assert lo - slack <= ln <= hi + slack
-    # about wp bits wide, relative to ln n!
-    assert hi - lo < Fraction(2) ** (n.bit_length() + 16 - wp) + Fraction(1, 2 ** wp)
-
-
-def mp_log_fraction(f, wp):
-    """f(), evaluated by mpmath at wp + 64 bits, as an exact Fraction."""
-    import mpmath
-    from fractions import Fraction
-    with mpmath.workprec(wp + 64):
-        sign, man, exp, _ = f()._mpf_
-    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp if man else Fraction(0)
-
-
-@pytest.mark.parametrize("x", [0, 1, 5, 1023, 1024, 5000, 2 ** 22])
-@pytest.mark.parametrize("wp", [8, 200, 2000])
-def test_ln_factorial_bounds_hold_the_log(x, wp):
-    import mpmath
-    from fractions import Fraction
-    lo, hi = map(Fraction, bigint.ln_factorial_bounds(x, wp))
-    ln = mp_log_fraction(lambda: mpmath.loggamma(x + 1), wp + x.bit_length())
-    slack = Fraction(1, 2 ** (wp + 40)) * (1 + abs(ln))
-    assert lo - slack <= ln <= hi + slack
-    assert hi - lo < Fraction(2) ** (x.bit_length() + 16 - wp) + Fraction(1, 2 ** wp)
-
-
-def test_past_the_term_cap_the_exact_integer_serves():
-    # at x = 2048 Stirling's series reaches about 2,300 bits in 128 terms, so
-    # 4,000 bits take the log of the exact C(n, k) and of x! instead
-    import mpmath
-    from fractions import Fraction
-    n, k, wp = 2048, 700, 4000
-    assert bigint._stirling_terms(n, wp) is None
-    lo, hi = map(Fraction, bigint.ln_binomial_bounds(n, k, wp))
-    for (lo, hi), exact in ((bigint.ln_binomial_bounds(n, k, wp), math.comb(n, k)),
-                            (bigint.ln_factorial_bounds(n, wp), math.factorial(n))):
-        lo, hi = Fraction(lo), Fraction(hi)
-        ln = mp_log_fraction(lambda: mpmath.log(exact), wp)
-        slack = Fraction(1, 2 ** (wp + 40)) * (1 + abs(ln))
-        assert lo - slack <= ln <= hi + slack
-        assert hi - lo < Fraction(1, 2 ** (wp - 16))

@@ -3,6 +3,7 @@ mpmath at twice the working precision."""
 
 import itertools
 import json
+import math
 import random
 import re
 import warnings
@@ -11,7 +12,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cubecount import asymptotics as asym
 from cubecount import certified, cli, exact
@@ -216,6 +217,112 @@ def test_intervals_hold_the_exact_value(a, b, k, digits):
         assert Fraction(iv.lo) - slack <= x <= Fraction(iv.hi) + slack
 
 
+def test_tangent_numbers_give_the_bernoulli_numbers():
+    tangent = certified._tangent_numbers(60)
+    for i in range(1, 61):
+        b = Fraction((-1) ** (i - 1) * 2 * i * tangent[i], 4 ** i * (4 ** i - 1))
+        assert b == Fraction(*mpmath.bernfrac(2 * i)), i
+
+
+@pytest.mark.parametrize("digits", [1, 5, 28, 50, 300, 2000])
+def test_pi_bounds_hold_pi(digits):
+    lo, hi = certified.pi_bounds(digits)
+    assert hi - lo < Fraction(1, 10 ** digits)
+    with mpmath.workdps(digits + 40):
+        pi = mpmath.pi()
+        assert mpmath.mpf(str(lo)) < pi < mpmath.mpf(str(hi))
+
+
+def mp_log_fraction(f, digits):
+    """f(), evaluated by mpmath at digits + 20 digits, as an exact Fraction."""
+    with mpmath.workdps(digits + 20):
+        sign, man, exp, _ = f()._mpf_
+    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp if man else Fraction(0)
+
+
+def assert_holds(iv, ln, digits, magnitude):
+    """iv holds ln, up to the reference's own rounding, and is at most about
+    `digits` digits wide relative to `magnitude`, the largest log summed."""
+    lo, hi = Fraction(iv.lo), Fraction(iv.hi)
+    slack = Fraction(1 + abs(ln), 10 ** (digits + 15))
+    assert lo - slack <= ln <= hi + slack
+    assert hi - lo < (1 + magnitude) * Fraction(10) ** (3 - digits)
+
+
+def ln_factorial_magnitude(x: int) -> int:
+    return x * x.bit_length()  # above ln x! < x ln x
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 100_000).flatmap(
+           lambda n: st.tuples(st.just(n), st.integers(0, n))),
+       st.integers(1, 210))
+@example((2 ** 16, 2 ** 15), 30)
+@example((2 ** 16, 2 ** 14), 30)
+def test_log_binomial_holds_the_log(nk, digits):
+    n, k = nk
+    ln = mp_log_fraction(lambda: mpmath.log(math.comb(n, k)), digits)
+    assert_holds(DecimalNumbers(digits).log_binomial(n, k), ln, digits,
+                 ln_factorial_magnitude(n))
+
+
+@pytest.mark.parametrize("x", [0, 1, 5, 1023, 1024, 5000, 2 ** 22])
+@pytest.mark.parametrize("digits", [3, 60, 600])
+def test_log_factorial_holds_the_log(x, digits):
+    ln = mp_log_fraction(lambda: mpmath.loggamma(x + 1), digits + len(str(x)))
+    assert_holds(DecimalNumbers(digits).log_factorial(x), ln, digits,
+                 ln_factorial_magnitude(x))
+
+
+@pytest.mark.parametrize("terms", [0, 1, 2, 3])
+def test_the_first_omitted_term_bounds_the_remainder(monkeypatch, terms):
+    # cut short, the series leaves a remainder far above the working digits,
+    # which only the widening by the first omitted term holds
+    monkeypatch.setattr(certified, "_stirling_terms", lambda x, digits: terms)
+    for x in (1024, 1500, 5000):
+        iv = DecimalNumbers(60).log_factorial(x)
+        ln = mp_log_fraction(lambda: mpmath.loggamma(x + 1), 70)
+        assert Fraction(iv.lo) <= ln <= Fraction(iv.hi), (x, terms)
+
+
+def test_past_the_term_cap_the_exact_integer_serves():
+    # at x = 2048 Stirling's series reaches about 550 digits in 128 terms, so
+    # 1,200 digits take the log of the exact C(n, k) and of x! instead
+    n, k, digits = 2048, 700, 1200
+    assert certified._stirling_terms(n, digits) is None
+    num = DecimalNumbers(digits)
+    for iv, exact in ((num.log_binomial(n, k), math.comb(n, k)),
+                      (num.log_factorial(n), math.factorial(n))):
+        ln = mp_log_fraction(lambda: mpmath.log(exact), digits)
+        assert_holds(iv, ln, digits, ln_factorial_magnitude(n))
+
+
+@pytest.fixture
+def working(monkeypatch):
+    """The working digits of each kit `evaluate` makes, in order."""
+    digits_seen = []
+
+    class Recorded(DecimalNumbers):
+        def __init__(self, digits):
+            digits_seen.append(digits)
+            super().__init__(digits)
+
+    monkeypatch.setattr(certified, "DecimalNumbers", Recorded)
+    return digits_seen
+
+
+@pytest.mark.parametrize("argv", ["count --beta 1/2 --d 24 --t 3",
+                                  "count --beta 1/3 --d 23 --t 3",
+                                  "zeta --lam 1 --d 24 --t 3",
+                                  "count --beta 1/2 --d 23 --t 4"])
+def test_commands_print_from_one_kit(capsys, working, argv):
+    # the enclosures are tight enough that the first working digits decide
+    # every field: no doubling
+    assert cli.main(argv.split()) == 0
+    capsys.readouterr()
+    assert working == [30 + certified._GUARD_DIGITS]
+
+
 def cases(seed: int, count: int):
     """(kind, parameter, d, t, digits) over beta or lam, d = 2..24, t <= 4."""
     rng = random.Random(seed)
@@ -259,19 +366,11 @@ def test_thirty_digits_or_fewer_are_correctly_rounded(case, digits):
     assert check_correctly_rounded(lc, digits) >= 4
 
 
-def test_oracle_ln_z_is_decided_and_equals_mpmaths(capsys, monkeypatch):
+def test_oracle_ln_z_is_decided_and_equals_mpmaths(capsys, working):
     # ln(1 + x), x = Z - 1, is read from x itself when x is below the
     # working precision, so no lam needs more than one doubling
     lams = ["1", "2", "1/2", "7/3", "100", "1/1000", "1/100000000",
             "1/10000000000000", "1e-40", "1e-998"]
-    working = []
-
-    class Recorded(DecimalNumbers):
-        def __init__(self, digits):
-            working.append(digits)
-            super().__init__(digits)
-
-    monkeypatch.setattr(certified, "DecimalNumbers", Recorded)
     for d, lam in [*itertools.product(range(1, 6), lams), (6, "1e-998")]:
         working.clear()
         assert cli.main(["oracle", "--d", str(d), "--lam", lam]) == 0

@@ -549,7 +549,7 @@ def cli_run(*argv):
             f"    assert cli.main({list(argv)!r}) == 0")
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
     # scipy.stats was most of the CLI's start-up; now only a chi-square tail
     # with more than 40 degrees of freedom imports scipy, and numpy with it.
     # Each command imports the layers it runs, so importing the package or
@@ -566,9 +566,20 @@ def test_cli_import_leaves_scipy_unloaded():
                      "cubecount.exact", "cubecount.sampler",
                      "cubecount.validation"} == set()
     loaded = modules_loaded_by(cli_run("oracle", "--d", "3", "--lam", "1"))
-    assert "cubecount.exact" in loaded
-    assert loaded & {"cubecount.asymptotics", "cubecount.clusters",
+    assert {"cubecount.exact", "cubecount.certified"} <= loaded
+    assert loaded & {"cubecount.asymptotics", "cubecount.bigint", "cubecount.clusters",
                      "cubecount.sampler"} == set()
+    # the decimal intervals live in certified, which needs the exact
+    # binomials of bigint only past its Stirling term cap
+    count, oracle = tmp_path / "count.json", tmp_path / "oracle.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["count", "--beta", "1/2", "--d", "5", "--t", "3",
+                         "--out", str(count)]) == 0
+        assert cli.main(["oracle", "--d", "5", "--lam", "1", "--out", str(oracle)]) == 0
+    loaded = modules_loaded_by(cli_run("report", "--inputs", str(count), str(oracle),
+                                       "--out-dir", str(tmp_path / "report")))
+    assert {"cubecount.exact", "cubecount.certified"} <= loaded
+    assert loaded & {"cubecount.asymptotics", "cubecount.bigint"} == set()
 
 
 @pytest.mark.parametrize("argv", [("rj", "--j", "2"), ("bj", "--r", "1"),

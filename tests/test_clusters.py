@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from cubecount import clusters as cl
 from cubecount import exact as ex
 from cubecount import hypercube as hc
 from cubecount import polymers as pm
-from cubecount.symbolic import RatPoly, poly_to_json_str
+from cubecount.symbolic import RatPoly
 
 
 def test_ursell_base_cases():
@@ -322,6 +323,10 @@ def test_cluster_cache_is_bounded():
     assert len(cl._table_cache) == cl._TABLE_CACHE_SIZE
     cl.clear_caches()
     assert not cl._table_cache
+
+
+def poly_to_json_str(p: RatPoly) -> str:
+    return json.dumps(p.to_json(), sort_keys=True)
 
 
 # SHA-256 of poly_to_json_str, recorded from the per-cluster sums that the

@@ -1,4 +1,4 @@
-"""Exact small-d oracles: size profiles, restricted models, hardcore values."""
+"""Exact small-d oracles: size profiles and restricted models."""
 
 import hashlib
 import json
@@ -107,18 +107,11 @@ def test_profile_json_round_trip():
     assert ex.SizeProfile.from_json(sp.to_json()) == sp
 
 
-def test_hardcore_exact_at_unit_fugacity():
-    hx = ex.hardcore_exact(3, Fraction(1))
-    assert hx.z == 35
-    assert hx.mean_size == Fraction(72, 35)
-    assert sum(hx.size_distribution) == 1
-
-
-def test_hardcore_rejects_nonpositive_fugacity():
-    with pytest.raises(ValueError):
-        ex.hardcore_exact(3, Fraction(0))
-    with pytest.raises(ValueError):
-        ex.hardcore_exact(3, Fraction(-1))
+def test_profile_at_unit_fugacity():
+    sp = ex.size_profile(3)
+    assert sp.partition_value(Fraction(1)) == 35
+    assert sp.mean_size(Fraction(1)) == Fraction(72, 35)
+    assert sum(sp.size_distribution(Fraction(1))) == 1
 
 
 def test_odd_model_q3_by_hand():

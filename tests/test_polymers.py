@@ -13,9 +13,13 @@ from hypothesis import given, settings, strategies as st
 from cubecount import hypercube as hc
 from cubecount import polymers as pm
 from cubecount.errors import BudgetExceededError
-from cubecount.symbolic import interpolate_poly, poly_to_json_str
+from cubecount.symbolic import RatPoly, interpolate_poly
 
 SYMBOLIC_CENSUS_4_SHA256 = "8c1f4857a35f15528aa3a2855b000aa1c0c588724503a01649624808e0d9f385"
+
+
+def poly_to_json_str(p: RatPoly) -> str:
+    return json.dumps(p.to_json(), sort_keys=True)
 
 
 def brute_force_supports(d: int, max_size: int) -> set:

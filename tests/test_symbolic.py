@@ -1,5 +1,6 @@
 """Exact polynomial / rational-function / truncated-series kernel."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -20,11 +21,14 @@ from cubecount.symbolic import (
     log_ratio_expand,
     neg_binomial_expand,
     poly_on_series,
-    poly_to_json_str,
 )
 
 beta = RatPoly.var(BETA)
 d_var = RatPoly.var("d")
+
+
+def poly_to_json_str(p: RatPoly) -> str:
+    return json.dumps(p.to_json(), sort_keys=True)
 
 
 # -- random polynomial strategy ----------------------------------------------
