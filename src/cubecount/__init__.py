@@ -27,11 +27,10 @@ import importlib
 # public name -> the submodule that defines it
 _EXPORTS = {name: module for module, names in (
     ("errors", ("BudgetExceededError", "InterpolationError", "RegimeWarning")),
-    ("hypercube", ("MAX_DIM", "closure", "even_side", "is_independent",
-                   "n_side", "neighborhood", "neighbors", "odd_side", "parity",
+    ("hypercube", ("MAX_DIM", "closure", "is_independent", "n_side",
+                   "neighborhood", "neighbors", "odd_side", "parity",
                    "square_components", "square_neighbors")),
-    ("exact", ("OddModelProfile", "SizeProfile",
-               "achievable_independent_sets", "odd_model_exact",
+    ("exact", ("OddModelProfile", "SizeProfile", "odd_model_exact",
                "size_profile", "size_profile_exhaustive")),
     ("polymers", ("Census", "DefectType", "Polymer", "SymbolicCensus",
                   "census", "classify", "enumerate_polymers",

@@ -293,24 +293,3 @@ def _binomial_row(n: int) -> list[int]:
     for _ in range(n):
         row = [a + b for a, b in zip([0] + row, row + [0])]
     return row
-
-
-def achievable_independent_sets(d: int) -> dict[int, int]:
-    """Size counts of independent sets whose odd part decomposes into
-    admissible defects; the cross-check target for z_poly.  d <= 4."""
-    hc.check_dim(d)
-    if d > 4:
-        raise ValueError("achievability enumeration is limited to d <= 4")
-    n = 1 << d
-    counts: dict[int, int] = {}
-    for mask in independent_set_masks(d):
-        odd_part = [v for v in range(n) if mask >> v & 1 and hc.parity(v) == 1]
-        ok = True
-        for comp in hc.square_components(odd_part, d):
-            if len(hc.closure(comp, d)) > hc.n_side(d) // 2:
-                ok = False
-                break
-        if ok:
-            size = mask.bit_count()
-            counts[size] = counts.get(size, 0) + 1
-    return counts

@@ -65,11 +65,6 @@ def square_neighbors(v: int, d: int) -> tuple[int, ...]:
     return _square_neighbors(v, d)
 
 
-def even_side(d: int) -> tuple[int, ...]:
-    check_dim(d)
-    return tuple(v for v in range(1 << d) if parity(v) == 0)
-
-
 def odd_side(d: int) -> tuple[int, ...]:
     check_dim(d)
     return tuple(v for v in range(1 << d) if parity(v) == 1)
@@ -152,14 +147,24 @@ def square_components(vertices: Iterable[int], d: int) -> tuple[tuple[int, ...],
 
 
 def is_independent(mask: int, d: int) -> bool:
-    """Whether the occupancy bitmask (bit v = vertex v in the set) is independent."""
+    """Whether the occupancy bitmask (bit v = vertex v in the set) is independent.
+
+    Each edge joins a vertex v whose bit i is 0 to v + 2^i, so the set is
+    independent iff no mask & (mask >> 2^i) & L_i is nonzero, where L_i marks
+    the vertices whose bit i is 0: d mask operations, not one per vertex.
+    """
     check_dim(d)
-    for v in range(1 << d):
-        if mask >> v & 1:
-            for i in range(d):
-                u = v ^ (1 << i)
-                if u > v and mask >> u & 1:
-                    return False
+    n = 1 << d
+    for i in range(d):
+        s = 1 << i
+        # L_i: a run of 2^i ones in every period of 2^(i + 1) bits, doubled
+        # out to n bits
+        low, width = (1 << s) - 1, 2 * s
+        while width < n:
+            low |= low << width
+            width *= 2
+        if mask & (mask >> s) & low:
+            return False
     return True
 
 

@@ -15,10 +15,17 @@ the first least significant, and its little-endian bytes put w0's top 16
 bits at offsets 12t + 2 and 12t + 3: the vertex is those bits shifted right
 by 16 - d, which needs d <= SAMPLER_MAX_DIM = 16.  The coin is decided from
 w1's top byte against a table, and from the full words in the 1-in-256 ties.
-The chain's step tables hold 2^(d+1) integers of up to 2^d bits: for
-n = 2^d, about n^2/16 bytes of single-vertex masks and n^2/9 of neighbour
-masks, 0.18 n^2 in all (767 MB at d = 16, where ru_maxrss reads 768 MB), so
-larger d is refused before anything is built.
+When p = k/256 (lam = 1, 1/3, 3, ...) the threshold falls on a byte edge and
+there are no ties.
+
+The chain steps the vacancy mask vac = occ ^ (2^n - 1), n = 2^d, not the
+occupancy: a clear step at v is vac |= 2^v, with no test, and an occupy step
+is one subset test, vac ^= 2^v when vac holds X[v] = N(v) + {v}, since v
+can become occupied only when it and all its neighbours are vacant.  Each
+snapshot turns vac back into the occupancy once.  The step tables hold
+2^(d+1) integers of up to 2^d bits: about n^2/16 bytes of single-vertex
+masks and n^2/9 of the masks X[v], 0.18 n^2 in all (767 MB at d = 16, where
+ru_maxrss reads 753 MB), so larger d is refused before anything is built.
 
 A long run splits across two processes, the only way the sampler uses a
 second CPU: sample_chains runs its chains one after another.  After the
@@ -102,8 +109,10 @@ def default_burn_in(d: int) -> int:
     return 10 * (1 << d) * d
 
 
-# steps per bulk draw: a 393 KB draw of 3 * 2^15 words and 128 KB of codes
-_DRAW_BLOCK = 1 << 15
+# steps per bulk draw: a 197 KB draw of 3 * 2^14 words and 64 KB of codes.
+# Whole d = 10 chains (lam = 1, 4.2M steps) ran within 1% of one another
+# at 2^12, 2^13 and 2^14 steps per block and 2-3% slower at 2^15
+_DRAW_BLOCK = 1 << 14
 
 # A run splits across two processes when its post-burn-in steps reach
 # _SPLIT_MIN_STEPS and at least _SPLIT_MIN_SNAPSHOTS snapshots follow the
@@ -115,10 +124,23 @@ _SPLIT_MIN_STEPS = 1 << 20
 _SPLIT_MIN_SNAPSHOTS = 8
 _SPLIT_MAX_DIM = 14
 # The parent steps from the burn-in to H; the child discards H steps' draws,
-# each about a seventh of a step's cost, and steps from H to the last
-# snapshot.  Both finish at about one time for H = (burn_in + last) / 1.86;
-# at d = 10 the run time was flat for divisors from 1.8 to 2.0.
+# each about an eighth of a step's cost (0.013 against 0.112 us at d = 10,
+# lam = 1), and steps from H to the last snapshot.  Both finish at about one
+# time for H = (burn_in + last) / 1.88.  Whole d = 10 chains of 4.2M steps
+# took 0.273 / 0.270 / 0.272 / 0.279 / 0.284 s (medians of 10) for divisors
+# 1.8 / 1.85 / 1.9 / 1.95 / 2.0, and 1.85 against 1.9 was a tie in a rerun.
 _SPLIT_BALANCE = 1.9
+
+
+def _coin_table(t: int) -> bytes:
+    """The coin c = K / 2^53 against the threshold c < p <=> K < t, decided
+    from w1's top byte i = K >> 45: entry i is 1 (accept) below t >> 45, 0
+    (refuse) above it, and 2 (a tie, settled from the full words) at
+    t >> 45 unless t is a multiple of 2^45, as for p = k/256, when every K
+    with that top byte is at least t and the entry is 0."""
+    tie = t >> 45 if t & (1 << 45) - 1 else -1
+    return bytes(1 if i < t >> 45 else 2 if i == tie else 0
+                 for i in range(256))
 
 
 def _step_codes(seed: int, d: int, p: float, steps: int,
@@ -138,10 +160,7 @@ def _step_codes(seed: int, d: int, p: float, steps: int,
     steps -= skip
     # c = K / 2^53 with K an integer, so c < p <=> K < T = ceil(p * 2^53)
     t = math.ceil(p * 9007199254740992.0)
-    # w1's top byte is K >> 45: below T >> 45 the coin is accepted, above it
-    # refused, and equal (marked 2) it is settled from the full words
-    table = bytes(1 if i < t >> 45 else 2 if i == t >> 45 else 0
-                  for i in range(256))
+    table = _coin_table(t)
     # the low d + 1 bits of every 4-byte lane of a full block, which serves
     # a short last block too
     mask = int.from_bytes(((1 << (d + 1)) - 1).to_bytes(4, "little")
@@ -172,30 +191,35 @@ def _step_codes(seed: int, d: int, p: float, steps: int,
         steps -= b
 
 
-def _snapshots(codes: Iterable[memoryview], bits: list[int], nbr: list[int],
+def _snapshots(codes: Iterable[memoryview], bits: list[int], occupy: list[int],
                occ: int, done: int, first: int,
                thin: int) -> Iterator[tuple[int, int]]:
     """Step the chain from occupancy `occ` after `done` steps through the
     blocks of step codes `codes`, yielding (step, occupancy) at step `first`
     and every `thin` steps after it while the codes last.
 
-    `bits` and `nbr` are indexed by step code: code v < n clears v, code
-    n + v occupies v unless a neighbour of v is occupied.
+    The loop steps the vacancy mask vac = occ ^ full, not the occupancy.
+    `bits` and `occupy` are indexed by step code: code v < n clears v, one
+    OR that sets v's bit of vac; code n + v occupies v when v and all its
+    neighbours are vacant, that is when vac holds occupy[n + v], the mask of
+    N(v) and v.  An occupied v fails that test, and occupying it would
+    change nothing.
     """
     n = len(bits) // 2
+    full = (1 << n) - 1
+    vac = occ ^ full
     for block in codes:
         pos, stop = 0, len(block)
         while pos < stop:
             cut = min(stop, first - done)
             for c in block[pos:cut]:
                 if c < n:
-                    if occ & bits[c]:
-                        occ ^= bits[c]
-                elif not occ & nbr[c]:
-                    occ |= bits[c]
+                    vac |= bits[c]
+                elif vac & occupy[c] == occupy[c]:
+                    vac ^= bits[c]
             pos = cut
             if done + cut == first:
-                yield first, occ
+                yield first, vac ^ full
                 first += thin
         done += stop
 
@@ -308,18 +332,29 @@ def glauber_run(d: int, lam: Fraction, steps: int,
     odd_mask = _parity_mask(d)
     p = float(lam / (1 + lam))
     bits = [1 << v for v in range(n)] * 2
-    nbr = [0] * n + hc.neighbor_masks(d)
+    # N(v) and v, built in place: a second list would hold both lists of
+    # masks at once, n^2/9 bytes more at the peak
+    occupy = hc.neighbor_masks(d)
+    for v in range(n):
+        occupy[v] |= bits[v]
+    occupy = [0] * n + occupy
     # steps after the last snapshot are never observed
     last = burn_in + (steps - burn_in) // thin * thin
 
     def resume(occ: int, done: int) -> Iterator[tuple[int, int]]:
-        return _snapshots(_step_codes(seed, d, p, last, done), bits, nbr,
+        return _snapshots(_step_codes(seed, d, p, last, done), bits, occupy,
                           occ, done, done + thin, thin)
 
     # the first snapshot is the state after the burn-in, which is not yielded
-    chain = _snapshots(_step_codes(seed, d, p, last), bits, nbr, start, 0,
+    chain = _snapshots(_step_codes(seed, d, p, last), bits, occupy, start, 0,
                        burn_in, thin)
     post = next(chain, None)
+    # The fork waits for the burn-in so that the child starts in the true
+    # chain's phase.  At d = 10, lam = 1, thin 4096 and seeds 7 and 100-103,
+    # a child started at H from the empty set met the true chain at one seed
+    # (after 6 snapshots); at the other four it fell into the other phase
+    # and had not met it by the last of 472 snapshots.  From the post-burn-in
+    # state it met after 2-5 snapshots.
     h = None if post is None else _split_step(d, burn_in, last, thin)
     if h is not None:
         chain = _split_snapshots(chain, post[1], h, last, thin, (n + 7) // 8,

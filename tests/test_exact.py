@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from cubecount import exact as ex
+from cubecount import hypercube as hc
 
 
 def layered_size_profile(d):
@@ -130,22 +131,34 @@ def test_odd_model_xi_value_matches_terms():
     assert om.xi_value(lam) == expect
 
 
+def achievable_independent_sets(d):
+    """Size counts of the independent sets of Q_d, d <= 4, whose odd part
+    decomposes into admissible defects: components whose closure covers at
+    most half of the odd side."""
+    counts = {}
+    for mask in ex.independent_set_masks(d):
+        odd_part = [v for v in range(1 << d) if mask >> v & 1 and hc.parity(v)]
+        if all(len(hc.closure(comp, d)) <= hc.n_side(d) // 2
+               for comp in hc.square_components(odd_part, d)):
+            size = mask.bit_count()
+            counts[size] = counts.get(size, 0) + 1
+    return counts
+
+
 def test_achievable_sets_q2_excludes_all_defects():
     # at d=2 the closure of any odd singleton is the whole odd side,
     # so only subsets of one fixed side survive
-    assert ex.achievable_independent_sets(2) == {0: 1, 1: 2, 2: 1}
+    assert achievable_independent_sets(2) == {0: 1, 1: 2, 2: 1}
 
 
 def test_achievable_counts_bounded_by_profile():
     for d in (2, 3, 4):
         counts = dict(enumerate(ex.size_profile(d).counts))
-        ach = ex.achievable_independent_sets(d)
+        ach = achievable_independent_sets(d)
         assert all(ach[m] <= counts.get(m, 0) for m in ach)
 
 
 def test_independent_set_masks_are_independent():
-    from cubecount import hypercube as hc
-
     masks = ex.independent_set_masks(3)
     assert len(masks) == 35
     assert all(hc.is_independent(m, 3) for m in masks)

@@ -1,6 +1,7 @@
 """Bitmask combinatorics of Q_d against first-principles definitions."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,9 +32,13 @@ def test_parity_counts_set_bits():
     assert hc.parity(0b1111) == 0
 
 
+def even_side(d: int) -> tuple[int, ...]:
+    return tuple(v for v in range(1 << d) if hc.parity(v) == 0)
+
+
 def test_sides_partition_the_cube():
     for d in (1, 2, 3, 5):
-        even, odd = hc.even_side(d), hc.odd_side(d)
+        even, odd = even_side(d), hc.odd_side(d)
         assert len(even) == len(odd) == hc.n_side(d) == 1 << (d - 1)
         assert sorted(even + odd) == list(range(1 << d))
         assert all(hc.parity(v) == 0 for v in even)
@@ -144,14 +149,44 @@ def test_square_components_split_by_distance():
     assert len(hc.square_components([1, far], d)) == 2
 
 
+def direct_is_independent(mask: int, d: int) -> bool:
+    return all(not (mask >> u & 1 and mask >> v & 1)
+               for u in range(1 << d) for v in hc.neighbors(u, d) if u < v)
+
+
 def test_is_independent_matches_direct_check():
-    for d in (2, 3):
+    for d in (1, 2, 3):
+        for mask in range(1 << (1 << d)):
+            assert hc.is_independent(mask, d) == direct_is_independent(mask, d)
+
+
+def test_is_independent_matches_direct_check_on_random_masks():
+    rng = random.Random(6)
+    outcomes = set()
+    for d in range(1, 7):
         n = 1 << d
-        for mask in range(1 << n):
-            direct = all(
-                not (mask >> u & 1 and mask >> v & 1)
-                for u in range(n) for v in hc.neighbors(u, d) if u < v)
-            assert hc.is_independent(mask, d) == direct
+        for _ in range(300):
+            # a random subset of a random size, so that small sets, which
+            # are often independent, and large ones both occur
+            mask = sum(1 << v for v in rng.sample(range(n), rng.randint(0, n)))
+            got = hc.is_independent(mask, d)
+            assert got == direct_is_independent(mask, d), (d, mask)
+            outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+def test_is_independent_finds_one_edge_added_to_a_packed_side():
+    # the packed even side of Q_12 plus an odd vertex u, less all but one of
+    # u's neighbours w, has exactly the edge uw; less w too, it has none
+    d = 12
+    even = sum(1 << v for v in even_side(d))
+    assert hc.is_independent(even, d)
+    nbr = hc.neighbor_masks(d)
+    for u in hc.odd_side(d):
+        alone = even & ~nbr[u] | 1 << u
+        assert hc.is_independent(alone, d)
+        for w in hc.neighbors(u, d):
+            assert not hc.is_independent(alone | 1 << w, d), (u, w)
 
 
 def test_neighbor_masks_agree_with_neighbors():

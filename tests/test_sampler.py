@@ -1,5 +1,6 @@
 """Glauber dynamics: invariants, determinism, and defect extraction."""
 
+import collections
 import math
 import os
 import random
@@ -17,12 +18,13 @@ def run(d=3, lam=Fraction(1), steps=4000, burn_in=200, thin=20, seed=5, **kw):
                                seed=seed, **kw))
 
 
-def reference_run(d, lam, steps, burn_in, thin, seed, start=0):
+def reference_run(d, lam, steps, burn_in, thin, seed, start=0, kinds=None):
     """The cross-check for glauber_run: the chain stepped one draw at a time.
 
     Each step calls random.Random(seed).getrandbits(d) and then .random(),
     and |I| and |I on odd| are tallied step by step.  glauber_run replays the
-    same draws in bulk and must yield the same snapshots.
+    same draws in bulk and must yield the same snapshots.  A Counter passed
+    as `kinds` counts the steps of each kind.
     """
     nbr = hc.neighbor_masks(d)
     odd_mask = sum(1 << v for v in hc.odd_side(d))
@@ -36,6 +38,8 @@ def reference_run(d, lam, steps, burn_in, thin, seed, start=0):
         bit = 1 << v
         newbit = 0 if occ & nbr[v] else (1 if coin < p else 0)
         old = occ & bit
+        if kinds is not None:
+            kinds[step_kind(coin < p, old, occ & nbr[v])] += 1
         if newbit and not old:
             occ |= bit
             size += 1
@@ -50,6 +54,14 @@ def reference_run(d, lam, steps, burn_in, thin, seed, start=0):
     return out
 
 
+def step_kind(occupy, occupied, blocked):
+    if not occupy:
+        return "clear occupied" if occupied else "clear vacant"
+    if occupied:
+        return "occupy occupied"
+    return "occupy blocked" if blocked else "occupy vacant"
+
+
 SEEDS = (0, 7, -3, 2 ** 70 + 1)
 LAMS = (Fraction(1), Fraction(1, 3), Fraction(2), Fraction(1, 20))
 
@@ -59,23 +71,30 @@ def test_bulk_draws_match_per_step_reference(d):
     # p = 1/4 and 1/21 are not exact in binary, so coin < p is tested at a
     # rounded threshold; the odd side fully packed is a nonzero start
     full_odd = sum(1 << v for v in hc.odd_side(d))
+    kinds = collections.Counter()
     for lam in LAMS:
         for seed in SEEDS:
             for burn_in, thin, start in ((50, 7, 0), (0, 1, full_odd)):
                 steps = burn_in + 1500
                 got = list(sm.glauber_run(d, lam, steps, burn_in=burn_in,
                                           thin=thin, seed=seed, start=start))
-                want = reference_run(d, lam, steps, burn_in, thin, seed, start)
+                want = reference_run(d, lam, steps, burn_in, thin, seed, start,
+                                     kinds if start else None)
                 assert got == want, (d, lam, seed, burn_in, thin, start)
+    # from the packed start every branch of the vacancy-mask step ran: a
+    # clear step at an occupied and at a vacant vertex, and an occupy step at
+    # an occupied vertex, at one with an occupied neighbour and at one that
+    # becomes occupied
+    assert len(kinds) == 5, kinds
+
+
+def reference_draws(seed, d, steps):
+    rng = random.Random(seed)
+    return [(rng.getrandbits(d), rng.random()) for _ in range(steps)]
 
 
 def reference_codes(seed, d, p, steps):
-    rng = random.Random(seed)
-    out = []
-    for _ in range(steps):
-        v = rng.getrandbits(d)
-        out.append(v + (1 << d) * (rng.random() < p))
-    return out
+    return [v + (1 << d) * (c < p) for v, c in reference_draws(seed, d, steps)]
 
 
 def first_coin(seed):
@@ -104,6 +123,25 @@ def test_step_codes_match_per_step_draws(d):
     skip = sm._DRAW_BLOCK + 5
     rest = [x for b in sm._step_codes(seed, d, 1 / 2, steps, skip) for x in b]
     assert rest == reference_codes(seed, d, 1 / 2, steps)[skip:]
+
+
+@pytest.mark.parametrize("lam,tie", [
+    (Fraction(1), False), (Fraction(1, 3), False), (Fraction(3), False),
+    (Fraction(1, 255), False), (Fraction(2), True), (Fraction(1, 20), True)])
+def test_coin_ties_unless_p_is_a_multiple_of_one_256th(lam, tie):
+    # p = k/256 puts the threshold t = ceil(p 2^53) on a top-byte edge, so a
+    # coin whose top byte is t >> 45 is refused from that byte alone and the
+    # full words are never read; for other p such coins fall on both sides
+    p = float(lam / (1 + lam))
+    t = math.ceil(p * 2 ** 53)
+    assert (2 in sm._coin_table(t)) == tie
+    d, seed, steps = 7, 5, 20000
+    # about 1 in 256 coins has the threshold's top byte
+    edge = {c < p for _, c in reference_draws(seed, d, steps)
+            if int(c * 256) == t >> 45}
+    assert edge == ({False, True} if tie else {False})
+    got = [x for b in sm._step_codes(seed, d, p, steps) for x in b]
+    assert got == reference_codes(seed, d, p, steps)
 
 
 def test_bulk_draws_match_reference_across_draw_blocks():
@@ -202,7 +240,7 @@ def test_split_run_without_a_meeting_finishes_alone(split, monkeypatch):
     # child, started from the packed odd side, stays odd
     d, lam, steps = 6, Fraction(8), 4000
     odd = sum(1 << v for v in hc.odd_side(d))
-    even = sum(1 << v for v in hc.even_side(d))
+    even = ((1 << (1 << d)) - 1) ^ odd
     split_snapshots = sm._split_snapshots
     monkeypatch.setattr(sm, "_split_snapshots", lambda chain, occ, *rest:
                         split_snapshots(chain, odd, *rest))
@@ -342,8 +380,8 @@ def test_extract_defects_identifies_planted_polymer():
     d = 4
     odd_v = hc.odd_side(d)[0]
     occupied = 1 << odd_v
-    for v in hc.even_side(d):
-        if not (hc.neighbor_masks(d)[v] & occupied):
+    for v in range(1 << d):
+        if not hc.parity(v) and not hc.neighbor_masks(d)[v] & occupied:
             occupied |= 1 << v
     assert hc.is_independent(occupied, d)
     st = sm.ChainState(d=d, step=0, occupancy=occupied,
