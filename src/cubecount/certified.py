@@ -97,7 +97,6 @@ def decimal_contexts(digits: int) -> tuple[Context, Context, Context]:
                  for r in (ROUND_FLOOR, ROUND_CEILING, ROUND_HALF_EVEN))
 
 
-@lru_cache(maxsize=8)
 def pi_bounds(digits: int) -> tuple[Decimal, Decimal]:
     """Exact Decimals lo < pi < hi with hi - lo < 10^-digits.
 
@@ -211,14 +210,14 @@ class Interval:
 class DecimalNumbers:
     """The number kit of decimal intervals, rounded outward at `digits` digits.
 
-    It keeps the logs of ints it has taken (ln 2 serves several terms) and
-    (1/2) ln 2 pi for its own lifetime, one evaluation of a formula.
+    It keeps the logs of ints it has taken (ln 2 serves several terms), pi
+    and (1/2) ln 2 pi for its own lifetime, one evaluation of a formula;
+    pi is built only when a formula reads it.
     """
 
     def __init__(self, digits: int):
         self.digits = digits
         self.down, self.up, self.near = decimal_contexts(digits)
-        self.pi = Interval(*pi_bounds(digits), self)
         self._int_logs: dict[int, Interval] = {}
 
     def coerce(self, x) -> Interval:
@@ -263,6 +262,10 @@ class DecimalNumbers:
             up = self.up
             hi = up.add(hi, up.divide(up.subtract(x.hi, x.lo), x.lo))
         return Interval(lo, hi, self)
+
+    @cached_property
+    def pi(self) -> Interval:
+        return Interval(*pi_bounds(self.digits), self)
 
     @cached_property
     def _half_log_2pi(self) -> Interval:

@@ -28,7 +28,7 @@ an earlier one, H is connected by construction, and no multiset is built
 only to be discarded.  The candidate entries are the polymers that the
 polymers module's one growth kernel, polymers._grow_polymers, grows from
 each vertex of that target set; the rooted start supports and the full
-universe of _full_universe come from the same kernel.
+universe of _universe_counts come from the same kernel.
 
 Active coordinates.  A rooted cluster's active coordinates are the ones in
 which some vertex of its union differs from the root V0; there are at most
@@ -77,29 +77,32 @@ from .symbolic import RatPoly
 
 
 def _spanning_connected_sum(n: int, edges: tuple[tuple[int, int], ...]) -> int:
-    """sum over spanning connected edge subsets of (-1)^|A| (multigraphs ok)."""
-    total = 0
-    m = len(edges)
-    for mask in range(1 << m):
-        parent = list(range(n))
+    """sum over spanning connected edge subsets of (-1)^|A| (multigraphs ok).
 
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        parts = n
-        for i in range(m):
-            if mask >> i & 1:
-                a, b = edges[i]
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
-                    parts -= 1
-        if parts == 1:
-            total += -1 if mask.bit_count() & 1 else 1
-    return total
+    c(S), that sum for the subgraph induced on the vertex set S, follows from
+    splitting each edge subset inside S at the component that holds min S:
+    f(S) = sum over T with min S in T, T within S, of c(T) f(S - T), where
+    f(S), the sum over every edge subset inside S, is 1 when no edge (a loop
+    or a parallel edge included) lies inside S and 0 otherwise.  Sets are
+    bitmasks, visited in increasing order, so 3^n steps in all.
+    """
+    adj = [0] * n
+    for a, b in edges:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    f = [1] * (1 << n)
+    c = [0] * (1 << n)
+    for s in range(1, 1 << n):
+        low = s & -s
+        rest = s ^ low
+        f[s] = 0 if adj[low.bit_length() - 1] & s else f[rest]
+        total = f[s]
+        part = rest  # T = low | part over the proper parts of rest
+        while part:
+            part = (part - 1) & rest
+            total -= c[low | part] * f[rest ^ part]
+        c[s] = total
+    return c[-1]
 
 
 def _dc_sum(n: int, edges: tuple[tuple[int, int], ...]) -> int:
@@ -135,18 +138,23 @@ def _dc_sum(n: int, edges: tuple[tuple[int, int], ...]) -> int:
     return deleted - _dc_sum(n - 1, tuple(normalized))
 
 
-def ursell(n: int, edges: Iterable[tuple[int, int]]) -> Fraction:
-    """Ursell coefficient phi of a graph on vertices 0..n-1.
-
-    Zero when the graph is disconnected; phi(K1) = 1, phi(K2) = -1/2.
-    """
+def _edge_pairs(n: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """The edges as (min, max) pairs, checked against the vertices 0..n-1."""
     if n < 1:
         raise ValueError("graph must have at least one vertex")
     es = tuple((min(a, b), max(a, b)) for a, b in edges)
     for a, b in es:
         if a < 0 or b >= n:
             raise ValueError("edge endpoint out of range")
-    return Fraction(_spanning_connected_sum(n, es), math.factorial(n))
+    return es
+
+
+def ursell(n: int, edges: Iterable[tuple[int, int]]) -> Fraction:
+    """Ursell coefficient phi of a graph on vertices 0..n-1.
+
+    Zero when the graph is disconnected; phi(K1) = 1, phi(K2) = -1/2.
+    """
+    return Fraction(_spanning_connected_sum(n, _edge_pairs(n, edges)), math.factorial(n))
 
 
 def ursell_recursive(n: int, edges: Iterable[tuple[int, int]]) -> Fraction:
@@ -155,10 +163,7 @@ def ursell_recursive(n: int, edges: Iterable[tuple[int, int]]) -> Fraction:
     Not on the hot path: the acceptance suite (validate criterion 2) and the
     tests use it as the cross-check for ursell.
     """
-    if n < 1:
-        raise ValueError("graph must have at least one vertex")
-    es = tuple((min(a, b), max(a, b)) for a, b in edges)
-    return Fraction(_dc_sum(n, es), math.factorial(n))
+    return Fraction(_dc_sum(n, _edge_pairs(n, edges)), math.factorial(n))
 
 
 @lru_cache(maxsize=65536)
@@ -469,8 +474,8 @@ def stratum_partial_sum(d: int, lam: Fraction, max_total: int) -> Fraction:
 
 
 @lru_cache(maxsize=8)
-def _full_universe(d: int) -> tuple[tuple[int, int, Fraction, Fraction], ...]:
-    """Every polymer at this dimension as (support mask, nbhd mask, |S|, |N(S)|).
+def _universe_counts(d: int) -> dict[tuple[int, int, int], int]:
+    """exact._collection_counts over every polymer at this dimension.
 
     The universe has polymers up to size n_side/2, so it is only enumerable
     at d <= 5 (7292 polymers; d = 6 would need supports up to size 16 on a
@@ -478,50 +483,12 @@ def _full_universe(d: int) -> tuple[tuple[int, int, Fraction, Fraction], ...]:
     """
     if d > 5:
         raise ValueError("the full polymer universe is only enumerable for d <= 5")
+    from . import exact
+
     half = hc.n_side(d) // 2
-    out = []
-    for root in hc.odd_side(d):
-        for s in pm._grow_polymers(d, root, half, above_root=True):
-            sup_mask = 0
-            for v in s:
-                sup_mask |= 1 << v
-            nb = hc._neighborhood(s, d)
-            nb_mask = 0
-            for v in nb:
-                nb_mask |= 1 << v
-            out.append((sup_mask, nb_mask, len(s), len(nb)))
-    out.sort()
-    return tuple(out)
-
-
-def _collection_sums(d: int, lam: Fraction, kmax: int) -> list[Fraction]:
-    """c_n = sum of weight products over compatible n-polymer collections.
-
-    Polymers are compatible when both their supports and their neighborhoods
-    are disjoint (graph distance > 2), so the test is two mask intersections.
-    Index n runs 1..kmax; the scan under the hood is quadratic in the size
-    of the universe, noticeable at d = 5.
-    """
-    universe = _full_universe(d)
-    weights = [lam ** size / (1 + lam) ** nbsize
-               for _, _, size, nbsize in universe]
-    count = len(universe)
-    c = [Fraction(0)] * (kmax + 1)
-
-    def rec(start: int, depth: int, sup_acc: int, nb_acc: int,
-            w_acc: Fraction) -> None:
-        for j in range(start, count):
-            sup, nb, _, _ = universe[j]
-            if sup & sup_acc or nb & nb_acc:
-                continue
-            w2 = w_acc * weights[j]
-            c[depth] += w2
-            if depth < kmax:
-                rec(j + 1, depth + 1, sup_acc | sup, nb_acc | nb, w2)
-
-    if kmax >= 1:
-        rec(0, 1, 0, 0, Fraction(1))
-    return c[1:]
+    return exact._collection_counts(
+        [s for root in hc.odd_side(d)
+         for s in pm._grow_polymers(d, root, half, above_root=True)], d)
 
 
 def log_xi_series(d: int, lam: Fraction, kmax: int) -> list[Fraction]:
@@ -534,12 +501,15 @@ def log_xi_series(d: int, lam: Fraction, kmax: int) -> list[Fraction]:
     lam = Fraction(lam)
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    c = _collection_sums(d, lam, kmax)
+    c = [Fraction(0)] * (kmax + 1)
+    for (n, size, nbhd), count in _universe_counts(d).items():
+        if n <= kmax:
+            c[n] += count * lam ** size / (1 + lam) ** nbhd
     ell: list[Fraction] = []
     for n in range(1, kmax + 1):
-        acc = n * c[n - 1]
+        acc = n * c[n]
         for j in range(1, n):
-            acc -= j * ell[j - 1] * c[n - j - 1]
+            acc -= j * ell[j - 1] * c[n - j]
         ell.append(acc / n)
     return ell
 
@@ -576,7 +546,7 @@ def expected_size_truncated(d: int, lam: Fraction, max_total: int) -> Fraction:
 def clear_caches() -> None:
     _table_cache.clear()
     _ursell_cached.cache_clear()
-    _full_universe.cache_clear()
+    _universe_counts.cache_clear()
 
 
 # -- abstract universes (validation harness) -------------------------------------

@@ -238,6 +238,43 @@ class OddModelProfile(NamedTuple):
         return sum((c * lam ** m for m, c in enumerate(self.z_poly)), Fraction(0))
 
 
+def _collection_counts(supports: list[frozenset[int]], d: int) \
+        -> dict[tuple[int, int, int], int]:
+    """The compatible collections of the given polymers, counted by (number
+    of polymers, total size, total |N|); the empty one is (0, 0, 0).
+
+    The one walk over compatible polymer collections: odd_model_exact reads
+    it over every polymer at d <= 4, and clusters.log_xi_series over the
+    full universe at d <= 5.  Two polymers are compatible at distance > 2:
+    no shared vertex and no shared neighbor.  A shared vertex puts its
+    neighbors in both neighborhoods, so disjoint N(S) alone decides it.
+    Collections grow in index order; `allowed` is the bitmask of the later
+    polymers compatible with every one chosen, and meets[w] that of the
+    polymers whose neighborhood holds w.
+    """
+    nbhds = [hc._neighborhood(s, d) for s in supports]
+    meets: dict[int, int] = {}
+    for i, nb in enumerate(nbhds):
+        for w in nb:
+            meets[w] = meets.get(w, 0) | 1 << i
+    counts = {(0, 0, 0): 1}
+
+    def grow(allowed: int, n: int, size: int, nbhd: int) -> None:
+        while allowed:
+            low = allowed & -allowed
+            allowed ^= low
+            i = low.bit_length() - 1
+            key = (n, size + len(supports[i]), nbhd + len(nbhds[i]))
+            counts[key] = counts.get(key, 0) + 1
+            clash = 0
+            for w in nbhds[i]:
+                clash |= meets[w]
+            grow(allowed & ~clash, n + 1, key[1], key[2])
+
+    grow((1 << len(supports)) - 1, 1, 0, 0)
+    return counts
+
+
 def odd_model_exact(d: int) -> OddModelProfile:
     """Enumerate the one-sided defect model exhaustively; d <= 4."""
     hc.check_dim(d)
@@ -245,31 +282,9 @@ def odd_model_exact(d: int) -> OddModelProfile:
         raise ValueError("odd_model_exact is limited to d <= 4")
     polymers = _brute_polymers(d)
     n = hc.n_side(d)
-    nbhds = [frozenset(hc.neighborhood(s, d)) for s in polymers]
-
-    def compatible(i: int, j: int) -> bool:
-        # distance > 2: no shared vertices and no shared neighbors
-        if polymers[i] & polymers[j]:
-            return False
-        return not (nbhds[i] & nbhds[j])
-
-    compat = [[compatible(i, j) for j in range(len(polymers))] for i in range(len(polymers))]
-
-    collections: list[tuple[int, ...]] = [()]
-
-    def grow(chosen: tuple[int, ...], start: int) -> None:
-        for i in range(start, len(polymers)):
-            if all(compat[i][j] for j in chosen):
-                collections.append(chosen + (i,))
-                grow(chosen + (i,), i + 1)
-
-    grow((), 0)
-
     xi: dict[tuple[int, int], int] = {}
-    for coll in collections:
-        size = sum(len(polymers[i]) for i in coll)
-        nbhd = sum(len(nbhds[i]) for i in coll)
-        xi[(size, nbhd)] = xi.get((size, nbhd), 0) + 1
+    for (_, size, nbhd), count in _collection_counts(polymers, d).items():
+        xi[(size, nbhd)] = xi.get((size, nbhd), 0) + count
 
     # z = (1+lam)^n * xi: polynomial coefficients by set size
     z: list[int] = []

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,13 @@ def test_ursell_base_cases():
     assert cl.ursell(3, [(0, 1), (1, 2), (0, 2)]) == Fraction(1, 3)
     # path on 3 vertices: single spanning connected subgraph, 2 edges
     assert cl.ursell(3, [(0, 1), (1, 2)]) == Fraction(1, 6)
+    for phi in (cl.ursell, cl.ursell_recursive):
+        with pytest.raises(ValueError, match="endpoint out of range"):
+            phi(2, [(0, 5)])
+        with pytest.raises(ValueError, match="endpoint out of range"):
+            phi(2, [(-1, 1)])
+        with pytest.raises(ValueError, match="at least one vertex"):
+            phi(0, [])
 
 
 def test_ursell_vanishes_on_disconnected_graphs():
@@ -36,6 +44,16 @@ def test_ursell_agrees_with_recursive_form_on_all_small_graphs():
         for r in range(len(all_edges) + 1):
             for edges in itertools.combinations(all_edges, r):
                 assert cl.ursell(n, edges) == cl.ursell_recursive(n, edges)
+    # n = 6, the densest clusters of order six: K6, a seeded sample, and
+    # multigraphs, whose loops and parallel edges both routes must count
+    k6 = list(itertools.combinations(range(6), 2))
+    assert cl.ursell(6, k6) == cl.ursell_recursive(6, k6) == Fraction(-1, 6)
+    rng = random.Random(6)
+    graphs = [[e for e in k6 if rng.random() < p] for p in (0.3, 0.5, 0.7) for _ in range(10)]
+    graphs += [k6[:5] + [(2, 2)], k6[:5] + [(0, 1)], k6 + [(3, 4), (3, 4)]]
+    for edges in graphs:
+        assert cl.ursell(6, edges) == cl.ursell_recursive(6, edges), edges
+    assert cl.ursell(6, graphs[-3]) == 0
 
 
 def test_observable_labels_and_validation():
