@@ -347,11 +347,18 @@ class LogCount:
         return evaluate(self.json_in, min(self.precision, 30))
 
 
-def _log_z(num, n: int, lam: Fraction, strata):
+def _strata(num, strata, lam: Fraction, d: int):
+    """N R_j(lam, d) (1 + lam)^(-jd) for each (j, N R_j(lam, d)) of strata,
+    in the number kit num, with the power raised in the kit."""
+    base = num.rational(1 + lam)
+    return [(j, num.rational(x) * base ** (-j * d)) for j, x in strata]
+
+
+def _log_z(num, n: int, d: int, lam: Fraction, strata):
     """log_Z_asymptotic's (value, terms, alt) in the number kit num."""
     terms = [("log_2", num.log(2)),
              ("free_sides", n * num.log1p(lam))]
-    terms += [(f"stratum_{j}", num.rational(x)) for j, x in strata]
+    terms += [(f"stratum_{j}", v) for j, v in _strata(num, strata, lam, d)]
     return num.fsum(v for _, v in terms), tuple(terms), None
 
 
@@ -359,7 +366,8 @@ def log_Z_asymptotic(lam: Fraction, d: int, t: int, digits: int = 80) -> LogCoun
     """log of the independence partition function via the stratum series.
 
     log 2 + N log(1+lam) + N sum_{j<=t-1} R_j(lam,d) (1+lam)^(-jd); each
-    stratum contribution is evaluated as an exact rational before rounding.
+    N R_j(lam, d) is an exact rational, and the power is raised in the
+    number kit.
     """
     lam = Fraction(lam)
     if lam <= 0:
@@ -372,10 +380,9 @@ def log_Z_asymptotic(lam: Fraction, d: int, t: int, digits: int = 80) -> LogCoun
             f"lam = {lam} is at or below 2^(1/{t}) - 1; order-{t} guarantees "
             "do not apply, values remain evaluable"))
     n = hc.n_side(d)
-    strata = tuple(
-        (j, n * R_poly(j).eval({LAM: lam, DIM: d}) * (1 + lam) ** (-j * d))
-        for j in range(1, t))
-    return LogCount(digits, partial(_log_z, n=n, lam=lam, strata=strata))
+    strata = tuple((j, n * R_poly(j).eval({LAM: lam, DIM: d}))
+                   for j in range(1, t))
+    return LogCount(digits, partial(_log_z, n=n, d=d, lam=lam, strata=strata))
 
 
 def _coprime_fraction(num: int, den: int) -> Fraction:
@@ -419,7 +426,7 @@ def binomial_lclt(n: int, p: Fraction, k: int) -> tuple[Fraction, Decimal]:
     return exact, near.divide(1, near.sqrt(variance))
 
 
-def _log_count(num, n: int, m: int, lb: Fraction, corrections, strata):
+def _log_count(num, n: int, m: int, d: int, lb: Fraction, corrections, strata):
     """log_count_asymptotic's (value, terms, alt) in the number kit num."""
     terms = [("log_2", num.log(2)), ("log_binomial", num.log_binomial(n, m))]
     terms += [(f"P_{j}", num.rational(x)) for j, x in corrections]
@@ -428,8 +435,8 @@ def _log_count(num, n: int, m: int, lb: Fraction, corrections, strata):
     alt = (num.log(2) + n * num.log1p(lb)
            - m * num.log(num.rational(lb))
            - num.log(2 * num.pi * n * num.rational(beta * (1 - beta))) / 2)
-    for _, x in strata:
-        alt += num.rational(x)
+    for _, x in _strata(num, strata, lb, d):
+        alt += x
     return value, tuple(terms), alt
 
 
@@ -464,10 +471,9 @@ def log_count_asymptotic(beta: Fraction, d: int, t: int,
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RegimeWarning)
         lb = lambda_beta(beta, d, t).value
-    strata = tuple(
-        (j, n * R_poly(j).eval({LAM: lb, DIM: d}) * (1 + lb) ** (-j * d))
-        for j in range(1, t))
-    return LogCount(digits, partial(_log_count, n=n, m=m, lb=lb,
+    strata = tuple((j, n * R_poly(j).eval({LAM: lb, DIM: d}))
+                   for j in range(1, t))
+    return LogCount(digits, partial(_log_count, n=n, m=m, d=d, lb=lb,
                                     corrections=corrections, strata=strata))
 
 

@@ -26,12 +26,28 @@ the series would need more than `_MAX_TERMS` terms (a very high
 precision), the log of the exact integer is enclosed instead, with the
 exact binomial of cubecount.bigint.
 
+Converting an int to Decimal takes time quadratic in its length, so no
+long int reaches the contexts.  `rational` divides a numerator and a
+denominator of at most 4 `digits` bits as they are.  A longer one is
+taken, as `log` takes a long int, from its leading 4 `digits` bits:
+n = a 2^s + c with 0 <= c < 2^s lies in [a, a + 1] 2^s, the point a 2^s
+when c = 0.  The quotient of the two enclosures times a power of 2, each
+step rounded outward, is a few units in the last place wide.  A
+denominator 2^s 5^t is divided out as 2^(t - s) 10^-t, so a terminating
+decimal with a short numerator stays exact.  `Interval ** k`, for an int
+k, squares in contexts len(str(k)) + 1 digits wider than the kit's, so the
+relative error, which each squaring doubles, stays below a unit in the
+last place of the kit's digits; the ends are then rounded outward to
+those.  The formulas raise (1 + lam)^(-jd) this way: as a Fraction its
+length grows with jd.
+
 `evaluate` is Ziv's strategy (Ziv, ACM TOMS 17(3), 1991; as in MPFR): it
 starts `_GUARD_DIGITS` beyond the printed digits and doubles the working
 digits while a field is undecided.  A rational with a terminating decimal
-expansion becomes a point interval once the working digits hold it, so an
-exact tie ends the loop and prints rounded half up.  Decimal and fractions
-(which loads decimal) cost no import here.
+expansion becomes a point interval once the working digits hold it (an
+integer longer than 4 `digits` bits aside), so an exact tie ends the loop
+and prints rounded half up.  Decimal and fractions (which loads decimal)
+cost no import here.
 """
 
 from __future__ import annotations
@@ -206,6 +222,32 @@ class Interval:
     def __rtruediv__(self, other):
         return self.num.coerce(other) / self
 
+    def __pow__(self, k: int):
+        """self^k for an int k, by squaring, rounded outward (see the
+        module docstring)."""
+        if k < 0:
+            return 1 / self ** -k
+        down, up, _ = decimal_contexts(self.num.digits + len(str(k)) + 1)
+
+        def power(a, ctx):  # |a|^k, each product rounded by ctx
+            a, p = a.copy_abs(), Decimal(1)
+            for bit in bin(k)[2:]:
+                p = ctx.multiply(p, p)
+                if bit == "1":
+                    p = ctx.multiply(p, a)
+            return p
+
+        lo, hi = self.lo, self.hi
+        if k & 1:  # x^k rises with x and keeps its sign
+            lo = power(lo, up).copy_negate() if lo < 0 else power(lo, down)
+            hi = power(hi, down).copy_negate() if hi < 0 else power(hi, up)
+        else:  # x^k = |x|^k
+            small, large = sorted((lo.copy_abs(), hi.copy_abs()))
+            lo = power(Decimal(0) if lo < 0 < hi else small, down)
+            hi = power(large, up)
+        num = self.num
+        return Interval(num.down.plus(lo), num.up.plus(hi), num)
+
 
 class DecimalNumbers:
     """The number kit of decimal intervals, rounded outward at `digits` digits.
@@ -226,27 +268,47 @@ class DecimalNumbers:
             return x
         return Interval(Decimal(x), Decimal(x), self)
 
+    def _leading(self, n: int) -> tuple[Interval, int]:
+        """(I, s) with n in I 2^s, I from the leading 4 `digits` bits of the
+        int n: [a, a + 1] for a = n >> s, or the point a when no cut bit is
+        set.  Only a is converted to Decimal, a conversion quadratic in its
+        length."""
+        s = max(n.bit_length() - 4 * self.digits, 0)
+        a = n >> s
+        return Interval(Decimal(a), Decimal(a + (a << s != n)), self), s
+
     def rational(self, x: Fraction) -> Interval:
+        """The Fraction x, exactly when the working digits hold it (see the
+        module docstring)."""
         a, b = x.numerator, x.denominator
-        return Interval(self.down.divide(a, b), self.up.divide(a, b), self)
+        if max(a.bit_length(), b.bit_length()) <= 4 * self.digits:
+            return Interval(self.down.divide(a, b), self.up.divide(a, b), self)
+        # b = 2^s 5^t r, with t = 0 unless r = 1: a / b = a 2^(t - s) / r 10^-t
+        s = (b & -b).bit_length() - 1
+        r = b >> s
+        t = int(r.bit_length() / math.log2(5))  # the one 5^t as long as r
+        if pow(5, t, 1 << 64) == r & ((1 << 64) - 1) and 5 ** t == r:
+            r = 1
+        else:
+            t = 0
+        (p, sa), (q, sr) = self._leading(a), self._leading(r)
+        y = p / q * self.coerce(2) ** (sa - sr + t - s)
+        if t:
+            y = Interval(self.down.scaleb(y.lo, -t), self.up.scaleb(y.hi, -t), self)
+        return y
 
     def log(self, x) -> Interval:
         """ln x, for an Interval or an int x.
 
-        An int's log is kept.  With a the leading 4 `digits` bits of the
-        int, it lies in [a, a + 1) 2^s, so only a is converted to Decimal,
-        a conversion quadratic in its length.
+        An int's log is kept.  A long int x lies in I 2^s, I from its
+        leading bits (`_leading`), so ln x is ln I + s ln 2.
         """
         if not isinstance(x, int):
             return self._log(x)
         if x not in self._int_logs:
-            s = max(x.bit_length() - 4 * self.digits, 0)
-            if s:
-                a = x >> s
-                ln = self._log(Interval(Decimal(a), Decimal(a + 1), self)) + s * self.log(2)
-            else:
-                ln = self._log(self.coerce(x))
-            self._int_logs[x] = ln
+            lead, s = self._leading(x)
+            ln = self._log(lead)
+            self._int_logs[x] = ln + s * self.log(2) if s else ln
         return self._int_logs[x]
 
     def _log(self, x: Interval) -> Interval:

@@ -566,24 +566,12 @@ def _cmd_report(args) -> int:
 # -- parser wiring ------------------------------------------------------------------
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="cubecount",
-                     description="Independent-set counting in hypercubes: "
-                                 "exact oracles, cluster expansions, "
-                                 "asymptotic formulas, and Monte Carlo checks.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str, **kwargs):
-        p = sub.add_parser(name, help=help_text, **kwargs)
-        p.add_argument("--out", help="output file (default stdout)")
-        return p
-
-    p = add("oracle", "exact size profile for 1 <= d <= 6, by splitting Q_d "
-                      "as C_4 x Q_(d-2)")
+def _oracle_arguments(p) -> None:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--lam", type=_rational)
 
-    p = add("polymers", "defect enumeration and census")
+
+def _polymers_arguments(p) -> None:
     p.add_argument("--d", type=int)
     p.add_argument("--max-size", type=int, required=True)
     p.add_argument("--mode", choices=["census", "list", "symbolic"],
@@ -595,7 +583,8 @@ def _build_parser() -> _Parser:
                         "prefix active sets, --mode list over every polymer "
                         "at d")
 
-    p = add("clusters", "one stratum of the cluster expansion")
+
+def _clusters_arguments(p) -> None:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--observable", default="one")
@@ -607,7 +596,8 @@ def _build_parser() -> _Parser:
                         "counts the nodes of the search cut to prefix active "
                         "sets")
 
-    p = add("rj", "expansion coefficients R_j as polynomials in (lam, d)")
+
+def _rj_arguments(p) -> None:
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--budget", type=_budget,
                    help="node budget for the cluster enumeration at each "
@@ -615,24 +605,27 @@ def _build_parser() -> _Parser:
                         "prefix active sets; grid points that share a base "
                         "dimension reuse its completed (e, a) table")
 
-    p = add("bj", "fugacity-correction coefficients B_j")
+
+def _bj_arguments(p) -> None:
     p.add_argument("--r", type=int, required=True)
 
-    p = add("pj", "density-series coefficients P_j for orders j <= t-1")
+
+def _pj_arguments(p) -> None:
     p.add_argument("--t", type=int, required=True)
 
-    p = add("lambda-beta", "fugacity tuned to hit density beta")
+
+def _beta_d_t_arguments(p) -> None:
     p.add_argument("--beta", type=_rational, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
 
-    p = add("count", "log of the number of independent sets of size beta*N")
-    p.add_argument("--beta", type=_rational, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
+
+def _count_arguments(p) -> None:
+    _beta_d_t_arguments(p)
     p.add_argument("--digits", type=int, default=80)
 
-    p = add("count-structured", "count restricted by defect structure")
+
+def _count_structured_arguments(p) -> None:
     p.add_argument("--beta", type=_rational, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--t", type=int, default=2)
@@ -646,13 +639,15 @@ def _build_parser() -> _Parser:
                    help="node budget for the polymer census behind --fixed, "
                         "counted over the search cut to prefix active sets")
 
-    p = add("zeta", "log of the partition function Z(lam)")
+
+def _zeta_arguments(p) -> None:
     p.add_argument("--lam", type=_rational, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--digits", type=int, default=80)
 
-    p = add("sample", "Glauber dynamics run with defect statistics")
+
+def _sample_arguments(p) -> None:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--lam", type=_rational, required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -668,29 +663,65 @@ def _build_parser() -> _Parser:
     p.add_argument("--debug", action="store_true",
                    help="check invariants at each snapshot")
 
-    p = add("validate", "run the acceptance suite")
+
+def _validate_arguments(p) -> None:
     p.add_argument("--only", help="comma-separated criterion numbers")
 
-    p = add("report", "merge JSON outputs into tables and plot data")
+
+def _report_arguments(p) -> None:
     p.add_argument("--inputs", nargs="+", required=True)
     p.add_argument("--out-dir", default=".")
 
-    return parser
 
-
-_JSON_COMMANDS = {
-    "oracle": _cmd_oracle,
-    "polymers": _cmd_polymers,
-    "clusters": _cmd_clusters,
-    "rj": _cmd_rj,
-    "bj": _cmd_bj,
-    "pj": _cmd_pj,
-    "lambda-beta": _cmd_lambda_beta,
-    "count": _cmd_count,
-    "count-structured": _cmd_count_structured,
-    "zeta": _cmd_zeta,
-    "sample": _cmd_sample,
+# name: (help line, the function that adds its options, the one that runs
+# it, whether it prints JSON).  A JSON command's run returns the document to
+# print; the others print their own output and return the exit code.
+_COMMANDS = {
+    "oracle": ("exact size profile for 1 <= d <= 6, by splitting Q_d as "
+               "C_4 x Q_(d-2)", _oracle_arguments, _cmd_oracle, True),
+    "polymers": ("defect enumeration and census", _polymers_arguments,
+                 _cmd_polymers, True),
+    "clusters": ("one stratum of the cluster expansion", _clusters_arguments,
+                 _cmd_clusters, True),
+    "rj": ("expansion coefficients R_j as polynomials in (lam, d)",
+           _rj_arguments, _cmd_rj, True),
+    "bj": ("fugacity-correction coefficients B_j", _bj_arguments, _cmd_bj,
+           True),
+    "pj": ("density-series coefficients P_j for orders j <= t-1",
+           _pj_arguments, _cmd_pj, True),
+    "lambda-beta": ("fugacity tuned to hit density beta", _beta_d_t_arguments,
+                    _cmd_lambda_beta, True),
+    "count": ("log of the number of independent sets of size beta*N",
+              _count_arguments, _cmd_count, True),
+    "count-structured": ("count restricted by defect structure",
+                         _count_structured_arguments, _cmd_count_structured,
+                         True),
+    "zeta": ("log of the partition function Z(lam)", _zeta_arguments,
+             _cmd_zeta, True),
+    "sample": ("Glauber dynamics run with defect statistics",
+               _sample_arguments, _cmd_sample, True),
+    "validate": ("run the acceptance suite", _validate_arguments,
+                 _cmd_validate, False),
+    "report": ("merge JSON outputs into tables and plot data",
+               _report_arguments, _cmd_report, False),
 }
+
+
+def _build_parser(only: str | None = None) -> _Parser:
+    """The parser with every command's sub-parser, or with only the one
+    named `only`: argparse asks for the terminal size at each option it
+    adds, so building all of them costs more than some commands run."""
+    parser = _Parser(prog="cubecount",
+                     description="Independent-set counting in hypercubes: "
+                                 "exact oracles, cluster expansions, "
+                                 "asymptotic formulas, and Monte Carlo checks.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, arguments, _, _) in _COMMANDS.items():
+        if only in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            p.add_argument("--out", help="output file (default stdout)")
+            arguments(p)
+    return parser
 
 
 def _int_str_limit(digits: int) -> int:
@@ -705,23 +736,25 @@ def _int_str_limit(digits: int) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # a known command builds its own sub-parser alone; --help, no command
+    # or an unknown one needs them all
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
+        _, _, run, prints_json = _COMMANDS[args.command]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            if args.command in _JSON_COMMANDS:
+            if prints_json:
                 # exact rationals print in full; _rational bounds the inputs
                 limit = _int_str_limit(0)
                 try:
-                    _emit(_JSON_COMMANDS[args.command](args), args.out)
+                    _emit(run(args), args.out)
                 finally:
                     _int_str_limit(limit)
                 code = 0
-            elif args.command == "validate":
-                code = _cmd_validate(args)
             else:
-                code = _cmd_report(args)
+                code = run(args)
         for w in caught:
             print(f"warning: {w.message}", file=sys.stderr)
         return code

@@ -138,8 +138,9 @@ def size_profile(d: int) -> SizeProfile:
     Columns 1 and 3 of Q_d = C_4 x Q_{d-2} share no edge, and columns 0 and 2
     each meet only those two, so Z_d(x) = sum over independent sets I1, I3 of
     Q_{d-2} of x^(|I1|+|I3|) f(I1 | I3)^2, where f(U) counts the independent
-    sets of Q_{d-2} avoiding U.  Pairs are grouped by (I1 | I3, |I1|+|I3|) so
-    each distinct f(U) is squared once: d = 6 takes about a second.
+    sets of Q_{d-2} avoiding U.  Pairs are counted by (I1 | I3, |I1|+|I3|)
+    and grouped by the union U, so each distinct f(U)^2 is built and added
+    once, at each of U's sizes: d = 6 takes about 0.4 s.
     """
     hc.check_dim(d)
     if d > ORACLE_MAX_DIM:
@@ -152,14 +153,15 @@ def size_profile(d: int) -> SizeProfile:
     pairs = Counter((a | b, sa + sb) for a, sa in sized for b, sb in sized)
     counter = _IndependencePolyCounter(lower)
     mask_all = (1 << (1 << lower)) - 1
-    squares: dict[int, list[int]] = {}
-    counts: list[int] = []
+    sizes_of: dict[int, list[tuple[int, int]]] = {}
     for (union, size), mult in pairs.items():
-        sq = squares.get(union)
-        if sq is None:
-            f = counter.poly(mask_all & ~union)
-            sq = squares[union] = _poly_square(f)
-        _poly_add_shifted(counts, [mult * c for c in sq], size)
+        sizes_of.setdefault(union, []).append((size, mult))
+    counts = [0] * ((1 << (d - 1)) + 1)
+    for union, sizes in sizes_of.items():
+        sq = _poly_square(counter.poly(mask_all & ~union))
+        for size, mult in sizes:
+            for i, c in enumerate(sq, size):
+                counts[i] += mult * c
     return SizeProfile(d, tuple(counts))
 
 

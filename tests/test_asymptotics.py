@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cubecount import asymptotics as asym
-from cubecount import bigint
+from cubecount import bigint, certified
 from cubecount import exact as ex
 from cubecount.errors import BudgetExceededError, RegimeWarning
 from cubecount.polymers import DefectType, census
@@ -175,6 +175,39 @@ def test_log_count_never_sieves_at_benchmark_sizes(monkeypatch):
     for beta, d in ((Fraction(1, 2), 24), (Fraction(1, 3), 23)):
         lc = asym.log_count_asymptotic(beta, d, 3)
         assert lc.value > 0
+
+
+class LengthGuard:
+    """A decimal context that fails on an operand far longer than its
+    precision: more than 8 prec bits, where the kit passes at most 4."""
+
+    def __init__(self, context):
+        self.context = context
+
+    def __getattr__(self, name):
+        method = getattr(self.context, name)
+        limit = 8 * self.context.prec
+
+        def checked(*operands):
+            for x in operands:
+                bits = (x.bit_length() if isinstance(x, int)
+                        else len(x.as_tuple().digits) * math.log2(10))
+                assert bits <= limit, f"{name} got a {bits:.0f}-bit operand"
+            return method(*operands)
+        return checked
+
+
+def test_no_long_operand_reaches_the_decimal_kit(monkeypatch):
+    # converting a long int to Decimal is quadratic in its length: the
+    # strata N R_j(lam, d) (1+lam)^(-jd) of `count --beta 1/3 --d 23 --t 3`
+    # were Fractions of 23,277 and 11,646 bits, divided in decimal
+    contexts = certified.decimal_contexts
+    monkeypatch.setattr(certified, "decimal_contexts",
+                        lambda digits: tuple(map(LengthGuard, contexts(digits))))
+    for lc in (asym.log_count_asymptotic(Fraction(1, 2), 24, 3),
+               asym.log_count_asymptotic(Fraction(1, 3), 23, 3),
+               asym.log_Z_asymptotic(Fraction(1), 24, 3)):
+        lc.to_json()
 
 
 def test_binomial_lclt_peak_matches_density():

@@ -413,6 +413,66 @@ def test_an_exact_tie_ends_the_doubling():
         == "0.13"
 
 
+def test_an_exact_tie_with_a_long_operand_ends_the_doubling(working):
+    # 25 / 10^2001 = 2.5e-2000 sits on the boundary between 2e-2000 and
+    # 3e-2000; its denominator, 2^2001 5^1999, has 6,645 bits, far past the
+    # 4 * 21 bits the first kit divides whole, and dividing out 2^s 5^t
+    # keeps the value a point
+    x = Fraction(25, 10 ** 2001)
+    assert certified.evaluate(lambda num: num.render(num.rational(x), 1), 1) == "3.0e-2000"
+    assert certified.evaluate(lambda num: num.render(num.rational(-x), 1), 1) == "-3.0e-2000"
+    assert working == [1 + certified._GUARD_DIGITS] * 2
+
+
+LONG = st.integers(0, 30_000).flatmap(lambda bits: st.integers(-(2 ** bits), 2 ** bits))
+
+
+@settings(max_examples=200, deadline=None)
+@given(LONG, LONG.filter(bool), st.integers(1, 120))
+@example(1, 3 ** 20_000, 30)
+@example(-(3 ** 20_000), 7, 5)
+@example(-(2 ** 29_999 + 1), 2 ** 30_000 - 1, 1)
+@example(7, 2 ** 20_000 * 5 ** 3, 40)
+@example(3 ** 100, 10 ** 9_000, 50)
+def test_rational_encloses_long_operands_within_a_few_units(a, b, digits):
+    # past 4 `digits` bits an operand is taken from its leading bits, and the
+    # quotient is scaled by a power of 2 raised in the kit
+    x = Fraction(a, b)
+    iv = DecimalNumbers(digits).rational(x)
+    lo, hi = Fraction(iv.lo), Fraction(iv.hi)
+    assert lo <= x <= hi
+    # three roundings each end, a relative 10^(1 - digits) each: below 8
+    # units from three digits on, whatever the operands
+    if digits >= 3:
+        assert hi - lo <= 8 * abs(x) * Fraction(10) ** (1 - digits)
+
+
+@pytest.mark.parametrize("digits", [1, 12, 60])
+def test_interval_powers_enclose_the_exact_power(digits):
+    num = DecimalNumbers(digits)
+    for base in (Fraction(3, 2), Fraction(-7, 5), Fraction(1, 3), Fraction(-2, 3),
+                 Fraction(2), Fraction(10 ** 40 + 1, 10 ** 40)):
+        iv = num.rational(base)
+        for k in range(-200, 201):
+            power = iv ** k
+            exact_power = base ** k
+            lo, hi = Fraction(power.lo), Fraction(power.hi)
+            assert lo <= exact_power <= hi, (base, k, digits)
+            # the base's own width, |k| times over, and a few units more,
+            # while that is still small
+            if digits > 10:
+                assert hi - lo <= (2 * abs(k) + 8) * abs(exact_power) \
+                    * Fraction(10) ** (1 - digits)
+    straddle = num.rational(Fraction(-1, 3)).lo, num.rational(Fraction(1, 2)).hi
+    for k in range(0, 201):
+        power = certified.Interval(*straddle, num) ** k
+        for x in (*straddle, 0):
+            assert Fraction(power.lo) <= Fraction(x) ** k <= Fraction(power.hi), k
+    with pytest.raises(Undecided):
+        certified.Interval(*straddle, num) ** -1
+    assert (num.coerce(2) ** 3).lo == (num.coerce(2) ** 3).hi == 8
+
+
 def test_a_field_no_precision_decides_exhausts_the_budget(monkeypatch):
     # ln 2 - ln 2 is exactly zero, but its interval never shrinks to a point
     monkeypatch.setattr(certified, "_MAX_WORKING_DIGITS", 400)

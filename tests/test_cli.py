@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -65,72 +66,78 @@ def test_oracle_d6_validates_against_schema(capsys):
     jsonschema.validate(obj, json.loads((SCHEMA_DIR / "oracle.json").read_text()))
 
 
+# each exits 1 with a one-line error
+USAGE_ERRORS = [
+    ["oracle", "--d", "0"],
+    ["oracle"],
+    ["pj", "--t", "1"],
+    ["zeta", "--lam", "-1", "--d", "4", "--t", "2"],
+    ["zeta", "--lam", "1", "--d", "6", "--t", "2", "--digits", "0"],
+    ["count", "--beta", "1/2", "--d", "6", "--t", "2", "--digits", "0"],
+    ["count-structured", "--beta", "1/4", "--d", "8", "--digits", "-1"],
+    ["oracle", "--d", "2", "--bogus-flag"],
+    ["validate", "--only", "99"],
+    ["no-such-command"],
+    # orders beyond the exact R_1..R_3, on commands with no --budget
+    ["pj", "--t", "9"],
+    ["bj", "--r", "4"],
+    ["lambda-beta", "--beta", "1/2", "--d", "10", "--t", "9"],
+    ["zeta", "--lam", "1", "--d", "10", "--t", "5"],
+    ["count", "--beta", "1/2", "--d", "10", "--t", "5"],
+    ["count-structured", "--beta", "1/2", "--d", "10", "--t", "5"],
+    # found by the fuzz below: each printed JSON its schema rejects
+    ["rj", "--j", "0"],
+    ["clusters", "--d", "1", "--k", "1"],
+    # each exited 0: snapshots at negative steps; d above MAX_DIM
+    ["sample", "--d", "3", "--lam", "1", "--burn-in", "-5",
+     "--steps", "20", "--thin", "1"],
+    ["clusters", "--d", "25", "--k", "1"],
+    # the chain's step tables would need gigabytes past d = 16
+    ["sample", "--d", "17", "--lam", "1", "--samples", "2"],
+    # no command takes a worker-process count
+    ["rj", "--j", "2", "--threads", "2"],
+    ["polymers", "--max-size", "3", "--mode", "symbolic",
+     "--threads", "2"],
+    ["sample", "--d", "3", "--lam", "1", "--chains", "2",
+     "--threads", "2"],
+    # a negative budget exited 2 (exhausted) or was ignored
+    ["polymers", "--d", "5", "--max-size", "3", "--budget", "-1"],
+    ["clusters", "--d", "5", "--k", "2", "--budget", "-1"],
+    ["rj", "--j", "2", "--budget", "-1"],
+    ["count-structured", "--beta", "1/2", "--d", "10",
+     "--fixed", "s1c0g0=1", "--budget", "-3"],
+    # --digits past MAX_DIGITS ran without end
+    ["count", "--beta", "1/2", "--d", "10", "--t", "2",
+     "--digits", "100000000"],
+    ["count-structured", "--beta", "1/2", "--d", "10",
+     "--digits", str(cli.MAX_DIGITS + 1)],
+    # more size-1 defects than half of the 2,048 vertices on a
+    # side; the first built 2000000! and ran for minutes
+    ["count-structured", "--beta", "1/2", "--d", "12", "--t", "4",
+     "--fixed", "s1c0g0=2000000"],
+    ["count-structured", "--beta", "1/2", "--d", "12",
+     "--fixed", "s1c0g0=1025"],
+    ["zeta", "--lam", "1", "--d", "10", "--t", "2",
+     "--digits", "100000000"],
+    # each exited 0 and ignored --power
+    ["clusters", "--d", "5", "--k", "2", "--observable",
+     "size_nbhd", "--power", "2"],
+    ["clusters", "--d", "5", "--k", "2", "--observable", "one",
+     "--power", "3"],
+    # each exited 0, the first with a complex ln_Z
+    ["oracle", "--d", "2", "--lam=-1"],
+    ["oracle", "--d", "2", "--lam", "0"],
+    # the exact oracle ends at d = 6 and has no --allow-slow
+    ["oracle", "--d", "7"],
+    ["oracle", "--d", "6", "--allow-slow"],
+    # each started a census that no budget bounded (96 s at d = 7)
+    ["sample", "--d", "7", "--lam", "1", "--census-size", "6"],
+    ["sample", "--d", "6", "--lam", "1", "--census-size", "7"],
+]
+
+
 def test_usage_errors_exit_one_with_single_line(capsys):
-    for argv in (["oracle", "--d", "0"],
-                 ["oracle"],
-                 ["pj", "--t", "1"],
-                 ["zeta", "--lam", "-1", "--d", "4", "--t", "2"],
-                 ["zeta", "--lam", "1", "--d", "6", "--t", "2", "--digits", "0"],
-                 ["count", "--beta", "1/2", "--d", "6", "--t", "2", "--digits", "0"],
-                 ["count-structured", "--beta", "1/4", "--d", "8", "--digits", "-1"],
-                 ["oracle", "--d", "2", "--bogus-flag"],
-                 ["validate", "--only", "99"],
-                 ["no-such-command"],
-                 # orders beyond the exact R_1..R_3, on commands with no --budget
-                 ["pj", "--t", "9"],
-                 ["bj", "--r", "4"],
-                 ["lambda-beta", "--beta", "1/2", "--d", "10", "--t", "9"],
-                 ["zeta", "--lam", "1", "--d", "10", "--t", "5"],
-                 ["count", "--beta", "1/2", "--d", "10", "--t", "5"],
-                 ["count-structured", "--beta", "1/2", "--d", "10", "--t", "5"],
-                 # found by the fuzz below: each printed JSON its schema rejects
-                 ["rj", "--j", "0"],
-                 ["clusters", "--d", "1", "--k", "1"],
-                 # each exited 0: snapshots at negative steps; d above MAX_DIM
-                 ["sample", "--d", "3", "--lam", "1", "--burn-in", "-5",
-                  "--steps", "20", "--thin", "1"],
-                 ["clusters", "--d", "25", "--k", "1"],
-                 # the chain's step tables would need gigabytes past d = 16
-                 ["sample", "--d", "17", "--lam", "1", "--samples", "2"],
-                 # no command takes a worker-process count
-                 ["rj", "--j", "2", "--threads", "2"],
-                 ["polymers", "--max-size", "3", "--mode", "symbolic",
-                  "--threads", "2"],
-                 ["sample", "--d", "3", "--lam", "1", "--chains", "2",
-                  "--threads", "2"],
-                 # a negative budget exited 2 (exhausted) or was ignored
-                 ["polymers", "--d", "5", "--max-size", "3", "--budget", "-1"],
-                 ["clusters", "--d", "5", "--k", "2", "--budget", "-1"],
-                 ["rj", "--j", "2", "--budget", "-1"],
-                 ["count-structured", "--beta", "1/2", "--d", "10",
-                  "--fixed", "s1c0g0=1", "--budget", "-3"],
-                 # --digits past MAX_DIGITS ran without end
-                 ["count", "--beta", "1/2", "--d", "10", "--t", "2",
-                  "--digits", "100000000"],
-                 ["count-structured", "--beta", "1/2", "--d", "10",
-                  "--digits", str(cli.MAX_DIGITS + 1)],
-                 # more size-1 defects than half of the 2,048 vertices on a
-                 # side; the first built 2000000! and ran for minutes
-                 ["count-structured", "--beta", "1/2", "--d", "12", "--t", "4",
-                  "--fixed", "s1c0g0=2000000"],
-                 ["count-structured", "--beta", "1/2", "--d", "12",
-                  "--fixed", "s1c0g0=1025"],
-                 ["zeta", "--lam", "1", "--d", "10", "--t", "2",
-                  "--digits", "100000000"],
-                 # each exited 0 and ignored --power
-                 ["clusters", "--d", "5", "--k", "2", "--observable",
-                  "size_nbhd", "--power", "2"],
-                 ["clusters", "--d", "5", "--k", "2", "--observable", "one",
-                  "--power", "3"],
-                 # each exited 0, the first with a complex ln_Z
-                 ["oracle", "--d", "2", "--lam=-1"],
-                 ["oracle", "--d", "2", "--lam", "0"],
-                 # the exact oracle ends at d = 6 and has no --allow-slow
-                 ["oracle", "--d", "7"],
-                 ["oracle", "--d", "6", "--allow-slow"],
-                 # each started a census that no budget bounded (96 s at d = 7)
-                 ["sample", "--d", "7", "--lam", "1", "--census-size", "6"],
-                 ["sample", "--d", "6", "--lam", "1", "--census-size", "7"]):
+    for argv in USAGE_ERRORS:
         code = cli.main(argv)
         captured = capsys.readouterr()
         assert code == 1, argv
@@ -143,6 +150,36 @@ def test_usage_errors_exit_one_with_single_line(capsys):
                          size])
         assert (code, capsys.readouterr().err) == (
             1, "error: --census-size must be >= 1\n"), size
+
+
+def run_for_bytes(capsys, argv):
+    """(exit code, stdout, stderr) of `cubecount argv`, --help included."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as e:  # argparse's --help
+        code = e.code
+    return (code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", [[name, "--help"] for name in cli._COMMANDS]
+                         + USAGE_ERRORS)
+def test_one_command_parser_prints_the_full_parsers_bytes(capsys, monkeypatch, argv):
+    # a known command builds its own sub-parser alone
+    build, built = cli._build_parser, []
+    monkeypatch.setattr(cli, "_build_parser",
+                        lambda only=None: built.append(only) or build(only))
+    alone = run_for_bytes(capsys, argv)
+    assert built == [argv[0] if argv[0] in cli._COMMANDS else None]
+    monkeypatch.setattr(cli, "_build_parser", lambda only=None: build())
+    assert run_for_bytes(capsys, argv) == alone
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["no-such-command"]])
+def test_help_and_an_unknown_command_list_every_command(capsys, argv):
+    _, out, err = run_for_bytes(capsys, argv)
+    listed = re.search(r"\{([a-z,-]+)\}|choose from (.*)\)", out + err)
+    names = (listed.group(1) or listed.group(2)).replace("'", "").replace(" ", "")
+    assert names.split(",") == list(cli._COMMANDS)
 
 
 def test_sample_names_samples_when_it_is_below_two(capsys):
