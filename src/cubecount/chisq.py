@@ -16,8 +16,7 @@ function Q(a, x) = igamc(a, x) is computed by
 Cephes switches to Temme's uniform asymptotic series (which needs
 log1pmx) only for a > 20 with x near a; at a = df/2 <= 20 that branch is
 unreachable, and so is the Lanczos branch for a or x >= 200, so the port
-leaves both out.  For df > 40, or df that is not an integer, chdtrc calls
-``scipy.special.chdtrc``, imported only then.
+leaves both out, and chdtrc refuses df > 40 or df that is not an integer.
 
 Two details decide bit-identity with scipy:
 
@@ -266,14 +265,13 @@ def igamc(a: float, x: float) -> float:
 def chdtrc(df: int, x: float) -> float:
     """Chi-square survival function: P(X > x) for X ~ chi^2 with df degrees.
 
-    Equals ``scipy.special.chdtrc(df, x)`` bit for bit.  Integer df in
-    1..40 runs the port above; any other df is passed to scipy, whose
-    Temme series for a = df/2 > 20 is not ported.
+    Equals ``scipy.special.chdtrc(df, x)`` bit for bit.  df must be an
+    integer in 1..40: Cephes' Temme series for a = df/2 > 20 is not ported,
+    and `sampler._pooled_bins` keeps df <= 40.
     """
-    x = float(x)
     if not (isinstance(df, int) and 1 <= df <= _MAX_DF):
-        from scipy.special import chdtrc as scipy_chdtrc  # only for df > 40
-        return float(scipy_chdtrc(df, x))
+        raise ValueError(f"chdtrc needs an integer df in 1..{_MAX_DF}, not {df!r}")
+    x = float(x)
     if not x >= 0.0:  # negative or NaN: scipy's igamc reports a domain error
         return math.nan
     return igamc(df / 2.0, x / 2.0)

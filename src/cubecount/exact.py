@@ -9,12 +9,12 @@ computed by splitting Q_d as C_4 x Q_{d-2}: an independent set of Q_d is four
 independent sets of Q_{d-2}, one per column of the 4-cycle, with cyclically
 adjacent columns disjoint.  Iterating the pairs (I1, I3) of the two
 non-adjacent columns and counting each of the other two columns by a memoized
-vertex-branching recursion on Q_{d-2} gives every d <= 6 in about a second.
+vertex-branching recursion on Q_{d-2}, with every polynomial packed into one
+int, gives every d <= 6 in under 0.2 s.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -89,35 +89,21 @@ def independent_set_masks(d: int) -> list[int]:
     return sorted(sets)
 
 
-def _poly_add_shifted(acc: list[int], poly: list[int], shift: int) -> None:
-    need = shift + len(poly)
-    if len(acc) < need:
-        acc.extend([0] * (need - len(acc)))
-    for i, c in enumerate(poly):
-        acc[shift + i] += c
-
-
-def _poly_square(poly: tuple[int, ...]) -> list[int]:
-    out = [0] * (2 * len(poly) - 1)
-    for i, a in enumerate(poly):
-        for j, b in enumerate(poly):
-            out[i + j] += a * b
-    return out
-
-
 class _IndependencePolyCounter:
     """Counts independent sets by size on an induced subgraph of Q_d.
 
     State is the bitmask of still-available vertices; branching on the lowest
-    available vertex v gives I(G) = I(G - v) + x * I(G - N[v]).
+    available vertex v gives I(G) = I(G - v) + x * I(G - N[v]).  Each
+    polynomial is one int holding coefficient k in bits [k*width,
+    (k+1)*width), so multiplying by x is a shift by width.
     """
 
-    def __init__(self, d: int):
-        self.d = d
+    def __init__(self, d: int, width: int):
+        self.width = width
         self.nbrs = _neighbor_masks(d)
-        self.memo: dict[int, tuple[int, ...]] = {0: (1,)}
+        self.memo: dict[int, int] = {0: 1}
 
-    def poly(self, available: int) -> tuple[int, ...]:
+    def poly(self, available: int) -> int:
         cached = self.memo.get(available)
         if cached is not None:
             return cached
@@ -125,11 +111,16 @@ class _IndependencePolyCounter:
         bit = 1 << v
         without = self.poly(available & ~bit)
         with_v = self.poly(available & ~(bit | self.nbrs[v]))
-        out = list(without)
-        _poly_add_shifted(out, list(with_v), 1)
-        result = tuple(out)
+        result = without + (with_v << self.width)
         self.memo[available] = result
         return result
+
+
+def _unpack(x: int, width: int, count: int) -> tuple[int, ...]:
+    """The first `count` coefficients of a polynomial packed `width` bits
+    per coefficient, lowest degree first."""
+    mask = (1 << width) - 1
+    return tuple(x >> (width * k) & mask for k in range(count))
 
 
 def size_profile(d: int) -> SizeProfile:
@@ -138,9 +129,18 @@ def size_profile(d: int) -> SizeProfile:
     Columns 1 and 3 of Q_d = C_4 x Q_{d-2} share no edge, and columns 0 and 2
     each meet only those two, so Z_d(x) = sum over independent sets I1, I3 of
     Q_{d-2} of x^(|I1|+|I3|) f(I1 | I3)^2, where f(U) counts the independent
-    sets of Q_{d-2} avoiding U.  Pairs are counted by (I1 | I3, |I1|+|I3|)
-    and grouped by the union U, so each distinct f(U)^2 is built and added
-    once, at each of U's sizes: d = 6 takes about 0.4 s.
+    sets of Q_{d-2} avoiding U.  The pairs are folded into one weight
+    W(U) = sum of x^(|I1|+|I3|) per union U, and Z_d = sum_U f(U)^2 W(U).
+
+    Each polynomial is packed into one int with B = 2^d bits per
+    coefficient (Kronecker substitution: x becomes 2^B), so each product is
+    one big-int multiplication.  B comes from a bound on the coefficients.
+    A coefficient of f(U), W(U), f(U)^2 or f(U)^2 W(U) counts tuples of
+    subsets of distinct columns, that is, subsets of the 2^d vertices of
+    Q_d, and the running sum adds those of different unions U, which are
+    different subsets.  So every coefficient is below 2^(2^d) = 2^B.  All
+    are nonnegative, so no slot borrows from its neighbour, and the sum
+    unpacks to the exact counts.  d = 6 takes about 0.15 s.
     """
     hc.check_dim(d)
     if d > ORACLE_MAX_DIM:
@@ -148,21 +148,21 @@ def size_profile(d: int) -> SizeProfile:
     if d == 1:
         return SizeProfile(1, (1, 2))  # K_2: the empty set and two singletons
 
+    width = 1 << d
     lower = d - 2
-    sized = [(a, a.bit_count()) for a in independent_set_masks(lower)]
-    pairs = Counter((a | b, sa + sb) for a, sa in sized for b, sb in sized)
-    counter = _IndependencePolyCounter(lower)
+    # each set with the bit offset of x^|set|
+    offsets = [(a, width * a.bit_count()) for a in independent_set_masks(lower)]
+    weight: dict[int, int] = {}
+    for a, sa in offsets:
+        for b, sb in offsets:
+            weight[a | b] = weight.get(a | b, 0) + (1 << sa + sb)
+    counter = _IndependencePolyCounter(lower, width)
     mask_all = (1 << (1 << lower)) - 1
-    sizes_of: dict[int, list[tuple[int, int]]] = {}
-    for (union, size), mult in pairs.items():
-        sizes_of.setdefault(union, []).append((size, mult))
-    counts = [0] * ((1 << (d - 1)) + 1)
-    for union, sizes in sizes_of.items():
-        sq = _poly_square(counter.poly(mask_all & ~union))
-        for size, mult in sizes:
-            for i, c in enumerate(sq, size):
-                counts[i] += mult * c
-    return SizeProfile(d, tuple(counts))
+    total = 0
+    for union, w in weight.items():
+        f = counter.poly(mask_all & ~union)
+        total += f * f * w
+    return SizeProfile(d, _unpack(total, width, (1 << (d - 1)) + 1))
 
 
 def size_profile_exhaustive(d: int) -> SizeProfile:
@@ -288,25 +288,19 @@ def odd_model_exact(d: int) -> OddModelProfile:
     for (_, size, nbhd), count in _collection_counts(polymers, d).items():
         xi[(size, nbhd)] = xi.get((size, nbhd), 0) + count
 
-    # z = (1+lam)^n * xi: polynomial coefficients by set size
-    z: list[int] = []
+    # z = (1+lam)^n * xi, packed as in size_profile: a coefficient of each
+    # term and of the sum counts independent sets of Q_d of one size, so
+    # 2^d bits hold it; unpacking stops at the highest nonzero coefficient
+    width = 1 << d
+    one_plus_x = 1 + (1 << width)
+    z = 0
     for (size, nbhd), count in xi.items():
-        assert nbhd <= n
-        row = _binomial_row(n - nbhd)
-        _poly_add_shifted(z, [count * c for c in row], size)
-    while z and z[-1] == 0:
-        z.pop()
+        z += count * one_plus_x ** (n - nbhd) << width * size
 
     return OddModelProfile(
         d=d,
         polymers=tuple(tuple(sorted(s)) for s in polymers),
         xi_terms=tuple(sorted(xi.items())),
-        z_poly=tuple(z),
+        z_poly=_unpack(z, width, -(-z.bit_length() // width)),
     )
 
-
-def _binomial_row(n: int) -> list[int]:
-    row = [1]
-    for _ in range(n):
-        row = [a + b for a, b in zip([0] + row, row + [0])]
-    return row

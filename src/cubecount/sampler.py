@@ -425,7 +425,9 @@ def _pooled_bins(counts: list[int], mean: float) -> tuple[list[int], list[float]
     The two top bins are merged while either expects less than 5, then
     likewise the two bottom bins.  The Poisson pmf is unimodal, so each bin
     between the second and the second-to-last expects at least the smaller
-    of those two, and so at least 5, unless one bin is left.
+    of those two, and so at least 5, unless one bin is left.  Last, the two
+    top bins are merged while more than 41 remain, so df = bins - 1 <= 40,
+    the range of `chisq.chdtrc`; that only grows the top bin.
     """
     n = len(counts)
     top = max(counts)
@@ -448,6 +450,10 @@ def _pooled_bins(counts: list[int], mean: float) -> tuple[list[int], list[float]
         p, o = probs.pop(0), observed.pop(0)
         probs[0] += p
         observed[0] += o
+    while len(probs) > 41:
+        p, o = probs.pop(), observed.pop()
+        probs[-1] += p
+        observed[-1] += o
     return observed, [n * p for p in probs]
 
 

@@ -127,10 +127,10 @@ def _check_exact_oracle() -> list[str]:
         q = exact.size_profile_exhaustive(d)
         if p.counts != q.counts:
             fails.append(f"d={d}: transfer profile {p.counts} vs subsets {q.counts}")
-    if exact.size_profile(2).total != 7:
-        fails.append("total count at d=2 is not 7")
-    if exact.size_profile(3).total != 35:
-        fails.append("total count at d=3 is not 35")
+    # totals from OEIS A027624; d = 5 and 6 are the largest packed products
+    for d, total in ((2, 7), (3, 35), (5, 254475), (6, 19768832143)):
+        if exact.size_profile(d).total != total:
+            fails.append(f"total count at d={d} is not {total}")
 
     profile = exact.size_profile(4)
     for lam in (Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2)):

@@ -587,10 +587,10 @@ def cli_run(*argv):
 
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
-    # scipy.stats was most of the CLI's start-up; now only a chi-square tail
-    # with more than 40 degrees of freedom imports scipy, and numpy with it.
-    # Each command imports the layers it runs, so importing the package or
-    # the CLI loads no layer and no mpmath.
+    # scipy.stats was most of the CLI's start-up; now no module imports
+    # scipy, which is a test dependency only, nor numpy.  Each command
+    # imports the layers it runs, so importing the package or the CLI loads
+    # no layer and no mpmath.
     heavy = {"mpmath", "numpy", "scipy"} | {
         f"cubecount.{m}" for m in ("asymptotics", "bigint", "chisq", "clusters",
                                    "exact", "polymers", "sampler", "symbolic",

@@ -1,6 +1,7 @@
 """Exact small-d oracles: size profiles and restricted models."""
 
 import hashlib
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -12,18 +13,36 @@ from cubecount import hypercube as hc
 
 
 def layered_size_profile(d):
-    """Differential reference for `size_profile` at d <= 5.
+    """Differential reference for `size_profile` at d <= 5, sharing no code
+    with it.
 
     Splits Q_d as K_2 x Q_{d-1}: an independent set is a pair (A, B) of
     disjoint independent sets of Q_{d-1}, so each A contributes x^|A| times
-    the independence polynomial of Q_{d-1} with A deleted.
+    the independence polynomial of Q_{d-1} with A deleted.  That polynomial
+    is a list of coefficients, from I(G) = I(G - v) + x * I(G - N[v]) at the
+    lowest vertex v of G.
     """
     lower = d - 1
-    counter = ex._IndependencePolyCounter(lower)
-    mask_all = (1 << (1 << lower)) - 1
-    counts = []
-    for a in ex.independent_set_masks(lower):
-        ex._poly_add_shifted(counts, list(counter.poly(mask_all & ~a)), a.bit_count())
+    n = 1 << lower
+    nbrs = [sum(1 << (v ^ 1 << i) for i in range(lower)) for v in range(n)]
+    memo = {0: [1]}
+
+    def poly(available):
+        if available not in memo:
+            v = (available & -available).bit_length() - 1
+            without = poly(available & ~(1 << v))
+            with_v = [0] + poly(available & ~(1 << v | nbrs[v]))
+            memo[available] = [a + b for a, b in
+                               itertools.zip_longest(without, with_v, fillvalue=0)]
+        return memo[available]
+
+    counts = [0] * (n + 1)
+    for a in range(1 << n):
+        if all(not a & nbrs[v] for v in range(n) if a >> v & 1):
+            for m, c in enumerate(poly((1 << n) - 1 & ~a), a.bit_count()):
+                counts[m] += c
+    while counts[-1] == 0:
+        counts.pop()
     return tuple(counts)
 
 
@@ -149,6 +168,19 @@ def test_achievable_sets_q2_excludes_all_defects():
     # at d=2 the closure of any odd singleton is the whole odd side,
     # so only subsets of one fixed side survive
     assert achievable_independent_sets(2) == {0: 1, 1: 2, 2: 1}
+
+
+@pytest.mark.parametrize("d, z_poly", [
+    (2, (1, 2, 1)),
+    (3, (1, 8, 10, 4, 1)),
+    (4, (1, 16, 88, 184, 166, 72, 28, 8, 1)),
+])
+def test_odd_model_counts_the_achievable_sets(d, z_poly):
+    # z_poly is (1+lam)^n_side * Xi expanded from packed (1+X)^m powers;
+    # the direct filter over every independent set checks that expansion
+    ach = achievable_independent_sets(d)
+    direct = tuple(ach.get(m, 0) for m in range(max(ach) + 1))
+    assert ex.odd_model_exact(d).z_poly == direct == z_poly
 
 
 def test_achievable_counts_bounded_by_profile():

@@ -502,6 +502,20 @@ def test_poisson_gof_bins_each_expect_at_least_five():
     assert gof["bins"] == gof["df"] + 1 < 27
 
 
+def test_pooled_bins_stop_at_41():
+    # each input kept 42 to 49 bins, each expecting at least 5, before the
+    # cap: df 41 to 48, past the range of chisq.chdtrc
+    for mean, n, top in ((20.0, 3_000_000, 60), (40.0, 20_000, 90),
+                         (60.0, 5000, 100), (60.0, 10_000, 120)):
+        counts = [0] * (n - 1) + [top]
+        observed, expected = sm._pooled_bins(counts, mean)
+        assert len(expected) == 41, (mean, n, top)
+        assert min(expected) >= 5
+        assert sum(observed) == n
+        assert math.isclose(sum(expected), n)
+        assert sm._poisson_gof(counts, mean)["df"] == 40
+
+
 def test_chdtrc_is_chi2_sf():
     from scipy import special, stats
     for df in range(1, 31):
