@@ -118,23 +118,38 @@ def R_table(jmax: int, budget: int | None = None) -> SeriesTable:
 
 @lru_cache(maxsize=2 * MAX_EXACT_J)  # j = 1..MAX_EXACT_J, each with and without size
 def _beta_x_coefficient(j: int, size: bool) -> tuple[RatPoly, int]:
-    """(1-beta)^c * F_j (size) or (1-beta)^c * R_j, in (beta, d, X), and c.
+    """(1-beta)^c * F_j (size) or (1-beta)^c * R_j, in (beta, d, X), and c,
+    without the powers X^k, k > MAX_EXACT_J - j, that no kept order reads.
 
     F_j is the coefficient of (1+lam)^(-jd-1) in the expected-size
     expansion; differentiating lam * d/dlam through the stratum series gives
     F_j = lam * ((1+lam) * R_j' - j*d*R_j), a polynomial in (lam, d).  The
     form substitutes lam = (beta+X)/(1-beta) and clears c, the lam-degree.
+
+    The X bound: _strata_series multiplies this form by Y^j, and X = O(Y)
+    there, so X^k reaches only Y^(j+k) and beyond.  Every series it builds
+    has order top + 1 with top <= MAX_EXACT_J (asserted there), so it keeps
+    Y^0 .. Y^MAX_EXACT_J and X^k with j + k > MAX_EXACT_J never reaches a
+    kept coefficient.  So (beta+X)^i is expanded only through X^K,
+    K = MAX_EXACT_J - j, from its binomial row, and the powers of (1-beta)
+    are built once as a running product.
     """
     p = R_poly(j)
     if size:
         lam = RatPoly.var(LAM)
         p = lam * ((lam + 1) * p.derivative(LAM) - RatPoly.var(DIM) * j * p)
     c = p.degree(LAM)
-    bx = RatPoly.var(BETA) + RatPoly.var("X")
+    top = MAX_EXACT_J - j
     omb = RatPoly.const(1) - RatPoly.var(BETA)
+    omb_powers = [RatPoly.const(1)]
+    for _ in range(c):
+        omb_powers.append(omb_powers[-1] * omb)
     out = RatPoly.const(0)
     for i, coef in p.as_univariate(LAM).items():
-        out = out + coef * bx ** i * omb ** (c - i)
+        # (beta+X)^i through X^top; "X" sorts before "beta"
+        bx = RatPoly(("X", BETA), {(k, i - k): math.comb(i, k)
+                                   for k in range(min(i, top) + 1)})
+        out = out + coef * (bx * omb_powers[c - i])
     return out, c
 
 
@@ -156,6 +171,7 @@ def _strata_series(x: TruncSeries, size: bool) -> TruncSeries:
     with (C_i, c_i) = _beta_x_coefficient(i, size): the sum over i of R_i
     (or F_i) times (1+lam)^(-id) at lam = (beta+x)/(1-beta)."""
     top = x.order - 1
+    assert top <= MAX_EXACT_J  # _beta_x_coefficient drops X^k past this order
     dvar = RatPoly.var(DIM)
     out = TruncSeries.zero(x.order)
     for i in range(1, top + 1):

@@ -71,7 +71,7 @@ from . import hypercube as hc
 from . import polymers as pm
 from .errors import BudgetExceededError
 from .polymers import free_dim
-from .symbolic import RatPoly
+from .symbolic import RatPoly, _reduced
 
 # -- Ursell coefficients -------------------------------------------------------
 
@@ -413,25 +413,24 @@ class ClusterSum(NamedTuple):
                 "poly": self.poly.to_json()}
 
 
-# e sums the deficiencies of a cluster's entries, at most k(k-1) at stratum k
-# (two vertices share at most two neighbors), so 64 entries cover k <= 8
-@lru_cache(maxsize=64)
-def _one_plus_lam_power(e: int) -> RatPoly:
-    return (RatPoly.var("lam") + 1) ** e
-
-
 def cluster_sum(d: int, k: int, observable: Observable = Observable.one(),
                 budget: int | None = None) -> ClusterSum:
     """Sum observable * weight over all clusters of stratum k, exactly.
 
     The result is returned as the polynomial factor of
-    n_side * lam^k * poly * (1+lam)^(-k*d); coefficients are Fractions.
+    n_side * lam^k * poly * (1+lam)^(-k*d).
 
     The stratum's table is built once, at the base dimension
     b = min(d, free_dim(k)), and rescaled to d (module docstring); the
     exponent e is the same at d, and the total neighborhood there, which
     nbhd and size_nbhd read, is k*d - e.  `budget` limits the enumeration
     at b; a cached table spends none.
+
+    The polynomial is built in integers over the one common denominator D
+    of polymers._rescale: N_e / D sums the rescaled entries of exponent e
+    times the observable, and the lam^i coefficient of
+    sum_e N_e (1+lam)^e / D is sum_e N_e * C(e, i).  It has the variable
+    lam exactly when some e > 0 has N_e != 0.
     """
     if d < 2:
         raise ValueError("the defect model needs d >= 2")
@@ -440,14 +439,21 @@ def cluster_sum(d: int, k: int, observable: Observable = Observable.one(),
         raise ValueError("stratum index must be >= 1")
     b = min(d, free_dim(k))
     table = _stratum_table(b, k, observable.type_key, budget)
-    # accumulate rational coefficients per power of (1+lam)
-    by_exponent: dict[int, Fraction] = {}
-    for (e, n), coef in pm._rescale(table, b, d).items():
-        by_exponent[e] = by_exponent.get(e, 0) + coef * observable.value(k, k * d - e, n)
-    poly = RatPoly.const(0)
-    for e, coef in sorted(by_exponent.items()):
-        if coef:
-            poly = poly + _one_plus_lam_power(e) * coef
+    rescaled, den = pm._rescale(table, b, d)
+    by_exponent: dict[int, int] = {}
+    for (e, n), c in rescaled.items():
+        by_exponent[e] = by_exponent.get(e, 0) + c * observable.value(k, k * d - e, n)
+    coeffs: dict[int, int] = {}
+    for e, c in by_exponent.items():
+        if c:
+            binom = 1  # C(e, i)
+            for i in range(e + 1):
+                coeffs[i] = coeffs.get(i, 0) + c * binom
+                binom = binom * (e - i) // (i + 1)
+    if any(e and c for e, c in by_exponent.items()):
+        poly = _reduced(("lam",), {(i,): c for i, c in coeffs.items() if c}, den)
+    else:
+        poly = _reduced((), {(): c for c in coeffs.values() if c}, den)
     return ClusterSum(d=d, k=k, observable=observable, poly=poly)
 
 

@@ -130,7 +130,9 @@ def size_profile(d: int) -> SizeProfile:
     each meet only those two, so Z_d(x) = sum over independent sets I1, I3 of
     Q_{d-2} of x^(|I1|+|I3|) f(I1 | I3)^2, where f(U) counts the independent
     sets of Q_{d-2} avoiding U.  The pairs are folded into one weight
-    W(U) = sum of x^(|I1|+|I3|) per union U, and Z_d = sum_U f(U)^2 W(U).
+    W(U) = sum of x^(|I1|+|I3|) per union U, and Z_d = sum_U f(U)^2 W(U);
+    the sum is symmetric in I1 and I3, so each unordered pair is visited
+    once and counted twice, and each diagonal pair once.
 
     Each polynomial is packed into one int with B = 2^d bits per
     coefficient (Kronecker substitution: x becomes 2^B), so each product is
@@ -153,9 +155,10 @@ def size_profile(d: int) -> SizeProfile:
     # each set with the bit offset of x^|set|
     offsets = [(a, width * a.bit_count()) for a in independent_set_masks(lower)]
     weight: dict[int, int] = {}
-    for a, sa in offsets:
-        for b, sb in offsets:
-            weight[a | b] = weight.get(a | b, 0) + (1 << sa + sb)
+    for i, (a, sa) in enumerate(offsets):
+        weight[a] = weight.get(a, 0) + (1 << 2 * sa)
+        for b, sb in offsets[i + 1:]:  # (a, b) and (b, a) at once
+            weight[a | b] = weight.get(a | b, 0) + (2 << sa + sb)
     counter = _IndependencePolyCounter(lower, width)
     mask_all = (1 << (1 << lower)) - 1
     total = 0

@@ -46,9 +46,9 @@ coordinates carries the same supports.  From free_dim(max_size) on, closure
 never binds (see the clusters module docstring), so both census and
 symbolic_census enumerate the rooted supports once, at the base dimension
 b = min(d, free_dim(max_size)), count them per type and active count
-(_rooted_type_counts), and rescale by C(d, a)/C(b, a) (_rescale, which
-clusters.cluster_sum calls too).  census evaluates the sum at one d;
-symbolic_census keeps it as a polynomial in d.
+(_rooted_type_counts), and rescale by C(d, a)/C(b, a) over one common
+denominator (_rescale, which clusters.cluster_sum calls too).  census
+evaluates the sum at one d; symbolic_census keeps it as a polynomial in d.
 
 Prefix representatives: since the a-subsets carry the same supports,
 _rooted_type_counts grows only the supports whose active coordinates are
@@ -396,13 +396,18 @@ def _may_become_prefix(mask: int, room: int) -> bool:
     return mask.bit_length() - mask.bit_count() <= 2 * room
 
 
-def _rescale(counts: dict, b: int, d: int) -> dict:
-    """{K: sum_a r * C(d, a) / C(b, a)} from counts {(K, a): r} found at the
-    base dimension b with a active coordinates (module docstring)."""
+def _rescale(counts: dict, b: int, d: int) -> tuple[dict, int]:
+    """({K: N_K}, D) with N_K / D = sum_a r * C(d, a) / C(b, a), from counts
+    {(K, a): r} (ints or Fractions) found at the base dimension b with a
+    active coordinates (module docstring).  D, the lcm of the r denominators
+    times C(b, a), is one common denominator, so every N_K is an int."""
+    scales = {key: r.denominator * math.comb(b, key[1]) for key, r in counts.items()}
+    den = math.lcm(*scales.values())
     out: dict = {}
     for (key, a), r in counts.items():
-        out[key] = out.get(key, 0) + Fraction(r * math.comb(d, a), math.comb(b, a))
-    return out
+        out[key] = (out.get(key, 0)
+                    + r.numerator * (den // scales[key, a]) * math.comb(d, a))
+    return out, den
 
 
 def _prefix_candidates(d: int, max_size: int,
@@ -450,14 +455,14 @@ def census(d: int, max_size: int, budget: int | None = None) -> Census:
     """
     check_census_bounds(d, max_size)
     b = min(d, free_dim(max_size))
-    rooted = _rescale(_rooted_type_counts(b, max_size, budget), b, d)
+    rooted, den = _rescale(_rooted_type_counts(b, max_size, budget), b, d)
 
     n = hc.n_side(d)
     entries = []
     # (size, deficiency, cert) tuples sort as the DefectTypes they become
     for key in sorted(rooted):
         t = DefectType(*key)
-        total = n * rooted[key] / t.size
+        total = Fraction(n * rooted[key], den * t.size)
         if total.denominator != 1:
             raise AssertionError(f"type {t.key}: non-integer global count {total}")
         entries.append(CensusEntry(type=t, count=int(total)))

@@ -418,6 +418,19 @@ def _mean_var(xs: list[float]) -> tuple[float, float]:
     return m, sum((x - m) ** 2 for x in xs) / (n - 1)
 
 
+def _poisson_pmf(k: int, mean: float) -> float:
+    """The Poisson(mean) probability of k as the float expression
+    exp(-mean) * mean^k / k!, which the pinned sample digests depend on, and
+    as exp(k log mean - mean - lgamma(k+1)) where mean^k or k! is too large
+    for a float, as k! is for every k > 170."""
+    if k <= 170:
+        try:
+            return math.exp(-mean) * mean ** k / math.factorial(k)
+        except OverflowError:  # mean ** k
+            pass
+    return math.exp(k * math.log(mean) - mean - math.lgamma(k + 1)) if mean > 0 else 0.0
+
+
 def _pooled_bins(counts: list[int], mean: float) -> tuple[list[int], list[float]]:
     """Observed and expected counts of the Poisson(mean) bins k = 0 .. max(counts)
     and k > max(counts), pooled until every expected count is at least 5.
@@ -428,13 +441,15 @@ def _pooled_bins(counts: list[int], mean: float) -> tuple[list[int], list[float]
     of those two, and so at least 5, unless one bin is left.  Last, the two
     top bins are merged while more than 41 remain, so df = bins - 1 <= 40,
     the range of `chisq.chdtrc`; that only grows the top bin.
+
+    The pmf values come from _poisson_pmf, which no count overflows.
     """
     n = len(counts)
     top = max(counts)
     probs = []
     acc = 0.0
     for k in range(top + 1):
-        p = math.exp(-mean) * mean ** k / math.factorial(k)
+        p = _poisson_pmf(k, mean)
         probs.append(p)
         acc += p
     probs.append(max(1.0 - acc, 0.0))  # tail bucket >= top+1

@@ -335,20 +335,37 @@ class RatPoly:
         return out
 
     def eval(self, mapping: Mapping[str, Scalar]) -> Fraction:
-        missing = [v for v in self.vars
-                   if v not in mapping and any(e[self.vars.index(v)] for e in self.nums)]
+        """The exact value at rational values of the variables that occur.
+
+        One common denominator: with x_v = p_v/q_v and K_v the top exponent
+        of v, the value is sum_e c_e * prod_v p_v^(e_v) q_v^(K_v - e_v) over
+        den * prod_v q_v^(K_v), so every term is an int product and one
+        Fraction (one gcd) is built at the end.
+        """
+        names = self.vars
+        used = [i for i in range(len(names)) if any(e[i] for e in self.nums)]
+        missing = [names[i] for i in used if names[i] not in mapping]
         if missing:
             raise ValueError(f"missing values for variables {missing}")
-        values = [_as_frac(mapping[v]) if any(e[i] for e in self.nums) else None
-                  for i, v in enumerate(self.vars)]
-        total = Fraction(0)
+        weights = []  # (index, [p^k q^(K-k) for k = 0..K])
+        den = self.den
+        for i in used:
+            x = _as_frac(mapping[names[i]])
+            p, q = x.numerator, x.denominator
+            top = max(e[i] for e in self.nums)
+            p_pows = [1]
+            q_pows = [1]
+            for _ in range(top):
+                p_pows.append(p_pows[-1] * p)
+                q_pows.append(q_pows[-1] * q)
+            weights.append((i, [a * b for a, b in zip(p_pows, reversed(q_pows))]))
+            den *= q_pows[-1]
+        total = 0
         for e, c in self.nums.items():
-            t = Fraction(c)
-            for x, k in zip(values, e):
-                if k:
-                    t *= x ** k
-            total += t
-        return total / self.den
+            for i, w in weights:
+                c *= w[e[i]]
+            total += c
+        return Fraction(total, den)
 
     def truncate_total_degree(self, bound: int) -> "RatPoly":
         return _reduced(self.vars, {e: c for e, c in self.nums.items() if sum(e) <= bound},
@@ -644,11 +661,17 @@ class TruncSeries:
 
 def poly_on_series(p: RatPoly, var: str, series: TruncSeries) -> TruncSeries:
     """Evaluate polynomial p at `var` = series; other variables stay symbolic
-    inside the coefficients (they must be beta/d only)."""
+    inside the coefficients (they must be beta/d only).
+
+    When the series has no constant term, series^k is O(Y^k), so it is zero
+    for k >= series.order and the powers of `var` from there on are skipped.
+    """
     parts = p.as_univariate(var)
     out = TruncSeries.zero(series.order)
     power = TruncSeries.constant(1, series.order)
     top = max(parts) if parts else 0
+    if series.coefficient(0).is_zero():
+        top = min(top, series.order - 1)
     for k in range(0, top + 1):
         if k in parts:
             out = out + power * RatFunc(parts[k])
@@ -714,10 +737,18 @@ def interpolate_poly(points: Sequence[tuple[int, object]], degree_bound: int,
                      var: str = "d") -> RatPoly:
     """Exact Lagrange interpolation with a consistency check.
 
-    ``points`` maps grid values of ``var`` to either Fractions/ints or
-    RatPoly values (interpolated coefficient-wise).  Requires at least
+    ``points`` maps integer grid values of ``var`` to either Fractions/ints
+    or RatPoly values (interpolated coefficient-wise).  Requires at least
     degree_bound + 2 points; the fit uses the first degree_bound + 1 and every
     remaining point must match exactly, else InterpolationError.
+
+    The fit runs in integers: each basis polynomial is an int coefficient
+    list over an int denominator w_i, each value's numerators are scaled to
+    one common denominator W, the lcm of the den_i * w_i, and the one gcd
+    is taken by _reduced at the end.  Each spare point is checked by
+    Horner's rule on the unreduced int rows.  The result's variables are
+    those of the fitted values, plus ``var`` when degree_bound >= 1; none
+    is dropped for having no term.
     """
     if degree_bound < 0:
         raise ValueError("degree bound must be nonnegative")
@@ -738,24 +769,56 @@ def interpolate_poly(points: Sequence[tuple[int, object]], degree_bound: int,
         else:
             raise TypeError("sample values must be rationals or RatPoly")
 
-    fit_x = xs[: degree_bound + 1]
-    fit_v = values[: degree_bound + 1]
-    t = RatPoly.var(var)
-    result = RatPoly.const(0)
-    for i, (xi, vi) in enumerate(zip(fit_x, fit_v)):
-        if var in vi.vars and vi.degree(var) > 0:
+    fit = values[: degree_bound + 1]
+    for v in fit:
+        if var in v.vars and v.degree(var) > 0:
             raise ValueError(f"sample values may not involve the interpolation variable {var!r}")
-        basis = RatPoly.const(1)
-        denom = Fraction(1)
+    names = set().union(*(v.vars for v in fit))
+    if degree_bound >= 1:
+        names.add(var)
+    vs = tuple(sorted(names))
+    fit_x = xs[: degree_bound + 1]
+    # (numerator, w_i) of each basis polynomial: prod_{j != i} (t - x_j) as
+    # an int list, lowest power first, and w_i = prod_{j != i} (x_i - x_j)
+    basis = []
+    for i, xi in enumerate(fit_x):
+        coeffs, w = [1], 1
         for j, xj in enumerate(fit_x):
-            if j == i:
-                continue
-            basis = basis * (t - RatPoly.const(xj))
-            denom *= Fraction(xi - xj)
-        result = result + vi * basis * (1 / denom)
+            if j != i:
+                coeffs = [a - xj * b for a, b in zip([0] + coeffs, coeffs + [0])]
+                w *= xi - xj
+        basis.append((coeffs, w))
+    scales = [v.den * w for v, (_, w) in zip(fit, basis)]
+    den = math.lcm(*scales)
+    # rows[e]: the coefficients of var^0 .. var^degree_bound of the monomial
+    # e (var's exponent 0) in the other variables, in units of 1/den
+    rows: dict[tuple, list[int]] = {}
+    for v, (coeffs, _), scale in zip(fit, basis, scales):
+        f = den // scale
+        for e, c in v._promote(vs).nums.items():
+            row = rows.get(e)
+            if row is None:
+                row = rows[e] = [0] * (degree_bound + 1)
+            c *= f
+            for k, b in enumerate(coeffs):
+                row[k] += c * b
+    if var in vs:
+        at = vs.index(var)
+        nums = {e[:at] + (k,) + e[at + 1:]: c
+                for e, row in rows.items() for k, c in enumerate(row) if c}
+    else:
+        nums = {e: row[0] for e, row in rows.items() if row[0]}
+    result = _reduced(vs, nums, den)
 
     for xk, vk in zip(xs[degree_bound + 1:], values[degree_bound + 1:]):
-        predicted = result.subs({var: Fraction(xk)})
+        at_xk = {}
+        for e, row in rows.items():
+            acc = 0
+            for c in reversed(row):
+                acc = acc * xk + c
+            if acc:
+                at_xk[e] = acc
+        predicted = _reduced(vs, at_xk, den)
         if predicted != vk:
             raise InterpolationError(
                 f"degree-{degree_bound} fit fails at {var}={xk}: "

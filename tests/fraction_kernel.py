@@ -8,6 +8,8 @@ purpose.  Nothing under ``src/`` imports it; ``tests/test_symbolic.py``
 checks the production kernel against it, operation by operation, including
 the variable tuple each result carries, and
 ``tests/test_asymptotics.py`` re-solves the B_j and P_j tables with it.
+``interpolate_poly`` is the Lagrange fit over ``RatPoly`` products that the
+production kernel replaced with an integer fit over one common denominator.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
+
+from cubecount.errors import InterpolationError
 
 Scalar = Union[int, Fraction]
 
@@ -628,3 +632,56 @@ def log_ratio_expand(x: TruncSeries, t: int) -> TruncSeries:
         if i < t - 1:
             power = power * x
     return out
+
+
+def interpolate_poly(points: Sequence[tuple[int, object]], degree_bound: int,
+                     var: str = "d") -> RatPoly:
+    """Exact Lagrange interpolation with a consistency check.
+
+    ``points`` maps grid values of ``var`` to either Fractions/ints or
+    RatPoly values (interpolated coefficient-wise).  Requires at least
+    degree_bound + 2 points; the fit uses the first degree_bound + 1 and every
+    remaining point must match exactly, else InterpolationError.
+    """
+    if degree_bound < 0:
+        raise ValueError("degree bound must be nonnegative")
+    if len(points) < degree_bound + 2:
+        raise ValueError(
+            f"need at least {degree_bound + 2} sample points "
+            f"(degree bound {degree_bound} plus one check point), got {len(points)}")
+    xs = [p[0] for p in points]
+    if len(set(xs)) != len(xs):
+        raise ValueError("sample points must be distinct")
+
+    values = []
+    for _, v in points:
+        if isinstance(v, (int, Fraction)):
+            values.append(RatPoly.const(v))
+        elif isinstance(v, RatPoly):
+            values.append(v)
+        else:
+            raise TypeError("sample values must be rationals or RatPoly")
+
+    fit_x = xs[: degree_bound + 1]
+    fit_v = values[: degree_bound + 1]
+    t = RatPoly.var(var)
+    result = RatPoly.const(0)
+    for i, (xi, vi) in enumerate(zip(fit_x, fit_v)):
+        if var in vi.vars and vi.degree(var) > 0:
+            raise ValueError(f"sample values may not involve the interpolation variable {var!r}")
+        basis = RatPoly.const(1)
+        denom = Fraction(1)
+        for j, xj in enumerate(fit_x):
+            if j == i:
+                continue
+            basis = basis * (t - RatPoly.const(xj))
+            denom *= Fraction(xi - xj)
+        result = result + vi * basis * (1 / denom)
+
+    for xk, vk in zip(xs[degree_bound + 1:], values[degree_bound + 1:]):
+        predicted = result.subs({var: Fraction(xk)})
+        if predicted != vk:
+            raise InterpolationError(
+                f"degree-{degree_bound} fit fails at {var}={xk}: "
+                f"predicted {predicted.text()}, observed {vk.text()}")
+    return result

@@ -285,6 +285,31 @@ def test_structured_count_takes_large_fixed_counts_quickly():
         asym.structured_count(Fraction(1, 2), 24, fixed_types={s1: k + 1})
 
 
+@pytest.mark.parametrize("j", range(1, asym.MAX_EXACT_J + 1))
+@pytest.mark.parametrize("size", [False, True])
+def test_beta_x_coefficient_keeps_the_read_powers_of_X(j, size):
+    """(1-beta)^c * R_j (or F_j) at lam = (beta+X)/(1-beta), expanded in
+    full, agrees with _beta_x_coefficient on every term of X-degree
+    <= MAX_EXACT_J - j, and those are all the terms it has."""
+    p = asym.R_poly(j)
+    lam = RatPoly.var("lam")
+    if size:
+        p = lam * ((lam + 1) * p.derivative("lam") - RatPoly.var("d") * j * p)
+    c = p.degree("lam")
+    bx = RatPoly.var("beta") + RatPoly.var("X")
+    omb = 1 - RatPoly.var("beta")
+    full = RatPoly.const(0)
+    for i, coef in p.as_univariate("lam").items():
+        full = full + coef * bx ** i * omb ** (c - i)
+    top = asym.MAX_EXACT_J - j
+    assert full.vars == ("X", "beta", "d")
+    kept = RatPoly(full.vars, {e: v for e, v in full.terms.items() if e[0] <= top})
+    assert full.degree("X") > top or j == 1  # R_1 and F_1 have lam-degree <= 2
+    got, got_c = asym._beta_x_coefficient(j, size)
+    assert got_c == c
+    assert got.to_json() == kept.to_json()
+
+
 def test_caches_cleared_results_stable():
     before = asym.R_poly(2)
     asym.clear_caches()

@@ -275,6 +275,38 @@ def test_rescaled_cluster_sum_matches_enumeration_at_d():
                     seed_cluster_sum_poly(d, k, obs), (d, k, obs.label())
 
 
+def ratpoly_cluster_sum_poly(d: int, k: int, obs: cl.Observable) -> RatPoly:
+    """cluster_sum's polynomial from the same stratum table in Fraction and
+    RatPoly arithmetic: sum_e coef_e * (lam+1)^e, with coef_e the entries
+    of exponent e rescaled to d by C(d, a)/C(b, a) and weighed by the
+    observable."""
+    b = min(d, cl.free_dim(k))
+    table = cl._stratum_table(b, k, obs.type_key, None)
+    by_exponent = {}
+    for ((e, n), a), r in table.items():
+        coef = r * Fraction(math.comb(d, a), math.comb(b, a)) * obs.value(k, k * d - e, n)
+        by_exponent[e] = by_exponent.get(e, 0) + coef
+    poly = RatPoly.const(0)
+    for e, coef in sorted(by_exponent.items()):
+        if coef:
+            poly = poly + (RatPoly.var("lam") + 1) ** e * coef
+    return poly
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_integer_cluster_sum_matches_ratpoly_arithmetic(k):
+    """Equal JSON, so the same variables too: k = 1 has no lam."""
+    observables = (cl.Observable.one(), cl.Observable.size(), cl.Observable.size(3),
+                   cl.Observable.nbhd(), cl.Observable.nbhd(2), cl.Observable.size_nbhd(),
+                   cl.Observable.type_count("s1c0g0"),
+                   cl.Observable.type_count("s2c2g1", 2))
+    for d in (2, 2 * k + 1, cl.free_dim(k), cl.free_dim(k) + 1, 14, 24):
+        for obs in observables:
+            got = cl.cluster_sum(d, k, obs).poly
+            want = ratpoly_cluster_sum_poly(d, k, obs)
+            assert got.to_json() == want.to_json(), (d, k, obs.label())
+
+
 def folded_stratum_table(b: int, k: int, type_key: str | None) -> dict:
     """_stratum_table by definition: every rooted cluster at b folded, with
     no prefix representatives and no C(b, a) weights."""

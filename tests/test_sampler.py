@@ -516,6 +516,27 @@ def test_pooled_bins_stop_at_41():
         assert sm._poisson_gof(counts, mean)["df"] == 40
 
 
+def test_pooled_bins_do_not_overflow():
+    # 100.0 ** 160 is too large for a float, and so is every k! past 170!
+    for top in (160, 400):
+        counts = [0] * 9999 + [top]
+        observed, expected = sm._pooled_bins(counts, 100.0)
+        assert sum(observed) == 10_000
+        assert math.isclose(sum(expected), 10_000)
+        assert min(expected) >= 5
+    assert math.isclose(sm._poisson_pmf(160, 100.0),
+                        math.exp(160 * math.log(100.0) - 100.0 - math.lgamma(161)))
+    assert sm._poisson_pmf(400, 0.0) == 0.0
+    # wherever the float expression is finite, the pmf is exactly that float
+    for mean in (0.0, 0.25, 3.0, 41.5, 100.0, 150.0):
+        for k in range(171):
+            try:
+                want = math.exp(-mean) * mean ** k / math.factorial(k)
+            except OverflowError:
+                continue
+            assert sm._poisson_pmf(k, mean) == want, (k, mean)
+
+
 def test_chdtrc_is_chi2_sf():
     from scipy import special, stats
     for df in range(1, 31):

@@ -302,3 +302,102 @@ def test_ratfunc_arithmetic_matches_the_fraction_kernel(p, q, exps):
     assert same(f1 - g1, f0 - g0)
     assert same(f1 * g1, f0 * g0)
     assert (f1 == g1) == (f0 == g0)
+
+
+wide_fracs = st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 9)
+
+
+@given(poly_pairs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_eval_matches_the_fraction_kernel(p, data):
+    """One common denominator gives the Fraction kernel's value, for int and
+    Fraction values, zero among them; a missing variable raises in both."""
+    p1, p0 = p
+    point = {v: data.draw(st.one_of(st.integers(-5, 5), wide_fracs)) for v in DIFF_VARS}
+    assert p1.eval(point) == p0.eval(point)
+    b = data.draw(wide_fracs.filter(lambda x: x not in (0, 1)))
+    point[BETA] = b
+    a, c = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    assert RatFunc(p1, a, c).eval(point) == ref.RatFunc(p0, a, c).eval(point)
+    gone = data.draw(st.sampled_from(DIFF_VARS))
+    del point[gone]
+    if p0.degree(gone) > 0:
+        for q in (p1, p0):
+            with pytest.raises(ValueError, match="missing values"):
+                q.eval(point)
+    else:
+        assert p1.eval(point) == p0.eval(point)
+
+
+INTERP_VARS = ("X", "beta")
+
+
+@st.composite
+def interpolation_cases(draw):
+    """Sample points of a random polynomial of d-degree <= degree_bound in
+    0-2 further variables, on distinct integer grid points with a negative
+    one among them, as (new points, reference points, degree_bound).  Each
+    value is given over the same variables, sometimes with an unused extra
+    one, and a constant over no variables sometimes as a plain Fraction."""
+    degree_bound = draw(st.integers(0, 4))
+    vs = tuple(v for v in INTERP_VARS if draw(st.booleans()))
+    target = {}
+    for _ in range(draw(st.integers(0, 5))):
+        e = tuple(draw(st.integers(0, 2)) for _ in vs)
+        k = draw(st.integers(0, degree_bound))
+        target[e, k] = target.get((e, k), 0) + draw(fracs)
+    xs = draw(st.lists(st.integers(-6, 12), min_size=degree_bound + 2,
+                       max_size=degree_bound + 4, unique=True))
+    if min(xs) >= 0:
+        xs[draw(st.integers(0, len(xs) - 1))] = -7
+    extra = draw(st.booleans())
+    new, old = [], []
+    for x in xs:
+        terms = {}
+        for (e, k), c in target.items():
+            terms[e] = terms.get(e, 0) + c * x ** k
+        if not vs and not extra and draw(st.booleans()):
+            value = terms.get((), Fraction(0))
+            new.append((x, value))
+            old.append((x, value))
+            continue
+        pvs, pterms = vs, terms
+        if extra:
+            pvs = tuple(sorted(vs + ("B1",)))
+            at = pvs.index("B1")
+            pterms = {e[:at] + (0,) + e[at:]: c for e, c in terms.items()}
+        new.append((x, RatPoly(pvs, pterms)))
+        old.append((x, ref.RatPoly(pvs, pterms)))
+    return new, old, degree_bound
+
+
+@given(interpolation_cases(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_interpolation_matches_the_fraction_kernel(case, data):
+    """The integer fit prints the reference fit's JSON, variables included;
+    an inconsistent spare point raises InterpolationError in both."""
+    new, old, bound = case
+    got = interpolate_poly(new, bound)
+    want = ref.interpolate_poly(old, bound)
+    assert canonical(got) and got.to_json() == want.to_json()
+    spare = data.draw(st.integers(bound + 1, len(new) - 1))
+    bump = data.draw(fracs.filter(bool))
+    x, v = new[spare]
+    new[spare] = (x, v + bump)
+    x, v = old[spare]
+    old[spare] = (x, v + bump)
+    with pytest.raises(InterpolationError) as err_new:
+        interpolate_poly(new, bound)
+    with pytest.raises(InterpolationError) as err_old:
+        ref.interpolate_poly(old, bound)
+    assert str(err_new.value) == str(err_old.value)
+
+
+def test_interpolation_refuses_values_in_the_interpolation_variable():
+    pts = [(1, d_var + 1), (2, RatPoly.const(3)), (3, RatPoly.const(4))]
+    with pytest.raises(ValueError, match="interpolation variable"):
+        interpolate_poly(pts, degree_bound=1)
+    with pytest.raises(TypeError):
+        interpolate_poly([(1, 1.0), (2, 2), (3, 3)], degree_bound=1)
+    with pytest.raises(ValueError, match="distinct"):
+        interpolate_poly([(1, 1), (1, 2), (3, 3)], degree_bound=1)
