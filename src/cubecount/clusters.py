@@ -28,7 +28,14 @@ an earlier one, H is connected by construction, and no multiset is built
 only to be discarded.  The candidate entries are the polymers that the
 polymers module's one growth kernel, polymers._grow_polymers, grows from
 each vertex of that target set; the rooted start supports and the full
-universe of _universe_counts come from the same kernel.
+universe of _universe_counts come from the same kernel.  The walk carries
+what it knows of each multiset: the key (its sorted support tuples, a new
+entry inserted by bisection), each entry's N(S), computed once when the
+entry joins, the union, the union's active mask and the total size.
+_stratum_table and enumerate_clusters fold from that record alone.  Two
+entries interact exactly when their N(S) meet, since a shared vertex puts
+its neighbors in both; _orderings_phi reads H that way, as
+exact._collection_counts reads compatibility.
 
 Active coordinates.  A rooted cluster's active coordinates are the ones in
 which some vertex of its union differs from the root V0; there are at most
@@ -63,6 +70,7 @@ differential reference for the tables.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
@@ -247,51 +255,28 @@ class Cluster(NamedTuple):
     phi: Fraction
 
 
-def _multiset_key(supports: list[frozenset]) -> tuple[tuple[int, ...], ...]:
-    return tuple(sorted(tuple(sorted(s)) for s in supports))
-
-
-def _interaction_edges(supports: list[frozenset], nbhds: list[set[int]]) \
-        -> tuple[tuple[int, int], ...]:
-    edges = []
-    for i in range(len(supports)):
-        for j in range(i + 1, len(supports)):
-            if supports[i] & supports[j] or nbhds[i] & nbhds[j]:
-                edges.append((i, j))
-    return tuple(edges)
-
-
-def _orderings(key: tuple[tuple[int, ...], ...]) -> int:
-    mults: dict[tuple[int, ...], int] = {}
-    for s in key:
-        mults[s] = mults.get(s, 0) + 1
-    out = math.factorial(len(key))
-    for m in mults.values():
-        out //= math.factorial(m)
-    return out
-
-
-def _build_cluster(key: tuple[tuple[int, ...], ...], d: int) -> Cluster:
-    """Assemble cluster data; H is connected by construction (module docstring)."""
-    supports = [frozenset(s) for s in key]
-    nbhds = [hc._neighborhood(s, d) for s in supports]
-    union: set[int] = set()
-    for s in supports:
-        union |= s
-    return Cluster(
-        supports=key,
-        total_size=sum(len(s) for s in supports),
-        nbhd_total=sum(len(nb) for nb in nbhds),
-        union_size=len(union),
-        orderings=_orderings(key),
-        phi=_ursell_cached(len(supports), _interaction_edges(supports, nbhds)),
-    )
+def _orderings_phi(key: tuple[tuple[int, ...], ...], nbhds: list[set[int]]) \
+        -> tuple[int, Fraction]:
+    """The orderings factor and phi of a multiset: the entries of `key` and
+    their neighborhoods `nbhds`, aligned, repeats adjacent.  Two entries
+    interact when their N(S) meet (module docstring, Connectivity)."""
+    n = len(key)
+    orderings = math.factorial(n)
+    run = 1
+    for i in range(1, n):
+        run = run + 1 if key[i] == key[i - 1] else 1
+        orderings //= run
+    edges = tuple((i, j) for i in range(n) for j in range(i + 1, n)
+                  if not nbhds[i].isdisjoint(nbhds[j]))
+    return orderings, _ursell_cached(n, edges)
 
 
 def _multisets(d: int, max_total: int, starts: Iterable[frozenset],
                bud: list[int] | None, prefix_cut: bool) -> Iterator[tuple]:
-    """The key of every rooted multiset of total size <= max_total grown from
-    `starts`, each once (module docstring, Connectivity).
+    """Every rooted multiset of total size <= max_total grown from `starts`,
+    each once (module docstring, Connectivity), as (key, nbhds, union, mask,
+    total): the sorted support tuples, their neighborhoods aligned with
+    them, the union of the supports, its active mask and the total size.
 
     With prefix_cut, a support joins only while the union, at total size t,
     may still become a prefix with room max_total - t (polymers'
@@ -300,12 +285,9 @@ def _multisets(d: int, max_total: int, starts: Iterable[frozenset],
     """
     seen_keys: set[tuple] = set()
 
-    def rec(supports: list[frozenset], total: int) -> Iterator[tuple]:
-        key = _multiset_key(supports)
-        if key in seen_keys:
-            return
-        seen_keys.add(key)
-        yield key
+    def rec(key: tuple, nbhds: list[set[int]], union: frozenset, umask: int,
+            total: int) -> Iterator[tuple]:
+        yield key, nbhds, union, umask, total
         room = max_total - total
         if room < 1:
             return
@@ -313,26 +295,32 @@ def _multisets(d: int, max_total: int, starts: Iterable[frozenset],
             bud[0] -= 1
             if bud[0] < 0:
                 raise BudgetExceededError("cluster enumeration budget exhausted")
-        union: set[int] = set()
-        for s in supports:
-            union |= s
         targets = set(union)
         for v in union:
             targets.update(hc._square_neighbors(v, d))
         keep = None
         if prefix_cut:
-            umask = pm._active_mask(union)
-
             def keep(mask: int, n: int) -> bool:
                 return pm._may_become_prefix(mask | umask, room - n)
         touching: set[frozenset] = set()
-        for w in sorted(targets):
+        for w in targets:
             touching.update(pm._grow_polymers(d, w, room, bud, keep))
-        for cand in sorted(touching, key=lambda s: tuple(sorted(s))):
-            yield from rec(supports + [cand], total + len(cand))
+        for cand in touching:
+            s = tuple(sorted(cand))
+            i = bisect_right(key, s)
+            child = key[:i] + (s,) + key[i:]
+            if child in seen_keys:
+                continue
+            seen_keys.add(child)
+            yield from rec(child, nbhds[:i] + [hc._neighborhood(cand, d)] + nbhds[i:],
+                           union | cand, umask | pm._active_mask(cand),
+                           total + len(cand))
 
+    # the starts are distinct and every child has two entries or more, so no
+    # start needs a seen_keys entry
     for start in starts:
-        yield from rec([start], len(start))
+        yield from rec((tuple(sorted(start)),), [hc._neighborhood(start, d)], start,
+                       pm._active_mask(start), len(start))
 
 
 def enumerate_clusters(d: int, max_total: int,
@@ -347,10 +335,12 @@ def enumerate_clusters(d: int, max_total: int,
     if max_total < 1:
         raise ValueError("max_total must be >= 1")
     bud = [budget] if budget is not None else None
-    keys = _multisets(d, max_total, pm.rooted_polymer_supports(d, max_total, budget),
-                      bud, False)
-    return sorted((_build_cluster(key, d) for key in keys),
-                  key=lambda c: (c.total_size, c.supports))
+    out = []
+    for key, nbhds, union, _, total in _multisets(
+            d, max_total, pm.rooted_polymer_supports(d, max_total, budget), bud, False):
+        orderings, phi = _orderings_phi(key, nbhds)
+        out.append(Cluster(key, total, sum(map(len, nbhds)), len(union), orderings, phi))
+    return sorted(out, key=lambda c: (c.total_size, c.supports))
 
 
 # -- stratum sums ----------------------------------------------------------------
@@ -378,16 +368,16 @@ def _stratum_table(b: int, k: int, type_key: str | None, budget: int | None) -> 
         return hit
     bud = [budget] if budget is not None else None
     table: dict = {}
-    for key in _multisets(b, k, pm._prefix_candidates(b, k, bud), bud, True):
-        mask = pm._active_mask(v for s in key for v in s)
-        if sum(map(len, key)) != k or not pm._is_prefix(mask):
+    for key, nbhds, union, mask, total in _multisets(
+            b, k, pm._prefix_candidates(b, k, bud), bud, True):
+        if total != k or not pm._is_prefix(mask):
             continue
-        c = _build_cluster(key, b)
+        orderings, phi = _orderings_phi(key, nbhds)
         n = sum(pm.classify(s, b).key == type_key for s in key) if type_key else 0
         a = mask.bit_count()
-        bucket = ((k * b - c.nbhd_total, n), a)
+        bucket = ((k * b - sum(map(len, nbhds)), n), a)
         table[bucket] = (table.get(bucket, 0)
-                         + Fraction(c.orderings * math.comb(b, a), c.union_size) * c.phi)
+                         + Fraction(orderings * math.comb(b, a), len(union)) * phi)
     if len(_table_cache) >= _TABLE_CACHE_SIZE:
         del _table_cache[next(iter(_table_cache))]
     _table_cache[(b, k, type_key)] = table

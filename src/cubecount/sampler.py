@@ -57,7 +57,8 @@ import random
 import signal
 import sys
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import add
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import hypercube as hc
@@ -410,12 +411,19 @@ def extract_defects(state: ChainState, debug: bool = False) -> DefectReport:
 # -- statistics ---------------------------------------------------------------------
 
 
+def _float_sum(xs: Iterable[float]) -> float:
+    """The floats added left to right, rounded at each step, as sum() adds
+    them before Python 3.12; from 3.12 sum() compensates the rounding, which
+    moves the last digits of the printed statistics."""
+    return reduce(add, xs, 0)
+
+
 def _mean_var(xs: list[float]) -> tuple[float, float]:
     n = len(xs)
-    m = sum(xs) / n
+    m = _float_sum(xs) / n
     if n < 2:
         return m, 0.0
-    return m, sum((x - m) ** 2 for x in xs) / (n - 1)
+    return m, _float_sum((x - m) ** 2 for x in xs) / (n - 1)
 
 
 def _poisson_pmf(k: int, mean: float) -> float:
@@ -493,8 +501,8 @@ def _moments(xs: list[float]) -> dict:
     sd = math.sqrt(v) if v > 0 else 0.0
     skew = kurt = 0.0
     if sd > 0:
-        skew = sum((x - m) ** 3 for x in xs) / n / sd ** 3
-        kurt = sum((x - m) ** 4 for x in xs) / n / sd ** 4 - 3.0
+        skew = _float_sum((x - m) ** 3 for x in xs) / n / sd ** 3
+        kurt = _float_sum((x - m) ** 4 for x in xs) / n / sd ** 4 - 3.0
     return {"mean": m, "var": v, "skew": skew, "excess_kurtosis": kurt}
 
 
@@ -580,7 +588,7 @@ def defect_statistics(states: Iterable[ChainState],
         xb = [float(x) for x in columns[b]]
         ma, va = _mean_var(xa)
         mb, vb = _mean_var(xb)
-        cov = sum((x - ma) * (y - mb) for x, y in zip(xa, xb)) / (n - 1)
+        cov = _float_sum((x - ma) * (y - mb) for x, y in zip(xa, xb)) / (n - 1)
         corr = cov / math.sqrt(va * vb) if va > 0 and vb > 0 else 0.0
         joint = {"types": [a, b], "cov": cov, "corr": corr}
 

@@ -244,7 +244,7 @@ def _q2_stationary_pvalue(seed: int = 12345) -> float:
         counts[s.occupancy] += 1
     n = len(states)
     expected = n / len(masks)  # lam=1: uniform over independent sets
-    stat = sum((counts[m] - expected) ** 2 / expected for m in masks)
+    stat = sampler._float_sum((counts[m] - expected) ** 2 / expected for m in masks)
     return chdtrc(len(masks) - 1, stat)
 
 

@@ -1,5 +1,6 @@
 """Ursell coefficients, stratum sums, and the two truncation gradings."""
 
+import collections
 import hashlib
 import itertools
 import json
@@ -328,6 +329,73 @@ def test_stratum_table_matches_every_rooted_cluster(b):
             cl.clear_caches()
             assert cl._stratum_table(b, k, type_key, None) == \
                 folded_stratum_table(b, k, type_key), (b, k, type_key)
+
+
+def partitions(total: int, largest: int | None = None):
+    """The partitions of total into parts of at most `largest`, each as a
+    nonincreasing tuple."""
+    if total == 0:
+        yield ()
+        return
+    for part in range(min(total, largest or total), 0, -1):
+        for rest in partitions(total - part, part):
+            yield (part,) + rest
+
+
+def brute_force_clusters(d: int, k: int) -> list[cl.Cluster]:
+    """Every rooted cluster of total size <= k from the definitions alone.
+
+    The polymers are the odd sets of size <= k that are connected under
+    distance-2 steps and whose closure covers at most half the side, found
+    by itertools.combinations rather than the growth kernel.  The
+    multisets of each size partition of t <= k are formed by
+    combinations_with_replacement; one is a cluster when its union holds V0
+    and its interaction graph (a shared vertex or a shared neighbor) is
+    connected, which phi != 0 decides."""
+    half = hc.n_side(d) // 2
+    by_size = {t: [s for s in itertools.combinations(hc.odd_side(d), t)
+                   if len(hc.square_components(s, d)) == 1
+                   and len(hc.closure(s, d)) <= half]
+               for t in range(1, k + 1)}
+    out = []
+    for total in range(1, k + 1):
+        for part in partitions(total):
+            groups = [itertools.combinations_with_replacement(by_size[t], m)
+                      for t, m in collections.Counter(part).items()]
+            for combo in itertools.product(*groups):
+                key = tuple(sorted(s for group in combo for s in group))
+                union = set().union(*key)
+                if pm.V0 not in union:
+                    continue
+                nbhds = [set(hc.neighborhood(s, d)) for s in key]
+                n = len(key)
+                edges = [(i, j) for i, j in itertools.combinations(range(n), 2)
+                         if set(key[i]) & set(key[j]) or nbhds[i] & nbhds[j]]
+                phi = cl.ursell_recursive(n, edges)
+                if phi == 0:
+                    continue
+                orderings = math.factorial(n)
+                for m in collections.Counter(key).values():
+                    orderings //= math.factorial(m)
+                out.append(cl.Cluster(key, total, sum(map(len, nbhds)), len(union),
+                                      orderings, phi))
+    return sorted(out, key=lambda c: (c.total_size, c.supports))
+
+
+@pytest.mark.parametrize("d, k", [(d, k) for d in (3, 4, 5, 6) for k in (1, 2, 3)]
+                         + [(3, 4), (4, 4), (5, 4)])
+def test_enumerated_clusters_match_brute_force(d, k):
+    assert cl.enumerate_clusters(d, k) == brute_force_clusters(d, k)
+
+
+def test_stratum_tables_build_no_cluster(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stratum table built a Cluster")
+
+    cl.clear_caches()
+    monkeypatch.setattr(cl, "Cluster", refuse)
+    cl.cluster_sum(10, 3)
+    cl.cluster_sum(9, 3, cl.Observable.type_count("s1c0g0"))
 
 
 def test_budgeted_r_poly_enumerates_each_base_dimension_once(monkeypatch):

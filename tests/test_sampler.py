@@ -437,6 +437,12 @@ def test_defect_statistics_shapes_and_zscores():
     assert obj["d"] == d and obj["samples"] == len(states)
 
 
+def test_statistics_sum_floats_left_to_right():
+    # a compensated sum (sum() from Python 3.12, math.fsum) keeps the 1.0;
+    # left to right it is lost in 1e16 + 1.0, on every Python
+    assert sm._mean_var([1e16, 1.0, -1e16])[0] == 0.0
+
+
 def test_csv_log_format():
     states = run(steps=600, burn_in=100, thin=100)
     reports = [sm.extract_defects(s) for s in states]
