@@ -7,17 +7,20 @@ by popcount parity, and each side has n_side(d) = 2^(d-1) vertices.
 Vertex sets cross API boundaries as sorted tuples (ascending numeric order);
 internally most routines work with Python sets.  All functions are pure.
 
-This module is the one implementation of the distance-2 neighbor list, the
-neighborhood N(S) and the closure.  The public square_neighbors,
-neighborhood and closure check their arguments and call the unchecked
-kernels _square_neighbors, _neighborhood and _closure, which the polymer and
-cluster enumerations in polymers and clusters call directly on vertex sets
-they built themselves.  Nothing is cached.
+This module is the one implementation of the distance-2 neighbor list and
+components, the neighborhood N(S) and the closure.  The public
+square_neighbors, square_components, neighborhood and closure check their
+arguments and call the unchecked kernels _square_neighbors,
+_square_components, _neighborhood and _closure, which the polymer and
+cluster enumerations and the sampler's defect extraction call directly on
+vertex sets they built themselves.  The one cache is _square_masks: a tuple
+of C(d, 2) ints per dimension, at most MAX_DIM of them.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
 from typing import Collection, Iterable
 
 MAX_DIM = 24  # 2^24-entry side masks are still cheap; beyond that, refuse
@@ -52,10 +55,16 @@ def neighbors(v: int, d: int) -> tuple[int, ...]:
     return tuple(sorted(v ^ (1 << i) for i in range(d)))
 
 
+@lru_cache(maxsize=MAX_DIM)
+def _square_masks(d: int) -> tuple[int, ...]:
+    """The C(d, 2) masks (1 << i) ^ (1 << j), i < j < d: v ^ m runs over the
+    vertices at distance 2 from v."""
+    return tuple((1 << i) ^ (1 << j) for i in range(d) for j in range(i + 1, d))
+
+
 def _square_neighbors(v: int, d: int) -> tuple[int, ...]:
     """Vertices at Hamming distance exactly 2 from v, ascending; unchecked."""
-    return tuple(sorted([v ^ (1 << i) ^ (1 << j)
-                         for i in range(d) for j in range(i + 1, d)]))
+    return tuple(sorted([v ^ m for m in _square_masks(d)]))
 
 
 def square_neighbors(v: int, d: int) -> tuple[int, ...]:
@@ -120,6 +129,27 @@ def closure(vertices: Iterable[int], d: int) -> tuple[int, ...]:
     return tuple(sorted(_closure(vs, d)))
 
 
+def _square_components(vs: Collection[int], d: int) -> list[set[int]]:
+    """Connected components of S under distance-2 adjacency, as sets in no
+    particular order; unchecked."""
+    masks = _square_masks(d)
+    remaining = set(vs)
+    comps = []
+    while remaining:
+        frontier = [remaining.pop()]
+        comp = set(frontier)
+        while frontier:
+            v = frontier.pop()
+            for m in masks:
+                u = v ^ m
+                if u in remaining:
+                    remaining.remove(u)
+                    comp.add(u)
+                    frontier.append(u)
+        comps.append(comp)
+    return comps
+
+
 def square_components(vertices: Iterable[int], d: int) -> tuple[tuple[int, ...], ...]:
     """Connected components of S under distance-2 adjacency.
 
@@ -129,21 +159,7 @@ def square_components(vertices: Iterable[int], d: int) -> tuple[tuple[int, ...],
     vs = set(vertices)
     for v in vs:
         check_vertex(v, d)
-    comps = []
-    remaining = set(vs)
-    while remaining:
-        root = min(remaining)
-        comp = {root}
-        frontier = [root]
-        while frontier:
-            v = frontier.pop()
-            for u in _square_neighbors(v, d):
-                if u in remaining and u not in comp:
-                    comp.add(u)
-                    frontier.append(u)
-        remaining -= comp
-        comps.append(tuple(sorted(comp)))
-    return tuple(sorted(comps, key=lambda c: c[0]))
+    return tuple(sorted(tuple(sorted(c)) for c in _square_components(vs, d)))
 
 
 def is_independent(mask: int, d: int) -> bool:

@@ -28,18 +28,19 @@ masks and n^2/9 of the masks X[v], 0.18 n^2 in all (767 MB at d = 16, where
 ru_maxrss reads 753 MB), so larger d is refused before anything is built.
 
 A long run splits across two processes, the only way the sampler uses a
-second CPU: sample_chains runs its chains one after another.  After the
-burn-in, when at least _SPLIT_MIN_STEPS steps remain, two CPUs are usable
-and d <= _SPLIT_MAX_DIM, glauber_run forks once.  The child discards the
-draws up to a snapshot step H near the middle, runs the chain from H
-starting at the post-burn-in state, writes each snapshot as a fixed-size
-record of a shared anonymous mapping and exits.  Two copies of the chain
-that use the same draws meet within a few thousand steps (the grand
-coupling of Propp and Wilson), so the parent steps the true chain past H
-until the child has exited cleanly and the two are equal at a snapshot,
-and then yields the child's records, which are exact from there on.  If
-no snapshot matches, or the child fails, the parent finishes alone: the
-snapshots never depend on the split.
+second CPU: sample_chains runs its chains one after another.  When at least
+_SPLIT_MIN_STEPS steps follow the burn-in, two CPUs are usable and
+d <= _SPLIT_MAX_DIM, glauber_run forks once, before the burn-in.  The child
+discards the draws up to a snapshot step H near the middle while the parent
+runs the burn-in, and the parent then hands it the post-burn-in state in one
+message on a pipe.  The child runs the chain from H starting at that state,
+writes each snapshot as a fixed-size record of a shared anonymous mapping
+and exits.  Two copies of the chain that use the same draws meet within a
+few thousand steps (the grand coupling of Propp and Wilson), so the parent
+steps the true chain past H until the child has exited cleanly and the two
+are equal at a snapshot, and then yields the child's records, which are
+exact from there on.  If no snapshot matches, or the child fails, the
+parent finishes alone: the snapshots never depend on the split.
 
 Defects are the distance-2 components of the minority side of a sample
 (ties resolved to the odd side); their type statistics are compared against
@@ -50,6 +51,7 @@ neither numpy nor scipy.
 
 from __future__ import annotations
 
+import itertools
 import math
 import mmap
 import os
@@ -59,7 +61,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import add
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from . import hypercube as hc
 from . import polymers as pm
@@ -124,13 +126,24 @@ _DRAW_BLOCK = 1 << 14
 _SPLIT_MIN_STEPS = 1 << 20
 _SPLIT_MIN_SNAPSHOTS = 8
 _SPLIT_MAX_DIM = 14
-# The parent steps from the burn-in to H; the child discards H steps' draws,
-# each about an eighth of a step's cost (0.013 against 0.112 us at d = 10,
-# lam = 1), and steps from H to the last snapshot.  Both finish at about one
-# time for H = (burn_in + last) / 1.88.  Whole d = 10 chains of 4.2M steps
-# took 0.273 / 0.270 / 0.272 / 0.279 / 0.284 s (medians of 10) for divisors
-# 1.8 / 1.85 / 1.9 / 1.95 / 2.0, and 1.85 against 1.9 was a tie in a rerun.
-_SPLIT_BALANCE = 1.9
+# _SPLIT_BALANCE is r = c_discard / c_step, the cost of discarding a step's
+# draws against that of the step: 0.013 against 0.112 us at d = 10, lam = 1.
+# In units of c_step, the parent runs the burn-in B and steps on to H, where
+# it is at time H.  The child, forked at time 0, discards H steps' draws by
+# time rH, but it starts stepping only when it also holds the state the
+# parent hands it at time B, so at max(B, rH), and it ends last - H later.
+# Both finish together when H = max(B, rH) + last - H, that is at
+# H = last / (2 - r) where rH >= B and at H = (B + last) / 2 where rH <= B.
+# The right side less H falls as H grows, so H is the larger of the two, and
+# the cases switch exactly where rH = B.  A larger d makes a step dearer and
+# r smaller, but the burn-in of 10 d 2^d steps then sets H.  Against a fork
+# after the burn-in with H = (B + last) / 1.9, cold `sample --lam 1 --thin
+# 4096` runs fell from 328 to 310 ms at d = 10 (1000 samples, seed 7; the
+# discard case), 292 to 266 ms at d = 12 and 1331 to 1255 ms at d = 14 (400
+# samples, seed 3; the burn-in case), medians of 15, 11 and 7 on 2 vCPUs.
+# A balance on the discard alone would leave the child at d = 12 and 14
+# blocked on a burn-in that outlasts its discard.
+_SPLIT_BALANCE = 0.013 / 0.112
 
 
 def _coin_table(t: int) -> bytes:
@@ -237,33 +250,44 @@ def _split_step(d: int, burn_in: int, last: int, thin: int) -> int | None:
         cpus = os.cpu_count() or 1
     if cpus < 2:
         return None
-    k = round(((burn_in + last) / _SPLIT_BALANCE - burn_in) / thin)
-    h = burn_in + k * thin
+    h = max(last / (2 - _SPLIT_BALANCE), (burn_in + last) / 2)
+    # h - burn_in >= (last - burn_in) / 2, so wherever the snapshot gate
+    # passes, h rounds to a snapshot step after the burn-in
+    h = burn_in + round((h - burn_in) / thin) * thin
     return h if (last - h) // thin >= _SPLIT_MIN_SNAPSHOTS else None
 
 
-def _split_snapshots(chain: Iterator[tuple[int, int]], occ: int, h: int,
-                     last: int, thin: int, nbytes: int,
-                     resume: Callable[[int, int], Iterator[tuple[int, int]]],
+def _split_snapshots(chain: Iterator[tuple[int, int]],
+                     ahead: Iterator[memoryview], bits: list[int],
+                     occupy: list[int], h: int, last: int, thin: int,
                      ) -> Iterator[tuple[int, int]]:
-    """The snapshots of `chain`, whose state after the burn-in is `occ`, with
-    those after step h computed ahead by a forked child.
+    """The snapshots of `chain`, the first of them the state after the
+    burn-in, with those after step h computed ahead by a child forked before
+    the burn-in.
 
-    The child runs `resume(occ, h)`, the chain from occupancy `occ` after h
-    steps with snapshots every `thin` steps, and writes its snapshot at step
-    h + (k + 1) * thin as record k of a shared mapping, `nbytes`
-    little-endian bytes at offset k * nbytes; it exits 0 only after the last
-    record.  The parent steps `chain` on and checks at each snapshot whether
-    the child has exited.  The chain stepped from the true state at step h
-    and the child's use the same draws, so once the two are equal at some
-    snapshot they stay equal: after a child that exited 0, from the first
-    snapshot equal to its record on, the records are yielded.  If no pair is
-    equal, or the child fails, `chain` yields the rest.
+    The child takes the first block of `ahead`, the step codes after step h,
+    which discards the draws up to h while the parent runs the burn-in.  The
+    parent then writes the post-burn-in occupancy to a pipe as one message of
+    nbytes = n/8 bytes, at most 2 KiB, less than PIPE_BUF, so the write is
+    whole.  The child runs the chain from that occupancy after h steps with
+    `bits` and `occupy` and writes its snapshot at step h + (k + 1) * thin as
+    record k of a shared mapping, `nbytes` little-endian bytes at offset
+    k * nbytes; it exits 0 only after the last record, and 1 if the pipe
+    closes before the whole message.  The parent steps `chain` on and checks
+    at each snapshot whether the child has exited.  The chain stepped from the
+    true state at step h and the child's use the same draws, so once the two
+    are equal at some snapshot they stay equal: after a child that exited 0,
+    from the first snapshot equal to its record on, the records are yielded.
+    If no pair is equal, or the child fails, `chain` yields the rest.
     """
+    nbytes = (len(bits) // 2 + 7) // 8
     records = mmap.mmap(-1, (last - h) // thin * nbytes)
+    rfd, wfd = os.pipe()
     try:
         pid = os.fork()
     except OSError:
+        os.close(rfd)
+        os.close(wfd)
         records.close()
         yield from chain
         return
@@ -272,13 +296,35 @@ def _split_snapshots(chain: Iterator[tuple[int, int]], occ: int, h: int,
         # frames, whose stdio buffers and finally clauses are the parent's
         code = 1
         try:
-            for _, x in resume(occ, h):
+            os.close(wfd)
+            # the discard, which the parent's burn-in overlaps
+            head = next(ahead)
+            msg = b""
+            while len(msg) < nbytes:
+                part = os.read(rfd, nbytes - len(msg))
+                if not part:
+                    raise EOFError("no state after the burn-in")
+                msg += part
+            for _, x in _snapshots(itertools.chain((head,), ahead), bits,
+                                   occupy, int.from_bytes(msg, "little"), h,
+                                   h + thin, thin):
                 records.write(x.to_bytes(nbytes, "little"))
             code = 0
         finally:
             os._exit(code)
+    os.close(rfd)
     reaped = done = False
     try:
+        try:
+            post = next(chain)  # the burn-in
+            os.write(wfd, post[1].to_bytes(nbytes, "little"))
+        except BrokenPipeError:
+            # the child failed before the handoff: it exits non-zero, so the
+            # parent finishes alone
+            pass
+        finally:
+            os.close(wfd)
+        yield post
         for step, occ in chain:
             yield step, occ
             if not reaped:
@@ -342,25 +388,22 @@ def glauber_run(d: int, lam: Fraction, steps: int,
     # steps after the last snapshot are never observed
     last = burn_in + (steps - burn_in) // thin * thin
 
-    def resume(occ: int, done: int) -> Iterator[tuple[int, int]]:
-        return _snapshots(_step_codes(seed, d, p, last, done), bits, occupy,
-                          occ, done, done + thin, thin)
-
-    # the first snapshot is the state after the burn-in, which is not yielded
     chain = _snapshots(_step_codes(seed, d, p, last), bits, occupy, start, 0,
                        burn_in, thin)
-    post = next(chain, None)
-    # The fork waits for the burn-in so that the child starts in the true
-    # chain's phase.  At d = 10, lam = 1, thin 4096 and seeds 7 and 100-103,
-    # a child started at H from the empty set met the true chain at one seed
-    # (after 6 snapshots); at the other four it fell into the other phase
-    # and had not met it by the last of 472 snapshots.  From the post-burn-in
-    # state it met after 2-5 snapshots.
-    h = None if post is None else _split_step(d, burn_in, last, thin)
+    # The child waits for the post-burn-in state so that it starts in the
+    # true chain's phase.  At d = 10, lam = 1, thin 4096 and seeds 7 and
+    # 100-103, a child started at H from the empty set met the true chain at
+    # one seed (after 6 snapshots); at the other four it fell into the other
+    # phase and had not met it by the last of 472 snapshots.  From the
+    # post-burn-in state it met after 2-5 snapshots.
+    h = _split_step(d, burn_in, last, thin)
     if h is not None:
-        chain = _split_snapshots(chain, post[1], h, last, thin, (n + 7) // 8,
-                                 resume)
+        chain = _split_snapshots(chain, _step_codes(seed, d, p, last, h), bits,
+                                 occupy, h, last, thin)
     try:
+        # the first snapshot is the state after the burn-in, which is not
+        # yielded
+        next(chain, None)
         for step, occ in chain:
             if debug:
                 assert hc.is_independent(occ, d), \
@@ -378,23 +421,25 @@ def extract_defects(state: ChainState, debug: bool = False) -> DefectReport:
     d = state.d
     odd_mask = _parity_mask(d)
     if state.odd_size <= state.even_size:
-        side, side_mask = "odd", odd_mask
+        side, bits = "odd", state.occupancy & odd_mask
     else:
-        side, side_mask = "even", ~odd_mask
-    bits = state.occupancy & side_mask
-    vertices = set()
+        side, bits = "even", state.occupancy & ~odd_mask
+    if not bits:
+        return DefectReport(step=state.step, side=side, type_counts=(),
+                            total_size=0, nbhd_total=0)
+    vertices = []
     while bits:
         low = bits & -bits
-        vertices.add(low.bit_length() - 1)
+        vertices.append(low.bit_length() - 1)
         bits ^= low
-    comps = hc.square_components(vertices, d)
+    comps = hc._square_components(vertices, d)
     if debug:
-        assert sorted(v for c in comps for v in c) == sorted(vertices)
+        assert sorted(v for c in comps for v in c) == vertices
     counts: dict[str, int] = {}
     nbhd_total = 0
     for comp in comps:
         if len(comp) <= pm.MAX_TYPE_SIZE:
-            t = pm.classify(comp, d)
+            t = pm.DefectType(*pm._type_of(comp, d))
             key = t.key
             nbhd_total += t.nbhd_size(d)
         else:
@@ -404,8 +449,7 @@ def extract_defects(state: ChainState, debug: bool = False) -> DefectReport:
     return DefectReport(
         step=state.step, side=side,
         type_counts=tuple(sorted(counts.items())),
-        total_size=sum(len(c) for c in comps),
-        nbhd_total=nbhd_total)
+        total_size=len(vertices), nbhd_total=nbhd_total)
 
 
 # -- statistics ---------------------------------------------------------------------

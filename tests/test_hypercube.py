@@ -149,6 +149,45 @@ def test_square_components_split_by_distance():
     assert len(hc.square_components([1, far], d)) == 2
 
 
+def pairwise_components(vertices, d):
+    """Distance-2 components by a union over every pair, as frozensets."""
+    root = {v: v for v in vertices}
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for u, v in itertools.combinations(vertices, 2):
+        if hamming(u, v) == 2:
+            root[find(u)] = find(v)
+    comps = {}
+    for v in vertices:
+        comps.setdefault(find(v), set()).add(v)
+    return {frozenset(c) for c in comps.values()}
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_square_components_match_pairwise_union(d):
+    # the empty set, single vertices, one side, the other side and sets of
+    # both parities, which at distance 2 never join
+    rng = random.Random(d)
+    n = 1 << d
+    odd, even = hc.odd_side(d), even_side(d)
+    sets = [[], [0], [n - 1], list(odd), list(even)]
+    for _ in range(40):
+        k = rng.randrange(1, min(n, 40) + 1)
+        sets.append(rng.sample(range(n), k))
+        sets.append(rng.sample(odd, min(k, len(odd))))
+    for vs in sets:
+        want = pairwise_components(vs, d)
+        got = hc._square_components(vs, d)
+        assert {frozenset(c) for c in got} == want
+        assert len(got) == len(want)
+        assert hc.square_components(vs, d) == tuple(
+            sorted((tuple(sorted(c)) for c in want), key=lambda c: c[0]))
+
+
 def direct_is_independent(mask: int, d: int) -> bool:
     return all(not (mask >> u & 1 and mask >> v & 1)
                for u in range(1 << d) for v in hc.neighbors(u, d) if u < v)

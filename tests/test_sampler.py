@@ -18,21 +18,27 @@ def run(d=3, lam=Fraction(1), steps=4000, burn_in=200, thin=20, seed=5, **kw):
                                seed=seed, **kw))
 
 
-def reference_run(d, lam, steps, burn_in, thin, seed, start=0, kinds=None):
+def reference_run(d, lam, steps, burn_in, thin, seed, start=0, kinds=None,
+                  skip=0):
     """The cross-check for glauber_run: the chain stepped one draw at a time.
 
     Each step calls random.Random(seed).getrandbits(d) and then .random(),
     and |I| and |I on odd| are tallied step by step.  glauber_run replays the
     same draws in bulk and must yield the same snapshots.  A Counter passed
-    as `kinds` counts the steps of each kind.
+    as `kinds` counts the steps of each kind.  With `skip`, the draws of
+    steps 1 .. skip are discarded and the chain runs from `start` after step
+    `skip`, as a split run's child does.
     """
     nbr = hc.neighbor_masks(d)
     odd_mask = sum(1 << v for v in hc.odd_side(d))
     p = float(Fraction(lam) / (1 + Fraction(lam)))
     rng = random.Random(seed)
+    for _ in range(skip):
+        rng.getrandbits(d)
+        rng.random()
     occ, size, odd = start, start.bit_count(), (start & odd_mask).bit_count()
     out = []
-    for step in range(1, steps + 1):
+    for step in range(skip + 1, steps + 1):
         v = rng.getrandbits(d)
         coin = rng.random()
         bit = 1 << v
@@ -227,12 +233,21 @@ def test_split_run_matches_reference(split, monkeypatch, d, lam, seed,
     assert list(sm.glauber_run(d, lam, steps, **kw)) == want
     assert len(split["forks"]) == 1
     # with the child done before H, the parent stops stepping at the first
-    # snapshot where the chains meet
+    # snapshot after H where the chains meet, in the draw block that holds
+    # it; with no meeting it steps to the end
+    h = sm._split_step(d, burn_in, steps, thin)
+    post = reference_run(d, lam, burn_in, 0, burn_in, seed, start)[-1] \
+        .occupancy if burn_in else start
+    ahead = reference_run(d, lam, steps, h, thin, seed, post, skip=h)
+    meet = next((a.step for a, b in zip(ahead, want[-len(ahead):])
+                 if a == b), None)
     blocking_wait(monkeypatch)
     split["drawn"] = 0
     assert list(sm.glauber_run(d, lam, steps, **kw)) == want
     assert len(split["forks"]) == 2
-    assert split["drawn"] < steps - 2 * thin
+    assert split["drawn"] == (steps if meet is None else
+                              min(steps, -(-meet // sm._DRAW_BLOCK)
+                                  * sm._DRAW_BLOCK))
 
 
 def test_split_run_without_a_meeting_finishes_alone(split, monkeypatch):
@@ -241,9 +256,10 @@ def test_split_run_without_a_meeting_finishes_alone(split, monkeypatch):
     d, lam, steps = 6, Fraction(8), 4000
     odd = sum(1 << v for v in hc.odd_side(d))
     even = ((1 << (1 << d)) - 1) ^ odd
-    split_snapshots = sm._split_snapshots
-    monkeypatch.setattr(sm, "_split_snapshots", lambda chain, occ, *rest:
-                        split_snapshots(chain, odd, *rest))
+    # the parent's one write is the handoff, which here carries the odd side
+    write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data:
+                        write(fd, odd.to_bytes(len(data), "little")))
     blocking_wait(monkeypatch)
     got = list(sm.glauber_run(d, lam, steps, burn_in=0, thin=20, seed=1,
                               start=even))
@@ -279,6 +295,92 @@ def test_split_run_survives_a_failing_child(split, monkeypatch, blocks):
     monkeypatch.undo()  # a left child would make the blocking wait hang
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_failing_burn_in_leaves_no_process(split, monkeypatch):
+    # the parent raises during the burn-in, after the fork and before the
+    # handoff, while the child discards draws or waits for the state
+    parent = os.getpid()
+    step_codes = sm._step_codes
+
+    def failing_codes(seed, d, p, steps, skip=0):
+        for i, block in enumerate(step_codes(seed, d, p, steps, skip)):
+            if os.getpid() == parent and i == 3:
+                raise RuntimeError("burn-in fails")
+            yield block
+
+    monkeypatch.setattr(sm, "_step_codes", failing_codes)
+    d, lam, seed, burn_in, thin, steps, _ = SPLIT_RUNS[3]
+    assert burn_in > 4 * sm._DRAW_BLOCK
+    with pytest.raises(RuntimeError, match="burn-in fails"):
+        list(sm.glauber_run(d, lam, steps, burn_in=burn_in, thin=thin,
+                            seed=seed))
+    assert len(split["forks"]) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_child_gone_before_the_handoff_breaks_the_pipe(split, monkeypatch):
+    # the child fails as it starts its discard, and the parent's burn-in
+    # waits for it to exit, so the handoff finds no reader
+    parent = os.getpid()
+    step_codes = sm._step_codes
+
+    def failing_codes(seed, d, p, steps, skip=0):
+        if os.getpid() != parent:
+            raise RuntimeError("child fails")
+        # wait for the child's exit, and leave it to be reaped
+        os.waitid(os.P_PID, split["forks"][-1], os.WEXITED | os.WNOWAIT)
+        yield from step_codes(seed, d, p, steps, skip)
+
+    broken = []
+    write = os.write
+
+    def recording_write(fd, data):
+        try:
+            return write(fd, data)
+        except BrokenPipeError:
+            broken.append(len(data))
+            raise
+
+    monkeypatch.setattr(sm, "_step_codes", failing_codes)
+    monkeypatch.setattr(os, "write", recording_write)
+    d, lam, seed, burn_in, thin, steps, _ = SPLIT_RUNS[1]
+    got = list(sm.glauber_run(d, lam, steps, burn_in=burn_in, thin=thin,
+                              seed=seed))
+    assert broken == [(1 << d) // 8]
+    assert got == reference_run(d, lam, steps, burn_in, thin, seed)
+    assert len(split["forks"]) == 1 and split["drawn"] == steps
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_split_step_balances_discard_and_burn_in(monkeypatch):
+    # the child starts stepping at max(B, r H) step-times and the parent
+    # reaches H at H: with r H >= B (d = 10) H = last / (2 - r), and with
+    # r H <= B (d = 12, and d = 14, where last / (2 - r) < B) H = (B + last)/2
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    r, thin = sm._SPLIT_BALANCE, 4096
+    for d, samples, regime in ((10, 1000, "discard"), (12, 400, "burn-in"),
+                               (14, 400, "burn-in")):
+        b = sm.default_burn_in(d)
+        last = b + samples * thin
+        target = last / (2 - r) if regime == "discard" else (b + last) / 2
+        assert (r * target >= b) == (regime == "discard")
+        h = sm._split_step(d, b, last, thin)
+        assert h is not None and (h - b) % thin == 0
+        assert b < h and abs(h - target) <= thin / 2, (d, h, target)
+        assert (last - h) // thin >= sm._SPLIT_MIN_SNAPSHOTS
+    # at r H = B the two cases give one H
+    last = 10 ** 7
+    b = r * last / (2 - r)
+    assert math.isclose(last / (2 - r), (b + last) / 2)
+    # no split past _SPLIT_MAX_DIM, below _SPLIT_MIN_STEPS, or with too few
+    # snapshots after H
+    assert sm._split_step(sm._SPLIT_MAX_DIM + 1, 0, 1 << 24, 4096) is None
+    assert sm._split_step(10, 0, sm._SPLIT_MIN_STEPS - 1, 1) is None
+    assert sm._split_step(10, 0, 1 << 21, 1 << 18) is None
 
 
 def test_closing_a_split_run_early_leaves_no_process(split):
@@ -413,6 +515,98 @@ def test_extract_defects_neighbourhood_total_matches_components():
         comps = hc.square_components(side, s.d)
         assert rep.nbhd_total == sum(len(hc.neighborhood(c, s.d)) for c in comps)
     assert sm.extract_defects(big).type_counts == (("s8:big", 1),)
+
+
+def reference_extract_defects(state):
+    """The cross-check for extract_defects: the minority side's components
+    from the public, checked square_components, each typed by classify."""
+    d = state.d
+    odd_mask = sm._parity_mask(d)
+    if state.odd_size <= state.even_size:
+        side, side_mask = "odd", odd_mask
+    else:
+        side, side_mask = "even", ~odd_mask
+    bits = state.occupancy & side_mask
+    vertices = set()
+    while bits:
+        low = bits & -bits
+        vertices.add(low.bit_length() - 1)
+        bits ^= low
+    comps = hc.square_components(vertices, d)
+    counts = {}
+    nbhd_total = 0
+    for comp in comps:
+        if len(comp) <= pm.MAX_TYPE_SIZE:
+            t = pm.classify(comp, d)
+            key = t.key
+            nbhd_total += t.nbhd_size(d)
+        else:
+            key = f"s{len(comp)}:big"
+            nbhd_total += len(hc._neighborhood(comp, d))
+        counts[key] = counts.get(key, 0) + 1
+    return sm.DefectReport(
+        step=state.step, side=side,
+        type_counts=tuple(sorted(counts.items())),
+        total_size=sum(len(c) for c in comps),
+        nbhd_total=nbhd_total)
+
+
+def state_of(occ, d):
+    odd = (occ & sm._parity_mask(d)).bit_count()
+    return sm.ChainState(d=d, step=0, occupancy=occ, size=occ.bit_count(),
+                         odd_size=odd, even_size=occ.bit_count() - odd)
+
+
+def random_independent_set(rng, d, odd_weight, even_weight):
+    """Vertices tried in random order, each kept with its side's weight
+    when no neighbour is in the set."""
+    nbr = hc.neighbor_masks(d)
+    occ = 0
+    for v in rng.sample(range(1 << d), 1 << d):
+        weight = odd_weight if hc.parity(v) else even_weight
+        if not occ & nbr[v] and rng.random() < weight:
+            occ |= 1 << v
+    return occ
+
+
+def test_extract_defects_matches_reference():
+    # the snapshots of a seeded d = 8 run; random independent sets with the
+    # minority on either side or tied; and minorities holding a component
+    # larger than MAX_TYPE_SIZE: the odd side of a subcube of dimension 4
+    # (8 vertices) or 5 (16), with the even side packed where it can be
+    d = 8
+    states = list(sm.glauber_run(d, Fraction(1), 60000, burn_in=5000,
+                                 thin=500, seed=4))
+    rng = random.Random(8)
+    for _ in range(60):
+        states.append(state_of(random_independent_set(
+            rng, d, rng.random() * 0.3, rng.random()), d))
+        states.append(state_of(random_independent_set(
+            rng, d, rng.random(), rng.random() * 0.3), d))
+    odd_v = hc.odd_side(d)[5]
+    far = next(v for v in hc.odd_side(d)[::-1] if (odd_v ^ v).bit_count() > 2)
+    for pair in ([odd_v], [odd_v, far]):
+        # a tie: as many odd as even vertices
+        even = [v for v in range(1 << d) if not hc.parity(v)
+                and all((u ^ v).bit_count() > 1 for u in pair)][:len(pair)]
+        states.append(state_of(sum(1 << v for v in pair + even), d))
+    for k in (4, 5):
+        low = [v for v in range(1 << k) if hc.parity(v)]
+        occ = sum(1 << v for v in low)
+        nbr = hc.neighbor_masks(d)
+        for v in range(1 << d):
+            if not hc.parity(v) and not nbr[v] & occ and rng.random() < 0.5:
+                occ |= 1 << v
+        states.append(state_of(occ, d))
+    seen = collections.Counter()
+    for s in states:
+        want = reference_extract_defects(s)
+        assert sm.extract_defects(s, debug=True) == want, s
+        seen[want.side, s.odd_size == s.even_size, want.total_size > 0] += 1
+        seen.update(k for k, _ in want.type_counts if k.endswith(":big"))
+    assert seen["odd", True, True] and seen["odd", False, True]
+    assert seen["even", False, True] and seen["odd", False, False]
+    assert seen["s8:big"] and seen["s16:big"]
 
 
 def test_extract_defects_empty_configuration():
