@@ -1,6 +1,7 @@
 """Command-line front end: exit codes, JSON output, reproducibility."""
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -769,6 +770,94 @@ def test_console_script_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["total"] == "7"
+
+
+# -- the process exit: no teardown collection, and nothing left for one ---------
+
+# registered before `cubecount.cli` is imported, so it runs after the
+# gc.freeze that cli registers: atexit runs its handlers last in, first out.
+# Python 3.12 starts with a few hundred frozen objects, hence the count n.
+FREEZE_PROBE = ("import atexit, gc, sys; n = gc.get_freeze_count(); "
+                "atexit.register(lambda: print('frozen' if gc.get_freeze_count() > n "
+                "else 'not frozen', file=sys.stderr))\n")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("rj", "--j", "3"), 0),
+    (("oracle", "--d", "0"), 1),
+    (("clusters", "--d", "8", "--k", "6", "--budget", "100000"), 2)])
+def test_the_process_exit_is_frozen(capsys, argv, code):
+    proc = subprocess.run([sys.executable, "-c", FREEZE_PROBE +
+                           "from cubecount import cli\n"
+                           f"sys.exit(cli.main({list(argv)!r}))"],
+                          capture_output=True, text=True)
+    assert proc.returncode == code, proc.stderr
+    *lines, probe = proc.stderr.splitlines()
+    assert probe == "frozen"
+    assert len(lines) == (code != 0)
+    assert all(line.startswith("error:") for line in lines)
+    assert proc.stdout == run_cli(capsys, *argv)[1]
+
+
+def test_main_leaves_the_callers_collector_alone(capsys):
+    # a freeze in main would keep every in-process caller's cyclic garbage
+    before = gc.get_freeze_count(), gc.isenabled()
+    assert run_cli(capsys, "rj", "--j", "2")[0] == 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+# the nine commands of the benchmark's workloads (perfbench/run.py)
+BENCHMARK_COMMANDS = (
+    "rj --j 3", "count --beta 1/2 --d 23 --t 4", "count --beta 1/2 --d 24 --t 3",
+    "count --beta 1/3 --d 23 --t 3", "zeta --lam 1 --d 24 --t 3",
+    "polymers --d 9 --max-size 4", "polymers --max-size 3 --mode symbolic",
+    "sample --d 10 --lam 1 --samples 1000 --thin 4096 --seed 7 --csv {tmp}/run.csv",
+    "oracle --d 5 --lam 1")
+
+# After main, the cyclic garbage that the exit no longer collects: none of it
+# may be a file, a mapping or a generator, whose finalizer would do work.
+# With split, the sampler is shown two usable CPUs, and os.fork is counted.
+GARBAGE_PROBE = """\
+import gc, io, json, mmap, os, sys, types
+from cubecount import cli
+forks = []
+if {split}:
+    os.sched_getaffinity = lambda pid: {{0, 1}}
+    fork = os.fork
+    os.fork = lambda: forks.append(1) or fork()
+code = cli.main({argv!r})
+gc.set_debug(gc.DEBUG_SAVEALL)
+gc.collect()
+held = [type(o).__name__ for o in gc.garbage
+        if isinstance(o, (io.IOBase, mmap.mmap, types.GeneratorType))]
+try:
+    os.waitpid(-1, os.WNOHANG)
+    left = True
+except ChildProcessError:
+    left = False
+print(json.dumps([code, held, len(forks), left]), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("command, split", [(c, False) for c in BENCHMARK_COMMANDS] + [
+    ("sample --d 10 --lam 1 --samples 400 --thin 4096 --seed 3 --csv {tmp}/split.csv",
+     True),
+    ("report --inputs {tmp}/count.json {tmp}/oracle.json --out-dir {tmp}/report",
+     False)])
+def test_no_command_leaves_garbage_the_exit_would_have_collected(tmp_path, command,
+                                                                 split):
+    if command.startswith("report"):
+        for argv in (["count", "--beta", "1/2", "--d", "5", "--t", "3"],
+                     ["oracle", "--d", "5", "--lam", "1"]):
+            assert cli.main(argv + ["--out", str(tmp_path / f"{argv[0]}.json")]) == 0
+    argv = command.format(tmp=tmp_path).split()
+    proc = subprocess.run([sys.executable, "-c",
+                           GARBAGE_PROBE.format(argv=argv, split=split)],
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 0, proc.stderr
+    code, held, forks, left = json.loads(proc.stderr.splitlines()[-1])
+    assert (code, held, left) == (0, [], False)
+    assert forks == (1 if split else 0)  # the split ran where it was forced
 
 
 # -- fuzz: the exit-code and output contract over small random invocations ------
