@@ -32,8 +32,9 @@ from .certified import decimal_contexts, evaluate, pi_bounds
 from .clusters import cluster_sum
 from .errors import RegimeWarning
 from .polymers import DefectType, census
-from .symbolic import (BETA, RatFunc, RatPoly, TruncSeries, interpolate_poly,
-                       log_ratio_expand, neg_binomial_expand, poly_on_series)
+from .symbolic import (BETA, RatFunc, RatPoly, TruncSeries, _coprime_fraction,
+                       interpolate_poly, log_ratio_expand, neg_binomial_expand,
+                       poly_on_series)
 
 LAM = "lam"
 DIM = "d"
@@ -399,14 +400,6 @@ def log_Z_asymptotic(lam: Fraction, d: int, t: int, digits: int = 80) -> LogCoun
     strata = tuple((j, n * R_poly(j).eval({LAM: lam, DIM: d}))
                    for j in range(1, t))
     return LogCount(digits, partial(_log_z, n=n, d=d, lam=lam, strata=strata))
-
-
-def _coprime_fraction(num: int, den: int) -> Fraction:
-    """num/den for coprime num and den > 0, without Fraction's gcd."""
-    make = getattr(Fraction, "_from_coprime_ints", None)  # Python >= 3.12
-    if make is not None:
-        return make(num, den)
-    return Fraction(num, den, _normalize=False)
 
 
 def binomial_lclt(n: int, p: Fraction, k: int) -> tuple[Fraction, Decimal]:

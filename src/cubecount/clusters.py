@@ -27,15 +27,16 @@ neighbor of two vertices at distance 2.  So every new entry interacts with
 an earlier one, H is connected by construction, and no multiset is built
 only to be discarded.  The candidate entries are the polymers that the
 polymers module's one growth kernel, polymers._grow_polymers, grows from
-each vertex of that target set; the rooted start supports and the full
-universe of _universe_counts come from the same kernel.  The walk carries
-what it knows of each multiset: the key (its sorted support tuples, a new
-entry inserted by bisection), each entry's N(S), computed once when the
-entry joins, the union, the union's active mask and the total size.
-_stratum_table and enumerate_clusters fold from that record alone.  Two
-entries interact exactly when their N(S) meet, since a shared vertex puts
-its neighbors in both; _orderings_phi reads H that way, as
-exact._collection_counts reads compatibility.
+each vertex of that target set (_touching); the rooted start supports and
+the full universe of _universe_counts come from the same kernel.  The walk,
+depth first over an explicit stack, carries what it knows of each
+multiset: the key (its sorted support tuples, a new entry inserted by
+bisection), the union, the union's active mask, the total size and the
+deficiency sum e, each entry's deficiency as the kernel carried it, so no
+N(S) is built.  _stratum_table and enumerate_clusters fold from that
+record alone.  Two entries interact exactly when some vertex of one lies
+within distance 2 of some vertex of the other; _orderings_phi reads H that
+way from the key.
 
 Active coordinates.  A rooted cluster's active coordinates are the ones in
 which some vertex of its union differs from the root V0; there are at most
@@ -60,9 +61,9 @@ exactly 0, ..., a-1 and weighs each C(b, a).  The cut is the polymers
 module's gap bound: every vertex a later entry brings is a distance-2 step
 from one already present, so a partial multiset whose union has active mask
 m and total size t can still become a prefix only if
-m.bit_length() - m.bit_count() <= 2 * (k - t).  The same test, passed to
-the growth kernel as its keep test, cuts the growth of each candidate
-entry and of each start support (polymers._prefix_candidates).
+m.bit_length() - m.bit_count() <= 2 * (k - t).  The same test cuts the
+growth of each candidate entry, the kernel given the union's mask to join,
+and of each start support (polymers._prefix_candidates).
 enumerate_clusters grows every rooted cluster; it is the tests'
 differential reference for the tables.
 """
@@ -255,11 +256,15 @@ class Cluster(NamedTuple):
     phi: Fraction
 
 
-def _orderings_phi(key: tuple[tuple[int, ...], ...], nbhds: list[set[int]]) \
-        -> tuple[int, Fraction]:
-    """The orderings factor and phi of a multiset: the entries of `key` and
-    their neighborhoods `nbhds`, aligned, repeats adjacent.  Two entries
-    interact when their N(S) meet (module docstring, Connectivity)."""
+def _interact(s: tuple[int, ...], t: tuple[int, ...]) -> bool:
+    """Whether two one-parity supports lie within distance 2 of each other
+    (a shared vertex or a shared neighbor)."""
+    return any((u ^ w).bit_count() <= 2 for u in s for w in t)
+
+
+def _orderings_phi(key: tuple[tuple[int, ...], ...]) -> tuple[int, Fraction]:
+    """The orderings factor and phi of a multiset: the sorted support tuples
+    of `key`, repeats adjacent (module docstring, Connectivity)."""
     n = len(key)
     orderings = math.factorial(n)
     run = 1
@@ -267,60 +272,71 @@ def _orderings_phi(key: tuple[tuple[int, ...], ...], nbhds: list[set[int]]) \
         run = run + 1 if key[i] == key[i - 1] else 1
         orderings //= run
     edges = tuple((i, j) for i in range(n) for j in range(i + 1, n)
-                  if not nbhds[i].isdisjoint(nbhds[j]))
+                  if _interact(key[i], key[j]))
     return orderings, _ursell_cached(n, edges)
 
 
-def _multisets(d: int, max_total: int, starts: Iterable[frozenset],
+def _touching(d: int, union: frozenset, joins: int | None, room: int,
+              bud: list[int] | None) -> dict[tuple[int, ...], tuple[int, int]]:
+    """{sorted support: (active mask, deficiency)} over the polymers of size
+    <= room that the growth kernel grows from a vertex of `union` or a
+    distance-2 neighbor of one, cut by the gap bound against `joins` when it
+    is given (polymers._grow_polymers)."""
+    targets = set(union)
+    for m in hc._square_masks(d):
+        targets.update([v ^ m for v in union])
+    touching = {}
+    for w in targets:
+        for verts, mask, deficiency, _ in pm._grow_polymers(d, w, room, bud, joins):
+            touching[tuple(sorted(verts))] = mask, deficiency
+    return touching
+
+
+def _multisets(d: int, max_total: int, starts: Iterable[tuple],
                bud: list[int] | None, prefix_cut: bool) -> Iterator[tuple]:
     """Every rooted multiset of total size <= max_total grown from `starts`,
-    each once (module docstring, Connectivity), as (key, nbhds, union, mask,
-    total): the sorted support tuples, their neighborhoods aligned with
-    them, the union of the supports, its active mask and the total size.
+    the growth kernel's rooted sets, each once (module docstring,
+    Connectivity), as (key, union, mask, total, e): the sorted support
+    tuples, the union of the supports, its active mask, the total size and
+    the sum of the entries' deficiencies.  Depth first over an explicit
+    stack, each multiset before its children.
 
     With prefix_cut, a support joins only while the union, at total size t,
     may still become a prefix with room max_total - t (polymers'
     _may_become_prefix), and every start must have passed the same test
     (module docstring, Representatives).
     """
-    seen_keys: set[tuple] = set()
-
-    def rec(key: tuple, nbhds: list[set[int]], union: frozenset, umask: int,
-            total: int) -> Iterator[tuple]:
-        yield key, nbhds, union, umask, total
-        room = max_total - total
-        if room < 1:
-            return
-        if bud is not None:
-            bud[0] -= 1
-            if bud[0] < 0:
-                raise BudgetExceededError("cluster enumeration budget exhausted")
-        targets = set(union)
-        for v in union:
-            targets.update(hc._square_neighbors(v, d))
-        keep = None
-        if prefix_cut:
-            def keep(mask: int, n: int) -> bool:
-                return pm._may_become_prefix(mask | umask, room - n)
-        touching: set[frozenset] = set()
-        for w in targets:
-            touching.update(pm._grow_polymers(d, w, room, bud, keep))
-        for cand in touching:
-            s = tuple(sorted(cand))
-            i = bisect_right(key, s)
-            child = key[:i] + (s,) + key[i:]
-            if child in seen_keys:
-                continue
-            seen_keys.add(child)
-            yield from rec(child, nbhds[:i] + [hc._neighborhood(cand, d)] + nbhds[i:],
-                           union | cand, umask | pm._active_mask(cand),
-                           total + len(cand))
-
     # the starts are distinct and every child has two entries or more, so no
     # start needs a seen_keys entry
-    for start in starts:
-        yield from rec((tuple(sorted(start)),), [hc._neighborhood(start, d)], start,
-                       pm._active_mask(start), len(start))
+    seen_keys: set[tuple] = set()
+    for verts, mask, deficiency, _ in starts:
+        s = tuple(sorted(verts))
+        node = ((s,), frozenset(s), mask, len(s), deficiency)
+        stack = []  # (multiset, the supports it has not yet been grown by)
+        while node is not None:
+            yield node
+            key, union, umask, total, e = node
+            if total < max_total:
+                if bud is not None:
+                    bud[0] -= 1
+                    if bud[0] < 0:
+                        raise BudgetExceededError("cluster enumeration budget exhausted")
+                touching = _touching(d, union, umask if prefix_cut else None,
+                                     max_total - total, bud)
+                stack.append((node, iter(touching.items())))
+            node = None
+            while stack and node is None:
+                (key, union, umask, total, e), rest = stack[-1]
+                for s, (mask, deficiency) in rest:
+                    i = bisect_right(key, s)
+                    child = key[:i] + (s,) + key[i:]
+                    if child not in seen_keys:
+                        seen_keys.add(child)
+                        node = (child, union.union(s), umask | mask, total + len(s),
+                                e + deficiency)
+                        break
+                else:
+                    stack.pop()
 
 
 def enumerate_clusters(d: int, max_total: int,
@@ -335,11 +351,12 @@ def enumerate_clusters(d: int, max_total: int,
     if max_total < 1:
         raise ValueError("max_total must be >= 1")
     bud = [budget] if budget is not None else None
+    # the start supports spend a budget of their own
+    starts = pm._grow_polymers(d, pm.V0, max_total, None if bud is None else [budget])
     out = []
-    for key, nbhds, union, _, total in _multisets(
-            d, max_total, pm.rooted_polymer_supports(d, max_total, budget), bud, False):
-        orderings, phi = _orderings_phi(key, nbhds)
-        out.append(Cluster(key, total, sum(map(len, nbhds)), len(union), orderings, phi))
+    for key, union, _, total, e in _multisets(d, max_total, starts, bud, False):
+        orderings, phi = _orderings_phi(key)
+        out.append(Cluster(key, total, d * total - e, len(union), orderings, phi))
     return sorted(out, key=lambda c: (c.total_size, c.supports))
 
 
@@ -368,14 +385,14 @@ def _stratum_table(b: int, k: int, type_key: str | None, budget: int | None) -> 
         return hit
     bud = [budget] if budget is not None else None
     table: dict = {}
-    for key, nbhds, union, mask, total in _multisets(
+    for key, union, mask, total, e in _multisets(
             b, k, pm._prefix_candidates(b, k, bud), bud, True):
         if total != k or not pm._is_prefix(mask):
             continue
-        orderings, phi = _orderings_phi(key, nbhds)
+        orderings, phi = _orderings_phi(key)
         n = sum(pm.classify(s, b).key == type_key for s in key) if type_key else 0
         a = mask.bit_count()
-        bucket = ((k * b - sum(map(len, nbhds)), n), a)
+        bucket = ((e, n), a)
         table[bucket] = (table.get(bucket, 0)
                          + Fraction(orderings * math.comb(b, a), len(union)) * phi)
     if len(_table_cache) >= _TABLE_CACHE_SIZE:
@@ -483,8 +500,8 @@ def _universe_counts(d: int) -> dict[tuple[int, int, int], int]:
 
     half = hc.n_side(d) // 2
     return exact._collection_counts(
-        [s for root in hc.odd_side(d)
-         for s in pm._grow_polymers(d, root, half, above_root=True)], d)
+        [frozenset(g[0]) for root in hc.odd_side(d)
+         for g in pm._grow_polymers(d, root, half, above_root=True)], d)
 
 
 def log_xi_series(d: int, lam: Fraction, kmax: int) -> list[Fraction]:

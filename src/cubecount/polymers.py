@@ -6,15 +6,18 @@ weight at fugacity lam is lam^|S| / (1+lam)^|N(S)|.  Two defects interact iff
 they are within graph distance 2 of each other (share a vertex or a neighbor).
 
 Every enumeration of supports, here and in the clusters module, calls one
-growth kernel, _grow_polymers: it grows frozensets from a root vertex along
-the distance-2 neighbor lists of the hypercube module, which also computes
-every N(S) and closure here (its unchecked kernels), and yields the valid
-ones.  This module caches only the bounded certificate table described
-under Types.  Validity (_is_valid, which only the kernel calls) rests on
-|closure(S)| <= |N(S)| <= d*|S|, since every closure vertex has all d of its
-neighbors in N(S): a support with d*|S| <= 2^(d-2), half the side, is valid
-without computing its closure; only larger supports count the closure
-against half the side.
+growth kernel, _grow_polymers: one generator frame that grows sets from a
+root vertex along the distance-2 neighbor lists of the hypercube module,
+depth first over an explicit stack, and yields the valid ones, each with
+its active mask, deficiency and distance-2 graph code (see Types), all
+updated per added vertex with d-bit integers.  No N(S) is built: the
+closure (the hypercube module's unchecked kernel) is computed only where
+validity needs it.  This module caches only the bounded certificate table
+described under Types.  Validity (_is_valid, which only the kernel calls)
+rests on |closure(S)| <= |N(S)| <= d*|S|, since every closure vertex has all
+d of its neighbors in N(S): a support with d*|S| <= 2^(d-2), half the side,
+is valid without computing its closure; only larger supports count the
+closure against half the side.
 
 Enumeration exploits translation symmetry.  XOR by an even-parity word maps
 the odd side to itself and preserves everything in sight, and the action on
@@ -29,16 +32,23 @@ fixed by t), which is why the marked-vertex form is used throughout.
 Types: a defect is classified by the isomorphism class of its distance-2
 graph together with its deficiency c = d*|S| - |N(S)|; the deficiency is the
 dimension-free part of the neighborhood size, so one type means one weight.
-The class is named by a canonical certificate, the smallest adjacency code
-over all relabellings, which _cert_of_code finds by a pruned search instead
-of scanning all s! relabellings (about 0.2 ms for a random graph on 7
-vertices, 30 ms for the complete graph, where no labelling is pruned).  The
-certificate depends only on the support's labelled distance-2 graph (its
-size and the "distance 2 or not" bits over its sorted vertices), so it is
-computed once per labelled graph and kept in a table bounded at 4096
-entries; the rooted supports of size <= 4 have 26 labelled graphs.  A graph
-class can split across deficiencies (from d = 5 the complete graph on 4
-vertices, cert 63, does), so the census records every class that splits.
+Both grow one vertex at a time (_meet): when v joins S, N(v) meets N(S) in
+v ^ e_i for exactly the bits i of the OR of u ^ v over the u in S at
+distance 2 from v, so c grows by that OR's popcount, and the positions of
+those u are v's row of the graph's colex code (bit b(b-1)/2 + a is the pair
+a < b of labels in joining order).  The growth kernel carries both;
+_shape runs the same step over a vertex list for classify and the
+sampler's defect extraction.  The class is named by a canonical
+certificate, the smallest row-major adjacency code over all relabellings,
+which _cert_of_code finds by a pruned search instead of scanning all s!
+relabellings (about 0.2 ms for a random graph on 7 vertices, 30 ms for the
+complete graph, where no labelling is pruned).  The certificate depends
+only on the support's labelled distance-2 graph (its size and colex code),
+so it is computed once per labelled graph and kept in a table bounded at
+4096 entries; the rooted supports of size <= 4 at the census base
+dimension have 22 labelled graphs in joining order.  A graph class can
+split across deficiencies (from d = 5 the complete graph on 4 vertices,
+cert 63, does), so the census records every class that splits.
 
 Counts in d: a support's type depends only on its active coordinates (those
 in which some vertex differs from V0), and every a-subset of the d
@@ -58,21 +68,22 @@ each vertex added later is a distance-2 step, so it makes at most two more
 coordinates active, and a set with mask m and room for r more vertices can
 still become a prefix only if m.bit_length() - m.bit_count() <= 2r.  Every
 set a cut discards contains the cut set, so none of them is a
-representative.  _prefix_candidates hands the bound to the kernel as its
-keep test, which sees each set's mask m; clusters._stratum_table cuts its
-clusters the same way.  rooted_polymer_supports grows every rooted support
-and stays as the reference for the tests and the acceptance suite.
+representative.  _prefix_candidates hands the kernel the mask its sets join
+(0 for a support alone), and the kernel applies the bound to each set's
+mask OR that one; clusters._stratum_table cuts its clusters the same way,
+passing each multiset's union mask.  rooted_polymer_supports grows every
+rooted support and stays as the reference for the tests and the acceptance
+suite.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from . import hypercube as hc
 from .errors import BudgetExceededError
@@ -82,7 +93,7 @@ from .symbolic import RatPoly, binom_poly, interpolate_poly  # noqa: F401
 V0 = 1  # root: the smallest odd vertex
 
 
-def _is_valid(support: frozenset, d: int) -> bool:
+def _is_valid(support: Iterable[int], d: int) -> bool:
     """Whether the closure covers at most half the side; connectivity is the
     caller's business, and support and d are not checked.
 
@@ -94,58 +105,118 @@ def _is_valid(support: frozenset, d: int) -> bool:
     return d * len(support) <= half or len(hc._closure(support, d)) <= half
 
 
+def _meet(verts: Iterable[int], v: int) -> tuple[int, int]:
+    """(gain, row) of v joining the one-parity vertices `verts`, in order.
+
+    The u in verts with popcount(u ^ v) = 2 are v's distance-2 neighbors,
+    and with m the OR of their u ^ v, N(v) meets N(verts) in exactly the
+    v ^ e_i with bit i of m set (no other vertex of verts shares a neighbor
+    with v).  So the deficiency grows by gain = popcount(m), and row has bit
+    j set when the j-th vertex of verts is one of those u.
+    """
+    m = row = 0
+    for j, u in enumerate(verts):
+        x = u ^ v
+        if x.bit_count() == 2:
+            m |= x
+            row |= 1 << j
+    return m.bit_count(), row
+
+
+def _shape(vertices: Iterable[int]) -> tuple[int, int, int]:
+    """(size, deficiency, code) of a one-parity vertex list, joined one
+    vertex at a time by _meet in the list's order; the code labels the
+    vertices in that order (see _cert_of_code for its layout)."""
+    verts: list[int] = []
+    deficiency = code = 0
+    for v in vertices:
+        n = len(verts)
+        gain, row = _meet(verts, v)
+        deficiency += gain
+        code |= row << (n * (n - 1) // 2)
+        verts.append(v)
+    return len(verts), deficiency, code
+
+
 def _grow_polymers(d: int, root: int, max_size: int,
                    budget: list[int] | None = None,
-                   keep: Callable[[int, int], bool] | None = None,
-                   above_root: bool = False) -> Iterator[frozenset]:
+                   joins: int | None = None,
+                   above_root: bool = False) -> Iterator[tuple]:
     """The polymers of size <= max_size at dimension d that contain `root`,
     each exactly once; with above_root, only those whose other vertices all
     exceed root, so that every polymer is grown from its smallest vertex.
 
-    The one growth kernel of the package.  It grows the connected sets
-    containing root along the distance-2 neighbor lists; candidate lists
-    carry the classic once-seen-never-again discipline, so a set is reached
-    exactly at its canonical insertion order.  It yields the valid sets and
-    extends only those: closure is monotone (S within T puts closure(S)
-    within closure(T)), so no superset of an invalid set is valid.
-    `budget`, when given, a single-element mutable countdown, counts the
-    candidates tried.  `keep`, when given, is called as keep(mask, size) on
-    every set, with mask the OR of v ^ V0 over its vertices; a set it
-    rejects is neither yielded nor extended, so it must reject every
-    connected superset of a set it rejects.
+    The one growth kernel of the package.  It yields (verts, mask,
+    deficiency, code) per polymer: its vertices in insertion order (root
+    first), the OR of v ^ V0 over them, d*|S| - |N(S)|, and the colex code
+    of its distance-2 graph over that order, the last two grown one vertex
+    at a time by _meet with no N(S) built.  It grows the connected sets
+    containing root along the distance-2 neighbor lists, depth first over an
+    explicit stack; candidate lists carry the classic once-seen-never-again
+    discipline, so a set is reached exactly at its canonical insertion
+    order.  It yields the valid sets and extends only those: closure is
+    monotone (S within T puts closure(S) within closure(T)), so no superset
+    of an invalid set is valid.  `budget`, when given, a single-element
+    mutable countdown, counts the candidates tried.  `joins`, when given, is
+    the active mask of what the set joins: a set of n vertices and mask m is
+    neither yielded nor extended unless the gap bound
+    _may_become_prefix(m | joins, max_size - n) holds, which then fails on
+    every connected superset too.
     """
-    if keep is not None and not keep(root ^ V0, 1):
+    mask = root ^ V0
+    if joins is not None and not _may_become_prefix(mask | joins, max_size - 1):
+        return
+    verts = (root,)
+    if not _is_valid(verts, d):
+        return
+    yield verts, mask, 0, 0
+    if max_size == 1:
         return
 
-    def nbrs(v: int) -> tuple[int, ...]:
-        square = hc._square_neighbors(v, d)
-        return tuple(u for u in square if u > root) if above_root else square
-
-    base = frozenset((root,))
-    if not _is_valid(base, d):
-        return
-    yield base
-
-    def rec(s: frozenset, mask: int, cand: tuple, seen: frozenset) -> Iterator[frozenset]:
-        for i, v in enumerate(cand):
+    squares: dict[int, tuple[int, ...]] = {}  # the distance-2 lists this walk met
+    first = hc._square_neighbors(root, d)
+    if above_root:
+        first = tuple(u for u in first if u > root)
+    seen = {root, *first}
+    # frames (candidates left, candidates, verts, mask, deficiency, code,
+    # the vertices the frame added to seen); the top frame is the deepest set
+    stack = [(enumerate(first), first, verts, mask, 0, 0, first)]
+    while stack:
+        it, cand, verts, mask, deficiency, code, fresh = stack[-1]
+        n = len(verts) + 1  # the size of each set this frame tries
+        gaps = 2 * (max_size - n)  # the gaps the later vertices can fill
+        for i, v in it:
             if budget is not None:
                 budget[0] -= 1
                 if budget[0] < 0:
                     raise BudgetExceededError("connected-set enumeration budget exhausted")
             m2 = mask | (v ^ V0)
-            if keep is not None and not keep(m2, len(s) + 1):
+            if joins is not None:
+                g = m2 | joins  # the gap bound, _may_become_prefix inlined
+                if g.bit_length() - g.bit_count() > gaps:
+                    continue
+            v2 = verts + (v,)
+            if not _is_valid(v2, d):
                 continue
-            s2 = s | {v}
-            if not _is_valid(s2, d):
-                continue
-            yield s2
-            if len(s2) < max_size:
-                fresh = tuple(u for u in nbrs(v) if u not in seen)
-                yield from rec(s2, m2, cand[i + 1:] + fresh, seen | frozenset(fresh))
-
-    if max_size > 1:
-        first = nbrs(root)
-        yield from rec(base, root ^ V0, first, base | frozenset(first))
+            gain, row = _meet(verts, v)
+            c2 = deficiency + gain
+            code2 = code | row << ((n - 1) * (n - 2) // 2)
+            yield v2, m2, c2, code2
+            if n < max_size:
+                square = squares.get(v)
+                if square is None:
+                    square = hc._square_neighbors(v, d)
+                    if above_root:
+                        square = tuple(u for u in square if u > root)
+                    squares[v] = square
+                new = tuple(u for u in square if u not in seen)
+                seen.update(new)
+                cand2 = cand[i + 1:] + new
+                stack.append((enumerate(cand2), cand2, v2, m2, c2, code2, new))
+                break
+        else:
+            stack.pop()
+            seen.difference_update(fresh)
 
 
 # -- types -------------------------------------------------------------------
@@ -205,9 +276,12 @@ def _cert_of_code(s: int, code: int) -> int:
     """Canonical certificate of a labelled graph on s vertices: the smallest
     adjacency code over all relabellings.
 
-    Bit k of an adjacency code is the k-th vertex pair (a, b), a < b, in
-    row-major order, so the pairs among labels m..s-1 are exactly the code's
-    top C(s-m, 2) bits, and row m (the pairs (m, b), b > m) is the next
+    The input is in colex layout, the order in which _shape and the growth
+    kernel label vertices as they join: bit b(b-1)/2 + a is the pair
+    (a, b), a < b, so each new label's row sits above the earlier ones.
+    The certificate is in row-major layout: bit k is the k-th pair (a, b),
+    a < b, in row-major order, so the pairs among labels m..s-1 are exactly
+    its top C(s-m, 2) bits, and row m (the pairs (m, b), b > m) is the next
     block below them.  Labels are therefore assigned from s-1 down to 0;
     each step extends every surviving prefix by each unused vertex and keeps
     only the extensions whose newly fixed row is smallest.  Every survivor
@@ -215,10 +289,12 @@ def _cert_of_code(s: int, code: int) -> int:
     last step they all carry the minimum itself.
     """
     adj = [0] * s  # adjacency bitmask per vertex
-    for k, (a, b) in enumerate(itertools.combinations(range(s), 2)):
-        if code >> k & 1:
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
+    for b in range(1, s):
+        low = code >> (b * (b - 1) // 2) & ((1 << b) - 1)  # b's smaller neighbors
+        adj[b] = low
+        for a in range(b):
+            if low >> a & 1:
+                adj[a] |= 1 << b
     cert = 0
     prefixes = [()]  # the vertices labelled m+1, m+2, ..., s-1, in that order
     for m in range(s - 1, -1, -1):
@@ -243,16 +319,12 @@ def _cert_of_code(s: int, code: int) -> int:
     return cert
 
 
-def _type_of(sup: frozenset, d: int) -> tuple[int, int, int]:
-    """(size, deficiency, cert) of a nonempty support; d is not checked."""
-    s = len(sup)
-    if s > MAX_TYPE_SIZE:
-        raise ValueError(f"type certificates support size <= {MAX_TYPE_SIZE}, got {s}")
-    code = 0
-    for k, (u, v) in enumerate(itertools.combinations(sorted(sup), 2)):
-        if (u ^ v).bit_count() == 2:
-            code |= 1 << k
-    return s, d * s - len(hc._neighborhood(sup, d)), _cert_of_code(s, code)
+def _type_of(size: int, deficiency: int, code: int) -> tuple[int, int, int]:
+    """(size, deficiency, cert) of a shape (_shape, or the growth kernel's
+    carried one) of a nonempty support."""
+    if size > MAX_TYPE_SIZE:
+        raise ValueError(f"type certificates support size <= {MAX_TYPE_SIZE}, got {size}")
+    return size, deficiency, _cert_of_code(size, code)
 
 
 def classify(support: Iterable[int], d: int) -> DefectType:
@@ -261,7 +333,7 @@ def classify(support: Iterable[int], d: int) -> DefectType:
     if not sup:
         raise ValueError("cannot classify an empty set")
     hc.check_dim(d)
-    return DefectType(*_type_of(sup, d))
+    return DefectType(*_type_of(*_shape(sup)))
 
 
 class Polymer(NamedTuple):
@@ -288,8 +360,8 @@ def rooted_polymer_supports(d: int, max_size: int,
         raise ValueError("max_size must be >= 1")
     hc.check_dim(d)
     bud = [budget] if budget is not None else None
-    return sorted(_grow_polymers(d, V0, max_size, bud),
-                  key=lambda s: tuple(sorted(s)))
+    return [frozenset(s) for s in
+            sorted(tuple(sorted(g[0])) for g in _grow_polymers(d, V0, max_size, bud))]
 
 
 def enumerate_polymers(d: int, max_size: int,
@@ -303,9 +375,10 @@ def enumerate_polymers(d: int, max_size: int,
     bud = [budget] if budget is not None else None
     out = []
     for root in hc.odd_side(d):
-        for s in _grow_polymers(d, root, max_size, bud, above_root=True):
-            t = classify(s, d)
-            out.append(Polymer(support=tuple(sorted(s)), d=d,
+        for verts, _, deficiency, code in _grow_polymers(d, root, max_size, bud,
+                                                         above_root=True):
+            t = DefectType(*_type_of(len(verts), deficiency, code))
+            out.append(Polymer(support=tuple(sorted(verts)), d=d,
                                nbhd_size=t.nbhd_size(d), type=t))
     out.sort(key=lambda p: p.support)
     return out
@@ -377,14 +450,6 @@ def free_dim(k: int) -> int:
     return d
 
 
-def _active_mask(vertices: Iterable[int]) -> int:
-    """Bit i set iff some vertex differs from V0 in coordinate i."""
-    mask = 0
-    for v in vertices:
-        mask |= v ^ V0
-    return mask
-
-
 def _is_prefix(mask: int) -> bool:
     """Whether the active coordinates are exactly 0, ..., a-1."""
     return mask & (mask + 1) == 0
@@ -411,17 +476,15 @@ def _rescale(counts: dict, b: int, d: int) -> tuple[dict, int]:
 
 
 def _prefix_candidates(d: int, max_size: int,
-                       budget: list[int] | None) -> Iterator[frozenset]:
+                       budget: list[int] | None) -> Iterator[tuple]:
     """The valid rooted supports of size <= max_size that can still grow,
-    within total size max_size, into a set with prefix active coordinates.
+    within total size max_size, into a set with prefix active coordinates,
+    as the growth kernel yields them.
 
     The growth from V0 is cut by the gap bound, with room for max_size - n
     more vertices at a set of n.  `budget` counts the nodes of the cut search.
     """
-    def keep(mask: int, n: int) -> bool:
-        return _may_become_prefix(mask, max_size - n)
-
-    return _grow_polymers(d, V0, max_size, budget, keep)
+    return _grow_polymers(d, V0, max_size, budget, 0)
 
 
 def _rooted_type_counts(b: int, max_size: int, budget: int | None = None) \
@@ -434,11 +497,10 @@ def _rooted_type_counts(b: int, max_size: int, budget: int | None = None) \
     """
     counts: Counter = Counter()
     bud = [budget] if budget is not None else None
-    for s in _prefix_candidates(b, max_size, bud):
-        mask = _active_mask(s)
+    for verts, mask, deficiency, code in _prefix_candidates(b, max_size, bud):
         if _is_prefix(mask):
             a = mask.bit_count()
-            counts[_type_of(s, b), a] += math.comb(b, a)
+            counts[_type_of(len(verts), deficiency, code), a] += math.comb(b, a)
     return counts
 
 

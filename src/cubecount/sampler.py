@@ -439,7 +439,7 @@ def extract_defects(state: ChainState, debug: bool = False) -> DefectReport:
     nbhd_total = 0
     for comp in comps:
         if len(comp) <= pm.MAX_TYPE_SIZE:
-            t = pm.DefectType(*pm._type_of(comp, d))
+            t = pm.DefectType(*pm._type_of(*pm._shape(comp)))
             key = t.key
             nbhd_total += t.nbhd_size(d)
         else:

@@ -59,6 +59,14 @@ def _as_frac(x) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
+def _coprime_fraction(num: int, den: int) -> Fraction:
+    """num/den for coprime num and den > 0, without Fraction's gcd."""
+    make = getattr(Fraction, "_from_coprime_ints", None)  # Python >= 3.12
+    if make is not None:
+        return make(num, den)
+    return Fraction(num, den, _normalize=False)
+
+
 def _poly(vars: tuple, nums: dict, den: int) -> "RatPoly":
     """Trusted constructor: no validation, no reduction.
 
@@ -339,8 +347,11 @@ class RatPoly:
 
         One common denominator: with x_v = p_v/q_v and K_v the top exponent
         of v, the value is sum_e c_e * prod_v p_v^(e_v) q_v^(K_v - e_v) over
-        den * prod_v q_v^(K_v), so every term is an int product and one
-        Fraction (one gcd) is built at the end.
+        D = den * prod_v q_v^(K_v), so every term is an int product.  Every
+        prime of D divides den or some q_v, so gcds of the total with den
+        and with each q_v (and with what is left of D, so that no more is
+        divided out than D holds) reduce the value without the gcd of the
+        total and D, two numbers as long as the value.
         """
         names = self.vars
         used = [i for i in range(len(names)) if any(e[i] for e in self.nums)]
@@ -349,6 +360,7 @@ class RatPoly:
             raise ValueError(f"missing values for variables {missing}")
         weights = []  # (index, [p^k q^(K-k) for k = 0..K])
         den = self.den
+        factors = [den]  # every prime of den * prod q^K divides one of them
         for i in used:
             x = _as_frac(mapping[names[i]])
             p, q = x.numerator, x.denominator
@@ -360,12 +372,17 @@ class RatPoly:
                 q_pows.append(q_pows[-1] * q)
             weights.append((i, [a * b for a, b in zip(p_pows, reversed(q_pows))]))
             den *= q_pows[-1]
+            factors.append(q)
         total = 0
         for e, c in self.nums.items():
             for i, w in weights:
                 c *= w[e[i]]
             total += c
-        return Fraction(total, den)
+        for f in factors:
+            while (g := math.gcd(f, den, total)) > 1:
+                total //= g
+                den //= g
+        return _coprime_fraction(total, den)
 
     def truncate_total_degree(self, bound: int) -> "RatPoly":
         return _reduced(self.vars, {e: c for e, c in self.nums.items() if sum(e) <= bound},

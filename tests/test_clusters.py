@@ -239,7 +239,7 @@ def test_every_connected_support_is_a_polymer_from_free_dim():
     # so there the growth kernel yields every connected rooted set, once
     for k in (1, 2, 3, 4):
         d = cl.free_dim(k)
-        grown = list(pm._grow_polymers(d, pm.V0, k))
+        grown = [frozenset(g[0]) for g in pm._grow_polymers(d, pm.V0, k)]
         assert len(grown) == len(set(grown)), k
         assert set(grown) == connected_rooted_sets(d, k), k
 
@@ -316,7 +316,10 @@ def folded_stratum_table(b: int, k: int, type_key: str | None) -> dict:
         if c.total_size != k:
             continue
         n = sum(pm.classify(s, b).key == type_key for s in c.supports) if type_key else 0
-        a = pm._active_mask(v for s in c.supports for v in s).bit_count()
+        mask = 0  # the active coordinates: where some vertex differs from V0
+        for v in set().union(*c.supports):
+            mask |= v ^ pm.V0
+        a = mask.bit_count()
         bucket = ((k * b - c.nbhd_total, n), a)
         table[bucket] = table.get(bucket, 0) + Fraction(c.orderings, c.union_size) * c.phi
     return table

@@ -4,6 +4,8 @@ import hashlib
 import itertools
 import json
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -57,10 +59,16 @@ def reference_cert_of_adj(adj: list[list[bool]]) -> int:
     return best
 
 
+def colex_pairs(s: int):
+    """The vertex pairs (a, b), a < b < s, in colex order: bit k of a colex
+    adjacency code, the layout _cert_of_code reads, is the k-th of them."""
+    return [(a, b) for b in range(s) for a in range(b)]
+
+
 def adjacency_of_code(s: int, code: int) -> list[list[bool]]:
-    """The labelled graph whose row-major adjacency code is `code`."""
+    """The labelled graph whose colex adjacency code is `code`."""
     adj = [[False] * s for _ in range(s)]
-    for k, (a, b) in enumerate(itertools.combinations(range(s), 2)):
+    for k, (a, b) in enumerate(colex_pairs(s)):
         if code >> k & 1:
             adj[a][b] = adj[b][a] = True
     return adj
@@ -162,10 +170,18 @@ def test_budget_exhaustion_raises():
         pm.census(9, 3, budget=5)
 
 
+def active_mask(vertices) -> int:
+    """Bit i set iff some vertex differs from V0 in coordinate i."""
+    mask = 0
+    for v in vertices:
+        mask |= v ^ pm.V0
+    return mask
+
+
 def all_rooted_type_counts(b: int, max_size: int) -> Counter:
     """_rooted_type_counts by definition: every rooted support at b, with no
     prefix representatives and no C(b, a) weights."""
-    return Counter((pm._type_of(s, b), pm._active_mask(s).bit_count())
+    return Counter((pm.classify(s, b), active_mask(s).bit_count())
                    for s in pm.rooted_polymer_supports(b, max_size))
 
 
@@ -186,10 +202,9 @@ def direct_census(d: int, max_size: int) -> dict[pm.DefectType, int]:
     """The cross-check for census and symbolic_census: n_T(d) per type, from
     the rooted supports enumerated and classified at d itself, with no
     rescaling from a base dimension."""
-    rooted = Counter(pm._type_of(s, d) for s in pm.rooted_polymer_supports(d, max_size))
+    rooted = Counter(pm.classify(s, d) for s in pm.rooted_polymer_supports(d, max_size))
     out = {}
-    for key, r in rooted.items():
-        t = pm.DefectType(*key)
+    for t, r in rooted.items():
         total = Fraction(hc.n_side(d) * r, t.size)
         assert total.denominator == 1, (d, t.key)
         out[t] = int(total)
@@ -324,3 +339,130 @@ def test_cert_table_is_bounded():
     pm.census(9, 4)
     # one entry per labelled distance-2 graph met; there are 75 of size <= 4
     assert pm._cert_of_code.cache_info().currsize <= 75
+
+
+def reference_grow_polymers(d, root, max_size, budget=None, keep=None, above_root=False):
+    """The recursive growth kernel that _grow_polymers replaced, kept as its
+    differential reference: frozensets grown along the distance-2 neighbor
+    lists, with the keep(mask, size) callback as the cut."""
+    if keep is not None and not keep(root ^ pm.V0, 1):
+        return
+
+    def nbrs(v):
+        square = hc._square_neighbors(v, d)
+        return tuple(u for u in square if u > root) if above_root else square
+
+    base = frozenset((root,))
+    if not pm._is_valid(base, d):
+        return
+    yield base
+
+    def rec(s, mask, cand, seen):
+        for i, v in enumerate(cand):
+            if budget is not None:
+                budget[0] -= 1
+                if budget[0] < 0:
+                    raise BudgetExceededError("connected-set enumeration budget exhausted")
+            m2 = mask | (v ^ pm.V0)
+            if keep is not None and not keep(m2, len(s) + 1):
+                continue
+            s2 = s | {v}
+            if not pm._is_valid(s2, d):
+                continue
+            yield s2
+            if len(s2) < max_size:
+                fresh = tuple(u for u in nbrs(v) if u not in seen)
+                yield from rec(s2, m2, cand[i + 1:] + fresh, seen | frozenset(fresh))
+
+    if max_size > 1:
+        first = nbrs(root)
+        yield from rec(base, root ^ pm.V0, first, base | frozenset(first))
+
+
+def colex_code(vertices) -> int:
+    """The colex distance-2 code of the vertices in the given order."""
+    vs = list(vertices)
+    return sum(1 << k for k, (a, b) in enumerate(colex_pairs(len(vs)))
+               if (vs[a] ^ vs[b]).bit_count() == 2)
+
+
+def check_kernel_against_reference(d, root, max_size, joins=None, above_root=False):
+    """The kernel yields the reference's sets in the reference's order and
+    spends the same budget, with a correct shape carried for each set."""
+    keep = None
+    if joins is not None:
+        def keep(mask, n):
+            return pm._may_become_prefix(mask | joins, max_size - n)
+    want_budget, got_budget = [10 ** 9], [10 ** 9]
+    want = list(reference_grow_polymers(d, root, max_size, want_budget, keep, above_root))
+    got = list(pm._grow_polymers(d, root, max_size, got_budget, joins, above_root))
+    assert [frozenset(g[0]) for g in got] == want
+    assert got_budget == want_budget
+    for verts, mask, deficiency, code in got:
+        s = len(verts)
+        assert verts[0] == root and len(set(verts)) == s
+        assert mask == active_mask(verts)
+        assert deficiency == d * s - len(hc._neighborhood(verts, d))
+        assert code == colex_code(verts)
+        assert pm._cert_of_code(s, code) == pm._cert_of_code(s, colex_code(sorted(verts)))
+    return got
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8])
+def test_growth_kernel_matches_recursive_reference(d):
+    for max_size in (1, 2, 3, 4):
+        check_kernel_against_reference(d, pm.V0, max_size)
+        # the cut of _prefix_candidates, and one as a cluster walk makes it
+        # for a set joining a union with active mask 0b1011
+        check_kernel_against_reference(d, pm.V0, max_size, 0)
+        if d >= 3:
+            check_kernel_against_reference(d, pm.V0 ^ 0b110, max_size,
+                                           0b1011 & ((1 << d) - 1))
+        for root in hc.odd_side(d)[:: max(1, hc.n_side(d) // 6)]:
+            check_kernel_against_reference(d, root, max_size, above_root=True)
+
+
+@pytest.mark.slow
+def test_growth_kernel_matches_recursive_reference_at_size_five():
+    got = check_kernel_against_reference(9, pm.V0, 5, 0)
+    assert max(len(g[0]) for g in got) == 5
+
+
+def test_shape_is_the_kernels_per_vertex_step():
+    rng = random.Random(5)
+    for _ in range(200):
+        d = rng.randint(3, 10)
+        size = rng.randint(1, min(pm.MAX_TYPE_SIZE, hc.n_side(d)))
+        support = {pm.V0}
+        while len(support) < size:
+            frontier = sorted({u for v in support for u in hc.square_neighbors(v, d)}
+                              - support)
+            support.add(rng.choice(frontier))
+        order = list(support)
+        rng.shuffle(order)
+        s, deficiency, code = pm._shape(order)
+        assert s == len(support)
+        assert deficiency == d * s - len(hc.neighborhood(support, d))
+        assert code == colex_code(order)
+
+
+LEAK_PROBE = """
+import gc, sys
+from cubecount.cli import main
+for argv in (["rj", "--j", "3"], ["polymers", "--d", "9", "--max-size", "4"]):
+    if main(argv) != 0:
+        sys.exit("exit code")
+gc.set_debug(gc.DEBUG_SAVEALL)
+gc.collect()
+print(sorted({f.__qualname__ for f in gc.garbage if type(f).__name__ == "function"
+              and (f.__module__ or "").startswith("cubecount")}))
+"""
+
+
+def test_walks_leave_no_reference_cycles():
+    # a nested function that calls itself holds itself through its closure
+    # cell, so every call would leave a cycle for the collector
+    proc = subprocess.run([sys.executable, "-c", LEAK_PROBE], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -327,6 +328,32 @@ def test_eval_matches_the_fraction_kernel(p, data):
                 q.eval(point)
     else:
         assert p1.eval(point) == p0.eval(point)
+
+
+def test_eval_reduces_factors_shared_with_den_and_the_value_denominators():
+    """eval divides the value's gcd out by gcds with den and each q_v alone;
+    numerators built from the primes of den and of the q_v make that gcd
+    large, and the result must still be the reduced Fraction."""
+    rng = random.Random(11)
+    primes = (2, 3, 5, 7)
+
+    def smooth(top):
+        return math.prod(rng.choice(primes) for _ in range(rng.randint(0, top)))
+
+    for _ in range(400):
+        den = smooth(6)
+        terms = {}
+        for _ in range(rng.randint(1, 5)):
+            e = (rng.randint(0, 4), rng.randint(0, 4))
+            terms[e] = Fraction(rng.choice((-1, 1)) * smooth(8) * rng.randint(1, 3), den)
+        p = RatPoly(("beta", "d"), terms)
+        point = {v: Fraction(rng.randint(-40, 40) * smooth(3), smooth(5) * rng.randint(1, 4))
+                 for v in ("beta", "d")}
+        got = p.eval(point)
+        want = sum((c * point["beta"] ** e[0] * point["d"] ** e[1]
+                    for e, c in terms.items()), Fraction(0))
+        assert got == want
+        assert math.gcd(got.numerator, got.denominator) == 1 and got.denominator > 0
 
 
 INTERP_VARS = ("X", "beta")
