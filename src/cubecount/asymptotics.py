@@ -45,8 +45,18 @@ DIM = "d"
 _r_cache: dict[int, RatPoly] = {}
 
 # Largest j for which R_poly needs no budget, so also the largest stratum the
-# series formulas below can use without one.
+# series formulas below can use: they take no budget, and each public entry
+# refuses a larger order through _check_order.
 MAX_EXACT_J = 3
+
+
+def _check_order(name: str, value: int, largest: int) -> None:
+    """Refuse an order past `largest`, the last one whose formula reads no
+    R_j beyond MAX_EXACT_J; each entry checks it before any warning or work."""
+    if value > largest:
+        raise ValueError(
+            f"{name} = {value} is past {largest}: higher orders need R_j for "
+            f"j > {MAX_EXACT_J}")
 
 
 def R_poly(j: int, budget: int | None = None) -> RatPoly:
@@ -193,6 +203,7 @@ def Q_func(j: int, b: Mapping[int, RatFunc] | None = None) -> RatFunc:
     """
     if j < 1:
         raise ValueError("order must be >= 1")
+    _check_order("j", j, MAX_EXACT_J)
     b = b or {}
     for i in range(1, j):
         if i not in b:
@@ -216,6 +227,7 @@ def compute_B(r: int) -> SeriesTable:
     """
     if r < 0:
         raise ValueError("order must be >= 0")
+    _check_order("r", r, MAX_EXACT_J)
     solved: dict[int, RatFunc] = {}
     for j in range(1, r + 1):
         q = Q_func(j, solved)
@@ -264,6 +276,8 @@ def lambda_beta(beta: Fraction, d: int, t: int) -> LambdaBeta:
     hc.check_dim(d)
     if t < 1:
         raise ValueError("order must be >= 1")
+    # order t uses B_j for j <= r = ceil(t/2) - 1
+    _check_order("t", t, 2 * (MAX_EXACT_J + 1))
     _warn_beta_regime(beta, t)
     r = math.ceil(t / 2) - 1
     table = compute_B(r)
@@ -292,6 +306,7 @@ def compute_P(jmax: int) -> SeriesTable:
     """
     if jmax < 0:
         raise ValueError("order must be >= 0")
+    _check_order("jmax = t - 1", jmax, MAX_EXACT_J)
     r = math.ceil((jmax + 1) / 2) - 1
     b = compute_B(r)
     order = jmax + 1
@@ -392,6 +407,7 @@ def log_Z_asymptotic(lam: Fraction, d: int, t: int, digits: int = 80) -> LogCoun
     hc.check_dim(d)
     if t < 1:
         raise ValueError("order must be >= 1")
+    _check_order("t", t, MAX_EXACT_J + 1)
     if (1 + lam) ** t <= 2:
         warnings.warn(RegimeWarning(
             f"lam = {lam} is at or below 2^(1/{t}) - 1; order-{t} guarantees "
@@ -467,6 +483,7 @@ def log_count_asymptotic(beta: Fraction, d: int, t: int,
     hc.check_dim(d)
     if t < 1:
         raise ValueError("order must be >= 1")
+    _check_order("t", t, MAX_EXACT_J + 1)
     n = hc.n_side(d)
     m = math.floor(beta * n)
     if not 0 < m < n:

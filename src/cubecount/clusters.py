@@ -72,8 +72,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from typing import Iterable, Iterator, NamedTuple
 
 from . import hypercube as hc
@@ -578,36 +580,23 @@ def abstract_cluster_log(weights: list[RatPoly], incompatible: set[tuple[int, in
     pairs = {(min(a, b), max(a, b)) for a, b in incompatible}
 
     out = RatPoly.const(0)
-
-    def rec(counts: tuple[int, ...], start: int, used: int) -> None:
-        nonlocal out
-        if used > 0:
-            positions = []
-            for i, c in enumerate(counts):
-                positions += [i] * c
+    for used in range(1, max_total + 1):
+        # each multiset once, as its sorted positions
+        for positions in combinations_with_replacement(range(m), used):
             edges = []
-            for a in range(len(positions)):
-                for b in range(a + 1, len(positions)):
+            for a in range(used):
+                for b in range(a + 1, used):
                     pa, pb = positions[a], positions[b]
-                    if pa == pb or (min(pa, pb), max(pa, pb)) in pairs:
+                    if pa == pb or (pa, pb) in pairs:
                         edges.append((a, b))
-            phi = _ursell_cached(len(positions), tuple(edges))
+            phi = _ursell_cached(used, tuple(edges))
             if phi:
                 orderings = math.factorial(used)
                 term = RatPoly.const(1)
-                for i, c in enumerate(counts):
+                for i, c in Counter(positions).items():
                     orderings //= math.factorial(c)
-                    if c:
-                        term = term * weights[i] ** c
+                    term = term * weights[i] ** c
                 out = out + term * (phi * orderings)
-        if used == max_total:
-            return
-        for i in range(start, m):
-            inc = list(counts)
-            inc[i] += 1
-            rec(tuple(inc), i, used + 1)
-
-    rec((0,) * m, 0, 0)
     return out
 
 
@@ -622,24 +611,17 @@ def abstract_log_direct(weights: list[RatPoly], incompatible: set[tuple[int, int
     m = len(weights)
     pairs = {(min(a, b), max(a, b)) for a, b in incompatible}
 
-    compatible_subsets: list[tuple[int, ...]] = [()]
-
-    def grow(chosen: tuple[int, ...], start: int) -> None:
-        for i in range(start, m):
-            if all((min(i, j), max(i, j)) not in pairs for j in chosen):
-                compatible_subsets.append(chosen + (i,))
-                grow(chosen + (i,), i + 1)
-
-    grow((), 0)
-
+    # each nonempty compatible subset once, grown in index order from a
+    # stack of (chosen, its weight product, the first index to add)
     p = RatPoly.const(0)
-    for subset in compatible_subsets:
-        if not subset:
-            continue
-        term = RatPoly.const(1)
-        for i in subset:
-            term = term * weights[i]
-        p = p + term
+    stack = [((), RatPoly.const(1), 0)]
+    while stack:
+        chosen, product, start = stack.pop()
+        for i in range(start, m):
+            if all((j, i) not in pairs for j in chosen):
+                term = product * weights[i]
+                p = p + term
+                stack.append((chosen + (i,), term, i + 1))
     p = p.truncate_total_degree(max_total)
 
     out = RatPoly.const(0)

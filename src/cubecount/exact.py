@@ -253,9 +253,10 @@ def _collection_counts(supports: list[frozenset[int]], d: int) \
     full universe at d <= 5.  Two polymers are compatible at distance > 2:
     no shared vertex and no shared neighbor.  A shared vertex puts its
     neighbors in both neighborhoods, so disjoint N(S) alone decides it.
-    Collections grow in index order; `allowed` is the bitmask of the later
-    polymers compatible with every one chosen, and meets[w] that of the
-    polymers whose neighborhood holds w.
+    Collections grow in index order, from a stack of (allowed, n, size,
+    nbhd): `allowed` is the bitmask of the later polymers compatible with
+    every one of the n - 1 chosen, whose totals are size and nbhd, and
+    meets[w] that of the polymers whose neighborhood holds w.
     """
     nbhds = [hc._neighborhood(s, d) for s in supports]
     meets: dict[int, int] = {}
@@ -263,8 +264,9 @@ def _collection_counts(supports: list[frozenset[int]], d: int) \
         for w in nb:
             meets[w] = meets.get(w, 0) | 1 << i
     counts = {(0, 0, 0): 1}
-
-    def grow(allowed: int, n: int, size: int, nbhd: int) -> None:
+    stack = [((1 << len(supports)) - 1, 1, 0, 0)]
+    while stack:
+        allowed, n, size, nbhd = stack.pop()
         while allowed:
             low = allowed & -allowed
             allowed ^= low
@@ -274,9 +276,7 @@ def _collection_counts(supports: list[frozenset[int]], d: int) \
             clash = 0
             for w in nbhds[i]:
                 clash |= meets[w]
-            grow(allowed & ~clash, n + 1, key[1], key[2])
-
-    grow((1 << len(supports)) - 1, 1, 0, 0)
+            stack.append((allowed & ~clash, n + 1, key[1], key[2]))
     return counts
 
 

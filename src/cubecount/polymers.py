@@ -425,18 +425,6 @@ class Census(NamedTuple):
             "split_certs": [list(x) for x in self.split_certs],
         }
 
-    @staticmethod
-    def from_json(obj: dict) -> "Census":
-        entries = tuple(
-            CensusEntry(
-                type=DefectType(int(e["size"]), int(e["deficiency"]), int(e["cert"])),
-                count=int(e["count"]),
-            )
-            for e in obj["entries"]
-        )
-        return Census(int(obj["d"]), int(obj["max_size"]), entries,
-                      tuple(tuple(x) for x in obj["split_certs"]))
-
 
 def free_dim(k: int) -> int:
     """Smallest d >= max(2, 2(k-1)) with d*k <= 2^(d-2).

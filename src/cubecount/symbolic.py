@@ -175,18 +175,12 @@ class RatPoly:
             return b
         if len(a.nums) < len(b.nums):
             a, b = b, a
-        if a.den == b.den:
-            den = a.den
-            nums = dict(a.nums)
-            items = b.nums.items()
-        else:
-            g = math.gcd(a.den, b.den)
-            fa, fb = b.den // g, a.den // g
-            den = a.den * fa
-            nums = {e: c * fa for e, c in a.nums.items()}
-            items = ((e, c * fb) for e, c in b.nums.items())
-        for e, c in items:
-            total = nums.get(e, 0) + c
+        g = math.gcd(a.den, b.den)
+        fa, fb = b.den // g, a.den // g
+        den = a.den * fa
+        nums = {e: c * fa for e, c in a.nums.items()}
+        for e, c in b.nums.items():
+            total = nums.get(e, 0) + c * fb
             if total:
                 nums[e] = total
             else:
@@ -212,10 +206,6 @@ class RatPoly:
         if len(a.nums) < len(b.nums):
             a, b = b, a
         den = a.den * b.den
-        if len(b.nums) == 1:  # a monomial shifts exponents: no collisions
-            (e2, c2), = b.nums.items()
-            nums = {tuple(map(add, e1, e2)): c1 * c2 for e1, c1 in a.nums.items()}
-            return _reduced(vs, nums, den)
         nums = {}
         get = nums.get
         a_items = a.nums.items()
@@ -277,10 +267,6 @@ class RatPoly:
         i = self.vars.index(var)
         return max(e[i] for e in self.nums)
 
-    def constant(self) -> Fraction:
-        zero = (0,) * len(self.vars)
-        return Fraction(self.nums.get(zero, 0), self.den)
-
     def as_univariate(self, var: str) -> dict[int, "RatPoly"]:
         """Split into {exponent of var: polynomial in the other variables}."""
         if var not in self.vars:
@@ -307,40 +293,6 @@ class RatPoly:
             if k:
                 nums[e[:i] + (k - 1,) + e[i + 1:]] = c * k
         return _reduced(self.vars, nums, self.den)
-
-    def subs(self, mapping: Mapping[str, object]) -> "RatPoly":
-        """Substitute polynomials/rationals for variables (partial allowed).
-
-        The result carries the variables of the values substituted for
-        variables that occur, and the other variables that occur.  Terms are
-        grouped by their exponents of the substituted variables, so each
-        power of a substituted value is multiplied in once per group.
-        """
-        if not self.nums:
-            return RatPoly.const(0)
-        reps: dict[int, RatPoly] = {}
-        keep = []
-        for i, v in enumerate(self.vars):
-            if not any(e[i] for e in self.nums):
-                continue
-            if v in mapping:
-                rep = mapping[v]
-                reps[i] = rep if isinstance(rep, RatPoly) else RatPoly.const(_as_frac(rep))
-            else:
-                keep.append(i)
-        kept_vars = tuple(self.vars[i] for i in keep)
-        groups: dict[tuple, dict[tuple, int]] = {}
-        for e, c in self.nums.items():
-            key = tuple(e[i] for i in reps)
-            groups.setdefault(key, {})[tuple(e[i] for i in keep)] = c
-        out = RatPoly.const(0)
-        for key, nums in groups.items():
-            term = _reduced(kept_vars, nums, self.den)
-            for rep, k in zip(reps.values(), key):
-                if k:
-                    term = term * rep ** k
-            out = out + term
-        return out
 
     def eval(self, mapping: Mapping[str, Scalar]) -> Fraction:
         """The exact value at rational values of the variables that occur.
@@ -413,11 +365,6 @@ class RatPoly:
             "vars": list(self.vars),
             "terms": [[list(e), str(c)] for e, c in sorted(self.terms.items())],
         }
-
-    @staticmethod
-    def from_json(obj: dict) -> "RatPoly":
-        return RatPoly(tuple(obj["vars"]),
-                       {tuple(e): Fraction(c) for e, c in obj["terms"]})
 
 
 def _coerce_poly(x) -> RatPoly:
@@ -596,10 +543,6 @@ class RatFunc:
 
     def to_json(self) -> dict:
         return {"num": self.num.to_json(), "bpow": self.bpow, "opow": self.opow}
-
-    @staticmethod
-    def from_json(obj: dict) -> "RatFunc":
-        return RatFunc(RatPoly.from_json(obj["num"]), obj["bpow"], obj["opow"])
 
 
 def _coerce_func(x) -> RatFunc:

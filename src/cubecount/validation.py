@@ -318,7 +318,7 @@ def _check_reproducibility() -> list[str]:
                 fails.append(f"sample run exited {code}")
             return out.read_bytes(), csv.read_bytes()
 
-        args = ["sample", "--d", "3", "--lam", "1", "--steps", "30000",
+        args = ["sample", "--d", "3", "--lam", "1", "--samples", "580",
                 "--burn-in", "1000", "--thin", "50", "--seed", "99"]
         a_json, a_csv = run(args, "a")
         b_json, b_csv = run(args, "b")

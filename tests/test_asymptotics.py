@@ -1,6 +1,8 @@
 """Series coefficients and high-precision counting formulas."""
 
 import math
+import subprocess
+import sys
 import time
 import warnings
 from fractions import Fraction
@@ -39,7 +41,7 @@ def test_r_table_contents_and_json():
     entries = table.to_json()
     assert [e["j"] for e in entries] == [1, 2]
     assert all(e["kind"] == "R" and "text" in e for e in entries)
-    assert RatPoly.from_json(entries[1]["poly"]) == asym.R_poly(2)
+    assert entries[1]["poly"] == asym.R_poly(2).to_json()
 
 
 def test_r_polynomials_match_stratum_sums_numerically():
@@ -120,6 +122,62 @@ def test_lambda_beta_validates_inputs():
         asym.lambda_beta(Fraction(0), 4, 2)
     with pytest.raises(ValueError):
         asym.lambda_beta(Fraction(1, 2), 4, 0)
+
+
+J = asym.MAX_EXACT_J
+
+# each public entry at an order n and a density or fugacity x, with the
+# largest order it can serve from R_1 .. R_J
+ORDER_LIMITS = {
+    "compute_B": (lambda n, x: asym.compute_B(n), J),
+    "compute_P": (lambda n, x: asym.compute_P(n), J),
+    "lambda_beta": (lambda n, x: asym.lambda_beta(x, 10, n), 2 * J + 2),
+    "log_Z_asymptotic": (lambda n, x: asym.log_Z_asymptotic(x, 10, n), J + 1),
+    "log_count_asymptotic": (lambda n, x: asym.log_count_asymptotic(x, 10, n), J + 1),
+    "structured_count": (lambda n, x: asym.structured_count(x, 10, t=n), J + 1),
+}
+
+
+@pytest.mark.parametrize("name", ORDER_LIMITS)
+def test_entries_refuse_orders_past_the_exact_strata(name):
+    call, largest = ORDER_LIMITS[name]
+    assert call(largest, Fraction(1, 2)) is not None
+    # x = 1/100 is below every regime boundary at these orders: the order is
+    # refused before the regime warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match=f"is past {largest}: higher orders "
+                                             f"need R_j for j > {J}"):
+            call(largest + 1, Fraction(1, 100))
+    assert caught == []
+
+
+ORDER_PROBE = """
+from fractions import Fraction
+from cubecount import asymptotics as asym
+J, x = asym.MAX_EXACT_J, Fraction(1, 2)
+for call in (lambda: asym.compute_B(J + 1), lambda: asym.compute_P(J + 1),
+             lambda: asym.lambda_beta(x, 10, 2 * J + 3),
+             lambda: asym.log_Z_asymptotic(x, 10, J + 2),
+             lambda: asym.log_count_asymptotic(x, 10, J + 2),
+             lambda: asym.structured_count(x, 10, t=J + 2)):
+    try:
+        call()
+        print("returned")
+    except Exception as e:
+        print(type(e).__name__, e)
+"""
+
+
+def test_orders_are_refused_without_asserts():
+    # the refusal is a check of its own, not _strata_series' assert
+    proc = subprocess.run([sys.executable, "-O", "-c", ORDER_PROBE],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 6
+    assert all(line.startswith("ValueError") and "higher orders need R_j" in line
+               for line in lines), lines
 
 
 def test_log_z_asymptotic_approaches_exact_small_d():

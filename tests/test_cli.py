@@ -67,6 +67,9 @@ def test_oracle_d6_validates_against_schema(capsys):
     jsonschema.validate(obj, json.loads((SCHEMA_DIR / "oracle.json").read_text()))
 
 
+# the series layer computes R_j exactly for j <= J
+J = asymptotics.MAX_EXACT_J
+
 # each exits 1 with a one-line error
 USAGE_ERRORS = [
     ["oracle", "--d", "0"],
@@ -79,19 +82,19 @@ USAGE_ERRORS = [
     ["oracle", "--d", "2", "--bogus-flag"],
     ["validate", "--only", "99"],
     ["no-such-command"],
-    # orders beyond the exact R_1..R_3, on commands with no --budget
-    ["pj", "--t", "9"],
-    ["bj", "--r", "4"],
-    ["lambda-beta", "--beta", "1/2", "--d", "10", "--t", "9"],
-    ["zeta", "--lam", "1", "--d", "10", "--t", "5"],
-    ["count", "--beta", "1/2", "--d", "10", "--t", "5"],
-    ["count-structured", "--beta", "1/2", "--d", "10", "--t", "5"],
+    # the first orders past the exact R_1..R_J, on commands with no --budget
+    ["pj", "--t", str(J + 2)],
+    ["bj", "--r", str(J + 1)],
+    ["lambda-beta", "--beta", "1/2", "--d", "10", "--t", str(2 * J + 3)],
+    ["zeta", "--lam", "1", "--d", "10", "--t", str(J + 2)],
+    ["count", "--beta", "1/2", "--d", "10", "--t", str(J + 2)],
+    ["count-structured", "--beta", "1/2", "--d", "10", "--t", str(J + 2)],
     # found by the fuzz below: each printed JSON its schema rejects
     ["rj", "--j", "0"],
     ["clusters", "--d", "1", "--k", "1"],
     # each exited 0: snapshots at negative steps; d above MAX_DIM
     ["sample", "--d", "3", "--lam", "1", "--burn-in", "-5",
-     "--steps", "20", "--thin", "1"],
+     "--samples", "2", "--thin", "1"],
     ["clusters", "--d", "25", "--k", "1"],
     # the chain's step tables would need gigabytes past d = 16
     ["sample", "--d", "17", "--lam", "1", "--samples", "2"],
@@ -134,6 +137,8 @@ USAGE_ERRORS = [
     # each started a census that no budget bounded (96 s at d = 7)
     ["sample", "--d", "7", "--lam", "1", "--census-size", "6"],
     ["sample", "--d", "6", "--lam", "1", "--census-size", "7"],
+    # --samples alone sets the run length
+    ["sample", "--d", "3", "--lam", "1", "--steps", "10"],
 ]
 
 
@@ -191,34 +196,20 @@ def test_sample_names_samples_when_it_is_below_two(capsys):
         assert (code, out, err) == (1, "", "error: --samples must be >= 2\n"), n
 
 
-@pytest.mark.parametrize("argv, snapshots", [
-    ("--steps 2000 --burn-in 1000 --thin 1000", 1),
-    ("--steps 500 --burn-in 1000", 0),
-    ("--steps 1999 --burn-in 1000 --thin 1000 --chains 2", 0),
-])
-def test_sample_names_steps_burn_in_and_thin_below_two_snapshots(capsys, argv, snapshots):
-    # the statistics and glauber_run reported these as "need at least two
-    # samples for statistics" and "steps must be at least burn_in"
-    code, out, err = run_cli(capsys, "sample", "--d", "4", "--lam", "1", *argv.split())
-    assert (code, out) == (1, "")
-    assert err.startswith("error: --steps") and err.count("\n") == 1, err
-    assert all(opt in err for opt in ("--steps", "--burn-in", "--thin")), err
-    assert f"leaves {snapshots} snapshot" in err, err
-
-
 def test_sample_counts_snapshots_over_all_chains(capsys):
-    # one snapshot in each of two chains is two samples
-    code, _, err = run_cli(capsys, "sample", "--d", "4", "--lam", "1", "--steps",
-                           "2000", "--burn-in", "1000", "--thin", "1000",
-                           "--chains", "2")
+    # two snapshots in each of two chains are four samples
+    code, out, err = run_cli(capsys, "sample", "--d", "4", "--lam", "1", "--samples",
+                             "2", "--burn-in", "1000", "--thin", "1000",
+                             "--chains", "2")
     assert code == 0, err
+    assert json.loads(out)["samples"] == 4
 
 
 def test_sample_ignores_thread_environment_variable(capsys, monkeypatch):
     # no command reads a process or thread count from the environment
     monkeypatch.setenv("CUBECOUNT_THREADS", "abc")
-    code, out, err = run_cli(capsys, "sample", "--d", "3", "--lam", "1", "--steps",
-                             "2000", "--burn-in", "100", "--thin", "50")
+    code, out, err = run_cli(capsys, "sample", "--d", "3", "--lam", "1", "--samples",
+                             "38", "--burn-in", "100", "--thin", "50")
     assert code == 0, err
 
 
@@ -455,7 +446,7 @@ def test_clusters_stratum_with_value(capsys):
 
 
 def test_sample_run_is_byte_reproducible(tmp_path, capsys):
-    args = ["sample", "--d", "3", "--lam", "1", "--steps", "20000",
+    args = ["sample", "--d", "3", "--lam", "1", "--samples", "380",
             "--burn-in", "1000", "--thin", "50", "--seed", "99"]
     paths = []
     for tag in ("a", "b"):
@@ -924,7 +915,7 @@ CLI_ARGS = st.one_of(
                opt("--diverging", KEYS.map(lambda k: f"{k}=2,1")),
                opt("--budget", st.sampled_from([1, 10 ** 6])), opt("--digits", DIGITS)),
     invocation("sample", fixed("--d", st.integers(0, 4)), fixed("--lam", RATIONALS),
-               opt("--steps", st.integers(0, 2000)), opt("--burn-in", st.integers(-1, 500)),
+               opt("--samples", st.integers(-1, 40)), opt("--burn-in", st.integers(-1, 500)),
                opt("--thin", st.integers(-1, 50)), opt("--census-size", st.integers(-1, 8)),
                opt("--seed", st.integers(0, 3))),
 )

@@ -93,7 +93,7 @@ def test_cluster_sum_json_shape():
     cs = cl.cluster_sum(3, 1, cl.Observable.size())
     obj = cs.to_json()
     assert obj["d"] == 3 and obj["k"] == 1 and obj["observable"] == "size"
-    assert RatPoly.from_json(obj["poly"]) == cs.poly
+    assert obj["poly"] == cs.poly.to_json()
 
 
 def test_size_observable_first_stratum():

@@ -30,7 +30,7 @@ CASES = [
     ("log_count", ("zeta", "--lam", "1", "--d", "10", "--t", "2")),
     ("log_count", ("count-structured", "--beta", "1/4", "--d", "10", "--t", "2",
                    "--fixed", "s1c0g0=0", "--diverging", "s2c2g1=3,1")),
-    ("sampler_summary", ("sample", "--d", "3", "--lam", "1", "--steps", "5000",
+    ("sampler_summary", ("sample", "--d", "3", "--lam", "1", "--samples", "90",
                          "--burn-in", "500", "--thin", "50", "--seed", "1")),
 ]
 
