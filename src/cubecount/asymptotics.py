@@ -101,15 +101,8 @@ class SeriesTable:
         self.kind = kind  # "R" | "B" | "P"
         self.entries = entries  # j -> RatPoly (R) or RatFunc (B, P)
 
-    def __eq__(self, other):
-        return (type(other) is SeriesTable
-                and (self.kind, self.entries) == (other.kind, other.entries))
-
     def __getitem__(self, j: int):
         return self.entries[j]
-
-    def __contains__(self, j: int) -> bool:
-        return j in self.entries
 
     def to_json(self) -> list[dict]:
         out = []

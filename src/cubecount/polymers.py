@@ -535,9 +535,6 @@ class SymbolicCensus(NamedTuple):
     grid: tuple[int, ...]
     entries: tuple[tuple[DefectType, RatPoly], ...]
 
-    def by_key(self) -> dict[str, RatPoly]:
-        return {t.key: p for t, p in self.entries}
-
 
 def symbolic_census(max_size: int) -> SymbolicCensus:
     """Per-type counts n_T(d)/n_side in closed form, from one enumeration.

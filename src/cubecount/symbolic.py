@@ -244,13 +244,6 @@ class RatPoly:
         a, b, _ = RatPoly._aligned(self, other)
         return a.nums == b.nums
 
-    def __hash__(self):
-        used = [i for i, v in enumerate(self.vars)
-                if any(e[i] for e in self.nums)]
-        vs = tuple(self.vars[i] for i in used)
-        return hash((vs, self.den, frozenset(
-            (tuple(e[i] for i in used), c) for e, c in self.nums.items())))
-
     # -- queries ------------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -511,9 +504,6 @@ class RatFunc:
         # normalized on construction, but guard against unequal residual forms
         n1, n2, _, _ = self._common(other)
         return n1 == n2
-
-    def __hash__(self):
-        return hash((self.num, self.bpow, self.opow))
 
     def eval(self, mapping: Mapping[str, Scalar]) -> Fraction:
         beta = _as_frac(mapping[BETA]) if BETA in mapping else None

@@ -314,8 +314,9 @@ def _check_reproducibility() -> list[str]:
             out = tmp / f"{tag}.json"
             csv = tmp / f"{tag}.csv"
             code = cli.main(args + ["--out", str(out), "--csv", str(csv)])
-            if code != 0:
+            if code != 0:  # and wrote no output to read
                 fails.append(f"sample run exited {code}")
+                return b"", b""
             return out.read_bytes(), csv.read_bytes()
 
         args = ["sample", "--d", "3", "--lam", "1", "--samples", "580",

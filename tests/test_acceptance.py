@@ -62,3 +62,13 @@ def test_criterion_10_binomial_lclt():
 
 def test_criterion_11_reproducibility():
     _run(11)
+
+
+def test_criterion_11_names_a_failed_sample_run(monkeypatch):
+    # the criterion read the JSON that a failed run never wrote, so it
+    # reported FileNotFoundError and lost the exit code
+    from cubecount import cli
+    monkeypatch.setattr(cli, "main", lambda argv: 1)
+    criterion = next(c for c in validation.CRITERIA if c.number == 11)
+    failures = validation.run_criterion(criterion).failures
+    assert failures and all(f == "sample run exited 1" for f in failures)

@@ -19,6 +19,8 @@ from hypothesis import given, settings, strategies as st
 from cubecount import cli
 from cubecount import clusters, asymptotics
 
+import cli_contract
+
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
@@ -372,44 +374,6 @@ def test_rj_output_is_reproducible(capsys):
     assert len(obj["entries"]) == 2
 
 
-# SHA-256 of stdout for the exact symbolic outputs, recorded before the
-# symbolic kernel moved from Fraction coefficients to integer numerators over
-# one denominator; the printed forms must not depend on the representation.
-PINNED_STDOUT_SHA256 = {
-    "rj --j 3": "154b4f1c0df8f7908666770392741cb257b4e5ece74f2386f22626f2e03a0a3f",
-    "bj --r 3": "55a17e79b644d6239d769b390fcd5fb04c2c47bf79e342b8c07c2c9023f9cea6",
-    "pj --t 2": "91d9aae966747890b825eb0a3d0041f7a0e332865e002a906d42e55510493791",
-    "pj --t 3": "b380bfc1baa5bbaf46e26c8b82d3118dee0fb0c2e7cb5a1753023ba10d925fa0",
-    "pj --t 4": "203ab1d56171ef16eb74a0e8476272831b9a81b31cbae30cdff255ff03360fb6",
-    "lambda-beta --beta 1/3 --d 20 --t 8":
-        "68d429ac6cc05c9e61027adbf801e6d9b1cb061ceca6757a7548396a45e74950",
-    "polymers --max-size 4 --mode symbolic":
-        "05976534fa40a7580371315f52c63990631bbd4ca51c13a10be67ef21dba3264",
-    "clusters --d 10 --k 3": "9e78f9dc37a214519427c6e5fe80320ad9c944f938c1acc7f38a5f71b7c21521",
-    "count-structured --beta 1/2 --d 12 --fixed s1c0g0=1":
-        "76581b3cbddcef7b536a69ebb1261b3580c7a9e2dcd82c21644e674f0183799c",
-    # recorded from mpmath before these printed from decimal intervals
-    "count --beta 1/2 --d 23 --t 4":
-        "cffd9ff0b6fb4e20945cc0e6b1ef367d0c903a6c894ad10410976e9d05d830bf",
-    "count --beta 1/3 --d 23 --t 3":
-        "b49a411e8fab8516ad13e4806b960dd2b31c51558c5b17d54c67e2bbd7e840a2",
-    "zeta --lam 1 --d 24 --t 3":
-        "a9444b395080337949148b8a52a41aa94a43a3a200c3c75a78330ef8f47b1bf5",
-    "oracle --d 5 --lam 1":
-        "d097827f4e1d35109f66352734158a46ba8a9e49778e83b8506ec210caefe3d8",
-}
-# the pinned commands whose digits, recorded from mpmath, print from intervals
-INTERVAL_DIGITS = ("count --beta 1/2 --d 23 --t 4", "count --beta 1/3 --d 23 --t 3",
-                   "zeta --lam 1 --d 24 --t 3", "oracle --d 5 --lam 1")
-
-
-@pytest.mark.parametrize("command", sorted(PINNED_STDOUT_SHA256))
-def test_exact_outputs_are_pinned(capsys, command):
-    code, out, _ = run_cli(capsys, *command.split())
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT_SHA256[command]
-
-
 def test_bj_and_pj_emit_series(capsys):
     code, out, _ = run_cli(capsys, "bj", "--r", "1")
     assert code == 0
@@ -484,6 +448,28 @@ def test_report_pipeline(tmp_path, capsys):
     dat = (tmp_path / "truncation_error.dat").read_text()
     assert any(line and not line.startswith("#") for line in dat.splitlines())
     assert out.strip() != ""
+
+
+def test_report_renders_a_sample_input(tmp_path, capsys):
+    sample = tmp_path / "sample.json"
+    assert cli.main(["sample", "--d", "6", "--lam", "1", "--samples", "200", "--thin",
+                     "16", "--seed", "3", "--out", str(sample)]) == 0
+    code, _, err = run_cli(capsys, "report", "--inputs", str(sample),
+                           "--out-dir", str(tmp_path))
+    assert (code, err) == (0, "")
+    per_type = json.loads(sample.read_text())["per_type"]
+    report = (tmp_path / "report.txt").read_text().splitlines()
+    start = report.index(f"sampler summary: d=6, lam=1, 200 samples ({sample})")
+    # one line for each type, in key order
+    assert [line.split(":")[0].strip() for line in report[start + 1:]] == \
+        sorted(per_type)
+    # one `index p` row for each type with a goodness-of-fit test
+    p = [per_type[key]["poisson_gof"]["p"] for key in sorted(per_type)
+         if per_type[key].get("poisson_gof")]
+    header, *rows = (tmp_path / "gof.dat").read_text().splitlines()
+    assert header.startswith(f"# {sample}:")
+    assert rows == [f"{i} {x:.6f}" for i, x in enumerate(p)]
+    assert len(rows) == 4
 
 
 def test_report_out_dir_that_is_a_file_is_a_one_line_error(tmp_path, capsys):
@@ -562,89 +548,25 @@ def test_report_with_nothing_to_report_is_a_usage_error(tmp_path, capsys):
         assert not out_dir.exists()
 
 
-def modules_loaded_by(code):
-    """The names in sys.modules after a fresh interpreter runs `code`."""
-    script = (f"import contextlib, io, json, sys\n{code}\n"
-              "print(json.dumps(sorted(sys.modules)), file=sys.stderr)")
-    proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stderr.splitlines()[-1]))
+# -- the process contract: one fresh interpreter for each row of the table ----
 
 
-def cli_run(*argv):
-    return ("from cubecount import cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    assert cli.main({list(argv)!r}) == 0")
+@pytest.mark.parametrize("row", cli_contract.ROWS,
+                         ids=[row.name for row in cli_contract.ROWS])
+def test_process_contract(tmp_path, row):
+    assert cli_contract.check(row, str(tmp_path)) == []
 
 
-def test_cli_import_leaves_scipy_unloaded(tmp_path):
-    # scipy.stats was most of the CLI's start-up; now no module imports
-    # scipy, which is a test dependency only, nor numpy.  Each command
-    # imports the layers it runs, so importing the package or the CLI loads
-    # no layer and no mpmath.
-    heavy = {"mpmath", "numpy", "scipy"} | {
-        f"cubecount.{m}" for m in ("asymptotics", "bigint", "chisq", "clusters",
-                                   "exact", "polymers", "sampler", "symbolic",
-                                   "validation")}
-    for code in ("import cubecount", "import cubecount.cli"):
-        assert modules_loaded_by(code) & heavy == set(), code
-    loaded = modules_loaded_by(cli_run("polymers", "--d", "9", "--max-size", "4"))
-    assert "cubecount.polymers" in loaded
-    assert loaded & {"mpmath", "cubecount.asymptotics", "cubecount.clusters",
-                     "cubecount.exact", "cubecount.sampler",
-                     "cubecount.validation"} == set()
-    loaded = modules_loaded_by(cli_run("oracle", "--d", "3", "--lam", "1"))
-    assert {"cubecount.exact", "cubecount.certified"} <= loaded
-    assert loaded & {"cubecount.asymptotics", "cubecount.bigint", "cubecount.clusters",
-                     "cubecount.sampler"} == set()
-    # the decimal intervals live in certified, which needs the exact
-    # binomials of bigint only past its Stirling term cap
-    count, oracle = tmp_path / "count.json", tmp_path / "oracle.json"
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(["count", "--beta", "1/2", "--d", "5", "--t", "3",
-                         "--out", str(count)]) == 0
-        assert cli.main(["oracle", "--d", "5", "--lam", "1", "--out", str(oracle)]) == 0
-    loaded = modules_loaded_by(cli_run("report", "--inputs", str(count), str(oracle),
-                                       "--out-dir", str(tmp_path / "report")))
-    assert {"cubecount.exact", "cubecount.certified"} <= loaded
-    assert loaded & {"cubecount.asymptotics", "cubecount.bigint"} == set()
-
-
-@pytest.mark.parametrize("argv", [("rj", "--j", "2"), ("bj", "--r", "1"),
-                                  ("pj", "--t", "3"),
-                                  ("lambda-beta", "--beta", "1/3", "--d", "10",
-                                   "--t", "3"),
-                                  *(tuple(c.split()) for c in INTERVAL_DIGITS)])
-def test_series_tables_never_load_mpmath(argv):
-    # no module of the package imports mpmath; clusters imports exact only
-    # inside log_xi_series, so the series commands never load it
-    loaded = modules_loaded_by(cli_run(*argv))
-    if argv[0] == "oracle":
-        assert "cubecount.exact" in loaded
-    else:
-        assert "cubecount.asymptotics" in loaded
-        assert "cubecount.exact" not in loaded
-    assert "mpmath" not in loaded
+# pinned commands whose digits, recorded from mpmath, print from intervals
+INTERVAL_DIGITS = ("count --beta 1/2 --d 23 --t 4", "count --beta 1/3 --d 23 --t 3",
+                   "zeta --lam 1 --d 24 --t 3", "oracle --d 5 --lam 1")
 
 
 @pytest.mark.parametrize("command", INTERVAL_DIGITS)
-def test_mpmath_digits_print_with_mpmath_unimportable(command):
-    # sys.modules["mpmath"] = None makes every `import mpmath` raise
-    proc = subprocess.run([sys.executable, "-c",
-                           "import sys; sys.modules['mpmath'] = None; "
-                           "from cubecount import cli; "
-                           f"sys.exit(cli.main({command.split()!r}))"],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
-    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == \
-        PINNED_STDOUT_SHA256[command]
-
-
-@pytest.mark.parametrize("command", INTERVAL_DIGITS)
-def test_mpmath_digits_fall_back_to_the_same_bytes(capsys, monkeypatch, command):
+def test_undecided_fields_print_the_pinned_bytes(capsys, monkeypatch, command):
     # working digits far below the printed ones leave every field undecided
-    # at first, so each one prints only after the working digits double
+    # at first, so each one prints the pinned bytes once the working digits
+    # double
     from cubecount import certified
     monkeypatch.setattr(certified, "_GUARD_DIGITS", -15)
     working = []
@@ -658,101 +580,8 @@ def test_mpmath_digits_fall_back_to_the_same_bytes(capsys, monkeypatch, command)
     code, out, _ = run_cli(capsys, *command.split())
     assert code == 0
     assert len(working) >= 2
-    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT_SHA256[command]
-
-
-def test_no_command_imports_mpmath(tmp_path):
-    # mpmath is a test dependency only; each command that prints a number
-    # computes it from decimal intervals or Decimal, at any --digits
-    count, zeta, oracle = (tmp_path / f"{name}.json" for name in ("count", "zeta", "oracle"))
-    for digits in ("1", "30", "80"):
-        commands = [
-            ["count", "--beta", "1/3", "--d", "5", "--t", "3", "--digits", digits,
-             "--out", str(count)],
-            ["zeta", "--lam", "1/3", "--d", "5", "--t", "3", "--digits", digits,
-             "--out", str(zeta)],
-            ["count-structured", "--beta", "1/2", "--d", "12", "--t", "3",
-             "--fixed", "s1c0g0=3", "--diverging", "s1c0g0=40,2", "--digits", digits],
-            ["oracle", "--d", "5", "--lam", "1/3", "--out", str(oracle)],
-            ["validate", "--only", "10"],
-            ["report", "--inputs", str(count), str(zeta), str(oracle),
-             "--out-dir", str(tmp_path / "report")]]
-        code = "\n".join(cli_run(*argv) for argv in commands)
-        assert "mpmath" not in modules_loaded_by(code), digits
-
-
-@pytest.mark.parametrize("argv", [("rj", "--j", "2"),
-                                  ("count", "--beta", "1/2", "--d", "12", "--t", "3"),
-                                  ("zeta", "--lam", "1", "--d", "12", "--t", "2"),
-                                  ("polymers", "--d", "5", "--max-size", "3"),
-                                  ("polymers", "--max-size", "3", "--mode", "symbolic"),
-                                  ("sample", "--d", "4", "--lam", "1", "--samples", "20",
-                                   "--thin", "16", "--seed", "1"),
-                                  ("oracle", "--d", "3", "--lam", "1")])
-def test_commands_never_load_dataclasses(argv):
-    # dataclasses brings inspect, ast, dis and tokenize (about 10 ms) and
-    # execs each class's methods (about 1 ms a class); the records are
-    # NamedTuples and __slots__ classes instead
-    loaded = modules_loaded_by(cli_run(*argv))
-    assert loaded & {"dataclasses", "inspect"} == set()
-
-
-def test_sample_never_loads_scipy():
-    # the chi-square tail is the pure-Python port in cubecount.chisq;
-    # scipy.special alone cost 0.2 s of import and 14 MB.  The draws are
-    # replayed from random.Random itself, so numpy is not loaded either.
-    proc = subprocess.run([sys.executable, "-c",
-                           "import sys; from cubecount import cli; "
-                           "code = cli.main(['sample', '--d', '4', '--lam', '1', "
-                           "'--samples', '20', '--thin', '16', '--seed', '1']); "
-                           "print(code, [m for m in sys.modules "
-                           "if m.split('.')[0] in ('numpy', 'scipy')], "
-                           "file=sys.stderr)"],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    gof = [e["poisson_gof"] for e in json.loads(proc.stdout)["per_type"].values()
-           if e.get("poisson_gof")]
-    assert gof, "no goodness-of-fit test ran"
-    assert proc.stderr.split() == ["0", "[]"]
-    # criterion 9 runs the sampler and both chi-square p-values
-    loaded = modules_loaded_by(cli_run("validate", "--only", "9"))
-    assert "cubecount.sampler" in loaded
-    assert {m for m in loaded if m.split(".")[0] in ("numpy", "scipy")} == set()
-
-
-# stdout SHA-256 of small sample runs, recorded before the chi-square tail
-# was ported; between them the p-values take every igamc branch:
-# 1 - igam_series (df = 1), the continued fraction (df = 1, 2) and
-# igamc_series (df = 1)
-SAMPLE_DIGESTS = {
-    "--d 5 --lam 1/2 --samples 20 --thin 4 --seed 0":
-        "ee086510ef02c6788cc3cc18a1d6fb3425038ca6636bbc702942c6ef77d2a36b",
-    "--d 3 --lam 1 --samples 20 --thin 16 --seed 1":
-        "8b4e4ae649df667ce611fd4c4c15c54338cae31ffda522151d136cf584d92b25",
-    "--d 6 --lam 1 --samples 200 --thin 16 --seed 3":
-        "8c1ad07f8b47e0b0981d33d1c315b2e10426892a813c6aa7eb6371d1920e528d",
-}
-
-
-@pytest.mark.parametrize("argv", sorted(SAMPLE_DIGESTS))
-def test_sample_stdout_digest_is_pinned(capsys, argv):
-    code, out, err = run_cli(capsys, "sample", *argv.split())
-    assert code == 0 and err == ""
-    assert json.loads(out)["per_type"]
-    assert hashlib.sha256(out.encode()).hexdigest() == SAMPLE_DIGESTS[argv]
-
-
-def test_sample_runs_with_numpy_unimportable():
-    # sys.modules["numpy"] = None makes every `import numpy` raise
-    argv = "--d 6 --lam 1 --samples 200 --thin 16 --seed 3"
-    proc = subprocess.run([sys.executable, "-c",
-                           "import sys; sys.modules['numpy'] = None; "
-                           "from cubecount import cli; "
-                           f"sys.exit(cli.main({['sample', *argv.split()]!r}))"],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
-    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == \
-        SAMPLE_DIGESTS[argv]
+    pinned = {row.argv: row.sha256 for row in cli_contract.ROWS}
+    assert hashlib.sha256(out.encode()).hexdigest() == pinned[command]
 
 
 def test_console_script_entry_point():
@@ -763,92 +592,11 @@ def test_console_script_entry_point():
     assert json.loads(proc.stdout)["total"] == "7"
 
 
-# -- the process exit: no teardown collection, and nothing left for one ---------
-
-# registered before `cubecount.cli` is imported, so it runs after the
-# gc.freeze that cli registers: atexit runs its handlers last in, first out.
-# Python 3.12 starts with a few hundred frozen objects, hence the count n.
-FREEZE_PROBE = ("import atexit, gc, sys; n = gc.get_freeze_count(); "
-                "atexit.register(lambda: print('frozen' if gc.get_freeze_count() > n "
-                "else 'not frozen', file=sys.stderr))\n")
-
-
-@pytest.mark.parametrize("argv, code", [
-    (("rj", "--j", "3"), 0),
-    (("oracle", "--d", "0"), 1),
-    (("clusters", "--d", "8", "--k", "6", "--budget", "100000"), 2)])
-def test_the_process_exit_is_frozen(capsys, argv, code):
-    proc = subprocess.run([sys.executable, "-c", FREEZE_PROBE +
-                           "from cubecount import cli\n"
-                           f"sys.exit(cli.main({list(argv)!r}))"],
-                          capture_output=True, text=True)
-    assert proc.returncode == code, proc.stderr
-    *lines, probe = proc.stderr.splitlines()
-    assert probe == "frozen"
-    assert len(lines) == (code != 0)
-    assert all(line.startswith("error:") for line in lines)
-    assert proc.stdout == run_cli(capsys, *argv)[1]
-
-
 def test_main_leaves_the_callers_collector_alone(capsys):
     # a freeze in main would keep every in-process caller's cyclic garbage
     before = gc.get_freeze_count(), gc.isenabled()
     assert run_cli(capsys, "rj", "--j", "2")[0] == 0
     assert (gc.get_freeze_count(), gc.isenabled()) == before
-
-
-# the nine commands of the benchmark's workloads (perfbench/run.py)
-BENCHMARK_COMMANDS = (
-    "rj --j 3", "count --beta 1/2 --d 23 --t 4", "count --beta 1/2 --d 24 --t 3",
-    "count --beta 1/3 --d 23 --t 3", "zeta --lam 1 --d 24 --t 3",
-    "polymers --d 9 --max-size 4", "polymers --max-size 3 --mode symbolic",
-    "sample --d 10 --lam 1 --samples 1000 --thin 4096 --seed 7 --csv {tmp}/run.csv",
-    "oracle --d 5 --lam 1")
-
-# After main, the cyclic garbage that the exit no longer collects: none of it
-# may be a file, a mapping or a generator, whose finalizer would do work.
-# With split, the sampler is shown two usable CPUs, and os.fork is counted.
-GARBAGE_PROBE = """\
-import gc, io, json, mmap, os, sys, types
-from cubecount import cli
-forks = []
-if {split}:
-    os.sched_getaffinity = lambda pid: {{0, 1}}
-    fork = os.fork
-    os.fork = lambda: forks.append(1) or fork()
-code = cli.main({argv!r})
-gc.set_debug(gc.DEBUG_SAVEALL)
-gc.collect()
-held = [type(o).__name__ for o in gc.garbage
-        if isinstance(o, (io.IOBase, mmap.mmap, types.GeneratorType))]
-try:
-    os.waitpid(-1, os.WNOHANG)
-    left = True
-except ChildProcessError:
-    left = False
-print(json.dumps([code, held, len(forks), left]), file=sys.stderr)
-"""
-
-
-@pytest.mark.parametrize("command, split", [(c, False) for c in BENCHMARK_COMMANDS] + [
-    ("sample --d 10 --lam 1 --samples 400 --thin 4096 --seed 3 --csv {tmp}/split.csv",
-     True),
-    ("report --inputs {tmp}/count.json {tmp}/oracle.json --out-dir {tmp}/report",
-     False)])
-def test_no_command_leaves_garbage_the_exit_would_have_collected(tmp_path, command,
-                                                                 split):
-    if command.startswith("report"):
-        for argv in (["count", "--beta", "1/2", "--d", "5", "--t", "3"],
-                     ["oracle", "--d", "5", "--lam", "1"]):
-            assert cli.main(argv + ["--out", str(tmp_path / f"{argv[0]}.json")]) == 0
-    argv = command.format(tmp=tmp_path).split()
-    proc = subprocess.run([sys.executable, "-c",
-                           GARBAGE_PROBE.format(argv=argv, split=split)],
-                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
-    assert proc.returncode == 0, proc.stderr
-    code, held, forks, left = json.loads(proc.stderr.splitlines()[-1])
-    assert (code, held, left) == (0, [], False)
-    assert forks == (1 if split else 0)  # the split ran where it was forced
 
 
 # -- fuzz: the exit-code and output contract over small random invocations ------

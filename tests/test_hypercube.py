@@ -229,13 +229,15 @@ def test_is_independent_finds_one_edge_added_to_a_packed_side():
 
 
 def test_neighbor_masks_agree_with_neighbors():
-    for d in (2, 3, 4):
+    # one entry per vertex: its callers read only the first 2^d
+    for d in range(1, 7):
         masks = hc.neighbor_masks(d)
+        assert len(masks) == 1 << d
         for v in range(1 << d):
             expect = 0
             for u in hc.neighbors(v, d):
                 expect |= 1 << u
-            assert masks[v] == expect
+            assert masks[v] == expect and expect.bit_count() == d
 
 
 def test_vertex_bounds_checked():

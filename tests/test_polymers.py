@@ -4,8 +4,6 @@ import hashlib
 import itertools
 import json
 import random
-import subprocess
-import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -439,30 +437,3 @@ def test_shape_is_the_kernels_per_vertex_step():
         assert s == len(support)
         assert deficiency == d * s - len(hc.neighborhood(support, d))
         assert code == colex_code(order)
-
-
-# the collector stays off, so no automatic collection frees a cycle before
-# the probe looks; validate runs the abstract-universe expansions and the
-# walk over compatible polymer collections
-LEAK_PROBE = """
-import gc, sys
-from cubecount.cli import main
-gc.disable()
-for argv in (["rj", "--j", "3"], ["polymers", "--d", "9", "--max-size", "4"],
-             ["validate", "--only", "2,4,5,6"]):
-    if main(argv) != 0:
-        sys.exit("exit code")
-gc.set_debug(gc.DEBUG_SAVEALL)
-gc.collect()
-print(sorted({f.__qualname__ for f in gc.garbage if type(f).__name__ == "function"
-              and (f.__module__ or "").startswith("cubecount")}))
-"""
-
-
-def test_walks_leave_no_reference_cycles():
-    # a nested function that calls itself holds itself through its closure
-    # cell, so every call would leave a cycle for the collector
-    proc = subprocess.run([sys.executable, "-c", LEAK_PROBE], capture_output=True,
-                          text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
