@@ -5,11 +5,14 @@ import gc
 import hashlib
 import io
 import json
+import mmap
+import os
 import pathlib
 import re
 import subprocess
 import sys
 import time
+import types
 from fractions import Fraction
 
 import mpmath
@@ -557,9 +560,21 @@ def test_process_contract(tmp_path, row):
     assert cli_contract.check(row, str(tmp_path)) == []
 
 
+# stdout SHA-256 of each pinned command line of the table
+PINNED = {row.argv: row.sha256 for row in cli_contract.ROWS if row.sha256}
 # pinned commands whose digits, recorded from mpmath, print from intervals
 INTERVAL_DIGITS = ("count --beta 1/2 --d 23 --t 4", "count --beta 1/3 --d 23 --t 3",
                    "zeta --lam 1 --d 24 --t 3", "oracle --d 5 --lam 1")
+
+
+@pytest.mark.parametrize("command", INTERVAL_DIGITS)
+def test_mpmath_digits_print_with_mpmath_unimportable(capsys, monkeypatch, command):
+    # sys.modules["mpmath"] = None makes every `import mpmath` raise, also in
+    # this process, where the tests have imported it
+    monkeypatch.setitem(sys.modules, "mpmath", None)
+    code, out, err = run_cli(capsys, *command.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED[command]
 
 
 @pytest.mark.parametrize("command", INTERVAL_DIGITS)
@@ -580,8 +595,7 @@ def test_undecided_fields_print_the_pinned_bytes(capsys, monkeypatch, command):
     code, out, _ = run_cli(capsys, *command.split())
     assert code == 0
     assert len(working) >= 2
-    pinned = {row.argv: row.sha256 for row in cli_contract.ROWS}
-    assert hashlib.sha256(out.encode()).hexdigest() == pinned[command]
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED[command]
 
 
 def test_console_script_entry_point():
@@ -597,6 +611,66 @@ def test_main_leaves_the_callers_collector_alone(capsys):
     before = gc.get_freeze_count(), gc.isenabled()
     assert run_cli(capsys, "rj", "--j", "2")[0] == 0
     assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+# -- the process exit: no teardown collection, and nothing left for one ---------
+
+# registered before the CLI module runs, so it runs after the gc.freeze that
+# the module registers: atexit runs its handlers last in, first out.  Python
+# 3.12 starts with a few hundred frozen objects, hence the count n.
+FREEZE_PROBE = ("import atexit, gc, runpy, sys; n = gc.get_freeze_count(); "
+                "atexit.register(lambda: print('frozen' if gc.get_freeze_count() > n "
+                "else 'not frozen', file=sys.stderr))\n")
+
+
+@pytest.mark.parametrize("argv, code", [(("rj", "--j", "3"), 0)])
+def test_the_process_exit_is_frozen(capsys, argv, code):
+    # the table's probe calls cli.main; this runs the module's __main__
+    # block, as `python -m cubecount.cli` does, and prints what main prints
+    proc = subprocess.run([sys.executable, "-c", FREEZE_PROBE +
+                           f"sys.argv = ['cubecount', *{list(argv)!r}]\n"
+                           "runpy.run_module('cubecount.cli', run_name='__main__')"],
+                          capture_output=True, text=True)
+    assert proc.returncode == code, proc.stderr
+    *lines, probe = proc.stderr.splitlines()
+    assert probe == "frozen"
+    assert len(lines) == (code != 0)
+    assert all(line.startswith("error:") for line in lines)
+    assert proc.stdout == run_cli(capsys, *argv)[1]
+
+
+# After main in a caller that keeps the collector off, the cyclic garbage it
+# would have to collect: none of it may be a file, a mapping, a generator or a
+# cubecount function.  The table checks the same in fresh interpreters; here
+# the layers and their caches are already loaded.  `forks` is whether the
+# command may fork; none of these does.
+@pytest.mark.parametrize("command, forks", [(c, False) for c in (
+    "rj --j 3", "count --beta 1/2 --d 23 --t 4", "count --beta 1/3 --d 23 --t 3",
+    "zeta --lam 1 --d 24 --t 3", "oracle --d 5 --lam 1")])
+def test_no_command_leaves_garbage_the_exit_would_have_collected(capsys, monkeypatch,
+                                                                 command, forks):
+    forked, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forked.append(1) or fork())
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.collect()
+    try:
+        code = cli.main(command.split())
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        held = sorted({type(o).__name__ for o in gc.garbage
+                       if isinstance(o, (io.IOBase, mmap.mmap, types.GeneratorType))}
+                      | {o.__module__ + "." + o.__qualname__ for o in gc.garbage
+                         if isinstance(o, types.FunctionType)
+                         and (o.__module__ or "").startswith("cubecount")})
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    _, err = capsys.readouterr()
+    assert (code, err, held) == (0, "", [])
+    assert bool(forked) == forks
 
 
 # -- fuzz: the exit-code and output contract over small random invocations ------
