@@ -44,8 +44,8 @@ def main() -> None:
     target = math.log(exact.size_profile(5).partition_value(Fraction(1)))
     print(f"exact: ln Z = {target:.10f}")
     for t in (1, 2, 3):
-        lc = asymptotics.log_Z_asymptotic(Fraction(1), 5, t)
-        print(f"t={t}: {float(lc.value):.10f}  err={abs(float(lc.value) - target):.2e}")
+        ln_z = float(asymptotics.log_Z_asymptotic(Fraction(1), 5, t).to_json()["ln_value"])
+        print(f"t={t}: {ln_z:.10f}  err={abs(ln_z - target):.2e}")
     print()
 
     print("log of the number of half-density independent sets")
@@ -55,7 +55,7 @@ def main() -> None:
     target = math.log(sp.counts[m])
     lc = asymptotics.log_count_asymptotic(Fraction(1, 2), 5, 2)
     print(f"d=5:  exact ln i_{m} = {target:.6f}  "
-          f"formula: {float(lc.value):.6f}")
+          f"formula: {float(lc.to_json()['ln_value']):.6f}")
     for d in (16, 20, 24):
         lc = asymptotics.log_count_asymptotic(Fraction(1, 2), d, 2)
         print(f"d={d}: log10 i_(N/2) = {lc.to_json()['log10_value']}")
@@ -67,8 +67,8 @@ def main() -> None:
     free = asymptotics.log_count_asymptotic(Fraction(1, 4), 12, 2)
     pinned = asymptotics.structured_count(
         Fraction(1, 4), 12, fixed_types={DefectType.from_key("s1c0g0"): 0})
-    print(f"unrestricted: ln count = {float(free.value):.4f}")
-    print(f"no singleton defects: ln count = {float(pinned.value):.4f}")
+    print(f"unrestricted: ln count = {float(free.to_json()['ln_value']):.4f}")
+    print(f"no singleton defects: ln count = {float(pinned.to_json()['ln_value']):.4f}")
 
 
 if __name__ == "__main__":

@@ -14,7 +14,8 @@ fugacity series uses r = ceil(t/2) - 1 correction orders.
 `log_Z_asymptotic`, `log_count_asymptotic` and `structured_count` return a
 LogCount that holds the formula and its exact rationals; each formula is
 written once over the number kit of decimal intervals (cubecount.certified),
-which prints every digit correctly rounded.
+which prints every digit correctly rounded.  Each of the three refuses
+`digits` outside [1, MAX_DIGITS] before any other work.
 """
 
 from __future__ import annotations
@@ -48,6 +49,17 @@ _r_cache: dict[int, RatPoly] = {}
 # series formulas below can use: they take no budget, and each public entry
 # refuses a larger order through _check_order.
 MAX_EXACT_J = 3
+
+
+# Largest `digits` a LogCount accepts.  Its fields print at min(digits, 30)
+# digits, so a larger value changes only the "precision" field; the bound
+# is input validation.
+MAX_DIGITS = 10_000
+
+
+def _check_digits(digits: int) -> None:
+    if not 1 <= digits <= MAX_DIGITS:
+        raise ValueError(f"digits must lie in [1, {MAX_DIGITS}], got {digits}")
 
 
 def _check_order(name: str, value: int, largest: int) -> None:
@@ -215,8 +227,7 @@ def compute_B(r: int) -> SeriesTable:
     residual Q_j checked to be the identically-zero function, which is what
     proves that coefficient at run time.
     Cached: log_count_asymptotic reaches the same table through compute_P
-    and lambda_beta, and structured_count once more.  Callers must not
-    mutate the returned table.
+    and lambda_beta.  Callers must not mutate the returned table.
     """
     if r < 0:
         raise ValueError("order must be >= 0")
@@ -316,42 +327,15 @@ class LogCount:
 
     Holds the formula with its exact rationals: `formula(num)` returns
     (value, terms, alt) as intervals in the number kit `num` (see
-    cubecount.certified).  `value`, `terms` and `alt` are Decimals correctly
-    rounded at `precision` digits, built when first read; `to_json` prints
-    each field correctly rounded at min(precision, 30) digits.
+    cubecount.certified).  Its printed fields are the only evaluation:
+    `to_json` prints each correctly rounded at min(precision, 30) digits.
     """
 
-    __slots__ = ("precision", "_formula", "_rounded")
+    __slots__ = ("precision", "_formula")
 
     def __init__(self, precision: int, formula):
         self.precision = precision  # digits requested
         self._formula = formula
-        self._rounded = None  # (value, terms, alt) as Decimals, once built
-
-    def _values(self):
-        if self._rounded is None:
-            def rounded(num):
-                value, terms, alt = self._formula(num)
-                p = self.precision
-                return (num.rounded(value, p),
-                        tuple((k, num.rounded(v, p)) for k, v in terms),
-                        None if alt is None else num.rounded(alt, p))
-
-            self._rounded = evaluate(rounded, self.precision)
-        return self._rounded
-
-    @property
-    def value(self) -> Decimal:
-        return self._values()[0]
-
-    @property
-    def terms(self) -> tuple[tuple[str, Decimal], ...]:
-        return self._values()[1]
-
-    @property
-    def alt(self) -> Decimal | None:
-        """The secondary evaluation path, when exposed; else None."""
-        return self._values()[2]
 
     def json_in(self, num) -> dict:
         """The JSON fields printed in the number kit num; Undecided when an
@@ -394,6 +378,7 @@ def log_Z_asymptotic(lam: Fraction, d: int, t: int, digits: int = 80) -> LogCoun
     N R_j(lam, d) is an exact rational, and the power is raised in the
     number kit.
     """
+    _check_digits(digits)
     lam = Fraction(lam)
     if lam <= 0:
         raise ValueError("fugacity must be positive")
@@ -466,10 +451,11 @@ def log_count_asymptotic(beta: Fraction, d: int, t: int,
     value), with ln C(N, m) enclosed by Stirling's series (the number kit's
     `log_binomial`), so C(N, m) itself is not built: at d = 24 sieving the
     primes up to N and multiplying their powers took 262 ms.
-    (b) Stirling form at the corrected fugacity (exposed as .alt).
+    (b) Stirling form at the corrected fugacity (printed as alt_ln_value).
     Path (b) = log 2 + N log(1+lam_b) - m log lam_b + strata at
     lam_b - (1/2) log(2 pi N beta (1-beta)).  Both use beta = m/N exactly.
     """
+    _check_digits(digits)
     beta = Fraction(beta)
     if not 0 < beta < 1:
         raise ValueError("beta must lie strictly between 0 and 1")
@@ -529,15 +515,12 @@ def structured_count(beta: Fraction, d: int,
     defects of size |T| with k|T| > n/2 (n = n_side): defects lie on the
     minority side, and |N(S)| >= |S| caps its occupied part at n/2.
     """
-    beta = Fraction(beta)
     fixed_types = dict(fixed_types or {})
     diverging_types = dict(diverging_types or {})
+    # the base count checks digits first, and its formula holds n and the
+    # corrected fugacity
     base = log_count_asymptotic(beta, d, t, digits)
-    n = hc.n_side(d)
-    m = math.floor(beta * n)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RegimeWarning)
-        lb = lambda_beta(Fraction(m, n), d, t).value
+    n, lb = base._formula.keywords["n"], base._formula.keywords["lb"]
     poisson = []
     if fixed_types:
         cen = census(d, max(T.size for T in fixed_types), budget)

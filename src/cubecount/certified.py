@@ -3,10 +3,10 @@
 `count`, `zeta`, `count-structured` and `oracle --lam` print values of
 formulas written once over a number kit `num` that supplies `log`, `log1p`,
 `pi`, `fsum`, `rational` (an exact Fraction), `log_binomial`,
-`log_factorial`, `rounded` and `render` (the printed field); Python's
-operators do the rest.  The kit, `DecimalNumbers`, works on intervals of
-Decimals: each step rounds its lower end down and its upper end up at the
-working precision, so every interval holds the exact value of the formula.
+`log_factorial` and `render` (the printed field); Python's operators do
+the rest.  The kit, `DecimalNumbers`, works on intervals of Decimals: each
+step rounds its lower end down and its upper end up at the working
+precision, so every interval holds the exact value of the formula.
 A field prints only when both ends round to the same digits, which are then
 the digits of the exact value; otherwise `Undecided` is raised.  Decimal's
 ln rounds correctly, as it documents, so one unit in the last place either
@@ -387,17 +387,14 @@ class DecimalNumbers:
         ln_fact = {x: self.log_factorial(x) for x in set(args)}
         return ln_fact[n] - ln_fact[k] - ln_fact[n - k]
 
-    def rounded(self, x: Interval, n: int) -> Decimal:
-        """The value in x rounded half up at n significant digits."""
+    def render(self, x: Interval, n: int) -> str:
+        """The printed field: `nstr` of the value in x rounded half up at n
+        significant digits, when both ends of x round to it."""
         ctx = _half_up(n)
         lo, hi = ctx.plus(x.lo), ctx.plus(x.hi)
         if lo != hi:
             raise Undecided
-        return lo
-
-    def render(self, x: Interval, n: int) -> str:
-        """The printed field: `nstr` of the value in x at n digits."""
-        return nstr(self.rounded(x, n), n)
+        return nstr(lo, n)
 
 
 def evaluate(formula, shown: int):

@@ -413,6 +413,8 @@ class ClusterSum(NamedTuple):
 
     def value(self, lam: Fraction) -> Fraction:
         lam = Fraction(lam)
+        if lam <= 0:
+            raise ValueError("fugacity must be positive")
         n = hc.n_side(self.d)
         return (n * lam ** self.k * self.poly.eval({"lam": lam})
                 * (1 + lam) ** (-self.k * self.d))

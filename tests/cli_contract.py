@@ -181,6 +181,10 @@ ROWS = (
         + " --out-dir {tmp}/report", DIGITS),
     Row("oracle --d 0", EXACT, code=1,
         error="error: dimension must be a positive integer, got 0"),
+    # refused by ClusterSum.value, after the stratum is built; it divided by
+    # zero in (1 + lam)^(-kd) and printed a traceback
+    Row("clusters --d 4 --k 2 --lam=-1", CLUSTERS, code=1,
+        error="error: fugacity must be positive"),
     Row("clusters --d 8 --k 6 --budget 100000", CLUSTERS, code=2,
         error="error: budget exhausted: connected-set enumeration budget exhausted"),
 )

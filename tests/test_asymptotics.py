@@ -187,7 +187,7 @@ def test_log_z_asymptotic_approaches_exact_small_d():
         warnings.simplefilter("ignore", RegimeWarning)
         for t in (1, 2, 3):
             lc = asym.log_Z_asymptotic(Fraction(1), 5, t)
-            errs.append(abs(float(lc.value) - target))
+            errs.append(abs(float(lc.to_json()["ln_value"]) - target))
     # d = 5 sits far from the asymptotic regime; improvement is still monotone
     assert errs[2] < errs[1] < errs[0]
     assert errs[2] < 0.1
@@ -201,8 +201,8 @@ def test_log_z_asymptotic_error_shrinks_at_d6():
         warnings.simplefilter("ignore", RegimeWarning)
         for lam in (Fraction(1), Fraction(2)):
             target = mpmath.log(int(sp.partition_value(lam)))  # integer at integer lam
-            errs[lam] = [float(mpmath.mpf(str(asym.log_Z_asymptotic(lam, 6, t).value)) - target)
-                         for t in (1, 2, 3, 4)]
+            errs[lam] = [float(mpmath.mpf(asym.log_Z_asymptotic(lam, 6, t).to_json()["ln_value"])
+                               - target) for t in (1, 2, 3, 4)]
     for lam, e in errs.items():
         assert all(abs(a) > abs(b) for a, b in zip(e, e[1:])), (lam, e)
     assert [float(f"{e:.3g}") for e in errs[Fraction(1)]] == [
@@ -216,11 +216,11 @@ def test_log_count_asymptotic_matches_exact_profile():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RegimeWarning)
         lc = asym.log_count_asymptotic(Fraction(1, 2), 5, 2)
-    assert abs(float(lc.value) - target) < 0.05
     obj = lc.to_json()
     assert set(obj) >= {"log10_value", "ln_value", "precision", "terms", "alt_ln_value"}
+    assert abs(float(obj["ln_value"]) - target) < 0.05
     # the secondary evaluation path agrees to the order's own accuracy
-    assert abs(float(lc.alt) - target) < 0.05
+    assert abs(float(obj["alt_ln_value"]) - target) < 0.05
 
 
 def test_log_count_never_sieves_at_benchmark_sizes(monkeypatch):
@@ -232,7 +232,7 @@ def test_log_count_never_sieves_at_benchmark_sizes(monkeypatch):
     monkeypatch.setattr(bigint, "_primes_upto", no_sieve)
     for beta, d in ((Fraction(1, 2), 24), (Fraction(1, 3), 23)):
         lc = asym.log_count_asymptotic(beta, d, 3)
-        assert lc.value > 0
+        assert float(lc.to_json()["ln_value"]) > 0
 
 
 class LengthGuard:
@@ -303,8 +303,9 @@ def test_structured_count_splits_off_fixed_types():
         free = asym.log_count_asymptotic(b, d, 2)
         pinned = asym.structured_count(b, d, fixed_types={DefectType.from_key("s1c0g0"): 0},
                                        diverging_types={}, t=2)
-    assert float(pinned.value) < float(free.value)
-    assert float(pinned.value) > 0
+    pinned, free = (float(lc.to_json()["ln_value"]) for lc in (pinned, free))
+    assert pinned < free
+    assert pinned > 0
 
 
 def test_structured_count_rejects_absent_type_and_honours_budget():
@@ -321,23 +322,28 @@ def test_structured_count_rejects_absent_type_and_honours_budget():
 def test_structured_count_takes_large_fixed_counts_quickly():
     # ln k! came from k! itself, and math.factorial(10**6) alone takes seconds
     s1 = DefectType.from_key("s1c0g0")
+    k = 2 ** 22
     start = time.perf_counter()
-    lc = asym.structured_count(Fraction(1, 2), 24, fixed_types={s1: 2 ** 22})
-    terms = dict(lc.terms)
+    lc = asym.structured_count(Fraction(1, 2), 24, fixed_types={s1: k})
+    terms = {term["label"]: term["ln"] for term in lc.to_json()["terms"]}
     assert time.perf_counter() - start < 10
     # the term is k ln(rho) - rho - ln k!, with ln k! from Stirling's series
-    # (the first omitted term is below 1/(1680 k^7) < 10^-49)
-    k = 2 ** 22
+    # (the first omitted term is below 1/(1680 k^7) < 10^-49); it prints
+    # correctly rounded at 30 digits, and its interval in the kit at 80
+    # digits holds it to 10^-40
     lb = asym.lambda_beta(Fraction(1, 2), 24, 2).value
     rho = census(24, 1).expected_type_count("s1c0g0", lb)
-    with mpmath.workdps(lc.precision):
-        poisson = mpmath.mpf(str(terms[f"poisson[s1c0g0]@{k}"]))
+    _, kit_terms, _ = lc._formula(certified.DecimalNumbers(80))
+    poisson = dict(kit_terms)[f"poisson[s1c0g0]@{k}"]
+    with mpmath.workdps(80):
         rho = mpmath.mpf(rho.numerator) / rho.denominator
         log_k_factorial = (k * mpmath.log(k) - k + mpmath.log(2 * mpmath.pi * k) / 2
                            + mpmath.mpf(1) / (12 * k) - mpmath.mpf(1) / (360 * k ** 3)
                            + mpmath.mpf(1) / (1260 * k ** 5))
         expected = k * mpmath.log(rho) - rho - log_k_factorial
-        assert abs(poisson - expected) < mpmath.mpf(10) ** -40
+        for end in (poisson.lo, poisson.hi):
+            assert abs(mpmath.mpf(str(end)) - expected) < mpmath.mpf(10) ** -40
+        assert terms[f"poisson[s1c0g0]@{k}"] == mpmath.nstr(expected, 30)
     # one more defect than half the side can hold is refused
     with pytest.raises(ValueError, match="more than half"):
         asym.structured_count(Fraction(1, 2), 24, fixed_types={s1: k + 1})

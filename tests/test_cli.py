@@ -115,11 +115,11 @@ USAGE_ERRORS = [
     ["rj", "--j", "2", "--budget", "-1"],
     ["count-structured", "--beta", "1/2", "--d", "10",
      "--fixed", "s1c0g0=1", "--budget", "-3"],
-    # --digits past MAX_DIGITS ran without end
+    # --digits past asymptotics.MAX_DIGITS ran without end
     ["count", "--beta", "1/2", "--d", "10", "--t", "2",
      "--digits", "100000000"],
     ["count-structured", "--beta", "1/2", "--d", "10",
-     "--digits", str(cli.MAX_DIGITS + 1)],
+     "--digits", str(asymptotics.MAX_DIGITS + 1)],
     # more size-1 defects than half of the 2,048 vertices on a
     # side; the first built 2000000! and ran for minutes
     ["count-structured", "--beta", "1/2", "--d", "12", "--t", "4",
@@ -136,6 +136,11 @@ USAGE_ERRORS = [
     # each exited 0, the first with a complex ln_Z
     ["oracle", "--d", "2", "--lam=-1"],
     ["oracle", "--d", "2", "--lam", "0"],
+    # the first printed a ZeroDivisionError traceback, the others exited 0
+    # with values for a fugacity the model does not have
+    ["clusters", "--d", "4", "--k", "2", "--lam=-1"],
+    ["clusters", "--d", "4", "--k", "2", "--lam=-2"],
+    ["clusters", "--d", "4", "--k", "2", "--lam", "0"],
     # the exact oracle ends at d = 6 and has no --allow-slow
     ["oracle", "--d", "7"],
     ["oracle", "--d", "6", "--allow-slow"],
@@ -191,6 +196,18 @@ def test_help_and_an_unknown_command_list_every_command(capsys, argv):
     listed = re.search(r"\{([a-z,-]+)\}|choose from (.*)\)", out + err)
     names = (listed.group(1) or listed.group(2)).replace("'", "").replace(" ", "")
     assert names.split(",") == list(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("option,item,form", [
+    ("--fixed", "s1c0g0=x", "KEY=COUNT"),
+    ("--diverging", "s1c0g0=1/2,1", "KEY=COUNT,SHIFT"),
+])
+def test_count_structured_names_the_bad_item(capsys, option, item, form):
+    # both printed "invalid literal for int() with base 10", which named
+    # neither the option nor the item
+    code, out, err = run_cli(capsys, "count-structured", "--beta", "1/2",
+                             "--d", "10", option, item)
+    assert (code, out, err) == (1, "", f"error: expected {form} in {item!r}\n")
 
 
 def test_sample_names_samples_when_it_is_below_two(capsys):
@@ -681,16 +698,18 @@ SCHEMA_OF = {"oracle": "oracle", "polymers": "polymers", "clusters": "cluster_su
              "lambda-beta": "lambda_beta", "count": "log_count",
              "count-structured": "log_count", "zeta": "log_count",
              "sample": "sampler_summary"}
-RATIONALS = st.sampled_from(["1", "1/2", "1/4", "1/20", "2", "0", "-1/3", "x",
-                             "1e-999", "1e-1001"])
+RATIONALS = st.sampled_from(["1", "1/2", "1/4", "1/20", "2", "0", "-1", "-1/3",
+                             "x", "1e-999", "1e-1001"])
 KEYS = st.sampled_from(["s1c0g0", "s2c2g1", "s3c4g3", "s2c0g0", "s9c0g0", "bad"])
 # past MAX_DIGITS the CLI must refuse at once, never start the evaluation
-DIGITS = st.integers(-1, 30) | st.integers(cli.MAX_DIGITS + 1, 10 ** 9)
+DIGITS = st.integers(-1, 30) | st.integers(asymptotics.MAX_DIGITS + 1, 10 ** 9)
 
 
+# each value is joined to its flag, so that argparse reads a negative one such
+# as -1/3 as the value, not as a missing argument followed by an option
 def opt(flag, values):
-    """Either nothing or [flag, value]."""
-    return st.one_of(st.just([]), values.map(lambda v: [flag, str(v)]))
+    """Either nothing or [flag=value]."""
+    return st.one_of(st.just([]), values.map(lambda v: [f"{flag}={v}"]))
 
 
 def invocation(command, *parts):
@@ -698,7 +717,7 @@ def invocation(command, *parts):
 
 
 def fixed(flag, values):
-    return values.map(lambda v: [flag, str(v)])
+    return values.map(lambda v: [f"{flag}={v}"])
 
 
 def polymers_args():

@@ -89,6 +89,16 @@ def test_stratum_partial_sum_is_the_running_total():
         assert cl.stratum_partial_sum(d, lam, k) == acc
 
 
+@pytest.mark.parametrize("lam", [Fraction(-1), Fraction(-2), Fraction(0)])
+def test_a_nonpositive_fugacity_is_refused(lam):
+    # -1 divided by zero in (1 + lam)^(-kd); -2 and 0 gave values for a
+    # fugacity the model does not have
+    with pytest.raises(ValueError, match="^fugacity must be positive$"):
+        cl.cluster_sum(4, 2).value(lam)
+    with pytest.raises(ValueError, match="^fugacity must be positive$"):
+        cl.stratum_partial_sum(4, lam, 2)
+
+
 def test_cluster_sum_json_shape():
     cs = cl.cluster_sum(3, 1, cl.Observable.size())
     obj = cs.to_json()
