@@ -189,7 +189,7 @@ def _strata_series(x: TruncSeries, size: bool) -> TruncSeries:
     top = x.order - 1
     assert top <= MAX_EXACT_J  # _beta_x_coefficient drops X^k past this order
     dvar = RatPoly.var(DIM)
-    out = TruncSeries.zero(x.order)
+    out = TruncSeries.from_coeffs((), x.order)
     for i in range(1, top + 1):
         ci, c = _beta_x_coefficient(i, size)
         tail = neg_binomial_expand(dvar * i, x, top - i)
@@ -285,17 +285,23 @@ def lambda_beta(beta: Fraction, d: int, t: int) -> LambdaBeta:
     _warn_beta_regime(beta, t)
     r = math.ceil(t / 2) - 1
     table = compute_B(r)
+    return LambdaBeta(beta, d, t, r, *_corrected_fugacity(beta, d, table), table)
+
+
+def _corrected_fugacity(beta: Fraction, d: int, table: SeriesTable):
+    """(value, terms) of LambdaBeta for the B_j of `table`, solved by
+    lambda_beta and log_count_asymptotic after their own checks."""
     value = beta / (1 - beta)
     terms = []
-    for j in range(1, r + 1):
-        term = table[j].eval({BETA: beta, DIM: d}) * (1 - beta) ** (j * d)
+    for j, bj in table.entries.items():
+        term = bj.eval({BETA: beta, DIM: d}) * (1 - beta) ** (j * d)
         terms.append((j, term))
         value += term
     if value <= 0:
         raise ValueError(
             f"corrected fugacity is nonpositive at beta={beta}, d={d}: "
             "outside the applicable regime")
-    return LambdaBeta(beta, d, t, r, value, tuple(terms), table)
+    return value, tuple(terms)
 
 
 # -- count-correction coefficients P_j ---------------------------------------------
@@ -473,9 +479,7 @@ def log_count_asymptotic(beta: Fraction, d: int, t: int,
     y = (1 - beta) ** d
     corrections = tuple((j, n * ptable[j].eval({BETA: beta, DIM: d}) * y ** j)
                         for j in range(1, t))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RegimeWarning)
-        lb = lambda_beta(beta, d, t).value
+    lb, _ = _corrected_fugacity(beta, d, compute_B(math.ceil(t / 2) - 1))
     strata = tuple((j, n * R_poly(j).eval({LAM: lb, DIM: d}))
                    for j in range(1, t))
     return LogCount(digits, partial(_log_count, n=n, m=m, d=d, lb=lb,
@@ -513,7 +517,9 @@ def structured_count(beta: Fraction, d: int,
     `budget` bounds the polymer census of Q_d that the fixed types are looked
     up in; a fixed type absent from that census is a ValueError.  So is k
     defects of size |T| with k|T| > n/2 (n = n_side): defects lie on the
-    minority side, and |N(S)| >= |S| caps its occupied part at n/2.
+    minority side, and |N(S)| >= |S| caps its occupied part at n/2.  A type
+    may be fixed or diverging, not both, and a diverging count m + s must
+    not be negative.
     """
     fixed_types = dict(fixed_types or {})
     diverging_types = dict(diverging_types or {})
@@ -521,6 +527,9 @@ def structured_count(beta: Fraction, d: int,
     # corrected fugacity
     base = log_count_asymptotic(beta, d, t, digits)
     n, lb = base._formula.keywords["n"], base._formula.keywords["lb"]
+    both = sorted(fixed_types.keys() & diverging_types.keys())
+    if both:
+        raise ValueError(f"type {both[0].key} is both fixed and diverging")
     poisson = []
     if fixed_types:
         cen = census(d, max(T.size for T in fixed_types), budget)
@@ -537,10 +546,13 @@ def structured_count(beta: Fraction, d: int,
             poisson.append((T.key, k, cen.expected_type_count(T.key, lb)))
     gaussian = []
     for T, (m_t, s_t) in sorted(diverging_types.items(), key=lambda kv: kv[0].key):
-        m_t = Fraction(m_t)
+        m_t, s_t = Fraction(m_t), Fraction(s_t)
         if m_t <= 0:
             raise ValueError(f"nonpositive spread for type {T.key}")
-        gaussian.append((T.key, m_t, Fraction(s_t)))
+        if m_t + s_t < 0:
+            raise ValueError(f"negative count {m_t + s_t} = {m_t} + ({s_t}) "
+                             f"for type {T.key}")
+        gaussian.append((T.key, m_t, s_t))
     return LogCount(digits, partial(_structured, base=base._formula,
                                     poisson=tuple(poisson), gaussian=tuple(gaussian)))
 

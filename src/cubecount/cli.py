@@ -102,7 +102,7 @@ def _parse_observable(text: str, power: int) -> clusters.Observable:
     if text.startswith("type:"):
         key = text[len("type:"):]
         polymers.DefectType.from_key(key)  # validate early
-        return clusters.Observable.type_count(key, power)
+        return clusters.Observable("type_count", power, key)
     if text not in ("one", "size", "nbhd", "size_nbhd"):
         raise _UsageError(f"unknown observable {text!r}; use one, size, nbhd, "
                           "size_nbhd, or type:KEY")
@@ -135,6 +135,10 @@ def _cmd_oracle(args) -> dict:
 def _cmd_polymers(args) -> dict:
     from . import polymers
     if args.mode == "symbolic":
+        # the counts are polynomials in d, from one budget-free enumeration
+        for flag, value in (("--d", args.d), ("--budget", args.budget)):
+            if value is not None:
+                raise _UsageError(f"--mode symbolic takes no {flag}")
         sym = polymers.symbolic_census(args.max_size)
         return {
             "max_size": sym.max_size,
@@ -220,13 +224,16 @@ def _cmd_count(args) -> dict:
 
 def _parse_typed_pairs(pairs: list[str], diverging: bool) -> dict:
     from . import polymers
-    form = "KEY=COUNT,SHIFT" if diverging else "KEY=COUNT"
+    form = "KEY=MEAN,SHIFT" if diverging else "KEY=COUNT"
     out = {}
     for item in pairs:
         if "=" not in item:
             raise _UsageError(f"expected {form} in {item!r}")
         key, _, rest = item.partition("=")
         t = polymers.DefectType.from_key(key)
+        if t in out:
+            raise _UsageError(f"type {t.key} given twice to "
+                              f"{'--diverging' if diverging else '--fixed'}")
         if t.size > polymers.MAX_TYPE_SIZE:
             raise _UsageError(f"type {key} has size {t.size}; defect types "
                               f"have size <= {polymers.MAX_TYPE_SIZE}")
@@ -594,8 +601,10 @@ def _count_structured_arguments(p) -> None:
     p.add_argument("--fixed", action="append", metavar="KEY=COUNT",
                    help="defect type pinned to an exact count; COUNT times "
                         "the type's size is at most half a side")
-    p.add_argument("--diverging", action="append", metavar="KEY=COUNT,SHIFT",
-                   help="defect type at COUNT = m_T + SHIFT with Gaussian weight")
+    p.add_argument("--diverging", action="append", metavar="KEY=MEAN,SHIFT",
+                   help="defect type at MEAN + SHIFT >= 0 defects, with "
+                        "Gaussian weight about its mean MEAN > 0; a type is "
+                        "fixed or diverging, not both")
     p.add_argument("--budget", type=_budget,
                    help="node budget for the polymer census behind --fixed, "
                         "counted over the search cut to prefix active sets")

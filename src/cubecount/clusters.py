@@ -212,26 +212,6 @@ class Observable(_ObservableFields):
             raise ValueError("type_count observable needs a type_key")
         return super().__new__(cls, kind, power, type_key)
 
-    @staticmethod
-    def one() -> "Observable":
-        return Observable("one")
-
-    @staticmethod
-    def size(power: int = 1) -> "Observable":
-        return Observable("size", power)
-
-    @staticmethod
-    def nbhd(power: int = 1) -> "Observable":
-        return Observable("nbhd", power)
-
-    @staticmethod
-    def type_count(type_key: str, power: int = 1) -> "Observable":
-        return Observable("type_count", power, type_key)
-
-    @staticmethod
-    def size_nbhd() -> "Observable":
-        return Observable("size_nbhd")
-
     def label(self) -> str:
         base = self.kind if self.kind != "type_count" else f"type_count[{self.type_key}]"
         return base if self.power == 1 else f"{base}^{self.power}"
@@ -424,7 +404,7 @@ class ClusterSum(NamedTuple):
                 "poly": self.poly.to_json()}
 
 
-def cluster_sum(d: int, k: int, observable: Observable = Observable.one(),
+def cluster_sum(d: int, k: int, observable: Observable = Observable("one"),
                 budget: int | None = None) -> ClusterSum:
     """Sum observable * weight over all clusters of stratum k, exactly.
 
@@ -469,7 +449,7 @@ def cluster_sum(d: int, k: int, observable: Observable = Observable.one(),
 
 
 def stratum_value(d: int, k: int, lam: Fraction,
-                  observable: Observable = Observable.one()) -> Fraction:
+                  observable: Observable = Observable("one")) -> Fraction:
     return cluster_sum(d, k, observable).value(lam)
 
 
@@ -555,7 +535,7 @@ def expected_size_truncated(d: int, lam: Fraction, max_total: int) -> Fraction:
     total = lam * n / (1 + lam)
     for k in range(1, max_total + 1):
         s_one = stratum_value(d, k, lam)
-        s_nbhd = stratum_value(d, k, lam, Observable.nbhd())
+        s_nbhd = stratum_value(d, k, lam, Observable("nbhd"))
         total += k * s_one - lam / (1 + lam) * s_nbhd
     return total
 

@@ -610,14 +610,10 @@ def defect_statistics(states: Iterable[ChainState],
                 entry["poisson_gof"] = _poisson_gof(columns[key], m_t)
         per_type[key] = entry
 
-    sizes = [float(s.size) for s in states]
-    odd = [float(s.odd_size) for s in states]
-    even = [float(s.even_size) for s in states]
-    sm, sv = _mean_var(sizes)
-    om, _ = _mean_var(odd)
-    em, _ = _mean_var(even)
+    sm, sv = _mean_var([float(s.size) for s in states])
     size_stats = {"mean": sm, "var": sv, "se": math.sqrt(sv / n),
-                  "odd_mean": om, "even_mean": em}
+                  "odd_mean": _float_sum(float(s.odd_size) for s in states) / n,
+                  "even_mean": _float_sum(float(s.even_size) for s in states) / n}
 
     clt = {"total_size": _moments([float(r.total_size) for r in reports]),
            "nbhd_total": _moments([float(r.nbhd_total) for r in reports])}
@@ -628,11 +624,10 @@ def defect_statistics(states: Iterable[ChainState],
     observed.sort(key=lambda k: -totals[k])
     if len(observed) >= 2:
         a, b = observed[:2]
-        xa = [float(x) for x in columns[a]]
-        xb = [float(x) for x in columns[b]]
-        ma, va = _mean_var(xa)
-        mb, vb = _mean_var(xb)
-        cov = _float_sum((x - ma) * (y - mb) for x, y in zip(xa, xb)) / (n - 1)
+        ma, va = per_type[a]["mean"], per_type[a]["var"]
+        mb, vb = per_type[b]["mean"], per_type[b]["var"]
+        cov = _float_sum((x - ma) * (y - mb)
+                         for x, y in zip(columns[a], columns[b])) / (n - 1)
         corr = cov / math.sqrt(va * vb) if va > 0 and vb > 0 else 0.0
         joint = {"types": [a, b], "cov": cov, "corr": corr}
 

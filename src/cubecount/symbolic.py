@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import add
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import InterpolationError
 
@@ -557,18 +557,10 @@ class TruncSeries:
         self.coeffs = coeffs
 
     @staticmethod
-    def zero(order: int) -> "TruncSeries":
-        return TruncSeries(order, tuple(RatFunc.const(0) for _ in range(order)))
-
-    @staticmethod
     def from_coeffs(coeffs: Iterable, order: int) -> "TruncSeries":
         cs = [_coerce_func(c) for c in coeffs][:order]
         cs += [RatFunc.const(0)] * (order - len(cs))
         return TruncSeries(order, tuple(cs))
-
-    @staticmethod
-    def constant(c, order: int) -> "TruncSeries":
-        return TruncSeries.from_coeffs([_coerce_func(c)], order)
 
     def coefficient(self, j: int) -> RatFunc:
         if j < 0 or j >= self.order:
@@ -609,25 +601,38 @@ class TruncSeries:
         return TruncSeries(self.order, tuple(cs))
 
 
+def _no_constant_term(x: TruncSeries) -> None:
+    if not x.coefficient(0).is_zero():
+        raise ValueError("expansion variable must have no constant term")
+
+
+def _power_sum(coeff: Callable[[int], RatFunc | None], top: int,
+               x: TruncSeries) -> TruncSeries:
+    """sum_{k=0}^{top} coeff(k) * x^k, where coeff(k) is None for a term
+    that is not there.
+
+    When x has no constant term, x^k is O(Y^k), so it is zero for
+    k >= x.order: those terms are skipped and their coeff(k) never built.
+    """
+    if x.coefficient(0).is_zero():
+        top = min(top, x.order - 1)
+    out = TruncSeries.from_coeffs((), x.order)
+    power = TruncSeries.from_coeffs((1,), x.order)
+    for k in range(top + 1):
+        c = coeff(k)
+        if c is not None:
+            out = out + power * c
+        if k < top:
+            power = power * x
+    return out
+
+
 def poly_on_series(p: RatPoly, var: str, series: TruncSeries) -> TruncSeries:
     """Evaluate polynomial p at `var` = series; other variables stay symbolic
-    inside the coefficients (they must be beta/d only).
-
-    When the series has no constant term, series^k is O(Y^k), so it is zero
-    for k >= series.order and the powers of `var` from there on are skipped.
-    """
+    inside the coefficients (they must be beta/d only)."""
     parts = p.as_univariate(var)
-    out = TruncSeries.zero(series.order)
-    power = TruncSeries.constant(1, series.order)
-    top = max(parts) if parts else 0
-    if series.coefficient(0).is_zero():
-        top = min(top, series.order - 1)
-    for k in range(0, top + 1):
-        if k in parts:
-            out = out + power * RatFunc(parts[k])
-        if k < top:
-            power = power * series
-    return out
+    return _power_sum(lambda k: RatFunc(parts[k]) if k in parts else None,
+                      max(parts, default=0), series)
 
 
 def binom_poly(k_expr: RatPoly, i: int) -> RatPoly:
@@ -647,40 +652,23 @@ def neg_binomial_expand(k_expr: RatPoly, x: TruncSeries, r: int) -> TruncSeries:
     The expansion is only a valid series representation when x has no constant
     term (its Y^0 coefficient is zero), which is checked.
     """
-    if not x.coefficient(0).is_zero():
-        raise ValueError("expansion variable must have no constant term")
-    out = TruncSeries.zero(x.order)
-    power = TruncSeries.constant(1, x.order)
-    for i in range(0, r + 1):
-        out = out + power * RatFunc(binom_poly(k_expr, i))
-        if i < r:
-            power = power * x
-    return out
+    _no_constant_term(x)
+    return _power_sum(lambda i: RatFunc(binom_poly(k_expr, i)), r, x)
 
 
 def log_ratio_expand(x: TruncSeries, t: int) -> TruncSeries:
     """log(1 + x) - beta*log(1 + x/beta) through x-degree t-1.
 
     The i-th coefficient is ((-1)^(1+i)/i) * (1 - beta^(1-i)); the i = 1 term
-    vanishes and for i >= 2 the coefficient carries a beta^(i-1) denominator.
+    vanishes and for i >= 2 the coefficient carries a beta^(i-1) denominator,
+    since (1 - beta^(1-i)) = -(1 - beta^(i-1)) / beta^(i-1).
     """
-    if not x.coefficient(0).is_zero():
-        raise ValueError("expansion variable must have no constant term")
-    out = TruncSeries.zero(x.order)
-    power = x
-    for i in range(1, t):
-        sign = Fraction((-1) ** (1 + i), i)
-        if i == 1:
-            coeff = RatFunc.const(0)
-        else:
-            # (1 - beta^(1-i)) = -(1 - beta^(i-1)) / beta^(i-1)
-            body = RatPoly.const(1) - RatPoly.var(BETA) ** (i - 1)
-            coeff = RatFunc(-body * sign, bpow=i - 1)
-        if not coeff.is_zero():
-            out = out + power * coeff
-        if i < t - 1:
-            power = power * x
-    return out
+    _no_constant_term(x)
+    beta = RatPoly.var(BETA)
+    return _power_sum(
+        lambda i: RatFunc((beta ** (i - 1) - 1) * Fraction((-1) ** (1 + i), i),
+                          bpow=i - 1) if i >= 2 else None,
+        t - 1, x)
 
 
 def interpolate_poly(points: Sequence[tuple[int, object]], degree_bound: int,

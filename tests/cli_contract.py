@@ -165,8 +165,8 @@ ROWS = (
     Row("count --beta 1/3 --d 5 --t 3 --digits 1", SERIES,
         "504a4378fbfee10cff29d078dabe1c142d30d72c9665ccb271976426264eea18"),
     Row("count-structured --beta 1/2 --d 12 --t 3 --fixed s1c0g0=3 "
-        "--diverging s1c0g0=40,2 --digits 1", SERIES,
-        "512c18ee9c85dc7cf9c830fdef861c24e96f5eeec170c50df54541d2415e542d"),
+        "--diverging s2c2g1=40,2 --digits 1", SERIES,
+        "7d1977f3f2915987c75889d057f70ee4fbd9843a9450b2f4e8ce85ae5bb7c42c"),
     # 1.6M steps after the burn-in: shown two CPUs, the chain forks once and
     # runs its second half ahead in the child
     Row("sample --d 10 --lam 1 --samples 400 --thin 4096 --seed 3 "
@@ -185,6 +185,10 @@ ROWS = (
     # zero in (1 + lam)^(-kd) and printed a traceback
     Row("clusters --d 4 --k 2 --lam=-1", CLUSTERS, code=1,
         error="error: fugacity must be positive"),
+    # refused by structured_count after the base count; a count of
+    # MEAN + SHIFT < 0 defects exited 0 with a value
+    Row("count-structured --beta 1/2 --d 12 --diverging s1c0g0=2,-5", SERIES,
+        code=1, error="error: negative count -3 = 2 + (-5) for type s1c0g0"),
     Row("clusters --d 8 --k 6 --budget 100000", CLUSTERS, code=2,
         error="error: budget exhausted: connected-set enumeration budget exhausted"),
 )

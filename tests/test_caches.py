@@ -51,7 +51,7 @@ def test_each_B_table_is_solved_once(monkeypatch):
     q_func = asymptotics.Q_func
     monkeypatch.setattr(asymptotics, "Q_func",
                         lambda j, b=None: solved.append(j) or q_func(j, b))
-    # compute_P(3) and log_count_asymptotic's lambda_beta both need B_1: one
+    # compute_P(3) and log_count_asymptotic's lambda_beta solve both need B_1: one
     # solve, Q_1 and its residual; structured_count reads the corrected
     # fugacity from the base count's formula and solves nothing
     asymptotics.structured_count(Fraction(1, 2), 12, t=4)

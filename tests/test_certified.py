@@ -132,7 +132,8 @@ def quiet(fn, *args, **kwargs):
 
 SINGLETON = DefectType.from_key("s1c0g0")
 PROFILES = ({"fixed_types": {SINGLETON: 1}},
-            {"fixed_types": {SINGLETON: 3}, "diverging_types": {SINGLETON: (40, 2)}})
+            {"fixed_types": {SINGLETON: 3},
+             "diverging_types": {DefectType.from_key("s2c2g1"): (40, 2)}})
 
 
 def grid():

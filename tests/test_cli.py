@@ -149,6 +149,10 @@ USAGE_ERRORS = [
     ["sample", "--d", "6", "--lam", "1", "--census-size", "7"],
     # --samples alone sets the run length
     ["sample", "--d", "3", "--lam", "1", "--steps", "10"],
+    # each exited 0: the symbolic census reads neither d nor a budget
+    ["polymers", "--max-size", "3", "--mode", "symbolic", "--d", "99",
+     "--budget", "0"],
+    ["polymers", "--max-size", "3", "--mode", "symbolic", "--budget", "0"],
 ]
 
 
@@ -200,7 +204,7 @@ def test_help_and_an_unknown_command_list_every_command(capsys, argv):
 
 @pytest.mark.parametrize("option,item,form", [
     ("--fixed", "s1c0g0=x", "KEY=COUNT"),
-    ("--diverging", "s1c0g0=1/2,1", "KEY=COUNT,SHIFT"),
+    ("--diverging", "s1c0g0=1/2,1", "KEY=MEAN,SHIFT"),
 ])
 def test_count_structured_names_the_bad_item(capsys, option, item, form):
     # both printed "invalid literal for int() with base 10", which named
@@ -208,6 +212,22 @@ def test_count_structured_names_the_bad_item(capsys, option, item, form):
     code, out, err = run_cli(capsys, "count-structured", "--beta", "1/2",
                              "--d", "10", option, item)
     assert (code, out, err) == (1, "", f"error: expected {form} in {item!r}\n")
+
+
+@pytest.mark.parametrize("profile,error", [
+    # each exited 0: a Poisson and a Gaussian factor for one type; the
+    # second --fixed silently replaced the first; a value for -3 defects
+    (["--fixed", "s1c0g0=1", "--diverging", "s1c0g0=2,1"],
+     "type s1c0g0 is both fixed and diverging"),
+    (["--fixed", "s1c0g0=1", "--fixed", "s1c0g0=2"],
+     "type s1c0g0 given twice to --fixed"),
+    (["--diverging", "s1c0g0=2,-5"],
+     "negative count -3 = 2 + (-5) for type s1c0g0"),
+])
+def test_count_structured_refuses_an_inconsistent_profile(capsys, profile, error):
+    code, out, err = run_cli(capsys, "count-structured", "--beta", "1/2",
+                             "--d", "12", *profile)
+    assert (code, out, err) == (1, "", f"error: {error}\n")
 
 
 def test_sample_names_samples_when_it_is_below_two(capsys):

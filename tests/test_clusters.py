@@ -58,9 +58,9 @@ def test_ursell_agrees_with_recursive_form_on_all_small_graphs():
 
 
 def test_observable_labels_and_validation():
-    assert cl.Observable.one().label() == "one"
-    assert cl.Observable.size(2).label() == "size^2"
-    assert cl.Observable.type_count("s1c0g0").label() == "type_count[s1c0g0]"
+    assert cl.Observable("one").label() == "one"
+    assert cl.Observable("size", 2).label() == "size^2"
+    assert cl.Observable("type_count", type_key="s1c0g0").label() == "type_count[s1c0g0]"
     assert cl.Observable("type_count", 2, "s1c0g0").label() == "type_count[s1c0g0]^2"
     with pytest.raises(ValueError, match="unknown observable kind 'bogus'"):
         cl.Observable("bogus")
@@ -100,7 +100,7 @@ def test_a_nonpositive_fugacity_is_refused(lam):
 
 
 def test_cluster_sum_json_shape():
-    cs = cl.cluster_sum(3, 1, cl.Observable.size())
+    cs = cl.cluster_sum(3, 1, cl.Observable("size"))
     obj = cs.to_json()
     assert obj["d"] == 3 and obj["k"] == 1 and obj["observable"] == "size"
     assert obj["poly"] == cs.poly.to_json()
@@ -109,8 +109,8 @@ def test_cluster_sum_json_shape():
 def test_size_observable_first_stratum():
     # every size-1 polymer contributes its size 1, so 'size' matches 'one'
     d = 4
-    a = cl.cluster_sum(d, 1, cl.Observable.one())
-    b = cl.cluster_sum(d, 1, cl.Observable.size())
+    a = cl.cluster_sum(d, 1, cl.Observable("one"))
+    b = cl.cluster_sum(d, 1, cl.Observable("size"))
     assert a.poly == b.poly
 
 
@@ -196,8 +196,8 @@ def test_expected_size_truncated_assembles_observable_strata():
     n = hc.n_side(d)
     b = lam / (1 + lam)
     s1 = cl.stratum_value(d, 1, lam)
-    s1_size = cl.stratum_value(d, 1, lam, cl.Observable.size())
-    s1_nbhd = cl.stratum_value(d, 1, lam, cl.Observable.nbhd())
+    s1_size = cl.stratum_value(d, 1, lam, cl.Observable("size"))
+    s1_nbhd = cl.stratum_value(d, 1, lam, cl.Observable("nbhd"))
     assert s1_size == s1  # stratum 1 holds only size-1 polymers
     assert cl.expected_size_truncated(d, lam, 1) == n * b + s1 - b * s1_nbhd
 
@@ -277,8 +277,8 @@ def seed_cluster_sum_poly(d: int, k: int, obs: cl.Observable) -> RatPoly:
 
 
 def test_rescaled_cluster_sum_matches_enumeration_at_d():
-    observables = (cl.Observable.one(), cl.Observable.size(2), cl.Observable.nbhd(2),
-                   cl.Observable.size_nbhd(), cl.Observable.type_count("s1c0g0", 2))
+    observables = (cl.Observable("one"), cl.Observable("size", 2), cl.Observable("nbhd", 2),
+                   cl.Observable("size_nbhd"), cl.Observable("type_count", 2, "s1c0g0"))
     for k in (1, 2, 3):
         for d in (cl.free_dim(k), cl.free_dim(k) + 1):
             for obs in observables:
@@ -307,10 +307,10 @@ def ratpoly_cluster_sum_poly(d: int, k: int, obs: cl.Observable) -> RatPoly:
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_integer_cluster_sum_matches_ratpoly_arithmetic(k):
     """Equal JSON, so the same variables too: k = 1 has no lam."""
-    observables = (cl.Observable.one(), cl.Observable.size(), cl.Observable.size(3),
-                   cl.Observable.nbhd(), cl.Observable.nbhd(2), cl.Observable.size_nbhd(),
-                   cl.Observable.type_count("s1c0g0"),
-                   cl.Observable.type_count("s2c2g1", 2))
+    observables = (cl.Observable("one"), cl.Observable("size"), cl.Observable("size", 3),
+                   cl.Observable("nbhd"), cl.Observable("nbhd", 2), cl.Observable("size_nbhd"),
+                   cl.Observable("type_count", type_key="s1c0g0"),
+                   cl.Observable("type_count", 2, "s2c2g1"))
     for d in (2, 2 * k + 1, cl.free_dim(k), cl.free_dim(k) + 1, 14, 24):
         for obs in observables:
             got = cl.cluster_sum(d, k, obs).poly
@@ -408,7 +408,7 @@ def test_stratum_tables_build_no_cluster(monkeypatch):
     cl.clear_caches()
     monkeypatch.setattr(cl, "Cluster", refuse)
     cl.cluster_sum(10, 3)
-    cl.cluster_sum(9, 3, cl.Observable.type_count("s1c0g0"))
+    cl.cluster_sum(9, 3, cl.Observable("type_count", type_key="s1c0g0"))
 
 
 def test_budgeted_r_poly_enumerates_each_base_dimension_once(monkeypatch):
@@ -449,7 +449,7 @@ def test_cluster_cache_is_bounded():
     for k in (1, 2, 3):
         for d in range(3, 15):
             cl.cluster_sum(d, k)
-            cl.cluster_sum(d, k, cl.Observable.type_count("s1c0g0"))
+            cl.cluster_sum(d, k, cl.Observable("type_count", type_key="s1c0g0"))
             assert len(cl._table_cache) <= cl._TABLE_CACHE_SIZE
     assert len(cl._table_cache) == cl._TABLE_CACHE_SIZE
     cl.clear_caches()
@@ -477,6 +477,6 @@ def test_stratum_4_digests_hold():
     got = {
         "R_poly(4)": digest(asy.R_poly(4, budget=10 ** 9)),
         "cluster_sum(10, 4, nbhd^2)":
-            digest(cl.cluster_sum(10, 4, cl.Observable.nbhd(2)).poly),
+            digest(cl.cluster_sum(10, 4, cl.Observable("nbhd", 2)).poly),
     }
     assert got == STRATUM_4_DIGESTS

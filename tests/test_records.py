@@ -27,14 +27,14 @@ def test_equal_records_hash_equal():
     assert hash(a) == hash(b) == hash((3, 5, 7))
     assert len({a, b, DefectType(3, 5, 8)}) == 2
     assert hash(CensusEntry(a, 4)) == hash(CensusEntry(b, 4))
-    assert hash(Observable.size(2)) == hash(Observable("size", 2))
+    assert hash(Observable("size", 2)) == hash(("size", 2, None))
 
 
 def test_setting_a_record_field_raises_attribute_error():
     records = [(DefectType(1, 0, 0), "size"),
                (census(4, 2), "d"),
                (census(4, 2).entries[0], "count"),
-               (Observable.one(), "power"),
+               (Observable("one"), "power"),
                (ex.size_profile(3), "counts"),
                (asym.lambda_beta(Fraction(1, 2), 10, 3), "value")]
     for record, name in records:

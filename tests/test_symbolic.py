@@ -130,7 +130,7 @@ def test_series_multiplication_truncates():
     assert full.coeffs == (RatFunc.const(1), RatFunc.const(2), RatFunc.const(1))
     # a shift past the order leaves nothing
     assert one_plus.shift(1).coeffs == (RatFunc.const(0), RatFunc.const(1))
-    assert one_plus.shift(3).coeffs == TruncSeries.zero(2).coeffs
+    assert one_plus.shift(3).coeffs == (RatFunc.const(0), RatFunc.const(0))
 
 
 def test_series_validates_and_is_not_a_sequence():
@@ -419,3 +419,64 @@ def test_interpolation_refuses_values_in_the_interpolation_variable():
         interpolate_poly([(1, 1.0), (2, 2), (3, 3)], degree_bound=1)
     with pytest.raises(ValueError, match="distinct"):
         interpolate_poly([(1, 1), (1, 2), (3, 3)], degree_bound=1)
+
+
+SERIES_VARS = ("beta", "d")
+
+
+@st.composite
+def series_pairs(draw, constant_term: bool):
+    """The same random series in both kernels, order 1-4, each coefficient a
+    random polynomial in a subset of SERIES_VARS over beta^a (1-beta)^b; its
+    Y^0 coefficient is zero unless constant_term."""
+    order = draw(st.integers(1, 4))
+    new, old = [], []
+    for j in range(order):
+        vs = tuple(v for v in SERIES_VARS if draw(st.booleans()))
+        terms = {}
+        if j or constant_term:
+            for _ in range(draw(st.integers(0, 3))):
+                e = tuple(draw(st.integers(0, 2)) for _ in vs)
+                terms[e] = terms.get(e, 0) + draw(fracs)
+        a, b = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        new.append(RatFunc(RatPoly(vs, terms), a, b))
+        old.append(ref.RatFunc(ref.RatPoly(vs, terms), a, b))
+    return (TruncSeries.from_coeffs(new, order),
+            ref.TruncSeries.from_coeffs(old, order))
+
+
+def same_series(new: TruncSeries, old) -> bool:
+    """Equal coefficient by coefficient, each from a canonical numerator:
+    the new kernel skips the powers x^k, k >= order, of a series x with no
+    constant term, so only the values, not the variable tuples, must agree
+    with the reference, which adds their zero terms too."""
+    return new.order == old.order and all(
+        canonical(c.num) and ref.RatFunc.from_json(c.to_json()) == c0
+        for c, c0 in zip(new.coeffs, old.coeffs))
+
+
+@given(poly_pairs(), st.booleans(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_expansions_match_the_fraction_kernel(p, constant_term, data):
+    """poly_on_series, neg_binomial_expand and log_ratio_expand against the
+    reference, whose loops have no truncation rule: a series with a
+    constant term keeps every power of x, and degrees r and t - 1 at or past
+    the series order reach the powers that are skipped."""
+    (p1, p0), var = p, data.draw(st.sampled_from(("X", "B1")))
+    x1, x0 = data.draw(series_pairs(constant_term))
+    assert same_series(poly_on_series(p1, var, x1), ref.poly_on_series(p0, var, x0))
+    k1, k0 = data.draw(poly_pairs())
+    r = data.draw(st.integers(0, x1.order + 2))
+    t = data.draw(st.integers(1, x1.order + 2))
+    if constant_term and not x1.coefficient(0).is_zero():
+        for new, old in ((lambda: neg_binomial_expand(k1, x1, r),
+                          lambda: ref.neg_binomial_expand(k0, x0, r)),
+                         (lambda: log_ratio_expand(x1, t),
+                          lambda: ref.log_ratio_expand(x0, t))):
+            for expand in (new, old):
+                with pytest.raises(ValueError, match="no constant term"):
+                    expand()
+        return
+    assert same_series(neg_binomial_expand(k1, x1, r),
+                       ref.neg_binomial_expand(k0, x0, r))
+    assert same_series(log_ratio_expand(x1, t), ref.log_ratio_expand(x0, t))
