@@ -40,7 +40,8 @@ def main() -> None:
     print(f"Z coefficients: {om.z_poly}")
     print(f"Xi terms (lam^m (1+lam)^-n, count): {om.xi_terms}")
     for lam in (Fraction(1, 2), Fraction(1), Fraction(2)):
-        print(f"  lam={lam}: Xi={om.xi_value(lam)}  Z={om.z_value(lam)}")
+        z = sum(c * lam ** m for m, c in enumerate(om.z_poly))
+        print(f"  lam={lam}: Xi={om.xi_value(lam)}  Z={z}")
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ The package splits into a small stack of layers:
 - asymptotics: series coefficients and high-precision counting formulas
 - certified: decimal intervals that print each digit correctly rounded,
   with enclosures of ln x! and ln C(n, k)
-- bigint: exact binomials of huge arguments
 - sampler: Glauber dynamics used to validate the defect statistics
 - chisq: the chi-square tail of the sampler's goodness-of-fit tests
 - cli: command-line front end
@@ -42,8 +41,8 @@ _EXPORTS = {name: module for module, names in (
                   "ursell", "ursell_recursive")),
     ("symbolic", ("RatFunc", "RatPoly", "TruncSeries", "interpolate_poly")),
     ("asymptotics", ("LambdaBeta", "LogCount", "R_poly", "R_table",
-                     "SeriesTable", "binomial_lclt", "compute_B", "compute_P",
-                     "lambda_beta", "log_Z_asymptotic", "log_count_asymptotic",
+                     "SeriesTable", "compute_B", "compute_P", "lambda_beta",
+                     "log_Z_asymptotic", "log_count_asymptotic",
                      "structured_count")),
     ("sampler", ("ChainState", "DefectReport", "SamplerSummary",
                  "defect_statistics", "extract_defects", "glauber_run",

@@ -22,20 +22,20 @@ from __future__ import annotations
 
 import math
 import warnings
-from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Mapping, NamedTuple
 
 from . import hypercube as hc
-from .bigint import binomial
-from .certified import decimal_contexts, evaluate, pi_bounds
+from .certified import evaluate
 from .clusters import cluster_sum
 from .errors import RegimeWarning
 from .polymers import DefectType, census
-from .symbolic import (BETA, RatFunc, RatPoly, TruncSeries, _coprime_fraction,
-                       interpolate_poly, log_ratio_expand, neg_binomial_expand,
-                       poly_on_series)
+from .symbolic import (BETA, RatFunc, RatPoly, TruncSeries, interpolate_poly,
+                       log_ratio_expand, neg_binomial_expand, poly_on_series)
+
+# binomial stays importable here: perfbench/traced_child.py patches it
+binomial = math.comb
 
 LAM = "lam"
 DIM = "d"
@@ -402,39 +402,6 @@ def log_Z_asymptotic(lam: Fraction, d: int, t: int, digits: int = 80) -> LogCoun
     return LogCount(digits, partial(_log_z, n=n, d=d, lam=lam, strata=strata))
 
 
-def binomial_lclt(n: int, p: Fraction, k: int) -> tuple[Fraction, Decimal]:
-    """Exact Bin(n, p) pmf at k next to the flat local-CLT density.
-
-    Returns (exact pmf as a Fraction, 1/sqrt(2 pi n p (1-p)) as a Decimal of
-    30 digits); the density is the k-independent Gaussian peak value, so the
-    pair only matches closely when k - np = o(sqrt(n)).
-
-    With p = a/q in lowest terms the pmf is C(n, k) a^k (q-a)^(n-k) / q^n.
-    a and q-a are prime to q, so only C(n, k) can share a factor with q^n;
-    that factor is divided out by gcds with q alone, and the reduced
-    Fraction is built without the gcd of two n-bit integers that Fraction
-    would take (about 2 s at n = 10^6).
-    """
-    p = Fraction(p)
-    if not 0 < p < 1:
-        raise ValueError("p must lie strictly between 0 and 1")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 0 <= k <= n:
-        raise ValueError("k out of range")
-    a, q = p.numerator, p.denominator
-    c, den = binomial(n, k), q ** n
-    # v_p(C(n, k)) <= log_p(n) < n, so every common prime power divides q^n
-    while (g := math.gcd(c, q)) > 1:
-        c //= g
-        den //= g
-    exact = _coprime_fraction(c * a ** k * (q - a) ** (n - k), den)
-    _, _, near = decimal_contexts(30)
-    variance = near.multiply(near.multiply(2 * n, pi_bounds(30)[0]),
-                             near.divide(a * (q - a), q * q))
-    return exact, near.divide(1, near.sqrt(variance))
-
-
 def _log_count(num, n: int, m: int, d: int, lb: Fraction, corrections, strata):
     """log_count_asymptotic's (value, terms, alt) in the number kit num."""
     terms = [("log_2", num.log(2)), ("log_binomial", num.log_binomial(n, m))]
@@ -455,8 +422,7 @@ def log_count_asymptotic(beta: Fraction, d: int, t: int,
 
     Two evaluation paths: (a) log-binomial plus N sum P_j Y^j (the returned
     value), with ln C(N, m) enclosed by Stirling's series (the number kit's
-    `log_binomial`), so C(N, m) itself is not built: at d = 24 sieving the
-    primes up to N and multiplying their powers took 262 ms.
+    `log_binomial`), so C(N, m) itself is not built.
     (b) Stirling form at the corrected fugacity (printed as alt_ln_value).
     Path (b) = log 2 + N log(1+lam_b) - m log lam_b + strata at
     lam_b - (1/2) log(2 pi N beta (1-beta)).  Both use beta = m/N exactly.

@@ -23,8 +23,9 @@ widened by the first omitted term, which bounds the remainder for x > 0,
 and cut where that term falls below 10^-digits.  ln 2^e is e ln 2, and the
 Bernoulli numbers come from integer tangent numbers, only as far as K.  If
 the series would need more than `_MAX_TERMS` terms (a very high
-precision), the log of the exact integer is enclosed instead, with the
-exact binomial of cubecount.bigint.
+precision), the log of the exact x! is enclosed instead.  `evaluate` never
+works at such a precision for x >= 2^10: it stops at the most digits that
+`_MAX_TERMS` terms cover at x = 2^10 (472), and fewer terms cover a larger x.
 
 Converting an int to Decimal takes time quadratic in its length, so no
 long int reaches the contexts.  `rational` divides a numerator and a
@@ -43,11 +44,11 @@ length grows with jd.
 
 `evaluate` is Ziv's strategy (Ziv, ACM TOMS 17(3), 1991; as in MPFR): it
 starts `_GUARD_DIGITS` beyond the printed digits and doubles the working
-digits while a field is undecided.  A rational with a terminating decimal
-expansion becomes a point interval once the working digits hold it (an
-integer longer than 4 `digits` bits aside), so an exact tie ends the loop
-and prints rounded half up.  Decimal and fractions (which loads decimal)
-cost no import here.
+digits, up to `_MAX_WORKING_DIGITS`, while a field is undecided.  A
+rational with a terminating decimal expansion becomes a point interval
+once the working digits hold it (an integer longer than 4 `digits` bits
+aside), so an exact tie ends the loop and prints rounded half up.  Decimal
+and fractions (which loads decimal) cost no import here.
 """
 
 from __future__ import annotations
@@ -61,9 +62,8 @@ from functools import cached_property, lru_cache
 from .errors import BudgetExceededError
 
 _GUARD_DIGITS = 20  # first working digits beyond the printed ones
-_MAX_WORKING_DIGITS = 1 << 12  # evaluate gives up past this many
 _EXACT_BELOW = 1 << 10  # L(x) from the exact x! below it
-_MAX_TERMS = 128  # Stirling terms beyond which the exact integer serves instead
+_MAX_TERMS = 128  # Stirling terms beyond which the exact x! serves instead
 
 
 class Undecided(Exception):
@@ -155,21 +155,29 @@ def _tangent_numbers(count: int) -> tuple[int, ...]:
     return tuple(t)
 
 
+def _log10_term_bound(x: int, i: int) -> float:
+    """log10 of a bound on the i-th Stirling term of L(x).
+
+    |B_2i| < 4 (2i)! / (2 pi)^(2i), so term i is below
+    4 (2i-2)! / ((2 pi)^(2i) x^(2i-1)).
+    """
+    return math.log10(4) + math.lgamma(2 * i - 1) / math.log(10) \
+        - 2 * i * math.log10(2 * math.pi) - (2 * i - 1) * math.log10(x)
+
+
 def _stirling_terms(x: int, digits: int) -> int | None:
     """Fewest Stirling terms K for L(x) whose first omitted term is below
-    10^-digits.
-
-    Sizes the series from |B_2i| < 4 (2i)! / (2 pi)^(2i), so term i is below
-    4 (2i-2)! / ((2 pi)^(2i) x^(2i-1)).  None when K would exceed `_MAX_TERMS`.
-    """
-    log10_x = math.log10(x)
-    log10_2pi = math.log10(2 * math.pi)
+    10^-digits; None when K would exceed `_MAX_TERMS`."""
     for i in range(1, _MAX_TERMS + 2):
-        bound = math.log10(4) + math.lgamma(2 * i - 1) / math.log(10) \
-            - 2 * i * log10_2pi - (2 * i - 1) * log10_x
-        if bound < -digits:
+        if _log10_term_bound(x, i) < -digits:
             return i - 1
     return None
+
+
+# evaluate gives up past this many: the most that `_MAX_TERMS` Stirling terms
+# cover at x = `_EXACT_BELOW` (472), so no field it prints builds x! there;
+# the bound falls with i while i < pi x, so the first omitted term decides
+_MAX_WORKING_DIGITS = math.ceil(-_log10_term_bound(_EXACT_BELOW, _MAX_TERMS + 1)) - 1
 
 
 class Interval:
@@ -379,12 +387,7 @@ class DecimalNumbers:
 
     def log_binomial(self, n: int, k: int) -> Interval:
         """ln C(n, k), for ints 0 <= k <= n (see the module docstring)."""
-        args = n, k, n - k
-        if any(x >= _EXACT_BELOW and _stirling_terms(x, self.digits) is None
-               for x in args):
-            from .bigint import binomial
-            return self.log(binomial(n, k))
-        ln_fact = {x: self.log_factorial(x) for x in set(args)}
+        ln_fact = {x: self.log_factorial(x) for x in {n, k, n - k}}
         return ln_fact[n] - ln_fact[k] - ln_fact[n - k]
 
     def render(self, x: Interval, n: int) -> str:
@@ -401,9 +404,9 @@ def evaluate(formula, shown: int):
     """formula(num) in decimal intervals, at as many working digits as it
     takes to decide every field `shown` digits long.
 
-    The working digits start at shown + `_GUARD_DIGITS` and double while a
-    field is undecided; past `_MAX_WORKING_DIGITS` that raises
-    BudgetExceededError.
+    The working digits start at shown + `_GUARD_DIGITS` and double, the last
+    doubling cut to `_MAX_WORKING_DIGITS`, while a field is undecided; a
+    field still undecided there raises BudgetExceededError.
     """
     digits = shown + _GUARD_DIGITS
     while True:
@@ -413,4 +416,4 @@ def evaluate(formula, shown: int):
             if digits >= _MAX_WORKING_DIGITS:
                 raise BudgetExceededError(
                     f"{digits} working digits leave a printed digit undecided")
-            digits *= 2
+            digits = min(2 * digits, _MAX_WORKING_DIGITS)

@@ -238,10 +238,6 @@ class OddModelProfile(NamedTuple):
             total += count * lam ** size / (1 + lam) ** nbhd
         return total
 
-    def z_value(self, lam: Fraction) -> Fraction:
-        lam = Fraction(lam)
-        return sum((c * lam ** m for m, c in enumerate(self.z_poly)), Fraction(0))
-
 
 def _collection_counts(supports: list[frozenset[int]], d: int) \
         -> dict[tuple[int, int, int], int]:

@@ -56,7 +56,7 @@ def test_criterion_09_sampler_statistics():
     _run(9)
 
 
-def test_criterion_10_binomial_lclt():
+def test_criterion_10_hardcore_lclt():
     _run(10)
 
 

@@ -10,10 +10,9 @@ from fractions import Fraction
 import fraction_kernel as ref
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from cubecount import asymptotics as asym
-from cubecount import bigint, certified
+from cubecount import certified
 from cubecount import exact as ex
 from cubecount.errors import BudgetExceededError, RegimeWarning
 from cubecount.polymers import DefectType, census
@@ -223,13 +222,16 @@ def test_log_count_asymptotic_matches_exact_profile():
     assert abs(float(obj["alt_ln_value"]) - target) < 0.05
 
 
-def test_log_count_never_sieves_at_benchmark_sizes(monkeypatch):
-    # the Stirling enclosure decides C(N, m) for `count` at d = 23 and 24;
-    # sieving the primes up to N is the exact fallback alone
-    def no_sieve(n):
-        raise AssertionError(f"sieved primes up to {n}")
+def test_log_count_builds_no_large_factorial_at_benchmark_sizes(monkeypatch):
+    # the Stirling enclosure decides ln C(N, m) for `count` at d = 23 and 24;
+    # an exact x! serves only below `_EXACT_BELOW`
+    factorial = math.factorial
 
-    monkeypatch.setattr(bigint, "_primes_upto", no_sieve)
+    def small_factorial(x):
+        assert x < certified._EXACT_BELOW, f"built {x}!"
+        return factorial(x)
+
+    monkeypatch.setattr(math, "factorial", small_factorial)
     for beta, d in ((Fraction(1, 2), 24), (Fraction(1, 3), 23)):
         lc = asym.log_count_asymptotic(beta, d, 3)
         assert float(lc.to_json()["ln_value"]) > 0
@@ -266,32 +268,6 @@ def test_no_long_operand_reaches_the_decimal_kit(monkeypatch):
                asym.log_count_asymptotic(Fraction(1, 3), 23, 3),
                asym.log_Z_asymptotic(Fraction(1), 24, 3)):
         lc.to_json()
-
-
-def test_binomial_lclt_peak_matches_density():
-    n = 10 ** 4
-    exact, density = asym.binomial_lclt(n, Fraction(1, 2), n // 2)
-    assert abs(float(exact) / float(density) - 1) < 1e-3
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 40).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
-       st.integers(2, 60).flatmap(lambda q: st.tuples(st.integers(1, q - 1), st.just(q))))
-def test_binomial_lclt_pmf_equals_the_fraction_product(nk, aq):
-    n, k = nk
-    p = Fraction(*aq)
-    exact, _ = asym.binomial_lclt(n, p, k)
-    expect = math.comb(n, k) * p ** k * (1 - p) ** (n - k)
-    assert (exact.numerator, exact.denominator) == (expect.numerator, expect.denominator)
-
-
-def test_binomial_lclt_validates_inputs():
-    with pytest.raises(ValueError):
-        asym.binomial_lclt(10, Fraction(1), 5)
-    with pytest.raises(ValueError):
-        asym.binomial_lclt(10, Fraction(1, 2), 11)
-    with pytest.raises(ValueError):
-        asym.binomial_lclt(0, Fraction(1, 2), 0)
 
 
 def test_structured_count_splits_off_fixed_types():

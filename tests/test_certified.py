@@ -158,10 +158,7 @@ def log_count(kind, param, d, t, digits=80):
 def check_grid(cases, digit_range) -> int:
     compared = 0
     for case in cases:
-        try:
-            lc = log_count(*case)
-        except ValueError:  # floor(beta N) at 0 or N
-            continue
+        lc = log_count(*case)
         reference = reference_digits(lc)
         for digits in digit_range:
             compared += check_correctly_rounded(lc, digits, reference)
@@ -288,7 +285,8 @@ def test_the_first_omitted_term_bounds_the_remainder(monkeypatch, terms):
 
 def test_past_the_term_cap_the_exact_integer_serves():
     # at x = 2048 Stirling's series reaches about 550 digits in 128 terms, so
-    # 1,200 digits take the log of the exact C(n, k) and of x! instead
+    # at 1,200 digits ln n! and ln (n - k)! are the logs of the exact
+    # factorials, and ln C(n, k) is ln n! - ln k! - ln (n - k)!
     n, k, digits = 2048, 700, 1200
     assert certified._stirling_terms(n, digits) is None
     num = DecimalNumbers(digits)
@@ -472,6 +470,25 @@ def test_interval_powers_enclose_the_exact_power(digits):
     with pytest.raises(Undecided):
         certified.Interval(*straddle, num) ** -1
     assert (num.coerce(2) ** 3).lo == (num.coerce(2) ** 3).hi == 8
+
+
+def test_evaluate_works_only_where_stirling_covers_every_large_x():
+    # past the digits that `_MAX_TERMS` terms cover at x = `_EXACT_BELOW`,
+    # log_factorial would build the exact x! of a large x
+    tried = []
+
+    def undecided(num):
+        tried.append(num.digits)
+        raise Undecided
+
+    for shown in range(1, 31):
+        tried.clear()
+        with pytest.raises(BudgetExceededError):
+            certified.evaluate(undecided, shown)
+        assert tried[0] == shown + certified._GUARD_DIGITS
+        for digits in tried:
+            assert certified._stirling_terms(certified._EXACT_BELOW, digits) \
+                is not None, (shown, digits)
 
 
 def test_a_field_no_precision_decides_exhausts_the_budget(monkeypatch):
