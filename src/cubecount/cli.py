@@ -1,12 +1,18 @@
 """Command-line front end.
 
-One subcommand per module operation; every command writes a single JSON
-document to --out (default stdout) so runs can be chained into `report`.
-Fugacities and densities are parsed as exact rationals ("1/3", "0.25"),
-never as floats.
+One subcommand per module operation; every command but `validate` and
+`report` writes a single JSON document to --out (default stdout) so runs
+can be chained into `report`.  Fugacities and densities are parsed as exact
+rationals ("1/3", "0.25"), never as floats.
 
-Exit codes: 0 success, 1 bad arguments or precondition violations
-(single-line `error: ...` on stderr), 2 exhausted work budget.
+`_Parser`, this module's own, reads a command's options from that command's
+declarations alone: `--name VALUE` or `--name=VALUE`, full names only.  A
+parse imports nothing (only --help imports `textwrap`), where the standard
+library's parser cost a cold command about 3 ms.
+
+Exit codes: 0 success and --help (printed to stdout), 1 bad arguments or
+precondition violations (single-line `error: ...` on stderr), 2 exhausted
+work budget.
 
 Importing this module registers `gc.freeze` with `atexit`, so a process that
 imported it ends without the interpreter's teardown collections, which would
@@ -16,13 +22,13 @@ leaves the caller's collector as it found it.
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import gc
 import json
 import math
 import os
 import sys
+import types
 import warnings
 from fractions import Fraction
 
@@ -45,11 +51,132 @@ class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    """Argparse that reports bad usage on one line with exit code 1."""
+class _Parser:
+    """One command's options, declared by `add_argument("--name", ...)` with
+    the keywords `type`, `default`, `required`, `choices`, `action`
+    ("append" or "store_true"), `nargs="+"`, `help` and `metavar`.
 
-    def error(self, message):
-        raise _UsageError(message)
+    `parse_args` reads `--name VALUE` and `--name=VALUE`, exact names only.
+    A value is the next token unless that token starts with `--`, so
+    `--lam -1/3` is a value.  A repeated option keeps its last value, an
+    "append" one all of them, and nargs="+" takes the tokens up to the next
+    `--` one.  Bad usage raises `_UsageError`; -h or --help prints the help
+    to stdout and returns None.
+    """
+
+    def __init__(self, prog: str, description: str):
+        self.prog = prog
+        self.description = description
+        self.options: dict[str, dict] = {}
+
+    def add_argument(self, name: str, **spec) -> None:
+        self.options[name] = spec
+
+    def parse_args(self, argv: list[str]) -> types.SimpleNamespace | None:
+        values = {_dest(name): spec.get(
+                      "default", False if spec.get("action") == "store_true" else None)
+                  for name, spec in self.options.items()}
+        given = set()
+        i = 0
+        while i < len(argv):
+            token = argv[i]
+            i += 1
+            if token in ("-h", "--help"):
+                sys.stdout.write(self.format_help())
+                return None
+            name, eq, text = token.partition("=")
+            spec = self.options.get(name) if name.startswith("--") else None
+            if spec is None:
+                raise _UsageError(f"unrecognized argument {token!r}")
+            given.add(name)
+            dest, many = _dest(name), spec.get("nargs") == "+"
+            if spec.get("action") == "store_true":
+                if eq:
+                    raise _UsageError(f"{name} takes no value")
+                values[dest] = True
+                continue
+            if eq:
+                texts = [text]
+            else:
+                end = i
+                while end < len(argv) and not argv[end].startswith("--") \
+                        and (many or end == i):
+                    end += 1
+                texts, i = argv[i:end], end
+                if not texts:
+                    raise _UsageError(f"{name} expects a value")
+            items = [_convert(name, spec, t) for t in texts]
+            if many:
+                values[dest] = items
+            elif spec.get("action") == "append":
+                values[dest] = [*(values[dest] or ()), *items]
+            else:
+                values[dest] = items[0]
+        missing = [name for name, spec in self.options.items()
+                   if spec.get("required") and name not in given]
+        if missing:
+            raise _UsageError("the following options are required: "
+                              + ", ".join(missing))
+        return types.SimpleNamespace(**values)
+
+    def format_help(self) -> str:
+        shown = {name: _shown(name, spec) for name, spec in self.options.items()}
+        # a no-break space keeps each option whole when the usage wraps
+        usage = " ".join((text if self.options[name].get("required")
+                          else f"[{text}]").replace(" ", "\xa0")
+                         for name, text in shown.items())
+        return _format_help(
+            f"{self.prog} [-h] {usage}", self.description, "options",
+            [("-h, --help", "show this help and exit")]
+            + [(shown[name], spec.get("help")) for name, spec in self.options.items()])
+
+
+def _dest(name: str) -> str:
+    return name[2:].replace("-", "_")
+
+
+def _convert(name: str, spec: dict, text: str):
+    """`text` as the option's `type` reads it, one of its `choices`."""
+    try:
+        value = spec.get("type", str)(text)
+    except ValueError:
+        raise _UsageError(f"{name}: invalid value {text!r}")
+    choices = spec.get("choices")
+    if choices is not None and value not in choices:
+        raise _UsageError(f"{name}: invalid choice {text!r} "
+                          f"(choose from {', '.join(choices)})")
+    return value
+
+
+def _shown(name: str, spec: dict) -> str:
+    """The option as usage and help show it: `--name METAVAR`."""
+    if spec.get("action") == "store_true":
+        return name
+    choices = spec.get("choices")
+    metavar = spec.get("metavar") or (
+        "{" + ",".join(choices) + "}" if choices else _dest(name).upper())
+    if spec.get("nargs") == "+":
+        return f"{name} {metavar} [{metavar} ...]"
+    return f"{name} {metavar}"
+
+
+def _format_help(usage: str, description: str, heading: str,
+                 rows: list[tuple[str, str | None]]) -> str:
+    """A usage line, the description and (label, help text) rows under
+    `heading`, wrapped to 79 columns with the text from column 24."""
+    import textwrap
+    lines = [textwrap.fill(f"usage: {usage}", 79, subsequent_indent=" " * 7,
+                           break_long_words=False,
+                           break_on_hyphens=False).replace("\xa0", " "),
+             "", textwrap.fill(description, 79), "", f"{heading}:"]
+    for label, text in rows:
+        head = f"  {label}"
+        if text and len(head) > 22:  # the text starts on a line of its own
+            lines.append(head)
+            head = ""
+        lines.append(textwrap.fill(text, 79, initial_indent=head.ljust(24),
+                                   subsequent_indent=" " * 24) if text else head)
+    return "\n".join(lines) + "\n"
 
 
 def _rational_digits(text: str) -> int:
@@ -75,7 +202,7 @@ def _rational(text: str) -> Fraction:
 
 def _budget(text: str) -> int:
     """--budget: a node count; 0 is a budget, a negative count bad usage."""
-    value = int(text)  # argparse reports a non-integer as bad usage
+    value = int(text)  # the parser reports a non-integer as bad usage
     if value < 0:
         raise _UsageError(f"--budget must be >= 0, got {value}")
     return value
@@ -313,11 +440,13 @@ def _cmd_sample(args) -> dict:
 def _cmd_validate(args) -> int:
     from . import validation
     numbers = None
-    if args.only:
+    if args.only is not None:
         try:
             numbers = [int(x) for x in args.only.replace(",", " ").split()]
         except ValueError:
             raise _UsageError(f"--only wants criterion numbers, got {args.only!r}")
+        if not numbers:
+            raise _UsageError(f"--only names no criterion: {args.only!r}")
         known = {c.number for c in validation.CRITERIA}
         bad = [n for n in numbers if n not in known]
         if bad:
@@ -676,21 +805,22 @@ _COMMANDS = {
 }
 
 
-def _build_parser(only: str | None = None) -> _Parser:
-    """The parser with every command's sub-parser, or with only the one
-    named `only`: argparse asks for the terminal size at each option it
-    adds, so building all of them costs more than some commands run."""
-    parser = _Parser(prog="cubecount",
-                     description="Independent-set counting in hypercubes: "
-                                 "exact oracles, cluster expansions, "
-                                 "asymptotic formulas, and Monte Carlo checks.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, arguments, _, _) in _COMMANDS.items():
-        if only in (None, name):
-            p = sub.add_parser(name, help=help_text)
-            p.add_argument("--out", help="output file (default stdout)")
-            arguments(p)
-    return parser
+def _declare(p, name: str) -> None:
+    """Declare command `name`'s options on `p`: `--out` where it prints
+    JSON, then its own."""
+    _, arguments, _, prints_json = _COMMANDS[name]
+    if prints_json:
+        p.add_argument("--out", help="output file (default stdout)")
+    arguments(p)
+
+
+def _commands_help() -> str:
+    return _format_help(
+        "cubecount [-h] {" + ",".join(_COMMANDS) + "} ...",
+        "Independent-set counting in hypercubes: exact oracles, cluster "
+        "expansions, asymptotic formulas, and Monte Carlo checks.  "
+        "`cubecount COMMAND --help` lists a command's options.",
+        "commands", [(name, entry[0]) for name, entry in _COMMANDS.items()])
 
 
 def _int_str_limit(digits: int) -> int:
@@ -706,12 +836,20 @@ def _int_str_limit(digits: int) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # a known command builds its own sub-parser alone; --help, no command
-    # or an unknown one needs them all
-    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
-        args = parser.parse_args(argv)
-        _, _, run, prints_json = _COMMANDS[args.command]
+        if argv[:1] in (["-h"], ["--help"]):
+            sys.stdout.write(_commands_help())
+            return 0
+        if not argv or argv[0] not in _COMMANDS:
+            got = f"unknown command {argv[0]!r}" if argv else "no command"
+            raise _UsageError(f"{got} (choose from {', '.join(_COMMANDS)})")
+        name, *options = argv
+        help_text, _, run, prints_json = _COMMANDS[name]
+        parser = _Parser(f"cubecount {name}", help_text)
+        _declare(parser, name)
+        args = parser.parse_args(options)
+        if args is None:  # the help was asked for and printed
+            return 0
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             if prints_json:

@@ -34,9 +34,10 @@ import sys
 import tempfile
 from typing import NamedTuple
 
-# modules no command may load: test dependencies only, or (dataclasses and the
-# inspect it brings) an import cost the records avoid
-FOREIGN = ("numpy", "scipy", "mpmath", "dataclasses", "inspect")
+# modules no command may load: test dependencies only, or an import cost the
+# program avoids: dataclasses and the inspect it brings (the records), and
+# argparse (the CLI's own parser)
+FOREIGN = ("numpy", "scipy", "mpmath", "dataclasses", "inspect", "argparse")
 
 PROBE = """\
 import atexit, gc, json, os, sys
@@ -114,6 +115,9 @@ REPORT_INPUTS = {
 
 ROWS = (
     Row(None, CLI),
+    # help reads the declarations alone and loads no layer
+    Row("--help", CLI),
+    Row("sample --help", CLI),
     # the commands of the benchmark's workloads (perfbench/run.py)
     Row("rj --j 3", SERIES,
         "154b4f1c0df8f7908666770392741cb257b4e5ece74f2386f22626f2e03a0a3f"),

@@ -1,5 +1,6 @@
 """Command-line front end: exit codes, JSON output, reproducibility."""
 
+import argparse
 import contextlib
 import gc
 import hashlib
@@ -153,6 +154,10 @@ USAGE_ERRORS = [
     ["polymers", "--max-size", "3", "--mode", "symbolic", "--d", "99",
      "--budget", "0"],
     ["polymers", "--max-size", "3", "--mode", "symbolic", "--budget", "0"],
+    # each exited 0: the first ran no criterion, the others ignored --out
+    ["validate", "--only", ","],
+    ["validate", "--only", "1", "--out", "F"],
+    ["report", "--inputs", "x.json", "--out", "F"],
 ]
 
 
@@ -174,24 +179,105 @@ def test_usage_errors_exit_one_with_single_line(capsys):
 
 def run_for_bytes(capsys, argv):
     """(exit code, stdout, stderr) of `cubecount argv`, --help included."""
-    try:
-        code = cli.main(list(argv))
-    except SystemExit as e:  # argparse's --help
-        code = e.code
-    return (code, *capsys.readouterr())
+    return (cli.main(list(argv)), *capsys.readouterr())
 
 
 @pytest.mark.parametrize("argv", [[name, "--help"] for name in cli._COMMANDS]
                          + USAGE_ERRORS)
 def test_one_command_parser_prints_the_full_parsers_bytes(capsys, monkeypatch, argv):
-    # a known command builds its own sub-parser alone
-    build, built = cli._build_parser, []
-    monkeypatch.setattr(cli, "_build_parser",
-                        lambda only=None: built.append(only) or build(only))
-    alone = run_for_bytes(capsys, argv)
-    assert built == [argv[0] if argv[0] in cli._COMMANDS else None]
-    monkeypatch.setattr(cli, "_build_parser", lambda only=None: build())
-    assert run_for_bytes(capsys, argv) == alone
+    # a command reads its own declarations alone: with only that command in
+    # the table, main prints the same bytes
+    full = run_for_bytes(capsys, argv)
+    if argv[0] in cli._COMMANDS:
+        monkeypatch.setattr(cli, "_COMMANDS", {argv[0]: cli._COMMANDS[argv[0]]})
+    assert run_for_bytes(capsys, argv) == full
+
+
+class ReferenceParser(argparse.ArgumentParser):
+    """argparse reading the CLI's own declarations, as the reference for
+    what each valid command line means."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def parsed(argv, parser):
+    """vars() of `argv`'s options parsed by `parser`, or None if refused."""
+    name, *options = argv
+    p = parser(f"cubecount {name}", "")
+    cli._declare(p, name)
+    try:
+        return vars(p.parse_args(options))
+    except (cli._UsageError, ValueError):
+        return None
+
+
+CI_YML = (pathlib.Path(__file__).resolve().parent.parent / ".github" / "workflows"
+          / "tier1.yml").read_text()
+# each whole `cubecount COMMAND ...` line of CI, and each run of its sample loop
+CI_COMMANDS = [argv for argv in (line.split() for line in re.findall(
+    r"cubecount(?:\.cli)? ([a-z-]+ [^$>\n]*)(?=[>\n])", CI_YML))
+    if argv[0] in cli._COMMANDS]
+CI_COMMANDS += [["sample", *run.split(), *re.search(
+    r"cubecount sample \$run ([^>]*) >", CI_YML).group(1).split()]
+    for run in re.findall(r'"(--d [^"]*)"', CI_YML)]
+VALID_COMMANDS = [
+    row.argv.format(tmp="TMP").split() for row in cli_contract.ROWS
+    if row.argv is not None and "--help" not in row.argv
+] + CI_COMMANDS + [
+    # a repeated option keeps its last value; an appended one keeps all
+    ["oracle", "--d", "3", "--d", "4", "--lam=1/2", "--lam", "2"],
+    ["count-structured", "--beta", "1/2", "--d", "12", "--fixed", "s1c0g0=1",
+     "--fixed=s2c2g1=1", "--diverging", "s3c4g3=2,1"],
+    ["report", "--inputs", "a.json", "b.json", "--out-dir=x"],
+    ["report", "--out-dir", "x", "--inputs=a.json"],
+    ["sample", "--debug", "--d", "3", "--lam", "1", "--csv", "-"],
+    ["polymers", "--mode=list", "--d", "-1", "--max-size", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", VALID_COMMANDS, ids=" ".join)
+def test_valid_command_lines_parse_as_argparse_reads_them(argv):
+    ours = parsed(argv, cli._Parser)
+    assert ours is not None
+    assert ours == parsed(argv, ReferenceParser)
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--d", "3", "4"],
+    ["oracle", "--d"],
+    ["oracle", "--d", "--lam", "1"],
+    ["oracle", "--d", "x"],
+    ["oracle", "--lam", "1"],
+    ["report", "--inputs", "--out-dir", "x"],
+    ["sample", "--d", "3", "--lam", "1", "--debug=1"],
+    ["polymers", "--max-size", "3", "--mode", "all"],
+], ids=" ".join)
+def test_argparse_refuses_what_the_parser_refuses(argv):
+    assert parsed(argv, cli._Parser) is None
+    assert parsed(argv, ReferenceParser) is None
+
+
+def test_the_reference_lines_reach_every_command_and_the_ci_lines():
+    assert len(CI_COMMANDS) >= 15
+    assert {argv[0] for argv in VALID_COMMANDS} == set(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+def test_command_help_lists_every_option_on_stdout(capsys, name):
+    code, out, err = run_for_bytes(capsys, [name, "--help"])
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: cubecount {name} [-h]")
+    p = ReferenceParser()
+    cli._declare(p, name)
+    listed = re.findall(r"^  (?:-h, )?(--[a-z-]+)", out, re.M)
+    assert listed == [a.option_strings[-1] for a in p._actions]
+
+
+def test_a_value_may_start_with_one_dash(capsys):
+    # argparse read `--lam -1/3` as --lam without its value
+    assert run_for_bytes(capsys, ["oracle", "--d", "2", "--lam", "-1/3"]) == (
+        1, "", "error: --lam must be positive\n")
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["no-such-command"]])
@@ -797,3 +883,9 @@ def test_cli_fuzz_honours_the_exit_code_contract(argv):
     else:
         schema = json.loads((SCHEMA_DIR / f"{SCHEMA_OF[argv[0]]}.json").read_text())
         jsonschema.validate(json.loads(out.getvalue()), schema)
+
+
+@settings(max_examples=60, deadline=None)
+@given(CLI_ARGS)
+def test_fuzz_command_lines_parse_as_argparse_reads_them(argv):
+    assert parsed(argv, cli._Parser) == parsed(argv, ReferenceParser)
