@@ -362,27 +362,28 @@ class LogCount:
         return evaluate(self.json_in, min(self.precision, 30))
 
 
-def _strata(num, strata, lam: Fraction, d: int):
-    """N R_j(lam, d) (1 + lam)^(-jd) for each (j, N R_j(lam, d)) of strata,
-    in the number kit num, with the power raised in the kit."""
-    base = num.rational(1 + lam)
-    return [(j, num.rational(x) * base ** (-j * d)) for j, x in strata]
+def _strata(lam: Fraction, d: int, t: int) -> tuple[tuple[int, Fraction], ...]:
+    """(j, N R_j(lam, d) (1 + lam)^(-jd)) for j = 1 .. t-1, each an exact
+    Fraction.  The number kit takes a short one exactly and a long one from
+    its leading bits, so a stratum that ties at a printed digit decides."""
+    n = hc.n_side(d)
+    return tuple((j, n * R_poly(j).eval({LAM: lam, DIM: d}) / (1 + lam) ** (j * d))
+                 for j in range(1, t))
 
 
-def _log_z(num, n: int, d: int, lam: Fraction, strata):
+def _log_z(num, n: int, lam: Fraction, strata):
     """log_Z_asymptotic's (value, terms, alt) in the number kit num."""
     terms = [("log_2", num.log(2)),
              ("free_sides", n * num.log1p(lam))]
-    terms += [(f"stratum_{j}", v) for j, v in _strata(num, strata, lam, d)]
+    terms += [(f"stratum_{j}", num.rational(x)) for j, x in strata]
     return num.fsum(v for _, v in terms), tuple(terms), None
 
 
 def log_Z_asymptotic(lam: Fraction, d: int, t: int, digits: int = 80) -> LogCount:
     """log of the independence partition function via the stratum series.
 
-    log 2 + N log(1+lam) + N sum_{j<=t-1} R_j(lam,d) (1+lam)^(-jd); each
-    N R_j(lam, d) is an exact rational, and the power is raised in the
-    number kit.
+    log 2 + N log(1+lam) + N sum_{j<=t-1} R_j(lam,d) (1+lam)^(-jd), each
+    stratum an exact rational.
     """
     _check_digits(digits)
     lam = Fraction(lam)
@@ -396,13 +397,11 @@ def log_Z_asymptotic(lam: Fraction, d: int, t: int, digits: int = 80) -> LogCoun
         warnings.warn(RegimeWarning(
             f"lam = {lam} is at or below 2^(1/{t}) - 1; order-{t} guarantees "
             "do not apply, values remain evaluable"))
-    n = hc.n_side(d)
-    strata = tuple((j, n * R_poly(j).eval({LAM: lam, DIM: d}))
-                   for j in range(1, t))
-    return LogCount(digits, partial(_log_z, n=n, d=d, lam=lam, strata=strata))
+    return LogCount(digits, partial(_log_z, n=hc.n_side(d), lam=lam,
+                                    strata=_strata(lam, d, t)))
 
 
-def _log_count(num, n: int, m: int, d: int, lb: Fraction, corrections, strata):
+def _log_count(num, n: int, m: int, lb: Fraction, corrections, strata):
     """log_count_asymptotic's (value, terms, alt) in the number kit num."""
     terms = [("log_2", num.log(2)), ("log_binomial", num.log_binomial(n, m))]
     terms += [(f"P_{j}", num.rational(x)) for j, x in corrections]
@@ -411,8 +410,8 @@ def _log_count(num, n: int, m: int, d: int, lb: Fraction, corrections, strata):
     alt = (num.log(2) + n * num.log1p(lb)
            - m * num.log(num.rational(lb))
            - num.log(2 * num.pi * n * num.rational(beta * (1 - beta))) / 2)
-    for _, x in _strata(num, strata, lb, d):
-        alt += x
+    for _, x in strata:
+        alt += num.rational(x)
     return value, tuple(terms), alt
 
 
@@ -446,10 +445,9 @@ def log_count_asymptotic(beta: Fraction, d: int, t: int,
     corrections = tuple((j, n * ptable[j].eval({BETA: beta, DIM: d}) * y ** j)
                         for j in range(1, t))
     lb, _ = _corrected_fugacity(beta, d, compute_B(math.ceil(t / 2) - 1))
-    strata = tuple((j, n * R_poly(j).eval({LAM: lb, DIM: d}))
-                   for j in range(1, t))
-    return LogCount(digits, partial(_log_count, n=n, m=m, d=d, lb=lb,
-                                    corrections=corrections, strata=strata))
+    return LogCount(digits, partial(_log_count, n=n, m=m, lb=lb,
+                                    corrections=corrections,
+                                    strata=_strata(lb, d, t)))
 
 
 def _structured(num, base, poisson, gaussian):

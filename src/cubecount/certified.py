@@ -1,12 +1,13 @@
 """Correctly rounded digits of the printed formulas, from decimal intervals.
 
-`count`, `zeta`, `count-structured` and `oracle --lam` print values of
-formulas written once over a number kit `num` that supplies `log`, `log1p`,
-`pi`, `fsum`, `rational` (an exact Fraction), `log_binomial`,
-`log_factorial` and `render` (the printed field); Python's operators do
-the rest.  The kit, `DecimalNumbers`, works on intervals of Decimals: each
-step rounds its lower end down and its upper end up at the working
-precision, so every interval holds the exact value of the formula.
+`count`, `zeta`, `count-structured`, `oracle --lam` and `report` print
+values of formulas written once over a number kit `num` that supplies
+`log`, `log1p`, `pi`, `fsum`, `rational` (an exact Fraction),
+`log_binomial`, `log_factorial` and `render` (the printed field);
+Python's operators do the rest.  The kit, `DecimalNumbers`, works on
+intervals of Decimals: each step rounds its lower end down and its upper
+end up at the working precision, so every interval holds the exact value
+of the formula.
 A field prints only when both ends round to the same digits, which are then
 the digits of the exact value; otherwise `Undecided` is raised.  Decimal's
 ln rounds correctly, as it documents, so one unit in the last place either
@@ -39,16 +40,19 @@ decimal with a short numerator stays exact.  `Interval ** k`, for an int
 k, squares in contexts len(str(k)) + 1 digits wider than the kit's, so the
 relative error, which each squaring doubles, stays below a unit in the
 last place of the kit's digits; the ends are then rounded outward to
-those.  The formulas raise (1 + lam)^(-jd) this way: as a Fraction its
-length grows with jd.
+those.
 
 `evaluate` is Ziv's strategy (Ziv, ACM TOMS 17(3), 1991; as in MPFR): it
 starts `_GUARD_DIGITS` beyond the printed digits and doubles the working
 digits, up to `_MAX_WORKING_DIGITS`, while a field is undecided.  A
 rational with a terminating decimal expansion becomes a point interval
 once the working digits hold it (an integer longer than 4 `digits` bits
-aside), so an exact tie ends the loop and prints rounded half up.  Decimal
-and fractions (which loads decimal) cost no import here.
+aside), so an exact tie of such a rational ends the loop and prints
+rounded half up.  A tie computed in the kit never does: the interval of
+an inexact operand never shrinks to the point, so a formula hands the kit
+each term that may tie, such as a stratum N R_j (1 + lam)^(-jd), as one
+exact Fraction.  Decimal and fractions (which loads decimal) cost no
+import here.
 """
 
 from __future__ import annotations
@@ -271,7 +275,7 @@ class DecimalNumbers:
         self._int_logs: dict[int, Interval] = {}
 
     def coerce(self, x) -> Interval:
-        """x itself, or the int x as a point."""
+        """x itself, or the int or Decimal x as a point."""
         if isinstance(x, Interval):
             return x
         return Interval(Decimal(x), Decimal(x), self)

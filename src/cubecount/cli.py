@@ -190,14 +190,17 @@ def _rational_digits(text: str) -> int:
     return len(mantissa) + int(exponent[:10])
 
 
+def _quoted(text: str) -> str:
+    return repr(text if len(text) <= 40 else text[:37] + "...")
+
+
 def _rational(text: str) -> Fraction:
-    shown = repr(text if len(text) <= 40 else text[:37] + "...")
     if _rational_digits(text) > MAX_RATIONAL_DIGITS:
-        raise _UsageError(f"{shown} has more than {MAX_RATIONAL_DIGITS} digits")
+        raise _UsageError(f"{_quoted(text)} has more than {MAX_RATIONAL_DIGITS} digits")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise _UsageError(f"not a rational number: {shown}")
+        raise _UsageError(f"not a rational number: {_quoted(text)}")
 
 
 def _budget(text: str) -> int:
@@ -458,205 +461,162 @@ def _cmd_validate(args) -> int:
 # -- report: merge prior outputs into tables and plot data -------------------------
 
 
-def _load_inputs(paths: list[str]) -> list[tuple[str, dict]]:
-    loaded = []
-    for p in paths:
-        try:
-            with open(p) as f:
-                obj = json.load(f)
-        except (OSError, json.JSONDecodeError) as e:
-            raise _UsageError(f"cannot read {p}: {e}")
-        if not isinstance(obj, dict):
-            raise _UsageError(f"{p}: expected a JSON object, got {type(obj).__name__}")
-        loaded.append((p, obj))
-    return loaded
+# an input's kind: the first whose fields it holds; other inputs are skipped
+_REPORT_KINDS = (("oracle", {"counts", "d"}), ("zeta", {"ln_value", "lam"}),
+                 ("count", {"ln_value", "beta"}), ("sample", {"per_type"}))
+_NUMBER = (int, float)
 
 
-# the fields report reads from each kind of input, with their JSON types
-_REPORT_FIELDS = {
-    "oracle": {"d": "integer", "counts": "array"},
-    "zeta": {"d": "integer", "lam": "string", "t": "integer",
-             "ln_value": "string"},
-    "count": {"d": "integer", "beta": "string", "t": "integer",
-              "ln_value": "string"},
-    "sample": {"d": "integer", "lam": "string", "samples": "integer",
-               "per_type": "object"},
-}
-_JSON_TYPES = {"integer": int, "number": (int, float), "string": str,
-               "array": list, "object": dict}
+def _field(obj: dict, name: str, want=str):
+    """obj[name], refused unless JSON loaded it as the type `want`: true
+    and false load as bool, an int subclass, and are refused."""
+    if name not in obj:
+        raise _UsageError(f"lacks {name}")
+    value = obj[name]
+    if not isinstance(value, want) or isinstance(value, bool):
+        raise _UsageError(f"has a malformed {name}")
+    return value
 
 
-def _is_json(value, name: str) -> bool:
-    # JSON true and false load as bool, which is an int subclass
-    return isinstance(value, _JSON_TYPES[name]) and not isinstance(value, bool)
-
-
-def _check_report_input(path: str, kind: str, obj: dict) -> None:
-    """Raise a usage error unless `obj` has every field report reads, typed."""
-    fields = _REPORT_FIELDS.get(kind, {})
-    missing = [name for name in fields if name not in obj]
-    if missing:
-        raise _UsageError(f"{path}: {kind} output lacks {', '.join(missing)}")
-    wrong = [f"{name} (not a JSON {t})" for name, t in fields.items()
-             if not _is_json(obj[name], t)]
-    if kind == "oracle" and not wrong and not all(
-            _is_json(c, "string") for c in obj["counts"]):
-        wrong.append("counts (not an array of strings)")
-    if kind == "sample" and not wrong and not all(
-            isinstance(e, dict) and _is_json(e.get("mean"), "number")
-            and all(_is_json(e[k], "number") for k in ("m_T", "z") if k in e)
-            and (not e.get("poisson_gof") or (
-                isinstance(e["poisson_gof"], dict)
-                and _is_json(e["poisson_gof"].get("p"), "number")))
-            for e in obj["per_type"].values()):
-        wrong.append("per_type (each entry needs a numeric mean, and numeric "
-                     "m_T, z and poisson_gof p where present)")
-    if wrong:
-        raise _UsageError(f"{path}: {kind} output has a malformed "
-                          f"{', '.join(wrong)}")
-    bad = _report_value_error(kind, obj)
-    if bad:
-        raise _UsageError(f"{path}: {kind} output has {bad}")
-
-
-def _report_value_error(kind: str, obj: dict) -> str | None:
-    """What is wrong with a value report computes with, or None."""
-    from decimal import Decimal, InvalidOperation
-
+def _read_oracle(obj: dict) -> exact.SizeProfile:
     from . import exact
-    if kind == "oracle":
-        d, counts = obj["d"], obj["counts"]
-        if not 1 <= d <= exact.ORACLE_MAX_DIM:  # before 2^(d-1) is built
-            return f"d = {d} outside 1 .. {exact.ORACLE_MAX_DIM}"
-        if len(counts) != (1 << (d - 1)) + 1:
-            return f"{len(counts)} counts, where Q_{d} has {(1 << (d - 1)) + 1} set sizes"
-        if not all(c.isascii() and c.isdigit() for c in counts):
-            return "a count that is not a nonnegative integer"
-    if kind in ("zeta", "count"):
-        try:
-            finite = Decimal(obj["ln_value"]).is_finite()
-        except InvalidOperation:
-            finite = False
-        if not finite:
-            return f"ln_value {obj['ln_value']!r}, not a finite number"
-        name, want = (("lam", "a positive rational") if kind == "zeta"
-                      else ("beta", "a rational in (0, 1)"))
-        try:
-            value = Fraction(obj[name])
-            ok = value > 0 if kind == "zeta" else 0 < value < 1
-        except (ValueError, ZeroDivisionError):
-            ok = False
-        if not ok:
-            return f"{name} {obj[name]!r}, not {want}"
-    return None
+    d, counts = _field(obj, "d", int), _field(obj, "counts", list)
+    if not 1 <= d <= exact.ORACLE_MAX_DIM:  # before 2^(d-1) is built
+        raise _UsageError(f"has d = {d} outside 1 .. {exact.ORACLE_MAX_DIM}")
+    sizes = (1 << (d - 1)) + 1
+    if len(counts) != sizes:
+        raise _UsageError(f"has {len(counts)} counts, where Q_{d} has {sizes} set sizes")
+    if not all(isinstance(c, str) and c.isascii() and c.isdigit() for c in counts):
+        raise _UsageError("has a count that is not a nonnegative integer")
+    return exact.SizeProfile(d, tuple(map(int, counts)))
 
 
-def _classify(obj: dict) -> str:
-    if "counts" in obj and "d" in obj:
-        return "oracle"
-    if "ln_value" in obj and "lam" in obj:
-        return "zeta"
-    if "ln_value" in obj and "beta" in obj:
-        return "count"
-    if "per_type" in obj:
-        return "sample"
-    return "other"
+def _read_series(obj: dict, kind: str) -> tuple[tuple, Fraction, tuple]:
+    """A zeta or count output: its group (the quantity, d, the parameter as
+    written), the parameter, and its row (t, ln_value).  ln_value, lam and
+    beta obey the digit bound of --lam and --beta."""
+    from decimal import Decimal, InvalidOperation
+    name = "lam" if kind == "zeta" else "beta"
+    d, t, text, ln = (_field(obj, "d", int), _field(obj, "t", int),
+                      _field(obj, name), _field(obj, "ln_value"))
+    try:
+        value = Decimal(ln) if _rational_digits(ln) <= MAX_RATIONAL_DIGITS else None
+    except InvalidOperation:
+        value = None
+    if value is None or not value.is_finite():
+        raise _UsageError(f"has ln_value {_quoted(ln)}, not a finite number of at "
+                          f"most {MAX_RATIONAL_DIGITS} digits")
+    try:
+        param = _rational(text)
+    except _UsageError as e:
+        raise _UsageError(f"has a bad {name}: {e}")
+    if not (0 < param < 1 or name == "lam" and param > 0):
+        want = "a positive rational" if name == "lam" else "a rational in (0, 1)"
+        raise _UsageError(f"has a bad {name}: {_quoted(text)} is not {want}")
+    return ("Z" if name == "lam" else "i_m", d, text), param, (t, value)
+
+
+def _read_sample(obj: dict, path: str) -> tuple[list[str], list[str]]:
+    """A sample output's report lines and gof.dat rows."""
+    d, lam = _field(obj, "d", int), _field(obj, "lam")
+    samples, per_type = _field(obj, "samples", int), _field(obj, "per_type", dict)
+    lines = [f"sampler summary: d={d}, lam={lam}, {samples} samples ({path})"]
+    gof_rows = [f"# {path}: index p_value; one row per defect type"]
+    for key in sorted(per_type):
+        entry = _field(per_type, key, dict)
+        bits = [f"  {key}: mean {_field(entry, 'mean', _NUMBER):.4f}"]
+        if "m_T" in entry:
+            bits.append(f"predicted {_field(entry, 'm_T', _NUMBER):.4f}")
+        if "z" in entry:
+            bits.append(f"z {_field(entry, 'z', _NUMBER):+.2f}")
+        if entry.get("poisson_gof"):
+            p = _field(_field(entry, "poisson_gof", dict), "p", _NUMBER)
+            bits.append(f"gof p {p:.3f}")
+            gof_rows.append(f"{len(gof_rows) - 1} {p:.6f}")
+        lines.append(", ".join(bits))
+    return lines + [""], gof_rows + [""]
+
+
+def _exact_fields(num, reference, values):
+    """The exact value, 12 digits, and for each value v |v - exact| at 6
+    and 10 digits, printed in the number kit num."""
+    exact = reference(num)
+    errors = []
+    for v in values:
+        error = num.coerce(v) - exact
+        error = error if error.lo >= 0 else -error  # undecided if it holds 0
+        errors.append((num.render(error, 6), num.render(error, 10)))
+    return num.render(exact, 12), errors
 
 
 def _cmd_report(args) -> int:
-    from decimal import Decimal
-
-    from . import exact
-    from .certified import decimal_contexts, nstr
-    inputs = _load_inputs(args.inputs)
-    by_kind: dict[str, list[tuple[str, dict]]] = {}
-    for path, obj in inputs:
-        kind = _classify(obj)
-        _check_report_input(path, kind, obj)
-        by_kind.setdefault(kind, []).append((path, obj))
-    if not by_kind.keys() & {"zeta", "count", "sample"}:
+    from .certified import evaluate, nstr
+    oracles, groups, samples = {}, {}, []
+    for path in args.inputs:
+        try:
+            with open(path) as f:
+                obj = json.load(f)
+        except (OSError, json.JSONDecodeError, RecursionError) as e:
+            raise _UsageError(f"cannot read {path}: {e}")
+        if not isinstance(obj, dict):
+            raise _UsageError(f"{path}: expected a JSON object, got {type(obj).__name__}")
+        kind = next((k for k, marks in _REPORT_KINDS if marks <= obj.keys()), None)
+        try:
+            if kind == "oracle":
+                profile = _read_oracle(obj)
+                oracles[profile.d] = profile
+            elif kind == "sample":
+                samples.append(_read_sample(obj, path))
+            elif kind is not None:
+                key, param, row = _read_series(obj, kind)
+                groups.setdefault(key, (param, []))[1].append(row)
+        except _UsageError as e:
+            raise _UsageError(f"{path}: {kind} output {e}")
+    if not groups and not samples:
         raise _UsageError("nothing to report: no input is a count, zeta or "
                           "sample output (oracles serve only as references)")
+
+    lines: list[str] = []
+    trunc_rows: list[str] = []
+    for (quantity, d, text), (param, rows) in sorted(groups.items()):
+        rows.sort()
+        reference = None
+        if d in oracles and quantity == "Z":
+            z = oracles[d].partition_value(param)
+            reference = lambda num: num.log1p(z - 1)
+        elif d in oracles:
+            count = oracles[d].counts[math.floor(param * (1 << (d - 1)))]
+            if count:
+                reference = lambda num: num.log(count)
+        label = f"ln {quantity}, d={d}, {'lam' if quantity == 'Z' else 'beta'}={text}"
+        lines.append(label)
+        if reference is None:
+            lines += [f"  t={t}: {nstr(v, 12)}" for t, v in rows]
+        else:
+            exact, errors = evaluate(
+                lambda num: _exact_fields(num, reference, [v for _, v in rows]), 12)
+            lines.append(f"  exact: {exact}")
+            trunc_rows.append(f"# {label}")
+            for (t, v), (short, long) in zip(rows, errors):
+                lines.append(f"  t={t}: {nstr(v, 12)}  |error| = {short}")
+                trunc_rows.append(f"{t} {long}")
+            trunc_rows.append("")
+        lines.append("")
+    gof_rows: list[str] = []
+    for sample_lines, sample_rows in samples:
+        lines += sample_lines
+        gof_rows += sample_rows
+
     try:
         os.makedirs(args.out_dir, exist_ok=True)
     except OSError as e:
         raise _UsageError(f"cannot create {args.out_dir}: {e}")
-
-    oracles = {obj["d"]: exact.SizeProfile.from_json(obj)
-               for _, obj in by_kind.get("oracle", [])}
-    lines: list[str] = []
-    trunc_rows: list[str] = []
-
-    _, _, near = decimal_contexts(30)
-    groups: dict[tuple, list[tuple[int, Decimal]]] = {}
-    for _, obj in by_kind.get("zeta", []):
-        groups.setdefault(("Z", obj["d"], obj["lam"]), []).append(
-            (obj["t"], Decimal(obj["ln_value"])))
-    for _, obj in by_kind.get("count", []):
-        groups.setdefault(("i_m", obj["d"], obj["beta"]), []).append(
-            (obj["t"], Decimal(obj["ln_value"])))
-
-    for (kind, d, param), rows in sorted(groups.items()):
-        rows.sort()
-        reference = None
-        if d in oracles:
-            profile = oracles[d]
-            if kind == "Z":
-                z = profile.partition_value(Fraction(param))
-                reference = near.ln(near.divide(z.numerator, z.denominator))
-            else:
-                m = math.floor(Fraction(param) * (1 << (d - 1)))
-                if profile.counts[m] > 0:
-                    reference = near.ln(profile.counts[m])
-        label = f"ln {kind}, d={d}, " + \
-            (f"lam={param}" if kind == "Z" else f"beta={param}")
-        lines.append(label)
-        if reference is not None:
-            lines.append(f"  exact: {nstr(reference, 12)}")
-            trunc_rows.append(f"# {label}")
-        for t, v in rows:
-            if reference is None:
-                lines.append(f"  t={t}: {nstr(v, 12)}")
-            else:
-                err = abs(near.subtract(v, reference))
-                lines.append(f"  t={t}: {nstr(v, 12)}"
-                             f"  |error| = {nstr(err, 6)}")
-                trunc_rows.append(f"{t} {nstr(err, 10)}")
-        if reference is not None:
-            trunc_rows.append("")
-        lines.append("")
-
-    gof_rows: list[str] = []
-    for path, obj in by_kind.get("sample", []):
-        lines.append(f"sampler summary: d={obj['d']}, lam={obj['lam']}, "
-                     f"{obj['samples']} samples ({path})")
-        gof_rows.append(f"# {path}: index p_value; one row per defect type")
-        index = 0
-        for key in sorted(obj["per_type"]):
-            entry = obj["per_type"][key]
-            gof = entry.get("poisson_gof")
-            z = entry.get("z")
-            bits = [f"  {key}: mean {entry['mean']:.4f}"]
-            if "m_T" in entry:
-                bits.append(f"predicted {entry['m_T']:.4f}")
-            if z is not None:
-                bits.append(f"z {z:+.2f}")
-            if gof:
-                bits.append(f"gof p {gof['p']:.3f}")
-                gof_rows.append(f"{index} {gof['p']:.6f}")
-                index += 1
-            lines.append(", ".join(bits))
-        gof_rows.append("")
-        lines.append("")
-
-    report_path = os.path.join(args.out_dir, "report.txt")
-    _write(report_path, "\n".join(lines).rstrip() + "\n")
-    trunc_path = os.path.join(args.out_dir, "truncation_error.dat")
-    _write(trunc_path, "\n".join(trunc_rows).rstrip() + "\n")
-    gof_path = os.path.join(args.out_dir, "gof.dat")
-    _write(gof_path, "\n".join(gof_rows).rstrip() + "\n")
-    sys.stdout.write("\n".join(lines).rstrip() + "\n")
-    sys.stdout.write(f"wrote {report_path}, {trunc_path}, {gof_path}\n")
+    paths = []
+    for name, rows in (("report.txt", lines), ("truncation_error.dat", trunc_rows),
+                       ("gof.dat", gof_rows)):
+        paths.append(os.path.join(args.out_dir, name))
+        _write(paths[-1], "\n".join(rows).rstrip() + "\n")
+    sys.stdout.write("\n".join(lines).rstrip() + f"\nwrote {', '.join(paths)}\n")
     return 0
 
 

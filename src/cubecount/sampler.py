@@ -597,8 +597,7 @@ def defect_statistics(states: Iterable[ChainState],
         mean, var = _mean_var([float(x) for x in columns[key]])
         entry: dict = {"mean": mean, "var": var}
         if key in census_keys:
-            e = census_keys[key]
-            m_t = float(e.count * e.type.weight(lam, cen.d))
+            m_t = float(cen.expected_type_count(key, lam))
             se = math.sqrt(m_t / n)
             entry.update({
                 "m_T": m_t,

@@ -431,8 +431,7 @@ def run_criterion(c: Criterion) -> CheckResult:
     return CheckResult(c.number, c.name, not failures, elapsed, failures)
 
 
-def run_all(numbers: list[int] | None = None,
-            report=print) -> list[CheckResult]:
+def run_all(numbers: list[int] | None = None) -> list[CheckResult]:
     results = []
     for c in CRITERIA:
         if numbers is not None and c.number not in numbers:
@@ -440,7 +439,7 @@ def run_all(numbers: list[int] | None = None,
         r = run_criterion(c)
         results.append(r)
         status = "PASS" if r.passed else "FAIL"
-        report(f"{status} {r.number:2d} {r.name} ({r.seconds:.1f}s)")
+        print(f"{status} {r.number:2d} {r.name} ({r.seconds:.1f}s)")
         for f in r.failures:
-            report(f"        {f}")
+            print(f"        {f}")
     return results

@@ -174,6 +174,11 @@ ROWS = (
     Row("count-structured --beta 1/2 --d 12 --t 3 --fixed s1c0g0=3 "
         "--diverging s2c2g1=40,2 --digits 1", SERIES,
         "7d1977f3f2915987c75889d057f70ee4fbd9843a9450b2f4e8ce85ae5bb7c42c"),
+    # stratum_3 is exactly 0.2238517203368246555328369140625, a tie at the
+    # 30 printed digits; raised in the number kit it was never decided, and
+    # the command exited 2
+    Row("zeta --lam 1/3 --d 6 --t 4", SERIES,
+        "c9d4a32decf579e8dc016d656745357c5659a274ffd53a9d1a2e757b0d6bc49c"),
     # 1.6M steps after the burn-in: shown two CPUs, the chain forks once and
     # runs its second half ahead in the child
     Row("sample --d 10 --lam 1 --samples 400 --thin 4096 --seed 3 "

@@ -647,17 +647,82 @@ def test_report_malformed_inputs_are_one_line_errors(tmp_path, capsys):
             ("d0_oracle.json", '{"d": 0, "counts": ["1"]}', count5),
             ("huge_d_oracle.json", '{"d": 1000000000, "counts": ["1"]}', count5),
             ("word_oracle.json", '{"d": 1, "counts": ["1", "two"]}', count5),
-            ("minus_oracle.json", '{"d": 1, "counts": ["1", "-2"]}', count5)):
+            ("minus_oracle.json", '{"d": 1, "counts": ["1", "-2"]}', count5),
+            # Fraction built 10^999999999 and report ran on past 20 s
+            ("lam_huge.json", '{"d": 3, "lam": "1e-999999999", "t": 2, '
+                              '"ln_value": "1"}', oracle3),
+            ("beta_huge.json", '{"d": 3, "beta": "1e-999999999", "t": 2, '
+                               '"ln_value": "1"}', oracle3),
+            # |v - exact| in the default decimal context raised Overflow
+            ("ln_huge.json", '{"d": 3, "lam": "1", "t": 2, '
+                             '"ln_value": "1e999999999"}', oracle3)):
         paths = [tmp_path / name] + [tmp_path / f"other{i}_{name}"
                                      for i in range(len(others))]
         for path, body in zip(paths, [text] + others):
             path.write_text(body)
+        start = time.perf_counter()
         code, out, err = run_cli(capsys, "report", "--inputs", *map(str, paths),
                                  "--out-dir", str(out_dir))
+        assert time.perf_counter() - start < 1, name
         assert code == 1 and out == "", name
         assert err.startswith(f"error: {paths[0]}:"), (name, err)
         assert err.strip().count("\n") == 0, name
         assert not out_dir.exists()
+
+
+def test_report_prints_an_exact_ln_z_below_its_working_digits(tmp_path, capsys):
+    # Z was divided out to exactly 1 at 30 digits, and exact: printed 0.0
+    inputs = []
+    for name, argv in (("zeta", "zeta --lam 1e-400 --d 5 --t 2"),
+                       ("oracle", "oracle --d 5")):
+        inputs.append(str(tmp_path / f"{name}.json"))
+        assert cli.main(argv.split() + ["--out", inputs[-1]]) == 0
+    capsys.readouterr()
+    code, out, _ = run_cli(capsys, "report", "--inputs", *inputs,
+                           "--out-dir", str(tmp_path))
+    assert code == 0
+    assert out.splitlines()[1:3] == ["  exact: 3.2e-399",
+                                     "  t=2: 0.69314718056  |error| = 0.693147"]
+
+
+# SHA-256 of the files report writes from the contract row's inputs, each
+# named NAME.json in the working directory, as printed before the exact
+# references came from the number kit
+REPORT_FILES = {
+    "report.txt": "938717a2b8f0b0e25d59d1518ce43f95385514a398c5a519297d23938abc38e7",
+    "truncation_error.dat":
+        "17574cc8497f4e0437659212215dfe76c8bff40d469dbc323d7f9a4a129bb4c1",
+    "gof.dat": "a70adc90aadd248ef46bf877d9a17c0e505a342022c7269dc8b93ebd07032024",
+}
+
+
+def test_report_writes_the_pinned_files(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, argv in cli_contract.REPORT_INPUTS.items():
+        assert cli.main(argv.split() + ["--out", f"{name}.json"]) == 0
+    capsys.readouterr()
+    code, out, err = run_cli(capsys, "report", "--inputs",
+                             *(f"{name}.json" for name in cli_contract.REPORT_INPUTS),
+                             "--out-dir", "out")
+    assert (code, err) == (0, "")
+    texts = {name: (tmp_path / "out" / name).read_text() for name in REPORT_FILES}
+    assert {name: hashlib.sha256(text.encode()).hexdigest()
+            for name, text in texts.items()} == REPORT_FILES
+    assert out == texts["report.txt"] + \
+        "wrote out/report.txt, out/truncation_error.dat, out/gof.dat\n"
+
+
+def test_report_unreadable_inputs_are_one_line_errors(tmp_path, capsys):
+    # the nested array printed a RecursionError traceback
+    (tmp_path / "bad.json").write_text("{")
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    for name in ("missing.json", "bad.json", "deep.json"):
+        path = tmp_path / name
+        code, out, err = run_cli(capsys, "report", "--inputs", str(path),
+                                 "--out-dir", str(tmp_path / "out"))
+        assert (code, out) == (1, ""), name
+        assert err.startswith(f"error: cannot read {path}: "), name
+        assert err.strip().count("\n") == 0, name
 
 
 def test_report_with_nothing_to_report_is_a_usage_error(tmp_path, capsys):
