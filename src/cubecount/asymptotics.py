@@ -193,7 +193,7 @@ def _strata_series(x: TruncSeries, size: bool) -> TruncSeries:
     for i in range(1, top + 1):
         ci, c = _beta_x_coefficient(i, size)
         tail = neg_binomial_expand(dvar * i, x, top - i)
-        out = out + (poly_on_series(ci, "X", x) * tail).shift(i) * RatFunc(1, 0, c)
+        out = out + (poly_on_series(ci, "X", x) * tail).shift(i) * RatFunc(1, opow=c)
     return out
 
 
@@ -235,7 +235,7 @@ def compute_B(r: int) -> SeriesTable:
     solved: dict[int, RatFunc] = {}
     for j in range(1, r + 1):
         q = Q_func(j, solved)
-        solved[j] = RatFunc(-q.num, q.bpow, q.opow + 2)
+        solved[j] = RatFunc(-q.num, opow=q.opow + 2)
         residual = Q_func(j, solved)
         if not residual.is_zero():
             raise ArithmeticError(
@@ -312,7 +312,9 @@ def compute_P(jmax: int) -> SeriesTable:
 
     Expands log((1+lam)/(1+lam0)) - beta*log(lam/lam0) at lam equal to the
     corrected fugacity, plus the stratum series evaluated there, in powers of
-    Y = (1-beta)^d, and reads off coefficients.
+    Y = (1-beta)^d, and reads off coefficients.  log_ratio_expand divides X
+    by beta, which is exact: each term of Q_j holds a factor beta or X, and
+    X's lower coefficients are multiples of beta, so beta divides every B_j.
     """
     if jmax < 0:
         raise ValueError("order must be >= 0")

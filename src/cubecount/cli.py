@@ -488,6 +488,11 @@ def _read_oracle(obj: dict) -> exact.SizeProfile:
         raise _UsageError(f"has {len(counts)} counts, where Q_{d} has {sizes} set sizes")
     if not all(isinstance(c, str) and c.isascii() and c.isdigit() for c in counts):
         raise _UsageError("has a count that is not a nonnegative integer")
+    # Q_d has at most 2^(2^d) independent sets; a longer count is refused
+    # before int() meets the interpreter's limit on the digits it converts
+    digits = len(str(1 << (1 << d)))
+    if any(len(c) > digits for c in counts):
+        raise _UsageError(f"has a count of more than {digits} digits, past 2^{1 << d}")
     return exact.SizeProfile(d, tuple(map(int, counts)))
 
 

@@ -49,15 +49,16 @@ automorphisms fixing V0, so every a-subset of the d coordinates carries the
 same clusters.  Once d >= free_dim(k), where d*k <= 2^(d-2), closure never
 binds: |closure(S)| <= |N(S)| <= d*|S| is at most half the side, so every
 connected support of size <= k is a polymer.  Hence a stratum at any d
-follows from the clusters at the base dimension b = min(d, free_dim(k)):
-each one found at b with a active coordinates stands for C(d, a)/C(b, a)
-clusters at d.  So a stratum is one exact table, orderings * phi / |union|
-summed by deficiency sum e and active count a (_stratum_table), that
-cluster_sum rescales to d (polymers._rescale) and weighs by the observable.
+follows from the clusters at the base dimension b = min(d, free_dim(k)).
+So a stratum is one exact table, orderings * phi / |union| summed by
+deficiency sum e and active count a over the representatives below
+(_stratum_table), that cluster_sum weighs by C(d, a) (polymers._rescale)
+and by the observable.
 
 Representatives.  Since every a-subset carries the same clusters,
 _stratum_table grows only the multisets whose union has active coordinates
-exactly 0, ..., a-1 and weighs each C(b, a).  The cut is the polymers
+exactly 0, ..., a-1, each standing for the C(d, a) clusters that the
+a-subsets of the coordinates carry at d.  The cut is the polymers
 module's gap bound: every vertex a later entry brings is a distance-2 step
 from one already present, so a partial multiset whose union has active mask
 m and total size t can still become a prefix only if
@@ -359,8 +360,8 @@ def _stratum_table(b: int, k: int, type_key: str | None, budget: int | None) -> 
     active count a.
 
     Only the clusters whose active coordinates are 0, ..., a-1 are grown and
-    folded, each weighted C(b, a) (module docstring).  `budget` counts the
-    nodes of the cut search.
+    folded, each once (module docstring).  `budget` counts the nodes of the
+    cut search.
     """
     hit = _table_cache.get((b, k, type_key))
     if hit is not None:
@@ -373,10 +374,8 @@ def _stratum_table(b: int, k: int, type_key: str | None, budget: int | None) -> 
             continue
         orderings, phi = _orderings_phi(key)
         n = sum(pm.classify(s, b).key == type_key for s in key) if type_key else 0
-        a = mask.bit_count()
-        bucket = ((e, n), a)
-        table[bucket] = (table.get(bucket, 0)
-                         + Fraction(orderings * math.comb(b, a), len(union)) * phi)
+        bucket = ((e, n), mask.bit_count())
+        table[bucket] = table.get(bucket, 0) + Fraction(orderings, len(union)) * phi
     if len(_table_cache) >= _TABLE_CACHE_SIZE:
         del _table_cache[next(iter(_table_cache))]
     _table_cache[(b, k, type_key)] = table
@@ -430,7 +429,7 @@ def cluster_sum(d: int, k: int, observable: Observable = Observable("one"),
         raise ValueError("stratum index must be >= 1")
     b = min(d, free_dim(k))
     table = _stratum_table(b, k, observable.type_key, budget)
-    rescaled, den = pm._rescale(table, b, d)
+    rescaled, den = pm._rescale(table, d)
     by_exponent: dict[int, int] = {}
     for (e, n), c in rescaled.items():
         by_exponent[e] = by_exponent.get(e, 0) + c * observable.value(k, k * d - e, n)

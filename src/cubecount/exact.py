@@ -66,10 +66,6 @@ class SizeProfile(NamedTuple):
     def to_json(self) -> dict:
         return {"d": self.d, "counts": [str(c) for c in self.counts]}
 
-    @staticmethod
-    def from_json(obj: dict) -> "SizeProfile":
-        return SizeProfile(int(obj["d"]), tuple(int(c) for c in obj["counts"]))
-
 
 def _neighbor_masks(d: int) -> list[int]:
     """hc.neighbor_masks, also for the one-vertex Q_0 that size_profile(2) needs."""

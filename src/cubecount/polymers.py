@@ -55,19 +55,21 @@ in which some vertex differs from V0), and every a-subset of the d
 coordinates carries the same supports.  From free_dim(max_size) on, closure
 never binds (see the clusters module docstring), so both census and
 symbolic_census enumerate the rooted supports once, at the base dimension
-b = min(d, free_dim(max_size)), count them per type and active count
-(_rooted_type_counts), and rescale by C(d, a)/C(b, a) over one common
-denominator (_rescale, which clusters.cluster_sum calls too).  census
-evaluates the sum at one d; symbolic_census keeps it as a polynomial in d.
+b = min(d, free_dim(max_size)), count their prefix representatives
+(below) per type and active count a (_rooted_type_counts), and weigh each
+count by C(d, a) over one common denominator (_rescale, which
+clusters.cluster_sum calls too).  census evaluates the sum at one d;
+symbolic_census keeps it as a polynomial in d.
 
 Prefix representatives: since the a-subsets carry the same supports,
 _rooted_type_counts grows only the supports whose active coordinates are
 exactly 0, ..., a-1 (active mask m, the OR of v ^ V0, with m & (m+1) = 0)
-and counts each C(b, a) times.  The growth is cut exactly by the gap bound:
-each vertex added later is a distance-2 step, so it makes at most two more
-coordinates active, and a set with mask m and room for r more vertices can
-still become a prefix only if m.bit_length() - m.bit_count() <= 2r.  Every
-set a cut discards contains the cut set, so none of them is a
+and counts each once: it stands for the C(d, a) rooted supports that the
+a-subsets of the coordinates carry at d.  The growth is cut exactly by the
+gap bound: each vertex added later is a distance-2 step, so it makes at most
+two more coordinates active, and a set with mask m and room for r more
+vertices can still become a prefix only if m.bit_length() - m.bit_count()
+<= 2r.  Every set a cut discards contains the cut set, so none of them is a
 representative.  _prefix_candidates hands the kernel the mask its sets join
 (0 for a support alone), and the kernel applies the bound to each set's
 mask OR that one; clusters._stratum_table cuts its clusters the same way,
@@ -449,17 +451,16 @@ def _may_become_prefix(mask: int, room: int) -> bool:
     return mask.bit_length() - mask.bit_count() <= 2 * room
 
 
-def _rescale(counts: dict, b: int, d: int) -> tuple[dict, int]:
-    """({K: N_K}, D) with N_K / D = sum_a r * C(d, a) / C(b, a), from counts
-    {(K, a): r} (ints or Fractions) found at the base dimension b with a
-    active coordinates (module docstring).  D, the lcm of the r denominators
-    times C(b, a), is one common denominator, so every N_K is an int."""
-    scales = {key: r.denominator * math.comb(b, key[1]) for key, r in counts.items()}
-    den = math.lcm(*scales.values())
+def _rescale(counts: dict, d: int) -> tuple[dict, int]:
+    """({K: N_K}, D) with N_K / D = sum_a r * C(d, a), from counts
+    {(K, a): r} (ints or Fractions) of the prefix representatives with a
+    active coordinates (module docstring).  D, the lcm of the r
+    denominators, is one common denominator, so every N_K is an int."""
+    den = math.lcm(*(r.denominator for r in counts.values()))
     out: dict = {}
     for (key, a), r in counts.items():
         out[key] = (out.get(key, 0)
-                    + r.numerator * (den // scales[key, a]) * math.comb(d, a))
+                    + r.numerator * (den // r.denominator) * math.comb(d, a))
     return out, den
 
 
@@ -477,35 +478,35 @@ def _prefix_candidates(d: int, max_size: int,
 
 def _rooted_type_counts(b: int, max_size: int, budget: int | None = None) \
         -> Counter[tuple[tuple[int, int, int], int]]:
-    """r_(T,a): rooted supports at dimension b by ((size, deficiency, cert), a),
-    with a the number of active coordinates.
+    """r_(T,a): the prefix representatives among the rooted supports at
+    dimension b, by ((size, deficiency, cert), a), with a the number of
+    active coordinates.
 
     Only the supports whose active coordinates are 0, ..., a-1 are grown and
-    classified, each counted C(b, a) times (module docstring).
+    classified, each counted once (module docstring).
     """
     counts: Counter = Counter()
     bud = [budget] if budget is not None else None
     for verts, mask, deficiency, code in _prefix_candidates(b, max_size, bud):
         if _is_prefix(mask):
-            a = mask.bit_count()
-            counts[_type_of(len(verts), deficiency, code), a] += math.comb(b, a)
+            counts[_type_of(len(verts), deficiency, code), mask.bit_count()] += 1
     return counts
 
 
 def census(d: int, max_size: int, budget: int | None = None) -> Census:
     """Count polymers of each type across all of Q_d.
 
-    The rooted supports are enumerated once, at b = min(d, free_dim(max_size))
-    (module docstring) and rescaled to d by _rescale; for a type T of size s
+    The prefix representatives are enumerated once, at
+    b = min(d, free_dim(max_size)) (module docstring), and weighed at d by
+    _rescale; for a type T of size s
 
-        n_T(d) = n_side * sum_a r_(T,a) * C(d, a) / (s * C(b, a)).
+        n_T(d) = n_side * sum_a r_(T,a) * C(d, a) / s.
 
-    For d <= free_dim(max_size) the base is d itself and every factor is 1.
     `budget` limits the enumeration at b.
     """
     check_census_bounds(d, max_size)
     b = min(d, free_dim(max_size))
-    rooted, den = _rescale(_rooted_type_counts(b, max_size, budget), b, d)
+    rooted, den = _rescale(_rooted_type_counts(b, max_size, budget), d)
 
     n = hc.n_side(d)
     entries = []
@@ -539,12 +540,12 @@ class SymbolicCensus(NamedTuple):
 def symbolic_census(max_size: int) -> SymbolicCensus:
     """Per-type counts n_T(d)/n_side in closed form, from one enumeration.
 
-    The rooted supports are enumerated once, at the base dimension
+    The prefix representatives are enumerated once, at the base dimension
     b = free_dim(max_size), where closure never binds (see the module
-    docstring), so with r_(T,a) the rooted supports of type T and a active
-    coordinates found at b, for every d >= b
+    docstring), so with r_(T,a) those of type T and a active coordinates,
+    for every d >= b
 
-        n_T(d)/n_side = sum_a r_(T,a) * C(d, a) / (s * C(b, a)),
+        n_T(d)/n_side = sum_a r_(T,a) * C(d, a) / s,
 
     a polynomial in d of degree at most 2(s-1).  The grid is the 2*max_size
     dimensions from 2*max_size + 1 on.
@@ -555,7 +556,7 @@ def symbolic_census(max_size: int) -> SymbolicCensus:
     dim = RatPoly.var("d")
     polys: dict[tuple[int, int, int], RatPoly] = {}
     for (key, a), r in _rooted_type_counts(b, max_size).items():
-        term = binom_poly(-dim, a) * Fraction(r, key[0] * math.comb(b, a))
+        term = binom_poly(-dim, a) * Fraction(r, key[0])
         polys[key] = polys.get(key, RatPoly.const(0)) + term
     lo = 2 * max_size + 1
     return SymbolicCensus(

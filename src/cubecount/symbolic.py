@@ -22,11 +22,13 @@ Three layers, all exact:
     reference), so printed forms do not depend on the representation.
 
 ``RatFunc``
-    A polynomial divided by ``beta^a * (1-beta)^b`` with a, b >= 0.  This is
-    exactly the shape of every closed form the series pipeline produces; the
-    representation is kept normalized (numerator not divisible by ``beta`` or
-    ``1-beta`` whenever the corresponding exponent is positive), so equality
-    is literal field comparison.
+    ``RatFunc(num, opow)``: a polynomial divided by ``(1-beta)^opow``,
+    opow >= 0.  This is exactly the shape of every closed form the series
+    pipeline produces (log_ratio_expand expands in x/beta, so no power of
+    beta divides).  The representation is kept normalized (numerator not
+    divisible by ``1-beta`` when opow > 0), and since 1-beta is prime the
+    normal form is unique, so equality is field comparison.  ``to_json``
+    keeps the printed layout, whose beta exponent is always 0.
 
 ``TruncSeries``
     A truncated power series ``sum_j c_j * Y^j + O(Y^order)`` in the formal
@@ -369,19 +371,22 @@ def _coerce_poly(x) -> RatPoly:
 
 
 BETA = "beta"
-_BETA = RatPoly.var(BETA)
-_ONE_MINUS_BETA = 1 - _BETA
+_ONE_MINUS_BETA = 1 - RatPoly.var(BETA)
 
 
-def divide_out_one_minus_beta(p: RatPoly) -> RatPoly | None:
-    """Exact quotient p / (1-beta), or None when not divisible.
+def divide_out(p: RatPoly, root: int) -> RatPoly | None:
+    """Exact quotient of p by the linear factor beta (root 0) or 1-beta
+    (root 1), or None when not divisible.
 
-    p is divisible iff p(beta = 1) vanishes, which is tested first.  The
-    quotient is then synthetic division at the root beta = 1, run over the
-    beta-powers of each monomial in the other variables: q_k is the sum of
-    the coefficients of beta^0 .. beta^k.  1-beta is primitive, so the
-    quotient has the same content and den as p (Gauss's lemma).  It keeps
-    beta among its variables only when p has beta-degree >= 2.
+    p is divisible iff p(beta = root) vanishes, which is tested first, row
+    by row over the beta-powers of each monomial in the other variables: at
+    root 1 a row's value is the sum of its coefficients, at root 0 its
+    constant term.  The quotient is then synthetic division at the root:
+    from the top, q_(k-1) = p_k + root*q_k divides by beta - root, and for
+    root 1 it is negated, which divides by 1 - beta.  Both factors are
+    primitive, so the quotient has the same content and den as p (Gauss's
+    lemma).  It keeps beta among its variables only when p has beta-degree
+    >= 2.
     """
     if not p.nums:
         return RatPoly.const(0)
@@ -391,73 +396,38 @@ def divide_out_one_minus_beta(p: RatPoly) -> RatPoly | None:
     rows: dict[tuple, dict[int, int]] = {}
     for e, c in p.nums.items():
         rows.setdefault(e[:i] + e[i + 1:], {})[e[i]] = c
-    if any(sum(row.values()) for row in rows.values()):
+    if any(sum(row.values()) if root else row.get(0) for row in rows.values()):
         return None
+    sign = -1 if root else 1
     nums = {}
     for rest, row in rows.items():
         acc = 0
-        for k in range(max(row)):
-            acc += row.get(k, 0)
+        for k in range(max(row), 0, -1):
+            acc = row.get(k, 0) + root * acc
             if acc:
-                nums[rest[:i] + (k,) + rest[i:]] = acc
+                nums[rest[:i] + (k - 1,) + rest[i:]] = sign * acc
     if max(e[i] for e in p.nums) >= 2:
         return _poly(p.vars, nums, p.den)
     return _poly(p.vars[:i] + p.vars[i + 1:],
                  {e[:i] + e[i + 1:]: c for e, c in nums.items()}, p.den)
 
 
-def divide_out_beta(p: RatPoly) -> RatPoly | None:
-    """Exact quotient p / beta, or None when not divisible.
-
-    The quotient keeps beta among its variables only when p has a term of
-    beta-degree >= 2.
-    """
-    if not p.nums:
-        return RatPoly.const(0)
-    if BETA not in p.vars:
-        return None
-    i = p.vars.index(BETA)
-    if any(not e[i] for e in p.nums):
-        return None
-    if any(e[i] >= 2 for e in p.nums):
-        nums = {e[:i] + (e[i] - 1,) + e[i + 1:]: c for e, c in p.nums.items()}
-        return _poly(p.vars, nums, p.den)
-    return _poly(p.vars[:i] + p.vars[i + 1:],
-                 {e[:i] + e[i + 1:]: c for e, c in p.nums.items()}, p.den)
-
-
-def _lift(num: RatPoly, i: int, j: int) -> RatPoly:
-    """num * beta^i * (1-beta)^j, multiplying only by nontrivial factors."""
-    if i:
-        num = num * _BETA ** i
-    if j:
-        num = num * _ONE_MINUS_BETA ** j
-    return num
-
-
 class RatFunc:
-    """num / (beta^bpow * (1-beta)^opow), kept normalized."""
+    """num / (1-beta)^opow, kept normalized: num is not divisible by 1-beta
+    when opow > 0, and opow is 0 for the zero function."""
 
-    __slots__ = ("num", "bpow", "opow")
+    __slots__ = ("num", "opow")
 
-    def __init__(self, num: RatPoly | Scalar, bpow: int = 0, opow: int = 0):
+    def __init__(self, num: RatPoly | Scalar, opow: int = 0):
         num = _coerce_poly(num)
-        if bpow < 0 or opow < 0:
-            raise ValueError("denominator exponents must be nonnegative")
-        while bpow > 0:
-            q = divide_out_beta(num)
-            if q is None:
-                break
-            num, bpow = q, bpow - 1
+        if opow < 0:
+            raise ValueError("denominator exponent must be nonnegative")
         while opow > 0:
-            q = divide_out_one_minus_beta(num)
+            q = divide_out(num, 1)
             if q is None:
                 break
             num, opow = q, opow - 1
-        if num.is_zero():
-            bpow = opow = 0
         self.num = num
-        self.bpow = bpow
         self.opow = opow
 
     @staticmethod
@@ -467,22 +437,19 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def _common(self, other: "RatFunc"):
-        b = max(self.bpow, other.bpow)
-        o = max(self.opow, other.opow)
-        n1 = _lift(self.num, b - self.bpow, o - self.opow)
-        n2 = _lift(other.num, b - other.bpow, o - other.opow)
-        return n1, n2, b, o
-
     def __add__(self, other) -> "RatFunc":
         other = _coerce_func(other)
-        n1, n2, b, o = self._common(other)
-        return RatFunc(n1 + n2, b, o)
+        n1, n2, o = self.num, other.num, max(self.opow, other.opow)
+        if self.opow < o:
+            n1 = n1 * _ONE_MINUS_BETA ** (o - self.opow)
+        if other.opow < o:
+            n2 = n2 * _ONE_MINUS_BETA ** (o - other.opow)
+        return RatFunc(n1 + n2, o)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.bpow, self.opow)
+        return RatFunc(-self.num, self.opow)
 
     def __sub__(self, other) -> "RatFunc":
         return self + (-_coerce_func(other))
@@ -492,47 +459,43 @@ class RatFunc:
 
     def __mul__(self, other) -> "RatFunc":
         other = _coerce_func(other)
-        return RatFunc(self.num * other.num, self.bpow + other.bpow, self.opow + other.opow)
+        return RatFunc(self.num * other.num, self.opow + other.opow)
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, RatPoly)):
-            other = RatFunc(_coerce_poly(other))
+            other = RatFunc(other)
         if not isinstance(other, RatFunc):
             return NotImplemented
-        # normalized on construction, but guard against unequal residual forms
-        n1, n2, _, _ = self._common(other)
-        return n1 == n2
+        # the normal form is unique: 1-beta is prime and divides no num
+        # over a positive opow
+        return self.opow == other.opow and self.num == other.num
 
     def eval(self, mapping: Mapping[str, Scalar]) -> Fraction:
-        beta = _as_frac(mapping[BETA]) if BETA in mapping else None
         num = self.num.eval(mapping)
-        den = Fraction(1)
-        if self.bpow or self.opow:
-            if beta is None:
-                raise ValueError("beta value required to evaluate denominator")
-            den = beta ** self.bpow * (1 - beta) ** self.opow
-            if den == 0:
-                raise ZeroDivisionError("denominator vanishes at this beta")
+        if not self.opow:
+            return num
+        if BETA not in mapping:
+            raise ValueError("beta value required to evaluate denominator")
+        den = (1 - _as_frac(mapping[BETA])) ** self.opow
+        if not den:
+            raise ZeroDivisionError("denominator vanishes at this beta")
         return num / den
 
     def text(self) -> str:
         num = self.num.text()
-        if not (self.bpow or self.opow):
+        if not self.opow:
             return num
-        den_parts = []
-        if self.bpow:
-            den_parts.append(f"beta^{self.bpow}" if self.bpow > 1 else "beta")
-        if self.opow:
-            den_parts.append(f"(1-beta)^{self.opow}" if self.opow > 1 else "(1-beta)")
-        return f"({num}) / ({' * '.join(den_parts)})"
+        den = f"(1-beta)^{self.opow}" if self.opow > 1 else "(1-beta)"
+        return f"({num}) / ({den})"
 
     def __repr__(self):
         return f"RatFunc({self.text()})"
 
     def to_json(self) -> dict:
-        return {"num": self.num.to_json(), "bpow": self.bpow, "opow": self.opow}
+        # the layout keeps a beta exponent; no series coefficient has one
+        return {"num": self.num.to_json(), "bpow": 0, "opow": self.opow}
 
 
 def _coerce_func(x) -> RatFunc:
@@ -659,16 +622,23 @@ def neg_binomial_expand(k_expr: RatPoly, x: TruncSeries, r: int) -> TruncSeries:
 def log_ratio_expand(x: TruncSeries, t: int) -> TruncSeries:
     """log(1 + x) - beta*log(1 + x/beta) through x-degree t-1.
 
-    The i-th coefficient is ((-1)^(1+i)/i) * (1 - beta^(1-i)); the i = 1 term
-    vanishes and for i >= 2 the coefficient carries a beta^(i-1) denominator,
-    since (1 - beta^(1-i)) = -(1 - beta^(i-1)) / beta^(i-1).
+    Expanded in u = x/beta as log(1 + beta*u) - beta*log(1 + u), whose i-th
+    coefficient ((-1)^(1+i)/i) * (beta^i - beta) is a polynomial; the i = 1
+    term vanishes.  u is x with each numerator divided by beta, which must be
+    exact, else ValueError.
     """
     _no_constant_term(x)
+    u = []
+    for c in x.coeffs:
+        q = divide_out(c.num, 0)
+        if q is None:
+            raise ValueError("expansion variable must be divisible by beta")
+        u.append(RatFunc(q, c.opow))
     beta = RatPoly.var(BETA)
     return _power_sum(
-        lambda i: RatFunc((beta ** (i - 1) - 1) * Fraction((-1) ** (1 + i), i),
-                          bpow=i - 1) if i >= 2 else None,
-        t - 1, x)
+        lambda i: RatFunc((beta ** i - beta) * Fraction((-1) ** (1 + i), i))
+        if i >= 2 else None,
+        t - 1, TruncSeries(x.order, tuple(u)))
 
 
 def interpolate_poly(points: Sequence[tuple[int, object]], degree_bound: int,

@@ -79,12 +79,12 @@ def _check_symbolic_closed_forms() -> list[str]:
             fails.append(f"census({dim}, 3) differs from the direct count")
 
     b1 = asymptotics.compute_B(1)[1]
-    expect_b1 = RatFunc(beta * (d * beta - one), 0, 3)
+    expect_b1 = RatFunc(beta * (d * beta - one), opow=3)
     if b1 != expect_b1:
         fails.append(f"B_1 is {b1.text()}, expected {expect_b1.text()}")
 
     p = asymptotics.compute_P(2)
-    expect_p1 = RatFunc(beta, 0, 1)
+    expect_p1 = RatFunc(beta, opow=1)
     if p[1] != expect_p1:
         fails.append(f"P_1 is {p[1].text()}, expected beta/(1-beta)")
 
@@ -93,7 +93,7 @@ def _check_symbolic_closed_forms() -> list[str]:
     num = (d * (d - one) * (RatPoly.const(2) - beta) * beta ** 3
            - RatPoly.const(2) * (one - beta) ** 2 * beta ** 2) * Fraction(1, 4) \
         - beta * (one - d * beta) ** 2 * (one - beta) * Fraction(1, 2)
-    expect_p2 = RatFunc(num, 0, 4)
+    expect_p2 = RatFunc(num, opow=4)
     if p[2] != expect_p2:
         fails.append(f"P_2 is {p[2].text()}, expected {expect_p2.text()}")
     return fails

@@ -138,6 +138,19 @@ ROWS = (
         "5a4e2bcef2ca05e121a2d49689a62da7357c8becb3e05f13ea9c2bae43d7f01f"),
     Row("oracle --d 5 --lam 1", DIGITS,
         "d097827f4e1d35109f66352734158a46ba8a9e49778e83b8506ec210caefe3d8"),
+    # the largest packed size profile
+    Row("oracle --d 6 --lam 1", DIGITS,
+        "831235b60bca1a4ce66cace57e8cf01099379ca8b1b8f9e67370cbb47f43693b"),
+    # the longest exact strata allowed: N R_j(lam, d) with (1+lam)^(-jd)
+    # raised in the kit
+    Row("count --beta 1/3 --d 24 --t 4", SERIES,
+        "84697401dbb0b145d2e38384fea6aaf542da40a8f3fdc77c6e2cab3eaa744ff3"),
+    # each field is correctly rounded: ln_value prints 9.9290126, the value
+    # being 9.929012647...
+    Row("count --beta 5/8 --d 5 --t 3 --digits 8", SERIES,
+        "9359f6ca54eb65be9e33181de78367a5ffca03e0ff25d3198271c53198372796"),
+    Row("count-structured --beta 1/2 --d 12 --fixed s1c0g0=1 --digits 5", SERIES,
+        "449c3fc279223232f8246c30369769f60d68f69c3db78e2b3290e44ad182235b"),
     # exact symbolic outputs, recorded before the symbolic kernel moved from
     # Fraction coefficients to integer numerators over one denominator
     Row("bj --r 3", SERIES,
@@ -185,10 +198,13 @@ ROWS = (
         "--csv {tmp}/split.csv", SAMPLE,
         "9f7447b935a240d51102c1f663d1011c0234bbe028e2ffd9eff09d62a2b01a69", cpus=2),
     # the Ursell recursion and the one walk over compatible polymer
-    # collections; the sampler with both chi-square p-values; the local CLT
+    # collections; the sampler with both chi-square p-values; the local CLT;
+    # sample's --samples run length and --chains seeds.  validate prints each
+    # criterion's wall time, so no digest is pinned
     Row("validate --only 2,4,5,6", ALL),
     Row("validate --only 9", ALL),
     Row("validate --only 10", ALL),
+    Row("validate --only 11", ALL),
     Row("report --inputs " + " ".join(f"{{tmp}}/{name}.json" for name in REPORT_INPUTS)
         + " --out-dir {tmp}/report", DIGITS),
     Row("oracle --d 0", EXACT, code=1,

@@ -233,6 +233,13 @@ VALID_COMMANDS = [
     ["report", "--out-dir", "x", "--inputs=a.json"],
     ["sample", "--debug", "--d", "3", "--lam", "1", "--csv", "-"],
     ["polymers", "--mode=list", "--d", "-1", "--max-size", "3"],
+    # two outputs written with --out and a report of them: no row of the
+    # table passes --out
+    ["count", "--beta", "1/2", "--d", "5", "--t", "3", "--out", "count5.json"],
+    ["oracle", "--d", "5", "--lam", "1", "--out", "oracle5.json"],
+    ["report", "--inputs", "count5.json", "oracle5.json", "--out-dir", "report"],
+    # five criteria in one comma list
+    ["validate", "--only", "2,4,5,6,11"],
 ]
 
 
@@ -259,7 +266,9 @@ def test_argparse_refuses_what_the_parser_refuses(argv):
 
 
 def test_the_reference_lines_reach_every_command_and_the_ci_lines():
-    assert len(CI_COMMANDS) >= 15
+    # bj --r 4 under python -O and the seven sample runs; CI's other command
+    # lines are rows of the contract table
+    assert len(CI_COMMANDS) >= 8
     assert {argv[0] for argv in VALID_COMMANDS} == set(cli._COMMANDS)
 
 
@@ -648,6 +657,9 @@ def test_report_malformed_inputs_are_one_line_errors(tmp_path, capsys):
             ("huge_d_oracle.json", '{"d": 1000000000, "counts": ["1"]}', count5),
             ("word_oracle.json", '{"d": 1, "counts": ["1", "two"]}', count5),
             ("minus_oracle.json", '{"d": 1, "counts": ["1", "-2"]}', count5),
+            # int() refused it past 4,300 digits with a line naming no file
+            ("long_oracle.json", '{"d": 5, "counts": ["1", "%s"%s]}'
+                                 % ("9" * 5000, ', "0"' * 15), count5),
             # Fraction built 10^999999999 and report ran on past 20 s
             ("lam_huge.json", '{"d": 3, "lam": "1e-999999999", "t": 2, '
                               '"ln_value": "1"}', oracle3),
@@ -668,6 +680,22 @@ def test_report_malformed_inputs_are_one_line_errors(tmp_path, capsys):
         assert err.startswith(f"error: {paths[0]}:"), (name, err)
         assert err.strip().count("\n") == 0, name
         assert not out_dir.exists()
+
+
+def test_report_refuses_an_oracle_count_longer_than_2_to_the_2_to_the_d(tmp_path, capsys):
+    # Q_6 has at most 2^64 independent sets, 20 digits
+    count = tmp_path / "count.json"
+    count.write_text('{"d": 6, "beta": "1/2", "t": 2, "ln_value": "1"}')
+    oracle = tmp_path / "oracle.json"
+    for digits, code in ((20, 0), (21, 1)):
+        counts = ["1", "9" * digits] + ["0"] * 31
+        oracle.write_text(json.dumps({"d": 6, "counts": counts}))
+        got, _, err = run_cli(capsys, "report", "--inputs", str(oracle), str(count),
+                              "--out-dir", str(tmp_path / "out"))
+        assert got == code, digits
+        if code:
+            assert err == (f"error: {oracle}: oracle output has a count of more "
+                           "than 20 digits, past 2^64\n")
 
 
 def test_report_prints_an_exact_ln_z_below_its_working_digits(tmp_path, capsys):

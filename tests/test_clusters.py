@@ -289,13 +289,12 @@ def test_rescaled_cluster_sum_matches_enumeration_at_d():
 def ratpoly_cluster_sum_poly(d: int, k: int, obs: cl.Observable) -> RatPoly:
     """cluster_sum's polynomial from the same stratum table in Fraction and
     RatPoly arithmetic: sum_e coef_e * (lam+1)^e, with coef_e the entries
-    of exponent e rescaled to d by C(d, a)/C(b, a) and weighed by the
-    observable."""
+    of exponent e weighed by C(d, a) and by the observable."""
     b = min(d, cl.free_dim(k))
     table = cl._stratum_table(b, k, obs.type_key, None)
     by_exponent = {}
     for ((e, n), a), r in table.items():
-        coef = r * Fraction(math.comb(d, a), math.comb(b, a)) * obs.value(k, k * d - e, n)
+        coef = r * math.comb(d, a) * obs.value(k, k * d - e, n)
         by_exponent[e] = by_exponent.get(e, 0) + coef
     poly = RatPoly.const(0)
     for e, coef in sorted(by_exponent.items()):
@@ -319,8 +318,8 @@ def test_integer_cluster_sum_matches_ratpoly_arithmetic(k):
 
 
 def folded_stratum_table(b: int, k: int, type_key: str | None) -> dict:
-    """_stratum_table by definition: every rooted cluster at b folded, with
-    no prefix representatives and no C(b, a) weights."""
+    """_stratum_table times C(b, a), by definition: every rooted cluster
+    at b folded, with no prefix representatives."""
     table = {}
     for c in cl.enumerate_clusters(b, k):
         if c.total_size != k:
@@ -340,8 +339,10 @@ def test_stratum_table_matches_every_rooted_cluster(b):
     for k in (1, 2, 3):
         for type_key in (None, "s1c0g0"):
             cl.clear_caches()
-            assert cl._stratum_table(b, k, type_key, None) == \
-                folded_stratum_table(b, k, type_key), (b, k, type_key)
+            # each representative stands for the C(b, a) clusters at b
+            table = {(key, a): r * math.comb(b, a) for (key, a), r in
+                     cl._stratum_table(b, k, type_key, None).items()}
+            assert table == folded_stratum_table(b, k, type_key), (b, k, type_key)
 
 
 def partitions(total: int, largest: int | None = None):

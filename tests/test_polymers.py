@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -172,23 +173,30 @@ def active_mask(vertices) -> int:
 
 
 def all_rooted_type_counts(b: int, max_size: int) -> Counter:
-    """_rooted_type_counts by definition: every rooted support at b, with no
-    prefix representatives and no C(b, a) weights."""
+    """_rooted_type_counts times C(b, a), by definition: every rooted
+    support at b, with no prefix representatives."""
     return Counter((pm.classify(s, b), active_mask(s).bit_count())
                    for s in pm.rooted_polymer_supports(b, max_size))
+
+
+def weighed_type_counts(b: int, max_size: int) -> Counter:
+    """_rooted_type_counts with each representative weighed by the C(b, a)
+    rooted supports it stands for at b."""
+    return Counter({(key, a): r * math.comb(b, a)
+                    for (key, a), r in pm._rooted_type_counts(b, max_size).items()})
 
 
 # b = 4, 5, 6 lie below free_dim(4) = 7, where closure rejects supports
 @pytest.mark.parametrize("b", [2, 3, 4, 5, 6, 7, 8])
 def test_rooted_type_counts_match_every_rooted_support(b):
     for max_size in (1, 2, 3, 4):
-        assert pm._rooted_type_counts(b, max_size) == \
+        assert weighed_type_counts(b, max_size) == \
             all_rooted_type_counts(b, max_size), (b, max_size)
 
 
 @pytest.mark.slow
 def test_rooted_type_counts_match_every_rooted_support_of_size_five():
-    assert pm._rooted_type_counts(7, 5) == all_rooted_type_counts(7, 5)
+    assert weighed_type_counts(7, 5) == all_rooted_type_counts(7, 5)
 
 
 def direct_census(d: int, max_size: int) -> dict[pm.DefectType, int]:
