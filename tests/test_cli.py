@@ -238,7 +238,9 @@ VALID_COMMANDS = [
     ["count", "--beta", "1/2", "--d", "5", "--t", "3", "--out", "count5.json"],
     ["oracle", "--d", "5", "--lam", "1", "--out", "oracle5.json"],
     ["report", "--inputs", "count5.json", "oracle5.json", "--out-dir", "report"],
-    # five criteria in one comma list
+    # one criterion, as a row of the table also passes it (pytest names the
+    # pair _0 and _1), and five criteria in one comma list
+    ["validate", "--only", "10"],
     ["validate", "--only", "2,4,5,6,11"],
 ]
 
