@@ -40,9 +40,9 @@ _EXPORTS = {name: module for module, names in (
                   "stratum_partial_sum", "stratum_value", "truncated_log_xi",
                   "ursell", "ursell_recursive")),
     ("symbolic", ("RatFunc", "RatPoly", "TruncSeries", "interpolate_poly")),
-    ("asymptotics", ("LambdaBeta", "LogCount", "R_poly", "R_table",
-                     "SeriesTable", "compute_B", "compute_P", "lambda_beta",
-                     "log_Z_asymptotic", "log_count_asymptotic",
+    ("asymptotics", ("LambdaBeta", "LogCount", "R_poly", "compute_B",
+                     "compute_P", "lambda_beta", "log_Z_asymptotic",
+                     "log_count_asymptotic", "series_rows",
                      "structured_count")),
     ("sampler", ("ChainState", "DefectReport", "SamplerSummary",
                  "defect_statistics", "extract_defects", "glauber_run",

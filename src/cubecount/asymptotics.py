@@ -62,9 +62,12 @@ def _check_digits(digits: int) -> None:
         raise ValueError(f"digits must lie in [1, {MAX_DIGITS}], got {digits}")
 
 
-def _check_order(name: str, value: int, largest: int) -> None:
-    """Refuse an order past `largest`, the last one whose formula reads no
-    R_j beyond MAX_EXACT_J; each entry checks it before any warning or work."""
+def _check_order(name: str, value: int, smallest: int, largest: int) -> None:
+    """Refuse an order below `smallest`, or past `largest`, the last one
+    whose formula reads no R_j beyond MAX_EXACT_J; each entry checks it
+    before any warning or work."""
+    if value < smallest:
+        raise ValueError(f"order must be >= {smallest}")
     if value > largest:
         raise ValueError(
             f"{name} = {value} is past {largest}: higher orders need R_j for "
@@ -106,27 +109,11 @@ def R_poly(j: int, budget: int | None = None) -> RatPoly:
     return out
 
 
-class SeriesTable:
-    """Indexed family of exact series coefficients (R_j, B_j, or P_j)."""
-
-    def __init__(self, kind: str, entries: dict[int, object]):
-        self.kind = kind  # "R" | "B" | "P"
-        self.entries = entries  # j -> RatPoly (R) or RatFunc (B, P)
-
-    def __getitem__(self, j: int):
-        return self.entries[j]
-
-    def to_json(self) -> list[dict]:
-        out = []
-        for j in sorted(self.entries):
-            v = self.entries[j]
-            out.append({"j": j, "kind": self.kind, "text": v.text(),
-                        "poly": v.to_json()})
-        return out
-
-
-def R_table(jmax: int, budget: int | None = None) -> SeriesTable:
-    return SeriesTable("R", {j: R_poly(j, budget) for j in range(1, jmax + 1)})
+def series_rows(kind: str, table: Mapping[int, RatPoly | RatFunc]) -> list[dict]:
+    """The printed rows of a coefficient table {j: coefficient}, in order of
+    j; kind names the family: "R" (RatPoly), "B" or "P" (RatFunc)."""
+    return [{"j": j, "kind": kind, "text": v.text(), "poly": v.to_json()}
+            for j, v in sorted(table.items())]
 
 
 # -- expected-size coefficients and their (beta, X) forms --------------------------
@@ -206,9 +193,7 @@ def Q_func(j: int, b: Mapping[int, RatFunc] | None = None) -> RatFunc:
     B_j (1-beta) of X, so Q_j is Q_j|_{B_j=0} + (1-beta)^2 B_j.  Entries of b
     for i < j must be present; a missing entry for j is B_j = 0.
     """
-    if j < 1:
-        raise ValueError("order must be >= 1")
-    _check_order("j", j, MAX_EXACT_J)
+    _check_order("j", j, 1, MAX_EXACT_J)
     b = b or {}
     for i in range(1, j):
         if i not in b:
@@ -219,19 +204,18 @@ def Q_func(j: int, b: Mapping[int, RatFunc] | None = None) -> RatFunc:
 
 
 @lru_cache(maxsize=MAX_EXACT_J + 1)  # r = 0..MAX_EXACT_J
-def compute_B(r: int) -> SeriesTable:
+def compute_B(r: int) -> dict[int, RatFunc]:
     """Solve Q_1 = ... = Q_r = 0 for the fugacity corrections B_j(beta, d).
 
     Q_j = Q_j|_{B_j=0} + (1-beta)^2 B_j (see Q_func), so each B_j is
     -Q_j|_{B_j=0} / (1-beta)^2.  The solved B_j is substituted back and the
     residual Q_j checked to be the identically-zero function, which is what
     proves that coefficient at run time.
-    Cached: log_count_asymptotic reaches the same table through compute_P
-    and lambda_beta.  Callers must not mutate the returned table.
+    Returns {j: B_j}, j = 1 .. r.  Cached: log_count_asymptotic reaches
+    the same table through compute_P and lambda_beta.  Callers must not
+    mutate the returned table.
     """
-    if r < 0:
-        raise ValueError("order must be >= 0")
-    _check_order("r", r, MAX_EXACT_J)
+    _check_order("r", r, 0, MAX_EXACT_J)
     solved: dict[int, RatFunc] = {}
     for j in range(1, r + 1):
         q = Q_func(j, solved)
@@ -240,7 +224,7 @@ def compute_B(r: int) -> SeriesTable:
         if not residual.is_zero():
             raise ArithmeticError(
                 f"nonzero residual after solving Q_{j}: {residual.text()}")
-    return SeriesTable("B", solved)
+    return solved
 
 
 class LambdaBeta(NamedTuple):
@@ -252,7 +236,7 @@ class LambdaBeta(NamedTuple):
     r: int
     value: Fraction  # exact
     terms: tuple[tuple[int, Fraction], ...]  # (j, B_j * (1-beta)^{jd})
-    table: SeriesTable
+    table: dict[int, RatFunc]  # compute_B(r)
 
     def to_json(self) -> dict:
         return {
@@ -260,7 +244,7 @@ class LambdaBeta(NamedTuple):
             "value": str(self.value),
             "value_float": float(self.value),
             "terms": [{"j": j, "value": str(v)} for j, v in self.terms],
-            "series": self.table.to_json(),
+            "series": series_rows("B", self.table),
         }
 
 
@@ -272,28 +256,30 @@ def _warn_beta_regime(beta: Fraction, t: int) -> None:
             "guarantees do not apply, values remain evaluable"))
 
 
+def _fugacity_order(t: int) -> int:
+    """r = ceil(t/2) - 1: order t reads the corrections B_j for j <= r."""
+    return math.ceil(t / 2) - 1
+
+
 def lambda_beta(beta: Fraction, d: int, t: int) -> LambdaBeta:
     """beta/(1-beta) plus the first r = ceil(t/2)-1 corrections, exactly."""
     beta = Fraction(beta)
     if not 0 < beta < 1:
         raise ValueError("beta must lie strictly between 0 and 1")
     hc.check_dim(d)
-    if t < 1:
-        raise ValueError("order must be >= 1")
-    # order t uses B_j for j <= r = ceil(t/2) - 1
-    _check_order("t", t, 2 * (MAX_EXACT_J + 1))
+    _check_order("t", t, 1, 2 * (MAX_EXACT_J + 1))
     _warn_beta_regime(beta, t)
-    r = math.ceil(t / 2) - 1
+    r = _fugacity_order(t)
     table = compute_B(r)
     return LambdaBeta(beta, d, t, r, *_corrected_fugacity(beta, d, table), table)
 
 
-def _corrected_fugacity(beta: Fraction, d: int, table: SeriesTable):
+def _corrected_fugacity(beta: Fraction, d: int, table: Mapping[int, RatFunc]):
     """(value, terms) of LambdaBeta for the B_j of `table`, solved by
     lambda_beta and log_count_asymptotic after their own checks."""
     value = beta / (1 - beta)
     terms = []
-    for j, bj in table.entries.items():
+    for j, bj in table.items():
         term = bj.eval({BETA: beta, DIM: d}) * (1 - beta) ** (j * d)
         terms.append((j, term))
         value += term
@@ -307,8 +293,8 @@ def _corrected_fugacity(beta: Fraction, d: int, table: SeriesTable):
 # -- count-correction coefficients P_j ---------------------------------------------
 
 
-def compute_P(jmax: int) -> SeriesTable:
-    """Coefficients P_j of the fixed-size count expansion, j = 1 .. jmax.
+def compute_P(jmax: int) -> dict[int, RatFunc]:
+    """Coefficients {j: P_j} of the fixed-size count expansion, j = 1 .. jmax.
 
     Expands log((1+lam)/(1+lam0)) - beta*log(lam/lam0) at lam equal to the
     corrected fugacity, plus the stratum series evaluated there, in powers of
@@ -316,15 +302,11 @@ def compute_P(jmax: int) -> SeriesTable:
     by beta, which is exact: each term of Q_j holds a factor beta or X, and
     X's lower coefficients are multiples of beta, so beta divides every B_j.
     """
-    if jmax < 0:
-        raise ValueError("order must be >= 0")
-    _check_order("jmax = t - 1", jmax, MAX_EXACT_J)
-    r = math.ceil((jmax + 1) / 2) - 1
-    b = compute_B(r)
+    _check_order("jmax = t - 1", jmax, 0, MAX_EXACT_J)
     order = jmax + 1
-    x = _x_series(b.entries, order)
+    x = _x_series(compute_B(_fugacity_order(order)), order)
     p = log_ratio_expand(x, order) + _strata_series(x, False)
-    return SeriesTable("P", {j: p.coefficient(j) for j in range(1, jmax + 1)})
+    return {j: p.coefficient(j) for j in range(1, order)}
 
 
 # -- high-precision evaluation ------------------------------------------------------
@@ -374,7 +356,8 @@ def _strata(lam: Fraction, d: int, t: int) -> tuple[tuple[int, Fraction], ...]:
 
 
 def _log_z(num, n: int, lam: Fraction, strata):
-    """log_Z_asymptotic's (value, terms, alt) in the number kit num."""
+    """log_Z_asymptotic's (value, terms, alt) in the number kit num; its
+    value is also _log_count's ln Z at the corrected fugacity."""
     terms = [("log_2", num.log(2)),
              ("free_sides", n * num.log1p(lam))]
     terms += [(f"stratum_{j}", num.rational(x)) for j, x in strata]
@@ -392,9 +375,7 @@ def log_Z_asymptotic(lam: Fraction, d: int, t: int, digits: int = 80) -> LogCoun
     if lam <= 0:
         raise ValueError("fugacity must be positive")
     hc.check_dim(d)
-    if t < 1:
-        raise ValueError("order must be >= 1")
-    _check_order("t", t, MAX_EXACT_J + 1)
+    _check_order("t", t, 1, MAX_EXACT_J + 1)
     if (1 + lam) ** t <= 2:
         warnings.warn(RegimeWarning(
             f"lam = {lam} is at or below 2^(1/{t}) - 1; order-{t} guarantees "
@@ -404,17 +385,16 @@ def log_Z_asymptotic(lam: Fraction, d: int, t: int, digits: int = 80) -> LogCoun
 
 
 def _log_count(num, n: int, m: int, lb: Fraction, corrections, strata):
-    """log_count_asymptotic's (value, terms, alt) in the number kit num."""
+    """log_count_asymptotic's (value, terms, alt) in the number kit num:
+    alt is ln Z(lam_b) - m ln lam_b - (1/2) ln(2 pi N beta (1-beta)), with
+    ln Z(lam_b) from _log_z over the strata at lam_b."""
     terms = [("log_2", num.log(2)), ("log_binomial", num.log_binomial(n, m))]
     terms += [(f"P_{j}", num.rational(x)) for j, x in corrections]
-    value = num.fsum(v for _, v in terms)
     beta = Fraction(m, n)
-    alt = (num.log(2) + n * num.log1p(lb)
+    alt = (_log_z(num, n, lb, strata)[0]
            - m * num.log(num.rational(lb))
            - num.log(2 * num.pi * n * num.rational(beta * (1 - beta))) / 2)
-    for _, x in strata:
-        alt += num.rational(x)
-    return value, tuple(terms), alt
+    return num.fsum(v for _, v in terms), tuple(terms), alt
 
 
 def log_count_asymptotic(beta: Fraction, d: int, t: int,
@@ -425,17 +405,15 @@ def log_count_asymptotic(beta: Fraction, d: int, t: int,
     value), with ln C(N, m) enclosed by Stirling's series (the number kit's
     `log_binomial`), so C(N, m) itself is not built.
     (b) Stirling form at the corrected fugacity (printed as alt_ln_value).
-    Path (b) = log 2 + N log(1+lam_b) - m log lam_b + strata at
-    lam_b - (1/2) log(2 pi N beta (1-beta)).  Both use beta = m/N exactly.
+    Path (b) = log Z(lam_b) - m log lam_b - (1/2) log(2 pi N beta (1-beta)),
+    with log Z as log_Z_asymptotic writes it.  Both use beta = m/N exactly.
     """
     _check_digits(digits)
     beta = Fraction(beta)
     if not 0 < beta < 1:
         raise ValueError("beta must lie strictly between 0 and 1")
     hc.check_dim(d)
-    if t < 1:
-        raise ValueError("order must be >= 1")
-    _check_order("t", t, MAX_EXACT_J + 1)
+    _check_order("t", t, 1, MAX_EXACT_J + 1)
     n = hc.n_side(d)
     m = math.floor(beta * n)
     if not 0 < m < n:
@@ -446,7 +424,7 @@ def log_count_asymptotic(beta: Fraction, d: int, t: int,
     y = (1 - beta) ** d
     corrections = tuple((j, n * ptable[j].eval({BETA: beta, DIM: d}) * y ** j)
                         for j in range(1, t))
-    lb, _ = _corrected_fugacity(beta, d, compute_B(math.ceil(t / 2) - 1))
+    lb, _ = _corrected_fugacity(beta, d, compute_B(_fugacity_order(t)))
     return LogCount(digits, partial(_log_count, n=n, m=m, lb=lb,
                                     corrections=corrections,
                                     strata=_strata(lb, d, t)))

@@ -319,14 +319,17 @@ def _cmd_rj(args) -> dict:
     from . import asymptotics
     if args.j < 1:
         raise _UsageError("--j must be >= 1")
-    table = asymptotics.R_table(args.j, budget=args.budget)
-    return {"kind": "R", "jmax": args.j, "entries": table.to_json()}
+    table = {j: asymptotics.R_poly(j, budget=args.budget)
+             for j in range(1, args.j + 1)}
+    return {"kind": "R", "jmax": args.j,
+            "entries": asymptotics.series_rows("R", table)}
 
 
 def _cmd_bj(args) -> dict:
     from . import asymptotics
     table = asymptotics.compute_B(args.r)
-    return {"kind": "B", "rmax": args.r, "entries": table.to_json()}
+    return {"kind": "B", "rmax": args.r,
+            "entries": asymptotics.series_rows("B", table)}
 
 
 def _cmd_pj(args) -> dict:
@@ -334,7 +337,8 @@ def _cmd_pj(args) -> dict:
     if args.t < 2:
         raise _UsageError("--t must be >= 2 (order t uses corrections j <= t-1)")
     table = asymptotics.compute_P(args.t - 1)
-    return {"kind": "P", "t": args.t, "entries": table.to_json()}
+    return {"kind": "P", "t": args.t,
+            "entries": asymptotics.series_rows("P", table)}
 
 
 def _cmd_lambda_beta(args) -> dict:
@@ -461,8 +465,11 @@ def _cmd_validate(args) -> int:
 # -- report: merge prior outputs into tables and plot data -------------------------
 
 
-# an input's kind: the first whose fields it holds; other inputs are skipped
+# an input's kind: the first whose fields it holds; an input of kind None
+# (a count-structured output, whose ln_value is no ln i_m) or of no kind is
+# skipped
 _REPORT_KINDS = (("oracle", {"counts", "d"}), ("zeta", {"ln_value", "lam"}),
+                 (None, {"fixed", "diverging"}),
                  ("count", {"ln_value", "beta"}), ("sample", {"per_type"}))
 _NUMBER = (int, float)
 

@@ -223,7 +223,6 @@ class OddModelProfile(NamedTuple):
     """
 
     d: int
-    polymers: tuple[tuple[int, ...], ...]
     xi_terms: tuple[tuple[tuple[int, int], int], ...]
     z_poly: tuple[int, ...]
 
@@ -294,7 +293,6 @@ def odd_model_exact(d: int) -> OddModelProfile:
 
     return OddModelProfile(
         d=d,
-        polymers=tuple(tuple(sorted(s)) for s in polymers),
         xi_terms=tuple(sorted(xi.items())),
         z_poly=_unpack(z, width, -(-z.bit_length() // width)),
     )

@@ -572,18 +572,28 @@ def test_validate_single_fast_criterion(capsys):
 def test_report_pipeline(tmp_path, capsys):
     oracle_path = tmp_path / "oracle5.json"
     zeta_path = tmp_path / "zeta5.json"
+    # a count-structured output holds ln_value and beta as a count output
+    # does, but its ln_value is no ln i_m: it is skipped, where it was
+    # printed as a t=3 row of ln i_m
+    structured_path = tmp_path / "structured5.json"
     for argv, path in ((["oracle", "--d", "5"], oracle_path),
-                       (["zeta", "--lam", "1", "--d", "5", "--t", "2"], zeta_path)):
+                       (["zeta", "--lam", "1", "--d", "5", "--t", "2"], zeta_path),
+                       (["count-structured", "--beta", "1/2", "--d", "5", "--t", "3",
+                         "--fixed", "s1c0g0=1"], structured_path)):
         assert cli.main(argv + ["--out", str(path)]) == 0
         capsys.readouterr()
     code, out, _ = run_cli(capsys, "report", "--inputs", str(oracle_path),
-                           str(zeta_path), "--out-dir", str(tmp_path))
+                           str(zeta_path), str(structured_path),
+                           "--out-dir", str(tmp_path))
     assert code == 0
     report = (tmp_path / "report.txt").read_text()
     assert "ln Z, d=5, lam=1" in report
     assert "exact:" in report
+    assert [line.split(":")[0] for line in report.splitlines()
+            if line.startswith("  t=")] == ["  t=2"]
     dat = (tmp_path / "truncation_error.dat").read_text()
-    assert any(line and not line.startswith("#") for line in dat.splitlines())
+    assert len([line for line in dat.splitlines()
+                if line and not line.startswith("#")]) == 1
     assert out.strip() != ""
 
 
