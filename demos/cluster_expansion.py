@@ -23,7 +23,7 @@ def main() -> None:
     print("=" * 56)
     running = Fraction(0)
     for k in range(1, 7):
-        s = clusters.stratum_value(d, k, lam)
+        s = clusters.cluster_sum(d, k).value(lam)
         running += s
         err = abs(float(running) - target)
         print(f"  k={k}  stratum={float(s):+.6e}  "

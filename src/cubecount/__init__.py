@@ -34,11 +34,10 @@ _EXPORTS = {name: module for module, names in (
     ("polymers", ("Census", "DefectType", "Polymer", "SymbolicCensus",
                   "census", "classify", "enumerate_polymers",
                   "symbolic_census")),
-    ("clusters", ("Cluster", "ClusterSum", "Observable", "abstract_cluster_log",
-                  "abstract_log_direct", "cluster_sum", "enumerate_clusters",
-                  "expected_size_truncated", "log_xi_series",
-                  "stratum_partial_sum", "stratum_value", "truncated_log_xi",
-                  "ursell", "ursell_recursive")),
+    ("clusters", ("ClusterSum", "Observable", "abstract_cluster_log",
+                  "abstract_log_direct", "cluster_sum",
+                  "expected_size_truncated", "log_xi_series", "ursell",
+                  "ursell_recursive")),
     ("symbolic", ("RatFunc", "RatPoly", "TruncSeries", "interpolate_poly")),
     ("asymptotics", ("LambdaBeta", "LogCount", "R_poly", "compute_B",
                      "compute_P", "lambda_beta", "log_Z_asymptotic",
@@ -46,7 +45,7 @@ _EXPORTS = {name: module for module, names in (
                      "structured_count")),
     ("sampler", ("ChainState", "DefectReport", "SamplerSummary",
                  "defect_statistics", "extract_defects", "glauber_run",
-                 "sample_chains", "two_chain_diagnostic")),
+                 "sample_chains")),
 ) for name in names}
 
 __version__ = "0.1.0"

@@ -36,11 +36,11 @@ n = a 2^s + c with 0 <= c < 2^s lies in [a, a + 1] 2^s, the point a 2^s
 when c = 0.  The quotient of the two enclosures times a power of 2, each
 step rounded outward, is a few units in the last place wide.  A
 denominator 2^s 5^t is divided out as 2^(t - s) 10^-t, so a terminating
-decimal with a short numerator stays exact.  `Interval ** k`, for an int
-k, squares in contexts len(str(k)) + 1 digits wider than the kit's, so the
+decimal with a short numerator stays exact.  That power of 2, `pow2(k)`,
+squares in contexts len(str(|k|)) + 1 digits wider than the kit's, so the
 relative error, which each squaring doubles, stays below a unit in the
 last place of the kit's digits; the ends are then rounded outward to
-those.
+those, and a negative k divides 1 by the enclosure of 2^|k|.
 
 `evaluate` is Ziv's strategy (Ziv, ACM TOMS 17(3), 1991; as in MPFR): it
 starts `_GUARD_DIGITS` beyond the printed digits and doubles the working
@@ -234,32 +234,6 @@ class Interval:
     def __rtruediv__(self, other):
         return self.num.coerce(other) / self
 
-    def __pow__(self, k: int):
-        """self^k for an int k, by squaring, rounded outward (see the
-        module docstring)."""
-        if k < 0:
-            return 1 / self ** -k
-        down, up, _ = decimal_contexts(self.num.digits + len(str(k)) + 1)
-
-        def power(a, ctx):  # |a|^k, each product rounded by ctx
-            a, p = a.copy_abs(), Decimal(1)
-            for bit in bin(k)[2:]:
-                p = ctx.multiply(p, p)
-                if bit == "1":
-                    p = ctx.multiply(p, a)
-            return p
-
-        lo, hi = self.lo, self.hi
-        if k & 1:  # x^k rises with x and keeps its sign
-            lo = power(lo, up).copy_negate() if lo < 0 else power(lo, down)
-            hi = power(hi, down).copy_negate() if hi < 0 else power(hi, up)
-        else:  # x^k = |x|^k
-            small, large = sorted((lo.copy_abs(), hi.copy_abs()))
-            lo = power(Decimal(0) if lo < 0 < hi else small, down)
-            hi = power(large, up)
-        num = self.num
-        return Interval(num.down.plus(lo), num.up.plus(hi), num)
-
 
 class DecimalNumbers:
     """The number kit of decimal intervals, rounded outward at `digits` digits.
@@ -304,10 +278,26 @@ class DecimalNumbers:
         else:
             t = 0
         (p, sa), (q, sr) = self._leading(a), self._leading(r)
-        y = p / q * self.coerce(2) ** (sa - sr + t - s)
+        y = p / q * self.pow2(sa - sr + t - s)
         if t:
             y = Interval(self.down.scaleb(y.lo, -t), self.up.scaleb(y.hi, -t), self)
         return y
+
+    def pow2(self, k: int) -> Interval:
+        """2^k for an int k, by squaring, rounded outward (see the module
+        docstring); a negative k divides 1 by 2^-k."""
+        down, up, _ = decimal_contexts(self.digits + len(str(abs(k))) + 1)
+
+        def power(ctx):  # 2^|k|, each product rounded by ctx
+            p = Decimal(1)
+            for bit in bin(abs(k))[2:]:
+                p = ctx.multiply(p, p)
+                if bit == "1":
+                    p = ctx.multiply(p, 2)
+            return p
+
+        y = Interval(self.down.plus(power(down)), self.up.plus(power(up)), self)
+        return 1 / y if k < 0 else y
 
     def log(self, x) -> Interval:
         """ln x, for an Interval or an int x.

@@ -227,11 +227,21 @@ def _emit(obj: dict, out: str | None) -> None:
         _write(out, blob)
 
 
+def _defect_type(key: str):
+    """The defect type of a type key, refused past polymers.MAX_TYPE_SIZE."""
+    from . import polymers
+    t = polymers.DefectType.from_key(key)
+    if t.size > polymers.MAX_TYPE_SIZE:
+        raise _UsageError(f"type {key} has size {t.size}; defect types "
+                          f"have size <= {polymers.MAX_TYPE_SIZE}")
+    return t
+
+
 def _parse_observable(text: str, power: int) -> clusters.Observable:
-    from . import clusters, polymers
+    from . import clusters
     if text.startswith("type:"):
         key = text[len("type:"):]
-        polymers.DefectType.from_key(key)  # validate early
+        _defect_type(key)  # validate early
         return clusters.Observable("type_count", power, key)
     if text not in ("one", "size", "nbhd", "size_nbhd"):
         raise _UsageError(f"unknown observable {text!r}; use one, size, nbhd, "
@@ -308,8 +318,9 @@ def _cmd_clusters(args) -> dict:
         out["lam"] = str(lam)
         out["stratum_value"] = str(v)
         out["stratum_value_float"] = float(v)
-        if obs.kind == "one":
-            t = clusters.stratum_partial_sum(args.d, lam, args.k)
+        if obs.kind == "one":  # the running total of strata 1..k
+            t = sum((clusters.cluster_sum(args.d, j).value(lam)
+                     for j in range(1, args.k)), v)
             out["stratum_partial_sum"] = str(t)
             out["stratum_partial_sum_float"] = float(t)
     return out
@@ -357,20 +368,16 @@ def _cmd_count(args) -> dict:
 
 
 def _parse_typed_pairs(pairs: list[str], diverging: bool) -> dict:
-    from . import polymers
     form = "KEY=MEAN,SHIFT" if diverging else "KEY=COUNT"
     out = {}
     for item in pairs:
         if "=" not in item:
             raise _UsageError(f"expected {form} in {item!r}")
         key, _, rest = item.partition("=")
-        t = polymers.DefectType.from_key(key)
+        t = _defect_type(key)
         if t in out:
             raise _UsageError(f"type {t.key} given twice to "
                               f"{'--diverging' if diverging else '--fixed'}")
-        if t.size > polymers.MAX_TYPE_SIZE:
-            raise _UsageError(f"type {key} has size {t.size}; defect types "
-                              f"have size <= {polymers.MAX_TYPE_SIZE}")
         try:
             values = tuple(map(int, rest.split(",")))
         except ValueError:

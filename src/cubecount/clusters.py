@@ -447,25 +447,6 @@ def cluster_sum(d: int, k: int, observable: Observable = Observable("one"),
     return ClusterSum(d=d, k=k, observable=observable, poly=poly)
 
 
-def stratum_value(d: int, k: int, lam: Fraction,
-                  observable: Observable = Observable("one")) -> Fraction:
-    return cluster_sum(d, k, observable).value(lam)
-
-
-def stratum_partial_sum(d: int, lam: Fraction, max_total: int) -> Fraction:
-    """Expansion of log(polymer partition function), strata <= max_total.
-
-    Strata here are graded by total polymer size, the grading that produces
-    the R_j coefficient polynomials.  Neighboring strata can be comparable
-    in magnitude (the stratum k+1 leading coefficient often outweighs the
-    extra power of lam), so the first omitted stratum is not a reliable
-    error bound for these partial sums; see truncated_log_xi for the
-    grading that has one.
-    """
-    lam = Fraction(lam)
-    return sum((stratum_value(d, k, lam) for k in range(1, max_total + 1)), Fraction(0))
-
-
 # -- count-graded truncation (exact, small d) ---------------------------------------
 
 
@@ -492,7 +473,12 @@ def log_xi_series(d: int, lam: Fraction, kmax: int) -> list[Fraction]:
 
     With Xi(t) = 1 + sum_n c_n t^n marking every polymer with t, the
     coefficient L_n collects exactly the clusters made of n polymers;
-    n L_n = n c_n - sum_{j<n} j L_j c_{n-j}.
+    n L_n = n c_n - sum_{j<n} j L_j c_{n-j}.  The c_n come from the full
+    polymer universe, so this is a small-d tool (d <= 5).  Successive orders
+    fall off in an essentially alternating fashion, which makes the first
+    omitted order an empirical bound on the truncation error.  The strata of
+    cluster_sum, graded by total polymer size, have no such bound:
+    neighboring strata can be comparable in magnitude.
     """
     lam = Fraction(lam)
     if kmax < 1:
@@ -510,31 +496,23 @@ def log_xi_series(d: int, lam: Fraction, kmax: int) -> list[Fraction]:
     return ell
 
 
-def truncated_log_xi(d: int, lam: Fraction, max_polymers: int) -> Fraction:
-    """log of the polymer partition function, truncated by polymer count.
-
-    Sums the cluster expansion over clusters of at most max_polymers
-    polymers (of any size), computed exactly from the full universe, so it
-    is a small-d tool (d <= 5).  Successive orders fall off in an
-    essentially alternating fashion, which makes the first omitted order an
-    empirical bound on the truncation error; contrast stratum_partial_sum.
-    """
-    return sum(log_xi_series(d, lam, max_polymers), Fraction(0))
-
-
 def expected_size_truncated(d: int, lam: Fraction, max_total: int) -> Fraction:
     """Mean independent-set size in the one-sided model, truncated at a stratum.
 
     The fugacity derivative of each cluster weight contributes
     w * (total size - lam/(1+lam) * total neighborhood), so the truncation is
-    lam*N/(1+lam) plus stratum sums of those two observables.
+    lam*N/(1+lam) plus stratum sums of those two observables.  This is the
+    observable route to lam d/dlam log Xi, a second implementation of the F_j
+    route in asymptotics._beta_x_coefficient: acceptance criterion 8
+    evaluates it at the lam_beta that route solves for, and criterion 9
+    checks it against the sampler's mean |I|.
     """
     lam = Fraction(lam)
     n = hc.n_side(d)
     total = lam * n / (1 + lam)
     for k in range(1, max_total + 1):
-        s_one = stratum_value(d, k, lam)
-        s_nbhd = stratum_value(d, k, lam, Observable("nbhd"))
+        s_one = cluster_sum(d, k).value(lam)
+        s_nbhd = cluster_sum(d, k, Observable("nbhd")).value(lam)
         total += k * s_one - lam / (1 + lam) * s_nbhd
     return total
 

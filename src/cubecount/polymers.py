@@ -371,12 +371,17 @@ def enumerate_polymers(d: int, max_size: int,
     """All polymers of size <= max_size in Q_d, in ascending support order.
 
     The list is global, so it is only sensible for small d; the translation-
-    reduced list is rooted_polymer_supports.
+    reduced list is rooted_polymer_supports.  `budget` counts each root as
+    well as the candidates the kernel tries, so it bounds a size-1 listing.
     """
     check_census_bounds(d, max_size)
     bud = [budget] if budget is not None else None
     out = []
     for root in hc.odd_side(d):
+        if bud is not None:
+            bud[0] -= 1
+            if bud[0] < 0:
+                raise BudgetExceededError("connected-set enumeration budget exhausted")
         for verts, _, deficiency, code in _grow_polymers(d, root, max_size, bud,
                                                          above_root=True):
             t = DefectType(*_type_of(len(verts), deficiency, code))

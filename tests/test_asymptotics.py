@@ -48,7 +48,7 @@ def test_r_polynomials_match_stratum_sums_numerically():
 
     d, x = 5, Fraction(1, 9)
     for j in (1, 2, 3):
-        per_site = cl.stratum_value(d, j, x) / hc.n_side(d)
+        per_site = cl.cluster_sum(d, j).value(x) / hc.n_side(d)
         # strata carry (1+lam)^{-jd}; R_j absorbs it as a polynomial identity
         assert asym.R_poly(j).eval({"lam": x, "d": Fraction(d)}) == \
             per_site * (1 + x) ** (j * d)

@@ -102,6 +102,8 @@ USAGE_ERRORS = [
     ["sample", "--d", "3", "--lam", "1", "--burn-in", "-5",
      "--samples", "2", "--thin", "1"],
     ["clusters", "--d", "25", "--k", "1"],
+    # exited 0 with an empty polynomial; count-structured refuses the key
+    ["clusters", "--d", "5", "--k", "2", "--observable", "type:s9c0g0"],
     # the chain's step tables would need gigabytes past d = 16
     ["sample", "--d", "17", "--lam", "1", "--samples", "2"],
     # no command takes a worker-process count
@@ -372,15 +374,21 @@ def test_unwritable_csv_path_is_a_one_line_error(tmp_path, capsys):
 
 
 def test_budget_exhaustion_exits_two(capsys):
-    code, _, err = run_cli(capsys, "polymers", "--d", "9", "--max-size", "3",
-                           "--budget", "5")
-    assert code == 2
-    assert err.startswith("error: budget exhausted")
+    for argv in (["polymers", "--d", "9", "--max-size", "3", "--budget", "5"],
+                 # the kernel tries no candidate at size 1, so this listed
+                 # all 32,768 polymers (3.3 MB) and exited 0; each root now
+                 # spends one unit
+                 ["polymers", "--d", "16", "--max-size", "1", "--mode", "list",
+                  "--budget", "0"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: budget exhausted"), argv
+        assert err.count("\n") == 1, argv
 
 
 @pytest.mark.parametrize("argv,budget", [
     (["polymers", "--d", "9", "--max-size", "4"], 3951),
-    (["polymers", "--d", "6", "--max-size", "4", "--mode", "list"], 19640),
+    (["polymers", "--d", "6", "--max-size", "4", "--mode", "list"], 19672),
     (["clusters", "--d", "7", "--k", "3"], 347),
     (["clusters", "--d", "7", "--k", "4"], 19440),
 ])

@@ -77,26 +77,32 @@ def test_observable_labels_and_validation():
 def test_first_stratum_closed_form():
     # single-polymer clusters of size 1: n_side * lam * (1+lam)^{-d}
     d, lam = 4, Fraction(1, 20)
-    assert cl.stratum_value(d, 1, lam) == Fraction(64000, 194481)
-    assert cl.stratum_value(d, 1, lam) == 8 * lam / (1 + lam) ** d
+    assert cl.cluster_sum(d, 1).value(lam) == Fraction(64000, 194481)
+    assert cl.cluster_sum(d, 1).value(lam) == 8 * lam / (1 + lam) ** d
 
 
-def test_stratum_partial_sum_is_the_running_total():
+def test_stratum_partial_sum_is_the_running_total(capsys):
+    # clusters --lam adds the stratum it prints to the strata below it
+    from cubecount import cli
+
     d, lam = 4, Fraction(1, 20)
-    acc = Fraction(0)
-    for k in range(1, 5):
-        acc += cl.stratum_value(d, k, lam)
-        assert cl.stratum_partial_sum(d, lam, k) == acc
+    assert cli.main(["clusters", "--d", str(d), "--k", "4", "--lam", str(lam)]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    strata = [cl.cluster_sum(d, k).value(lam) for k in range(1, 5)]
+    assert obj["stratum_value"] == str(strata[-1])
+    assert obj["stratum_partial_sum"] == str(sum(strata))
 
 
 @pytest.mark.parametrize("lam", [Fraction(-1), Fraction(-2), Fraction(0)])
-def test_a_nonpositive_fugacity_is_refused(lam):
+def test_a_nonpositive_fugacity_is_refused(lam, capsys):
     # -1 divided by zero in (1 + lam)^(-kd); -2 and 0 gave values for a
     # fugacity the model does not have
+    from cubecount import cli
+
     with pytest.raises(ValueError, match="^fugacity must be positive$"):
         cl.cluster_sum(4, 2).value(lam)
-    with pytest.raises(ValueError, match="^fugacity must be positive$"):
-        cl.stratum_partial_sum(4, lam, 2)
+    assert cli.main(["clusters", "--d", "4", "--k", "2", f"--lam={lam}"]) == 1
+    assert capsys.readouterr().err == "error: fugacity must be positive\n"
 
 
 def test_cluster_sum_json_shape():
@@ -155,7 +161,7 @@ def test_count_graded_series_converges_to_log_xi():
         errs.append(abs(float(partial) - target))
     assert errs == sorted(errs, reverse=True)
     assert errs[-1] < 1e-4
-    assert cl.truncated_log_xi(d, lam, 6) == sum(series)
+    assert series[:3] == cl.log_xi_series(d, lam, 3)  # a shorter series is a prefix
 
 
 def test_count_graded_leading_terms_by_hand():
@@ -178,7 +184,7 @@ def test_count_graded_leading_terms_by_hand():
 
 def test_count_graded_universe_needs_small_d():
     with pytest.raises(ValueError):
-        cl.truncated_log_xi(6, Fraction(1, 10), 2)
+        cl.log_xi_series(6, Fraction(1, 10), 2)
 
 
 def test_size_graded_total_tracks_odd_model():
@@ -186,7 +192,7 @@ def test_size_graded_total_tracks_odd_model():
     # running total lands close to the exact restricted-model value
     d, lam = 4, Fraction(1, 100)
     target = math.log(float(ex.odd_model_exact(d).xi_value(lam)))
-    got = float(cl.stratum_partial_sum(d, lam, 4))
+    got = float(sum(cl.cluster_sum(d, k).value(lam) for k in range(1, 5)))
     assert abs(got - target) < 1e-6
 
 
@@ -195,9 +201,9 @@ def test_expected_size_truncated_assembles_observable_strata():
     d, lam = 6, Fraction(1, 30)
     n = hc.n_side(d)
     b = lam / (1 + lam)
-    s1 = cl.stratum_value(d, 1, lam)
-    s1_size = cl.stratum_value(d, 1, lam, cl.Observable("size"))
-    s1_nbhd = cl.stratum_value(d, 1, lam, cl.Observable("nbhd"))
+    s1 = cl.cluster_sum(d, 1).value(lam)
+    s1_size = cl.cluster_sum(d, 1, cl.Observable("size")).value(lam)
+    s1_nbhd = cl.cluster_sum(d, 1, cl.Observable("nbhd")).value(lam)
     assert s1_size == s1  # stratum 1 holds only size-1 polymers
     assert cl.expected_size_truncated(d, lam, 1) == n * b + s1 - b * s1_nbhd
 
@@ -223,9 +229,9 @@ def test_abstract_universe_independent_polymers_add():
 
 
 def test_cache_clearing_keeps_results_stable():
-    before = cl.stratum_value(4, 2, Fraction(1, 7))
+    before = cl.cluster_sum(4, 2).value(Fraction(1, 7))
     cl.clear_caches()
-    assert cl.stratum_value(4, 2, Fraction(1, 7)) == before
+    assert cl.cluster_sum(4, 2).value(Fraction(1, 7)) == before
 
 
 def test_free_dim_values():
