@@ -7,6 +7,11 @@ correction B_j and the count-correction coefficients P_j as rational
 functions of (beta, d), and evaluates the resulting high-precision
 estimates for log Z and log i_m.
 
+Each series entry calls the one below it: compute_B solves the B_j,
+lambda_beta reads them into the tuned fugacity, log_count_asymptotic takes
+lambda_beta's value, and structured_count shares log_count_asymptotic's
+setup (_count_setup).
+
 Truncation convention: an order-t formula carries the correction terms
 j = 1 .. t-1 and has error of the order of the first omitted term.  The
 fugacity series uses r = ceil(t/2) - 1 correction orders.
@@ -184,46 +189,38 @@ def _strata_series(x: TruncSeries, size: bool) -> TruncSeries:
     return out
 
 
-def Q_func(j: int, b: Mapping[int, RatFunc] | None = None) -> RatFunc:
-    """The Y^j coefficient of the density fixed-point equation.
-
-    Built from beta*(1+X) = beta + X + sum_i G_i (1-beta)^(1-c_i) Y^i (1+X)^(-id),
-    with G_i = (1-beta)^(c_i) F_i from _beta_x_coefficient(i, True), and
-    multiplied by (1-beta).  B_j enters only through the Y^j coefficient
-    B_j (1-beta) of X, so Q_j is Q_j|_{B_j=0} + (1-beta)^2 B_j.  Entries of b
-    for i < j must be present; a missing entry for j is B_j = 0.
-    """
-    _check_order("j", j, 1, MAX_EXACT_J)
-    b = b or {}
-    for i in range(1, j):
-        if i not in b:
-            raise ValueError(f"Q at order {j} needs solved B_{i}")
-    x = _x_series(b, j + 1)
-    q = x + _strata_series(x, True)
-    return q.coefficient(j) * RatFunc(RatPoly.const(1) - RatPoly.var(BETA))
-
-
 @lru_cache(maxsize=MAX_EXACT_J + 1)  # r = 0..MAX_EXACT_J
 def compute_B(r: int) -> dict[int, RatFunc]:
     """Solve Q_1 = ... = Q_r = 0 for the fugacity corrections B_j(beta, d).
 
-    Q_j = Q_j|_{B_j=0} + (1-beta)^2 B_j (see Q_func), so each B_j is
-    -Q_j|_{B_j=0} / (1-beta)^2.  The solved B_j is substituted back and the
-    residual Q_j checked to be the identically-zero function, which is what
-    proves that coefficient at run time.
+    Q_j is the Y^j coefficient of the density fixed-point equation
+    beta*(1+X) = beta + X + sum_i G_i (1-beta)^(1-c_i) Y^i (1+X)^(-id), with
+    G_i = (1-beta)^(c_i) F_i from _beta_x_coefficient(i, True), multiplied by
+    (1-beta).  B_j enters only through the Y^j coefficient B_j (1-beta) of
+    X, so Q_j is Q_j|_{B_j=0} + (1-beta)^2 B_j and B_j is
+    -Q_j|_{B_j=0} / (1-beta)^2.  Build k, of order min(k, r) + 1, reads
+    Q_k|_{B_k=0} and the residuals Q_j, j < k, of the B_j already solved;
+    each residual must be the identically-zero function, which is what
+    proves that coefficient at run time.  Build r + 1 checks B_r, so B_1 ..
+    B_r take r + 1 builds (none for r = 0).
     Returns {j: B_j}, j = 1 .. r.  Cached: log_count_asymptotic reaches
     the same table through compute_P and lambda_beta.  Callers must not
     mutate the returned table.
     """
     _check_order("r", r, 0, MAX_EXACT_J)
+    omb = RatFunc(RatPoly.const(1) - RatPoly.var(BETA))
     solved: dict[int, RatFunc] = {}
-    for j in range(1, r + 1):
-        q = Q_func(j, solved)
-        solved[j] = RatFunc(-q.num, opow=q.opow + 2)
-        residual = Q_func(j, solved)
-        if not residual.is_zero():
-            raise ArithmeticError(
-                f"nonzero residual after solving Q_{j}: {residual.text()}")
+    for k in range(1, r + 2) if r else ():
+        x = _x_series(solved, min(k, r) + 1)
+        q = x + _strata_series(x, True)
+        for j in solved:
+            residual = q.coefficient(j) * omb
+            if not residual.is_zero():
+                raise ArithmeticError(
+                    f"nonzero residual after solving Q_{j}: {residual.text()}")
+        if k <= r:
+            qk = q.coefficient(k) * omb
+            solved[k] = RatFunc(-qk.num, opow=qk.opow + 2)
     return solved
 
 
@@ -248,14 +245,6 @@ class LambdaBeta(NamedTuple):
         }
 
 
-def _warn_beta_regime(beta: Fraction, t: int) -> None:
-    # regime boundary beta = 1 - 2^(-1/t), compared exactly
-    if 2 * (1 - beta) ** t >= 1:
-        warnings.warn(RegimeWarning(
-            f"beta = {beta} is at or below 1 - 2^(-1/{t}); order-{t} "
-            "guarantees do not apply, values remain evaluable"))
-
-
 def _fugacity_order(t: int) -> int:
     """r = ceil(t/2) - 1: order t reads the corrections B_j for j <= r."""
     return math.ceil(t / 2) - 1
@@ -268,15 +257,13 @@ def lambda_beta(beta: Fraction, d: int, t: int) -> LambdaBeta:
         raise ValueError("beta must lie strictly between 0 and 1")
     hc.check_dim(d)
     _check_order("t", t, 1, 2 * (MAX_EXACT_J + 1))
-    _warn_beta_regime(beta, t)
+    # regime boundary beta = 1 - 2^(-1/t), compared exactly
+    if 2 * (1 - beta) ** t >= 1:
+        warnings.warn(RegimeWarning(
+            f"beta = {beta} is at or below 1 - 2^(-1/{t}); order-{t} "
+            "guarantees do not apply, values remain evaluable"))
     r = _fugacity_order(t)
     table = compute_B(r)
-    return LambdaBeta(beta, d, t, r, *_corrected_fugacity(beta, d, table), table)
-
-
-def _corrected_fugacity(beta: Fraction, d: int, table: Mapping[int, RatFunc]):
-    """(value, terms) of LambdaBeta for the B_j of `table`, solved by
-    lambda_beta and log_count_asymptotic after their own checks."""
     value = beta / (1 - beta)
     terms = []
     for j, bj in table.items():
@@ -287,7 +274,7 @@ def _corrected_fugacity(beta: Fraction, d: int, table: Mapping[int, RatFunc]):
         raise ValueError(
             f"corrected fugacity is nonpositive at beta={beta}, d={d}: "
             "outside the applicable regime")
-    return value, tuple(terms)
+    return LambdaBeta(beta, d, t, r, value, tuple(terms), table)
 
 
 # -- count-correction coefficients P_j ---------------------------------------------
@@ -397,18 +384,9 @@ def _log_count(num, n: int, m: int, lb: Fraction, corrections, strata):
     return num.fsum(v for _, v in terms), tuple(terms), alt
 
 
-def log_count_asymptotic(beta: Fraction, d: int, t: int,
-                         digits: int = 80) -> LogCount:
-    """log of the number of independent sets of size floor(beta*N).
-
-    Two evaluation paths: (a) log-binomial plus N sum P_j Y^j (the returned
-    value), with ln C(N, m) enclosed by Stirling's series (the number kit's
-    `log_binomial`), so C(N, m) itself is not built.
-    (b) Stirling form at the corrected fugacity (printed as alt_ln_value).
-    Path (b) = log Z(lam_b) - m log lam_b - (1/2) log(2 pi N beta (1-beta)),
-    with log Z as log_Z_asymptotic writes it.  Both use beta = m/N exactly.
-    """
-    _check_digits(digits)
+def _count_setup(beta: Fraction, d: int, t: int) -> dict:
+    """The checks and exact inputs of log_count_asymptotic, shared with
+    structured_count: _log_count's keywords, with beta aligned to m/N."""
     beta = Fraction(beta)
     if not 0 < beta < 1:
         raise ValueError("beta must lie strictly between 0 and 1")
@@ -419,15 +397,29 @@ def log_count_asymptotic(beta: Fraction, d: int, t: int,
     if not 0 < m < n:
         raise ValueError(f"target size floor(beta*N) = {m} must be inside (0, N)")
     beta = Fraction(m, n)  # align both paths on the integer target
-    _warn_beta_regime(beta, t)
+    lb = lambda_beta(beta, d, t).value
     ptable = compute_P(t - 1)
     y = (1 - beta) ** d
     corrections = tuple((j, n * ptable[j].eval({BETA: beta, DIM: d}) * y ** j)
                         for j in range(1, t))
-    lb, _ = _corrected_fugacity(beta, d, compute_B(_fugacity_order(t)))
-    return LogCount(digits, partial(_log_count, n=n, m=m, lb=lb,
-                                    corrections=corrections,
-                                    strata=_strata(lb, d, t)))
+    return {"n": n, "m": m, "lb": lb, "corrections": corrections,
+            "strata": _strata(lb, d, t)}
+
+
+def log_count_asymptotic(beta: Fraction, d: int, t: int,
+                         digits: int = 80) -> LogCount:
+    """log of the number of independent sets of size floor(beta*N).
+
+    Two evaluation paths: (a) log-binomial plus N sum P_j Y^j (the returned
+    value), with ln C(N, m) enclosed by Stirling's series (the number kit's
+    `log_binomial`), so C(N, m) itself is not built.
+    (b) Stirling form at the corrected fugacity lambda_beta (printed as
+    alt_ln_value).
+    Path (b) = log Z(lam_b) - m log lam_b - (1/2) log(2 pi N beta (1-beta)),
+    with log Z as log_Z_asymptotic writes it.  Both use beta = m/N exactly.
+    """
+    _check_digits(digits)
+    return LogCount(digits, partial(_log_count, **_count_setup(beta, d, t)))
 
 
 def _structured(num, base, poisson, gaussian):
@@ -467,10 +459,9 @@ def structured_count(beta: Fraction, d: int,
     """
     fixed_types = dict(fixed_types or {})
     diverging_types = dict(diverging_types or {})
-    # the base count checks digits first, and its formula holds n and the
-    # corrected fugacity
-    base = log_count_asymptotic(beta, d, t, digits)
-    n, lb = base._formula.keywords["n"], base._formula.keywords["lb"]
+    _check_digits(digits)
+    base = _count_setup(beta, d, t)
+    n, lb = base["n"], base["lb"]
     both = sorted(fixed_types.keys() & diverging_types.keys())
     if both:
         raise ValueError(f"type {both[0].key} is both fixed and diverging")
@@ -497,7 +488,7 @@ def structured_count(beta: Fraction, d: int,
             raise ValueError(f"negative count {m_t + s_t} = {m_t} + ({s_t}) "
                              f"for type {T.key}")
         gaussian.append((T.key, m_t, s_t))
-    return LogCount(digits, partial(_structured, base=base._formula,
+    return LogCount(digits, partial(_structured, base=partial(_log_count, **base),
                                     poisson=tuple(poisson), gaussian=tuple(gaussian)))
 
 

@@ -41,7 +41,7 @@ from .errors import BudgetExceededError
 atexit.register(gc.freeze)
 
 
-# Largest size of a --lam or --beta, counted by `_rational_digits`.  An
+# Most decimal digits in a --lam or --beta, counted by `_rational_digits`.  An
 # exact rational that long prints in full, and the commands' exact
 # arithmetic grows with it: Fraction("1e-10000000") alone took 9 s.
 MAX_RATIONAL_DIGITS = 1_000
@@ -180,14 +180,15 @@ def _format_help(usage: str, description: str, heading: str,
 
 
 def _rational_digits(text: str) -> int:
-    """The length of `text`, with an exponent counted at its value: 1e-N is
-    a fraction of N + 1 digits."""
+    """The decimal digits of `text`, with an exponent counted at its value:
+    1e-N is a fraction of N + 1 digits."""
     mantissa, _, exponent = text.lower().partition("e")
     exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    digits = sum(c.isdecimal() for c in mantissa)
     if not exponent.isdecimal():  # none, zero, or one Fraction rejects
-        return len(text)
+        return digits + sum(c.isdecimal() for c in exponent)
     # ten digits already exceed any bound
-    return len(mantissa) + int(exponent[:10])
+    return digits + int(exponent[:10])
 
 
 def _quoted(text: str) -> str:

@@ -322,8 +322,7 @@ def _multisets(d: int, max_total: int, starts: Iterable[tuple],
                     stack.pop()
 
 
-def enumerate_clusters(d: int, max_total: int,
-                       budget: int | None = None) -> list[Cluster]:
+def enumerate_clusters(d: int, max_total: int) -> list[Cluster]:
     """All rooted clusters with total size <= max_total, each exactly once.
 
     Rooted means the union of supports contains the root vertex; global sums
@@ -333,11 +332,9 @@ def enumerate_clusters(d: int, max_total: int,
     """
     if max_total < 1:
         raise ValueError("max_total must be >= 1")
-    bud = [budget] if budget is not None else None
-    # the start supports spend a budget of their own
-    starts = pm._grow_polymers(d, pm.V0, max_total, None if bud is None else [budget])
+    starts = pm._grow_polymers(d, pm.V0, max_total)
     out = []
-    for key, union, _, total, e in _multisets(d, max_total, starts, bud, False):
+    for key, union, _, total, e in _multisets(d, max_total, starts, None, False):
         orderings, phi = _orderings_phi(key)
         out.append(Cluster(key, total, d * total - e, len(union), orderings, phi))
     return sorted(out, key=lambda c: (c.total_size, c.supports))

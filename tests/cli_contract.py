@@ -1,11 +1,11 @@
 """The CLI's process contract: one table of invocations and one probe.
 
 Each row of `ROWS` is one `cubecount` command line with what its process must
-show: the exit code, the one `error:` line on stderr when it fails, the exact
-set of `cubecount` submodules loaded, and, where pinned, the SHA-256 of
-stdout.  `probe` runs a row in a fresh interpreter and reports every
-process-level fact; `check` compares them with the row.  Besides the row's own
-figures, every row must show:
+show: the exit code, its stderr (empty, or one line: the `error:` line of a
+failed command, or a `warning:`), the exact set of `cubecount` submodules
+loaded, and, where pinned, the SHA-256 of stdout.  `probe` runs a row in a
+fresh interpreter and reports every process-level fact; `check` compares them
+with the row.  Besides the row's own figures, every row must show:
 
 - `import cubecount` alone loads no submodule;
 - none of `FOREIGN` is loaded;
@@ -87,7 +87,8 @@ class Row(NamedTuple):
     modules: frozenset
     sha256: str | None = None  # of stdout, where pinned
     code: int = 0
-    error: str | None = None  # the one stderr line of a failed command
+    # the one stderr line: a failed command's error, or a warning
+    stderr: str | None = None
     cpus: int = 1  # the CPUs the sampler is shown
 
     @property
@@ -155,6 +156,11 @@ ROWS = (
     # Fraction coefficients to integer numerators over one denominator
     Row("bj --r 3", SERIES,
         "55a17e79b644d6239d769b390fcd5fb04c2c47bf79e342b8c07c2c9023f9cea6"),
+    # each B_j order is solved in a build of its own and checked in the next
+    Row("bj --r 1", SERIES,
+        "29b468da81be610b869698eaaefb397512ac953610864a2255a8c423cd5a1d74"),
+    Row("bj --r 2", SERIES,
+        "0febae5624d6b1a79e370d456ef391031b8822d425a65876970e95c01a20795a"),
     Row("pj --t 2", SERIES,
         "91d9aae966747890b825eb0a3d0041f7a0e332865e002a906d42e55510493791"),
     Row("pj --t 3", SERIES,
@@ -169,6 +175,15 @@ ROWS = (
         "9e78f9dc37a214519427c6e5fe80320ad9c944f938c1acc7f38a5f71b7c21521"),
     Row("count-structured --beta 1/2 --d 12 --fixed s1c0g0=1", SERIES,
         "76581b3cbddcef7b536a69ebb1261b3580c7a9e2dcd82c21644e674f0183799c"),
+    # the base count at t = 4 solves B_1 and reads P_1 .. P_3
+    Row("count-structured --beta 1/2 --d 12 --t 4 --fixed s1c0g0=1", SERIES,
+        "e7a9328b50048ea6d81792ee79a4961b4b3d9f71a4be374c0715eee028755d76"),
+    # below the regime boundary: lambda_beta warns once, and count prints
+    # its values
+    Row("count --beta 1/8 --d 10 --t 2", SERIES,
+        "dbb9ffec40c55533ab9388aa88d6fd8a9e679f2fb9d6b2fa2487898489e6ae98",
+        stderr="warning: beta = 1/8 is at or below 1 - 2^(-1/2); order-2 "
+               "guarantees do not apply, values remain evaluable"),
     # ln 2000! comes from Stirling's series, not the exact factorial
     Row("count-structured --beta 1/2 --d 14 --fixed s1c0g0=2000 --digits 20", SERIES,
         "919f000e1428f52eb52d822727b5bc432f1bd79062dccb06b18c758bb67499cb"),
@@ -211,17 +226,17 @@ ROWS = (
     Row("report --inputs " + " ".join(f"{{tmp}}/{name}.json" for name in REPORT_INPUTS)
         + " --out-dir {tmp}/report", DIGITS),
     Row("oracle --d 0", EXACT, code=1,
-        error="error: dimension must be a positive integer, got 0"),
+        stderr="error: dimension must be a positive integer, got 0"),
     # refused by ClusterSum.value, after the stratum is built; it divided by
     # zero in (1 + lam)^(-kd) and printed a traceback
     Row("clusters --d 4 --k 2 --lam=-1", CLUSTERS, code=1,
-        error="error: fugacity must be positive"),
+        stderr="error: fugacity must be positive"),
     # refused by structured_count after the base count; a count of
     # MEAN + SHIFT < 0 defects exited 0 with a value
     Row("count-structured --beta 1/2 --d 12 --diverging s1c0g0=2,-5", SERIES,
-        code=1, error="error: negative count -3 = 2 + (-5) for type s1c0g0"),
+        code=1, stderr="error: negative count -3 = 2 + (-5) for type s1c0g0"),
     Row("clusters --d 8 --k 6 --budget 100000", CLUSTERS, code=2,
-        error="error: budget exhausted: connected-set enumeration budget exhausted"),
+        stderr="error: budget exhausted: connected-set enumeration budget exhausted"),
 )
 
 
@@ -257,7 +272,7 @@ def check(row: Row, tmp: str) -> list[str]:
     facts = probe(row, tmp)
     want = {
         "exit": row.code,
-        "stderr": [] if row.error is None else [row.error],
+        "stderr": [] if row.stderr is None else [row.stderr],
         "modules": sorted(row.modules),
         "package": [],
         "foreign": [],

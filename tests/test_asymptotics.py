@@ -61,11 +61,12 @@ def test_b1_closed_form():
 
 
 def test_compute_B_refuses_a_nonzero_residual(monkeypatch):
-    """B_j is solved as if its coefficient in Q_j were (1-beta)^2; a Q_j
-    whose B_j coefficient is perturbed leaves a residual, which is refused."""
-    q_func = asym.Q_func
-    monkeypatch.setattr(asym, "Q_func", lambda j, b=None: q_func(j, b) + (
-        (b or {}).get(j, RatFunc.const(0)) * RatFunc(beta)))
+    """B_j is solved as if its coefficient in Q_j were (1-beta)^2; adding
+    beta*X to the strata series makes it (1-beta)^2 (1+beta), so the solved
+    B_j leaves a residual, which is refused."""
+    strata_series = asym._strata_series
+    monkeypatch.setattr(asym, "_strata_series", lambda x, size: (
+        strata_series(x, size) + x * RatFunc(beta)))
     asym.compute_B.cache_clear()
     try:
         with pytest.raises(ArithmeticError,
@@ -73,6 +74,22 @@ def test_compute_B_refuses_a_nonzero_residual(monkeypatch):
             asym.compute_B(2)
     finally:
         asym.compute_B.cache_clear()
+
+
+def test_compute_B_builds_each_order_once(monkeypatch):
+    # build k solves B_k and checks the B_j below it; one last build checks
+    # B_r: r + 1 builds, not a solve and a residual build per order
+    strata_series = asym._strata_series
+    orders = []
+    monkeypatch.setattr(asym, "_strata_series", lambda x, size: (
+        orders.append(x.order) or strata_series(x, size)))
+    asym.compute_B.cache_clear()
+    try:
+        table = asym.compute_B(3)
+    finally:
+        asym.compute_B.cache_clear()
+    assert orders == [2, 3, 4, 4]
+    assert table[1] == RatFunc(beta * (dim * beta - 1), opow=3)
 
 
 def test_p1_closed_form():

@@ -50,15 +50,17 @@ def test_dict_caches_stay_within_their_bounds(monkeypatch):
 def test_each_B_table_is_solved_once(monkeypatch):
     asymptotics.clear_caches()
     assert asymptotics.compute_B.cache_info().currsize == 0
-    solved = []
-    q_func = asymptotics.Q_func
-    monkeypatch.setattr(asymptotics, "Q_func",
-                        lambda j, b=None: solved.append(j) or q_func(j, b))
-    # compute_P(3) and log_count_asymptotic's lambda_beta solve both need B_1: one
-    # solve, Q_1 and its residual; structured_count reads the corrected
-    # fugacity from the base count's formula and solves nothing
+    builds = []
+    strata_series = asymptotics._strata_series
+    monkeypatch.setattr(asymptotics, "_strata_series",
+                        lambda x, size: builds.append((x.order, size))
+                        or strata_series(x, size))
+    # log_count_asymptotic's lambda_beta and compute_P(3) both need B_1: one
+    # solve, a build that solves B_1 and one that checks it; compute_P's own
+    # series follows.  structured_count shares the base count's setup and
+    # solves nothing more
     asymptotics.structured_count(Fraction(1, 2), 12, t=4)
-    assert solved == [1, 1]
+    assert builds == [(2, True), (2, True), (4, False)]
     info = asymptotics.compute_B.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     asymptotics.clear_caches()

@@ -481,8 +481,8 @@ def test_exact_outputs_print_past_the_int_string_limit(capsys, argv):
 
 @pytest.mark.parametrize("value", [
     "1e-1001", "1e1000", "1E-0001001",
-    pytest.param("0." + "3" * 999, id="0.3...3"),
-    pytest.param("1/" + "7" * 999, id="1/7...7"),
+    pytest.param("0." + "3" * 1000, id="0.3...3"),
+    pytest.param("1/" + "7" * 1000, id="1/7...7"),
     # Fraction alone took 9 s to parse this one
     "1e-10000000", "1e-" + "9" * 30,
 ])
@@ -499,10 +499,29 @@ def test_rationals_past_max_rational_digits_are_refused_at_once(capsys, value):
 
 
 def test_rational_digits_count_an_exponent_at_its_value():
-    assert cli._rational_digits("1/" + "7" * 998) == cli.MAX_RATIONAL_DIGITS
+    # only decimal digits count: no point, slash, sign or exponent marker
+    assert cli._rational_digits("1/" + "7" * 998) == 999
     assert cli._rational_digits("1e-999") == 1000
-    assert cli._rational_digits("25e+0") == 5
+    assert cli._rational_digits("25e+0") == 2
     assert cli._rational_digits("1e-" + "9" * 30) > cli.MAX_RATIONAL_DIGITS
+
+
+@pytest.mark.parametrize("value, digits", [
+    pytest.param("0." + "7" * 998 + "3", 1000, id="0.7...73"),
+    pytest.param("1" * 999 + "/3", 1000, id="1...1/3"),
+    pytest.param("0." + "7" * 999 + "3", 1001, id="0.7...73+"),
+    pytest.param("1" * 1000 + "/3", 1001, id="1...1/3+"),
+])
+def test_the_digit_bound_counts_digits_only(capsys, value, digits):
+    # 1,000 digits pass with every character beside them; 1,001 are refused
+    assert cli._rational_digits(value) == digits
+    code, out, err = run_cli(capsys, "zeta", "--lam", value, "--d", "4", "--t", "2")
+    if digits <= cli.MAX_RATIONAL_DIGITS:
+        assert (code, err) == (0, ""), err
+        assert json.loads(out)["lam"] == str(Fraction(value))
+    else:
+        assert (code, out) == (1, "")
+        assert err.endswith(f"has more than {cli.MAX_RATIONAL_DIGITS} digits\n"), err
 
 
 def test_rj_output_is_reproducible(capsys):
